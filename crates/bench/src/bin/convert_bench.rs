@@ -1,12 +1,20 @@
-//! **Grouping ablation** — throughput of the convert phase and the fold
-//! table under the two [`GroupingMode`] engines, isolating grouping from
-//! shuffle and reduce costs.
+//! **Grouping ablation** — throughput and peak memory of the
+//! receive-to-KMVC path and the fold table under the grouping engines,
+//! isolating grouping from shuffle and reduce costs.
 //!
-//! `Legacy` groups through `HashMap<Vec<u8>, u32>`: one heap-allocated
-//! key copy per unique key, a hash + map lookup in pass 1 *and again* in
-//! pass 2. `Arena` groups through the shared [`GroupIndex`]: keys hash
-//! exactly once (pass 1), bytes intern into pool-page arenas, and pass 2
-//! replays a per-KV group-id array with no hashing or lookups at all.
+//! The convert cells feed the same 32 KiB encoded runs (one exchange
+//! round's worth from one source) through three paths, timing from the
+//! first run to the finished KMVC:
+//!
+//! * `legacy` — `KvContainer::push_run` then the `HashMap<Vec<u8>, u32>`
+//!   convert: a heap-allocated key copy per unique key, a hash + map
+//!   lookup in pass 1 *and again* in pass 2.
+//! * `arena` — `push_run` then the two-pass [`GroupIndex`] convert: keys
+//!   hash once in a cold pass 1 over the whole KVC, pass 2 replays a
+//!   per-KV group-id array.
+//! * `arrival` — what `map_reduce` jobs run: [`GroupedKvs`] groups each
+//!   run while it is cache-resident and stores `(group id, value)`;
+//!   `into_kmv` is layout + scatter only.
 //!
 //! Cells cover the shapes that stress different parts of the engine:
 //! Zipf-skewed wordcount (the paper's WC workload — probe-hit dominated),
@@ -14,16 +22,18 @@
 //! fixed keys (pure probe hits), and the combiner fold path.
 //!
 //! Writes `BENCH_convert.json`; `--quick` runs shrunken cells as a CI
-//! smoke test. The acceptance bar is ≥1.25× on the skewed wordcount
-//! cell; a `REGRESSION` marker (nonzero exit) fires if the arena engine
-//! loses to legacy anywhere.
+//! smoke test. The acceptance bar is ≥1.25× arena-vs-legacy on the
+//! skewed wordcount cell; a `REGRESSION` marker (nonzero exit) fires if
+//! the arena engine loses to legacy anywhere, or if `arrival` loses to
+//! `arena` in any convert cell: a higher peak (exact), or throughput
+//! below the noise band ([`ARRIVAL_NOISE_FLOOR`]).
 
 use std::time::Instant;
 
 use mimir_bench::HarnessArgs;
 use mimir_core::{
-    convert_with, CombineFn, CombinerTable, Emitter, GroupStats, GroupingMode, KvContainer, KvMeta,
-    StreamingCombiner,
+    convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupStats, GroupedKvs,
+    GroupingMode, KvContainer, KvMeta, KvSink, StreamingCombiner,
 };
 use mimir_datagen::{rank_rng, WikipediaWords};
 use mimir_mem::MemPool;
@@ -91,33 +101,107 @@ impl Workload {
 
 struct Measure {
     mkvs_per_s: f64,
+    /// Pool high-water mark of the timed region (0 for the fold cells,
+    /// which share one pool across repeats).
+    peak_bytes: usize,
     stats: GroupStats,
     kvs: usize,
 }
 
-/// Best-of-repeats convert throughput for one workload × engine.
-fn run_convert(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) -> Measure {
-    let pool = MemPool::unlimited("bench", PAGE);
-    let mut best: Option<Measure> = None;
-    for _ in 0..repeats {
-        let mut kvc = KvContainer::new(&pool, meta);
-        for k in keys {
-            kvc.push(k, &1u64.to_le_bytes()).unwrap();
-        }
-        let t0 = Instant::now();
-        let (kmvc, stats) = convert_with(kvc, &pool, mode).unwrap();
-        let elapsed = t0.elapsed().as_secs_f64();
-        drop(kmvc);
-        let m = Measure {
-            mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
-            stats,
-            kvs: keys.len(),
-        };
+impl Measure {
+    /// Keeps the faster of `self` and `m` (best-of-repeats).
+    fn keep_best(best: &mut Option<Measure>, m: Measure) {
         if best.as_ref().is_none_or(|b| m.mkvs_per_s > b.mkvs_per_s) {
-            best = Some(m);
+            *best = Some(m);
         }
     }
-    best.unwrap()
+}
+
+/// One exchange round's receive from one source at the default 64 KiB
+/// comm buffer on two ranks.
+const RUN_BYTES: usize = 32 << 10;
+
+/// Encodes the KV stream (value 1 per key) into whole-KV runs of at most
+/// [`RUN_BYTES`], as the shuffle hands them to its sink.
+fn encode_runs(keys: &[Vec<u8>], meta: KvMeta) -> Vec<Vec<u8>> {
+    let mut runs = vec![Vec::with_capacity(RUN_BYTES)];
+    for k in keys {
+        let kv_len = mimir_core::encoded_len(meta, k, &1u64.to_le_bytes());
+        if runs.last().expect("never empty").len() + kv_len > RUN_BYTES {
+            runs.push(Vec::with_capacity(RUN_BYTES));
+        }
+        encode_push(
+            meta,
+            k,
+            &1u64.to_le_bytes(),
+            runs.last_mut().expect("never empty"),
+        );
+    }
+    runs
+}
+
+/// `arrival` loses a cell when its best repeat is below this fraction of
+/// `arena`'s. On fully fixed-size KVs the two paths do the same hashing
+/// and scatter, and `push_run`'s boundary walk — what grouping on arrival
+/// removes — is free, so they tie: back-to-back runs of this bench put
+/// the ratio at 0.87–1.03 there (1.25–1.35 on the variable-length
+/// wordcount cell). The floor sits below that band; the first cut of the
+/// sink (a container `push` per KV) measured 0.74 and would have tripped
+/// it.
+const ARRIVAL_NOISE_FLOOR: f64 = 0.8;
+
+/// The three receive-to-KMVC paths (see the module docs).
+#[derive(Clone, Copy, PartialEq)]
+enum Path {
+    Legacy,
+    Arena,
+    Arrival,
+}
+
+const PATHS: [Path; 3] = [Path::Legacy, Path::Arena, Path::Arrival];
+
+/// Best-of-repeats throughput of each path over the same runs, the
+/// paths interleaved within every repeat so a slow spell of the machine
+/// lifts all three alike.
+fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [Measure; 3] {
+    let mut best: [Option<Measure>; 3] = [None, None, None];
+    for _ in 0..repeats {
+        for (slot, path) in best.iter_mut().zip(PATHS) {
+            let pool = MemPool::unlimited("bench", PAGE);
+            let t0 = Instant::now();
+            let (kmvc, stats) = if path == Path::Arrival {
+                let mut sink = GroupedKvs::new(&pool, meta).unwrap();
+                for run in runs {
+                    sink.accept_run(meta, run).unwrap();
+                }
+                sink.into_kmv().unwrap()
+            } else {
+                let mut kvc = KvContainer::new(&pool, meta);
+                for run in runs {
+                    kvc.push_run(run).unwrap();
+                }
+                let mode = if path == Path::Legacy {
+                    GroupingMode::Legacy
+                } else {
+                    GroupingMode::Arena
+                };
+                convert_with(kvc, &pool, mode).unwrap()
+            };
+            let elapsed = t0.elapsed().as_secs_f64();
+            assert_eq!(kmvc.n_values(), kvs as u64);
+            drop(kmvc);
+            Measure::keep_best(
+                slot,
+                Measure {
+                    mkvs_per_s: kvs as f64 / 1e6 / elapsed,
+                    peak_bytes: pool.peak(),
+                    stats,
+                    kvs,
+                },
+            );
+        }
+    }
+    best.map(|m| m.expect("repeats >= 1"))
 }
 
 /// Best-of-repeats streaming-combiner throughput: the real bounded
@@ -158,14 +242,15 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) 
         let (_flushes, stats) = sc.finish().unwrap();
         let elapsed = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink.0);
-        let m = Measure {
-            mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
-            stats,
-            kvs: keys.len(),
-        };
-        if best.as_ref().is_none_or(|b| m.mkvs_per_s > b.mkvs_per_s) {
-            best = Some(m);
-        }
+        Measure::keep_best(
+            &mut best,
+            Measure {
+                mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
+                peak_bytes: 0,
+                stats,
+                kvs: keys.len(),
+            },
+        );
     }
     best.unwrap()
 }
@@ -173,7 +258,7 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, mode: GroupingMode, repeats: usize) 
 fn main() {
     let args = HarnessArgs::parse();
     let scale = if args.quick { 20 } else { 1 };
-    let repeats = if args.quick { 2 } else { 5 };
+    let repeats = if args.quick { 5 } else { 7 };
     let convert_cells = [
         Workload::SkewedWords {
             corpus_bytes: 12 << 20,
@@ -186,29 +271,40 @@ fn main() {
     ];
 
     println!(
-        "{:<10}{:>16}{:>10}{:>12}{:>10}{:>10}{:>10}{:>12}",
-        "phase", "cell", "mode", "MKV/s", "speedup", "groups", "rehashes", "avg_probe"
+        "{:<10}{:>16}{:>10}{:>12}{:>10}{:>10}{:>10}{:>10}{:>12}",
+        "phase", "cell", "mode", "MKV/s", "speedup", "peak_MB", "groups", "rehashes", "avg_probe"
     );
 
     let mut rows = Vec::new();
     let mut regression = false;
     let mut skewed_speedup: Option<f64> = None;
-    let mut report = |phase: &str, cell: Workload, legacy: Measure, arena: Measure| {
-        let speedup = arena.mkvs_per_s / legacy.mkvs_per_s;
-        if speedup < 1.0 {
-            regression = true;
-        }
-        if phase == "convert" && matches!(cell, Workload::SkewedWords { .. }) {
-            skewed_speedup = Some(speedup);
-        }
-        for (mode, m) in [("legacy", &legacy), ("arena", &arena)] {
+    // One row per measured path; `speedup` is against legacy. The arrival
+    // path is gated against arena on both of its axes: its peak, which is
+    // exact, may not be higher; its speed may not fall out of the noise
+    // band below arena's.
+    let mut report = |phase: &str, cell: Workload, measures: &[(&str, &Measure)]| {
+        let legacy = measures[0].1.mkvs_per_s;
+        let arena = measures[1].1;
+        for &(mode, m) in measures {
+            let speedup = m.mkvs_per_s / legacy;
+            let vs_arena = m.mkvs_per_s / arena.mkvs_per_s;
+            let arrival_lost = mode == "arrival"
+                && (vs_arena < ARRIVAL_NOISE_FLOOR || m.peak_bytes > arena.peak_bytes);
+            if speedup < 1.0 || arrival_lost {
+                regression = true;
+            }
+            if phase == "convert" && mode == "arena" && matches!(cell, Workload::SkewedWords { .. })
+            {
+                skewed_speedup = Some(speedup);
+            }
             println!(
-                "{:<10}{:>16}{:>10}{:>12.2}{:>9.2}x{:>10}{:>10}{:>12.3}",
+                "{:<10}{:>16}{:>10}{:>12.2}{:>9.2}x{:>10.1}{:>10}{:>10}{:>12.3}",
                 phase,
                 cell.name(),
                 mode,
                 m.mkvs_per_s,
-                if mode == "legacy" { 1.0 } else { speedup },
+                speedup,
+                m.peak_bytes as f64 / 1e6,
                 m.stats.groups,
                 m.stats.rehashes,
                 m.stats.avg_probe(),
@@ -219,10 +315,9 @@ fn main() {
                 ("mode", Json::Str(mode.into())),
                 ("kvs", Json::Num(m.kvs as f64)),
                 ("mkvs_per_s", Json::Num(m.mkvs_per_s)),
-                (
-                    "speedup_vs_legacy",
-                    Json::Num(if mode == "legacy" { 1.0 } else { speedup }),
-                ),
+                ("speedup_vs_legacy", Json::Num(speedup)),
+                ("speedup_vs_arena", Json::Num(vs_arena)),
+                ("peak_bytes", Json::Num(m.peak_bytes as f64)),
                 ("groups", Json::Num(m.stats.groups as f64)),
                 ("rehashes", Json::Num(m.stats.rehashes as f64)),
                 ("avg_probe", Json::Num(m.stats.avg_probe())),
@@ -248,9 +343,17 @@ fn main() {
             },
         };
         let keys = scaled.keys();
-        let legacy = run_convert(&keys, scaled.meta(), GroupingMode::Legacy, repeats);
-        let arena = run_convert(&keys, scaled.meta(), GroupingMode::Arena, repeats);
-        report("convert", scaled, legacy, arena);
+        let runs = encode_runs(&keys, scaled.meta());
+        let [legacy, arena, arrival] = run_convert(&runs, keys.len(), scaled.meta(), repeats);
+        report(
+            "convert",
+            scaled,
+            &[
+                ("legacy", &legacy),
+                ("arena", &arena),
+                ("arrival", &arrival),
+            ],
+        );
     }
 
     // The fold path (combiner / partial reduction) on the skewed stream.
@@ -260,7 +363,7 @@ fn main() {
     let keys = fold_cell.keys();
     let legacy = run_fold(&keys, fold_cell.meta(), GroupingMode::Legacy, repeats);
     let arena = run_fold(&keys, fold_cell.meta(), GroupingMode::Arena, repeats);
-    report("fold", fold_cell, legacy, arena);
+    report("fold", fold_cell, &[("legacy", &legacy), ("arena", &arena)]);
 
     let doc = Json::obj(vec![
         ("bench", Json::Str("convert_grouping".into())),
@@ -279,7 +382,7 @@ fn main() {
         println!("skewed wordcount convert speedup (arena vs legacy): {s:.2}x");
     }
     if regression {
-        println!("REGRESSION: arena grouping slower than legacy baseline");
+        println!("REGRESSION: arena slower than legacy, or arrival lost to arena (speed or peak)");
         std::process::exit(1);
     }
 }

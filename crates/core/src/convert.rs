@@ -6,16 +6,26 @@
 //! > by inserting them into the corresponding position in the KMVC."
 //!
 //! Grouping runs on the shared [`GroupIndex`] engine
-//! ([`GroupingMode::Arena`], the default): pass 1 hashes each key exactly
-//! once and records the resulting group id in a per-KV `u32` side array,
-//! so pass 2 streams values into position **by index** — zero re-hashing
-//! and zero map lookups on the second traversal. The original
-//! `HashMap<Vec<u8>, u32>` path is kept behind [`GroupingMode::Legacy`]
-//! as the ablation baseline.
+//! ([`GroupingMode::Arena`], the default) in two halves:
+//!
+//! * **Front half — [`Grouper::observe`].** Each KV's key is hashed
+//!   exactly once and interned; the returned group id is the KV's
+//!   dictionary code and the group's value count and stored value bytes
+//!   grow. A job's shuffle runs this *on arrival*, while the received
+//!   run is still cache-resident ([`crate::GroupedKvs`]); [`convert`] of
+//!   an already-materialised KVC runs it as its pass 1, recording the
+//!   ids in a per-KV `u32` side array.
+//! * **Back half — [`Grouper::into_kmv`].** Every group's exact-size
+//!   entry is placed ([`layout_groups`]), then the values stream into
+//!   position **by group id** — zero re-hashing and zero map lookups.
+//!
+//! The original `HashMap<Vec<u8>, u32>` path is kept behind
+//! [`GroupingMode::Legacy`] as the ablation baseline and the property
+//! tests' oracle; it shares the layout and placement code.
 //!
 //! Every structure the phase holds — the group index, the group-info and
 //! group-id side arrays, the placement tables — is charged to the node
-//! pool, so the convert phase's real footprint (KVC + KMVC + grouping
+//! pool, so the convert phase's real footprint (KVs + KMVC + grouping
 //! state coexisting) is what the peak-memory figures measure.
 
 use std::collections::HashMap;
@@ -29,22 +39,25 @@ use crate::kmvc::{GroupLoc, Slot};
 use crate::kv::write_side;
 use crate::{GroupingMode, KmvContainer, KvContainer, KvMeta, LenHint, Result};
 
-/// Per-unique-key info gathered in pass 1.
+/// Per-unique-key sizes gathered by the front half.
 #[derive(Default, Clone, Copy)]
 struct GroupInfo {
     count: u32,
     val_bytes: usize,
 }
 
+impl GroupInfo {
+    /// Accounts `n` more copies of `val` stored under `hint`.
+    #[inline]
+    fn grow(&mut self, hint: LenHint, val: &[u8], n: u32) {
+        self.count += n;
+        self.val_bytes += n as usize * (hint.overhead() + val.len());
+    }
+}
+
 /// Estimated heap cost of one legacy hash-bucket entry beyond the key
 /// bytes (HashMap slot, key `Vec` header, cursor).
 const BUCKET_ENTRY_OVERHEAD: usize = 64;
-
-/// Stored size of one value under `hint`.
-#[inline]
-fn val_stored_len(hint: LenHint, val: &[u8]) -> usize {
-    hint.overhead() + val.len()
-}
 
 /// Converts a KV container into a KMV container, grouping values by key,
 /// with the default [`GroupingMode`].
@@ -76,9 +89,10 @@ pub fn convert_with(
     }
 }
 
-/// Everything the layout step produces: placed entry headers plus the
-/// per-group write cursors pass 2 advances.
-struct Layout {
+/// Every group's placed entry header plus the per-group write cursors
+/// the value scatter advances.
+pub(crate) struct Layout {
+    meta: KvMeta,
     pages: Vec<mimir_mem::Page>,
     jumbos: Vec<TrackedBuf>,
     locs: Vec<GroupLoc>,
@@ -89,8 +103,9 @@ struct Layout {
 }
 
 /// Places every group's entry (`[key][count u32][values…]`) in pages or
-/// jumbo buffers and writes the headers; values stream in during pass 2.
-/// The `locs`/`cursors` side arrays are charged to `side`.
+/// jumbo buffers and writes the headers; values stream in through
+/// [`Layout::place`]. The `locs`/`cursors` side arrays are charged to
+/// `side`.
 fn layout_groups<'k>(
     pool: &MemPool,
     meta: KvMeta,
@@ -125,7 +140,9 @@ fn layout_groups<'k>(
             if !fits {
                 let mut p = pool.alloc_page()?;
                 let cap = p.capacity();
-                p.set_len(cap); // written random-access below
+                // Written random-access; the last page is trimmed to its
+                // used length once the values are in.
+                p.set_len(cap);
                 pages.push(p);
                 page_used = 0;
             }
@@ -138,7 +155,7 @@ fn layout_groups<'k>(
         };
 
         // Write the entry header (key + value count) now; values stream in
-        // during pass 2.
+        // during the scatter.
         let buf = match slot {
             Slot::Page(i) => pages[i as usize].as_mut_slice(),
             Slot::Jumbo(i) => jumbos[i as usize].as_mut_slice(),
@@ -153,11 +170,8 @@ fn layout_groups<'k>(
         });
         cursors.push(koff + 4);
     }
-    // Trim the final page's logical length to what is used.
-    if let Some(p) = pages.last_mut() {
-        p.set_len(page_used);
-    }
     Ok(Layout {
+        meta,
         pages,
         jumbos,
         locs,
@@ -168,89 +182,114 @@ fn layout_groups<'k>(
     })
 }
 
-/// Resolves a group's destination buffer during pass 2.
-#[inline]
-fn entry_buf<'b>(
-    layout_pages: &'b mut [mimir_mem::Page],
-    jumbos: &'b mut [TrackedBuf],
-    loc: GroupLoc,
-) -> &'b mut [u8] {
-    match loc.slot {
-        Slot::Page(i) => {
-            let p = &mut layout_pages[i as usize];
-            let cap = p.capacity();
-            if p.len() < cap {
-                // Re-expose full capacity for random-access writes on
-                // the trimmed last page.
-                p.set_len(cap);
-            }
-            p.as_mut_slice()
+impl Layout {
+    /// Appends `val` to group `gid`'s entry at its write cursor.
+    #[inline]
+    pub(crate) fn place(&mut self, gid: usize, val: &[u8]) {
+        let buf = match self.locs[gid].slot {
+            Slot::Page(i) => self.pages[i as usize].as_mut_slice(),
+            Slot::Jumbo(i) => self.jumbos[i as usize].as_mut_slice(),
+        };
+        self.cursors[gid] = write_side(self.meta.val, val, buf, self.cursors[gid]);
+    }
+
+    /// Seals the filled layout into the KMVC.
+    fn into_kmvc(mut self, pool: &MemPool) -> Result<KmvContainer> {
+        if let Some(p) = self.pages.last_mut() {
+            p.set_len(self.page_used);
         }
-        Slot::Jumbo(i) => jumbos[i as usize].as_mut_slice(),
+        KmvContainer::from_parts(
+            self.meta,
+            self.pages,
+            self.jumbos,
+            self.locs,
+            pool,
+            self.n_values,
+            self.total_bytes,
+        )
     }
 }
 
-/// The arena path: pass 1 interns keys into a [`GroupIndex`] (one hash
-/// per KV) while recording each KV's group id; pass 2 replays the id
-/// array — no hashing, no lookups.
-fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
-    let meta = kvc.meta();
+/// The arena engine's grouping state, fed one KV at a time by whichever
+/// front half is running — the shuffle drain ([`crate::GroupedKvs`]) or
+/// pass 1 of [`convert`] — and consumed by the one back half.
+pub(crate) struct Grouper {
+    meta: KvMeta,
+    index: GroupIndex,
+    groups: Vec<GroupInfo>,
+    /// Charges `groups`, then the layout's side arrays.
+    side: DeltaCharge,
+}
 
-    // --- Pass 1: size every group, remember each KV's group. ----------
-    let mut side = DeltaCharge::new(pool)?;
-    let mut index = GroupIndex::new(pool)?;
-    let mut groups: Vec<GroupInfo> = Vec::new();
+impl Grouper {
+    pub(crate) fn new(pool: &MemPool, meta: KvMeta) -> Result<Self> {
+        Ok(Self {
+            meta,
+            index: GroupIndex::new(pool)?,
+            groups: Vec::new(),
+            side: DeltaCharge::new(pool)?,
+        })
+    }
+
+    /// Interns `key` (its one hash) and grows its group by `n` copies of
+    /// `val`; returns the group id — the KV's dictionary code.
+    #[inline]
+    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8], n: u32) -> Result<u32> {
+        let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
+        if fresh {
+            self.side.add(std::mem::size_of::<GroupInfo>())?;
+            self.groups.push(GroupInfo::default());
+        }
+        self.groups[gid as usize].grow(self.meta.val, val, n);
+        Ok(gid)
+    }
+
+    /// The back half: lays out every group's exact-size entry, lets
+    /// `feed` stream the observed KVs' `(group id, value)` pairs into
+    /// [`Layout::place`] in arrival order, and seals the KMVC.
+    pub(crate) fn into_kmv(
+        mut self,
+        pool: &MemPool,
+        feed: impl FnOnce(&mut Layout) -> Result<()>,
+    ) -> Result<(KmvContainer, GroupStats)> {
+        self.side.settle()?;
+        let index = &self.index;
+        let mut layout = layout_groups(
+            pool,
+            self.meta,
+            &self.groups,
+            |i| index.key(i as u32),
+            &mut self.side,
+        )?;
+        feed(&mut layout)?;
+        let stats = self.index.stats();
+        // Release the grouping state before the KMVC charges its own
+        // group table.
+        drop(self);
+        Ok((layout.into_kmvc(pool)?, stats))
+    }
+}
+
+/// The arena path over a materialised KVC: pass 1 observes every KV,
+/// recording its group id; pass 2 replays the id array while draining —
+/// no hashing, no lookups, KVC pages freed as they are consumed.
+fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
+    let mut grouper = Grouper::new(pool, kvc.meta())?;
     // The per-KV group-id side array that eliminates pass-2 lookups:
     // 4 bytes per KV, charged up front (the KV count is known).
-    side.add(kvc.len() as usize * std::mem::size_of::<u32>())?;
+    let _ids_res = pool.try_reserve(kvc.len() as usize * std::mem::size_of::<u32>())?;
     let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
     for (k, v) in kvc.iter() {
-        let (idx, fresh) = index.insert_hashed(fxhash64(k), k)?;
-        if fresh {
-            side.add(std::mem::size_of::<GroupInfo>())?;
-            groups.push(GroupInfo::default());
-        }
-        let g = &mut groups[idx as usize];
-        g.count += 1;
-        g.val_bytes += val_stored_len(meta.val, v);
-        kv_group.push(idx);
+        kv_group.push(grouper.observe(k, v, 1)?);
     }
-    side.settle()?;
-
-    // --- Layout: place every entry in pages or jumbo buffers. ---------
-    let mut layout = layout_groups(pool, meta, &groups, |i| index.key(i as u32), &mut side)?;
-
-    // --- Pass 2: stream values into position by recorded group id,
-    // freeing KVC pages as they are consumed. ---------------------------
-    let mut kv_i = 0usize;
-    kvc.drain(|k, v| {
-        let idx = kv_group[kv_i] as usize;
-        kv_i += 1;
-        debug_assert_eq!(index.key(idx as u32), k, "drain order matches iter order");
-        let _ = k;
-        let loc = layout.locs[idx];
-        let buf = entry_buf(&mut layout.pages, &mut layout.jumbos, loc);
-        layout.cursors[idx] = write_side(meta.val, v, buf, layout.cursors[idx]);
-        Ok(())
-    })?;
-    if let Some(p) = layout.pages.last_mut() {
-        p.set_len(layout.page_used);
-    }
-
-    let stats = index.stats();
-    drop(index);
-    drop(side);
-
-    let kmvc = KmvContainer::from_parts(
-        meta,
-        layout.pages,
-        layout.jumbos,
-        layout.locs,
-        pool,
-        layout.n_values,
-        layout.total_bytes,
-    )?;
-    Ok((kmvc, stats))
+    grouper.into_kmv(pool, |layout| {
+        let mut ids = kv_group.iter();
+        kvc.drain(|_, v| {
+            let gid = *ids.next().expect("drain order matches iter order");
+            layout.place(gid as usize, v);
+            Ok(())
+        })
+    })
 }
 
 /// The original path (ablation baseline): `HashMap<Vec<u8>, u32>` bucket
@@ -273,9 +312,7 @@ fn convert_legacy(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Gro
                 i
             }
         };
-        let g = &mut groups[idx as usize];
-        g.count += 1;
-        g.val_bytes += val_stored_len(meta.val, v);
+        groups[idx as usize].grow(meta.val, v, 1);
     }
     side.settle()?;
 
@@ -291,31 +328,17 @@ fn convert_legacy(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, Gro
     // freeing KVC pages as they are consumed. ---------------------------
     kvc.drain(|k, v| {
         let idx = *index.get(k).expect("key indexed in pass 1") as usize;
-        let loc = layout.locs[idx];
-        let buf = entry_buf(&mut layout.pages, &mut layout.jumbos, loc);
-        layout.cursors[idx] = write_side(meta.val, v, buf, layout.cursors[idx]);
+        layout.place(idx, v);
         Ok(())
     })?;
-    if let Some(p) = layout.pages.last_mut() {
-        p.set_len(layout.page_used);
-    }
 
     let n_groups = groups.len() as u64;
     drop(keys_by_idx);
     drop(index);
     drop(side);
 
-    let kmvc = KmvContainer::from_parts(
-        meta,
-        layout.pages,
-        layout.jumbos,
-        layout.locs,
-        pool,
-        layout.n_values,
-        layout.total_bytes,
-    )?;
     Ok((
-        kmvc,
+        layout.into_kmvc(pool)?,
         GroupStats {
             groups: n_groups,
             ..GroupStats::default()

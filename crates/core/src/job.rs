@@ -4,7 +4,7 @@
 //!
 //! | method | aggregate sink | grouping | used by |
 //! |---|---|---|---|
-//! | [`MapReduceJob::map_reduce`] | KVC | convert + reduce | WC/OC baseline |
+//! | [`MapReduceJob::map_reduce`] | [`GroupedKvs`] (grouped on arrival) | layout + scatter, reduce | WC/OC baseline |
 //! | [`MapReduceJob::map_partial_reduce`] | fold bucket | (none) | WC/OC `pr` |
 //! | [`MapReduceJob::map_shuffle`] | KVC | none (map-only) | BFS |
 //!
@@ -26,8 +26,8 @@ use mimir_obs::{EventKind, Phase};
 use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
 use crate::combiner::{CombineFn, CombinerTable, StreamingCombiner};
 use crate::context::MimirContext;
-use crate::convert::convert_with;
 use crate::group::GroupStats;
+use crate::grouped::GroupedKvs;
 use crate::kmvc::ValueIter;
 use crate::partial::PartialReducer;
 use crate::partitioner::{PartitionFingerprint, Partitioner};
@@ -286,7 +286,9 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self.run_grouped(map, None, reduce)
     }
 
-    /// [`Self::map_reduce`] with map-side KV compression.
+    /// [`Self::map_reduce`] with map-side KV compression. The received
+    /// KVs are grouped by the two-pass convert after the map, not on
+    /// arrival: the combiner's table is still resident while they arrive.
     pub fn map_reduce_compress(
         self,
         map: MapFn<'_>,
@@ -522,7 +524,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         let fingerprint = self.partitioner.fingerprint(comm.size());
         let input = lock_cache(cache).checkout(&in_name, pool)?;
         let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = KvContainer::new(pool, kv_meta);
+        let sink = GroupedKvs::with_mode(pool, kv_meta, gmode)?;
         let fed = feed_chain(
             comm,
             pool,
@@ -537,7 +539,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             elide,
         );
         finish_chain_input(cache, &in_name, input, elide && fed.is_ok());
-        let (kvc, shuffle) = fed?;
+        let (grouped, shuffle) = fed?;
         drop(map_span);
         let agg_span = mimir_obs::phase_span(Phase::Aggregate);
         let mut barrier_wait_ns = timed_barrier(comm);
@@ -551,7 +553,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         pool.reset_phase_peak();
         note_live_mem(pool);
         let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, group) = convert_with(kvc, pool, gmode)?;
+        let (kmvc, group) = grouped.into_kmv()?;
         drop(convert_span);
         let convert_time = t1.elapsed();
         let convert_peak_bytes = pool.phase_peak();
@@ -714,7 +716,15 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         pool.reset_phase_peak();
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = KvContainer::new(pool, kv_meta);
+        // A combiner ahead of the shuffle holds its whole table until the
+        // flush ends, and what then arrives has at most one KV per key
+        // and sender: grouping it on arrival would save next to nothing
+        // and put the group index on top of that table-bound peak. Those
+        // jobs keep the two-pass convert.
+        let sink = match compress {
+            None => GroupedKvs::with_mode(pool, kv_meta, gmode)?,
+            Some(_) => GroupedKvs::two_pass(pool, kv_meta, gmode),
+        };
         let mut shuffler = Shuffler::with_policy(
             comm,
             pool,
@@ -742,7 +752,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         }
         drop(map_span);
         let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let (kvc, shuffle) = shuffler.finish()?;
+        let (grouped, shuffle) = shuffler.finish()?;
         // The paper retains the global synchronization between the map
         // and reduce phases.
         let mut barrier_wait_ns = timed_barrier(comm);
@@ -756,8 +766,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         pool.reset_phase_peak();
         note_live_mem(pool);
         let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, convert_group) = convert_with(kvc, pool, gmode)?;
-        group.merge(&convert_group);
+        let (kmvc, sink_group) = grouped.into_kmv()?;
+        group.merge(&sink_group);
         drop(convert_span);
         let convert_time = t1.elapsed();
         let convert_peak_bytes = pool.phase_peak();

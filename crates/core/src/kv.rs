@@ -117,6 +117,22 @@ pub(crate) fn decode_side(
     }
 }
 
+/// Lengths-only walk over the KV starting at `off`: the byte ranges of
+/// its key and value and the offset just past it. Only headers and
+/// terminators are read — no payload slice is formed — so boundary scans
+/// ([`crate::KvContainer::push_run`]) and full decodes ([`decode_one`])
+/// share one walk.
+#[inline]
+pub(crate) fn kv_span(
+    meta: KvMeta,
+    buf: &[u8],
+    off: usize,
+) -> (std::ops::Range<usize>, std::ops::Range<usize>, usize) {
+    let (krange, koff) = decode_side(meta.key, buf, off);
+    let (vrange, end) = decode_side(meta.val, buf, koff);
+    (krange, vrange, end)
+}
+
 /// A decoded `(key, value)` pair borrowed from an encoded buffer.
 pub type KvRef<'a> = (&'a [u8], &'a [u8]);
 
@@ -131,9 +147,8 @@ pub fn decode_one(meta: KvMeta, buf: &[u8]) -> Option<(KvRef<'_>, usize)> {
     if buf.is_empty() {
         return None;
     }
-    let (krange, koff) = decode_side(meta.key, buf, 0);
-    let (vrange, voff) = decode_side(meta.val, buf, koff);
-    Some(((&buf[krange], &buf[vrange]), voff))
+    let (krange, vrange, end) = kv_span(meta, buf, 0);
+    Some(((&buf[krange], &buf[vrange]), end))
 }
 
 /// Iterator over the KVs of an encoded buffer.

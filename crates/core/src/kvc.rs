@@ -2,7 +2,7 @@ use std::collections::VecDeque;
 
 use mimir_mem::{MemPool, Page};
 
-use crate::kv::{decode_one, encode_into, encoded_len, validate, KvDecoder};
+use crate::kv::{encode_into, encoded_len, kv_span, validate, KvDecoder};
 use crate::sink::KvSink;
 use crate::{KvMeta, MimirError, Result};
 
@@ -68,24 +68,46 @@ impl KvContainer {
         validate(self.meta.key, key, "key")?;
         validate(self.meta.val, val, "value")?;
         let len = encoded_len(self.meta, key, val);
-        if len > self.pool.page_size() {
-            return Err(MimirError::KvTooLarge {
-                size: len,
-                limit: self.pool.page_size(),
-                what: "container page",
-            });
-        }
-        let need_new = self.pages.back().is_none_or(|p| p.remaining() < len);
-        if need_new {
+        encode_into(self.meta, key, val, self.tail(len)?);
+        self.commit(1, len);
+        Ok(())
+    }
+
+    /// The writable tail of the last page, at least `need` bytes long (a
+    /// fresh page is opened when the current one has less). Whole KVs
+    /// encoded at its front join the container once [`Self::commit`]ted —
+    /// the append path for callers that encode many trusted KVs in a row.
+    ///
+    /// # Errors
+    /// [`MimirError::KvTooLarge`] if `need` exceeds one page,
+    /// [`MimirError::Mem`] if the node budget is exhausted.
+    #[inline]
+    pub(crate) fn tail(&mut self, need: usize) -> Result<&mut [u8]> {
+        if self.pages.back().is_none_or(|p| p.remaining() < need) {
+            if need > self.pool.page_size() {
+                return Err(MimirError::KvTooLarge {
+                    size: need,
+                    limit: self.pool.page_size(),
+                    what: "container page",
+                });
+            }
             self.pages.push_back(self.pool.alloc_page()?);
         }
         let page = self.pages.back_mut().expect("page just ensured");
         let start = page.len();
-        page.set_len(start + len);
-        encode_into(self.meta, key, val, &mut page.as_mut_slice()[start..]);
-        self.n_kvs += 1;
-        self.bytes += len as u64;
-        Ok(())
+        Ok(&mut page.raw_mut()[start..])
+    }
+
+    /// Counts `n_kvs` whole KVs, `bytes` in all, written at the front of
+    /// the last [`Self::tail`].
+    #[inline]
+    pub(crate) fn commit(&mut self, n_kvs: u64, bytes: usize) {
+        match self.pages.back_mut() {
+            Some(page) => page.set_len(page.len() + bytes),
+            None => assert_eq!(bytes, 0, "commit follows tail"),
+        }
+        self.n_kvs += n_kvs;
+        self.bytes += bytes as u64;
     }
 
     /// Inserts `n` copies of one KV: the first copy goes through
@@ -149,7 +171,7 @@ impl KvContainer {
             if chunk == 0 {
                 // Nothing fits the current page. If a fresh page wouldn't
                 // hold the next KV either, it is oversized.
-                let (_, first) = decode_one(self.meta, rest).expect("rest is non-empty");
+                let first = kv_span(self.meta, rest, 0).2;
                 if first > self.pool.page_size() {
                     return Err(MimirError::KvTooLarge {
                         size: first,
@@ -194,17 +216,25 @@ impl KvContainer {
     /// [`Self::drain`] through a mutable reference, for callers that hold
     /// the container inside a closure environment (multi-stage pipelines
     /// feeding one job's output into the next job's map). The container is
-    /// left empty.
+    /// left empty on success.
     ///
     /// # Errors
-    /// Propagates the first error from `f`.
+    /// Propagates the first error from `f`. The page being read is
+    /// released whole; [`Self::len`] and [`Self::bytes`] keep describing
+    /// the pages still held.
     pub fn drain_all(&mut self, mut f: impl FnMut(&[u8], &[u8]) -> Result<()>) -> Result<()> {
-        self.n_kvs = 0;
-        self.bytes = 0;
         while let Some(page) = self.pages.pop_front() {
-            for (k, v) in KvDecoder::new(self.meta, page.as_slice()) {
-                f(k, v)?;
-            }
+            let mut kvs = KvDecoder::new(self.meta, page.as_slice());
+            let mut seen = 0u64;
+            let res = kvs.by_ref().try_for_each(|(k, v)| {
+                seen += 1;
+                f(k, v)
+            });
+            // The popped page is released whole, so on an error the KVs
+            // `f` never saw leave the count with it.
+            self.n_kvs -= seen + kvs.count() as u64;
+            self.bytes -= page.len() as u64;
+            res?;
         }
         Ok(())
     }
@@ -257,11 +287,11 @@ fn whole_kv_prefix(meta: KvMeta, buf: &[u8], cap: usize) -> (usize, u64) {
     let mut off = 0;
     let mut n = 0u64;
     while off < buf.len() {
-        let (_, used) = decode_one(meta, &buf[off..]).expect("offset < len");
-        if off + used > cap {
+        let end = kv_span(meta, buf, off).2;
+        if end > cap {
             break;
         }
-        off += used;
+        off = end;
         n += 1;
     }
     (off, n)
@@ -409,6 +439,38 @@ mod tests {
         let (k, v) = kvc.iter().next().unwrap();
         assert_eq!(k, b"word");
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 9);
+    }
+
+    #[test]
+    fn drain_all_error_keeps_counts_for_the_pages_still_held() {
+        let p = pool(64, 1024);
+        let mut kvc = KvContainer::new(&p, KvMeta::fixed(8, 8));
+        for i in 0..12u64 {
+            kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
+        }
+        // 4 KVs per page; fail on the 6th KV, midway through page 2.
+        let mut n = 0;
+        let res = kvc.drain_all(|_, _| {
+            n += 1;
+            if n == 6 {
+                Err(MimirError::Config("stop".into()))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(res.is_err());
+        assert_eq!(kvc.pages_held(), 1, "pages 1 and 2 are released");
+        assert_eq!(kvc.len(), 4, "the unread page's KVs are still counted");
+        assert_eq!(kvc.bytes(), 64);
+        assert!(!kvc.is_empty());
+        let mut rest = Vec::new();
+        kvc.drain_all(|k, _| {
+            rest.push(u64::from_le_bytes(k.try_into().unwrap()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(rest, vec![8, 9, 10, 11]);
+        assert_eq!((kvc.len(), kvc.bytes(), p.used()), (0, 0, 0));
     }
 
     #[test]

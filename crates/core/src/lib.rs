@@ -22,10 +22,13 @@
 //!   grown, page-granular storage that frees pages as data is consumed.
 //!   Rounds interleave map and aggregate, so memory use does not grow with
 //!   the input.
-//! * After the map, `convert` groups the KVC into a [`KmvContainer`]
-//!   (KMVC) with the paper's two-pass algorithm (pass 1 sizes each group
-//!   in a hash bucket; pass 2 places values), and `reduce` runs the user
-//!   callback over each `<key, [values]>` group.
+//! * `convert` groups the received KVs into a [`KmvContainer`] (KMVC)
+//!   with the paper's two-pass algorithm (pass 1 sizes each group in a
+//!   hash bucket; pass 2 places values), and `reduce` runs the user
+//!   callback over each `<key, [values]>` group. Jobs run pass 1 inside
+//!   the drain, while each received run is cache-resident, and keep only
+//!   `(group id, value)` per KV ([`GroupedKvs`]); [`convert`] runs both
+//!   passes over a KVC that already exists.
 //!
 //! ## Optional optimizations (paper Section III-C)
 //!
@@ -48,6 +51,7 @@ mod context;
 mod convert;
 mod error;
 mod group;
+mod grouped;
 mod hash;
 mod job;
 mod kmvc;
@@ -73,6 +77,7 @@ pub use context::MimirContext;
 pub use convert::{convert, convert_with};
 pub use error::MimirError;
 pub use group::{GroupIndex, GroupStats};
+pub use grouped::GroupedKvs;
 pub use job::{ChainMapFn, JobOutput, MapFn, MapReduceJob, OutEmitter, ReduceFn};
 pub use kmvc::{KmvContainer, ValueIter};
 pub use kv::{decode_one, encode_push, encoded_len, KvDecoder};

@@ -7,7 +7,9 @@ use crate::{KvMeta, Result};
 /// is exactly the paper's architectural split:
 ///
 /// * baseline workflow — the receive buffer drains into a
-///   [`KvContainer`](crate::KvContainer) that feeds convert+reduce;
+///   [`GroupedKvs`](crate::GroupedKvs), which groups each run on arrival
+///   for convert+reduce (map-only shapes drain into a plain
+///   [`KvContainer`](crate::KvContainer));
 /// * partial reduction — the receive buffer drains into a
 ///   [`PartialReducer`](crate::PartialReducer) hash bucket, so the full KV
 ///   set is never materialized.
@@ -25,7 +27,8 @@ pub trait KvSink {
     ///
     /// The default decodes and [`Self::accept`]s each KV. Sinks whose
     /// storage format equals the wire format (the container) override
-    /// this with a bulk memcpy; sinks that must look at every KV anyway
+    /// this with a bulk memcpy, and the grouping sink with one walk that
+    /// skips per-KV validation; sinks that must look at every KV anyway
     /// (partial reduction, combining) keep the per-KV path.
     ///
     /// # Errors

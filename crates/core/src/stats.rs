@@ -7,16 +7,23 @@ use crate::shuffle::ShuffleStats;
 /// figures plot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobStats {
-    /// Wall time of the interleaved map+aggregate phases.
+    /// Wall time of the interleaved map+aggregate phases. In the
+    /// convert+reduce shapes this includes grouping on arrival: every
+    /// received KV is hashed, interned and sized in the shuffle drain
+    /// (the paper's convert pass 1, see [`crate::GroupedKvs`]).
     pub map_time: Duration,
-    /// Wall time of the convert phase (zero under partial reduction).
+    /// Wall time of the convert phase: the KMVC layout and the value
+    /// scatter (the paper's pass 2) — plus pass 1 only under
+    /// [`crate::GroupingMode::Legacy`]. Zero under partial reduction.
     pub convert_time: Duration,
     /// Wall time of the reduce phase (or the fold finalization).
     pub reduce_time: Duration,
     /// Shuffle counters (emitted KVs/bytes, rounds).
     pub shuffle: ShuffleStats,
-    /// Grouping-engine counters (convert index, combiner, or partial-
-    /// reduction fold table; zero under [`crate::GroupingMode::Legacy`]).
+    /// Grouping-engine counters (the on-arrival group index, combiner,
+    /// or partial-reduction fold table; zero under
+    /// [`crate::GroupingMode::Legacy`]). The on-arrival index grows — and
+    /// emits its rehash events — during the map phase.
     pub group: GroupStats,
     /// Unique keys after grouping (KMV groups or fold-table entries).
     pub unique_keys: u64,
@@ -24,10 +31,13 @@ pub struct JobStats {
     /// "peak memory usage" metric of Figures 8/9/11/12/13 (max across the
     /// ranks sharing the node).
     pub node_peak_bytes: usize,
-    /// Node-pool peak observed within the map+aggregate phases.
+    /// Node-pool peak observed within the map+aggregate phases (the
+    /// `(group id, value)` store and the group index included).
     pub map_peak_bytes: usize,
-    /// Node-pool peak observed within the convert phase (zero under
-    /// partial reduction, which has no convert).
+    /// Node-pool peak observed within the convert phase: the whole
+    /// `(group id, value)` store, the group index and the fully laid-out
+    /// KMVC coexist at its start — the job's high-water mark. Zero under
+    /// partial reduction, which has no convert.
     pub convert_peak_bytes: usize,
     /// Node-pool peak observed within the reduce phase (or the fold
     /// finalization).

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mimir_core::{fxhash64, GroupIndex, GroupingMode, PartialReducer};
+use mimir_core::{encode_push, fxhash64, GroupIndex, GroupedKvs, GroupingMode, PartialReducer};
 use mimir_mem::MemPool;
 
 /// Wraps the system allocator with a per-thread allocation counter (the
@@ -119,4 +119,43 @@ fn steady_state_fold_is_allocation_free() {
     let stats = pr.group_stats();
     assert_eq!(stats.inserts, 104 * 64);
     assert_eq!(pr.unique_keys(), 64);
+}
+
+/// Grouping on arrival — the convert+reduce jobs' shuffle drain — does
+/// no per-KV heap work: once the working set's groups exist, a received
+/// run is hashed, probed and re-encoded as `(group id, value)` straight
+/// into the store's current pool page. Only a fresh page allocates.
+#[test]
+fn grouping_a_received_run_is_allocation_free() {
+    use mimir_core::KvSink;
+    let pool = MemPool::unlimited("t", 1 << 20);
+    let meta = mimir_core::KvMeta::var();
+    let mut run = Vec::new();
+    for i in 0..2000u32 {
+        encode_push(
+            meta,
+            format!("w{:03}", i % 500).as_bytes(),
+            &[1; 8],
+            &mut run,
+        );
+    }
+    let mut sink = GroupedKvs::with_mode(&pool, meta, GroupingMode::Arena).unwrap();
+    // Warm-up: all 500 groups, the slot table at its final capacity, the
+    // store's first page open.
+    sink.accept_run(meta, &run).unwrap();
+
+    // 20,000 more KVs at 16 stored bytes each stay inside that 1 MiB page.
+    let before = allocs();
+    for _ in 0..10 {
+        assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "grouping 20,000 arrivals allocated {during} times"
+    );
+
+    let (kmvc, stats) = sink.into_kmv().unwrap();
+    assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_000));
+    assert_eq!(stats.inserts, 22_000);
 }
