@@ -10,10 +10,12 @@
 //!   recording machine; `--quick` checks completion + output equality,
 //!   since CI hardware differs from the baseline machine).
 //! * `uds` — forked rank processes over Unix-domain sockets with
-//!   length-prefixed frames and per-peer writer threads. The gate is
-//!   completion with the same per-rank KV checksums as inproc: the
-//!   partitioner sees the same world either way, so every KV must land
-//!   on the same rank with identical content.
+//!   length-prefixed frames, each rank thread doing its own socket I/O
+//!   (8 processes on however few cores: a blocked rank must sleep in
+//!   `poll`, so this cell is also the check that nothing spins). The
+//!   gate is completion with the same per-rank KV checksums as inproc:
+//!   the partitioner sees the same world either way, so every KV must
+//!   land on the same rank with identical content.
 //!
 //! Writes `BENCH_transport.json` and prints a `REGRESSION` marker
 //! (nonzero exit) when a gate fails.

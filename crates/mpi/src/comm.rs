@@ -27,8 +27,12 @@ const LIVE_WAIT_SLICE: Duration = Duration::from_millis(25);
 /// [`Comm::isend_vec`].
 ///
 /// Both backends are eager and unbounded: the payload is handed to the
-/// destination's channel (or the peer's writer queue) at post time, so
-/// requests are born complete. The type still exists so callers are
+/// destination's channel (or written to the peer's socket, the part a
+/// full socket buffer refuses parked in that peer's outbox) at post
+/// time, so requests are born complete: the buffer is the transport's.
+/// On the socket backend a parked remainder reaches the wire the next
+/// time the process sends to that peer or blocks in a receive, or at
+/// world teardown. The type still exists so callers are
 /// written against the MPI-shaped post/complete protocol (and so a
 /// bounded-rendezvous transport could be dropped in later without touching
 /// call sites).
@@ -158,7 +162,7 @@ impl Comm {
     }
 
     /// Communication counters accumulated by this rank so far, including
-    /// the backend's process-level extras (handshake time, reader-pool
+    /// the backend's process-level extras (handshake time, receive-pool
     /// misses) when this is a world communicator.
     pub fn stats(&self) -> CommStats {
         self.stats.merge(&self.transport.extra_stats())
@@ -168,8 +172,11 @@ impl Comm {
     /// (no copy).
     ///
     /// Sends never block: the transport is unbounded, modeling an eager
-    /// protocol. Flow control in the reproduction comes from Mimir's own
-    /// fixed-size communication buffers, exactly as in the paper.
+    /// protocol (on the socket backend, bytes the kernel does not take
+    /// at once wait in the peer's outbox and go out during this rank's
+    /// later sends and receives). Flow control in the reproduction comes
+    /// from Mimir's own fixed-size communication buffers, exactly as in
+    /// the paper.
     ///
     /// # Panics
     /// Panics if `dst` is out of range or `tag` is in the reserved

@@ -29,8 +29,9 @@
 //!   job abort — and [`run_world`] then re-raises the root-cause panic.
 //! * [`TransportKind::Uds`]: ranks are real forked processes on one
 //!   machine connected by Unix-domain sockets with length-prefixed
-//!   frames, bootstrapped through a rendezvous directory. A rank process
-//!   that dies closes its sockets, and peers wake with the same
+//!   frames, bootstrapped through a rendezvous directory, with no
+//!   helper threads: the rank thread does its own socket I/O. A rank
+//!   process that dies closes its sockets, and peers wake with the same
 //!   disconnect panic.
 //!
 //! [`run_world_on`] selects a backend explicitly;

@@ -58,7 +58,7 @@ pub struct CommStats {
     /// Frames this rank received.
     pub wire_frames_recvd: u64,
     /// Receive-side buffer-pool misses: frames whose payload needed a
-    /// fresh heap allocation because the socket reader's pool was empty.
+    /// fresh heap allocation because the socket receive pool was empty.
     /// The wire-side analogue of `send_allocs`.
     pub wire_recv_allocs: u64,
     /// Nanoseconds this rank spent in transport bootstrap (socket bind /

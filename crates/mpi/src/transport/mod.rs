@@ -17,6 +17,9 @@
 //!   by Unix-domain sockets with length-prefixed frames; derivation
 //!   ships a *communicator id* ([`Endpoint`]s of the `Tagged` flavour)
 //!   that namespaces tag-multiplexed traffic over the same connections.
+//!   A rank process has no I/O threads: `send` writes to the
+//!   non-blocking socket (the rest is parked per peer) and a blocked
+//!   `recv` runs the process's `poll(2)` loop.
 //!
 //! The derivation protocol is the part that generalizes: a new
 //! communicator needs each member to hand every peer "the thing you
@@ -136,6 +139,9 @@ pub(crate) enum DeriveState {
 pub trait Transport: Send {
     /// Delivers `msg` to peer `dst` (this communicator's rank space).
     /// Sends are eager: they enqueue without waiting for the receiver.
+    /// A backend may finish the delivery inside later calls on any of
+    /// the process's transports (the socket backend parks what a full
+    /// socket buffer refuses and flushes it from `send`/`recv`).
     fn send(&mut self, dst: usize, msg: Msg, stats: &mut CommStats) -> Result<(), CommError>;
 
     /// Blocks for the next message from `src`, in FIFO order per
@@ -180,7 +186,7 @@ pub trait Transport: Send {
     fn finish_derive(&mut self, d: Derivation) -> Box<dyn Transport>;
 
     /// Backend counters not tracked on the per-operation path (socket
-    /// handshake time, reader-pool misses). Only a world's root
+    /// handshake time, receive-pool misses). Only a world's root
     /// transport reports nonzero values, so merging per-communicator
     /// stats never double-counts process-level numbers.
     fn extra_stats(&self) -> CommStats {

@@ -24,21 +24,44 @@
 //! `kind` distinguishes heap payloads from inline `u64`s (which never
 //! allocate on either side) and from derivation endpoints. `comm`
 //! multiplexes every communicator derived via `dup`/`split` over the
-//! same connections: a reader thread routes each frame to the
+//! same connections: each received frame is routed to the
 //! `(comm, src)` inbox, so a derived communicator is a private message
 //! namespace without new sockets. The `flow` stamp rides along, which
 //! is what keeps causal tracing exact across process boundaries.
 //!
-//! ## Threads and the zero-copy discipline
+//! ## The caller-driven progress engine
 //!
-//! Per peer, one writer thread (drains a queue of frames; the rank
-//! thread never blocks on a socket — sends stay eager) and one reader
-//! thread (fills pooled buffers straight off the socket; pool misses
-//! are counted in `wire_recv_allocs`). Heap payloads make exactly one
-//! user-space copy on each side of the wire: rank memory → socket,
-//! socket → pooled buffer. Sent buffers are recycled into the reader
-//! pool, closing the same buffer economy the in-process backend gets
-//! from shipping `Vec`s by ownership.
+//! A rank process has no helper threads: the thread that calls into a
+//! communicator does the socket I/O, so a message hop costs one
+//! wake-up (the receiver's `poll`), not three.
+//!
+//! * `send` frames the message and writes it to the non-blocking
+//!   socket there and then. Whatever the kernel does not take is parked
+//!   in a per-peer outbox, so sends stay eager and never block.
+//! * `recv` / `recv_deadline` drive progress for the whole process
+//!   until the caller's inbox has a frame: sleep in `poll(2)` over
+//!   every peer socket, read whatever is readable through an
+//!   incremental frame parser, route each frame to its `(comm, src)`
+//!   inbox, flush every outbox whose socket turned writable.
+//! * Sockets, inboxes and outboxes are process-wide, so a derived
+//!   communicator moved to another thread keeps working: one thread
+//!   polls at a time, the others wait on a condition variable and take
+//!   over when it leaves.
+//! * World teardown flushes the outboxes under a deadline, so a rank
+//!   that exits cleanly has delivered everything it sent.
+//!
+//! The one semantic difference from a background writer: a send larger
+//! than the kernel socket buffer completes the next time this process
+//! sends to the same peer or blocks in a receive, or at teardown — not
+//! while the rank computes.
+//!
+//! Heap payloads make exactly one user-space copy on each side of the
+//! wire: rank memory → socket, socket → pooled buffer (bytes that
+//! arrive in the same read as their header cross a 4 KiB staging window
+//! first). Pool misses are counted in `wire_recv_allocs`; sent buffers
+//! are recycled into the receive pool, closing the same buffer economy
+//! the in-process backend gets from shipping `Vec`s by ownership.
+//! Nothing read from a socket is trusted: see `parse_frame`.
 
 use std::time::Duration;
 
@@ -110,13 +133,13 @@ pub(crate) use imp::{run_world_uds, UdsDerive};
 #[cfg(unix)]
 mod imp {
     use std::collections::{HashMap, VecDeque};
-    use std::io::{Read, Write};
+    use std::io::{ErrorKind, IoSlice, Read, Write};
+    use std::os::unix::io::AsRawFd;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::panic::AssertUnwindSafe;
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::mpsc::{self, Receiver, Sender};
-    use std::sync::{Arc, Mutex, MutexGuard};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     use super::{FaultPoint, RankEnd, UdsWorldOptions};
@@ -136,6 +159,18 @@ mod imp {
     /// Cap on the process-wide pool of idle receive buffers.
     const PROC_POOL_CAP: usize = 256;
 
+    /// Per-peer staging window for headers and inline frames: over a
+    /// hundred vote-sized frames per read, and the bound on how much of
+    /// a heap payload is copied twice.
+    const STAGE: usize = 4096;
+
+    /// Largest single read into a heap payload's buffer, which is also
+    /// how far that buffer may grow ahead of the bytes that have arrived.
+    const READ_CHUNK: usize = 256 * 1024;
+
+    /// How long world teardown waits for parked sends to drain.
+    const TEARDOWN_FLUSH: Duration = Duration::from_secs(10);
+
     /// Exit code of a fault-injected rank (distinguishable from a panic's
     /// 101 in `Died` messages).
     const FAULT_EXIT: i32 = 86;
@@ -144,19 +179,45 @@ mod imp {
     /// (`derive_id` never returns 0).
     const WORLD_COMM: u64 = 0;
 
-    /// Minimal process-control FFI (libc symbols; no crate dependency).
-    /// glibc's `fork` — not a raw syscall — so pthread_atfork handlers run
-    /// and the child's allocator state is consistent even when the parent
-    /// is mid-allocation on another thread (the `cargo test` harness is
-    /// multi-threaded).
+    /// Minimal process-control and readiness FFI (libc symbols; no crate
+    /// dependency). glibc's `fork` — not a raw syscall — so
+    /// pthread_atfork handlers run and the child's allocator state is
+    /// consistent even when the parent is mid-allocation on another
+    /// thread (the `cargo test` harness is multi-threaded).
     mod sys {
+        #[repr(C)]
+        pub struct PollFd {
+            fd: i32,
+            events: i16,
+            pub revents: i16,
+        }
+
+        impl PollFd {
+            pub fn new(fd: i32, events: i16) -> PollFd {
+                let revents = 0;
+                PollFd {
+                    fd,
+                    events,
+                    revents,
+                }
+            }
+        }
+
+        #[cfg(target_os = "linux")]
+        pub type NFds = std::ffi::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        pub type NFds = std::ffi::c_uint;
+
         extern "C" {
             pub fn fork() -> i32;
             pub fn waitpid(pid: i32, status: *mut i32, options: i32) -> i32;
             pub fn kill(pid: i32, sig: i32) -> i32;
+            pub fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
         }
         pub const WNOHANG: i32 = 1;
         pub const SIGKILL: i32 = 9;
+        pub const POLLIN: i16 = 0x1;
+        pub const POLLOUT: i16 = 0x4;
     }
 
     fn encode_header(hdr: &mut [u8; HEADER], len: u32, kind: u8, comm: u64, tag: Tag, flow: u64) {
@@ -167,14 +228,24 @@ mod imp {
         hdr[17..25].copy_from_slice(&flow.to_le_bytes());
     }
 
-    fn decode_header(hdr: &[u8; HEADER]) -> (u32, u8, u64, Tag, u64) {
-        (
-            u32::from_le_bytes(hdr[0..4].try_into().expect("len bytes")),
-            hdr[4],
-            u64::from_le_bytes(hdr[5..13].try_into().expect("comm bytes")),
-            Tag::from_le_bytes(hdr[13..17].try_into().expect("tag bytes")),
-            u64::from_le_bytes(hdr[17..25].try_into().expect("flow bytes")),
-        )
+    /// A decoded frame header.
+    #[derive(Debug, Clone, Copy)]
+    struct Head {
+        len: usize,
+        kind: u8,
+        comm: u64,
+        tag: Tag,
+        flow: u64,
+    }
+
+    fn decode_header(hdr: &[u8; HEADER]) -> Head {
+        Head {
+            len: u32::from_le_bytes(hdr[0..4].try_into().expect("len bytes")) as usize,
+            kind: hdr[4],
+            comm: u64::from_le_bytes(hdr[5..13].try_into().expect("comm bytes")),
+            tag: Tag::from_le_bytes(hdr[13..17].try_into().expect("tag bytes")),
+            flow: u64::from_le_bytes(hdr[17..25].try_into().expect("flow bytes")),
+        }
     }
 
     /// splitmix64 finalizer: the mixing step of `derive_id`.
@@ -197,231 +268,455 @@ mod imp {
         h.max(1)
     }
 
-    enum WriteCmd {
-        Frame {
-            comm: u64,
-            msg: Msg,
-        },
-        /// Flush barrier at world teardown: acked once every frame queued
-        /// before it has hit the socket, so a cleanly-exiting rank never
-        /// loses sent messages.
-        Shutdown(Sender<()>),
+    /// A stream that is over: EOF, an I/O error, or bytes that are not a
+    /// frame. All three end the same way — the peer is marked dead.
+    #[derive(Debug)]
+    struct Closed;
+
+    /// What the head of a byte stream holds.
+    #[derive(Debug)]
+    enum Parsed {
+        /// A whole inline frame (`KIND_SMALL` / `KIND_ENDPOINT`) for
+        /// communicator `comm`.
+        Inline { comm: u64, msg: Msg },
+        /// The header of a `KIND_HEAP` frame; `len` payload bytes follow.
+        Heap(Head),
     }
 
-    struct Peer {
-        out_tx: Sender<WriteCmd>,
-        /// Set by the reader on EOF/error and by the writer on a failed
-        /// write; sends to a dead peer fail fast with a disconnect.
-        dead: AtomicBool,
-    }
-
-    #[derive(Default)]
-    struct Router {
-        /// `(comm, world_src)` → inbox of the owning communicator.
-        inboxes: HashMap<(u64, usize), Sender<Msg>>,
-        /// Frames that arrived before their communicator registered
-        /// (a peer can finish a derivation and send before we install
-        /// the inbox only in adversarial interleavings, but correctness
-        /// must not depend on timing).
-        stash: HashMap<(u64, usize), VecDeque<Msg>>,
-        /// World ranks whose connection is gone. Registration against a
-        /// dead source yields an already-closed inbox: stashed frames
-        /// drain first, then the receiver observes the disconnect —
-        /// exactly the in-process channel semantics.
-        dead: Vec<bool>,
-    }
-
-    /// Per-process connection state, shared by every communicator and
-    /// I/O thread in one rank process.
-    struct Shared {
-        peers: Vec<Option<Peer>>,
-        router: Mutex<Router>,
-        /// Idle receive buffers, filled by readers, returned by writers
-        /// after a send — the cross-process analogue of shipping `Vec`
-        /// ownership on the in-process backend.
-        pool: Mutex<Vec<Vec<u8>>>,
-        pool_misses: AtomicU64,
-        handshake_ns: u64,
-    }
-
-    impl Shared {
-        fn lock_router(&self) -> MutexGuard<'_, Router> {
-            self.router.lock().unwrap_or_else(|p| p.into_inner())
-        }
-
-        fn route(&self, comm: u64, src: usize, msg: Msg) {
-            let mut router = self.lock_router();
-            if let Some(tx) = router.inboxes.get(&(comm, src)) {
-                // A failed send means the communicator was dropped after
-                // registering; late frames for it are discarded.
-                let _ = tx.send(msg);
-            } else {
-                router.stash.entry((comm, src)).or_default().push_back(msg);
-            }
-        }
-
-        fn register(&self, comm: u64, src: usize) -> Receiver<Msg> {
-            let (tx, rx) = mpsc::channel();
-            let mut router = self.lock_router();
-            if let Some(stash) = router.stash.remove(&(comm, src)) {
-                for m in stash {
-                    let _ = tx.send(m);
+    /// The frame parser, a pure function of the bytes received so far:
+    /// `Ok(None)` = need more, `Ok(Some((parsed, consumed)))`, `Err` =
+    /// protocol corruption. Nothing here trusts the peer: an unknown
+    /// kind or an inline frame whose `len` is not 8 is an error, and a
+    /// heap frame's `len` is only reported, never allocated.
+    fn parse_frame(bytes: &[u8]) -> Result<Option<(Parsed, usize)>, Closed> {
+        let Some(hdr) = bytes.first_chunk::<HEADER>() else {
+            return Ok(None);
+        };
+        let head = decode_header(hdr);
+        let data = match head.kind {
+            KIND_HEAP => return Ok(Some((Parsed::Heap(head), HEADER))),
+            KIND_SMALL | KIND_ENDPOINT if head.len == 8 => {
+                let Some(v) = bytes[HEADER..].first_chunk::<8>() else {
+                    return Ok(None);
+                };
+                let v = u64::from_le_bytes(*v);
+                if head.kind == KIND_SMALL {
+                    Payload::Small(v)
+                } else {
+                    Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: v }))
                 }
             }
-            if !router.dead[src] {
-                router.inboxes.insert((comm, src), tx);
-            }
-            rx
-        }
+            _ => return Err(Closed),
+        };
+        let (tag, flow) = (head.tag, head.flow);
+        let msg = Msg { tag, data, flow };
+        Ok(Some((
+            Parsed::Inline {
+                comm: head.comm,
+                msg,
+            },
+            HEADER + 8,
+        )))
+    }
 
-        fn mark_dead(&self, world: usize) {
-            if let Some(p) = &self.peers[world] {
-                p.dead.store(true, Ordering::Relaxed);
-            }
-            let mut router = self.lock_router();
-            router.dead[world] = true;
-            // Dropping the inbox senders wakes every receiver blocked on
-            // this source (after any already-routed frames), turning the
-            // socket EOF into the same disconnect cascade the in-process
-            // backend gets from dropped channel endpoints.
-            router.inboxes.retain(|&(_, src), _| src != world);
-        }
+    /// Idle receive buffers, filled by the read path, returned by the
+    /// write path after a send — the cross-process analogue of shipping
+    /// `Vec` ownership on the in-process backend.
+    #[derive(Default)]
+    struct BufPool {
+        idle: Vec<Vec<u8>>,
+        /// Takes that found no buffer big enough (`wire_recv_allocs`).
+        misses: u64,
+    }
 
-        fn take_recv_buf(&self, len: usize) -> Vec<u8> {
-            let buf = self
-                .pool
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .pop()
-                .unwrap_or_default();
+    impl BufPool {
+        /// An empty buffer for a `len`-byte payload. A miss is counted,
+        /// not pre-paid: the buffer grows as the bytes arrive.
+        fn take(&mut self, len: usize) -> Vec<u8> {
+            let buf = self.idle.pop().unwrap_or_default();
             if buf.capacity() < len {
-                self.pool_misses.fetch_add(1, Ordering::Relaxed);
+                self.misses += 1;
             }
             buf
         }
 
-        fn recycle(&self, mut buf: Vec<u8>) {
-            if buf.capacity() == 0 {
-                return;
-            }
-            let mut pool = self.pool.lock().unwrap_or_else(|p| p.into_inner());
-            if pool.len() < PROC_POOL_CAP {
+        fn recycle(&mut self, mut buf: Vec<u8>) {
+            if buf.capacity() > 0 && self.idle.len() < PROC_POOL_CAP {
                 buf.clear();
-                pool.push(buf);
+                self.idle.push(buf);
             }
         }
     }
 
-    fn writer_loop(
-        shared: Arc<Shared>,
-        world_peer: usize,
-        mut stream: UnixStream,
-        rx: Receiver<WriteCmd>,
-    ) {
-        let mut hdr = [0u8; HEADER];
-        while let Ok(cmd) = rx.recv() {
-            let (comm, msg) = match cmd {
-                WriteCmd::Shutdown(ack) => {
-                    let _ = ack.send(());
-                    break;
-                }
-                WriteCmd::Frame { comm, msg } => (comm, msg),
-            };
-            let ok = match msg.data {
-                Payload::Heap(buf) => {
-                    assert!(buf.len() <= u32::MAX as usize, "frame payload over 4 GiB");
-                    encode_header(
-                        &mut hdr,
-                        buf.len() as u32,
-                        KIND_HEAP,
-                        comm,
-                        msg.tag,
-                        msg.flow,
-                    );
-                    let res = stream.write_all(&hdr).and_then(|_| stream.write_all(&buf));
-                    if res.is_ok() {
-                        shared.recycle(buf);
-                    }
-                    res.is_ok()
-                }
-                Payload::Small(v) => {
-                    let mut frame = [0u8; HEADER + 8];
-                    let (head, tail) = frame.split_at_mut(HEADER);
-                    encode_header(
-                        head.try_into().expect("header slice"),
-                        8,
-                        KIND_SMALL,
-                        comm,
-                        msg.tag,
-                        msg.flow,
-                    );
-                    tail.copy_from_slice(&v.to_le_bytes());
-                    stream.write_all(&frame).is_ok()
-                }
-                Payload::Endpoint(ep) => match ep.0 {
-                    EndpointInner::Tagged { comm: child } => {
-                        let mut frame = [0u8; HEADER + 8];
-                        let (head, tail) = frame.split_at_mut(HEADER);
-                        encode_header(
-                            head.try_into().expect("header slice"),
-                            8,
-                            KIND_ENDPOINT,
-                            comm,
-                            msg.tag,
-                            msg.flow,
-                        );
-                        tail.copy_from_slice(&child.to_le_bytes());
-                        stream.write_all(&frame).is_ok()
-                    }
-                    EndpointInner::Chan(_) => {
-                        unreachable!("in-process channel endpoint on the socket backend")
-                    }
-                },
-            };
-            if !ok {
-                shared.mark_dead(world_peer);
-                break;
-            }
-        }
-    }
-
-    fn reader_loop(shared: Arc<Shared>, world_peer: usize, mut stream: UnixStream) {
-        let mut hdr = [0u8; HEADER];
+    /// One non-blocking read: `Ok(None)` = nothing there yet.
+    fn read_some(src: &mut impl Read, buf: &mut [u8]) -> Result<Option<usize>, Closed> {
         loop {
-            if stream.read_exact(&mut hdr).is_err() {
-                break;
-            }
-            let (len, kind, comm, tag, flow) = decode_header(&hdr);
-            let data = match kind {
-                KIND_SMALL => {
-                    let mut b = [0u8; 8];
-                    if len != 8 || stream.read_exact(&mut b).is_err() {
-                        break;
-                    }
-                    Payload::Small(u64::from_le_bytes(b))
-                }
-                KIND_ENDPOINT => {
-                    let mut b = [0u8; 8];
-                    if len != 8 || stream.read_exact(&mut b).is_err() {
-                        break;
-                    }
-                    Payload::Endpoint(Endpoint(EndpointInner::Tagged {
-                        comm: u64::from_le_bytes(b),
-                    }))
-                }
-                KIND_HEAP => {
-                    let mut buf = shared.take_recv_buf(len as usize);
-                    buf.resize(len as usize, 0);
-                    if stream.read_exact(&mut buf).is_err() {
-                        break;
-                    }
-                    Payload::Heap(buf)
-                }
-                _ => break, // protocol corruption: treat as disconnect
+            return match src.read(buf) {
+                Ok(0) => Err(Closed),
+                Ok(n) => Ok(Some(n)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => Err(Closed),
             };
-            shared.route(comm, world_peer, Msg { tag, data, flow });
         }
-        shared.mark_dead(world_peer);
+    }
+
+    /// Incremental frame reader for one peer's byte stream. Headers and
+    /// inline frames pass through a small staging window; a heap payload
+    /// beyond what the window already holds is read straight into its
+    /// pooled buffer. State survives between calls, so a frame may arrive
+    /// in any number of pieces.
+    struct FrameReader {
+        /// Received and not yet parsed: `stage[lo..hi]`.
+        stage: Box<[u8; STAGE]>,
+        lo: usize,
+        hi: usize,
+        /// The heap frame whose payload is still arriving, and the
+        /// bytes of it so far.
+        heap: Option<(Head, Vec<u8>)>,
+    }
+
+    impl FrameReader {
+        fn new() -> Self {
+            FrameReader {
+                stage: Box::new([0; STAGE]),
+                lo: 0,
+                hi: 0,
+                heap: None,
+            }
+        }
+
+        /// Reads `src` until it has no more to give right now, handing
+        /// each completed frame to `sink`. `Err` = the stream is over
+        /// (mid-frame or not).
+        fn pump(
+            &mut self,
+            src: &mut impl Read,
+            pool: &mut BufPool,
+            sink: &mut impl FnMut(u64, Msg),
+        ) -> Result<(), Closed> {
+            loop {
+                let (got, asked) = match &mut self.heap {
+                    Some((head, buf)) => {
+                        // Grow with what arrives: at most one chunk is
+                        // ever allocated ahead of the bytes actually read.
+                        let old = buf.len();
+                        let asked = (head.len - old).min(READ_CHUNK);
+                        buf.resize(old + asked, 0);
+                        let got = read_some(src, &mut buf[old..]);
+                        buf.truncate(old + if let Ok(Some(n)) = got { n } else { 0 });
+                        (got?, asked)
+                    }
+                    None => {
+                        self.stage.copy_within(self.lo..self.hi, 0);
+                        self.hi -= self.lo;
+                        self.lo = 0;
+                        let asked = STAGE - self.hi;
+                        let got = read_some(src, &mut self.stage[self.hi..])?;
+                        self.hi += got.unwrap_or(0);
+                        (got, asked)
+                    }
+                };
+                let Some(got) = got else { return Ok(()) };
+                self.parse_staged(pool, sink)?;
+                if got < asked {
+                    // A short read drained the socket; poll reports the
+                    // next bytes.
+                    return Ok(());
+                }
+            }
+        }
+
+        /// Hands on the heap frame if it is complete, then every whole
+        /// frame in the staging window; a heap header found there starts
+        /// the next in-progress payload with whatever bytes follow it.
+        fn parse_staged(
+            &mut self,
+            pool: &mut BufPool,
+            sink: &mut impl FnMut(u64, Msg),
+        ) -> Result<(), Closed> {
+            loop {
+                if let Some((head, buf)) = self.heap.take_if(|(head, buf)| buf.len() == head.len) {
+                    let data = Payload::Heap(buf);
+                    let (tag, flow) = (head.tag, head.flow);
+                    sink(head.comm, Msg { tag, data, flow });
+                }
+                if self.heap.is_some() {
+                    return Ok(());
+                }
+                let Some((parsed, used)) = parse_frame(&self.stage[self.lo..self.hi])? else {
+                    return Ok(());
+                };
+                self.lo += used;
+                match parsed {
+                    Parsed::Inline { comm, msg } => sink(comm, msg),
+                    Parsed::Heap(head) => {
+                        let mut buf = pool.take(head.len);
+                        let have = head.len.min(self.hi - self.lo);
+                        buf.extend_from_slice(&self.stage[self.lo..self.lo + have]);
+                        self.lo += have;
+                        self.heap = Some((head, buf));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One frame on its way out: encoded header (plus the 8 value bytes
+    /// of an inline frame), the heap payload if any, and how much of the
+    /// two the kernel has taken so far.
+    struct OutFrame {
+        head: [u8; HEADER + 8],
+        head_len: usize,
+        body: Vec<u8>,
+        sent: usize,
+    }
+
+    impl OutFrame {
+        fn new(comm: u64, msg: Msg) -> OutFrame {
+            let (kind, inline, body) = match msg.data {
+                Payload::Heap(buf) => (KIND_HEAP, None, buf),
+                Payload::Small(v) => (KIND_SMALL, Some(v), Vec::new()),
+                Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: child })) => {
+                    (KIND_ENDPOINT, Some(child), Vec::new())
+                }
+                Payload::Endpoint(Endpoint(EndpointInner::Chan(_))) => {
+                    unreachable!("in-process channel endpoint on the socket backend")
+                }
+            };
+            assert!(body.len() <= u32::MAX as usize, "frame payload over 4 GiB");
+            // An inline frame's 8 value bytes ride in `head`.
+            let tail = if inline.is_some() { 8 } else { 0 };
+            let mut head = [0u8; HEADER + 8];
+            let hdr = head.first_chunk_mut().expect("header fits");
+            let len = (tail + body.len()) as u32;
+            encode_header(hdr, len, kind, comm, msg.tag, msg.flow);
+            head[HEADER..].copy_from_slice(&inline.unwrap_or(0).to_le_bytes());
+            OutFrame {
+                head,
+                head_len: HEADER + tail,
+                body,
+                sent: 0,
+            }
+        }
+    }
+
+    /// Writes queued frames until the outbox is empty or the kernel
+    /// stops taking bytes (both `Ok`); sent payload buffers go back to
+    /// the pool. `Err` = the peer is gone.
+    fn flush(
+        outbox: &mut VecDeque<OutFrame>,
+        dst: &mut impl Write,
+        pool: &mut BufPool,
+    ) -> Result<(), Closed> {
+        while let Some(f) = outbox.front_mut() {
+            while f.sent < f.head_len + f.body.len() {
+                let res = if f.sent < f.head_len {
+                    let head = &f.head[f.sent..f.head_len];
+                    dst.write_vectored(&[IoSlice::new(head), IoSlice::new(&f.body)])
+                } else {
+                    dst.write(&f.body[f.sent - f.head_len..])
+                };
+                match res {
+                    Ok(0) => return Err(Closed),
+                    Ok(n) => f.sent += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => return Err(Closed), // EPIPE, ECONNRESET
+                }
+            }
+            let done = outbox.pop_front().expect("front just borrowed");
+            pool.recycle(done.body);
+        }
+        Ok(())
+    }
+
+    /// One peer process: its socket and the two halves of its stream.
+    struct Peer {
+        sock: UnixStream,
+        reader: FrameReader,
+        /// Frames the kernel has not taken yet. Sends stay eager: what a
+        /// full socket buffer refuses waits here, never the caller.
+        outbox: VecDeque<OutFrame>,
+        /// The stream is over (EOF, `EPIPE`, `ECONNRESET`, a corrupt
+        /// frame): sends fail fast and, once the frames already routed
+        /// are consumed, every receive is a disconnect.
+        dead: bool,
+    }
+
+    /// Everything the progress engine touches, under one lock. Only
+    /// `poll(2)` itself runs outside it.
+    struct State {
+        /// Indexed by world rank; `None` at this process's own rank.
+        peers: Vec<Option<Peer>>,
+        /// `(comm, world_src)` → frames received and not yet claimed by
+        /// that communicator's `recv`. Created on first arrival, so a
+        /// frame that outruns its communicator's derivation (or targets
+        /// one that is being received on later) simply waits here.
+        inboxes: HashMap<(u64, usize), VecDeque<Msg>>,
+        pool: BufPool,
+        /// A thread is in `poll(2)` on behalf of the whole process.
+        polling: bool,
+        /// Threads parked on `Shared::progressed` behind that thread.
+        waiters: usize,
+        /// The poll set, kept between calls for its allocation.
+        fds: Vec<sys::PollFd>,
+    }
+
+    impl State {
+        fn peer(&mut self, w: usize) -> &mut Peer {
+            self.peers[w].as_mut().expect("a connection per other rank")
+        }
+
+        fn kill(&mut self, w: usize) {
+            let p = self.peer(w);
+            p.dead = true;
+            p.outbox.clear();
+        }
+
+        /// Reads peer `w`'s socket dry and routes every completed frame
+        /// to its inbox; a stream that is over kills the peer.
+        fn pump(&mut self, w: usize) {
+            let State {
+                peers,
+                inboxes,
+                pool,
+                ..
+            } = self;
+            let p = peers[w].as_mut().expect("a connection per other rank");
+            let mut route = |comm, msg| inboxes.entry((comm, w)).or_default().push_back(msg);
+            if p.reader.pump(&mut &p.sock, pool, &mut route).is_err() {
+                self.kill(w);
+            }
+        }
+
+        /// Writes what peer `w`'s socket will take. A failed write means
+        /// the peer has gone away: what it sent before going is read out
+        /// first (sent messages stay deliverable, as on in-process
+        /// channels), then it is dead.
+        fn flush(&mut self, w: usize) {
+            let State { peers, pool, .. } = self;
+            let p = peers[w].as_mut().expect("a connection per other rank");
+            if flush(&mut p.outbox, &mut &p.sock, pool).is_err() {
+                self.pump(w);
+                self.kill(w);
+            }
+        }
+    }
+
+    /// Per-process connection state, shared by every communicator (and
+    /// every thread one has been moved to) in one rank process.
+    struct Shared {
+        state: Mutex<State>,
+        /// Signalled by the polling thread after each round, for threads
+        /// waiting behind it: their frame may have been routed, their
+        /// peer may have died, or it may be their turn to poll.
+        progressed: Condvar,
+        /// Self-pipe: a byte written to `wake_tx` interrupts the polling
+        /// thread, so it picks up an outbox parked after it built its
+        /// poll set.
+        wake_tx: UnixStream,
+        wake_rx: UnixStream,
+        handshake_ns: u64,
+    }
+
+    /// `poll(2)` over `fds`; `None` waits forever. A failed call (EINTR)
+    /// reads as "nothing ready": every caller loops.
+    fn poll(fds: &mut [sys::PollFd], timeout: Option<Duration>) {
+        let ms = timeout.map_or(-1, |t| {
+            t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+        });
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // pollfd records and `nfds` is its length; poll writes only
+        // their `revents` fields.
+        let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NFds, ms) };
+        if n < 0 {
+            fds.iter_mut().for_each(|f| f.revents = 0);
+        }
+    }
+
+    impl Shared {
+        fn lock(&self) -> MutexGuard<'_, State> {
+            // Every update under the lock leaves `State` valid (and the
+            // engine does not panic), so a poisoned lock is still good.
+            self.state.lock().unwrap_or_else(|p| p.into_inner())
+        }
+
+        /// One step of the caller-driven progress engine, on behalf of
+        /// every communicator in the process: sleep in `poll(2)` until a
+        /// peer socket is readable (or writable, where an outbox is
+        /// waiting), or `timeout` passes; read every readable socket and
+        /// route its frames; flush every outbox that can move. If
+        /// another thread is already polling, wait for it to report
+        /// instead. The caller re-checks its own condition afterwards.
+        fn progress<'a>(
+            &'a self,
+            mut st: MutexGuard<'a, State>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State> {
+            if st.polling {
+                st.waiters += 1;
+                let cv = &self.progressed;
+                let mut st = match timeout {
+                    None => cv.wait(st).unwrap_or_else(|p| p.into_inner()),
+                    Some(t) => cv.wait_timeout(st, t).unwrap_or_else(|p| p.into_inner()).0,
+                };
+                st.waiters -= 1;
+                return st;
+            }
+            st.polling = true;
+            let mut fds = std::mem::take(&mut st.fds);
+            fds.clear();
+            fds.push(sys::PollFd::new(self.wake_rx.as_raw_fd(), sys::POLLIN));
+            fds.extend(st.peers.iter().map(|p| match p {
+                Some(p) if !p.dead => {
+                    let out = if p.outbox.is_empty() { 0 } else { sys::POLLOUT };
+                    sys::PollFd::new(p.sock.as_raw_fd(), sys::POLLIN | out)
+                }
+                // poll ignores a negative fd: a dead peer's permanent
+                // POLLHUP must not turn the sleep into a spin.
+                _ => sys::PollFd::new(-1, 0),
+            }));
+            drop(st);
+            poll(&mut fds, timeout);
+            let mut st = self.lock();
+            st.polling = false;
+            if fds[0].revents != 0 {
+                let mut sink = [0u8; 64];
+                while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+            }
+            for (w, fd) in fds[1..].iter().enumerate() {
+                if fd.revents & sys::POLLOUT != 0 {
+                    st.flush(w);
+                }
+                // POLLIN, and POLLHUP / POLLERR too: the read finds out.
+                if fd.revents & !sys::POLLOUT != 0 {
+                    st.pump(w);
+                }
+            }
+            st.fds = fds;
+            if st.waiters > 0 {
+                self.progressed.notify_all();
+            }
+            st
+        }
+
+        /// World teardown: runs the engine until every parked byte has
+        /// gone to the kernel, so "exited cleanly" implies "every sent
+        /// frame was delivered" — within `limit`, and without waiting on
+        /// a peer that has died (killing it empties its outbox).
+        fn flush_outboxes(&self, limit: Duration) {
+            let deadline = Instant::now() + limit;
+            let mut st = self.lock();
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let parked = st.peers.iter().flatten().any(|p| !p.outbox.is_empty());
+                if !parked || left.is_zero() {
+                    return;
+                }
+                st = self.progress(st, Some(left));
+            }
+        }
     }
 
     /// The socket transport for one communicator: peers are reached
@@ -434,119 +729,116 @@ mod imp {
         members: Vec<usize>,
         shared: Arc<Shared>,
         /// Self-sends bypass the wire entirely.
-        loop_tx: Sender<Msg>,
-        /// Communicator rank → inbox (the loopback receiver at
-        /// `my_rank`).
-        rxs: Vec<Receiver<Msg>>,
+        loopback: VecDeque<Msg>,
         /// World communicators report the process-level extras
-        /// (handshake time, reader-pool misses) exactly once.
+        /// (handshake time, receive-pool misses) exactly once.
         is_world: bool,
     }
 
     impl UdsTransport {
-        fn for_comm(
-            comm: u64,
-            my_rank: usize,
-            members: Vec<usize>,
-            shared: Arc<Shared>,
-            is_world: bool,
-        ) -> UdsTransport {
-            let (loop_tx, loop_rx) = mpsc::channel();
-            let mut loop_rx = Some(loop_rx);
-            let rxs: Vec<Receiver<Msg>> = members
-                .iter()
-                .enumerate()
-                .map(|(new_rank, &w)| {
-                    if new_rank == my_rank {
-                        loop_rx.take().expect("exactly one self slot")
-                    } else {
-                        shared.register(comm, w)
-                    }
-                })
-                .collect();
-            UdsTransport {
-                comm,
-                my_rank,
-                members,
-                shared,
-                loop_tx,
-                rxs,
-                is_world,
-            }
-        }
-
         fn disconnect(&self, peer: usize) -> CommError {
             CommError::RankDisconnected {
                 observer: self.my_rank,
                 peer,
             }
         }
+
+        /// The next frame from `src` on this communicator, driving the
+        /// progress engine until it is there, `src` is dead, or
+        /// `deadline` passes (`Ok(None)`).
+        fn recv_until(
+            &mut self,
+            src: usize,
+            stats: &mut CommStats,
+            deadline: Option<Instant>,
+        ) -> Result<Option<Msg>, CommError> {
+            if src == self.my_rank {
+                if let Some(msg) = self.loopback.pop_front() {
+                    return Ok(Some(msg));
+                }
+                // Only this thread could have filled the loopback.
+                let Some(deadline) = deadline else {
+                    panic!("rank {src} receives from itself with nothing sent: deadlock");
+                };
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return Ok(None);
+            }
+            let world_src = self.members[src];
+            let shared = &*self.shared;
+            let mut st = shared.lock();
+            loop {
+                let inbox = st.inboxes.get_mut(&(self.comm, world_src));
+                if let Some(msg) = inbox.and_then(VecDeque::pop_front) {
+                    stats.wire_frames_recvd += 1;
+                    stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
+                    return Ok(Some(msg));
+                }
+                // Frames routed before the peer died were drained above:
+                // exactly the in-process channel semantics.
+                if st.peer(world_src).dead {
+                    return Err(self.disconnect(src));
+                }
+                let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if left.is_some_and(|l| l.is_zero()) {
+                    return Ok(None);
+                }
+                st = shared.progress(st, left);
+            }
+        }
     }
 
     impl Drop for UdsTransport {
         fn drop(&mut self) {
-            // Unregister this communicator's routes; frames arriving
-            // afterwards are discarded by `route`.
+            // Unclaimed frames die with the communicator (ids are never
+            // reused, so nothing can claim them later).
             let comm = self.comm;
-            let mut router = self.shared.lock_router();
-            router.inboxes.retain(|&(c, _), _| c != comm);
-            router.stash.retain(|&(c, _), _| c != comm);
+            self.shared.lock().inboxes.retain(|&(c, _), _| c != comm);
         }
     }
 
     impl Transport for UdsTransport {
         fn send(&mut self, dst: usize, msg: Msg, stats: &mut CommStats) -> Result<(), CommError> {
             if dst == self.my_rank {
-                return self.loop_tx.send(msg).map_err(|_| self.disconnect(dst));
+                self.loopback.push_back(msg);
+                return Ok(());
             }
             let world_dst = self.members[dst];
-            let peer = self.shared.peers[world_dst]
-                .as_ref()
-                .expect("non-self comm rank maps to a peer connection");
-            if peer.dead.load(Ordering::Relaxed) {
+            let mut st = self.shared.lock();
+            let peer = st.peer(world_dst);
+            if peer.dead {
                 return Err(self.disconnect(dst));
             }
             stats.wire_frames_sent += 1;
             stats.wire_bytes_sent += (HEADER + msg.data.len()) as u64;
-            peer.out_tx
-                .send(WriteCmd::Frame {
-                    comm: self.comm,
-                    msg,
-                })
-                .map_err(|_| self.disconnect(dst))
+            let was_empty = peer.outbox.is_empty();
+            peer.outbox.push_back(OutFrame::new(self.comm, msg));
+            st.flush(world_dst);
+            let peer = st.peer(world_dst);
+            if peer.dead {
+                return Err(self.disconnect(dst));
+            }
+            let newly_parked = was_empty && !peer.outbox.is_empty();
+            if newly_parked && st.polling {
+                // The polling thread built its set before this outbox
+                // had anything to flush. (A full pipe means a wake-up
+                // is already pending.)
+                let _ = (&self.shared.wake_tx).write(&[1]);
+            }
+            Ok(())
         }
 
         fn recv(&mut self, src: usize, stats: &mut CommStats) -> Result<Msg, CommError> {
-            match self.rxs[src].recv() {
-                Ok(msg) => {
-                    if src != self.my_rank {
-                        stats.wire_frames_recvd += 1;
-                        stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
-                    }
-                    Ok(msg)
-                }
-                Err(_) => Err(self.disconnect(src)),
-            }
+            let msg = self.recv_until(src, stats, None)?;
+            Ok(msg.expect("a receive without a deadline returns a message"))
         }
 
         fn recv_deadline(
             &mut self,
             src: usize,
             stats: &mut CommStats,
-            timeout: std::time::Duration,
+            timeout: Duration,
         ) -> Result<Option<Msg>, CommError> {
-            use std::sync::mpsc::RecvTimeoutError;
-            match self.rxs[src].recv_timeout(timeout) {
-                Ok(msg) => {
-                    if src != self.my_rank {
-                        stats.wire_frames_recvd += 1;
-                        stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
-                    }
-                    Ok(Some(msg))
-                }
-                Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => Err(self.disconnect(src)),
-            }
+            self.recv_until(src, stats, Some(Instant::now() + timeout))
         }
 
         fn begin_derive(
@@ -598,13 +890,14 @@ mod imp {
             let DeriveState::Uds(state) = d.0 else {
                 unreachable!("uds transport handed a foreign derivation");
             };
-            Box::new(UdsTransport::for_comm(
-                state.comm,
-                state.my_new_rank,
-                state.members_world,
-                Arc::clone(&self.shared),
-                false,
-            ))
+            Box::new(UdsTransport {
+                comm: state.comm,
+                my_rank: state.my_new_rank,
+                members: state.members_world,
+                shared: Arc::clone(&self.shared),
+                loopback: VecDeque::new(),
+                is_world: false,
+            })
         }
 
         fn extra_stats(&self) -> CommStats {
@@ -613,7 +906,7 @@ mod imp {
             }
             CommStats {
                 handshake_ns: self.shared.handshake_ns,
-                wire_recv_allocs: self.shared.pool_misses.load(Ordering::Relaxed),
+                wire_recv_allocs: self.shared.lock().pool.misses,
                 ..CommStats::default()
             }
         }
@@ -621,49 +914,13 @@ mod imp {
 
     /// Derivation state for the socket backend: the deterministic child
     /// id plus the membership, carried between `begin_derive` and
-    /// `finish_derive`. (The inboxes are registered lazily in
-    /// `finish_derive`; the router stash covers any frame racing ahead.)
+    /// `finish_derive`. (Nothing is registered: an inbox comes into
+    /// being when its first frame arrives, however early.)
     #[derive(Debug)]
     pub(crate) struct UdsDerive {
         comm: u64,
         members_world: Vec<usize>,
         my_new_rank: usize,
-    }
-
-    /// Owner of the per-peer writer threads; `shutdown` is the flush
-    /// barrier that makes "exited cleanly" imply "every sent frame was
-    /// delivered to the kernel".
-    struct WorldGuard {
-        shared: Arc<Shared>,
-        writers: Vec<(usize, std::thread::JoinHandle<()>)>,
-    }
-
-    impl WorldGuard {
-        fn shutdown(self) {
-            let mut acks: Vec<(usize, Receiver<()>)> = Vec::new();
-            for (w, _) in &self.writers {
-                if let Some(p) = &self.shared.peers[*w] {
-                    let (tx, rx) = mpsc::channel();
-                    if p.out_tx.send(WriteCmd::Shutdown(tx)).is_ok() {
-                        acks.push((*w, rx));
-                    }
-                }
-            }
-            let mut acked = vec![false; self.shared.peers.len()];
-            for (w, rx) in acks {
-                if rx.recv_timeout(Duration::from_secs(10)).is_ok() {
-                    acked[w] = true;
-                }
-            }
-            for (w, handle) in self.writers {
-                // A writer that never acked is wedged on a dead peer's
-                // socket; leak it (the process is about to exit) rather
-                // than hang the flush.
-                if acked[w] {
-                    let _ = handle.join();
-                }
-            }
-        }
     }
 
     fn sock_path(dir: &Path, rank: usize) -> PathBuf {
@@ -701,15 +958,15 @@ mod imp {
         ))
     }
 
-    /// Builds this rank's connection set, threads, and world transport.
-    /// Errors are handshake failures (peer died or timed out) and must
-    /// surface as bounded-time disconnects, never hangs.
+    /// Builds this rank's connection set and world transport. Errors are
+    /// handshake failures (peer died or timed out) and must surface as
+    /// bounded-time disconnects, never hangs.
     fn bootstrap(
         rank: usize,
         n: usize,
         dir: &Path,
         opts: &UdsWorldOptions,
-    ) -> Result<(UdsTransport, WorldGuard), String> {
+    ) -> Result<UdsTransport, String> {
         let t0 = Instant::now();
         let listener = UnixListener::bind(sock_path(dir, rank))
             .map_err(|e| format!("rank {rank}: binding rendezvous socket: {e}"))?;
@@ -769,59 +1026,57 @@ mod imp {
             }
         }
 
-        // Connections complete: build the shared state, then the I/O
-        // threads, then the world transport (inboxes registered before
-        // readers start is not required — the stash covers the gap —
-        // but peers/router must exist before any thread runs).
-        let mut out_rxs: Vec<Option<Receiver<WriteCmd>>> = (0..n).map(|_| None).collect();
-        let peers: Vec<Option<Peer>> = (0..n)
-            .map(|w| {
-                streams[w].as_ref()?;
-                let (tx, rx) = mpsc::channel();
-                out_rxs[w] = Some(rx);
-                Some(Peer {
-                    out_tx: tx,
-                    dead: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            peers,
-            router: Mutex::new(Router {
-                dead: vec![false; n],
-                ..Router::default()
-            }),
-            pool: Mutex::new(Vec::new()),
-            pool_misses: AtomicU64::new(0),
-            handshake_ns: t0.elapsed().as_nanos() as u64,
-        });
-        let mut writers = Vec::new();
-        for (w, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            let reader = stream
-                .try_clone()
-                .map_err(|e| format!("rank {rank}: cloning socket for rank {w}: {e}"))?;
-            let out_rx = out_rxs[w].take().expect("writer queue for connected peer");
-            let shared_w = Arc::clone(&shared);
-            let writer = std::thread::Builder::new()
-                .name(format!("uds-w{rank}-{w}"))
-                .spawn(move || writer_loop(shared_w, w, stream, out_rx))
-                .map_err(|e| format!("rank {rank}: spawning writer: {e}"))?;
-            writers.push((w, writer));
-            let shared_r = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("uds-r{rank}-{w}"))
-                .spawn(move || reader_loop(shared_r, w, reader))
-                .map_err(|e| format!("rank {rank}: spawning reader: {e}"))?;
+        world_transport(rank, streams, t0.elapsed().as_nanos() as u64)
+            .map_err(|e| format!("rank {rank}: preparing sockets: {e}"))
+    }
+
+    /// Rank `rank`'s world transport over its established connections
+    /// (`streams[w]` reaches world rank `w`): from here on every socket
+    /// is non-blocking and owned by the progress engine.
+    fn world_transport(
+        rank: usize,
+        streams: Vec<Option<UnixStream>>,
+        handshake_ns: u64,
+    ) -> std::io::Result<UdsTransport> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let members = (0..streams.len()).collect();
+        let mut peers = Vec::with_capacity(streams.len());
+        for sock in streams {
+            if let Some(sock) = &sock {
+                sock.set_nonblocking(true)?;
+            }
+            peers.push(sock.map(|sock| Peer {
+                sock,
+                reader: FrameReader::new(),
+                outbox: VecDeque::new(),
+                dead: false,
+            }));
         }
-        let transport = UdsTransport::for_comm(
-            WORLD_COMM,
-            rank,
-            (0..n).collect(),
-            Arc::clone(&shared),
-            true,
-        );
-        Ok((transport, WorldGuard { shared, writers }))
+        let state = State {
+            peers,
+            inboxes: HashMap::new(),
+            pool: BufPool::default(),
+            polling: false,
+            waiters: 0,
+            fds: Vec::new(),
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(state),
+            progressed: Condvar::new(),
+            wake_tx,
+            wake_rx,
+            handshake_ns,
+        });
+        Ok(UdsTransport {
+            comm: WORLD_COMM,
+            my_rank: rank,
+            members,
+            shared,
+            loopback: VecDeque::new(),
+            is_world: true,
+        })
     }
 
     /// Removes the rendezvous directory when the parent is done.
@@ -898,11 +1153,12 @@ mod imp {
         // Comm::new below runs on this thread after arming, so the comm
         // picks the accumulator up from the thread-local.
         let live = mimir_obs::live::arm(rank, n, true);
-        // The guard escapes the catch so queued frames flush on every
-        // exit path that got past the handshake — on a panic, peers
-        // still receive everything sent before it, matching in-process
-        // channel semantics where sent messages stay deliverable.
-        let guard_slot: Mutex<Option<WorldGuard>> = Mutex::new(None);
+        // The connection state escapes the catch so parked frames flush
+        // on every exit path that got past the handshake — on a panic,
+        // peers still receive everything sent before it, matching
+        // in-process channel semantics where sent messages stay
+        // deliverable.
+        let mut shared = None;
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(bool, Vec<u8>), String> {
                 if let Some(fault) = &opts.fault {
@@ -910,15 +1166,15 @@ mod imp {
                         std::process::exit(FAULT_EXIT);
                     }
                 }
-                let (transport, guard) = bootstrap(rank, n, dir, opts)?;
-                *guard_slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(guard);
+                let transport = bootstrap(rank, n, dir, opts)?;
+                shared = Some(Arc::clone(&transport.shared));
                 let mut comm = Comm::new(name.to_string(), rank, n, Box::new(transport));
                 let out = body(&mut comm);
                 drop(comm);
                 Ok(out)
             }));
-        if let Some(g) = guard_slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            g.shutdown();
+        if let Some(shared) = shared {
+            shared.flush_outboxes(TEARDOWN_FLUSH);
         }
         let code = match outcome {
             Ok(Ok((abort, bytes))) => {
@@ -1085,6 +1341,9 @@ mod imp {
         drop(guard);
         ends
     }
+
+    #[cfg(test)]
+    mod tests;
 }
 
 #[cfg(not(unix))]

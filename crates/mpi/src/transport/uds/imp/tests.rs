@@ -1,0 +1,333 @@
+//! The socket engine without processes: the frame parser and reader on
+//! hostile and arbitrarily split byte streams, the write path through a
+//! writer that takes a few bytes at a time, and `recv_deadline` over an
+//! in-process socket pair.
+
+use std::io;
+
+use mimir_datagen::{rank_rng, RankRng};
+
+use super::*;
+
+/// A non-blocking stream in memory: `read` serves `data` up to the next
+/// cut and then would block once; `write` takes at most `take` bytes
+/// and would block on every other call. EOF once `closed`.
+struct Pipe {
+    data: Vec<u8>,
+    pos: usize,
+    cuts: Vec<usize>,
+    closed: bool,
+    take: usize,
+    stall: bool,
+}
+
+impl Pipe {
+    fn reader(data: &[u8], mut cuts: Vec<usize>, closed: bool) -> Pipe {
+        cuts.sort_unstable();
+        cuts.reverse();
+        Pipe {
+            data: data.to_vec(),
+            pos: 0,
+            cuts,
+            closed,
+            take: 0,
+            stall: false,
+        }
+    }
+
+    fn writer(take: usize) -> Pipe {
+        Pipe {
+            take,
+            ..Pipe::reader(&[], Vec::new(), false)
+        }
+    }
+}
+
+impl Read for Pipe {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.cuts.last().is_some_and(|&c| c < self.pos) {
+            self.cuts.pop();
+        }
+        if self.cuts.last() == Some(&self.pos) {
+            self.cuts.pop();
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let end = self.cuts.last().map_or(self.data.len(), |&c| c);
+        let n = buf.len().min(end.min(self.data.len()) - self.pos);
+        if n == 0 {
+            return if self.closed {
+                Ok(0)
+            } else {
+                Err(ErrorKind::WouldBlock.into())
+            };
+        }
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+impl Write for Pipe {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stall = !self.stall;
+        if self.stall {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(self.take);
+        self.data.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `(comm, tag, flow, kind, payload)`: a message as the tests compare it.
+type Flat = (u64, Tag, u64, u8, Vec<u8>);
+
+fn flatten(comm: u64, msg: Msg) -> Flat {
+    let (kind, bytes) = match msg.data {
+        Payload::Heap(b) => (KIND_HEAP, b),
+        Payload::Small(v) => (KIND_SMALL, v.to_le_bytes().to_vec()),
+        Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm })) => {
+            (KIND_ENDPOINT, comm.to_le_bytes().to_vec())
+        }
+        Payload::Endpoint(_) => unreachable!("channel endpoint off a socket"),
+    };
+    (comm, msg.tag, msg.flow, kind, bytes)
+}
+
+fn unflatten(f: &Flat) -> (u64, Msg) {
+    let value = || u64::from_le_bytes(f.4.as_slice().try_into().expect("8 value bytes"));
+    let data = match f.3 {
+        KIND_HEAP => Payload::Heap(f.4.clone()),
+        KIND_SMALL => Payload::Small(value()),
+        _ => Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: value() })),
+    };
+    let (tag, flow) = (f.1, f.2);
+    (f.0, Msg { tag, data, flow })
+}
+
+fn random_frames(rng: &mut RankRng, n: usize) -> Vec<Flat> {
+    (0..n)
+        .map(|_| {
+            let kind = rng.gen_range(0..3) as u8;
+            let len = match (kind, rng.gen_range(0..8)) {
+                (KIND_HEAP, 0) => 0,
+                (KIND_HEAP, 1) => rng.gen_range(0..3 * STAGE),
+                (KIND_HEAP, _) => rng.gen_range(0..64),
+                _ => 8,
+            };
+            let payload = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let tag = rng.next_u64() as Tag;
+            (rng.next_u64(), tag, rng.next_u64(), kind, payload)
+        })
+        .collect()
+}
+
+/// The frames' wire bytes, through the real write path and a writer
+/// that takes `take` bytes on every other call.
+fn encode(frames: &[Flat], take: usize) -> Vec<u8> {
+    let mut outbox: VecDeque<OutFrame> = frames
+        .iter()
+        .map(|f| {
+            let (comm, msg) = unflatten(f);
+            OutFrame::new(comm, msg)
+        })
+        .collect();
+    let mut wire = Pipe::writer(take);
+    let mut pool = BufPool::default();
+    while !outbox.is_empty() {
+        flush(&mut outbox, &mut wire, &mut pool).expect("the pipe never fails");
+    }
+    wire.data
+}
+
+/// Pumps `src` until it blocks with nothing left or ends: the frames
+/// decoded, whether the stream ended, and the reader for inspection.
+fn decode(src: &mut Pipe) -> (Vec<Flat>, bool, FrameReader) {
+    let mut reader = FrameReader::new();
+    let mut pool = BufPool::default();
+    let mut out = Vec::new();
+    loop {
+        let mut sink = |comm, msg| out.push(flatten(comm, msg));
+        if reader.pump(src, &mut pool, &mut sink).is_err() {
+            return (out, true, reader);
+        }
+        if src.pos == src.data.len() && !src.closed {
+            return (out, false, reader);
+        }
+    }
+}
+
+#[test]
+fn parser_rejects_what_is_not_a_frame() {
+    let mut hdr = [0u8; HEADER];
+    for (kind, len, ok) in [
+        (KIND_HEAP, u32::MAX, true),
+        (KIND_SMALL, 8, true),
+        (KIND_SMALL, 7, false),
+        (KIND_SMALL, 0, false),
+        (KIND_ENDPOINT, 9, false),
+        (KIND_ENDPOINT, u32::MAX, false),
+        (3, 8, false),
+        (255, 0, false),
+    ] {
+        encode_header(&mut hdr, len, kind, 7, 9, 11);
+        let mut bytes = hdr.to_vec();
+        bytes.extend_from_slice(&[0xEE; 8]);
+        assert_eq!(parse_frame(&bytes).is_ok(), ok, "kind {kind} len {len}");
+    }
+    // A heap header is reported with its length, never allocated for.
+    encode_header(&mut hdr, u32::MAX, KIND_HEAP, 7, 9, 11);
+    match parse_frame(&hdr) {
+        Ok(Some((Parsed::Heap(head), HEADER))) => assert_eq!(head.len, u32::MAX as usize),
+        other => panic!("heap header: {other:?}"),
+    }
+}
+
+#[test]
+fn every_strict_prefix_of_a_frame_needs_more() {
+    let mut rng = rank_rng(0xF2A3, 0);
+    for f in random_frames(&mut rng, 64) {
+        let wire = encode(std::slice::from_ref(&f), usize::MAX);
+        // Inline frames parse whole; of a heap frame, only the header.
+        let whole = if f.3 == KIND_HEAP { HEADER } else { wire.len() };
+        for cut in 0..whole {
+            assert!(matches!(parse_frame(&wire[..cut]), Ok(None)), "cut {cut}");
+        }
+        let (_, used) = parse_frame(&wire).expect("valid").expect("complete");
+        assert_eq!(used, whole);
+    }
+}
+
+#[test]
+fn any_split_of_a_frame_stream_decodes_to_the_frames_sent() {
+    for case in 0..64 {
+        let mut rng = rank_rng(0x5711, case);
+        let n = 1 + rng.gen_range(0..12);
+        let frames = random_frames(&mut rng, n);
+        let wire = encode(&frames, 1 + rng.gen_range(0..2 * STAGE));
+        let cuts = (0..rng.gen_range(0..24))
+            .map(|_| rng.gen_range(0..wire.len() + 1))
+            .collect();
+        let (got, ended, _) = decode(&mut Pipe::reader(&wire, cuts, false));
+        assert!(!ended, "case {case}: an open stream is not a dead one");
+        assert_eq!(got, frames, "case {case}");
+    }
+}
+
+#[test]
+fn every_prefix_of_a_frame_stream_ends_as_a_disconnect() {
+    let mut rng = rank_rng(0x7E0F, 0);
+    let frames = random_frames(&mut rng, 10);
+    let wire = encode(&frames, usize::MAX);
+    for cut in 0..=wire.len() {
+        let (got, ended, _) = decode(&mut Pipe::reader(&wire[..cut], vec![cut / 2], true));
+        assert!(ended, "cut {cut}: EOF, mid-frame or not, ends the stream");
+        assert_eq!(got[..], frames[..got.len()], "cut {cut}: whole frames only");
+    }
+}
+
+#[test]
+fn arbitrary_bytes_never_panic_or_allocate_ahead_of_arrival() {
+    for case in 0..256 {
+        let mut rng = rank_rng(0xBAD5, case);
+        let mut bytes: Vec<u8> = (0..rng.gen_range(0..3 * STAGE))
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        if case % 2 == 0 && bytes.len() > 4 {
+            bytes[4] = KIND_HEAP; // a plausible header announcing anything
+        }
+        let cuts = (0..rng.gen_range(0..6))
+            .map(|_| rng.gen_range(0..bytes.len() + 1))
+            .collect();
+        let (_, _, reader) = decode(&mut Pipe::reader(&bytes, cuts, case % 3 == 0));
+        if let Some((_, buf)) = &reader.heap {
+            assert!(
+                buf.capacity() <= 2 * (bytes.len() + READ_CHUNK),
+                "case {case}: {} B held for {} B received",
+                buf.capacity(),
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// Two single-peer worlds over one socket pair, in this process.
+fn pair() -> (UdsTransport, UdsTransport) {
+    let (a, b) = UnixStream::pair().expect("socket pair");
+    let t0 = world_transport(0, vec![None, Some(a)], 0).expect("rank 0");
+    let t1 = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
+    (t0, t1)
+}
+
+fn heap(tag: Tag, bytes: Vec<u8>) -> Msg {
+    let data = Payload::Heap(bytes);
+    Msg { tag, data, flow: 0 }
+}
+
+#[test]
+fn recv_deadline_times_out_and_keeps_a_half_arrived_frame() {
+    let (mut a, mut b) = pair();
+    let mut stats = CommStats::default();
+    let slice = Duration::from_millis(20);
+
+    // No traffic: `Ok(None)`, and not before the timeout.
+    let t = Instant::now();
+    assert!(matches!(b.recv_deadline(0, &mut stats, slice), Ok(None)));
+    assert!(t.elapsed() >= slice);
+
+    // 8 MiB does not fit a socket buffer: the send returns at once with
+    // the rest parked, and nothing moves it until `a` makes progress.
+    let body: Vec<u8> = (0..8 << 20).map(|i| (i % 251) as u8).collect();
+    a.send(1, heap(5, body.clone()), &mut stats)
+        .expect("eager send");
+    assert!(!a.shared.lock().peer(1).outbox.is_empty(), "rest is parked");
+    for _ in 0..3 {
+        assert!(matches!(b.recv_deadline(0, &mut stats, slice), Ok(None)));
+    }
+    assert!(
+        b.shared.lock().peer(0).reader.heap.is_some(),
+        "half arrived"
+    );
+
+    // The sender's teardown flush needs a reader: give it one.
+    let flusher = std::thread::spawn(move || {
+        a.shared.flush_outboxes(Duration::from_secs(10));
+        a
+    });
+    let msg = b.recv(0, &mut stats).expect("the frame completes");
+    assert_eq!(flatten(0, msg).4, body, "no byte lost across the timeouts");
+    let a = flusher.join().expect("flusher");
+
+    // A dropped peer is a disconnect on both paths.
+    drop(a);
+    assert!(b.recv_deadline(0, &mut stats, slice).is_err());
+    assert!(b.send(0, heap(5, vec![1]), &mut stats).is_err());
+}
+
+#[test]
+fn corrupt_bytes_from_a_peer_are_a_disconnect_for_every_waiter() {
+    let (a, b) = UnixStream::pair().expect("socket pair");
+    let mut t = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
+    let (derivation, _) = t.begin_derive(0, &[0, 1], 1);
+    let mut dup = t.finish_derive(derivation);
+    let mut stats = CommStats::default();
+    // One good frame, then a frame of an unknown kind.
+    let mut wire = encode(
+        &[(WORLD_COMM, 3, 0, KIND_SMALL, 42u64.to_le_bytes().to_vec())],
+        64,
+    );
+    wire.extend_from_slice(&[0xFF; HEADER]);
+    (&a).write_all(&wire).expect("raw bytes");
+    let waiter = std::thread::spawn(move || {
+        let mut stats = CommStats::default();
+        dup.recv(0, &mut stats).is_err()
+    });
+    assert!(matches!(t.recv(0, &mut stats), Ok(Msg { tag: 3, .. })));
+    assert!(t.recv(0, &mut stats).is_err(), "then the peer is dead");
+    assert!(waiter.join().expect("waiter"), "on the dup'd comm too");
+    drop(a);
+}

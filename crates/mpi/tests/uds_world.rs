@@ -238,3 +238,117 @@ fn single_rank_uds_world() {
     });
     assert_eq!(out, vec![9]);
 }
+
+// ---------------------------------------------------------------------
+// The caller-driven progress engine: no helper threads, so whichever
+// thread is in a receive moves the bytes for the whole process.
+// ---------------------------------------------------------------------
+
+/// `len` bytes that differ by sender and position.
+fn pattern(seed: usize, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i * 31 + seed * 17 + i / 4093) as u8)
+        .collect()
+}
+
+#[test]
+fn head_to_head_large_sends_do_not_deadlock() {
+    const LEN: usize = 8 << 20;
+    let out: Vec<bool> = run_world_on(UDS, 2, |c| {
+        let peer = 1 - c.rank();
+        // Both sides send before either receives: far more than two
+        // socket buffers hold, so both sends park and return.
+        c.send_vec(peer, 4, pattern(c.rank(), LEN));
+        c.recv(peer, 4) == pattern(peer, LEN)
+    });
+    assert_eq!(out, vec![true, true]);
+}
+
+#[test]
+fn teardown_flushes_what_a_sleeping_receiver_has_not_read() {
+    const LEN: usize = 4 << 20;
+    let out: Vec<bool> = run_world_on(UDS, 2, |c| {
+        if c.rank() == 0 {
+            // Returns at once: the world's teardown has to deliver it.
+            c.send_vec(1, 4, pattern(0, LEN));
+            true
+        } else {
+            std::thread::sleep(Duration::from_millis(200));
+            c.recv(0, 4) == pattern(0, LEN)
+        }
+    });
+    assert_eq!(out, vec![true, true]);
+}
+
+#[test]
+fn dup_collectives_interleave_across_threads_over_sockets() {
+    // `world::tests::dup_collectives_interleave_across_threads` on forked
+    // ranks: the two threads of a process share its sockets, so each
+    // reads the other's frames and must hand them over.
+    let out: Vec<(u64, u64)> = run_world_on(UDS, 4, |c| {
+        let mut d = c.dup();
+        let side = std::thread::spawn(move || {
+            let mut acc = 0;
+            for round in 0..100u64 {
+                acc += d.allreduce_u64(ReduceOp::Sum, round + d.rank() as u64);
+                d.barrier();
+            }
+            acc
+        });
+        let mut acc = 0;
+        for round in 0..100u64 {
+            acc += c.allreduce_u64(ReduceOp::Max, round * 2 + c.rank() as u64);
+        }
+        (acc, side.join().expect("dup thread"))
+    });
+    for (parent_acc, dup_acc) in out {
+        assert_eq!(parent_acc, (0..100u64).map(|r| 2 * r + 3).sum::<u64>());
+        assert_eq!(dup_acc, (0..100u64).map(|r| 4 * r + 6).sum::<u64>());
+    }
+}
+
+#[test]
+fn a_receive_on_a_dup_parks_the_parents_frames_in_order() {
+    let out: Vec<Vec<Vec<u8>>> = run_world_on(UDS, 2, |c| {
+        let mut d = c.dup();
+        if c.rank() == 0 {
+            for i in 0..50u8 {
+                c.send(1, 3, &[i; 5]);
+            }
+            c.send_vec(1, 3, pattern(0, 1 << 20));
+            d.send(1, 3, b"dup");
+            Vec::new()
+        } else {
+            // Blocks on the dup while only parent traffic arrives: the
+            // engine reads and parks all of it, then finds the dup frame.
+            let mut got = vec![d.recv(0, 3)];
+            got.extend((0..51).map(|_| c.recv(0, 3)));
+            got
+        }
+    });
+    assert_eq!(out[1][0], b"dup");
+    for i in 0..50u8 {
+        assert_eq!(out[1][1 + i as usize], [i; 5]);
+    }
+    assert_eq!(out[1][51], pattern(0, 1 << 20));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_rank_process_has_one_thread() {
+    // The live plane would add its publisher thread; it is armed from
+    // the environment.
+    if std::env::var_os("MIMIR_LIVE_DIR").is_some() {
+        return;
+    }
+    let out: Vec<u64> = run_world_on(UDS, 3, |c| {
+        // After real traffic in every direction, so lazily started
+        // helpers would be running by now.
+        let _ = c.alltoallv((0..c.size()).map(|d| vec![d as u8; 70_000]).collect());
+        c.barrier();
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .count() as u64
+    });
+    assert_eq!(out, vec![1, 1, 1]);
+}
