@@ -7,9 +7,11 @@
 //! until all KVs are compressed to maximize the benefit").
 //!
 //! Under [`GroupingMode::Arena`] (the default) the fold table runs on the
-//! shared [`GroupIndex`] engine: keys are interned into pool-page arenas
-//! and hashed exactly once per emitted KV, values merge in place, and the
-//! flush hands each KV's stored hash to the shuffle via
+//! shared [`GroupIndex`] engine: keys are hashed exactly once per emitted
+//! KV and interned (short ones inside their index entry), accumulators
+//! live in one byte arena addressed by group id and a merge that keeps
+//! its length — always, for fixed-width values — is written in place, and
+//! the flush hands each KV's stored hash to the shuffle via
 //! [`Emitter::emit_hashed`] so partitioning does not re-hash. The
 //! original `HashMap<Vec<u8>, Vec<u8>>` bucket survives as
 //! [`GroupingMode::Legacy`] for ablations.
@@ -21,13 +23,13 @@
 
 use std::collections::HashMap;
 
-use mimir_mem::{MemPool, Reservation};
+use mimir_mem::MemPool;
 
-use crate::group::{GroupIndex, GroupStats};
+use crate::group::{DeltaCharge, GroupIndex, GroupStats, RESIZE_DELTA};
 use crate::hash::{fxhash64, FxBuild};
 use crate::kv::validate;
 use crate::shuffle::Emitter;
-use crate::{GroupingMode, KvMeta, Result};
+use crate::{GroupingMode, KvMeta, MimirError, Result};
 
 /// User callback merging two values of the same key:
 /// `combine(key, accumulated, incoming, out)` writes the merged value to
@@ -35,19 +37,26 @@ use crate::{GroupingMode, KvMeta, Result};
 /// associative, which is why this is an explicit opt-in.
 pub type CombineFn<'f> = Box<dyn FnMut(&[u8], &[u8], &[u8], &mut Vec<u8>) + 'f>;
 
-/// The grouping engine behind a [`FoldTable`]. The arena variant is
-/// boxed: it is several pointers larger than the legacy map, and the
-/// table lives behind long-lived owners (reducer, combiner), so one
-/// indirection at creation beats carrying the size difference.
+/// The grouping engine behind a [`FoldTable`]. The index is boxed: it is
+/// several pointers larger than the legacy map, and the table lives
+/// behind long-lived owners (reducer, combiner), so one indirection at
+/// creation beats carrying the size difference.
 enum FoldInner {
     /// `HashMap` bucket: owns both keys and values (ablation baseline).
     Legacy {
         map: HashMap<Vec<u8>, Vec<u8>, FxBuild>,
     },
-    /// [`GroupIndex`] keys + dense value array indexed by group id.
+    /// [`GroupIndex`] keys + one value arena addressed by group id:
+    /// `spans[id]` is the `(offset, len)` of group `id`'s accumulator in
+    /// `vals`. A merged value no longer than the one it replaces is
+    /// written over it; a longer one is appended and its span re-pointed.
+    /// The bytes either leaves behind are `dead` until [`compact`] or the
+    /// next flush drops them.
     Arena {
         index: Box<GroupIndex>,
-        vals: Vec<Vec<u8>>,
+        spans: Vec<(u32, u32)>,
+        vals: Vec<u8>,
+        dead: usize,
     },
 }
 
@@ -55,9 +64,9 @@ enum FoldInner {
 /// reduction: key → current merged value.
 pub(crate) struct FoldTable<'f> {
     inner: FoldInner,
-    res: Reservation,
-    acc_bytes: usize,
-    reserved: usize,
+    /// The arena's `spans` and `vals` by their exact lengths, or the
+    /// legacy map by estimate. The [`GroupIndex`] charges itself.
+    charge: DeltaCharge,
     scratch: Vec<u8>,
     combine: CombineFn<'f>,
     n_folded: u64,
@@ -66,12 +75,31 @@ pub(crate) struct FoldTable<'f> {
 /// Estimated heap cost of one legacy table entry beyond key/value
 /// payloads (HashMap slot + two `Vec` headers).
 const TABLE_ENTRY_OVERHEAD: usize = 64;
-/// Estimated heap cost of one arena value slot beyond the value bytes
-/// (`Vec` header + allocator rounding). Keys and entry metadata are
-/// charged by the [`GroupIndex`] itself.
-const ARENA_VAL_OVERHEAD: usize = 32;
-/// Accounting slack before the reservation is resized.
-const RESYNC_SLACK: usize = 8 * 1024;
+/// Bytes one arena group takes beyond its accumulator.
+const SPAN_BYTES: usize = std::mem::size_of::<(u32, u32)>();
+
+/// Where the next appended accumulator starts, as a span offset.
+fn arena_end(vals: &[u8], more: usize) -> Result<u32> {
+    u32::try_from(vals.len() + more)
+        .map(|_| vals.len() as u32)
+        .map_err(|_| MimirError::KvTooLarge {
+            size: vals.len() + more,
+            limit: u32::MAX as usize,
+            what: "fold-table value arena",
+        })
+}
+
+/// Rewrites `vals` without its dead bytes, in group order.
+fn compact(spans: &mut [(u32, u32)], vals: &mut Vec<u8>, dead: &mut usize) {
+    let mut live = Vec::with_capacity(vals.len() - *dead);
+    for (off, len) in spans.iter_mut() {
+        let at = live.len() as u32;
+        live.extend_from_slice(&vals[*off as usize..][..*len as usize]);
+        *off = at;
+    }
+    *vals = live;
+    *dead = 0;
+}
 
 impl<'f> FoldTable<'f> {
     pub fn new(pool: &MemPool, combine: CombineFn<'f>, mode: GroupingMode) -> Result<Self> {
@@ -81,63 +109,68 @@ impl<'f> FoldTable<'f> {
             },
             GroupingMode::Arena => FoldInner::Arena {
                 index: Box::new(GroupIndex::new(pool)?),
+                spans: Vec::new(),
                 vals: Vec::new(),
+                dead: 0,
             },
         };
         Ok(Self {
             inner,
-            res: pool.try_reserve(0)?,
-            acc_bytes: 0,
-            reserved: 0,
+            charge: DeltaCharge::new(pool)?,
             scratch: Vec::new(),
             combine,
             n_folded: 0,
         })
     }
 
-    /// Inserts or merges one KV, hashing the key at most once (arena
-    /// mode; the legacy map hashes internally).
+    /// Inserts or merges one KV. The arena path hashes the key once, for
+    /// the table probe, and stores the hash for the flush.
     pub fn fold(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        if matches!(self.inner, FoldInner::Legacy { .. }) {
-            self.fold_legacy(key, val)
-        } else {
-            self.fold_hashed(fxhash64(key), key, val)
-        }
-    }
-
-    /// [`Self::fold`] under a precomputed `hash` (`fxhash64(key)`); the
-    /// arena path reuses it for the table probe and stores it for the
-    /// flush.
-    pub fn fold_hashed(&mut self, hash: u64, key: &[u8], val: &[u8]) -> Result<()> {
-        if matches!(self.inner, FoldInner::Legacy { .. }) {
-            return self.fold_legacy(key, val);
-        }
         let Self {
             inner,
+            charge,
             scratch,
             combine,
-            acc_bytes,
             n_folded,
-            ..
         } = self;
-        let FoldInner::Arena { index, vals } = inner else {
-            unreachable!("mode checked above");
+        let FoldInner::Arena {
+            index,
+            spans,
+            vals,
+            dead,
+        } = inner
+        else {
+            return self.fold_legacy(key, val);
         };
-        let (id, fresh) = index.insert_hashed(hash, key)?;
+        // Checked before the index can change, and stored before it is
+        // charged: index and spans stay in step (and the table drainable)
+        // whatever is refused.
+        let end = arena_end(vals, val.len())?;
+        let (id, fresh) = index.insert_hashed(fxhash64(key), key)?;
         if fresh {
-            *acc_bytes += val.len() + ARENA_VAL_OVERHEAD;
-            vals.push(val.to_vec());
-        } else {
-            let acc = &mut vals[id as usize];
-            scratch.clear();
-            combine(key, acc, val, scratch);
-            *acc_bytes = *acc_bytes + scratch.len() - acc.len();
-            // Swap, don't copy: the merged value moves in, the old
-            // accumulator's buffer becomes the next merge's scratch.
-            std::mem::swap(acc, scratch);
-            *n_folded += 1;
+            spans.push((end, val.len() as u32));
+            vals.extend_from_slice(val);
+            return charge.add(SPAN_BYTES + val.len());
         }
-        self.resync()
+        let (off, len) = spans[id as usize];
+        let (off, len) = (off as usize, len as usize);
+        scratch.clear();
+        combine(key, &vals[off..off + len], val, scratch);
+        *n_folded += 1;
+        if scratch.len() <= len {
+            vals[off..off + scratch.len()].copy_from_slice(scratch);
+            spans[id as usize].1 = scratch.len() as u32;
+            *dead += len - scratch.len();
+            return Ok(());
+        }
+        if *dead >= (vals.len() - *dead).max(RESIZE_DELTA) {
+            charge.sub(*dead)?;
+            compact(spans, vals, dead);
+        }
+        spans[id as usize] = (arena_end(vals, scratch.len())?, scratch.len() as u32);
+        vals.extend_from_slice(scratch);
+        *dead += len;
+        charge.add(scratch.len())
     }
 
     fn fold_legacy(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
@@ -148,27 +181,19 @@ impl<'f> FoldTable<'f> {
             Some(acc) => {
                 self.scratch.clear();
                 (self.combine)(key, acc, val, &mut self.scratch);
-                let delta_new = self.scratch.len();
-                let delta_old = acc.len();
+                let old = acc.len();
                 acc.clear();
                 acc.extend_from_slice(&self.scratch);
-                self.acc_bytes = self.acc_bytes + delta_new - delta_old;
                 self.n_folded += 1;
+                self.charge.sub(old)?;
+                self.charge.add(self.scratch.len())
             }
             None => {
-                self.acc_bytes += key.len() + val.len() + TABLE_ENTRY_OVERHEAD;
                 map.insert(key.to_vec(), val.to_vec());
+                self.charge
+                    .add(key.len() + val.len() + TABLE_ENTRY_OVERHEAD)
             }
         }
-        self.resync()
-    }
-
-    fn resync(&mut self) -> Result<()> {
-        if self.acc_bytes.abs_diff(self.reserved) > RESYNC_SLACK {
-            self.res.resize(self.acc_bytes)?;
-            self.reserved = self.acc_bytes;
-        }
-        Ok(())
     }
 
     /// Drains every entry into `out` and empties the table. Arena mode
@@ -180,7 +205,7 @@ impl<'f> FoldTable<'f> {
             mimir_obs::emit(
                 mimir_obs::EventKind::CombinerFlush,
                 self.len() as u64,
-                self.acc_bytes as u64,
+                self.bytes() as u64,
             );
         }
         match &mut self.inner {
@@ -189,22 +214,29 @@ impl<'f> FoldTable<'f> {
                     out.emit(&k, &v)?;
                 }
             }
-            FoldInner::Arena { index, vals } => {
-                for (id, v) in vals.iter().enumerate() {
+            FoldInner::Arena {
+                index,
+                spans,
+                vals,
+                dead,
+            } => {
+                for (id, &(off, len)) in spans.iter().enumerate() {
+                    let v = &vals[off as usize..][..len as usize];
                     out.emit_hashed(index.key(id as u32), v, index.hash_of(id as u32))?;
                 }
-                vals.clear();
+                *dead = 0;
                 if keep_capacity {
+                    spans.clear();
+                    vals.clear();
                     index.clear()?;
                 } else {
+                    (*spans, *vals) = (Vec::new(), Vec::new());
                     index.reset()?;
                 }
             }
         }
-        self.acc_bytes = 0;
-        self.res.resize(0)?;
-        self.reserved = 0;
-        Ok(())
+        self.charge.sub(self.charge.held())?;
+        self.charge.settle()
     }
 
     /// Visits entries without draining.
@@ -216,9 +248,11 @@ impl<'f> FoldTable<'f> {
                     f(k, v)?;
                 }
             }
-            FoldInner::Arena { index, vals } => {
-                for (id, v) in vals.iter().enumerate() {
-                    f(index.key(id as u32), v)?;
+            FoldInner::Arena {
+                index, spans, vals, ..
+            } => {
+                for (id, &(off, len)) in spans.iter().enumerate() {
+                    f(index.key(id as u32), &vals[off as usize..][..len as usize])?;
                 }
             }
         }
@@ -228,13 +262,14 @@ impl<'f> FoldTable<'f> {
     pub fn len(&self) -> usize {
         match &self.inner {
             FoldInner::Legacy { map } => map.len(),
-            FoldInner::Arena { vals, .. } => vals.len(),
+            FoldInner::Arena { spans, .. } => spans.len(),
         }
     }
 
-    /// Estimated heap bytes the table occupies.
+    /// Bytes the table's values hold — what its [`DeltaCharge`] has
+    /// recorded against the pool.
     pub fn bytes(&self) -> usize {
-        self.acc_bytes
+        self.charge.held()
     }
 
     /// The grouping engine's counters (zero under legacy, which has no
@@ -464,25 +499,122 @@ mod tests {
     fn table_memory_is_tracked_and_released() {
         for mode in BOTH_MODES {
             let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode).unwrap();
-            for i in 0..2000u64 {
-                c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
-                    .unwrap();
-            }
+            let fill = |c: &mut CombinerTable| {
+                for i in 0..2000u64 {
+                    c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
+                        .unwrap();
+                }
+            };
+            let new = || CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode);
+            let mut c = new().unwrap();
+            fill(&mut c);
+            assert!(c.bytes() >= 2000 * 8, "{mode:?}: values counted");
             assert!(
-                pool.used() > 2000 * ARENA_VAL_OVERHEAD / 2,
-                "{mode:?}: bucket charged: {}",
-                pool.used()
+                pool.used() + RESIZE_DELTA > c.bytes(),
+                "{mode:?}: {} charged for {}",
+                pool.used(),
+                c.bytes()
             );
             let mut out = VecEmitter(Vec::new());
             c.flush_into(&mut out).unwrap();
-            assert!(
-                pool.used() < RESYNC_SLACK * 2,
-                "{mode:?}: bucket released: {}",
-                pool.used()
-            );
+            assert_eq!((c.bytes(), pool.used()), (0, 0), "{mode:?}: flush_into");
+
+            // A soft flush keeps the slot table; dropping releases it.
+            fill(&mut c);
+            c.flush_soft(&mut out).unwrap();
+            assert_eq!(c.bytes(), 0, "{mode:?}: flush_soft");
+            drop(c);
+            assert_eq!(pool.used(), 0, "{mode:?}: flush_soft + drop");
+
+            let mut c = new().unwrap();
+            fill(&mut c);
+            drop(c);
+            assert_eq!(pool.used(), 0, "{mode:?}: drop mid-fill");
+            assert_eq!(out.0.len(), 4000);
         }
+    }
+
+    #[test]
+    fn arena_charge_is_exact() {
+        // Keys of 8 bytes live in their entries: the pool holds entries,
+        // slots, and 8 + 8 bytes per accumulator, nothing page-shaped.
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
+        for i in 0..1000u64 {
+            c.emit(&i.to_le_bytes(), &1u64.to_le_bytes()).unwrap();
+            c.emit(&i.to_le_bytes(), &1u64.to_le_bytes()).unwrap();
+        }
+        assert_eq!(c.bytes(), 1000 * (SPAN_BYTES + 8));
+        let held = c.bytes() + 1000 * 24 + 2048 * 8;
+        assert!(pool.used().abs_diff(held) < 2 * RESIZE_DELTA);
+        assert_eq!(pool.stats().pages_live(), 0);
+    }
+
+    #[test]
+    fn arena_refusal_is_oom_and_leaves_the_table_usable() {
+        // Values big enough that the value arena, not the index, is what
+        // the budget refuses.
+        let pool = MemPool::new("t", 4096, 64 * 1024).unwrap();
+        let keep: CombineFn = Box::new(|_k, a, _b, out| out.extend_from_slice(a));
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), keep).unwrap();
+        let mut accepted = 0u32;
+        let err = loop {
+            match c.emit(&accepted.to_le_bytes(), &[7u8; 4000]) {
+                Ok(()) => accepted += 1,
+                Err(e) => break e,
+            }
+        };
+        assert!(err.is_oom(), "{err}");
+        assert!(pool.used() <= 64 * 1024);
+        // Hits still fold, and the flush returns every accepted KV (plus,
+        // possibly, the refused one) and every byte.
+        c.emit(&0u32.to_le_bytes(), &[7u8; 4000]).unwrap();
+        struct Count(u32);
+        impl Emitter for Count {
+            fn emit(&mut self, _k: &[u8], v: &[u8]) -> Result<()> {
+                assert_eq!(v, [7u8; 4000]);
+                self.0 += 1;
+                Ok(())
+            }
+        }
+        let mut out = Count(0);
+        c.flush_into(&mut out).unwrap();
+        assert!(out.0 == accepted || out.0 == accepted + 1, "{}", out.0);
+        assert_eq!(pool.used(), 0);
+    }
+
+    #[test]
+    fn merges_that_change_length_keep_the_arena_bounded() {
+        // One hot key whose accumulator grows by a byte per merge: every
+        // merge re-appends, so dead bytes pile up until they are compacted.
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let concat: CombineFn = Box::new(|_k, a, b, out| {
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+        });
+        let mut t = FoldTable::new(&pool, concat, GroupingMode::Arena).unwrap();
+        t.fold(b"cold", b"stays").unwrap();
+        for _ in 0..20_000 {
+            t.fold(b"hot", b"x").unwrap();
+        }
+        assert!(t.bytes() < 3 * 20_000 + RESIZE_DELTA, "{}", t.bytes());
+        // Shrinking to nothing and growing back both keep the group.
+        let clear: CombineFn = Box::new(|_k, _a, _b, _out| {});
+        t.combine = clear;
+        t.fold(b"hot", b"x").unwrap();
+        let mut seen = Vec::new();
+        t.for_each(|k, v| {
+            seen.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                (b"cold".to_vec(), b"stays".to_vec()),
+                (b"hot".to_vec(), vec![])
+            ]
+        );
     }
 
     #[test]

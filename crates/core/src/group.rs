@@ -17,9 +17,12 @@
 //!   multiply-shift start slot ([`crate::hash::fast_range`], no `%`);
 //!   the tag filters almost all false candidates before any key bytes
 //!   are touched.
-//! * **Interned keys.** Key bytes append into pool pages (oversize keys
-//!   into pool-tracked jumbo buffers) — no per-key `Vec<u8>`, and the
-//!   arena is charged to the node budget page by page.
+//! * **Interned keys.** A key of up to 15 bytes lives inside its 24-byte
+//!   entry, so a probe that reaches the entry has the key in the same
+//!   cache line and a table of short keys takes no arena page at all.
+//!   Longer keys append into pool pages (oversize ones into pool-tracked
+//!   jumbo buffers), charged to the node budget page by page;
+//!   [`GroupIndex::key`] hides which of the three a key is in.
 //! * **Stored hashes.** Every entry keeps its full 64-bit hash, so
 //!   growth rehashes without re-reading key bytes, and consumers can
 //!   reuse the hash downstream (e.g. the shuffle partition of a combined
@@ -66,10 +69,14 @@ impl DeltaCharge {
 
     /// Records `bytes` of growth, charging the pool once the untracked
     /// delta reaches the threshold. A single growth larger than the
-    /// threshold is charged immediately.
+    /// threshold is charged immediately. A growth the pool refuses is not
+    /// recorded, so a caller that charges before it grows stays exact.
     pub fn add(&mut self, bytes: usize) -> Result<()> {
         self.pending += bytes;
-        self.maybe_settle()?;
+        if let Err(e) = self.maybe_settle() {
+            self.pending -= bytes;
+            return Err(e);
+        }
         debug_assert!(self.untracked() < RESIZE_DELTA);
         Ok(())
     }
@@ -102,24 +109,54 @@ impl DeltaCharge {
     pub fn untracked(&self) -> usize {
         self.pending.abs_diff(self.charged)
     }
-}
 
-/// Where one interned key lives: a page or jumbo index (top bit selects
-/// jumbo), a byte offset, and a length.
-#[derive(Debug, Clone, Copy)]
-struct KeyRef {
-    loc: u32,
-    off: u32,
-    len: u32,
+    /// Bytes the owner has recorded as held.
+    pub fn held(&self) -> usize {
+        self.pending
+    }
 }
 
 const JUMBO_BIT: u32 = 1 << 31;
+/// Longest key stored inside its [`Entry`].
+const INLINE_KEY_MAX: usize = 15;
+/// `Entry::key[INLINE_KEY_MAX]` of a key that lives in the arena.
+const IN_ARENA: u8 = 0xFF;
 
-/// One group: its full hash plus the interned key location.
+/// One group: its full hash plus its key. The key's last byte is the
+/// length of an inline key — zero-padded in the bytes before it, so two
+/// inline keys are equal exactly when their 16 bytes are — or
+/// [`IN_ARENA`], and then the first twelve bytes are three little-endian
+/// `u32`s: a page or jumbo index (top bit selects jumbo), a byte offset
+/// and a length.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     hash: u64,
-    key: KeyRef,
+    key: [u8; 16],
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 24 && INLINE_KEY_MAX == 15);
+
+/// `key` as an inline entry key, if it is short enough.
+#[inline]
+fn inline_key(key: &[u8]) -> Option<[u8; 16]> {
+    if key.len() > INLINE_KEY_MAX {
+        return None;
+    }
+    let mut k = [0u8; 16];
+    k[..key.len()].copy_from_slice(key);
+    k[INLINE_KEY_MAX] = key.len() as u8;
+    Some(k)
+}
+
+/// The entry key of a key interned at `off..off + len` of arena buffer
+/// `loc`.
+fn arena_key(loc: u32, off: usize, len: usize) -> [u8; 16] {
+    let mut k = [0u8; 16];
+    for (dst, word) in k.chunks_exact_mut(4).zip([loc, off as u32, len as u32]) {
+        dst.copy_from_slice(&word.to_le_bytes());
+    }
+    k[INLINE_KEY_MAX] = IN_ARENA;
+    k
 }
 
 /// Heap bytes one entry occupies beyond its interned key bytes.
@@ -144,7 +181,8 @@ pub struct GroupStats {
     pub max_probe: u64,
     /// Slot-table rebuilds (growth events with at least one live entry).
     pub rehashes: u64,
-    /// Key bytes interned into the arena.
+    /// Bytes of every unique key interned, wherever it is stored (inline
+    /// in its entry, in an arena page, or in a jumbo buffer).
     pub interned_bytes: u64,
     /// Unique keys (live groups at measurement time, summed over
     /// clears).
@@ -208,7 +246,8 @@ pub struct GroupIndex {
     /// Open-addressing slot table: `(hash_tag << 32) | group_id`, or
     /// [`EMPTY`]. Length is a power of two (or zero before first use).
     slots: Vec<u64>,
-    /// Key arena: fixed-size pool pages filled append-only.
+    /// Arena for keys too long for their entry: fixed-size pool pages
+    /// filled append-only.
     pages: Vec<mimir_mem::Page>,
     /// Keys longer than one page, each in its own tracked buffer.
     jumbos: Vec<TrackedBuf>,
@@ -241,16 +280,19 @@ fn start_slot(hash: u64, cap: usize) -> usize {
     fast_range(hash.wrapping_mul(SLOT_MIX), cap)
 }
 
+/// The key bytes of `e`, wherever they are stored.
 #[inline]
-fn key_at<'a>(pages: &'a [mimir_mem::Page], jumbos: &'a [TrackedBuf], r: KeyRef) -> &'a [u8] {
-    if r.len == 0 {
-        return &[];
+fn key_at<'a>(pages: &'a [mimir_mem::Page], jumbos: &'a [TrackedBuf], e: &'a Entry) -> &'a [u8] {
+    let tag = e.key[INLINE_KEY_MAX];
+    if tag != IN_ARENA {
+        return &e.key[..tag as usize];
     }
-    let (off, len) = (r.off as usize, r.len as usize);
-    if r.loc & JUMBO_BIT != 0 {
-        &jumbos[(r.loc & !JUMBO_BIT) as usize].as_slice()[off..off + len]
+    let word = |i: usize| u32::from_le_bytes([e.key[i], e.key[i + 1], e.key[i + 2], e.key[i + 3]]);
+    let (loc, off, len) = (word(0), word(4) as usize, word(8) as usize);
+    if loc & JUMBO_BIT != 0 {
+        &jumbos[(loc & !JUMBO_BIT) as usize].as_slice()[off..off + len]
     } else {
-        &pages[r.loc as usize].as_slice()[off..off + len]
+        &pages[loc as usize].as_slice()[off..off + len]
     }
 }
 
@@ -290,6 +332,7 @@ impl GroupIndex {
         let cap = self.slots.len();
         let mask = cap - 1;
         let tag = slot_tag(hash);
+        let short = inline_key(key);
         let mut i = start_slot(hash, cap);
         let mut probe = 0u64;
         loop {
@@ -297,17 +340,20 @@ impl GroupIndex {
             if s == EMPTY {
                 let id = self.entries.len();
                 assert!(id < u32::MAX as usize - 1, "group id space exhausted");
-                let key_ref = self.intern(key)?;
+                let stored = match short {
+                    Some(k) => k,
+                    None => self.intern(key)?,
+                };
                 self.charge.add(ENTRY_BYTES)?;
-                self.entries.push(Entry { hash, key: key_ref });
+                self.stats.interned_bytes += key.len() as u64;
+                self.entries.push(Entry { hash, key: stored });
                 self.slots[i] = tag | id as u64;
                 self.note_probe(probe);
                 return Ok((id as u32, true));
             }
             if s & !0xFFFF_FFFF == tag {
                 let id = (s & 0xFFFF_FFFF) as u32;
-                let e = self.entries[id as usize];
-                if e.hash == hash && key_at(&self.pages, &self.jumbos, e.key) == key {
+                if self.holds(id, hash, &short, key) {
                     self.note_probe(probe);
                     return Ok((id, false));
                 }
@@ -332,6 +378,7 @@ impl GroupIndex {
         let cap = self.slots.len();
         let mask = cap - 1;
         let tag = slot_tag(hash);
+        let short = inline_key(key);
         let mut i = start_slot(hash, cap);
         loop {
             let s = self.slots[i];
@@ -340,13 +387,25 @@ impl GroupIndex {
             }
             if s & !0xFFFF_FFFF == tag {
                 let id = (s & 0xFFFF_FFFF) as u32;
-                let e = self.entries[id as usize];
-                if e.hash == hash && key_at(&self.pages, &self.jumbos, e.key) == key {
+                if self.holds(id, hash, &short, key) {
                     return Some(id);
                 }
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Whether group `id` is the group of `key`, whose inline form (if
+    /// it is short enough to have one) is `short`: a short key is decided
+    /// by the entry alone, one 16-byte compare.
+    #[inline]
+    fn holds(&self, id: u32, hash: u64, short: &Option<[u8; 16]>, key: &[u8]) -> bool {
+        let e = &self.entries[id as usize];
+        e.hash == hash
+            && match short {
+                Some(k) => e.key == *k,
+                None => key_at(&self.pages, &self.jumbos, e) == key,
+            }
     }
 
     /// The interned key bytes of group `id`.
@@ -355,7 +414,7 @@ impl GroupIndex {
     /// `id` must be a live group id.
     #[inline]
     pub fn key(&self, id: u32) -> &[u8] {
-        key_at(&self.pages, &self.jumbos, self.entries[id as usize].key)
+        key_at(&self.pages, &self.jumbos, &self.entries[id as usize])
     }
 
     /// The stored hash of group `id`.
@@ -451,29 +510,18 @@ impl GroupIndex {
         Ok(())
     }
 
-    /// Appends `key` into the arena: the current page if it fits, a
-    /// fresh page otherwise, or a dedicated jumbo buffer when the key
-    /// exceeds the page size.
-    fn intern(&mut self, key: &[u8]) -> Result<KeyRef> {
+    /// Appends a `key` too long for its entry into the arena: the
+    /// current page if it fits, a fresh page otherwise, or a dedicated
+    /// jumbo buffer when the key exceeds the page size.
+    fn intern(&mut self, key: &[u8]) -> Result<[u8; 16]> {
         assert!(key.len() <= u32::MAX as usize, "key exceeds u32 length");
-        self.stats.interned_bytes += key.len() as u64;
-        if key.is_empty() {
-            return Ok(KeyRef {
-                loc: 0,
-                off: 0,
-                len: 0,
-            });
-        }
         if key.len() > self.pool.page_size() {
             let mut buf = TrackedBuf::new(&self.pool, key.len())?;
             buf.as_mut_slice().copy_from_slice(key);
             assert!(self.jumbos.len() < JUMBO_BIT as usize);
             self.jumbos.push(buf);
-            return Ok(KeyRef {
-                loc: JUMBO_BIT | (self.jumbos.len() as u32 - 1),
-                off: 0,
-                len: key.len() as u32,
-            });
+            let loc = JUMBO_BIT | (self.jumbos.len() as u32 - 1);
+            return Ok(arena_key(loc, 0, key.len()));
         }
         let fits = self
             .pages
@@ -487,11 +535,7 @@ impl GroupIndex {
         let off = page.len();
         let ok = page.try_write(key);
         debug_assert!(ok, "key fits the page by construction");
-        Ok(KeyRef {
-            loc: self.pages.len() as u32 - 1,
-            off: off as u32,
-            len: key.len() as u32,
-        })
+        Ok(arena_key(self.pages.len() as u32 - 1, off, key.len()))
     }
 }
 
@@ -552,13 +596,26 @@ mod tests {
         assert_eq!(ix.key(id2), small);
     }
 
+    /// Distinct keys on every storage path, interleaved: inline (up to 15
+    /// bytes), arena page (16 bytes up to a page) and jumbo (beyond one).
+    fn mixed_keys(n: u32, page: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let mut k = format!("{i:04x}").into_bytes();
+                k.resize(
+                    [4, 7, 14, 15, 16, 17, 40, page, page + 1][i as usize % 9],
+                    b'.',
+                );
+                k
+            })
+            .collect()
+    }
+
     #[test]
     fn growth_preserves_every_group() {
-        let pool = MemPool::unlimited("t", 4096);
+        let pool = MemPool::unlimited("t", 64);
         let mut ix = GroupIndex::new(&pool).unwrap();
-        let keys: Vec<Vec<u8>> = (0..5000u32)
-            .map(|i| format!("key-{i}").into_bytes())
-            .collect();
+        let keys = mixed_keys(5000, 64);
         for k in &keys {
             ix.insert(k).unwrap();
         }
@@ -566,7 +623,9 @@ mod tests {
         for (want, k) in keys.iter().enumerate() {
             assert_eq!(ix.get(k), Some(want as u32), "key {want} survives growth");
             assert_eq!(ix.key(want as u32), &k[..]);
+            assert_eq!(ix.hash_of(want as u32), fxhash64(k));
         }
+        assert!(!ix.pages.is_empty() && !ix.jumbos.is_empty());
         let s = ix.stats();
         assert!(
             s.rehashes >= 7,
@@ -576,6 +635,54 @@ mod tests {
         assert!(s.capacity >= 8192);
         assert!(s.load_factor() <= 0.75 + 1e-9);
         assert_eq!(s.probe_hist.iter().sum::<u64>(), s.inserts);
+        let total: usize = keys.iter().map(Vec::len).sum();
+        assert_eq!(s.interned_bytes, total as u64, "every key counted once");
+    }
+
+    #[test]
+    fn inline_keys_differing_only_in_padding_or_length_stay_distinct() {
+        let pool = MemPool::unlimited("t", 4096);
+        let mut ix = GroupIndex::new(&pool).unwrap();
+        let keys: [&[u8]; 6] = [b"", b"\0", b"\0\0", b"a", b"a\0", &[0xFF; 15]];
+        for (id, k) in keys.iter().enumerate() {
+            assert_eq!(ix.insert(k).unwrap(), (id as u32, true), "{k:?}");
+        }
+        for (id, k) in keys.iter().enumerate() {
+            assert_eq!(ix.insert(k).unwrap(), (id as u32, false), "{k:?}");
+            assert_eq!(ix.key(id as u32), *k);
+        }
+        assert!(ix.pages.is_empty(), "short keys take no arena page");
+    }
+
+    #[test]
+    fn clear_and_reset_release_every_kind_of_key() {
+        let pool = MemPool::new("t", 64, 1 << 20).unwrap();
+        let mut ix = GroupIndex::new(&pool).unwrap();
+        let keys = mixed_keys(300, 64);
+        for cycle in 0..3 {
+            for (want, k) in keys.iter().enumerate() {
+                assert_eq!(ix.insert(k).unwrap(), (want as u32, true), "cycle {cycle}");
+            }
+            let cap = ix.capacity();
+            ix.clear().unwrap();
+            assert_eq!((ix.len(), ix.capacity()), (0, cap));
+            assert!(ix.pages.is_empty() && ix.jumbos.is_empty());
+            assert!(keys.iter().all(|k| ix.get(k).is_none()));
+            assert!(
+                pool.used() < cap * 8 + RESIZE_DELTA,
+                "only the slot table stays charged: {}",
+                pool.used()
+            );
+        }
+        assert_eq!(ix.stats().groups, 900, "cumulative across clears");
+        ix.insert(&keys[8]).unwrap(); // a jumbo key
+        ix.reset().unwrap();
+        assert_eq!((ix.capacity(), pool.used()), (0, 0));
+        assert_eq!(
+            ix.insert(&keys[5]).unwrap(),
+            (0, true),
+            "usable after reset"
+        );
     }
 
     #[test]
@@ -724,15 +831,16 @@ mod tests {
         // Budget smaller than the table: add() must fail, not overrun.
         let pool = MemPool::new("t", 256, 8 * 1024).unwrap();
         let mut charge = DeltaCharge::new(&pool).unwrap();
-        let mut failed = false;
-        for _ in 0..200 {
-            if charge.add(100).is_err() {
-                failed = true;
-                break;
-            }
+        let mut taken = 0;
+        while taken < 20_000 && charge.add(100).is_ok() {
+            taken += 100;
         }
-        assert!(failed, "20 KB of adds into an 8 KB budget must fail");
+        assert!(
+            taken < 20_000,
+            "20 KB of adds into an 8 KB budget must fail"
+        );
         assert!(pool.used() <= 8 * 1024);
+        assert_eq!(charge.held(), taken, "a refused add is not recorded");
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! exactly like a reference `HashMap<Vec<u8>, u32>` that assigns ids in
 //! first-occurrence order, across adversarial key shapes — empty keys,
 //! keys longer than a pool page, and pairs constructed to collide on the
-//! full 64-bit hash.
+//! full 64-bit hash. The fold table built on it ([`CombinerTable`],
+//! [`PartialReducer`]) must in turn behave like a `HashMap<Vec<u8>,
+//! Vec<u8>>` that remembers first-occurrence order.
 
 use std::collections::HashMap;
 
 use mimir_core::{
-    convert_with, fxhash64, partition_of, GroupIndex, GroupingMode, KvContainer, KvMeta,
+    convert_with, fxhash64, partition_of, CombineFn, CombinerTable, Emitter, GroupIndex,
+    GroupingMode, KvContainer, KvMeta, KvSink, LenHint, PartialReducer, StreamingCombiner,
 };
 use mimir_mem::MemPool;
 
@@ -269,4 +272,229 @@ fn case_kv(allow_empty: bool, rng: &mut Rng, i: u64) -> (Vec<u8>, Vec<u8>) {
     };
     let val = (i % 251).to_le_bytes().to_vec();
     (key, val)
+}
+
+// ---------------------------------------------------------------------
+// Fold table ≡ HashMap oracle
+// ---------------------------------------------------------------------
+
+/// The four ways a combine function can treat the accumulator's length.
+#[derive(Debug, Clone, Copy)]
+enum Merge {
+    /// `u64` sum: the length never changes.
+    Sum,
+    /// Concatenation: every merge grows it.
+    Concat,
+    /// Truncate to empty: the first merge shrinks it to nothing.
+    Truncate,
+    /// Keep the first value: the incoming one is ignored.
+    KeepFirst,
+}
+
+impl Merge {
+    fn apply(self, acc: &[u8], incoming: &[u8], out: &mut Vec<u8>) {
+        match self {
+            Merge::Sum => {
+                let s = u64::from_le_bytes(acc.try_into().unwrap())
+                    .wrapping_add(u64::from_le_bytes(incoming.try_into().unwrap()));
+                out.extend_from_slice(&s.to_le_bytes());
+            }
+            Merge::Concat => {
+                out.extend_from_slice(acc);
+                out.extend_from_slice(incoming);
+            }
+            Merge::Truncate => {}
+            Merge::KeepFirst => out.extend_from_slice(acc),
+        }
+    }
+
+    fn combine_fn(self) -> CombineFn<'static> {
+        Box::new(move |_k, a, b, out| self.apply(a, b, out))
+    }
+}
+
+/// The reference fold table: std's map for the values plus the order in
+/// which keys first appeared.
+#[derive(Default)]
+struct FoldModel {
+    vals: HashMap<Vec<u8>, Vec<u8>>,
+    order: Vec<Vec<u8>>,
+}
+
+impl FoldModel {
+    fn fold(&mut self, merge: Merge, key: &[u8], val: &[u8]) {
+        match self.vals.get_mut(key) {
+            Some(acc) => {
+                let mut out = Vec::new();
+                merge.apply(acc, val, &mut out);
+                *acc = out;
+            }
+            None => {
+                self.vals.insert(key.to_vec(), val.to_vec());
+                self.order.push(key.to_vec());
+            }
+        }
+    }
+
+    /// Empties the model, returning its KVs in first-occurrence order.
+    fn drain(&mut self) -> Kvs {
+        let vals = std::mem::take(&mut self.vals);
+        std::mem::take(&mut self.order)
+            .into_iter()
+            .map(|k| {
+                let v = vals[&k].clone();
+                (k, v)
+            })
+            .collect()
+    }
+}
+
+type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Collects what a table flushes, checking the hash hand-off on the way.
+#[derive(Default)]
+struct Flushed(std::rc::Rc<std::cell::RefCell<Kvs>>);
+
+impl Emitter for Flushed {
+    fn emit(&mut self, _k: &[u8], _v: &[u8]) -> mimir_core::Result<()> {
+        panic!("the arena table flushes through emit_hashed");
+    }
+    fn emit_hashed(&mut self, k: &[u8], v: &[u8], h: u64) -> mimir_core::Result<()> {
+        assert_eq!(h, fxhash64(k), "stored hash of {k:?}");
+        self.0.borrow_mut().push((k.to_vec(), v.to_vec()));
+        Ok(())
+    }
+}
+
+const FOLD_PAGE: usize = 64;
+/// Key lengths around every storage boundary: empty, inline (up to 15),
+/// arena page (16 up to a page) and jumbo (beyond a page).
+const FOLD_KEY_LENS: [usize; 8] = [0, 1, 14, 15, 16, 17, FOLD_PAGE, FOLD_PAGE + 1];
+
+/// Key, value and combine-function shapes to cross: every hint with the
+/// key lengths it admits, and for each the merges its values admit.
+fn fold_cases() -> Vec<(KvMeta, Vec<usize>, Merge)> {
+    let mut cases = Vec::new();
+    for merge in [Merge::Sum, Merge::KeepFirst] {
+        cases.push((KvMeta::cstr_key_u64_val(), FOLD_KEY_LENS.to_vec(), merge));
+        for len in FOLD_KEY_LENS {
+            cases.push((KvMeta::fixed(len, 8), vec![len], merge));
+        }
+    }
+    for merge in [Merge::Concat, Merge::Truncate, Merge::KeepFirst] {
+        cases.push((KvMeta::var(), FOLD_KEY_LENS.to_vec(), merge));
+    }
+    cases
+}
+
+/// A seeded stream of KVs valid under `meta`: few distinct keys per
+/// length, so most KVs merge; no NUL bytes, so `CStr` keys are legal.
+fn fold_stream(rng: &mut Rng, meta: KvMeta, lens: &[usize], n: usize) -> Kvs {
+    (0..n)
+        .map(|_| {
+            let len = lens[rng.below(lens.len() as u64) as usize];
+            let tag = 1 + rng.below(12) as u8;
+            let key = (0..len).map(|i| tag + (i % 5) as u8).collect();
+            let val = match meta.val {
+                LenHint::Fixed(n) => rng.next().to_le_bytes()[..n].to_vec(),
+                _ => vec![b'v'; rng.below(20) as usize],
+            };
+            (key, val)
+        })
+        .collect()
+}
+
+/// `CombinerTable` — alone, and behind a `StreamingCombiner` whose byte
+/// limit forces soft-flush cycles mid-stream — flushes exactly what the
+/// model holds, in first-occurrence order, with each key's stored hash.
+#[test]
+fn combiner_table_matches_hashmap_oracle() {
+    for (case, (meta, lens, merge)) in fold_cases().into_iter().enumerate() {
+        for limit in [None, Some(48usize)] {
+            let ctx = format!("case {case} {meta:?} {merge:?} limit {limit:?}");
+            let pool = MemPool::new("t", FOLD_PAGE, 1 << 20).unwrap();
+            let mut rng = Rng(0xF01D_0000 + case as u64);
+            let stream = fold_stream(&mut rng, meta, &lens, 3000);
+            let mut model = FoldModel::default();
+            let got = Flushed::default();
+            let flushed = got.0.clone();
+            let mut table = CombinerTable::new(&pool, meta, merge.combine_fn()).unwrap();
+
+            match limit {
+                None => {
+                    for (k, v) in &stream {
+                        table.emit(k, v).unwrap();
+                        model.fold(merge, k, v);
+                    }
+                    assert_eq!(table.unique_keys(), model.order.len(), "{ctx}");
+                    assert_eq!(table.kvs_in(), 3000, "{ctx}");
+                    let mut out = got;
+                    table.flush_into(&mut out).unwrap();
+                    assert_eq!(*flushed.borrow(), model.drain(), "{ctx}");
+                }
+                Some(limit) => {
+                    let mut out = got;
+                    let mut sc = StreamingCombiner::new(table, &mut out, limit);
+                    let mut cycles = 0;
+                    for (k, v) in &stream {
+                        sc.emit(k, v).unwrap();
+                        model.fold(merge, k, v);
+                        // Anything flushed is the whole table, as the model
+                        // has it; both start the next cycle empty.
+                        let mut f = flushed.borrow_mut();
+                        if !f.is_empty() {
+                            assert_eq!(*f, model.drain(), "{ctx} cycle {cycles}");
+                            f.clear();
+                            cycles += 1;
+                        }
+                    }
+                    let (early, stats) = sc.finish().unwrap();
+                    assert_eq!(*flushed.borrow(), model.drain(), "{ctx} final flush");
+                    assert_eq!(early, cycles, "{ctx}");
+                    assert_eq!(stats.inserts, 3000, "{ctx}");
+                    // Four `u64` accumulators pass the limit; only the
+                    // lone empty key and emptied accumulators stay under.
+                    if lens != [0] && !matches!(merge, Merge::Truncate) {
+                        assert!(cycles > 0, "{ctx}: the limit must force soft flushes");
+                    }
+                }
+            }
+            assert_eq!(pool.used(), 0, "{ctx}: flush releases every byte");
+        }
+    }
+}
+
+/// `PartialReducer` — the same fold table fed through `KvSink::accept` —
+/// finalises into a container holding exactly the model's KVs, in
+/// first-occurrence order.
+#[test]
+fn partial_reducer_matches_hashmap_oracle() {
+    for (case, (meta, lens, merge)) in fold_cases().into_iter().enumerate() {
+        let ctx = format!("case {case} {meta:?} {merge:?}");
+        let pool = MemPool::new("t", FOLD_PAGE, 1 << 20).unwrap();
+        let mut rng = Rng(0x9A87_0000 + case as u64);
+        let mut model = FoldModel::default();
+        let mut pr = PartialReducer::new(&pool, meta, merge.combine_fn()).unwrap();
+        for (k, v) in fold_stream(&mut rng, meta, &lens, 3000) {
+            pr.accept(&k, &v).unwrap();
+            model.fold(merge, &k, &v);
+        }
+        assert_eq!(pr.unique_keys(), model.order.len(), "{ctx}");
+        // Truncated accumulators are empty: only a `Var` value can say so.
+        let out_meta = KvMeta {
+            key: meta.key,
+            val: LenHint::Var,
+        };
+        // The output container wants pages a jumbo key fits in.
+        let out_pool = MemPool::unlimited("out", 4096);
+        let out = pr.into_output(&out_pool, out_meta).unwrap();
+        let mut got = Vec::new();
+        out.drain(|k, v| {
+            got.push((k.to_vec(), v.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got, model.drain(), "{ctx}");
+        assert_eq!(pool.used(), 0, "{ctx}: into_output releases the table");
+    }
 }

@@ -80,45 +80,72 @@ fn existing_key_lookups_are_allocation_free() {
 }
 
 /// The partial-reduction steady state — every arriving KV folds into an
-/// existing group — is allocation-free once the working set is resident:
-/// the probe hits, the combine callback writes into a reused scratch
-/// buffer, and the accumulator is updated in place.
+/// existing group — is allocation-free once the working set is resident,
+/// for keys held inline in their index entry and for keys in the arena
+/// alike: the probe hits, the combine callback writes into a reused
+/// scratch buffer, and a merged value of unchanged length overwrites the
+/// accumulator where it lies.
 #[test]
 fn steady_state_fold_is_allocation_free() {
-    let pool = MemPool::unlimited("t", 64 * 1024);
-    let meta = mimir_core::KvMeta::cstr_key_u64_val();
-    let combine: mimir_core::CombineFn = Box::new(|_k, a, b, out| {
-        let s =
-            u64::from_le_bytes(a.try_into().unwrap()) + u64::from_le_bytes(b.try_into().unwrap());
-        out.extend_from_slice(&s.to_le_bytes());
-    });
-    let mut pr = PartialReducer::with_mode(&pool, meta, combine, GroupingMode::Arena).unwrap();
-
-    // Warm-up: materialize all 64 groups and their accumulators, and let
-    // the slot table reach its final capacity.
     use mimir_core::KvSink;
-    let keys: Vec<Vec<u8>> = (0..64u32)
+    let inline: Vec<Vec<u8>> = (0..64u32)
         .map(|i| format!("k{i:02}").into_bytes())
         .collect();
-    for _ in 0..4 {
-        for k in &keys {
-            pr.accept(k, &1u64.to_le_bytes()).unwrap();
-        }
-    }
+    let arena: Vec<Vec<u8>> = (0..64u32)
+        .map(|i| format!("a-key-of-24-bytes-no-{i:03}").into_bytes())
+        .collect();
+    for keys in [inline, arena] {
+        let pool = MemPool::unlimited("t", 64 * 1024);
+        let meta = mimir_core::KvMeta::cstr_key_u64_val();
+        let combine: mimir_core::CombineFn = Box::new(|_k, a, b, out| {
+            let s = u64::from_le_bytes(a.try_into().unwrap())
+                + u64::from_le_bytes(b.try_into().unwrap());
+            out.extend_from_slice(&s.to_le_bytes());
+        });
+        let mut pr = PartialReducer::with_mode(&pool, meta, combine, GroupingMode::Arena).unwrap();
 
-    // Measured burst: 6,400 folds, all into existing groups.
-    let before = allocs();
-    for _ in 0..100 {
-        for k in &keys {
-            pr.accept(k, &1u64.to_le_bytes()).unwrap();
+        // Warm-up: materialize all 64 groups and their accumulators, and
+        // let the slot table reach its final capacity.
+        for _ in 0..4 {
+            for k in &keys {
+                pr.accept(k, &1u64.to_le_bytes()).unwrap();
+            }
         }
-    }
-    let during = allocs() - before;
-    assert_eq!(during, 0, "steady-state folds allocated {during} times");
 
-    let stats = pr.group_stats();
-    assert_eq!(stats.inserts, 104 * 64);
-    assert_eq!(pr.unique_keys(), 64);
+        // Measured burst: 6,400 folds, all into existing groups.
+        let before = allocs();
+        for _ in 0..100 {
+            for k in &keys {
+                pr.accept(k, &1u64.to_le_bytes()).unwrap();
+            }
+        }
+        let during = allocs() - before;
+        assert_eq!(during, 0, "steady-state folds allocated {during} times");
+
+        let stats = pr.group_stats();
+        assert_eq!(stats.inserts, 104 * 64);
+        assert_eq!(pr.unique_keys(), 64);
+    }
+}
+
+/// Short keys live in their index entries: a table of 8-byte keys (the
+/// graph workloads' vertex ids, WordCount's uniform words) never takes a
+/// pool page, so its footprint is entries and slots and nothing
+/// page-granular.
+#[test]
+fn short_keys_take_no_pool_page() {
+    let pool = MemPool::new("t", 64 * 1024, 1 << 20).unwrap();
+    let mut ix = GroupIndex::new(&pool).unwrap();
+    for i in 0..1000u64 {
+        ix.insert(&i.to_le_bytes()).unwrap();
+    }
+    assert_eq!(pool.stats().page_allocs, 0);
+    assert!(
+        pool.used() < 64 * 1024,
+        "1,000 entries and 2,048 slots: {} B",
+        pool.used()
+    );
+    assert_eq!(ix.stats().interned_bytes, 8000);
 }
 
 /// Grouping on arrival — the convert+reduce jobs' shuffle drain — does
