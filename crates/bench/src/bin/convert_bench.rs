@@ -1,17 +1,14 @@
-//! **Grouping ablation** — throughput and peak memory of the
-//! receive-to-KMVC path and the fold table under the grouping engines,
-//! isolating grouping from shuffle and reduce costs.
+//! **Grouping bench** — throughput and peak memory of the
+//! receive-to-KMVC paths and the fold table, isolating grouping from
+//! shuffle and reduce costs.
 //!
 //! The convert cells feed the same 32 KiB encoded runs (one exchange
-//! round's worth from one source) through three paths, timing from the
+//! round's worth from one source) through two paths, timing from the
 //! first run to the finished KMVC:
 //!
-//! * `legacy` — `KvContainer::push_run` then the `HashMap<Vec<u8>, u32>`
-//!   convert: a heap-allocated key copy per unique key, a hash + map
-//!   lookup in pass 1 *and again* in pass 2.
-//! * `arena` — `push_run` then the two-pass [`GroupIndex`] convert: keys
-//!   hash once in a cold pass 1 over the whole KVC, pass 2 replays a
-//!   per-KV group-id array.
+//! * `arena` — `KvContainer::push_run` then the two-pass
+//!   [`convert_with`]: keys hash once in a cold pass 1 over the whole
+//!   KVC, pass 2 replays a per-KV group-id array.
 //! * `arrival` — what `map_reduce` jobs run: [`GroupedKvs`] groups each
 //!   run while it is cache-resident and stores `(group id, value)`;
 //!   `into_kmv` is layout + scatter only.
@@ -24,18 +21,17 @@
 //! 20 000-word one the whole-job benchmark's `wc_zipf_opt` folds.
 //!
 //! Writes `BENCH_convert.json`; `--quick` runs shrunken cells as a CI
-//! smoke test. The acceptance bar is ≥1.25× arena-vs-legacy on the
-//! skewed wordcount cell; a `REGRESSION` marker (nonzero exit) fires if
-//! the arena engine loses to legacy anywhere, or if `arrival` loses to
-//! `arena` in any convert cell: a higher peak (exact), or throughput
-//! below the noise band ([`ARRIVAL_NOISE_FLOOR`]).
+//! smoke test. A `REGRESSION` marker (nonzero exit) fires if `arrival`
+//! loses to `arena` in any convert cell: a higher peak (exact), or
+//! throughput below the noise band ([`ARRIVAL_NOISE_FLOOR`]). The fold
+//! rows report rate and spread only.
 
 use std::time::Instant;
 
 use mimir_bench::HarnessArgs;
 use mimir_core::{
     convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupStats, GroupedKvs,
-    GroupingMode, KvContainer, KvMeta, KvSink, StreamingCombiner,
+    KvContainer, KvMeta, KvSink, StreamingCombiner,
 };
 use mimir_datagen::{rank_rng, WikipediaWords};
 use mimir_mem::MemPool;
@@ -46,7 +42,7 @@ const PAGE: usize = 1 << 20;
 const ZIPF_OPT_VOCAB: usize = 20_000;
 
 /// The KV streams under test. Each builds the same stream for both
-/// engines (same seed), so the comparison is exact.
+/// paths (same seed), so the comparison is exact.
 #[derive(Clone, Copy)]
 enum Workload {
     /// Zipf(1.0) words of 4–16 bytes, CStr keys, u64 counts — the paper's
@@ -182,26 +178,16 @@ fn encode_runs(keys: &[Vec<u8>], meta: KvMeta) -> Vec<Vec<u8>> {
 /// it.
 const ARRIVAL_NOISE_FLOOR: f64 = 0.8;
 
-/// The three receive-to-KMVC paths (see the module docs).
-#[derive(Clone, Copy, PartialEq)]
-enum Path {
-    Legacy,
-    Arena,
-    Arrival,
-}
-
-const PATHS: [Path; 3] = [Path::Legacy, Path::Arena, Path::Arrival];
-
-/// Best-of-repeats throughput of each path over the same runs, the
-/// paths interleaved within every repeat so a slow spell of the machine
-/// lifts all three alike.
-fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [Measure; 3] {
-    let mut best: [Option<Measure>; 3] = [None, None, None];
+/// Best-of-repeats throughput of the `arena` and `arrival` paths (see
+/// the module docs) over the same runs, interleaved within every repeat
+/// so a slow spell of the machine lifts both alike.
+fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [Measure; 2] {
+    let mut best: [Option<Measure>; 2] = [None, None];
     for _ in 0..repeats {
-        for (slot, path) in best.iter_mut().zip(PATHS) {
+        for (slot, arrival) in best.iter_mut().zip([false, true]) {
             let pool = MemPool::unlimited("bench", PAGE);
             let t0 = Instant::now();
-            let (kmvc, stats) = if path == Path::Arrival {
+            let (kmvc, stats) = if arrival {
                 let mut sink = GroupedKvs::new(&pool, meta).unwrap();
                 for run in runs {
                     sink.accept_run(meta, run).unwrap();
@@ -212,12 +198,7 @@ fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [M
                 for run in runs {
                     kvc.push_run(run).unwrap();
                 }
-                let mode = if path == Path::Legacy {
-                    GroupingMode::Legacy
-                } else {
-                    GroupingMode::Arena
-                };
-                convert_with(kvc, &pool, mode).unwrap()
+                convert_with(kvc, &pool).unwrap()
             };
             let elapsed = t0.elapsed().as_secs_f64();
             assert_eq!(kmvc.n_values(), kvs as u64);
@@ -237,14 +218,12 @@ fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [M
     best.map(|m| m.expect("repeats >= 1"))
 }
 
-/// Best-of-repeats streaming-combiner throughput of the legacy and the
-/// arena table, interleaved within every repeat: the real bounded
+/// Best-of-repeats streaming-combiner throughput: the real bounded
 /// pipeline — KVs fold into the table, the table flushes into a
 /// partitioning sink whenever it exceeds `compress_flush_bytes`-style
-/// budget. The sink partitions the way the shuffler does: legacy flushes
-/// re-hash every key ([`partition_of`]); arena flushes reuse the stored
-/// hash ([`partition_of_hashed`] via `emit_hashed`).
-fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> [Measure; 2] {
+/// budget. The sink partitions the way the shuffler does, reusing the
+/// stored hash ([`partition_of_hashed`] via `emit_hashed`).
+fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
     /// Stands in for the shuffler's partition step (16 destinations).
     struct PartitionSink(u64);
     impl Emitter for PartitionSink {
@@ -257,46 +236,40 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> [Measure; 2] {
             Ok(())
         }
     }
-    // The arena table counts exactly what its accumulators hold — a span
-    // and a `u64`, 16 B a key — so this is a flush every 16 Ki unique keys:
-    // both streams go through several fill cycles, as they did when the
-    // table still charged an estimated 40 B a key against 1 MiB.
+    // The table counts exactly what its accumulators hold — a span and a
+    // `u64`, 16 B a key — so this is a flush every 16 Ki unique keys: both
+    // streams go through several fill cycles.
     const FLUSH_BYTES: usize = 256 << 10;
     let pool = MemPool::unlimited("bench", PAGE);
-    let mut best: [Option<Measure>; 2] = [None, None];
+    let mut best = None;
     for _ in 0..repeats {
-        for (slot, mode) in best
-            .iter_mut()
-            .zip([GroupingMode::Legacy, GroupingMode::Arena])
-        {
-            let sum: CombineFn = Box::new(|_k, a, b, out| {
-                let s = u64::from_le_bytes(a.try_into().unwrap())
-                    + u64::from_le_bytes(b.try_into().unwrap());
-                out.extend_from_slice(&s.to_le_bytes());
-            });
-            let table = CombinerTable::with_mode(&pool, meta, sum, mode).unwrap();
-            let mut sink = PartitionSink(0);
-            let mut sc = StreamingCombiner::new(table, &mut sink, FLUSH_BYTES);
-            let t0 = Instant::now();
-            for k in keys {
-                sc.emit(k, &1u64.to_le_bytes()).unwrap();
-            }
-            let (_flushes, stats) = sc.finish().unwrap();
-            let elapsed = t0.elapsed().as_secs_f64();
-            std::hint::black_box(sink.0);
-            Measure::keep_best(
-                slot,
-                Measure {
-                    mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
-                    peak_bytes: 0,
-                    stats,
-                    kvs: keys.len(),
-                    rates: Vec::new(),
-                },
-            );
+        let sum: CombineFn = Box::new(|_k, a, b, out| {
+            let s = u64::from_le_bytes(a.try_into().unwrap())
+                + u64::from_le_bytes(b.try_into().unwrap());
+            out.extend_from_slice(&s.to_le_bytes());
+        });
+        let table = CombinerTable::new(&pool, meta, sum).unwrap();
+        let mut sink = PartitionSink(0);
+        let mut sc = StreamingCombiner::new(table, &mut sink, FLUSH_BYTES);
+        let t0 = Instant::now();
+        for k in keys {
+            sc.emit(k, &1u64.to_le_bytes()).unwrap();
         }
+        let (_flushes, stats) = sc.finish().unwrap();
+        let elapsed = t0.elapsed().as_secs_f64();
+        std::hint::black_box(sink.0);
+        Measure::keep_best(
+            &mut best,
+            Measure {
+                mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
+                peak_bytes: 0,
+                stats,
+                kvs: keys.len(),
+                rates: Vec::new(),
+            },
+        );
     }
-    best.map(|m| m.expect("repeats >= 1"))
+    best.expect("repeats >= 1")
 }
 
 fn main() {
@@ -316,45 +289,40 @@ fn main() {
     ];
 
     println!(
-        "{:<10}{:>16}{:>10}{:>12}{:>10}{:>10}{:>10}{:>10}{:>12}",
-        "phase", "cell", "mode", "MKV/s", "speedup", "peak_MB", "groups", "rehashes", "avg_probe"
+        "{:<10}{:>16}{:>10}{:>12}{:>10}{:>10}{:>10}{:>10}{:>10}{:>12}",
+        "phase",
+        "cell",
+        "mode",
+        "MKV/s",
+        "vs_arena",
+        "spread",
+        "peak_MB",
+        "groups",
+        "rehashes",
+        "avg_probe"
     );
 
     let mut rows = Vec::new();
     let mut regression = false;
-    let mut skewed_speedup: Option<f64> = None;
-    // One row per measured path; `speedup` is against legacy. The arrival
-    // path is gated against arena on both of its axes: its peak, which is
-    // exact, may not be higher; its speed may not fall out of the noise
-    // band below arena's.
-    let mut report = |phase: &str, cell: Workload, measures: &[(&str, &Measure)]| {
-        let legacy = measures[0].1.mkvs_per_s;
-        let arena = measures[1].1;
-        for &(mode, m) in measures {
-            let speedup = m.mkvs_per_s / legacy;
-            let vs_arena = m.mkvs_per_s / arena.mkvs_per_s;
-            let arrival_lost = mode == "arrival"
-                && (vs_arena < ARRIVAL_NOISE_FLOOR || m.peak_bytes > arena.peak_bytes);
-            if speedup < 1.0 || arrival_lost {
-                regression = true;
-            }
-            if phase == "convert" && mode == "arena" && matches!(cell, Workload::SkewedWords { .. })
-            {
-                skewed_speedup = Some(speedup);
-            }
+    // One row per measured path. Only the convert rows carry `vs_arena`
+    // and a peak: the fold rows share one pool across repeats.
+    let mut report =
+        |phase: &str, cell: Workload, mode: &str, m: &Measure, vs_arena: Option<f64>| {
+            let spread = 1.0 - m.slowest() / m.mkvs_per_s;
             println!(
-                "{:<10}{:>16}{:>10}{:>12.2}{:>9.2}x{:>10.1}{:>10}{:>10}{:>12.3}",
+                "{:<10}{:>16}{:>10}{:>12.2}{:>10}{:>10.3}{:>10.1}{:>10}{:>10}{:>12.3}",
                 phase,
                 cell.name(),
                 mode,
                 m.mkvs_per_s,
-                speedup,
+                vs_arena.map_or("-".into(), |r| format!("{r:.2}x")),
+                spread,
                 m.peak_bytes as f64 / 1e6,
                 m.stats.groups,
                 m.stats.rehashes,
                 m.stats.avg_probe(),
             );
-            rows.push(Json::obj(vec![
+            let mut row = vec![
                 ("phase", Json::Str(phase.into())),
                 ("cell", Json::Str(cell.name().into())),
                 ("mode", Json::Str(mode.into())),
@@ -363,10 +331,13 @@ fn main() {
                 ("repeats", Json::Num(m.rates.len() as f64)),
                 ("mkvs_per_s_slowest", Json::Num(m.slowest())),
                 // How far below the best the slowest repeat fell.
-                ("spread", Json::Num(1.0 - m.slowest() / m.mkvs_per_s)),
-                ("speedup_vs_legacy", Json::Num(speedup)),
-                ("speedup_vs_arena", Json::Num(vs_arena)),
-                ("peak_bytes", Json::Num(m.peak_bytes as f64)),
+                ("spread", Json::Num(spread)),
+            ];
+            if let Some(r) = vs_arena {
+                row.push(("speedup_vs_arena", Json::Num(r)));
+                row.push(("peak_bytes", Json::Num(m.peak_bytes as f64)));
+            }
+            row.extend([
                 ("groups", Json::Num(m.stats.groups as f64)),
                 ("rehashes", Json::Num(m.stats.rehashes as f64)),
                 ("avg_probe", Json::Num(m.stats.avg_probe())),
@@ -376,9 +347,9 @@ fn main() {
                     Json::Num(m.stats.interned_bytes as f64 / 1024.0),
                 ),
                 ("load_factor", Json::Num(m.stats.load_factor())),
-            ]));
-        }
-    };
+            ]);
+            rows.push(Json::obj(row));
+        };
 
     for cell in convert_cells {
         let scaled = match cell {
@@ -397,16 +368,15 @@ fn main() {
         };
         let keys = scaled.keys();
         let runs = encode_runs(&keys, scaled.meta());
-        let [legacy, arena, arrival] = run_convert(&runs, keys.len(), scaled.meta(), repeats);
-        report(
-            "convert",
-            scaled,
-            &[
-                ("legacy", &legacy),
-                ("arena", &arena),
-                ("arrival", &arrival),
-            ],
-        );
+        let [arena, arrival] = run_convert(&runs, keys.len(), scaled.meta(), repeats);
+        // Arrival's peak is exact and may not be higher; its speed may not
+        // fall out of the noise band below arena's.
+        let vs_arena = arrival.mkvs_per_s / arena.mkvs_per_s;
+        if vs_arena < ARRIVAL_NOISE_FLOOR || arrival.peak_bytes > arena.peak_bytes {
+            regression = true;
+        }
+        report("convert", scaled, "arena", &arena, Some(1.0));
+        report("convert", scaled, "arrival", &arrival, Some(vs_arena));
     }
 
     // The fold path (combiner / partial reduction) on the skewed streams.
@@ -416,28 +386,21 @@ fn main() {
             vocab,
         };
         let keys = fold_cell.keys();
-        let [legacy, arena] = run_fold(&keys, fold_cell.meta(), repeats);
-        report("fold", fold_cell, &[("legacy", &legacy), ("arena", &arena)]);
+        let fold = run_fold(&keys, fold_cell.meta(), repeats);
+        report("fold", fold_cell, "arena", &fold, None);
     }
 
     let doc = Json::obj(vec![
         ("bench", Json::Str("convert_grouping".into())),
         ("quick", Json::Bool(args.quick)),
-        (
-            "skewed_speedup",
-            skewed_speedup.map_or(Json::Null, Json::Num),
-        ),
         ("regression", Json::Bool(regression)),
         ("cells", Json::Arr(rows)),
     ]);
     let path = args.json.unwrap_or_else(|| "BENCH_convert.json".into());
     std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
     println!("wrote {path}");
-    if let Some(s) = skewed_speedup {
-        println!("skewed wordcount convert speedup (arena vs legacy): {s:.2}x");
-    }
     if regression {
-        println!("REGRESSION: arena slower than legacy, or arrival lost to arena (speed or peak)");
+        println!("REGRESSION: arrival lost to arena (speed or peak)");
         std::process::exit(1);
     }
 }

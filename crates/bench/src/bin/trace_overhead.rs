@@ -1,6 +1,6 @@
 //! **Trace-overhead ablation** — cost of the observability stack on the
-//! shuffle hot path, measured on the heavy 8-rank shuffle cell (the same
-//! cell `shuffle_bench` gates on). Five configurations:
+//! shuffle hot path, measured on a heavy 8-rank shuffle cell. Five
+//! configurations:
 //!
 //! - `off`: no recorder installed — every `emit`/`flow_*` call is a
 //!   thread-local `None` check and nothing else;
@@ -40,7 +40,7 @@ use mimir_mpi::run_world;
 use mimir_obs::live::{set_force_config, LiveConfig};
 use mimir_obs::{Json, Recorder};
 
-const KV_BYTES: u64 = 16; // fixed(8,8), matching shuffle_bench
+const KV_BYTES: u64 = 16; // fixed(8,8)
 
 /// The publish interval the <2% budget is stated against.
 const LIVE_INTERVAL: Duration = Duration::from_millis(100);

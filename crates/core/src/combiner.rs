@@ -6,30 +6,26 @@
 //! the table flushed into the shuffle ("the aggregate phase is delayed
 //! until all KVs are compressed to maximize the benefit").
 //!
-//! Under [`GroupingMode::Arena`] (the default) the fold table runs on the
-//! shared [`GroupIndex`] engine: keys are hashed exactly once per emitted
-//! KV and interned (short ones inside their index entry), accumulators
-//! live in one byte arena addressed by group id and a merge that keeps
-//! its length — always, for fixed-width values — is written in place, and
-//! the flush hands each KV's stored hash to the shuffle via
-//! [`Emitter::emit_hashed`] so partitioning does not re-hash. The
-//! original `HashMap<Vec<u8>, Vec<u8>>` bucket survives as
-//! [`GroupingMode::Legacy`] for ablations.
+//! The fold table runs on the shared [`GroupIndex`] engine: keys are
+//! hashed exactly once per emitted KV and interned (short ones inside
+//! their index entry), accumulators live in one byte arena addressed by
+//! group id and a merge that keeps its length — always, for fixed-width
+//! values — is written in place, and the flush hands each KV's stored
+//! hash to the shuffle via [`Emitter::emit_hashed`] so partitioning does
+//! not re-hash.
 //!
 //! The paper is explicit about the cost side, and this implementation
 //! keeps it measurable: the table is charged to the node pool, so "it
 //! reduces memory usage only if the compression ratio reaches a certain
 //! threshold", and the per-KV probe shows up as compute time.
 
-use std::collections::HashMap;
-
 use mimir_mem::MemPool;
 
 use crate::group::{DeltaCharge, GroupIndex, GroupStats, RESIZE_DELTA};
-use crate::hash::{fxhash64, FxBuild};
+use crate::hash::fxhash64;
 use crate::kv::validate;
 use crate::shuffle::Emitter;
-use crate::{GroupingMode, KvMeta, MimirError, Result};
+use crate::{KvMeta, MimirError, Result};
 
 /// User callback merging two values of the same key:
 /// `combine(key, accumulated, incoming, out)` writes the merged value to
@@ -37,44 +33,28 @@ use crate::{GroupingMode, KvMeta, MimirError, Result};
 /// associative, which is why this is an explicit opt-in.
 pub type CombineFn<'f> = Box<dyn FnMut(&[u8], &[u8], &[u8], &mut Vec<u8>) + 'f>;
 
-/// The grouping engine behind a [`FoldTable`]. The index is boxed: it is
-/// several pointers larger than the legacy map, and the table lives
-/// behind long-lived owners (reducer, combiner), so one indirection at
-/// creation beats carrying the size difference.
-enum FoldInner {
-    /// `HashMap` bucket: owns both keys and values (ablation baseline).
-    Legacy {
-        map: HashMap<Vec<u8>, Vec<u8>, FxBuild>,
-    },
-    /// [`GroupIndex`] keys + one value arena addressed by group id:
-    /// `spans[id]` is the `(offset, len)` of group `id`'s accumulator in
-    /// `vals`. A merged value no longer than the one it replaces is
-    /// written over it; a longer one is appended and its span re-pointed.
-    /// The bytes either leaves behind are `dead` until [`compact`] or the
-    /// next flush drops them.
-    Arena {
-        index: Box<GroupIndex>,
-        spans: Vec<(u32, u32)>,
-        vals: Vec<u8>,
-        dead: usize,
-    },
-}
-
 /// A pool-tracked fold table shared by KV compression and partial
 /// reduction: key → current merged value.
+///
+/// Keys live in a [`GroupIndex`]; accumulators in one value arena
+/// addressed by group id: `spans[id]` is the `(offset, len)` of group
+/// `id`'s accumulator in `vals`. A merged value no longer than the one it
+/// replaces is written over it; a longer one is appended and its span
+/// re-pointed. The bytes either leaves behind are `dead` until
+/// [`compact`] or the next flush drops them.
 pub(crate) struct FoldTable<'f> {
-    inner: FoldInner,
-    /// The arena's `spans` and `vals` by their exact lengths, or the
-    /// legacy map by estimate. The [`GroupIndex`] charges itself.
+    index: GroupIndex,
+    spans: Vec<(u32, u32)>,
+    vals: Vec<u8>,
+    dead: usize,
+    /// `spans` and `vals` by their exact lengths. The [`GroupIndex`]
+    /// charges itself.
     charge: DeltaCharge,
     scratch: Vec<u8>,
     combine: CombineFn<'f>,
     n_folded: u64,
 }
 
-/// Estimated heap cost of one legacy table entry beyond key/value
-/// payloads (HashMap slot + two `Vec` headers).
-const TABLE_ENTRY_OVERHEAD: usize = 64;
 /// Bytes one arena group takes beyond its accumulator.
 const SPAN_BYTES: usize = std::mem::size_of::<(u32, u32)>();
 
@@ -102,20 +82,12 @@ fn compact(spans: &mut [(u32, u32)], vals: &mut Vec<u8>, dead: &mut usize) {
 }
 
 impl<'f> FoldTable<'f> {
-    pub fn new(pool: &MemPool, combine: CombineFn<'f>, mode: GroupingMode) -> Result<Self> {
-        let inner = match mode {
-            GroupingMode::Legacy => FoldInner::Legacy {
-                map: HashMap::default(),
-            },
-            GroupingMode::Arena => FoldInner::Arena {
-                index: Box::new(GroupIndex::new(pool)?),
-                spans: Vec::new(),
-                vals: Vec::new(),
-                dead: 0,
-            },
-        };
+    pub fn new(pool: &MemPool, combine: CombineFn<'f>) -> Result<Self> {
         Ok(Self {
-            inner,
+            index: GroupIndex::new(pool)?,
+            spans: Vec::new(),
+            vals: Vec::new(),
+            dead: 0,
             charge: DeltaCharge::new(pool)?,
             scratch: Vec::new(),
             combine,
@@ -123,25 +95,19 @@ impl<'f> FoldTable<'f> {
         })
     }
 
-    /// Inserts or merges one KV. The arena path hashes the key once, for
-    /// the table probe, and stores the hash for the flush.
+    /// Inserts or merges one KV. The key is hashed once, for the table
+    /// probe, and the hash is stored for the flush.
     pub fn fold(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         let Self {
-            inner,
+            index,
+            spans,
+            vals,
+            dead,
             charge,
             scratch,
             combine,
             n_folded,
         } = self;
-        let FoldInner::Arena {
-            index,
-            spans,
-            vals,
-            dead,
-        } = inner
-        else {
-            return self.fold_legacy(key, val);
-        };
         // Checked before the index can change, and stored before it is
         // charged: index and spans stay in step (and the table drainable)
         // whatever is refused.
@@ -173,33 +139,10 @@ impl<'f> FoldTable<'f> {
         charge.add(scratch.len())
     }
 
-    fn fold_legacy(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        let FoldInner::Legacy { map } = &mut self.inner else {
-            unreachable!("legacy fold on arena table");
-        };
-        match map.get_mut(key) {
-            Some(acc) => {
-                self.scratch.clear();
-                (self.combine)(key, acc, val, &mut self.scratch);
-                let old = acc.len();
-                acc.clear();
-                acc.extend_from_slice(&self.scratch);
-                self.n_folded += 1;
-                self.charge.sub(old)?;
-                self.charge.add(self.scratch.len())
-            }
-            None => {
-                map.insert(key.to_vec(), val.to_vec());
-                self.charge
-                    .add(key.len() + val.len() + TABLE_ENTRY_OVERHEAD)
-            }
-        }
-    }
-
-    /// Drains every entry into `out` and empties the table. Arena mode
-    /// emits in first-occurrence key order with each KV's stored hash
-    /// ([`Emitter::emit_hashed`]); `keep_capacity` retains the slot table
-    /// for the next fill cycle (a streaming combiner's early flushes).
+    /// Drains every entry into `out` in first-occurrence key order with
+    /// each KV's stored hash ([`Emitter::emit_hashed`]) and empties the
+    /// table; `keep_capacity` retains the slot table for the next fill
+    /// cycle (a streaming combiner's early flushes).
     pub fn drain_into(&mut self, out: &mut dyn Emitter, keep_capacity: bool) -> Result<()> {
         if self.len() != 0 {
             mimir_obs::emit(
@@ -208,32 +151,18 @@ impl<'f> FoldTable<'f> {
                 self.bytes() as u64,
             );
         }
-        match &mut self.inner {
-            FoldInner::Legacy { map } => {
-                for (k, v) in map.drain() {
-                    out.emit(&k, &v)?;
-                }
-            }
-            FoldInner::Arena {
-                index,
-                spans,
-                vals,
-                dead,
-            } => {
-                for (id, &(off, len)) in spans.iter().enumerate() {
-                    let v = &vals[off as usize..][..len as usize];
-                    out.emit_hashed(index.key(id as u32), v, index.hash_of(id as u32))?;
-                }
-                *dead = 0;
-                if keep_capacity {
-                    spans.clear();
-                    vals.clear();
-                    index.clear()?;
-                } else {
-                    (*spans, *vals) = (Vec::new(), Vec::new());
-                    index.reset()?;
-                }
-            }
+        for (id, &(off, len)) in self.spans.iter().enumerate() {
+            let v = &self.vals[off as usize..][..len as usize];
+            out.emit_hashed(self.index.key(id as u32), v, self.index.hash_of(id as u32))?;
+        }
+        self.dead = 0;
+        if keep_capacity {
+            self.spans.clear();
+            self.vals.clear();
+            self.index.clear()?;
+        } else {
+            (self.spans, self.vals) = (Vec::new(), Vec::new());
+            self.index.reset()?;
         }
         self.charge.sub(self.charge.held())?;
         self.charge.settle()
@@ -242,28 +171,17 @@ impl<'f> FoldTable<'f> {
     /// Visits entries without draining.
     #[cfg(test)]
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &[u8]) -> Result<()>) -> Result<()> {
-        match &self.inner {
-            FoldInner::Legacy { map } => {
-                for (k, v) in map {
-                    f(k, v)?;
-                }
-            }
-            FoldInner::Arena {
-                index, spans, vals, ..
-            } => {
-                for (id, &(off, len)) in spans.iter().enumerate() {
-                    f(index.key(id as u32), &vals[off as usize..][..len as usize])?;
-                }
-            }
+        for (id, &(off, len)) in self.spans.iter().enumerate() {
+            f(
+                self.index.key(id as u32),
+                &self.vals[off as usize..][..len as usize],
+            )?;
         }
         Ok(())
     }
 
     pub fn len(&self) -> usize {
-        match &self.inner {
-            FoldInner::Legacy { map } => map.len(),
-            FoldInner::Arena { spans, .. } => spans.len(),
-        }
+        self.spans.len()
     }
 
     /// Bytes the table's values hold — what its [`DeltaCharge`] has
@@ -272,13 +190,9 @@ impl<'f> FoldTable<'f> {
         self.charge.held()
     }
 
-    /// The grouping engine's counters (zero under legacy, which has no
-    /// instrumented table).
+    /// The grouping engine's counters.
     pub fn group_stats(&self) -> GroupStats {
-        match &self.inner {
-            FoldInner::Legacy { .. } => GroupStats::default(),
-            FoldInner::Arena { index, .. } => index.stats(),
-        }
+        self.index.stats()
     }
 
     #[cfg(test)]
@@ -296,27 +210,13 @@ pub struct CombinerTable<'f> {
 }
 
 impl<'f> CombinerTable<'f> {
-    /// Creates a compression table charging `pool`, with the default
-    /// grouping engine.
+    /// Creates a compression table charging `pool`.
     ///
     /// # Errors
     /// Memory exhaustion.
     pub fn new(pool: &MemPool, meta: KvMeta, combine: CombineFn<'f>) -> Result<Self> {
-        Self::with_mode(pool, meta, combine, GroupingMode::default())
-    }
-
-    /// [`Self::new`] with an explicit grouping engine.
-    ///
-    /// # Errors
-    /// Memory exhaustion.
-    pub fn with_mode(
-        pool: &MemPool,
-        meta: KvMeta,
-        combine: CombineFn<'f>,
-        mode: GroupingMode,
-    ) -> Result<Self> {
         Ok(Self {
-            table: FoldTable::new(pool, combine, mode)?,
+            table: FoldTable::new(pool, combine)?,
             meta,
             kvs_in: 0,
         })
@@ -420,8 +320,6 @@ mod tests {
     use super::*;
     use mimir_mem::MemPool;
 
-    const BOTH_MODES: [GroupingMode; 2] = [GroupingMode::Arena, GroupingMode::Legacy];
-
     fn sum_combine<'f>() -> CombineFn<'f> {
         Box::new(|_k, a, b, out| {
             let s = u64::from_le_bytes(a.try_into().unwrap())
@@ -441,38 +339,28 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_merged() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::unlimited("t", 4096);
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::cstr_key_u64_val(), sum_combine(), mode)
-                    .unwrap();
-            for _ in 0..100 {
-                c.emit(b"dog", &1u64.to_le_bytes()).unwrap();
-                c.emit(b"cat", &2u64.to_le_bytes()).unwrap();
-            }
-            assert_eq!(c.unique_keys(), 2);
-            assert_eq!(c.kvs_in(), 200);
-            assert!((c.ratio() - 100.0).abs() < f64::EPSILON);
-
-            let mut out = VecEmitter(Vec::new());
-            c.flush_into(&mut out).unwrap();
-            let mut got = out.0;
-            got.sort();
-            assert_eq!(
-                got,
-                vec![(b"cat".to_vec(), 200), (b"dog".to_vec(), 100)],
-                "{mode:?}"
-            );
-            assert_eq!(c.unique_keys(), 0, "flush drains the table");
+        let pool = MemPool::unlimited("t", 4096);
+        let mut c = CombinerTable::new(&pool, KvMeta::cstr_key_u64_val(), sum_combine()).unwrap();
+        for _ in 0..100 {
+            c.emit(b"dog", &1u64.to_le_bytes()).unwrap();
+            c.emit(b"cat", &2u64.to_le_bytes()).unwrap();
         }
+        assert_eq!(c.unique_keys(), 2);
+        assert_eq!(c.kvs_in(), 200);
+        assert!((c.ratio() - 100.0).abs() < f64::EPSILON);
+
+        let mut out = VecEmitter(Vec::new());
+        c.flush_into(&mut out).unwrap();
+        let mut got = out.0;
+        got.sort();
+        assert_eq!(got, vec![(b"cat".to_vec(), 200), (b"dog".to_vec(), 100)]);
+        assert_eq!(c.unique_keys(), 0, "flush drains the table");
     }
 
     #[test]
     fn arena_flush_preserves_first_occurrence_order_and_hashes() {
         let pool = MemPool::unlimited("t", 4096);
-        let mut c =
-            CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), GroupingMode::Arena)
-                .unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
         for k in ["zeta", "alpha", "mid", "alpha", "zeta"] {
             c.emit(k.as_bytes(), &1u64.to_le_bytes()).unwrap();
         }
@@ -497,41 +385,39 @@ mod tests {
 
     #[test]
     fn table_memory_is_tracked_and_released() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
-            let fill = |c: &mut CombinerTable| {
-                for i in 0..2000u64 {
-                    c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
-                        .unwrap();
-                }
-            };
-            let new = || CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode);
-            let mut c = new().unwrap();
-            fill(&mut c);
-            assert!(c.bytes() >= 2000 * 8, "{mode:?}: values counted");
-            assert!(
-                pool.used() + RESIZE_DELTA > c.bytes(),
-                "{mode:?}: {} charged for {}",
-                pool.used(),
-                c.bytes()
-            );
-            let mut out = VecEmitter(Vec::new());
-            c.flush_into(&mut out).unwrap();
-            assert_eq!((c.bytes(), pool.used()), (0, 0), "{mode:?}: flush_into");
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let fill = |c: &mut CombinerTable| {
+            for i in 0..2000u64 {
+                c.emit(format!("key-{i}").as_bytes(), &1u64.to_le_bytes())
+                    .unwrap();
+            }
+        };
+        let new = || CombinerTable::new(&pool, KvMeta::var(), sum_combine());
+        let mut c = new().unwrap();
+        fill(&mut c);
+        assert!(c.bytes() >= 2000 * 8, "values counted");
+        assert!(
+            pool.used() + RESIZE_DELTA > c.bytes(),
+            "{} charged for {}",
+            pool.used(),
+            c.bytes()
+        );
+        let mut out = VecEmitter(Vec::new());
+        c.flush_into(&mut out).unwrap();
+        assert_eq!((c.bytes(), pool.used()), (0, 0), "flush_into");
 
-            // A soft flush keeps the slot table; dropping releases it.
-            fill(&mut c);
-            c.flush_soft(&mut out).unwrap();
-            assert_eq!(c.bytes(), 0, "{mode:?}: flush_soft");
-            drop(c);
-            assert_eq!(pool.used(), 0, "{mode:?}: flush_soft + drop");
+        // A soft flush keeps the slot table; dropping releases it.
+        fill(&mut c);
+        c.flush_soft(&mut out).unwrap();
+        assert_eq!(c.bytes(), 0, "flush_soft");
+        drop(c);
+        assert_eq!(pool.used(), 0, "flush_soft + drop");
 
-            let mut c = new().unwrap();
-            fill(&mut c);
-            drop(c);
-            assert_eq!(pool.used(), 0, "{mode:?}: drop mid-fill");
-            assert_eq!(out.0.len(), 4000);
-        }
+        let mut c = new().unwrap();
+        fill(&mut c);
+        drop(c);
+        assert_eq!(pool.used(), 0, "drop mid-fill");
+        assert_eq!(out.0.len(), 4000);
     }
 
     #[test]
@@ -592,7 +478,7 @@ mod tests {
             out.extend_from_slice(a);
             out.extend_from_slice(b);
         });
-        let mut t = FoldTable::new(&pool, concat, GroupingMode::Arena).unwrap();
+        let mut t = FoldTable::new(&pool, concat).unwrap();
         t.fold(b"cold", b"stays").unwrap();
         for _ in 0..20_000 {
             t.fold(b"hot", b"x").unwrap();
@@ -619,54 +505,47 @@ mod tests {
 
     #[test]
     fn table_oom_when_keys_do_not_compress() {
-        for mode in BOTH_MODES {
-            // The paper's caveat: with no duplicate keys the table only
-            // costs.
-            let pool = MemPool::new("t", 4096, 32 * 1024).unwrap();
-            let mut c =
-                CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), mode).unwrap();
-            let mut res = Ok(());
-            for i in 0..100_000u64 {
-                res = c.emit(format!("unique-{i}").as_bytes(), &1u64.to_le_bytes());
-                if res.is_err() {
-                    break;
-                }
+        // The paper's caveat: with no duplicate keys the table only
+        // costs.
+        let pool = MemPool::new("t", 4096, 32 * 1024).unwrap();
+        let mut c = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
+        let mut res = Ok(());
+        for i in 0..100_000u64 {
+            res = c.emit(format!("unique-{i}").as_bytes(), &1u64.to_le_bytes());
+            if res.is_err() {
+                break;
             }
-            assert!(res.unwrap_err().is_oom(), "{mode:?}");
         }
+        assert!(res.unwrap_err().is_oom());
     }
 
     #[test]
     fn variable_size_merged_values() {
-        for mode in BOTH_MODES {
-            // Combine = concatenate: exercises the size-change accounting.
-            let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
-            let concat: CombineFn = Box::new(|_k, a, b, out| {
-                out.extend_from_slice(a);
-                out.extend_from_slice(b);
-            });
-            let mut t = FoldTable::new(&pool, concat, mode).unwrap();
-            for _ in 0..10 {
-                t.fold(b"k", b"xy").unwrap();
-            }
-            let mut seen = Vec::new();
-            t.for_each(|_k, v| {
-                seen = v.to_vec();
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(seen.len(), 20, "{mode:?}");
-            assert_eq!(t.n_folded(), 9);
+        // Combine = concatenate: exercises the size-change accounting.
+        let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
+        let concat: CombineFn = Box::new(|_k, a, b, out| {
+            out.extend_from_slice(a);
+            out.extend_from_slice(b);
+        });
+        let mut t = FoldTable::new(&pool, concat).unwrap();
+        for _ in 0..10 {
+            t.fold(b"k", b"xy").unwrap();
         }
+        let mut seen = Vec::new();
+        t.for_each(|_k, v| {
+            seen = v.to_vec();
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen.len(), 20);
+        assert_eq!(t.n_folded(), 9);
     }
 
     #[test]
     fn streaming_flush_cycles_keep_the_slot_table_warm() {
         let pool = MemPool::unlimited("t", 4096);
         let mut out = VecEmitter(Vec::new());
-        let table =
-            CombinerTable::with_mode(&pool, KvMeta::var(), sum_combine(), GroupingMode::Arena)
-                .unwrap();
+        let table = CombinerTable::new(&pool, KvMeta::var(), sum_combine()).unwrap();
         let mut sc = StreamingCombiner::new(table, &mut out, 2 * 1024);
         for i in 0..3000u64 {
             sc.emit(format!("k{}", i % 200).as_bytes(), &1u64.to_le_bytes())

@@ -5,8 +5,7 @@
 //! > KMV in the KMVC. In the second pass, the KVs are converted into KMVs
 //! > by inserting them into the corresponding position in the KMVC."
 //!
-//! Grouping runs on the shared [`GroupIndex`] engine
-//! ([`GroupingMode::Arena`], the default) in two halves:
+//! Grouping runs on the shared [`GroupIndex`] engine in two halves:
 //!
 //! * **Front half — [`Grouper::observe`].** Each KV's key is hashed
 //!   exactly once and interned; the returned group id is the KV's
@@ -19,25 +18,19 @@
 //!   entry is placed ([`layout_groups`]), then the values stream into
 //!   position **by group id** — zero re-hashing and zero map lookups.
 //!
-//! The original `HashMap<Vec<u8>, u32>` path is kept behind
-//! [`GroupingMode::Legacy`] as the ablation baseline and the property
-//! tests' oracle; it shares the layout and placement code.
-//!
 //! Every structure the phase holds — the group index, the group-info and
 //! group-id side arrays, the placement tables — is charged to the node
 //! pool, so the convert phase's real footprint (KVs + KMVC + grouping
 //! state coexisting) is what the peak-memory figures measure.
 
-use std::collections::HashMap;
-
 use mimir_mem::MemPool;
 
 use crate::buffer::TrackedBuf;
 use crate::group::{DeltaCharge, GroupIndex, GroupStats};
-use crate::hash::{fxhash64, FxBuild};
+use crate::hash::fxhash64;
 use crate::kmvc::{GroupLoc, Slot};
 use crate::kv::write_side;
-use crate::{GroupingMode, KmvContainer, KvContainer, KvMeta, LenHint, Result};
+use crate::{KmvContainer, KvContainer, KvMeta, LenHint, Result};
 
 /// Per-unique-key sizes gathered by the front half.
 #[derive(Default, Clone, Copy)]
@@ -55,12 +48,7 @@ impl GroupInfo {
     }
 }
 
-/// Estimated heap cost of one legacy hash-bucket entry beyond the key
-/// bytes (HashMap slot, key `Vec` header, cursor).
-const BUCKET_ENTRY_OVERHEAD: usize = 64;
-
-/// Converts a KV container into a KMV container, grouping values by key,
-/// with the default [`GroupingMode`].
+/// Converts a KV container into a KMV container, grouping values by key.
 ///
 /// Keys appear in the output in first-occurrence order, making reduce
 /// output deterministic for a given KVC content.
@@ -69,24 +57,33 @@ const BUCKET_ENTRY_OVERHEAD: usize = 64;
 /// Out-of-memory if the grouping state, the KMVC, or a jumbo entry
 /// exceeds the node budget.
 pub fn convert(kvc: KvContainer, pool: &MemPool) -> Result<KmvContainer> {
-    convert_with(kvc, pool, GroupingMode::default()).map(|(kmvc, _)| kmvc)
+    convert_with(kvc, pool).map(|(kmvc, _)| kmvc)
 }
 
-/// [`convert`] with an explicit grouping engine, also returning the
-/// engine's counters (empty under [`GroupingMode::Legacy`], which has no
-/// instrumented table).
+/// [`convert`], also returning the grouping engine's counters. Pass 1
+/// observes every KV, recording its group id; pass 2 replays the id array
+/// while draining — no hashing, no lookups, KVC pages freed as they are
+/// consumed.
 ///
 /// # Errors
 /// As [`convert`].
-pub fn convert_with(
-    kvc: KvContainer,
-    pool: &MemPool,
-    mode: GroupingMode,
-) -> Result<(KmvContainer, GroupStats)> {
-    match mode {
-        GroupingMode::Arena => convert_arena(kvc, pool),
-        GroupingMode::Legacy => convert_legacy(kvc, pool),
+pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
+    let mut grouper = Grouper::new(pool, kvc.meta())?;
+    // The per-KV group-id side array that eliminates pass-2 lookups:
+    // 4 bytes per KV, charged up front (the KV count is known).
+    let _ids_res = pool.try_reserve(kvc.len() as usize * std::mem::size_of::<u32>())?;
+    let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
+    for (k, v) in kvc.iter() {
+        kv_group.push(grouper.observe(k, v, 1)?);
     }
+    grouper.into_kmv(pool, |layout| {
+        let mut ids = kv_group.iter();
+        kvc.drain(|_, v| {
+            let gid = *ids.next().expect("drain order matches iter order");
+            layout.place(gid as usize, v);
+            Ok(())
+        })
+    })
 }
 
 /// Every group's placed entry header plus the per-group write cursors
@@ -210,9 +207,9 @@ impl Layout {
     }
 }
 
-/// The arena engine's grouping state, fed one KV at a time by whichever
-/// front half is running — the shuffle drain ([`crate::GroupedKvs`]) or
-/// pass 1 of [`convert`] — and consumed by the one back half.
+/// The grouping state, fed one KV at a time by whichever front half is
+/// running — the shuffle drain ([`crate::GroupedKvs`]) or pass 1 of
+/// [`convert`] — and consumed by the one back half.
 pub(crate) struct Grouper {
     meta: KvMeta,
     index: GroupIndex,
@@ -270,82 +267,6 @@ impl Grouper {
     }
 }
 
-/// The arena path over a materialised KVC: pass 1 observes every KV,
-/// recording its group id; pass 2 replays the id array while draining —
-/// no hashing, no lookups, KVC pages freed as they are consumed.
-fn convert_arena(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
-    let mut grouper = Grouper::new(pool, kvc.meta())?;
-    // The per-KV group-id side array that eliminates pass-2 lookups:
-    // 4 bytes per KV, charged up front (the KV count is known).
-    let _ids_res = pool.try_reserve(kvc.len() as usize * std::mem::size_of::<u32>())?;
-    let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
-    for (k, v) in kvc.iter() {
-        kv_group.push(grouper.observe(k, v, 1)?);
-    }
-    grouper.into_kmv(pool, |layout| {
-        let mut ids = kv_group.iter();
-        kvc.drain(|_, v| {
-            let gid = *ids.next().expect("drain order matches iter order");
-            layout.place(gid as usize, v);
-            Ok(())
-        })
-    })
-}
-
-/// The original path (ablation baseline): `HashMap<Vec<u8>, u32>` bucket
-/// in pass 1, a map lookup per KV in pass 2.
-fn convert_legacy(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
-    let meta = kvc.meta();
-
-    // --- Pass 1: size every group in a hash bucket. -------------------
-    let mut side = DeltaCharge::new(pool)?;
-    let mut index: HashMap<Vec<u8>, u32, FxBuild> = HashMap::default();
-    let mut groups: Vec<GroupInfo> = Vec::new();
-    for (k, v) in kvc.iter() {
-        let idx = match index.get(k) {
-            Some(&i) => i,
-            None => {
-                let i = groups.len() as u32;
-                index.insert(k.to_vec(), i);
-                groups.push(GroupInfo::default());
-                side.add(k.len() + BUCKET_ENTRY_OVERHEAD + std::mem::size_of::<GroupInfo>())?;
-                i
-            }
-        };
-        groups[idx as usize].grow(meta.val, v, 1);
-    }
-    side.settle()?;
-
-    // --- Layout: place every entry in pages or jumbo buffers. ---------
-    side.add(groups.len() * std::mem::size_of::<&[u8]>())?;
-    let mut keys_by_idx: Vec<&[u8]> = vec![&[]; groups.len()];
-    for (k, &i) in &index {
-        keys_by_idx[i as usize] = k;
-    }
-    let mut layout = layout_groups(pool, meta, &groups, |i| keys_by_idx[i], &mut side)?;
-
-    // --- Pass 2: stream values into position, re-looking each key up,
-    // freeing KVC pages as they are consumed. ---------------------------
-    kvc.drain(|k, v| {
-        let idx = *index.get(k).expect("key indexed in pass 1") as usize;
-        layout.place(idx, v);
-        Ok(())
-    })?;
-
-    let n_groups = groups.len() as u64;
-    drop(keys_by_idx);
-    drop(index);
-    drop(side);
-
-    Ok((
-        layout.into_kmvc(pool)?,
-        GroupStats {
-            groups: n_groups,
-            ..GroupStats::default()
-        },
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,68 +284,61 @@ mod tests {
         out
     }
 
-    const BOTH_MODES: [GroupingMode; 2] = [GroupingMode::Arena, GroupingMode::Legacy];
-
     #[test]
     fn groups_values_by_key_in_first_occurrence_order() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 256, 64 * 1024).unwrap();
-            let mut kvc = KvContainer::new(&pool, KvMeta::var());
-            for (k, v) in [
-                ("apple", "1"),
-                ("banana", "2"),
-                ("apple", "3"),
-                ("cherry", "4"),
-                ("banana", "5"),
-                ("apple", "6"),
-            ] {
-                kvc.push(k.as_bytes(), v.as_bytes()).unwrap();
-            }
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            assert_eq!(kmvc.n_groups(), 3);
-            assert_eq!(kmvc.n_values(), 6);
-
-            let mut order = Vec::new();
-            kmvc.for_each_group(|k, _| {
-                order.push(k.to_vec());
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(
-                order,
-                vec![b"apple".to_vec(), b"banana".to_vec(), b"cherry".to_vec()],
-                "{mode:?}"
-            );
-
-            let g = groups_of(&kmvc);
-            assert_eq!(
-                g[&b"apple"[..].to_vec()],
-                vec![b"1".to_vec(), b"3".to_vec(), b"6".to_vec()]
-            );
-            assert_eq!(g[&b"cherry"[..].to_vec()], vec![b"4".to_vec()]);
+        let pool = MemPool::new("t", 256, 64 * 1024).unwrap();
+        let mut kvc = KvContainer::new(&pool, KvMeta::var());
+        for (k, v) in [
+            ("apple", "1"),
+            ("banana", "2"),
+            ("apple", "3"),
+            ("cherry", "4"),
+            ("banana", "5"),
+            ("apple", "6"),
+        ] {
+            kvc.push(k.as_bytes(), v.as_bytes()).unwrap();
         }
+        let kmvc = convert(kvc, &pool).unwrap();
+        assert_eq!(kmvc.n_groups(), 3);
+        assert_eq!(kmvc.n_values(), 6);
+
+        let mut order = Vec::new();
+        kmvc.for_each_group(|k, _| {
+            order.push(k.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            order,
+            vec![b"apple".to_vec(), b"banana".to_vec(), b"cherry".to_vec()]
+        );
+
+        let g = groups_of(&kmvc);
+        assert_eq!(
+            g[&b"apple"[..].to_vec()],
+            vec![b"1".to_vec(), b"3".to_vec(), b"6".to_vec()]
+        );
+        assert_eq!(g[&b"cherry"[..].to_vec()], vec![b"4".to_vec()]);
     }
 
     #[test]
     fn convert_with_hints() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 256, 64 * 1024).unwrap();
-            let meta = KvMeta::cstr_key_u64_val();
-            let mut kvc = KvContainer::new(&pool, meta);
-            for i in 0..50u64 {
-                let key = format!("w{}", i % 5);
-                kvc.push(key.as_bytes(), &i.to_le_bytes()).unwrap();
-            }
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            assert_eq!(kmvc.n_groups(), 5);
-            let g = groups_of(&kmvc);
-            assert_eq!(g[&b"w0".to_vec()].len(), 10);
-            let vals: Vec<u64> = g[&b"w3".to_vec()]
-                .iter()
-                .map(|v| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
-                .collect();
-            assert_eq!(vals, vec![3, 8, 13, 18, 23, 28, 33, 38, 43, 48], "{mode:?}");
+        let pool = MemPool::new("t", 256, 64 * 1024).unwrap();
+        let meta = KvMeta::cstr_key_u64_val();
+        let mut kvc = KvContainer::new(&pool, meta);
+        for i in 0..50u64 {
+            let key = format!("w{}", i % 5);
+            kvc.push(key.as_bytes(), &i.to_le_bytes()).unwrap();
         }
+        let kmvc = convert(kvc, &pool).unwrap();
+        assert_eq!(kmvc.n_groups(), 5);
+        let g = groups_of(&kmvc);
+        assert_eq!(g[&b"w0".to_vec()].len(), 10);
+        let vals: Vec<u64> = g[&b"w3".to_vec()]
+            .iter()
+            .map(|v| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
+            .collect();
+        assert_eq!(vals, vec![3, 8, 13, 18, 23, 28, 33, 38, 43, 48]);
     }
 
     #[test]
@@ -435,7 +349,7 @@ mod tests {
             kvc.push(format!("w{}", i % 40).as_bytes(), &i.to_le_bytes())
                 .unwrap();
         }
-        let (_, stats) = convert_with(kvc, &pool, GroupingMode::Arena).unwrap();
+        let (_, stats) = convert_with(kvc, &pool).unwrap();
         assert_eq!(stats.groups, 40);
         assert_eq!(stats.inserts, 300, "every KV probes exactly once");
         assert_eq!(
@@ -448,65 +362,57 @@ mod tests {
 
     #[test]
     fn hot_key_gets_a_jumbo_entry() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 128, 256 * 1024).unwrap();
-            let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
-            // 100 values × 8 B = 800 B ≫ 128 B page.
-            for i in 0..100u64 {
-                kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
-            }
-            kvc.push(b"cold", &0u64.to_le_bytes()).unwrap();
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            assert_eq!(kmvc.jumbos_held(), 1, "{mode:?}");
-            let g = groups_of(&kmvc);
-            assert_eq!(g[&b"hotk".to_vec()].len(), 100);
-            assert_eq!(g[&b"cold".to_vec()].len(), 1);
+        let pool = MemPool::new("t", 128, 256 * 1024).unwrap();
+        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
+        // 100 values × 8 B = 800 B ≫ 128 B page.
+        for i in 0..100u64 {
+            kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
         }
+        kvc.push(b"cold", &0u64.to_le_bytes()).unwrap();
+        let kmvc = convert(kvc, &pool).unwrap();
+        assert_eq!(kmvc.jumbos_held(), 1);
+        let g = groups_of(&kmvc);
+        assert_eq!(g[&b"hotk".to_vec()].len(), 100);
+        assert_eq!(g[&b"cold".to_vec()].len(), 1);
     }
 
     #[test]
     fn empty_container_converts_to_empty() {
-        for mode in BOTH_MODES {
-            let pool = MemPool::new("t", 128, 4096).unwrap();
-            let kvc = KvContainer::new(&pool, KvMeta::var());
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            assert_eq!(kmvc.n_groups(), 0);
-            assert_eq!(kmvc.n_values(), 0);
-        }
+        let pool = MemPool::new("t", 128, 4096).unwrap();
+        let kvc = KvContainer::new(&pool, KvMeta::var());
+        let kmvc = convert(kvc, &pool).unwrap();
+        assert_eq!(kmvc.n_groups(), 0);
+        assert_eq!(kmvc.n_values(), 0);
     }
 
     #[test]
     fn kvc_pages_are_freed_during_pass_two() {
-        for mode in BOTH_MODES {
-            let page = 256;
-            let pool = MemPool::new("t", page, 1024 * 1024).unwrap();
-            let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
-            for i in 0..1000u64 {
-                kvc.push(&(i % 7).to_le_bytes(), &i.to_le_bytes()).unwrap();
-            }
-            let kvc_pages = kvc.pages_held();
-            let before = pool.used();
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            // After convert the KVC is gone; only KMVC memory remains.
-            let after = pool.used();
-            assert!(after < before, "{mode:?}: KVC freed: {before} -> {after}");
-            assert!(kvc_pages > 10);
-            assert_eq!(kmvc.n_values(), 1000);
+        let page = 256;
+        let pool = MemPool::new("t", page, 1024 * 1024).unwrap();
+        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
+        for i in 0..1000u64 {
+            kvc.push(&(i % 7).to_le_bytes(), &i.to_le_bytes()).unwrap();
         }
+        let kvc_pages = kvc.pages_held();
+        let before = pool.used();
+        let kmvc = convert(kvc, &pool).unwrap();
+        // After convert the KVC is gone; only KMVC memory remains.
+        let after = pool.used();
+        assert!(after < before, "KVC freed: {before} -> {after}");
+        assert!(kvc_pages > 10);
+        assert_eq!(kmvc.n_values(), 1000);
     }
 
     #[test]
     fn convert_oom_is_reported() {
-        for mode in BOTH_MODES {
-            // Budget fits the KVC but not KVC + grouping state + KMVC.
-            let pool = MemPool::new("t", 256, 2048).unwrap();
-            let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
-            for i in 0..120u64 {
-                kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-            }
-            let err = convert_with(kvc, &pool, mode).unwrap_err();
-            assert!(matches!(err, MimirError::Mem(_)), "{mode:?}: {err}");
+        // Budget fits the KVC but not KVC + grouping state + KMVC.
+        let pool = MemPool::new("t", 256, 2048).unwrap();
+        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
+        for i in 0..120u64 {
+            kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
         }
+        let err = convert(kvc, &pool).unwrap_err();
+        assert!(matches!(err, MimirError::Mem(_)), "{err}");
     }
 
     #[test]
@@ -530,17 +436,15 @@ mod tests {
 
     #[test]
     fn jumbo_entry_exceeding_budget_is_oom_not_panic() {
-        for mode in BOTH_MODES {
-            // Budget fits the KVC but not KVC + the jumbo KMV entry.
-            let pool = MemPool::new("t", 128, 2 * 1024).unwrap();
-            let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
-            for i in 0..120u64 {
-                kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
-            }
-            let err = convert_with(kvc, &pool, mode).unwrap_err();
-            assert!(matches!(err, MimirError::Mem(_)), "{mode:?}: {err}");
-            assert_eq!(pool.used(), 0, "partial convert fully unwinds");
+        // Budget fits the KVC but not KVC + the jumbo KMV entry.
+        let pool = MemPool::new("t", 128, 2 * 1024).unwrap();
+        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
+        for i in 0..120u64 {
+            kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
         }
+        let err = convert(kvc, &pool).unwrap_err();
+        assert!(matches!(err, MimirError::Mem(_)), "{err}");
+        assert_eq!(pool.used(), 0, "partial convert fully unwinds");
     }
 
     #[test]
@@ -555,7 +459,7 @@ mod tests {
         }
         let kvc_bytes = pool.used();
         let peak_before = pool.peak();
-        let (kmvc, _) = convert_with(kvc, &pool, GroupingMode::Arena).unwrap();
+        let kmvc = convert(kvc, &pool).unwrap();
         let peak = pool.peak();
         assert!(
             peak >= peak_before.max(kvc_bytes) + 4000 * 4,
@@ -563,40 +467,6 @@ mod tests {
         );
         drop(kmvc);
         assert_eq!(pool.used(), 0);
-    }
-
-    #[test]
-    fn modes_agree_on_random_workloads() {
-        let pool = MemPool::unlimited("t", 512);
-        for salt in 0..3u64 {
-            let build = || {
-                let mut kvc = KvContainer::new(&pool, KvMeta::var());
-                let mut x = 0x9E3779B97F4A7C15u64 ^ salt;
-                for _ in 0..700 {
-                    // xorshift-ish deterministic stream
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let key = format!("k{}", x % 97);
-                    kvc.push(key.as_bytes(), &x.to_le_bytes()).unwrap();
-                }
-                kvc
-            };
-            let (a, _) = convert_with(build(), &pool, GroupingMode::Arena).unwrap();
-            let (b, _) = convert_with(build(), &pool, GroupingMode::Legacy).unwrap();
-            assert_eq!(groups_of(&a), groups_of(&b));
-            // Identical first-occurrence order, not just identical sets.
-            let order = |kmvc: &KmvContainer| {
-                let mut ks = Vec::new();
-                kmvc.for_each_group(|k, _| {
-                    ks.push(k.to_vec());
-                    Ok(())
-                })
-                .unwrap();
-                ks
-            };
-            assert_eq!(order(&a), order(&b));
-        }
     }
 
     #[test]

@@ -21,16 +21,14 @@ use crate::convert::{convert_with, Grouper};
 use crate::group::GroupStats;
 use crate::kv::{encode_into, encoded_len, validate, KvDecoder};
 use crate::sink::KvSink;
-use crate::{GroupingMode, KmvContainer, KvContainer, KvMeta, LenHint, MimirError, Result};
+use crate::{KmvContainer, KvContainer, KvMeta, LenHint, MimirError, Result};
 
 /// Received KVs, grouped as they arrive (see the module docs) — or, as
-/// [`Self::two_pass`] and under [`GroupingMode::Legacy`] (the oracle the
-/// property tests compare against), the plain KVC that the two-pass
-/// [`crate::convert_with`] consumes.
+/// [`Self::two_pass`], the plain KVC that [`crate::convert_with`]
+/// consumes.
 pub struct GroupedKvs {
     pool: MemPool,
     meta: KvMeta,
-    mode: GroupingMode,
     /// The on-arrival engine; `None` for the two-pass sink.
     grouper: Option<Grouper>,
     /// `(group id, value)` per received KV in arrival order — or, without
@@ -39,24 +37,12 @@ pub struct GroupedKvs {
 }
 
 impl GroupedKvs {
-    /// An empty sink for KVs encoded under `meta`, charging `pool`.
+    /// An empty on-arrival sink for KVs encoded under `meta`, charging
+    /// `pool`.
     ///
     /// # Errors
     /// Memory exhaustion registering the grouping state.
     pub fn new(pool: &MemPool, meta: KvMeta) -> Result<Self> {
-        Self::with_mode(pool, meta, GroupingMode::default())
-    }
-
-    /// [`Self::new`] with an explicit grouping engine: on arrival under
-    /// [`GroupingMode::Arena`], [`Self::two_pass`] under
-    /// [`GroupingMode::Legacy`].
-    ///
-    /// # Errors
-    /// As [`Self::new`].
-    pub fn with_mode(pool: &MemPool, meta: KvMeta, mode: GroupingMode) -> Result<Self> {
-        if mode == GroupingMode::Legacy {
-            return Ok(Self::two_pass(pool, meta, mode));
-        }
         let gid_meta = KvMeta {
             key: LenHint::Fixed(4),
             val: meta.val,
@@ -64,19 +50,18 @@ impl GroupedKvs {
         Ok(Self {
             grouper: Some(Grouper::new(pool, meta)?),
             store: KvContainer::new(pool, gid_meta),
-            ..Self::two_pass(pool, meta, mode)
+            ..Self::two_pass(pool, meta)
         })
     }
 
     /// A sink that only collects: received runs land in a KVC by memcpy
-    /// and [`Self::into_kmv`] runs both convert passes under `mode`. For
-    /// jobs whose grouping state should not exist before the map ends
-    /// (see [`crate::MapReduceJob::map_reduce_compress`]).
-    pub fn two_pass(pool: &MemPool, meta: KvMeta, mode: GroupingMode) -> Self {
+    /// and [`Self::into_kmv`] runs both convert passes. For jobs whose
+    /// grouping state should not exist before the map ends (see
+    /// [`crate::MapReduceJob::map_reduce_compress`]).
+    pub fn two_pass(pool: &MemPool, meta: KvMeta) -> Self {
         Self {
             pool: pool.clone(),
             meta,
-            mode,
             grouper: None,
             store: KvContainer::new(pool, meta),
         }
@@ -92,7 +77,6 @@ impl GroupedKvs {
     pub fn into_kmv(self) -> Result<(KmvContainer, GroupStats)> {
         let Self {
             pool,
-            mode,
             grouper,
             store,
             ..
@@ -105,7 +89,7 @@ impl GroupedKvs {
                     Ok(())
                 })
             }),
-            None => convert_with(store, &pool, mode),
+            None => convert_with(store, &pool),
         }
     }
 }

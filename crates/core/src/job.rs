@@ -33,9 +33,7 @@ use crate::partial::PartialReducer;
 use crate::partitioner::{PartitionFingerprint, Partitioner};
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
 use crate::sink::KvSink;
-use crate::{
-    AdaptPolicy, GroupingMode, JobStats, KvContainer, KvMeta, MimirError, Result, ShuffleMode,
-};
+use crate::{AdaptPolicy, JobStats, KvContainer, KvMeta, MimirError, Result, ShuffleMode};
 
 /// Pushes the pool's current occupancy into this rank's live telemetry
 /// accumulator (a no-op unless the plane is armed on this thread), so
@@ -70,7 +68,6 @@ pub struct MapReduceJob<'c, 'w> {
     partitioner: Partitioner,
     compress_flush_bytes: Option<usize>,
     shuffle_mode: Option<ShuffleMode>,
-    grouping_mode: Option<GroupingMode>,
     adapt_policy: Option<AdaptPolicy>,
     input_cached: Option<String>,
     output_cached: Option<String>,
@@ -150,7 +147,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             partitioner: Partitioner::hash(),
             compress_flush_bytes: None,
             shuffle_mode: None,
-            grouping_mode: None,
             adapt_policy: None,
             input_cached: None,
             output_cached: None,
@@ -205,15 +201,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self
     }
 
-    /// Overrides the context's [`GroupingMode`] for this job (convert,
-    /// combiner, and partial-reduction grouping engine). Local to the
-    /// rank's data structures — not collective.
-    #[must_use]
-    pub fn grouping_mode(mut self, mode: GroupingMode) -> Self {
-        self.grouping_mode = Some(mode);
-        self
-    }
-
     /// Overrides the context's [`AdaptPolicy`] for this job (only
     /// consulted when the effective shuffle mode is
     /// [`ShuffleMode::Adaptive`]). Collective: every rank must choose the
@@ -223,18 +210,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     pub fn adapt_policy(mut self, policy: AdaptPolicy) -> Self {
         self.adapt_policy = Some(policy);
         self
-    }
-
-    /// Opt-in communication/compute overlap: shorthand for
-    /// [`Self::shuffle_mode`] with [`ShuffleMode::Overlapped`] (or the
-    /// default zero-copy blocking path when `false`).
-    #[must_use]
-    pub fn comm_overlap(self, on: bool) -> Self {
-        self.shuffle_mode(if on {
-            ShuffleMode::Overlapped
-        } else {
-            ShuffleMode::ZeroCopy
-        })
     }
 
     /// Chains this job onto the named cached container from a previous
@@ -403,7 +378,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             pool,
             self.kv_meta,
             self.compress_flush_bytes,
-            self.grouping_mode.unwrap_or(cfg.grouping_mode),
             &mut shuffler,
         )?;
         drop(map_span);
@@ -513,7 +487,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         // --- chained map + (elided) aggregate -------------------------
@@ -524,7 +497,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         let fingerprint = self.partitioner.fingerprint(comm.size());
         let input = lock_cache(cache).checkout(&in_name, pool)?;
         let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = GroupedKvs::with_mode(pool, kv_meta, gmode)?;
+        let sink = GroupedKvs::new(pool, kv_meta)?;
         let fed = feed_chain(
             comm,
             pool,
@@ -624,7 +597,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         let t0 = Instant::now();
@@ -634,7 +606,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         let fingerprint = self.partitioner.fingerprint(comm.size());
         let input = lock_cache(cache).checkout(&in_name, pool)?;
         let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = PartialReducer::with_mode(pool, kv_meta, combine, gmode)?;
+        let sink = PartialReducer::new(pool, kv_meta, combine)?;
         let fed = feed_chain(
             comm,
             pool,
@@ -708,7 +680,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         // --- map + implicit aggregate --------------------------------
@@ -722,8 +693,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         // and put the group index on top of that table-bound peak. Those
         // jobs keep the two-pass convert.
         let sink = match compress {
-            None => GroupedKvs::with_mode(pool, kv_meta, gmode)?,
-            Some(_) => GroupedKvs::two_pass(pool, kv_meta, gmode),
+            None => GroupedKvs::new(pool, kv_meta)?,
+            Some(_) => GroupedKvs::two_pass(pool, kv_meta),
         };
         let mut shuffler = Shuffler::with_policy(
             comm,
@@ -745,7 +716,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
                     pool,
                     kv_meta,
                     self.compress_flush_bytes,
-                    gmode,
                     &mut shuffler,
                 )?;
             }
@@ -832,14 +802,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        let gmode = self.grouping_mode.unwrap_or(cfg.grouping_mode);
         cancel_checkpoint(comm, cancel)?;
 
         let t0 = Instant::now();
         pool.reset_phase_peak();
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = PartialReducer::with_mode(pool, kv_meta, combine, gmode)?;
+        let sink = PartialReducer::new(pool, kv_meta, combine)?;
         let mut shuffler = Shuffler::with_policy(
             comm,
             pool,
@@ -860,7 +829,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
                     pool,
                     kv_meta,
                     self.compress_flush_bytes,
-                    gmode,
                     &mut shuffler,
                 )?;
             }
@@ -1045,10 +1013,9 @@ fn drive_compressed_map(
     pool: &mimir_mem::MemPool,
     meta: KvMeta,
     flush_bytes: Option<usize>,
-    gmode: GroupingMode,
     shuffler: &mut dyn Emitter,
 ) -> Result<GroupStats> {
-    let mut table = CombinerTable::with_mode(pool, meta, cf, gmode)?;
+    let mut table = CombinerTable::new(pool, meta, cf)?;
     match flush_bytes {
         None => {
             map(&mut table)?;

@@ -72,7 +72,7 @@ pub use cache::{
 };
 pub use cancel::CancelToken;
 pub use combiner::{CombineFn, CombinerTable, StreamingCombiner};
-pub use config::{AdaptPolicy, GroupingMode, KvMeta, LenHint, MimirConfig, ShuffleMode};
+pub use config::{AdaptPolicy, KvMeta, LenHint, MimirConfig, ShuffleMode};
 pub use context::MimirContext;
 pub use convert::{convert, convert_with};
 pub use error::MimirError;

@@ -15,7 +15,7 @@ use crate::combiner::{CombineFn, FoldTable};
 use crate::group::GroupStats;
 use crate::kv::validate;
 use crate::sink::KvSink;
-use crate::{GroupingMode, KvContainer, KvMeta, Result};
+use crate::{KvContainer, KvMeta, Result};
 
 /// The partial-reduction sink: shuffled KVs fold straight into a bucket.
 pub struct PartialReducer<'f> {
@@ -30,21 +30,8 @@ impl<'f> PartialReducer<'f> {
     /// # Errors
     /// Memory exhaustion.
     pub fn new(pool: &MemPool, meta: KvMeta, combine: CombineFn<'f>) -> Result<Self> {
-        Self::with_mode(pool, meta, combine, GroupingMode::default())
-    }
-
-    /// [`Self::new`] with an explicit grouping engine.
-    ///
-    /// # Errors
-    /// Memory exhaustion.
-    pub fn with_mode(
-        pool: &MemPool,
-        meta: KvMeta,
-        combine: CombineFn<'f>,
-        mode: GroupingMode,
-    ) -> Result<Self> {
         Ok(Self {
-            table: FoldTable::new(pool, combine, mode)?,
+            table: FoldTable::new(pool, combine)?,
             meta,
             kvs_in: 0,
         })

@@ -38,8 +38,8 @@
 //! the sink via [`KvSink::accept_run`] — for a [`crate::KvContainer`]
 //! sink that is a page-wise memcpy, since wire format equals container
 //! format. After a warm-up round the steady state performs no heap
-//! allocation. [`ShuffleMode::Legacy`] keeps the original
-//! allocate-per-round path as the ablation baseline.
+//! allocation. [`ShuffleMode::Overlapped`] and [`ShuffleMode::Adaptive`]
+//! run the same data path and differ only in when the sends are posted.
 
 use std::ops::Range;
 
@@ -52,7 +52,7 @@ use crate::adapt::{
     FRAME_HDR,
 };
 use crate::buffer::TrackedBuf;
-use crate::kv::{decode_one, encode_into, encoded_len, validate, KvDecoder};
+use crate::kv::{decode_one, encode_into, encoded_len, validate};
 use crate::partitioner::Partitioner;
 use crate::sink::KvSink;
 use crate::{AdaptPolicy, KvMeta, MimirError, Result, ShuffleMode};
@@ -473,9 +473,7 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         // Whole-shuffle skew over the cumulative per-destination
         // histogram (the per-round view goes out as RoundSkew events).
         self.stats.max_dest_bytes = self.dest_bytes.iter().copied().max().unwrap_or(0);
-        self.skew_scratch.clear();
-        self.skew_scratch.extend_from_slice(&self.dest_bytes);
-        if let Some((imbalance, gini)) = skew_permille(&mut self.skew_scratch) {
+        if let Some((imbalance, gini)) = self.dest_skew() {
             self.stats.imbalance_permille = imbalance;
             self.stats.gini_permille = gini;
         }
@@ -489,12 +487,20 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         (&self.dest_bytes, &self.dest_kvs)
     }
 
+    /// [`skew_permille`] of the cumulative per-destination histogram,
+    /// sorted in the reused scratch buffer so it allocates nothing.
+    fn dest_skew(&mut self) -> Option<(u64, u64)> {
+        self.skew_scratch.clear();
+        self.skew_scratch.extend_from_slice(&self.dest_bytes);
+        skew_permille(&mut self.skew_scratch)
+    }
+
     /// Pushes the running shuffle counters — with skew computed over the
     /// cumulative per-destination histogram *so far* — into this rank's
     /// live telemetry accumulator, so the online partition-skew rule sees
     /// traffic while rounds are still in flight. No-op unless the live
     /// plane is armed on this thread.
-    fn push_live(&self) {
+    fn push_live(&mut self) {
         if mimir_obs::live::shared().is_none() {
             return;
         }
@@ -511,8 +517,7 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             imbalance_permille: s.imbalance_permille,
             gini_permille: s.gini_permille,
         };
-        let mut scratch = self.dest_bytes.clone();
-        if let Some((imbalance, gini)) = skew_permille(&mut scratch) {
+        if let Some((imbalance, gini)) = self.dest_skew() {
             counters.imbalance_permille = imbalance;
             counters.gini_permille = gini;
         }
@@ -533,11 +538,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
     /// World size.
     pub fn size(&self) -> usize {
         self.comm.size()
-    }
-
-    /// The active data-path mode.
-    pub fn mode(&self) -> ShuffleMode {
-        self.mode
     }
 
     /// One exchange round; returns whether every rank reported done.
@@ -561,7 +561,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         }
         let (sync0, data0) = (self.stats.sync_wait_ns, self.stats.data_wait_ns);
         let all_done = match self.mode {
-            ShuffleMode::Legacy => self.exchange_legacy(my_done)?,
             ShuffleMode::ZeroCopy => self.exchange_zero_copy(my_done, false)?,
             ShuffleMode::Overlapped => self.exchange_zero_copy(my_done, true)?,
             ShuffleMode::Adaptive => {
@@ -761,51 +760,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             }
             self.stats.kvs_received += received;
             drain.set_b(recv_bytes);
-        }
-        Ok(all_done)
-    }
-
-    /// The original data path (ablation baseline): every partition is
-    /// copied into a fresh `Vec`, the transport returns owned buffers,
-    /// and received KVs re-insert one at a time.
-    fn exchange_legacy(&mut self, my_done: bool) -> Result<bool> {
-        let all_done = {
-            let _sync = mimir_obs::step_span(Step::Sync);
-            let w0 = self.comm.stats().wait_ns;
-            let done = self.comm.allreduce_u64(ReduceOp::LAnd, u64::from(my_done)) == 1;
-            self.stats.sync_wait_ns += self.comm.stats().wait_ns - w0;
-            done
-        };
-        let p = self.comm.size();
-        let send = self.send.as_slice();
-        let parts: Vec<Vec<u8>> = (0..p)
-            .map(|d| send[d * self.part_cap..d * self.part_cap + self.part_len[d]].to_vec())
-            .collect();
-        let received = {
-            let mut step = mimir_obs::step_span(Step::Alltoallv);
-            step.set_b(self.part_len.iter().map(|&l| l as u64).sum());
-            let w0 = self.comm.stats().wait_ns;
-            let bufs = self.comm.alltoallv(parts);
-            self.stats.data_wait_ns += self.comm.stats().wait_ns - w0;
-            bufs
-        };
-        self.part_len.fill(0);
-        let recv_bytes: u64 = received.iter().map(|b| b.len() as u64).sum();
-        assert!(
-            recv_bytes <= self.recv.as_slice().len() as u64,
-            "round received {recv_bytes} B into a {} B receive buffer",
-            self.recv.as_slice().len()
-        );
-        self.stats.bytes_received += recv_bytes;
-        self.stats.max_round_recv_bytes = self.stats.max_round_recv_bytes.max(recv_bytes);
-        {
-            let _drain = mimir_obs::step_span(Step::Drain);
-            for buf in received {
-                for (k, v) in KvDecoder::new(self.meta, &buf) {
-                    self.sink.accept(k, v)?;
-                    self.stats.kvs_received += 1;
-                }
-            }
         }
         Ok(all_done)
     }
@@ -1242,30 +1196,31 @@ mod tests {
     #[test]
     fn every_mode_delivers_the_same_multiset() {
         let n = 3;
-        let per_rank = 300;
-        let mut per_mode = Vec::new();
+        let per_rank = 300u64;
+        // Reference: the streams `shuffle_world_mode` emits, routed by
+        // `partition_of`.
+        let mut expected: Vec<HashMap<Vec<u8>, Vec<u64>>> = vec![HashMap::new(); n];
+        for me in 0..n as u64 {
+            for i in 0..per_rank {
+                let key = format!("key-{}", i % 13).into_bytes();
+                expected[partition_of(&key, n)]
+                    .entry(key)
+                    .or_default()
+                    .push(me * 10_000 + i);
+            }
+        }
         for mode in [
-            ShuffleMode::Legacy,
             ShuffleMode::ZeroCopy,
             ShuffleMode::Overlapped,
             ShuffleMode::Adaptive,
         ] {
-            let results = shuffle_world_mode(n, 1536, per_rank, mode);
-            let mut flat: Vec<(Vec<u8>, Vec<u64>)> = Vec::new();
-            for (rank, (m, stats)) in results.into_iter().enumerate() {
+            let results = shuffle_world_mode(n, 1536, per_rank as usize, mode);
+            for (rank, ((mut got, stats), want)) in results.into_iter().zip(&expected).enumerate() {
                 // The III-B bound held every round.
                 assert!(stats.max_round_recv_bytes <= 1536, "{mode:?} rank {rank}");
-                for (k, mut vs) in m {
-                    vs.sort_unstable();
-                    flat.push((k, vs));
-                }
+                got.values_mut().for_each(|vs| vs.sort_unstable());
+                assert_eq!(&got, want, "{mode:?} rank {rank}");
             }
-            flat.sort();
-            per_mode.push((mode, flat));
-        }
-        let (_, reference) = &per_mode[0];
-        for (mode, flat) in &per_mode[1..] {
-            assert_eq!(flat, reference, "{mode:?} differs from Legacy");
         }
     }
 

@@ -13,16 +13,15 @@ pub struct JobStats {
     /// (the paper's convert pass 1, see [`crate::GroupedKvs`]).
     pub map_time: Duration,
     /// Wall time of the convert phase: the KMVC layout and the value
-    /// scatter (the paper's pass 2) — plus pass 1 only under
-    /// [`crate::GroupingMode::Legacy`]. Zero under partial reduction.
+    /// scatter (the paper's pass 2) — plus pass 1 for the compress shape,
+    /// which converts two-pass. Zero under partial reduction.
     pub convert_time: Duration,
     /// Wall time of the reduce phase (or the fold finalization).
     pub reduce_time: Duration,
     /// Shuffle counters (emitted KVs/bytes, rounds).
     pub shuffle: ShuffleStats,
     /// Grouping-engine counters (the on-arrival group index, combiner,
-    /// or partial-reduction fold table; zero under
-    /// [`crate::GroupingMode::Legacy`]). The on-arrival index grows — and
+    /// or partial-reduction fold table). The on-arrival index grows — and
     /// emits its rehash events — during the map phase.
     pub group: GroupStats,
     /// Unique keys after grouping (KMV groups or fold-table entries).

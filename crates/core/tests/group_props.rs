@@ -2,15 +2,15 @@
 //! exactly like a reference `HashMap<Vec<u8>, u32>` that assigns ids in
 //! first-occurrence order, across adversarial key shapes — empty keys,
 //! keys longer than a pool page, and pairs constructed to collide on the
-//! full 64-bit hash. The fold table built on it ([`CombinerTable`],
-//! [`PartialReducer`]) must in turn behave like a `HashMap<Vec<u8>,
-//! Vec<u8>>` that remembers first-occurrence order.
+//! full 64-bit hash. Convert and the fold table built on it
+//! ([`CombinerTable`], [`PartialReducer`]) must in turn behave like a
+//! std `HashMap` that remembers first-occurrence order.
 
 use std::collections::HashMap;
 
 use mimir_core::{
-    convert_with, fxhash64, partition_of, CombineFn, CombinerTable, Emitter, GroupIndex,
-    GroupingMode, KvContainer, KvMeta, KvSink, LenHint, PartialReducer, StreamingCombiner,
+    convert, fxhash64, partition_of, CombineFn, CombinerTable, Emitter, GroupIndex, KvContainer,
+    KvMeta, KvSink, LenHint, PartialReducer, StreamingCombiner,
 };
 use mimir_mem::MemPool;
 
@@ -178,9 +178,24 @@ fn forced_full_hash_collisions_stay_distinct_groups() {
     );
 }
 
-/// Convert must produce identical KMV output — same groups, same
-/// first-occurrence order, same per-group value sequences — under both
-/// grouping engines, for every length-hint encoding.
+/// The reference convert: groups in first-occurrence key order, each
+/// with its values in arrival order, built on std's map alone.
+fn group_model(kvs: &[(Vec<u8>, Vec<u8>)]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+    let mut slot: HashMap<&[u8], usize> = HashMap::new();
+    let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+    for (k, v) in kvs {
+        let i = *slot.entry(k.as_slice()).or_insert_with(|| {
+            groups.push((k.clone(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[i].1.push(v.clone());
+    }
+    groups
+}
+
+/// Convert must produce the model's KMV output — same groups, same
+/// first-occurrence order, same per-group value sequences — for every
+/// length-hint encoding.
 #[test]
 fn convert_modes_agree_across_hints() {
     let cases: Vec<(KvMeta, bool)> = vec![
@@ -190,29 +205,23 @@ fn convert_modes_agree_across_hints() {
     ];
     for (case, (meta, allow_empty)) in cases.into_iter().enumerate() {
         let pool = MemPool::unlimited("t", 256);
-        // One shared workload per hint, fed identically to both modes.
         let mut rng = Rng(0xC0FF_EE00 + case as u64);
         let kvs: Vec<(Vec<u8>, Vec<u8>)> = (0..5000u64)
             .map(|i| case_kv(allow_empty, &mut rng, i))
             .collect();
-        let build = |mode| {
-            let mut kvc = KvContainer::new(&pool, meta);
-            for (k, v) in &kvs {
-                kvc.push(k, v).unwrap();
-            }
-            let (kmvc, _) = convert_with(kvc, &pool, mode).unwrap();
-            let mut flat: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
-            kmvc.for_each_group(|k, vals| {
-                flat.push((k.to_vec(), vals.map(<[u8]>::to_vec).collect()));
-                Ok(())
-            })
-            .unwrap();
-            flat
-        };
-        let arena = build(GroupingMode::Arena);
-        let legacy = build(GroupingMode::Legacy);
-        assert_eq!(arena, legacy, "hint case {case}");
-        assert!(!arena.is_empty());
+        let mut kvc = KvContainer::new(&pool, meta);
+        for (k, v) in &kvs {
+            kvc.push(k, v).unwrap();
+        }
+        let kmvc = convert(kvc, &pool).unwrap();
+        let mut got: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+        kmvc.for_each_group(|k, vals| {
+            got.push((k.to_vec(), vals.map(<[u8]>::to_vec).collect()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got, group_model(&kvs), "hint case {case}");
+        assert!(!got.is_empty());
     }
 }
 

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mimir_core::{encode_push, fxhash64, GroupIndex, GroupedKvs, GroupingMode, PartialReducer};
+use mimir_core::{encode_push, fxhash64, GroupIndex, GroupedKvs, PartialReducer};
 use mimir_mem::MemPool;
 
 /// Wraps the system allocator with a per-thread allocation counter (the
@@ -102,7 +102,7 @@ fn steady_state_fold_is_allocation_free() {
                 + u64::from_le_bytes(b.try_into().unwrap());
             out.extend_from_slice(&s.to_le_bytes());
         });
-        let mut pr = PartialReducer::with_mode(&pool, meta, combine, GroupingMode::Arena).unwrap();
+        let mut pr = PartialReducer::new(&pool, meta, combine).unwrap();
 
         // Warm-up: materialize all 64 groups and their accumulators, and
         // let the slot table reach its final capacity.
@@ -166,7 +166,7 @@ fn grouping_a_received_run_is_allocation_free() {
             &mut run,
         );
     }
-    let mut sink = GroupedKvs::with_mode(&pool, meta, GroupingMode::Arena).unwrap();
+    let mut sink = GroupedKvs::new(&pool, meta).unwrap();
     // Warm-up: all 500 groups, the slot table at its final capacity, the
     // store's first page open.
     sink.accept_run(meta, &run).unwrap();

@@ -1,29 +1,59 @@
 //! Property tests for grouping on arrival: for every [`LenHint`] pair and
-//! every corpus shape, the three receive-to-KMVC paths must produce the
-//! exact same `for_each_group` byte sequence —
+//! every corpus shape, the three receive-to-KMVC paths —
 //!
-//! * `GroupedKvs` under `Arena` (group each run as it arrives),
-//! * `KvContainer` + the two-pass `convert_with(Arena)`,
-//! * the `Legacy` `HashMap` oracle —
+//! * `GroupedKvs::new` (group each run as it arrives),
+//! * `KvContainer` + the two-pass `convert`,
+//! * `GroupedKvs::two_pass` (collect, then convert) —
 //!
-//! and the on-arrival path must give every byte back to the pool on drop
-//! (also after an out-of-memory failure at any point) and never peak
-//! above the two-pass path.
+//! must produce exactly the `for_each_group` sequence of a std `HashMap`
+//! model that shares no code with the library, and the on-arrival path
+//! must give every byte back to the pool on drop (also after an
+//! out-of-memory failure at any point) and never peak above the two-pass
+//! path.
+
+use std::collections::HashMap;
 
 use mimir_core::{
-    convert_with, encode_push, GroupedKvs, GroupingMode, KmvContainer, KvContainer, KvMeta, KvSink,
-    LenHint,
+    convert, encode_push, GroupedKvs, KmvContainer, KvContainer, KvMeta, KvSink, LenHint,
 };
 use mimir_mem::MemPool;
 
 /// Small pages so every corpus spans many of them.
 const PAGE: usize = 256;
 
-/// What the shuffle hands a sink: encoded runs, and `(kv, count)` frames
-/// from the hot-key path.
+type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// What the shuffle hands a sink: encoded runs (kept beside the KVs they
+/// encode, for the model), and `(kv, count)` frames from the hot-key
+/// path.
 enum Op {
-    Run(Vec<u8>),
+    Run(Vec<u8>, Kvs),
     Repeat(Vec<u8>, Vec<u8>, u64),
+}
+
+/// The reference: groups in first-occurrence key order, values in
+/// arrival order, a repeat frame counted as `n` copies — built on std's
+/// map alone.
+fn model(ops: &[Op]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+    let mut slot: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+    let mut push = |k: &[u8], v: &[u8], n: u64| {
+        if n == 0 {
+            return;
+        }
+        let i = *slot.entry(k.to_vec()).or_insert_with(|| {
+            groups.push((k.to_vec(), Vec::new()));
+            groups.len() - 1
+        });
+        groups[i].1.extend((0..n).map(|_| v.to_vec()));
+    };
+    for op in ops {
+        match op {
+            Op::Run(_, kvs) => kvs.iter().for_each(|(k, v)| push(k, v, 1)),
+            Op::Repeat(k, v, n) => push(k, v, *n),
+        }
+    }
+    groups
 }
 
 /// xorshift64* — deterministic stream per seed, no external PRNG crate.
@@ -63,15 +93,16 @@ fn val_of(hint: LenHint, x: u64) -> Vec<u8> {
 /// Packs `(key, value)` pairs into runs of roughly `run_bytes`.
 fn runs(meta: KvMeta, kvs: &[(Vec<u8>, Vec<u8>)], run_bytes: usize) -> Vec<Op> {
     let mut out = Vec::new();
-    let mut run = Vec::new();
+    let (mut run, mut src) = (Vec::new(), Vec::new());
     for (k, v) in kvs {
         encode_push(meta, k, v, &mut run);
+        src.push((k.clone(), v.clone()));
         if run.len() >= run_bytes {
-            out.push(Op::Run(std::mem::take(&mut run)));
+            out.push(Op::Run(std::mem::take(&mut run), std::mem::take(&mut src)));
         }
     }
     if !run.is_empty() {
-        out.push(Op::Run(run));
+        out.push(Op::Run(run, src));
     }
     out
 }
@@ -109,7 +140,7 @@ fn corpora(meta: KvMeta) -> Vec<(&'static str, Vec<Op>)> {
 fn feed_sink(sink: &mut GroupedKvs, meta: KvMeta, ops: &[Op]) -> mimir_core::Result<()> {
     for op in ops {
         match op {
-            Op::Run(run) => {
+            Op::Run(run, _) => {
                 sink.accept_run(meta, run)?;
             }
             Op::Repeat(k, v, n) => sink.accept_repeat(k, v, *n)?,
@@ -118,18 +149,18 @@ fn feed_sink(sink: &mut GroupedKvs, meta: KvMeta, ops: &[Op]) -> mimir_core::Res
     Ok(())
 }
 
-/// The two-pass path: materialise the KVC, then `convert_with`.
-fn two_pass(pool: &MemPool, meta: KvMeta, ops: &[Op], mode: GroupingMode) -> KmvContainer {
+/// The two-pass path: materialise the KVC, then `convert`.
+fn two_pass(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
     let mut kvc = KvContainer::new(pool, meta);
     for op in ops {
         match op {
-            Op::Run(run) => {
+            Op::Run(run, _) => {
                 kvc.push_run(run).unwrap();
             }
             Op::Repeat(k, v, n) => kvc.push_repeat(k, v, *n).unwrap(),
         }
     }
-    convert_with(kvc, pool, mode).unwrap().0
+    convert(kvc, pool).unwrap()
 }
 
 fn through_sink(mut sink: GroupedKvs, meta: KvMeta, ops: &[Op]) -> KmvContainer {
@@ -137,8 +168,8 @@ fn through_sink(mut sink: GroupedKvs, meta: KvMeta, ops: &[Op]) -> KmvContainer 
     sink.into_kmv().unwrap().0
 }
 
-fn on_arrival(pool: &MemPool, meta: KvMeta, ops: &[Op], mode: GroupingMode) -> KmvContainer {
-    through_sink(GroupedKvs::with_mode(pool, meta, mode).unwrap(), meta, ops)
+fn on_arrival(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
+    through_sink(GroupedKvs::new(pool, meta).unwrap(), meta, ops)
 }
 
 /// The exact `for_each_group` sequence: keys in visit order, each with
@@ -165,25 +196,29 @@ fn for_every_cell(mut f: impl FnMut(KvMeta, &str, &[Op])) {
 }
 
 #[test]
-fn on_arrival_equals_two_pass_equals_legacy() {
+fn on_arrival_and_two_pass_match_model() {
     for_every_cell(|meta, name, ops| {
         let pool = MemPool::unlimited("t", PAGE);
-        let arrival = on_arrival(&pool, meta, ops, GroupingMode::Arena);
-        let arena = two_pass(&pool, meta, ops, GroupingMode::Arena);
-        let legacy = two_pass(&pool, meta, ops, GroupingMode::Legacy);
-        let legacy_sink = on_arrival(&pool, meta, ops, GroupingMode::Legacy);
-        let collecting = GroupedKvs::two_pass(&pool, meta, GroupingMode::Arena);
-        let collecting = through_sink(collecting, meta, ops);
+        let arrival = on_arrival(&pool, meta, ops);
+        let converted = two_pass(&pool, meta, ops);
+        let collecting = through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops);
 
-        let want = groups(&legacy);
+        let want = model(ops);
         assert!(!want.is_empty());
-        assert_eq!(groups(&arrival), want, "{meta:?} {name}: arrival vs legacy");
-        assert_eq!(groups(&arena), want, "{meta:?} {name}: two-pass vs legacy");
-        assert_eq!(groups(&legacy_sink), want, "{meta:?} {name}: legacy sink");
+        assert_eq!(groups(&arrival), want, "{meta:?} {name}: arrival");
+        assert_eq!(
+            groups(&converted),
+            want,
+            "{meta:?} {name}: two-pass convert"
+        );
         assert_eq!(groups(&collecting), want, "{meta:?} {name}: two-pass sink");
         assert_eq!(
             (arrival.n_groups(), arrival.n_values(), arrival.bytes()),
-            (arena.n_groups(), arena.n_values(), arena.bytes()),
+            (
+                converted.n_groups(),
+                converted.n_values(),
+                converted.bytes()
+            ),
             "{meta:?} {name}"
         );
         if name == "one-jumbo-group" {
@@ -192,7 +227,7 @@ fn on_arrival_equals_two_pass_equals_legacy() {
                 "{meta:?}: a group outgrew a page"
             );
         }
-        drop((arrival, arena, legacy, legacy_sink, collecting));
+        drop((arrival, converted, collecting));
         assert_eq!(pool.used(), 0, "{meta:?} {name}: everything credited");
     });
 }
@@ -201,9 +236,9 @@ fn on_arrival_equals_two_pass_equals_legacy() {
 fn on_arrival_never_peaks_above_two_pass() {
     for_every_cell(|meta, name, ops| {
         let old = MemPool::unlimited("old", PAGE);
-        drop(two_pass(&old, meta, ops, GroupingMode::Arena));
+        drop(two_pass(&old, meta, ops));
         let new = MemPool::unlimited("new", PAGE);
-        drop(on_arrival(&new, meta, ops, GroupingMode::Arena));
+        drop(on_arrival(&new, meta, ops));
         assert!(
             new.peak() <= old.peak(),
             "{meta:?} {name}: on-arrival peak {} > two-pass peak {}",

@@ -107,7 +107,6 @@ fn every_mode_delivers_the_emitted_multiset_under_every_hint() {
         let expected: Vec<Multiset> = expected.into_iter().map(multiset).collect();
 
         for mode in [
-            ShuffleMode::Legacy,
             ShuffleMode::ZeroCopy,
             ShuffleMode::Overlapped,
             ShuffleMode::Adaptive,

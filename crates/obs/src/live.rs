@@ -143,7 +143,9 @@ pub struct LiveShared {
 }
 
 impl LiveShared {
-    fn new(rank: u64, world: u64) -> LiveShared {
+    /// An empty accumulator for `rank` of `world`, installed nowhere yet
+    /// ([`install_shared`]; [`arm`] also starts the publisher).
+    pub fn new(rank: u64, world: u64) -> LiveShared {
         LiveShared {
             rank,
             world,

@@ -213,28 +213,27 @@ pub fn env_enabled() -> bool {
     }
 }
 
-/// Ring capacity (events per rank) from `MIMIR_TRACE_CAP`, falling back
-/// to the legacy `MIMIR_TRACE_EVENTS` spelling, or [`DEFAULT_CAPACITY`].
+/// Ring capacity (events per rank) from `MIMIR_TRACE_CAP`, or
+/// [`DEFAULT_CAPACITY`].
 ///
 /// Each event is 32 bytes, so the default 64 Ki events costs 2 MiB per
 /// rank; size the cap so one run's `rounds × events-per-round` fits, or
 /// the exporters will stamp a dropped-events warning into the output
 /// (see README "Sizing the trace ring").
 pub fn env_capacity() -> usize {
-    for var in ["MIMIR_TRACE_CAP", "MIMIR_TRACE_EVENTS"] {
-        if let Ok(raw) = std::env::var(var) {
-            let (cap, warning) = parse_capacity(var, &raw);
-            if let Some(w) = warning {
-                // Every rank thread resolves the capacity, but one bad
-                // value only deserves one warning per process.
-                use std::sync::Once;
-                static WARN: Once = Once::new();
-                WARN.call_once(|| eprintln!("{w}"));
-            }
-            return cap;
-        }
+    const VAR: &str = "MIMIR_TRACE_CAP";
+    let Ok(raw) = std::env::var(VAR) else {
+        return DEFAULT_CAPACITY;
+    };
+    let (cap, warning) = parse_capacity(VAR, &raw);
+    if let Some(w) = warning {
+        // Every rank thread resolves the capacity, but one bad value
+        // only deserves one warning per process.
+        use std::sync::Once;
+        static WARN: Once = Once::new();
+        WARN.call_once(|| eprintln!("{w}"));
     }
-    DEFAULT_CAPACITY
+    cap
 }
 
 /// Parses one capacity variable's value. On anything but a positive
@@ -438,7 +437,7 @@ mod tests {
             w.contains(&DEFAULT_CAPACITY.to_string()),
             "names the default used: {w}"
         );
-        let (cap, warning) = parse_capacity("MIMIR_TRACE_EVENTS", "0");
+        let (cap, warning) = parse_capacity("MIMIR_TRACE_CAP", "0");
         assert_eq!(cap, DEFAULT_CAPACITY, "zero capacity is rejected too");
         assert!(warning.is_some());
         let (cap, warning) = parse_capacity("MIMIR_TRACE_CAP", " 4096 ");

@@ -239,7 +239,7 @@ impl PhasePeaks {
 
 /// Grouping-engine counters (mirrors `mimir-core`'s `GroupStats`): the
 /// arena-keyed group index behind convert, the combiner, and partial
-/// reduction. All zero when the legacy `HashMap` engine ran.
+/// reduction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCounters {
     /// Keys routed through the index (one per KV).
