@@ -23,9 +23,11 @@ pub struct RunMetrics {
     /// Iterations executed (octree levels, BFS depth; 1 for WordCount).
     pub iterations: u32,
     /// Unified per-job statistics, folded across the run's stages via
-    /// [`JobStats::merge`] (phase times and peaks are per-stage maxima;
-    /// traffic counters sum). MR-MPI runs report through the same shape
-    /// via [`job_stats_from_mr`].
+    /// [`JobStats::merge`], the cross-rank merge: traffic counters sum,
+    /// while phase times, peaks and `shuffle.rounds` are per-stage
+    /// maxima — read [`Self::exchange_rounds`] for the run's rounds.
+    /// MR-MPI runs report through the same shape via
+    /// [`job_stats_from_mr`].
     pub job: JobStats,
 }
 

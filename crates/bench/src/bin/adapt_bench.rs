@@ -34,11 +34,11 @@
 use std::time::Instant;
 
 use mimir_bench::{fmt_size, HarnessArgs};
-use mimir_core::{AdaptStats, Emitter, KvContainer, KvMeta, Partitioner, ShuffleMode, Shuffler};
+use mimir_core::{Emitter, KvContainer, KvMeta, Partitioner, ShuffleMode, Shuffler};
 use mimir_datagen::rank_rng;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
-use mimir_obs::Json;
+use mimir_obs::{AdaptCounters, Json};
 
 const RANKS: usize = 4;
 const KV_BYTES: u64 = 16; // fixed(8,8)
@@ -66,7 +66,7 @@ struct Measure {
     /// the fair share; 2000 = the hot trip point).
     imbalance_permille: u64,
     /// The adaptive controller's merged counters (zero for statics).
-    adapt: AdaptStats,
+    adapt: AdaptCounters,
 }
 
 /// One mode's cell result: the best repeat (reported) plus every
@@ -126,7 +126,7 @@ fn run_once(cell: &Cell, mode: ShuffleMode) -> Measure {
     });
     let slowest = out.iter().map(|(t, _)| *t).fold(0.0, f64::max);
     let total_bytes = (RANKS * n) as u64 * KV_BYTES;
-    let mut adapt = AdaptStats::default();
+    let mut adapt = AdaptCounters::default();
     for (_, s) in &out {
         adapt.merge(&s.adapt);
     }

@@ -30,12 +30,12 @@ use std::time::Instant;
 
 use mimir_bench::HarnessArgs;
 use mimir_core::{
-    convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupStats, GroupedKvs,
-    KvContainer, KvMeta, KvSink, StreamingCombiner,
+    convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta,
+    KvSink, StreamingCombiner,
 };
 use mimir_datagen::{rank_rng, WikipediaWords};
 use mimir_mem::MemPool;
-use mimir_obs::Json;
+use mimir_obs::{GroupCounters, Json};
 
 const PAGE: usize = 1 << 20;
 /// Vocabulary of the whole-job benchmark's `wc_zipf_opt` input.
@@ -116,7 +116,7 @@ struct Measure {
     /// Pool high-water mark of the timed region (0 for the fold cells,
     /// which share one pool across repeats).
     peak_bytes: usize,
-    stats: GroupStats,
+    stats: GroupCounters,
     kvs: usize,
     /// The rate of every repeat so far, this one included.
     rates: Vec<f64>,
@@ -222,7 +222,7 @@ fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [M
 /// pipeline — KVs fold into the table, the table flushes into a
 /// partitioning sink whenever it exceeds `compress_flush_bytes`-style
 /// budget. The sink partitions the way the shuffler does, reusing the
-/// stored hash ([`partition_of_hashed`] via `emit_hashed`).
+/// stored hash ([`mimir_core::partition_of_hashed`] via `emit_hashed`).
 fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
     /// Stands in for the shuffler's partition step (16 destinations).
     struct PartitionSink(u64);

@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use mimir_apps::RunMetrics;
-use mimir_bench::trace::{attach_cache, build_report};
+use mimir_bench::trace::build_report;
 use mimir_bench::HarnessArgs;
 use mimir_core::{typed, KvMeta, MimirConfig, MimirContext, Partitioner};
 use mimir_doctor::Severity;
@@ -178,20 +178,15 @@ fn run_shape(shape: Shape) -> Vec<RankRun> {
         let mut report = build_report(ctx.comm(), &pool, &metrics);
         // Rebase onto the pre-phase snapshot: the doctor must judge the
         // cached run alone, not world startup.
-        report.comm.sends -= base.msgs_sent;
-        report.comm.recvs -= base.msgs_recvd;
-        report.comm.bytes_sent -= base.bytes_sent;
-        report.comm.bytes_recvd -= base.bytes_recvd;
-        report.comm.collectives -= base.collectives;
-        report.comm.bytes_copied -= base.bytes_copied;
-        report.comm.send_allocs -= base.send_allocs;
-        report.waits.total_wait_ns -= base.wait_ns;
-        report.waits.total_work_ns -= base.work_ns;
+        let since = ctx.comm().stats().delta_since(&base);
+        report.comm = since.counters();
+        (report.waits.total_wait_ns, report.waits.total_work_ns) = (since.wait_ns, since.work_ns);
         if let Some(rec) = mimir_obs::take() {
             report.events = rec.events();
             report.events_dropped = rec.dropped();
         }
-        attach_cache(&mut report, ctx.cache_stats(), &ctx.cache_snapshots());
+        report.cache = ctx.cache_stats();
+        report.cache_names = ctx.cache_snapshots();
         ctx.cache_clear();
         let used_after_clear = pool.used();
 

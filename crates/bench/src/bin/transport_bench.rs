@@ -100,9 +100,8 @@ fn run_backend(
         let out = run_world_on(kind, ranks, move |comm| shuffle_body(comm, comm_buf, n));
         let slowest = out.iter().map(|(t, _, _, _)| *t).fold(0.0, f64::max);
         let total_bytes = (ranks * n) as u64 * KV_BYTES;
-        let comm = out
-            .iter()
-            .fold(CommStats::default(), |a, (_, _, c, _)| a.merge(c));
+        let mut comm = CommStats::default();
+        out.iter().for_each(|(_, _, c, _)| comm.merge(c));
         let m = Measure {
             mb_per_s: total_bytes as f64 / (1 << 20) as f64 / slowest,
             rounds: out[0].1,

@@ -105,7 +105,8 @@ impl RunOutcome {
         let modeled_io_s = io.modeled_time().as_secs_f64();
         let spilled = metrics.iter().any(|m| m.spilled);
         // Cluster totals come from folding every rank's unified job
-        // stats: traffic sums, rounds/times/peaks take the max.
+        // stats: traffic sums, times/peaks take the max. Rounds are
+        // collective, so every rank counts the same run total.
         let mut cluster = JobStats::default();
         for m in metrics {
             cluster.merge(&m.job);
@@ -122,7 +123,7 @@ impl RunOutcome {
             peak_node_bytes,
             kv_bytes: metrics.iter().map(|m| m.kv_bytes).sum(),
             unique_keys: cluster.unique_keys,
-            exchange_rounds: cluster.shuffle.rounds,
+            exchange_rounds: metrics.iter().map(|m| m.exchange_rounds).max().unwrap_or(0),
         }
     }
 

@@ -16,11 +16,7 @@ use std::time::Instant;
 use mimir_apps::RunMetrics;
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
-use mimir_obs::{
-    chrome_trace, jsonl_string, AdaptCounters, CacheCounters, CacheNameRecord, GroupCounters,
-    JobCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, Recorder, ShuffleCounters,
-    WaitCounters,
-};
+use mimir_obs::{chrome_trace, jsonl_string, RankReport, Recorder};
 
 /// Where trace files land when `MIMIR_TRACE_DIR` is unset.
 const DEFAULT_DIR: &str = "traces";
@@ -104,83 +100,14 @@ pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
     let mut report = RankReport::new(comm.rank());
     let cs = comm.stats();
     report.comm = cs.counters();
-    let ps = pool.stats();
-    report.mem = MemCounters {
-        pages_allocated: ps.page_allocs,
-        pages_recycled: ps.page_frees,
-        bytes_in_use: ps.used as u64,
-        peak_bytes: ps.peak as u64,
-        // `usize::MAX` means "unlimited": store 0 so the doctor's
-        // headroom rule skips pools the experiment didn't meter.
-        budget_bytes: if ps.budget == usize::MAX {
-            0
-        } else {
-            ps.budget as u64
-        },
-        oom_events: ps.oom_events,
-    };
-    let j = &m.job;
-    report.shuffle = ShuffleCounters {
-        kvs_emitted: j.shuffle.kvs_emitted,
-        kv_bytes_emitted: j.shuffle.kv_bytes_emitted,
-        kvs_received: j.shuffle.kvs_received,
-        rounds: j.shuffle.rounds,
-        spilled_bytes: 0,
-        bytes_received: j.shuffle.bytes_received,
-        max_round_recv_bytes: j.shuffle.max_round_recv_bytes,
-        max_dest_bytes: j.shuffle.max_dest_bytes,
-        imbalance_permille: j.shuffle.imbalance_permille,
-        gini_permille: j.shuffle.gini_permille,
-    };
-    report.waits = WaitCounters {
-        sync_wait_ns: j.shuffle.sync_wait_ns,
-        data_wait_ns: j.shuffle.data_wait_ns,
-        barrier_wait_ns: j.barrier_wait_ns,
-        ..cs.wait_counters()
-    };
-    let a = &j.shuffle.adapt;
-    report.adapt = AdaptCounters {
-        mode_switches: a.mode_switches,
-        grow_steps: a.grow_steps,
-        shrink_steps: a.shrink_steps,
-        final_fill_permille: a.final_fill_permille,
-        final_overlap: a.final_overlap,
-        converged_round: a.converged_round,
-        hot_trips: a.hot_trips,
-        hot_staged_kvs: a.hot_staged_kvs,
-        hot_staged_bytes: a.hot_staged_bytes,
-        hot_unique_kvs: a.hot_unique_kvs,
-        hot_forward_bytes: a.hot_forward_bytes,
-        salted_rounds: a.salted_rounds,
-        merge_rounds: a.merge_rounds,
-        jumbo_floor_hits: a.jumbo_floor_hits,
-    };
-    report.group = GroupCounters {
-        inserts: j.group.inserts,
-        probes: j.group.probes,
-        max_probe: j.group.max_probe,
-        rehashes: j.group.rehashes,
-        interned_bytes: j.group.interned_bytes,
-        groups: j.group.groups,
-        capacity: j.group.capacity,
-        probe_hist: j.group.probe_hist,
-    };
-    report.times = PhaseTimes {
-        map_s: j.map_time.as_secs_f64(),
-        aggregate_s: 0.0,
-        convert_s: j.convert_time.as_secs_f64(),
-        reduce_s: j.reduce_time.as_secs_f64(),
-    };
-    report.peaks = PhasePeaks {
-        map_bytes: j.map_peak_bytes as u64,
-        convert_bytes: j.convert_peak_bytes as u64,
-        reduce_bytes: j.reduce_peak_bytes as u64,
-    };
-    report.job = JobCounters {
-        unique_keys: j.unique_keys,
-        kvs_out: j.kvs_out,
-        node_peak_bytes: j.node_peak_bytes.max(m.node_peak) as u64,
-    };
+    report.waits = cs.wait_counters();
+    report.mem = pool.stats().counters();
+    m.job.fill_report(&mut report);
+    // A multi-stage run folds its stages' job stats with the cross-rank
+    // merge, which keeps the largest stage's round count; the run's own
+    // count is the sum over its stages.
+    report.shuffle.rounds = m.exchange_rounds;
+    report.job.node_peak_bytes = report.job.node_peak_bytes.max(m.node_peak as u64);
     if let Some(rec) = mimir_obs::take() {
         report.events = rec.events().to_vec();
         report.events_dropped = rec.dropped();
@@ -192,30 +119,4 @@ pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
         report.live = live.live_counters();
     }
     report
-}
-
-/// Folds a rank's cross-job cache state into its report: the counters
-/// plus one record per cached name. Harnesses that chain jobs call this
-/// after [`build_report`] with `ctx.cache_stats()` / `ctx.cache_snapshots()`.
-pub fn attach_cache(
-    report: &mut RankReport,
-    stats: mimir_core::CacheStats,
-    snaps: &[mimir_core::CacheEntrySnapshot],
-) {
-    report.cache = CacheCounters {
-        hits: stats.hits,
-        misses: stats.misses,
-        elisions: stats.elisions,
-        evictions: stats.evictions,
-        reloads: stats.reloads,
-        cached_bytes: stats.cached_bytes,
-    };
-    report.cache_names = snaps
-        .iter()
-        .map(|(name, bytes, elisions)| CacheNameRecord {
-            name: name.clone(),
-            bytes: *bytes,
-            elisions: *elisions,
-        })
-        .collect();
 }

@@ -83,3 +83,19 @@ fn outcome_json_roundtrips_including_oom() {
     assert_eq!(back.status, Status::Oom);
     assert!(back.time_s.is_nan(), "NaN survives the JSON round trip");
 }
+
+#[test]
+fn multi_stage_runs_count_the_rounds_of_every_stage() {
+    // Octree clustering runs one job per refinement level; 4 096 points
+    // refine over 4 levels here, each of which exchanges at least once.
+    // The rounds of sequential stages add up, unlike the rounds of
+    // ranks within one stage, which are the same collective rounds.
+    let p = micro();
+    let oc = run_oc_mimir(&p, 1, 1 << 12, OcOptions::default());
+    assert_eq!(oc.status, Status::InMemory);
+    assert!(
+        oc.exchange_rounds >= 4,
+        "{} rounds over 4 levels",
+        oc.exchange_rounds
+    );
+}

@@ -35,7 +35,7 @@
 
 use mimir_mem::MemPool;
 use mimir_mpi::{BallotTally, BallotVote};
-use mimir_obs::EventKind;
+use mimir_obs::{AdaptCounters, EventKind};
 
 use crate::config::AdaptPolicy;
 use crate::group::GroupIndex;
@@ -62,62 +62,6 @@ pub mod decision {
     /// The jumbo floor overrode a shrunken round size; operand = the
     /// largest KV seen.
     pub const JUMBO_FLOOR: u64 = 8;
-}
-
-/// Counters describing what the adaptive controller did during one
-/// shuffle. All zero outside [`crate::ShuffleMode::Adaptive`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptStats {
-    /// Exchange-mode switches applied (zero-copy ↔ overlapped posting).
-    pub mode_switches: u64,
-    /// Effective round-size grow steps applied.
-    pub grow_steps: u64,
-    /// Effective round-size shrink steps applied.
-    pub shrink_steps: u64,
-    /// Effective fill target at job end, permille of partition capacity.
-    pub final_fill_permille: u64,
-    /// 1 when the job finished with overlapped posting.
-    pub final_overlap: u64,
-    /// Round index of the last applied tuning change (0 = never tuned).
-    pub converged_round: u64,
-    /// Destinations declared hot and diverted through the staged path.
-    pub hot_trips: u64,
-    /// KVs absorbed into the hot stage (count bumps included).
-    pub hot_staged_kvs: u64,
-    /// Encoded bytes those staged KVs would have sent directly.
-    pub hot_staged_bytes: u64,
-    /// Distinct KVs the hot stage ended up holding.
-    pub hot_unique_kvs: u64,
-    /// Encoded bytes that bypassed a full stage and shipped directly.
-    pub hot_forward_bytes: u64,
-    /// Exchange rounds spent in the salted spread phase.
-    pub salted_rounds: u64,
-    /// Exchange rounds spent in the owner-merge phase.
-    pub merge_rounds: u64,
-    /// Times the jumbo floor overrode a shrunken fill target.
-    pub jumbo_floor_hits: u64,
-}
-
-impl AdaptStats {
-    /// Folds another rank's counters in: decisions and traffic sum; the
-    /// convergence descriptors take the max (ranks decide from identical
-    /// tallies, so max is the identity across participating ranks).
-    pub fn merge(&mut self, other: &AdaptStats) {
-        self.mode_switches += other.mode_switches;
-        self.grow_steps += other.grow_steps;
-        self.shrink_steps += other.shrink_steps;
-        self.final_fill_permille = self.final_fill_permille.max(other.final_fill_permille);
-        self.final_overlap = self.final_overlap.max(other.final_overlap);
-        self.converged_round = self.converged_round.max(other.converged_round);
-        self.hot_trips += other.hot_trips;
-        self.hot_staged_kvs += other.hot_staged_kvs;
-        self.hot_staged_bytes += other.hot_staged_bytes;
-        self.hot_unique_kvs += other.hot_unique_kvs;
-        self.hot_forward_bytes += other.hot_forward_bytes;
-        self.salted_rounds += other.salted_rounds;
-        self.merge_rounds += other.merge_rounds;
-        self.jumbo_floor_hits += other.jumbo_floor_hits;
-    }
 }
 
 /// The per-job tuning state machine. Deterministic: fed identical
@@ -217,7 +161,13 @@ impl AdaptController {
     /// per round, gated by hysteresis and cooldown; applied decisions
     /// are recorded in `stats` and emitted as
     /// [`EventKind::AdaptDecision`] events.
-    pub fn apply(&mut self, tally: &BallotTally, world: u64, round: u64, stats: &mut AdaptStats) {
+    pub fn apply(
+        &mut self,
+        tally: &BallotTally,
+        world: u64,
+        round: u64,
+        stats: &mut AdaptCounters,
+    ) {
         if !self.policy.mode_tuning {
             return;
         }
@@ -273,7 +223,7 @@ impl AdaptController {
 
     /// A mode switch changes the posting regime entirely, so every
     /// streak restarts from the new regime's evidence.
-    fn decided(&mut self, round: u64, stats: &mut AdaptStats) {
+    fn decided(&mut self, round: u64, stats: &mut AdaptCounters) {
         self.decided_size(round, stats);
         self.overlap_streak = 0;
         self.zerocopy_streak = 0;
@@ -283,7 +233,7 @@ impl AdaptController {
     /// mode flip needs more consecutive ballots than a size step, and
     /// resetting its streak here would let size steps starve the flip
     /// forever.
-    fn decided_size(&mut self, round: u64, stats: &mut AdaptStats) {
+    fn decided_size(&mut self, round: u64, stats: &mut AdaptCounters) {
         stats.converged_round = round;
         self.cooldown = self.policy.cooldown_rounds;
         self.grow_streak = 0;
@@ -291,7 +241,7 @@ impl AdaptController {
     }
 
     /// Records the converged state into the stats at job end.
-    pub fn finalize(&self, stats: &mut AdaptStats) {
+    pub fn finalize(&self, stats: &mut AdaptCounters) {
         stats.final_fill_permille = self.fill_permille;
         stats.final_overlap = u64::from(self.overlap);
     }
@@ -549,7 +499,7 @@ mod tests {
     fn hysteresis_converges_and_cooldown_prevents_flapping() {
         let policy = AdaptPolicy::default();
         let mut c = AdaptController::new(policy);
-        let mut stats = AdaptStats::default();
+        let mut stats = AdaptCounters::default();
         // Two agreeing ballots are not enough at hysteresis 3.
         for round in 0..2 {
             c.apply(&sync_bound_tally(4), 4, round, &mut stats);
@@ -588,7 +538,7 @@ mod tests {
     #[test]
     fn alternating_ballots_never_decide() {
         let mut c = AdaptController::new(AdaptPolicy::default());
-        let mut stats = AdaptStats::default();
+        let mut stats = AdaptCounters::default();
         for round in 0..40 {
             let t = if round % 2 == 0 {
                 sync_bound_tally(4)
@@ -610,7 +560,7 @@ mod tests {
             ..AdaptPolicy::default()
         };
         let mut c = AdaptController::new(policy);
-        let mut stats = AdaptStats::default();
+        let mut stats = AdaptCounters::default();
         // Force shrink decisions only: already in zero-copy, so the mode
         // arm never fires and every ballot shrinks one step.
         for round in 0..20 {
@@ -630,7 +580,7 @@ mod tests {
             cooldown_rounds: 0,
             ..AdaptPolicy::default()
         });
-        let mut stats = AdaptStats::default();
+        let mut stats = AdaptCounters::default();
         let half = BallotTally {
             prefer_overlap: 2, // exactly half of 4: not a majority
             grow: 2,

@@ -28,33 +28,11 @@ use std::sync::{Arc, Mutex};
 
 use mimir_io::{IoModel, SpillFile, SpillStore};
 use mimir_mem::MemPool;
-use mimir_obs::EventKind;
+use mimir_obs::{CacheCounters, CacheNameRecord, EventKind};
 
 use crate::hash::fxhash64;
 use crate::partitioner::PartitionFingerprint;
 use crate::{KvContainer, KvMeta, MimirError, Result};
-
-/// Cache-wide counters, mirrored into `RankReport`'s `cache` section.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Chained inputs found resident.
-    pub hits: u64,
-    /// Lookups of names the cache did not hold (cold starts and errors).
-    pub misses: u64,
-    /// Shuffles skipped because the input's fingerprint matched the job's.
-    pub elisions: u64,
-    /// Resident containers spilled to disk under memory pressure.
-    pub evictions: u64,
-    /// Evicted entries transparently reloaded from their spill files.
-    pub reloads: u64,
-    /// Payload bytes currently resident (charged against the pool).
-    pub cached_bytes: u64,
-}
-
-/// Per-name diagnostic snapshot: `(name, resident payload bytes,
-/// cumulative elisions)`. Names survive overwrites, so iterative chains
-/// reusing one name accumulate their elision count.
-pub type CacheEntrySnapshot = (String, u64, u64);
 
 struct CacheEntry {
     /// In-memory pages, absent while evicted.
@@ -85,7 +63,7 @@ pub struct KvCache {
     entries: HashMap<String, CacheEntry>,
     /// Cumulative elisions per name; survives entry overwrites/removals.
     elisions_by_name: HashMap<String, u64>,
-    stats: CacheStats,
+    stats: CacheCounters,
     tick: u64,
     spill: Option<SpillStore>,
 }
@@ -280,14 +258,16 @@ impl KvCache {
     }
 
     /// Cache-wide counters.
-    pub fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> CacheCounters {
         self.stats
     }
 
-    /// Per-name `(name, resident bytes, elisions)` snapshots, sorted by
-    /// name for stable output. Names whose entries were removed but that
-    /// accumulated elisions still appear with zero bytes.
-    pub fn entry_snapshots(&self) -> Vec<CacheEntrySnapshot> {
+    /// Per-name snapshots (resident bytes, cumulative elisions), sorted
+    /// by name for stable output. Names survive overwrites, so iterative
+    /// chains reusing one name accumulate their elision count; names
+    /// whose entries were removed but that accumulated elisions still
+    /// appear with zero bytes.
+    pub fn entry_snapshots(&self) -> Vec<CacheNameRecord> {
         let mut names: Vec<&String> = self
             .entries
             .keys()
@@ -304,7 +284,11 @@ impl KvCache {
                     .and_then(|e| e.resident.as_ref())
                     .map_or(0, KvContainer::bytes);
                 let elisions = self.elisions_by_name.get(n).copied().unwrap_or(0);
-                (n.clone(), bytes, elisions)
+                CacheNameRecord {
+                    name: n.clone(),
+                    bytes,
+                    elisions,
+                }
             })
             .collect()
     }
@@ -434,10 +418,10 @@ mod tests {
         let freed = cache.evict_to_spill(1, &io).unwrap();
         assert_eq!(freed, 160);
         let snaps = cache.entry_snapshots();
-        let old = snaps.iter().find(|(n, _, _)| n == "old").unwrap();
-        let new = snaps.iter().find(|(n, _, _)| n == "new").unwrap();
-        assert_eq!(old.1, 0, "LRU entry was evicted");
-        assert_eq!(new.1, 160, "recently inserted entry stayed resident");
+        let old = snaps.iter().find(|s| s.name == "old").unwrap();
+        let new = snaps.iter().find(|s| s.name == "new").unwrap();
+        assert_eq!(old.bytes, 0, "LRU entry was evicted");
+        assert_eq!(new.bytes, 160, "recently inserted entry stayed resident");
 
         // Demanding more than everything evicts everything and stops.
         let freed = cache.evict_to_spill(u64::MAX, &io).unwrap();
@@ -456,12 +440,17 @@ mod tests {
         cache.note_elision("x");
         let snaps = cache.entry_snapshots();
         assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0], ("x".to_string(), 7 * 16, 2));
+        let x = |bytes| CacheNameRecord {
+            name: "x".into(),
+            bytes,
+            elisions: 2,
+        };
+        assert_eq!(snaps[0], x(7 * 16));
         assert_eq!(cache.stats().elisions, 2);
         cache.remove("x");
         assert_eq!(
             cache.entry_snapshots()[0],
-            ("x".to_string(), 0, 2),
+            x(0),
             "elision history survives removal"
         );
     }

@@ -20,8 +20,9 @@
 //! threshold", and the per-KV probe shows up as compute time.
 
 use mimir_mem::MemPool;
+use mimir_obs::GroupCounters;
 
-use crate::group::{DeltaCharge, GroupIndex, GroupStats, RESIZE_DELTA};
+use crate::group::{DeltaCharge, GroupIndex, RESIZE_DELTA};
 use crate::hash::fxhash64;
 use crate::kv::validate;
 use crate::shuffle::Emitter;
@@ -191,7 +192,7 @@ impl<'f> FoldTable<'f> {
     }
 
     /// The grouping engine's counters.
-    pub fn group_stats(&self) -> GroupStats {
+    pub fn group_stats(&self) -> GroupCounters {
         self.index.stats()
     }
 
@@ -249,7 +250,7 @@ impl<'f> CombinerTable<'f> {
     }
 
     /// The grouping engine's counters.
-    pub fn group_stats(&self) -> GroupStats {
+    pub fn group_stats(&self) -> GroupCounters {
         self.table.group_stats()
     }
 
@@ -289,7 +290,7 @@ impl<'f, 'o> StreamingCombiner<'f, 'o> {
     ///
     /// # Errors
     /// Downstream emission failures.
-    pub fn finish(mut self) -> Result<(u64, GroupStats)> {
+    pub fn finish(mut self) -> Result<(u64, GroupCounters)> {
         self.table.flush_into(self.out)?;
         Ok((self.flushes, self.table.group_stats()))
     }

@@ -3,10 +3,11 @@ use std::path::Path;
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
+use mimir_obs::{CacheCounters, CacheNameRecord};
 
-use crate::cache::{lock_cache, shared_cache, CacheStats, SharedKvCache};
+use crate::cache::{lock_cache, shared_cache, SharedKvCache};
 use crate::job::MapReduceJob;
-use crate::{CacheEntrySnapshot, CancelToken, KvContainer, MimirConfig, Result};
+use crate::{CancelToken, KvContainer, MimirConfig, Result};
 
 /// A rank's handle to the Mimir runtime: communication, the node memory
 /// pool, the I/O model, and framework configuration. One context serves
@@ -92,12 +93,13 @@ impl<'w> MimirContext<'w> {
     }
 
     /// Cross-job cache counters for this rank.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub fn cache_stats(&self) -> CacheCounters {
         lock_cache(&self.cache).stats()
     }
 
-    /// Per-name cache snapshots `(name, resident bytes, elisions)`.
-    pub fn cache_snapshots(&self) -> Vec<CacheEntrySnapshot> {
+    /// Per-name cache snapshots (resident bytes, elisions), sorted by
+    /// name.
+    pub fn cache_snapshots(&self) -> Vec<CacheNameRecord> {
         lock_cache(&self.cache).entry_snapshots()
     }
 

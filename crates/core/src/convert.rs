@@ -24,9 +24,10 @@
 //! state coexisting) is what the peak-memory figures measure.
 
 use mimir_mem::MemPool;
+use mimir_obs::GroupCounters;
 
 use crate::buffer::TrackedBuf;
-use crate::group::{DeltaCharge, GroupIndex, GroupStats};
+use crate::group::{DeltaCharge, GroupIndex};
 use crate::hash::fxhash64;
 use crate::kmvc::{GroupLoc, Slot};
 use crate::kv::write_side;
@@ -67,7 +68,7 @@ pub fn convert(kvc: KvContainer, pool: &MemPool) -> Result<KmvContainer> {
 ///
 /// # Errors
 /// As [`convert`].
-pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupStats)> {
+pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupCounters)> {
     let mut grouper = Grouper::new(pool, kvc.meta())?;
     // The per-KV group-id side array that eliminates pass-2 lookups:
     // 4 bytes per KV, charged up front (the KV count is known).
@@ -248,7 +249,7 @@ impl Grouper {
         mut self,
         pool: &MemPool,
         feed: impl FnOnce(&mut Layout) -> Result<()>,
-    ) -> Result<(KmvContainer, GroupStats)> {
+    ) -> Result<(KmvContainer, GroupCounters)> {
         self.side.settle()?;
         let index = &self.index;
         let mut layout = layout_groups(

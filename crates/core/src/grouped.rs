@@ -16,9 +16,9 @@
 //! order).
 
 use mimir_mem::MemPool;
+use mimir_obs::GroupCounters;
 
 use crate::convert::{convert_with, Grouper};
-use crate::group::GroupStats;
 use crate::kv::{encode_into, encoded_len, validate, KvDecoder};
 use crate::sink::KvSink;
 use crate::{KmvContainer, KvContainer, KvMeta, LenHint, MimirError, Result};
@@ -74,7 +74,7 @@ impl GroupedKvs {
     /// # Errors
     /// Out-of-memory if the KMVC or a jumbo entry exceeds the node
     /// budget.
-    pub fn into_kmv(self) -> Result<(KmvContainer, GroupStats)> {
+    pub fn into_kmv(self) -> Result<(KmvContainer, GroupCounters)> {
         let Self {
             pool,
             grouper,

@@ -21,12 +21,11 @@
 
 use std::time::Instant;
 
-use mimir_obs::{EventKind, Phase};
+use mimir_obs::{EventKind, GroupCounters, Phase};
 
 use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
 use crate::combiner::{CombineFn, CombinerTable, StreamingCombiner};
 use crate::context::MimirContext;
-use crate::group::GroupStats;
 use crate::grouped::GroupedKvs;
 use crate::kmvc::ValueIter;
 use crate::partial::PartialReducer;
@@ -43,21 +42,7 @@ fn note_live_mem(pool: &mimir_mem::MemPool) {
     if mimir_obs::live::shared().is_none() {
         return;
     }
-    let ps = pool.stats();
-    mimir_obs::live::note_mem(mimir_obs::MemCounters {
-        pages_allocated: ps.page_allocs,
-        pages_recycled: ps.page_frees,
-        bytes_in_use: ps.used as u64,
-        peak_bytes: ps.peak as u64,
-        // `usize::MAX` means "unlimited": store 0 so the headroom rule
-        // skips unmetered pools (same convention as the final report).
-        budget_bytes: if ps.budget == usize::MAX {
-            0
-        } else {
-            ps.budget as u64
-        },
-        oom_events: ps.oom_events,
-    });
+    mimir_obs::live::note_mem(pool.stats().counters());
 }
 
 /// A configured-but-not-yet-run MapReduce job.
@@ -706,7 +691,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
             self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
-        let mut group = GroupStats::default();
+        let mut group = GroupCounters::default();
         match compress {
             None => map(&mut shuffler)?,
             Some(cf) => {
@@ -819,7 +804,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
             self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
-        let mut group = GroupStats::default();
+        let mut group = GroupCounters::default();
         match compress {
             None => map(&mut shuffler)?,
             Some(cf) => {
@@ -1014,7 +999,7 @@ fn drive_compressed_map(
     meta: KvMeta,
     flush_bytes: Option<usize>,
     shuffler: &mut dyn Emitter,
-) -> Result<GroupStats> {
+) -> Result<GroupCounters> {
     let mut table = CombinerTable::new(pool, meta, cf)?;
     match flush_bytes {
         None => {

@@ -66,17 +66,15 @@ mod staging;
 mod stats;
 pub mod typed;
 
-pub use adapt::{AdaptController, AdaptStats, HotStore};
-pub use cache::{
-    lock_cache, shared_cache, CacheEntrySnapshot, CacheStats, CheckedOut, KvCache, SharedKvCache,
-};
+pub use adapt::{AdaptController, HotStore};
+pub use cache::{lock_cache, shared_cache, CheckedOut, KvCache, SharedKvCache};
 pub use cancel::CancelToken;
 pub use combiner::{CombineFn, CombinerTable, StreamingCombiner};
 pub use config::{AdaptPolicy, KvMeta, LenHint, MimirConfig, ShuffleMode};
 pub use context::MimirContext;
 pub use convert::{convert, convert_with};
 pub use error::MimirError;
-pub use group::{GroupIndex, GroupStats};
+pub use group::GroupIndex;
 pub use grouped::GroupedKvs;
 pub use job::{ChainMapFn, JobOutput, MapFn, MapReduceJob, OutEmitter, ReduceFn};
 pub use kmvc::{KmvContainer, ValueIter};

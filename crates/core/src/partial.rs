@@ -10,9 +10,9 @@
 //! Figure 13 comes from.
 
 use mimir_mem::MemPool;
+use mimir_obs::GroupCounters;
 
 use crate::combiner::{CombineFn, FoldTable};
-use crate::group::GroupStats;
 use crate::kv::validate;
 use crate::sink::KvSink;
 use crate::{KvContainer, KvMeta, Result};
@@ -48,7 +48,7 @@ impl<'f> PartialReducer<'f> {
     }
 
     /// The grouping engine's counters.
-    pub fn group_stats(&self) -> GroupStats {
+    pub fn group_stats(&self) -> GroupCounters {
         self.table.group_stats()
     }
 

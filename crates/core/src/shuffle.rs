@@ -45,11 +45,10 @@ use std::ops::Range;
 
 use mimir_mem::MemPool;
 use mimir_mpi::{Comm, ReduceOp, MAX_BALLOT_RANKS};
-use mimir_obs::{EventKind, Step};
+use mimir_obs::{AdaptCounters, EventKind, Step};
 
 use crate::adapt::{
-    decision, salted_dest, write_frame, AdaptController, AdaptStats, FrameDecoder, HotStore,
-    FRAME_HDR,
+    decision, salted_dest, write_frame, AdaptController, FrameDecoder, HotStore, FRAME_HDR,
 };
 use crate::buffer::TrackedBuf;
 use crate::kv::{decode_one, encode_into, encoded_len, validate};
@@ -83,64 +82,67 @@ pub trait Emitter {
     }
 }
 
-/// Counters describing one shuffle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShuffleStats {
-    /// KVs emitted by this rank's map.
-    pub kvs_emitted: u64,
-    /// Encoded bytes emitted (the "KV size" of paper Figure 7).
-    pub kv_bytes_emitted: u64,
-    /// KVs received into this rank's sink.
-    pub kvs_received: u64,
-    /// Exchange rounds this rank participated in.
-    pub rounds: u64,
-    /// Encoded bytes landed in this rank's receive buffer (includes the
-    /// rank's own partition).
-    pub bytes_received: u64,
-    /// Largest single-round receive total. The Section III-B invariant is
-    /// `max_round_recv_bytes ≤ comm_buf_size`; the data path asserts it
-    /// every round.
-    pub max_round_recv_bytes: u64,
-    /// Nanoseconds this rank spent blocked in the rounds' done-allreduce
-    /// — straggler-bound wait: some peer was still mapping or draining
-    /// when this rank entered the vote.
-    pub sync_wait_ns: u64,
-    /// Nanoseconds blocked receiving the rounds' partition payloads —
-    /// byte-bound wait: peers were still pushing data.
-    pub data_wait_ns: u64,
-    /// Cumulative bytes this rank sent to its hottest destination.
-    pub max_dest_bytes: u64,
-    /// Send-side partition imbalance over the whole shuffle: max/mean of
-    /// cumulative per-destination bytes in permille (1000 = perfectly
-    /// balanced, 0 = nothing emitted).
-    pub imbalance_permille: u64,
-    /// Gini coefficient of cumulative per-destination bytes in permille
-    /// (0 = uniform, →1000 = everything to one destination).
-    pub gini_permille: u64,
-    /// Adaptive-controller counters (all zero outside
-    /// [`ShuffleMode::Adaptive`]).
-    pub adapt: AdaptStats,
+mimir_obs::counters! {
+    /// Counters describing one shuffle. Merging folds another rank's
+    /// counters in for cluster totals: traffic sums; `rounds` takes the
+    /// max because exchange rounds are collective — every rank
+    /// participates in the same ones, so summing would overcount — and so
+    /// do the per-round receive high-water mark and the skew metrics.
+    pub struct ShuffleStats {
+        /// KVs emitted by this rank's map.
+        kvs_emitted: u64 [sum, sub],
+        /// Encoded bytes emitted (the "KV size" of paper Figure 7).
+        kv_bytes_emitted: u64 [sum, sub],
+        /// KVs received into this rank's sink.
+        kvs_received: u64 [sum, sub],
+        /// Exchange rounds this rank participated in.
+        rounds: u64 [max, sub],
+        /// Encoded bytes landed in this rank's receive buffer (includes
+        /// the rank's own partition).
+        bytes_received: u64 [sum, sub],
+        /// Largest single-round receive total. The Section III-B
+        /// invariant is `max_round_recv_bytes ≤ comm_buf_size`; the data
+        /// path asserts it every round.
+        max_round_recv_bytes: u64 [max, keep],
+        /// Nanoseconds this rank spent blocked in the rounds'
+        /// done-allreduce — straggler-bound wait: some peer was still
+        /// mapping or draining when this rank entered the vote.
+        sync_wait_ns: u64 [sum, sub],
+        /// Nanoseconds blocked receiving the rounds' partition payloads —
+        /// byte-bound wait: peers were still pushing data.
+        data_wait_ns: u64 [sum, sub],
+        /// Cumulative bytes this rank sent to its hottest destination.
+        max_dest_bytes: u64 [max, keep],
+        /// Send-side partition imbalance over the whole shuffle: max/mean
+        /// of cumulative per-destination bytes in permille (1000 =
+        /// perfectly balanced, 0 = nothing emitted).
+        imbalance_permille: u64 [max, keep],
+        /// Gini coefficient of cumulative per-destination bytes in
+        /// permille (0 = uniform, →1000 = everything to one destination).
+        gini_permille: u64 [max, keep],
+        /// Adaptive-controller counters (all zero outside
+        /// `ShuffleMode::Adaptive`).
+        adapt: AdaptCounters [sum, keep],
+    }
 }
 
 impl ShuffleStats {
-    /// Folds another rank's counters into this one (cluster totals, the
-    /// same shape as `CommStats::merge`). Traffic counters sum; `rounds`
-    /// takes the max because exchange rounds are collective — every rank
-    /// participates in the same ones, so summing would overcount — and so
-    /// does the per-round receive high-water mark.
-    pub fn merge(&mut self, other: &ShuffleStats) {
-        self.kvs_emitted += other.kvs_emitted;
-        self.kv_bytes_emitted += other.kv_bytes_emitted;
-        self.kvs_received += other.kvs_received;
-        self.rounds = self.rounds.max(other.rounds);
-        self.bytes_received += other.bytes_received;
-        self.max_round_recv_bytes = self.max_round_recv_bytes.max(other.max_round_recv_bytes);
-        self.sync_wait_ns += other.sync_wait_ns;
-        self.data_wait_ns += other.data_wait_ns;
-        self.max_dest_bytes = self.max_dest_bytes.max(other.max_dest_bytes);
-        self.imbalance_permille = self.imbalance_permille.max(other.imbalance_permille);
-        self.gini_permille = self.gini_permille.max(other.gini_permille);
-        self.adapt.merge(&other.adapt);
+    /// The report's shuffle section. The wait split and the adaptive
+    /// counters go to sections of their own, and the shuffle never
+    /// spills, so `spilled_bytes` is 0.
+    pub fn counters(&self) -> mimir_obs::ShuffleCounters {
+        mimir_obs::ShuffleCounters {
+            kvs_emitted: self.kvs_emitted,
+            kv_bytes_emitted: self.kv_bytes_emitted,
+            kvs_received: self.kvs_received,
+            rounds: self.rounds,
+            spilled_bytes: 0,
+            bytes_received: self.bytes_received,
+            max_round_recv_bytes: self.max_round_recv_bytes,
+            max_dest_bytes: self.max_dest_bytes,
+            imbalance_permille: self.imbalance_permille,
+            gini_permille: self.gini_permille,
+        }
     }
 }
 
@@ -504,19 +506,8 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         if mimir_obs::live::shared().is_none() {
             return;
         }
-        let s = &self.stats;
-        let mut counters = mimir_obs::ShuffleCounters {
-            kvs_emitted: s.kvs_emitted,
-            kv_bytes_emitted: s.kv_bytes_emitted,
-            kvs_received: s.kvs_received,
-            rounds: s.rounds,
-            spilled_bytes: 0,
-            bytes_received: s.bytes_received,
-            max_round_recv_bytes: s.max_round_recv_bytes,
-            max_dest_bytes: self.dest_bytes.iter().copied().max().unwrap_or(0),
-            imbalance_permille: s.imbalance_permille,
-            gini_permille: s.gini_permille,
-        };
+        let mut counters = self.stats.counters();
+        counters.max_dest_bytes = self.dest_bytes.iter().copied().max().unwrap_or(0);
         if let Some((imbalance, gini)) = self.dest_skew() {
             counters.imbalance_permille = imbalance;
             counters.gini_permille = gini;

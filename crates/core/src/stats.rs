@@ -1,6 +1,7 @@
 use std::time::Duration;
 
-use crate::group::GroupStats;
+use mimir_obs::{GroupCounters, JobCounters, PhasePeaks, PhaseTimes, RankReport};
+
 use crate::shuffle::ShuffleStats;
 
 /// Per-rank metrics for one completed job — everything the paper's
@@ -23,7 +24,7 @@ pub struct JobStats {
     /// Grouping-engine counters (the on-arrival group index, combiner,
     /// or partial-reduction fold table). The on-arrival index grows — and
     /// emits its rehash events — during the map phase.
-    pub group: GroupStats,
+    pub group: GroupCounters,
     /// Unique keys after grouping (KMV groups or fold-table entries).
     pub unique_keys: u64,
     /// Node-pool peak observed at job end, in bytes. This is the
@@ -76,6 +77,36 @@ impl JobStats {
         self.reduce_peak_bytes = self.reduce_peak_bytes.max(other.reduce_peak_bytes);
         self.kvs_out += other.kvs_out;
         self.barrier_wait_ns += other.barrier_wait_ns;
+    }
+
+    /// Writes the job's sections of `report`: shuffle, grouping and
+    /// adaptive counters, the shuffle- and barrier-attributed waits,
+    /// phase times and peaks, and the job counters. The transport's
+    /// sections (including the total wait/work pair) and the pool's come
+    /// from their own layers.
+    pub fn fill_report(&self, report: &mut RankReport) {
+        report.shuffle = self.shuffle.counters();
+        report.adapt = self.shuffle.adapt;
+        report.group = self.group;
+        report.waits.sync_wait_ns = self.shuffle.sync_wait_ns;
+        report.waits.data_wait_ns = self.shuffle.data_wait_ns;
+        report.waits.barrier_wait_ns = self.barrier_wait_ns;
+        report.times = PhaseTimes {
+            map_s: self.map_time.as_secs_f64(),
+            aggregate_s: 0.0,
+            convert_s: self.convert_time.as_secs_f64(),
+            reduce_s: self.reduce_time.as_secs_f64(),
+        };
+        report.peaks = PhasePeaks {
+            map_bytes: self.map_peak_bytes as u64,
+            convert_bytes: self.convert_peak_bytes as u64,
+            reduce_bytes: self.reduce_peak_bytes as u64,
+        };
+        report.job = JobCounters {
+            unique_keys: self.unique_keys,
+            kvs_out: self.kvs_out,
+            node_peak_bytes: self.node_peak_bytes as u64,
+        };
     }
 }
 

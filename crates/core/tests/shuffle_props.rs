@@ -143,7 +143,7 @@ fn hot_shuffle(
     ranks: usize,
     n_kvs: usize,
     dup_heavy: bool,
-) -> Vec<(Multiset, mimir_core::AdaptStats)> {
+) -> Vec<(Multiset, mimir_obs::AdaptCounters)> {
     run_world(ranks, move |comm| {
         let pool = MemPool::unlimited("t", 4096);
         let sink = KvContainer::new(&pool, meta);

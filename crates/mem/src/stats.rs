@@ -27,6 +27,24 @@ impl MemStats {
     pub fn peak_fraction(&self) -> Option<f64> {
         (self.budget != usize::MAX).then(|| self.peak as f64 / self.budget as f64)
     }
+
+    /// The snapshot as the report's pool section. An unlimited budget
+    /// (`usize::MAX`) reads as 0, so headroom diagnosis skips pools that
+    /// were never metered.
+    pub fn counters(&self) -> mimir_obs::MemCounters {
+        mimir_obs::MemCounters {
+            pages_allocated: self.page_allocs,
+            pages_recycled: self.page_frees,
+            bytes_in_use: self.used as u64,
+            peak_bytes: self.peak as u64,
+            budget_bytes: if self.budget == usize::MAX {
+                0
+            } else {
+                self.budget as u64
+            },
+            oom_events: self.oom_events,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -44,11 +62,22 @@ mod tests {
         assert_eq!(s.peak, 96);
         assert_eq!(s.pages_live(), 1);
         assert!((s.peak_fraction().unwrap() - 0.3).abs() < 1e-9);
+        let c = s.counters();
+        assert_eq!((c.pages_allocated, c.pages_recycled), (4, 3));
+        assert_eq!(
+            (c.bytes_in_use, c.peak_bytes, c.budget_bytes),
+            (32, 96, 320)
+        );
     }
 
     #[test]
     fn unlimited_pool_has_no_peak_fraction() {
         let pool = MemPool::unlimited("t", 32);
         assert_eq!(pool.stats().peak_fraction(), None);
+        assert_eq!(
+            pool.stats().counters().budget_bytes,
+            0,
+            "unlimited reads as 0"
+        );
     }
 }

@@ -57,9 +57,9 @@ pub use mrmpi;
 /// The names most programs need.
 pub mod prelude {
     pub use mimir_core::{
-        run_iterative_with_recovery, typed, CacheStats, CancelToken, ChainMapFn, CheckpointStore,
-        Emitter, JobOutput, JobStats, KvCache, KvContainer, KvMeta, LenHint, MimirConfig,
-        MimirContext, MimirError, Partitioner, StagedKvs, ValueIter,
+        run_iterative_with_recovery, typed, CancelToken, ChainMapFn, CheckpointStore, Emitter,
+        JobOutput, JobStats, KvCache, KvContainer, KvMeta, LenHint, MimirConfig, MimirContext,
+        MimirError, Partitioner, StagedKvs, ValueIter,
     };
     pub use mimir_datagen::{Graph500, PointGen, UniformWords, WikipediaWords};
     pub use mimir_io::{IoModel, IoModelConfig, SpillStore};
@@ -68,6 +68,7 @@ pub mod prelude {
         run_world, run_world_on, run_world_result, run_world_result_on, Comm, ReduceOp,
         TransportKind, WorldError,
     };
+    pub use mimir_obs::CacheCounters;
     pub use mimir_sched::{JobOutcome, JobService, JobSpec, JobState, JobYield, SchedConfig};
     pub use mrmpi::{MapReduce, MrMpiConfig, OocMode};
 }

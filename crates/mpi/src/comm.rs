@@ -133,7 +133,7 @@ impl Comm {
     /// live accumulator; a no-op when the plane is unarmed.
     fn push_live(&mut self) {
         let Some(live) = &self.live else { return };
-        let cur = self.stats.merge(&self.transport.extra_stats());
+        let cur = self.stats();
         let delta = cur.delta_since(&self.live_last);
         live.add_comm(&delta.counters());
         live.add_waits(&delta.wait_counters());
@@ -165,7 +165,9 @@ impl Comm {
     /// the backend's process-level extras (handshake time, receive-pool
     /// misses) when this is a world communicator.
     pub fn stats(&self) -> CommStats {
-        self.stats.merge(&self.transport.extra_stats())
+        let mut stats = self.stats;
+        stats.merge(&self.transport.extra_stats());
+        stats
     }
 
     /// Sends `data` to `dst` with `tag`, taking ownership of the buffer

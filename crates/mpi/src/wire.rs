@@ -13,6 +13,8 @@
 //! bench results. Downstream crates implement it for their own result
 //! types (e.g. the scheduler's `JobOutcome`).
 
+use mimir_obs::Counter;
+
 /// A value that can cross a process boundary as bytes.
 ///
 /// `wire_read` consumes from the front of `buf` and returns `None` on
@@ -151,18 +153,15 @@ wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
+/// One `u64` per counter, in declaration order.
 impl Wire for crate::CommStats {
     fn wire_write(&self, out: &mut Vec<u8>) {
-        for v in self.as_array() {
-            v.wire_write(out);
-        }
+        let mut words = Vec::new();
+        Counter::words(self, &mut words);
+        words.iter().for_each(|w| w.wire_write(out));
     }
     fn wire_read(buf: &mut &[u8]) -> Option<Self> {
-        let mut vals = [0u64; crate::CommStats::FIELDS];
-        for v in vals.iter_mut() {
-            *v = u64::wire_read(buf)?;
-        }
-        Some(crate::CommStats::from_array(vals))
+        Counter::from_words(&mut std::iter::from_fn(|| u64::wire_read(buf)))
     }
 }
 

@@ -8,9 +8,11 @@
 //!   [`phase_span`] / [`step_span`], which cost nothing when tracing is
 //!   off and never allocate when it is on. Enabled with `MIMIR_TRACE=1`.
 //! - **Metrics registry** ([`report`]): [`RankReport`] unifies the
-//!   communication, memory-pool, shuffle, and job statistics scattered
-//!   across the stack into one serializable record with cross-rank
-//!   [`RankReport::merge`].
+//!   communication, memory-pool, shuffle, grouping, cache and job
+//!   statistics of every layer into one serializable record with
+//!   cross-rank [`RankReport::merge`]. Each section is declared once with
+//!   [`counters!`], which generates its struct, merge, windowed delta
+//!   and JSON from one per-field rule table ([`mod@counters`]).
 //! - **Exporters** ([`chrome`], [`jsonl`]): chrome trace_event JSON for
 //!   Perfetto / `about://tracing`, and JSON-lines for scripting. Both sit
 //!   on the crate's own minimal [`json`] module, so nothing external is
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod counters;
 pub mod event;
 pub mod json;
 pub mod jsonl;
@@ -31,6 +34,7 @@ pub mod recorder;
 pub mod report;
 
 pub use chrome::{chrome_trace, chrome_trace_string};
+pub use counters::Counter;
 pub use event::{pack_rank_bytes, unpack_rank_bytes, Event, EventKind, Phase, Step};
 pub use json::{Json, JsonError};
 pub use jsonl::jsonl_string;
@@ -43,5 +47,5 @@ pub use recorder::{
 pub use report::{
     AdaptCounters, CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters,
     JobRecord, LiveCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters,
-    WaitCounters,
+    WaitCounters, PROBE_HIST_BUCKETS,
 };

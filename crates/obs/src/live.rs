@@ -112,18 +112,6 @@ pub fn config() -> Option<LiveConfig> {
     LiveConfig::from_env()
 }
 
-/// The mutable accumulator sections (one uncontended lock shared by the
-/// rank thread and its 10 Hz publisher).
-#[derive(Debug, Default)]
-struct Inner {
-    comm: CommCounters,
-    waits: WaitCounters,
-    mem: MemCounters,
-    shuffle: ShuffleCounters,
-    jobs: Vec<JobRecord>,
-    live: LiveCounters,
-}
-
 /// One rank's shared live-telemetry state: instrumentation pushes into
 /// it from the rank thread, the publisher thread snapshots it.
 #[derive(Debug)]
@@ -139,7 +127,10 @@ pub struct LiveShared {
     /// completions, so the straggler rule can fire while the cluster is
     /// still stuck.
     pending_wait_ns: AtomicU64,
-    inner: Mutex<Inner>,
+    /// The accumulated sections — comm, waits, mem, shuffle, jobs, live
+    /// — under one uncontended lock shared by the rank thread and its
+    /// 10 Hz publisher.
+    inner: Mutex<RankReport>,
 }
 
 impl LiveShared {
@@ -153,7 +144,10 @@ impl LiveShared {
             seq: AtomicU64::new(0),
             phase: AtomicU64::new(PHASE_NONE),
             pending_wait_ns: AtomicU64::new(0),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(RankReport {
+                ranks: world,
+                ..RankReport::new(rank as usize)
+            }),
         }
     }
 
@@ -232,16 +226,7 @@ impl LiveShared {
     /// windowed delta always sees time advancing — even on a rank that
     /// is stuck.
     pub fn snapshot(&self) -> RankReport {
-        let inner = self.inner.lock().unwrap();
-        let mut r = RankReport::new(self.rank as usize);
-        r.ranks = self.world;
-        r.comm = inner.comm;
-        r.waits = inner.waits;
-        r.mem = inner.mem;
-        r.shuffle = inner.shuffle;
-        r.jobs = inner.jobs.clone();
-        r.live = inner.live;
-        drop(inner);
+        let mut r = self.inner.lock().unwrap().clone();
         let pending = self.pending_wait_ns.load(Ordering::Relaxed);
         r.waits.total_wait_ns += pending;
         r.waits.sync_wait_ns += pending;

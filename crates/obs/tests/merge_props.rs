@@ -3,11 +3,11 @@
 //! A gathered run merges per-rank [`RankReport`]s in whatever order the
 //! collective delivered them; the cluster aggregate must not depend on
 //! it. Sums commute, maxes commute, job records key-merge by id — this
-//! test exercises all of it (including the wait/skew counters added by
-//! the diagnosis layer) over seeded random reports and random
-//! permutations, no external property-test crate needed.
+//! test exercises all of it, every counter of every section, over seeded
+//! random reports and random permutations, no external property-test
+//! crate needed.
 
-use mimir_obs::{JobRecord, RankReport};
+use mimir_obs::{JobRecord, Json, RankReport};
 
 /// xorshift64*: tiny seeded PRNG, deterministic across platforms.
 struct Rng(u64);
@@ -27,53 +27,35 @@ impl Rng {
     }
 }
 
-/// A report with every counter the merge touches randomized. Times are
-/// integer milliseconds (exactly representable, so f64 max/sum are
-/// order-exact) and job ids overlap across ranks to exercise key-merge.
+/// A fresh value for every number in `v` (histogram slots included).
+/// Times are whole milliseconds; counters stay below 2^40 so sums over a
+/// few ranks are exact in JSON's f64 numbers.
+fn randomize(rng: &mut Rng, times: bool, v: &mut Json) {
+    match v {
+        Json::Arr(items) => items.iter_mut().for_each(|i| randomize(rng, times, i)),
+        _ if times => *v = Json::Num((1 + rng.below(10_000)) as f64 / 1000.0),
+        _ => *v = Json::Num((1 + rng.below(1 << 40)) as f64),
+    }
+}
+
+/// A report with every counter of every section randomized and
+/// non-zero — filled through the report's own JSON form, so a counter
+/// added to any section is covered without touching this test — and job
+/// ids that overlap across ranks to exercise key-merge.
 fn random_report(rng: &mut Rng, rank: usize) -> RankReport {
-    let mut r = RankReport::new(rank);
-    r.comm.sends = rng.below(1 << 20);
-    r.comm.recvs = rng.below(1 << 20);
-    r.comm.bytes_sent = rng.below(1 << 40);
-    r.comm.bytes_recvd = rng.below(1 << 40);
-    r.comm.collectives = rng.below(1 << 10);
-    r.comm.bytes_copied = rng.below(1 << 30);
-    r.comm.send_allocs = rng.below(1 << 10);
-    r.mem.pages_allocated = rng.below(1 << 16);
-    r.mem.pages_recycled = rng.below(1 << 16);
-    r.mem.bytes_in_use = rng.below(1 << 30);
-    r.mem.peak_bytes = rng.below(1 << 30);
-    r.mem.budget_bytes = rng.below(1 << 32);
-    r.mem.oom_events = rng.below(4);
-    r.shuffle.kvs_emitted = rng.below(1 << 24);
-    r.shuffle.kv_bytes_emitted = rng.below(1 << 32);
-    r.shuffle.kvs_received = rng.below(1 << 24);
-    r.shuffle.rounds = rng.below(64);
-    r.shuffle.spilled_bytes = rng.below(1 << 28);
-    r.shuffle.bytes_received = rng.below(1 << 32);
-    r.shuffle.max_round_recv_bytes = rng.below(1 << 24);
-    r.shuffle.max_dest_bytes = rng.below(1 << 24);
-    r.shuffle.imbalance_permille = 1000 + rng.below(4000);
-    r.shuffle.gini_permille = rng.below(1000);
-    r.waits.total_wait_ns = rng.below(1 << 40);
-    r.waits.total_work_ns = rng.below(1 << 36);
-    r.waits.sync_wait_ns = rng.below(1 << 38);
-    r.waits.data_wait_ns = rng.below(1 << 38);
-    r.waits.barrier_wait_ns = rng.below(1 << 38);
-    r.times.map_s = rng.below(10_000) as f64 / 1000.0;
-    r.times.convert_s = rng.below(10_000) as f64 / 1000.0;
-    r.times.reduce_s = rng.below(10_000) as f64 / 1000.0;
-    r.peaks.map_bytes = rng.below(1 << 30);
-    r.peaks.convert_bytes = rng.below(1 << 30);
-    r.peaks.reduce_bytes = rng.below(1 << 30);
-    r.job.unique_keys = rng.below(1 << 20);
-    r.job.kvs_out = rng.below(1 << 20);
-    r.job.node_peak_bytes = rng.below(1 << 30);
-    r.live.snapshots = rng.below(1 << 12);
-    r.live.published_bytes = rng.below(1 << 28);
-    r.live.publish_ns = rng.below(1 << 32);
-    r.live.max_publish_lag_ms = rng.below(1 << 10);
-    r.live.flight_dumps = rng.below(3);
+    let mut v = RankReport::new(rank).to_json();
+    let Json::Obj(sections) = &mut v else {
+        unreachable!("a report serializes to an object")
+    };
+    for (name, section) in sections.iter_mut() {
+        if let Json::Obj(fields) = section {
+            let times = name == "times";
+            fields
+                .iter_mut()
+                .for_each(|(_, f)| randomize(rng, times, f));
+        }
+    }
+    let mut r = RankReport::from_json(&v).unwrap();
     r.events_dropped = rng.below(100);
     // 0–3 job records drawn from a small id pool so ranks share ids.
     for _ in 0..rng.below(4) {
@@ -92,6 +74,36 @@ fn random_report(rng: &mut Rng, rank: usize) -> RankReport {
         });
     }
     r
+}
+
+/// Every number under a counter section of `v`, flattened.
+fn counter_values(v: &Json) -> Vec<f64> {
+    fn walk(v: &Json, out: &mut Vec<f64>) {
+        match v {
+            Json::Num(n) => out.push(*n),
+            Json::Arr(items) => items.iter().for_each(|i| walk(i, out)),
+            Json::Obj(fields) => fields.iter().for_each(|(_, f)| walk(f, out)),
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    if let Json::Obj(sections) = v {
+        for (_, section) in sections {
+            if let Json::Obj(_) = section {
+                walk(section, &mut out);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn random_reports_fill_every_counter() {
+    let mut rng = Rng(0x5eed_0003);
+    let r = random_report(&mut rng, 0);
+    let values = counter_values(&r.to_json());
+    assert!(!values.is_empty());
+    assert!(values.iter().all(|&n| n > 0.0), "a counter stayed zero");
 }
 
 /// Folds `reports` in the order given by `perm` into a neutral

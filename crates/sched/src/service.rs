@@ -219,19 +219,7 @@ impl<'w> JobService<'w> {
             if now.duration_since(self.last_live) >= Duration::from_millis(5) {
                 self.last_live = now;
                 live.set_jobs(self.job_records());
-                let ps = self.pool.stats();
-                live.set_mem(mimir_obs::MemCounters {
-                    pages_allocated: ps.page_allocs,
-                    pages_recycled: ps.page_frees,
-                    bytes_in_use: ps.used as u64,
-                    peak_bytes: ps.peak as u64,
-                    budget_bytes: if ps.budget == usize::MAX {
-                        0
-                    } else {
-                        ps.budget as u64
-                    },
-                    oom_events: ps.oom_events,
-                });
+                live.set_mem(self.pool.stats().counters());
             }
         }
 
