@@ -8,8 +8,8 @@
 //!    on the same in-memory workload.
 //! 4. **Grouping strategy** — the two-pass hash-bucket convert vs the
 //!    partial-reduction fold vs MR-MPI's sort-based grouping.
-//! 5. **Shuffle mode** — the zero-copy and overlapped data paths, end to
-//!    end through WordCount.
+//! 5. **KV-compression flush budget** — delayed vs streaming flushes on a
+//!    unique-heavy stream.
 //!
 //! Plain harness: each case is timed over a few iterations and reported
 //! as ms/iter.
@@ -134,36 +134,6 @@ fn ablate_grouping() {
     bench("grouping/sort_merge_group", run_mrmpi_wc);
 }
 
-fn ablate_shuffle_mode() {
-    use mimir_core::ShuffleMode;
-    // Full WordCount pipeline under each shuffle data path.
-    for (label, mode) in [
-        ("shuffle_mode/zero_copy", ShuffleMode::ZeroCopy),
-        ("shuffle_mode/overlapped", ShuffleMode::Overlapped),
-    ] {
-        bench(label, || {
-            let out = run_world(RANKS, move |comm| {
-                let t = text(comm.rank());
-                let pool = MemPool::unlimited("ablate", 64 << 10);
-                let mut ctx = MimirContext::new(
-                    comm,
-                    pool,
-                    IoModel::free(),
-                    MimirConfig {
-                        comm_buf_size: 64 << 10,
-                        shuffle_mode: mode,
-                        ..MimirConfig::default()
-                    },
-                )
-                .unwrap();
-                let (counts, _) = wordcount_mimir(&mut ctx, &t, &WcOptions::default()).unwrap();
-                counts.len() as u64
-            });
-            out.iter().sum::<u64>()
-        });
-    }
-}
-
 fn ablate_cps_flush_threshold() {
     use mimir_core::typed;
     // Unique-heavy stream: compression cannot help, only cost — the
@@ -214,6 +184,5 @@ fn main() {
     ablate_page_size();
     ablate_copy_path();
     ablate_grouping();
-    ablate_shuffle_mode();
     ablate_cps_flush_threshold();
 }

@@ -33,7 +33,7 @@
 use std::time::{Duration, Instant};
 
 use mimir_bench::{fmt_size, HarnessArgs};
-use mimir_core::{Emitter, KvContainer, KvMeta, Partitioner, ShuffleMode, Shuffler};
+use mimir_core::{Emitter, KvContainer, KvMeta, Shuffler};
 use mimir_datagen::rank_rng;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
@@ -130,16 +130,7 @@ fn run_cell(ranks: usize, comm_buf: usize, kvs_per_rank: usize, cell: Cell) -> M
         let pool = MemPool::unlimited("bench", 1 << 20);
         let meta = KvMeta::fixed(8, 8);
         let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::with_options(
-            comm,
-            &pool,
-            meta,
-            comm_buf,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::Overlapped,
-        )
-        .unwrap();
+        let mut sh = Shuffler::new(comm, &pool, meta, comm_buf, sink).unwrap();
         let mut rng = rank_rng(0x7ACE, sh.rank());
         let t0 = Instant::now();
         for _ in 0..kvs_per_rank {

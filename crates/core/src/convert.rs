@@ -41,11 +41,11 @@ struct GroupInfo {
 }
 
 impl GroupInfo {
-    /// Accounts `n` more copies of `val` stored under `hint`.
+    /// Accounts one more `val` stored under `hint`.
     #[inline]
-    fn grow(&mut self, hint: LenHint, val: &[u8], n: u32) {
-        self.count += n;
-        self.val_bytes += n as usize * (hint.overhead() + val.len());
+    fn grow(&mut self, hint: LenHint, val: &[u8]) {
+        self.count += 1;
+        self.val_bytes += hint.overhead() + val.len();
     }
 }
 
@@ -75,7 +75,7 @@ pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, G
     let _ids_res = pool.try_reserve(kvc.len() as usize * std::mem::size_of::<u32>())?;
     let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
     for (k, v) in kvc.iter() {
-        kv_group.push(grouper.observe(k, v, 1)?);
+        kv_group.push(grouper.observe(k, v)?);
     }
     grouper.into_kmv(pool, |layout| {
         let mut ids = kv_group.iter();
@@ -229,16 +229,16 @@ impl Grouper {
         })
     }
 
-    /// Interns `key` (its one hash) and grows its group by `n` copies of
-    /// `val`; returns the group id — the KV's dictionary code.
+    /// Interns `key` (its one hash) and grows its group by `val`; returns
+    /// the group id — the KV's dictionary code.
     #[inline]
-    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8], n: u32) -> Result<u32> {
+    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8]) -> Result<u32> {
         let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
         if fresh {
             self.side.add(std::mem::size_of::<GroupInfo>())?;
             self.groups.push(GroupInfo::default());
         }
-        self.groups[gid as usize].grow(self.meta.val, val, n);
+        self.groups[gid as usize].grow(self.meta.val, val);
         Ok(gid)
     }
 

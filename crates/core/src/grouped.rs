@@ -8,9 +8,9 @@
 //! after the map: each key is dictionary-encoded to its group id by the
 //! shared [`Grouper`] and only `(group id, value)` is stored. The store
 //! is an ordinary [`KvContainer`] whose 4-byte fixed "key" is the
-//! little-endian group id — paging, `push_repeat` and free-as-you-drain
-//! come with it — so a duplicate key costs 4 bytes instead of its
-//! header and bytes again, and [`GroupedKvs::into_kmv`] is just the
+//! little-endian group id — paging and free-as-you-drain come with it —
+//! so a duplicate key costs 4 bytes instead of its header and bytes
+//! again, and [`GroupedKvs::into_kmv`] is just the
 //! layout plus the value scatter: the KMVC is byte-identical to
 //! [`crate::convert`]'s (first-occurrence key order, arrival value
 //! order).
@@ -21,7 +21,7 @@ use mimir_obs::GroupCounters;
 use crate::convert::{convert_with, Grouper};
 use crate::kv::{encode_into, encoded_len, validate, KvDecoder};
 use crate::sink::KvSink;
-use crate::{KmvContainer, KvContainer, KvMeta, LenHint, MimirError, Result};
+use crate::{KmvContainer, KvContainer, KvMeta, LenHint, Result};
 
 /// Received KVs, grouped as they arrive (see the module docs) — or, as
 /// [`Self::two_pass`], the plain KVC that [`crate::convert_with`]
@@ -96,7 +96,12 @@ impl GroupedKvs {
 
 impl KvSink for GroupedKvs {
     fn accept(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        self.accept_repeat(key, val, 1)
+        let Some(grouper) = &mut self.grouper else {
+            return self.store.push(key, val);
+        };
+        validate(self.meta.key, key, "key")?;
+        let gid = grouper.observe(key, val)?.to_le_bytes();
+        self.store.push(&gid, val)
     }
 
     /// The on-arrival pass: one walk over the cache-hot run. Runs were
@@ -113,7 +118,7 @@ impl KvSink for GroupedKvs {
         let mut tail: &mut [u8] = &mut [];
         let (mut off, mut pending, mut n) = (0, 0, 0);
         for (k, v) in KvDecoder::new(run_meta, run) {
-            let gid = grouper.observe(k, v, 1)?.to_le_bytes();
+            let gid = grouper.observe(k, v)?.to_le_bytes();
             let len = encoded_len(smeta, &gid, v);
             if len > tail.len() - off {
                 store.commit(pending, off);
@@ -126,21 +131,5 @@ impl KvSink for GroupedKvs {
         }
         store.commit(pending, off);
         Ok(n)
-    }
-
-    fn accept_repeat(&mut self, key: &[u8], val: &[u8], n: u64) -> Result<()> {
-        let Some(grouper) = &mut self.grouper else {
-            return self.store.push_repeat(key, val, n);
-        };
-        validate(self.meta.key, key, "key")?;
-        if n == 0 {
-            return Ok(());
-        }
-        // A KMV entry counts its values in a `u32`.
-        let n32 = u32::try_from(n).map_err(|_| {
-            MimirError::Config(format!("{n} copies of one KV overflow a group's count"))
-        })?;
-        let gid = grouper.observe(key, val, n32)?.to_le_bytes();
-        self.store.push_repeat(&gid, val, n)
     }
 }

@@ -32,7 +32,7 @@ use crate::partial::PartialReducer;
 use crate::partitioner::{PartitionFingerprint, Partitioner};
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
 use crate::sink::KvSink;
-use crate::{AdaptPolicy, JobStats, KvContainer, KvMeta, MimirError, Result, ShuffleMode};
+use crate::{JobStats, KvContainer, KvMeta, MimirError, Result};
 
 /// Pushes the pool's current occupancy into this rank's live telemetry
 /// accumulator (a no-op unless the plane is armed on this thread), so
@@ -52,8 +52,6 @@ pub struct MapReduceJob<'c, 'w> {
     out_meta: KvMeta,
     partitioner: Partitioner,
     compress_flush_bytes: Option<usize>,
-    shuffle_mode: Option<ShuffleMode>,
-    adapt_policy: Option<AdaptPolicy>,
     input_cached: Option<String>,
     output_cached: Option<String>,
     elide: bool,
@@ -131,8 +129,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             out_meta: KvMeta::var(),
             partitioner: Partitioner::hash(),
             compress_flush_bytes: None,
-            shuffle_mode: None,
-            adapt_policy: None,
             input_cached: None,
             output_cached: None,
             elide: true,
@@ -175,25 +171,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     #[must_use]
     pub fn compress_flush_bytes(mut self, bytes: usize) -> Self {
         self.compress_flush_bytes = Some(bytes);
-        self
-    }
-
-    /// Overrides the context's [`ShuffleMode`] for this job. Collective:
-    /// every rank must choose the same mode.
-    #[must_use]
-    pub fn shuffle_mode(mut self, mode: ShuffleMode) -> Self {
-        self.shuffle_mode = Some(mode);
-        self
-    }
-
-    /// Overrides the context's [`AdaptPolicy`] for this job (only
-    /// consulted when the effective shuffle mode is
-    /// [`ShuffleMode::Adaptive`]). Collective: every rank must choose the
-    /// same policy — the adaptive controller's ballots assume identical
-    /// thresholds on all ranks.
-    #[must_use]
-    pub fn adapt_policy(mut self, policy: AdaptPolicy) -> Self {
-        self.adapt_policy = Some(policy);
         self
     }
 
@@ -293,15 +270,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
         let sink = KvContainer::new(pool, self.kv_meta);
-        let mut shuffler = Shuffler::with_policy(
+        let mut shuffler = Shuffler::with_partitioner(
             comm,
             pool,
             self.kv_meta,
             cfg.comm_buf_size,
             sink,
             self.partitioner.clone(),
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
         map(&mut shuffler)?;
         drop(map_span);
@@ -347,15 +322,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
         let sink = KvContainer::new(pool, self.kv_meta);
-        let mut shuffler = Shuffler::with_policy(
+        let mut shuffler = Shuffler::with_partitioner(
             comm,
             pool,
             self.kv_meta,
             cfg.comm_buf_size,
             sink,
             self.partitioner.clone(),
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
         let group = drive_compressed_map(
             map,
@@ -424,8 +397,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cfg.comm_buf_size,
             self.kv_meta,
             &self.partitioner,
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
             &input.kvc,
             map,
             sink,
@@ -489,8 +460,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cfg.comm_buf_size,
             kv_meta,
             &self.partitioner,
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
             &input.kvc,
             map,
             sink,
@@ -598,8 +567,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cfg.comm_buf_size,
             kv_meta,
             &self.partitioner,
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
             &input.kvc,
             map,
             sink,
@@ -681,15 +648,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             None => GroupedKvs::new(pool, kv_meta)?,
             Some(_) => GroupedKvs::two_pass(pool, kv_meta),
         };
-        let mut shuffler = Shuffler::with_policy(
+        let mut shuffler = Shuffler::with_partitioner(
             comm,
             pool,
             kv_meta,
             cfg.comm_buf_size,
             sink,
             self.partitioner.clone(),
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
         let mut group = GroupCounters::default();
         match compress {
@@ -794,15 +759,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         note_live_mem(pool);
         let map_span = mimir_obs::phase_span(Phase::Map);
         let sink = PartialReducer::new(pool, kv_meta, combine)?;
-        let mut shuffler = Shuffler::with_policy(
+        let mut shuffler = Shuffler::with_partitioner(
             comm,
             pool,
             kv_meta,
             cfg.comm_buf_size,
             sink,
             self.partitioner.clone(),
-            self.shuffle_mode.unwrap_or(cfg.shuffle_mode),
-            self.adapt_policy.unwrap_or(cfg.adapt),
         )?;
         let mut group = GroupCounters::default();
         match compress {
@@ -890,8 +853,6 @@ fn feed_chain<S: KvSink>(
     comm_buf_size: usize,
     kv_meta: KvMeta,
     partitioner: &Partitioner,
-    mode: ShuffleMode,
-    policy: AdaptPolicy,
     input: &KvContainer,
     map: ChainMapFn<'_>,
     mut sink: S,
@@ -913,15 +874,13 @@ fn feed_chain<S: KvSink>(
         mimir_obs::emit(EventKind::ShuffleElided, kvs, bytes);
         Ok((sink, ShuffleStats::default()))
     } else {
-        let mut shuffler = Shuffler::with_policy(
+        let mut shuffler = Shuffler::with_partitioner(
             comm,
             pool,
             kv_meta,
             comm_buf_size,
             sink,
             partitioner.clone(),
-            mode,
-            policy,
         )?;
         for (k, v) in input.iter() {
             map(k, v, &mut shuffler)?;

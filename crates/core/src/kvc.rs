@@ -110,45 +110,6 @@ impl KvContainer {
         self.bytes += bytes as u64;
     }
 
-    /// Inserts `n` copies of one KV: the first copy goes through
-    /// [`Self::push`] (validating and landing the encoded template at the
-    /// page tail), then the template replicates across the rest of the
-    /// page with doubling `copy_within` — so a collapsed hot-key count
-    /// expands at memcpy bandwidth rather than `n` encode calls.
-    ///
-    /// # Errors
-    /// As [`Self::push`].
-    pub fn push_repeat(&mut self, key: &[u8], val: &[u8], mut n: u64) -> Result<()> {
-        let len = encoded_len(self.meta, key, val);
-        while n > 0 {
-            self.push(key, val)?;
-            n -= 1;
-            let page = self.pages.back_mut().expect("push ensured a page");
-            let copies = ((page.remaining() / len.max(1)) as u64).min(n) as usize;
-            if copies == 0 {
-                continue;
-            }
-            let template_start = page.len() - len;
-            let start = page.len();
-            page.set_len(start + copies * len);
-            let buf = page.as_mut_slice();
-            let total = (copies + 1) * len; // template + the new copies
-            let mut filled = len;
-            while filled < total {
-                let take = filled.min(total - filled);
-                buf.copy_within(
-                    template_start..template_start + take,
-                    template_start + filled,
-                );
-                filled += take;
-            }
-            self.n_kvs += copies as u64;
-            self.bytes += (copies * len) as u64;
-            n -= copies as u64;
-        }
-        Ok(())
-    }
-
     /// Inserts a contiguous run of encoded KVs (already in this
     /// container's encoding) by page-wise memcpy, returning the number of
     /// KVs inserted.
@@ -308,11 +269,6 @@ impl KvSink for KvContainer {
     fn accept_run(&mut self, meta: KvMeta, run: &[u8]) -> Result<u64> {
         debug_assert_eq!(meta, self.meta, "run encoding must match the container");
         self.push_run(run)
-    }
-
-    /// Bulk path: encode once, replicate by page memcpy.
-    fn accept_repeat(&mut self, key: &[u8], val: &[u8], n: u64) -> Result<()> {
-        self.push_repeat(key, val, n)
     }
 }
 

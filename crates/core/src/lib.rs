@@ -41,7 +41,6 @@
 //!   merges duplicate keys before the exchange, trading a tracked hash
 //!   table for less communication.
 
-pub mod adapt;
 mod buffer;
 mod cache;
 mod cancel;
@@ -66,11 +65,10 @@ mod staging;
 mod stats;
 pub mod typed;
 
-pub use adapt::{AdaptController, HotStore};
 pub use cache::{lock_cache, shared_cache, CheckedOut, KvCache, SharedKvCache};
 pub use cancel::CancelToken;
 pub use combiner::{CombineFn, CombinerTable, StreamingCombiner};
-pub use config::{AdaptPolicy, KvMeta, LenHint, MimirConfig, ShuffleMode};
+pub use config::{KvMeta, LenHint, MimirConfig};
 pub use context::MimirContext;
 pub use convert::{convert, convert_with};
 pub use error::MimirError;

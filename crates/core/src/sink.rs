@@ -41,21 +41,4 @@ pub trait KvSink {
         }
         Ok(n)
     }
-
-    /// Accepts `n` copies of one KV — the expansion half of the hot-key
-    /// count-collapse path, where a `(kv, count)` frame stands for
-    /// `count` identical KVs that were merged before travelling.
-    ///
-    /// The default loops [`Self::accept`]; the container overrides it
-    /// with an encode-once, replicate-by-memcpy fill so expanding a
-    /// collapsed hot key costs page-bandwidth, not per-KV bookkeeping.
-    ///
-    /// # Errors
-    /// As [`Self::accept`].
-    fn accept_repeat(&mut self, key: &[u8], val: &[u8], n: u64) -> Result<()> {
-        for _ in 0..n {
-            self.accept(key, val)?;
-        }
-        Ok(())
-    }
 }

@@ -79,14 +79,13 @@ impl JobStats {
         self.barrier_wait_ns += other.barrier_wait_ns;
     }
 
-    /// Writes the job's sections of `report`: shuffle, grouping and
-    /// adaptive counters, the shuffle- and barrier-attributed waits,
+    /// Writes the job's sections of `report`: shuffle and grouping
+    /// counters, the shuffle- and barrier-attributed waits,
     /// phase times and peaks, and the job counters. The transport's
     /// sections (including the total wait/work pair) and the pool's come
     /// from their own layers.
     pub fn fill_report(&self, report: &mut RankReport) {
         report.shuffle = self.shuffle.counters();
-        report.adapt = self.shuffle.adapt;
         report.group = self.group;
         report.waits.sync_wait_ns = self.shuffle.sync_wait_ns;
         report.waits.data_wait_ns = self.shuffle.data_wait_ns;
@@ -131,7 +130,6 @@ mod tests {
                 max_dest_bytes: 400,
                 imbalance_permille: 1200,
                 gini_permille: 100,
-                ..ShuffleStats::default()
             },
             unique_keys: 7,
             node_peak_bytes: 5000,
@@ -156,7 +154,6 @@ mod tests {
                 max_dest_bytes: 350,
                 imbalance_permille: 1900,
                 gini_permille: 80,
-                ..ShuffleStats::default()
             },
             unique_keys: 3,
             node_peak_bytes: 6000,

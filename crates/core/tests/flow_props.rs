@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use mimir_core::{Emitter, KvContainer, KvMeta, Partitioner, ShuffleMode, Shuffler};
+use mimir_core::{Emitter, KvContainer, KvMeta, Shuffler};
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
 use mimir_obs::{unpack_rank_bytes, Event, EventKind, Recorder, FLOW_SEQ_BITS};
@@ -26,16 +26,7 @@ fn traced_shuffle(ring_cap: usize) -> Vec<(usize, Vec<Event>, u64)> {
         let pool = MemPool::unlimited("t", 64 * 1024);
         let meta = KvMeta::fixed(8, 8);
         let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::with_options(
-            comm,
-            &pool,
-            meta,
-            2048,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::ZeroCopy,
-        )
-        .unwrap();
+        let mut sh = Shuffler::new(comm, &pool, meta, 2048, sink).unwrap();
         let me = sh.rank() as u64;
         for i in 0..1500u64 {
             sh.emit(&(me * 100_000 + i).to_le_bytes(), &i.to_le_bytes())

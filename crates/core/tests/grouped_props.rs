@@ -23,34 +23,30 @@ const PAGE: usize = 256;
 
 type Kvs = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// What the shuffle hands a sink: encoded runs (kept beside the KVs they
-/// encode, for the model), and `(kv, count)` frames from the hot-key
-/// path.
+/// What a sink is handed: encoded runs from the shuffle (kept beside the
+/// KVs they encode, for the model), and single KVs from an elided
+/// chain's local emitter.
 enum Op {
     Run(Vec<u8>, Kvs),
-    Repeat(Vec<u8>, Vec<u8>, u64),
+    One(Vec<u8>, Vec<u8>),
 }
 
 /// The reference: groups in first-occurrence key order, values in
-/// arrival order, a repeat frame counted as `n` copies — built on std's
-/// map alone.
+/// arrival order — built on std's map alone.
 fn model(ops: &[Op]) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
     let mut slot: HashMap<Vec<u8>, usize> = HashMap::new();
     let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
-    let mut push = |k: &[u8], v: &[u8], n: u64| {
-        if n == 0 {
-            return;
-        }
+    let mut push = |k: &[u8], v: &[u8]| {
         let i = *slot.entry(k.to_vec()).or_insert_with(|| {
             groups.push((k.to_vec(), Vec::new()));
             groups.len() - 1
         });
-        groups[i].1.extend((0..n).map(|_| v.to_vec()));
+        groups[i].1.push(v.to_vec());
     };
     for op in ops {
         match op {
-            Op::Run(_, kvs) => kvs.iter().for_each(|(k, v)| push(k, v, 1)),
-            Op::Repeat(k, v, n) => push(k, v, *n),
+            Op::Run(_, kvs) => kvs.iter().for_each(|(k, v)| push(k, v)),
+            Op::One(k, v) => push(k, v),
         }
     }
     groups
@@ -118,21 +114,23 @@ fn corpora(meta: KvMeta) -> Vec<(&'static str, Vec<Op>)> {
     let jumbo: Vec<_> = (0..900u64)
         .map(|i| kv(if i % 10 == 9 { 1 + i % 4 } else { 0 }))
         .collect();
-    // Hot-key frames between ordinary runs: counts that stay inside a
-    // page, span several, and the degenerate zero.
-    let mut frames = runs(meta, &dup_heavy[..300], 96);
-    for (at, n) in [(1usize, 300u64), (3, 1), (5, 0), (6, 37)] {
+    // Single KVs between ordinary runs, on keys the runs carry and on
+    // one they never do.
+    let mut singles = runs(meta, &dup_heavy[..300], 96);
+    for at in [1usize, 3, 5, 6] {
         let (k, v) = kv(at as u64 % 3);
-        frames.insert(at, Op::Repeat(k, v, n));
+        singles.insert(at, Op::One(k, v));
     }
-    let (k, v) = kv(99); // a key no run carries
-    frames.push(Op::Repeat(k, v, 70));
+    for _ in 0..70 {
+        let (k, v) = kv(99);
+        singles.push(Op::One(k, v));
+    }
 
     vec![
         ("duplicate-heavy", runs(meta, &dup_heavy, 120)),
         ("all-unique", runs(meta, &all_unique, 64)),
         ("one-jumbo-group", runs(meta, &jumbo, 200)),
-        ("accept-repeat-frames", frames),
+        ("single-accepts", singles),
     ]
 }
 
@@ -143,7 +141,7 @@ fn feed_sink(sink: &mut GroupedKvs, meta: KvMeta, ops: &[Op]) -> mimir_core::Res
             Op::Run(run, _) => {
                 sink.accept_run(meta, run)?;
             }
-            Op::Repeat(k, v, n) => sink.accept_repeat(k, v, *n)?,
+            Op::One(k, v) => sink.accept(k, v)?,
         }
     }
     Ok(())
@@ -157,7 +155,7 @@ fn two_pass(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
             Op::Run(run, _) => {
                 kvc.push_run(run).unwrap();
             }
-            Op::Repeat(k, v, n) => kvc.push_repeat(k, v, *n).unwrap(),
+            Op::One(k, v) => kvc.push(k, v).unwrap(),
         }
     }
     convert(kvc, pool).unwrap()

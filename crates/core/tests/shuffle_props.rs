@@ -1,14 +1,15 @@
 //! Randomized delivery properties of the shuffle engine: for arbitrary
-//! KV multisets under every hint encoding, every [`ShuffleMode`] must
-//! deliver exactly the emitted multiset, partitioned by key hash — and
-//! the bulk [`KvSink::accept_run`] path must be observationally identical
-//! to per-KV [`KvSink::accept`]. Seeded PRNG, so failures replay.
+//! KV multisets under every hint encoding, the exchange must deliver
+//! exactly the emitted multiset, routed by the partitioner — even when
+//! the partitioner sends everything to one rank — and the bulk
+//! [`KvSink::accept_run`] path must be observationally identical to
+//! per-KV [`KvSink::accept`]. Seeded PRNG, so failures replay.
 
 use std::collections::HashMap;
 
 use mimir_core::{
-    encode_push, partition_of, AdaptPolicy, Emitter, KvContainer, KvDecoder, KvMeta, KvSink,
-    LenHint, Partitioner, ShuffleMode, Shuffler,
+    encode_push, partition_of, Emitter, KvContainer, KvDecoder, KvMeta, KvSink, LenHint,
+    MimirError, Partitioner, Shuffler,
 };
 use mimir_datagen::{rank_rng, RankRng};
 use mimir_mem::MemPool;
@@ -59,28 +60,30 @@ fn multiset(kvs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) -> Multiset {
     m
 }
 
-/// Shuffles `n_kvs` random KVs per rank and returns each rank's received
-/// multiset.
+/// The comm buffer every world below runs with: 512 B partitions at
+/// four ranks.
+const COMM_BUF: usize = 2048;
+
+/// Shuffles `kvs(rank)` from every rank through `partitioner` and
+/// returns each rank's received multiset.
 fn shuffle(
-    seed: u64,
-    meta: KvMeta,
-    mode: ShuffleMode,
     ranks: usize,
-    n_kvs: usize,
+    meta: KvMeta,
+    partitioner: Partitioner,
+    kvs: impl Fn(usize) -> Vec<(Vec<u8>, Vec<u8>)> + Send + Sync,
 ) -> Vec<Multiset> {
     run_world(ranks, move |comm| {
         let pool = MemPool::unlimited("t", 4096);
         let sink = KvContainer::new(&pool, meta);
         let mut sh =
-            Shuffler::with_options(comm, &pool, meta, 2048, sink, Partitioner::hash(), mode)
+            Shuffler::with_partitioner(comm, &pool, meta, COMM_BUF, sink, partitioner.clone())
                 .unwrap();
-        let me = sh.rank();
-        for (k, v) in rank_kvs(seed, me, meta, n_kvs) {
+        for (k, v) in kvs(sh.rank()) {
             sh.emit(&k, &v).unwrap();
         }
         let (kvc, stats) = sh.finish().unwrap();
-        // The III-B bound held on every round of every mode.
-        assert!(stats.max_round_recv_bytes <= 2048, "{mode:?}");
+        // The Section III-B bound held on every round.
+        assert!(stats.max_round_recv_bytes <= COMM_BUF as u64, "{meta:?}");
         let mut got = Vec::new();
         kvc.drain(|k, v| {
             got.push((k.to_vec(), v.to_vec()));
@@ -91,93 +94,39 @@ fn shuffle(
     })
 }
 
+/// The routing model: every rank's stream, each KV sent to `route(key)`,
+/// counted in a std `HashMap` per destination.
+fn routed(
+    ranks: usize,
+    kvs: impl Fn(usize) -> Vec<(Vec<u8>, Vec<u8>)>,
+    route: impl Fn(&[u8]) -> usize,
+) -> Vec<Multiset> {
+    let mut expected: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); ranks];
+    for rank in 0..ranks {
+        for (k, v) in kvs(rank) {
+            expected[route(&k)].push((k, v));
+        }
+    }
+    expected.into_iter().map(multiset).collect()
+}
+
 #[test]
-fn every_mode_delivers_the_emitted_multiset_under_every_hint() {
+fn shuffle_delivers_the_emitted_multiset_under_every_hint() {
     let ranks = 4;
     let n_kvs = 400;
     for (case, meta) in metas().into_iter().enumerate() {
         let seed = 0xC0FFEE + case as u64;
-        // Reference partition: the same streams, routed by key hash.
-        let mut expected: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); ranks];
-        for rank in 0..ranks {
-            for (k, v) in rank_kvs(seed, rank, meta, n_kvs) {
-                expected[partition_of(&k, ranks)].push((k, v));
-            }
-        }
-        let expected: Vec<Multiset> = expected.into_iter().map(multiset).collect();
-
-        for mode in [
-            ShuffleMode::ZeroCopy,
-            ShuffleMode::Overlapped,
-            ShuffleMode::Adaptive,
-        ] {
-            let got = shuffle(seed, meta, mode, ranks, n_kvs);
-            for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(g, e, "{meta:?} {mode:?} rank {rank}");
-            }
+        let kvs = move |rank| rank_kvs(seed, rank, meta, n_kvs);
+        let expected = routed(ranks, kvs, |k| partition_of(k, ranks));
+        let got = shuffle(ranks, meta, Partitioner::hash(), kvs);
+        for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(g, e, "{meta:?} rank {rank}");
         }
     }
-}
-
-/// An [`AdaptPolicy`] tuned to act on every signal: single-round
-/// hysteresis, no signal floor, hot tripping from the first round — so
-/// mid-job mode flips, round-size steps, and the salted hot path all
-/// fire inside a small test workload.
-fn twitchy_policy() -> AdaptPolicy {
-    AdaptPolicy {
-        hysteresis_rounds: 1,
-        cooldown_rounds: 0,
-        min_signal_ns: 0,
-        hot_min_rounds: 1,
-        ..AdaptPolicy::default()
-    }
-}
-
-/// Like [`shuffle`], but every key routes to rank 0 (a point-mass
-/// partitioner) under an explicit policy; returns each rank's received
-/// multiset plus its adaptive counters.
-fn hot_shuffle(
-    seed: u64,
-    meta: KvMeta,
-    mode: ShuffleMode,
-    ranks: usize,
-    n_kvs: usize,
-    dup_heavy: bool,
-) -> Vec<(Multiset, mimir_obs::AdaptCounters)> {
-    run_world(ranks, move |comm| {
-        let pool = MemPool::unlimited("t", 4096);
-        let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::with_policy(
-            comm,
-            &pool,
-            meta,
-            2048,
-            sink,
-            Partitioner::custom("to-zero", |_, _| 0),
-            mode,
-            twitchy_policy(),
-        )
-        .unwrap();
-        let me = sh.rank();
-        for (k, v) in hot_kvs(seed, me, meta, n_kvs, dup_heavy) {
-            sh.emit(&k, &v).unwrap();
-        }
-        let (kvc, stats) = sh.finish().unwrap();
-        assert!(stats.max_round_recv_bytes <= 2048, "{mode:?}");
-        let mut got = Vec::new();
-        kvc.drain(|k, v| {
-            got.push((k.to_vec(), v.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        (multiset(got), stats.adapt)
-    })
 }
 
 /// The stream each rank emits at the hot destination: either a 13-KV
-/// vocabulary cycled (duplicate-heavy — the count-collapse staging path
-/// wins) or fully random KVs (near-unique — staging degenerates to
-/// forwarding and must still deliver exactly).
+/// vocabulary cycled (duplicate-heavy) or fully random KVs (near-unique).
 fn hot_kvs(
     seed: u64,
     rank: usize,
@@ -193,32 +142,71 @@ fn hot_kvs(
     }
 }
 
+/// Maximum skew: a point-mass partitioner sends every KV of every rank
+/// to rank 0, under every hint, for duplicate-heavy and unique streams.
+/// Rank 0 receives exactly the world's multiset, the others nothing, and
+/// no round lands more than one send buffer's worth (Section III-B).
 #[test]
-fn adaptive_hot_path_delivers_the_zero_copy_multiset() {
+fn point_mass_shuffle_delivers_the_routed_multiset() {
     let ranks = 4;
     let n_kvs = 400;
     for (case, meta) in metas().into_iter().enumerate() {
         for dup_heavy in [true, false] {
             let seed = 0xD17E_u64.wrapping_add(case as u64);
-            let reference = hot_shuffle(seed, meta, ShuffleMode::ZeroCopy, ranks, n_kvs, dup_heavy);
-            let adaptive = hot_shuffle(seed, meta, ShuffleMode::Adaptive, ranks, n_kvs, dup_heavy);
-            for rank in 0..ranks {
-                assert_eq!(
-                    adaptive[rank].0, reference[rank].0,
-                    "{meta:?} dup={dup_heavy} rank {rank}: adaptive multiset diverged"
-                );
-            }
-            let trips: u64 = adaptive.iter().map(|(_, a)| a.hot_trips).sum();
-            assert!(
-                trips >= 1,
-                "{meta:?} dup={dup_heavy}: point-mass load never tripped the hot path"
-            );
-            if dup_heavy {
-                let staged: u64 = adaptive.iter().map(|(_, a)| a.hot_staged_kvs).sum();
-                assert!(staged > 0, "{meta:?}: no KVs were staged for collapse");
+            let kvs = move |rank| hot_kvs(seed, rank, meta, n_kvs, dup_heavy);
+            let expected = routed(ranks, kvs, |_| 0);
+            let got = shuffle(ranks, meta, Partitioner::custom("to-zero", |_, _| 0), kvs);
+            for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(g, e, "{meta:?} dup={dup_heavy} rank {rank}");
             }
         }
     }
+}
+
+/// The round trigger's boundary: a KV of exactly one partition's encoded
+/// size fits (after a round empties the partition it shares with a
+/// smaller KV); one byte more can never fit and is rejected.
+#[test]
+fn kv_of_exactly_part_cap_is_delivered_and_one_byte_more_is_rejected() {
+    let ranks = 4;
+    let part_cap = COMM_BUF / ranks;
+    let meta = KvMeta::var();
+    // `var` encoding: two u32 length headers, then key and value.
+    let val_len = part_cap - 8 - 1;
+    let got = run_world(ranks, move |comm| {
+        let pool = MemPool::unlimited("t", 4096);
+        let sink = KvContainer::new(&pool, meta);
+        let to_zero = Partitioner::custom("to-zero", |_, _| 0);
+        let mut sh =
+            Shuffler::with_partitioner(comm, &pool, meta, COMM_BUF, sink, to_zero).unwrap();
+        sh.emit(b"s", b"small").unwrap();
+        sh.emit(b"k", &vec![7u8; val_len]).unwrap();
+        let err = sh.emit(b"k", &vec![7u8; val_len + 1]).unwrap_err();
+        assert!(
+            matches!(err, MimirError::KvTooLarge { size, limit, .. }
+                if size == part_cap + 1 && limit == part_cap),
+            "{err:?}"
+        );
+        let (kvc, stats) = sh.finish().unwrap();
+        assert!(stats.max_round_recv_bytes <= COMM_BUF as u64);
+        assert_eq!(stats.kvs_emitted, 2, "the rejected KV was not counted");
+        let mut lens = Vec::new();
+        kvc.drain(|k, v| {
+            lens.push((k.to_vec(), v.len()));
+            Ok(())
+        })
+        .unwrap();
+        lens.sort();
+        lens
+    });
+    let mut want = Vec::new();
+    for _ in 0..ranks {
+        want.push((b"k".to_vec(), val_len));
+        want.push((b"s".to_vec(), 5));
+    }
+    want.sort();
+    assert_eq!(got[0], want, "rank 0 holds every rank's pair");
+    assert!(got[1..].iter().all(Vec::is_empty));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mimir_core::{AdaptPolicy, Emitter, KvContainer, KvMeta, Partitioner, ShuffleMode, Shuffler};
+use mimir_core::{Emitter, KvContainer, KvMeta, Shuffler};
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
 
@@ -63,16 +63,7 @@ fn steady_state_round_is_allocation_free() {
         let pool = MemPool::unlimited("t", 256 * 1024);
         let meta = KvMeta::fixed(8, 8);
         let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::with_options(
-            comm,
-            &pool,
-            meta,
-            1024,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::ZeroCopy,
-        )
-        .unwrap();
+        let mut sh = Shuffler::new(comm, &pool, meta, 1024, sink).unwrap();
 
         // Warm-up: several exchange rounds allocate the container's first
         // page, the reusable range vector, and any lazy TLS state.
@@ -95,46 +86,6 @@ fn steady_state_round_is_allocation_free() {
         // here) and ran inside those allocation-free rounds; at one
         // rank nothing blocks, so the counters exist but stay zero.
         assert_eq!(stats.sync_wait_ns, 0, "no peers, no waiting");
-    });
-}
-
-/// The strict proof with the adaptive controller live: every round now
-/// carries a ballot vote (one packed allreduce word), the controller
-/// folds the observed waits, and the effective-round-size threshold is
-/// refreshed — and the measured burst must still allocate nothing.
-#[test]
-fn adaptive_steady_state_round_is_allocation_free() {
-    run_world(1, |comm| {
-        let pool = MemPool::unlimited("t", 256 * 1024);
-        let meta = KvMeta::fixed(8, 8);
-        let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::with_options(
-            comm,
-            &pool,
-            meta,
-            1024,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::Adaptive,
-        )
-        .unwrap();
-
-        for i in 0..512u64 {
-            sh.emit(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-        }
-
-        let before = allocs();
-        for i in 0..65u64 {
-            sh.emit(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-        }
-        let during = allocs() - before;
-        assert_eq!(
-            during, 0,
-            "adaptive steady-state round allocated {during} times"
-        );
-
-        let (_, stats) = sh.finish().unwrap();
-        assert!(stats.rounds >= 9, "burst crossed an exchange round");
     });
 }
 
@@ -177,61 +128,6 @@ fn steady_state_round_is_allocation_free_with_live_plane() {
     });
 }
 
-/// The hot-key staging path in its steady state: once a destination has
-/// tripped and the stage's [`mimir_core::GroupIndex`] has seen every
-/// distinct KV of the working set, further diverted emits are a hash
-/// probe plus a count bump — pool-backed, no heap allocation. (The trip
-/// itself, the stage growth, and the final two-phase flush may allocate;
-/// they happen outside the measured window.)
-#[test]
-fn hot_staging_steady_state_is_allocation_free() {
-    run_world(1, |comm| {
-        let pool = MemPool::unlimited("t", 256 * 1024);
-        let meta = KvMeta::fixed(8, 8);
-        let sink = KvContainer::new(&pool, meta);
-        // At one rank every destination holds exactly its fair share, so
-        // trip at 1.0x to force the divert; trip checks start after the
-        // first round.
-        let policy = AdaptPolicy {
-            hot_trip_permille: 1000,
-            hot_min_rounds: 1,
-            ..AdaptPolicy::default()
-        };
-        let mut sh = Shuffler::with_policy(
-            comm,
-            &pool,
-            meta,
-            1024,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::Adaptive,
-            policy,
-        )
-        .unwrap();
-
-        // A 32-KV vocabulary (512 B staged, under the 1 KiB stage cap):
-        // the warm-up rounds trip the hot path and populate the stage
-        // with every distinct KV.
-        for i in 0..512u64 {
-            let key = (i % 32).to_le_bytes();
-            sh.emit(&key, &key).unwrap();
-        }
-
-        let before = allocs();
-        for i in 0..65u64 {
-            let key = (i % 32).to_le_bytes();
-            sh.emit(&key, &key).unwrap();
-        }
-        let during = allocs() - before;
-        assert_eq!(during, 0, "hot staging burst allocated {during} times");
-
-        let (kvc, stats) = sh.finish().unwrap();
-        assert_eq!(stats.adapt.hot_trips, 1, "the divert engaged");
-        assert!(stats.adapt.hot_staged_kvs > 0, "emits were staged");
-        assert_eq!(kvc.len(), 512 + 65, "the flush delivered every KV");
-    });
-}
-
 /// The same strict proof with full-flow tracing live: a recorder with
 /// flow stamping enabled is installed, so every send allocates a flow id
 /// and every message records `FlowSend`/`FlowRecv` into the ring — and
@@ -246,16 +142,7 @@ fn steady_state_round_is_allocation_free_with_flow_tracing() {
         let mut recorder = mimir_obs::Recorder::new(comm.rank(), 64 * 1024);
         recorder.set_flow_enabled(true);
         mimir_obs::install(recorder);
-        let mut sh = Shuffler::with_options(
-            comm,
-            &pool,
-            meta,
-            1024,
-            sink,
-            Partitioner::hash(),
-            ShuffleMode::ZeroCopy,
-        )
-        .unwrap();
+        let mut sh = Shuffler::new(comm, &pool, meta, 1024, sink).unwrap();
 
         for i in 0..512u64 {
             sh.emit(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
@@ -305,16 +192,7 @@ fn warm_buffer_pools_serve_all_sends() {
 
         let shuffle_pass = |comm: &mut mimir_mpi::Comm| -> u64 {
             let sink = KvContainer::new(&pool, meta);
-            let mut sh = Shuffler::with_options(
-                comm,
-                &pool,
-                meta,
-                2048,
-                sink,
-                Partitioner::hash(),
-                ShuffleMode::ZeroCopy,
-            )
-            .unwrap();
+            let mut sh = Shuffler::new(comm, &pool, meta, 2048, sink).unwrap();
             let me = sh.rank() as u64;
             for i in 0..2000u64 {
                 sh.emit(&(me * 10_000 + i).to_le_bytes(), &i.to_le_bytes())

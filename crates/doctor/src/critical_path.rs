@@ -230,8 +230,8 @@ impl CriticalPath {
 /// wait nor comm (the remainder defaults to compute).
 fn step_kind(code: u64) -> Option<SegmentKind> {
     match Step::from_code(code)? {
-        Step::Sync | Step::Recv => Some(SegmentKind::Wait),
-        Step::Alltoallv | Step::Post | Step::Drain => Some(SegmentKind::Comm),
+        Step::Sync => Some(SegmentKind::Wait),
+        Step::Alltoallv | Step::Drain => Some(SegmentKind::Comm),
     }
 }
 

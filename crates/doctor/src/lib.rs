@@ -20,7 +20,6 @@
 //! | `dropped-events` | trace ring overwrites | any loss; >5% is critical |
 //! | `job-lifecycle` | scheduler job records | non-`Done` outcomes, suspend-and-retry churn |
 //! | `deadlock-suspect` | wait fraction vs wall time | ≥95% wall spent blocked with nothing received |
-//! | `adaptation` | adaptive-controller counters, `RoundWait` stream | any adaptive decision (info) or mode-switch flapping (warn) |
 //! | `cache-efficiency` | cross-job cache counters, evict/reload event stream | low hit rate while cached bytes crowd the pool, eviction thrash; reports elisions and per-name residency (info) |
 //! | `transport` | per-backend wire counters (frames, bytes, handshake) | handshake stalls, tiny-message chatter; silent on the in-process backend |
 //!
@@ -290,7 +289,6 @@ pub fn diagnose(reports: &[RankReport]) -> Diagnosis {
     rules::dropped_events(reports, &mut findings);
     rules::job_lifecycle(reports, &mut findings);
     rules::deadlock_suspect(reports, &mut findings);
-    rules::adaptation(reports, &mut findings);
     rules::cache_efficiency(reports, &mut findings);
     rules::transport(reports, &mut findings);
     findings.sort_by(|a, b| {

@@ -38,10 +38,6 @@ pub const DEADLOCK_WAIT_FRACTION: f64 = 0.95;
 /// Ignore deadlock suspicion on runs shorter than this: start-up
 /// barriers dominate tiny runs.
 pub const DEADLOCK_MIN_WALL_NS: u64 = 100_000_000;
-/// Mode switches in one job above which the adaptive controller is
-/// flapping rather than converging — the hysteresis window is too short
-/// for the workload's noise.
-pub const ADAPT_FLAP_WARN: u64 = 4;
 /// Cache hit rate (hits / lookups, permille) under which the cache is
 /// mostly paying misses — names are wrong or datasets are one-shot.
 pub const CACHE_HIT_WARN_PERMILLE: u64 = 500;
@@ -92,8 +88,8 @@ pub fn critical_path_rule(path: &CriticalPath, reports: &[RankReport], out: &mut
     let rounds_total = path.gating.len() as u64;
     // Join the path's per-round gating ranks with the shuffle's receive
     // totals: a rank that both gates rounds and holds an outsized slice
-    // of the received bytes is skew-bound (fix the partitioner or divert
-    // the hot keys), not compute-bound (fix placement).
+    // of the received bytes is skew-bound (fix the partitioner or merge
+    // duplicates before they travel), not compute-bound (fix placement).
     let total_recv: u64 = reports.iter().map(|r| r.shuffle.bytes_received).sum();
     let dominant_recv = reports
         .iter()
@@ -173,17 +169,17 @@ pub fn critical_path_rule(path: &CriticalPath, reports: &[RankReport], out: &mut
         ],
         hint: if skew_bound {
             "The gating rank also holds an outsized share of the received \
-             bytes: the path is skew-bound. Split the heavy keys with a \
-             custom partitioner, enable partial reduction (paper §III-C2), \
-             or run ShuffleMode::Adaptive so the hot destination is \
-             diverted through the salted two-stage path mid-job."
+             bytes: the path is skew-bound. Merge duplicate keys before \
+             they travel — KV compression and partial reduction (paper \
+             §III-C2; WcOptions cps/pr) — or split the heavy keys with a \
+             custom partitioner."
         } else {
             "The path is measured from message-level happens-before \
              edges, not inferred from wait counters. If one rank \
              dominates, rebalance its input or check its placement; if \
              `wait`/`comm` dominate the breakdown, the shuffle is \
-             latency-bound — grow comm buffers or enable overlapped \
-             rounds (paper §III-B)."
+             latency-bound — grow comm buffers so fewer rounds run \
+             (paper §III-B)."
         },
     });
 }
@@ -529,109 +525,6 @@ pub fn deadlock_suspect(reports: &[RankReport], out: &mut Vec<Finding>) {
                    discipline requires identical call sequences everywhere.",
         });
     }
-}
-
-/// Adaptation audit: what the adaptive shuffle controller did during the
-/// run, whether it converged or flapped, and whether the decisions paid
-/// off (per-round wait before vs after convergence, read from the
-/// `RoundWait` event stream). Silent on non-adaptive runs — every
-/// counter in the report's `adapt` section is zero there.
-pub fn adaptation(reports: &[RankReport], out: &mut Vec<Finding>) {
-    use mimir_obs::EventKind;
-    // Lockstep decisions are identical on every rank (max); hot-key
-    // staging is per-sender work (sum).
-    let max = |f: fn(&RankReport) -> u64| reports.iter().map(f).max().unwrap_or(0);
-    let sum = |f: fn(&RankReport) -> u64| reports.iter().map(f).sum::<u64>();
-    let switches = max(|r| r.adapt.mode_switches);
-    let grows = max(|r| r.adapt.grow_steps);
-    let shrinks = max(|r| r.adapt.shrink_steps);
-    let converged = max(|r| r.adapt.converged_round);
-    let fill = max(|r| r.adapt.final_fill_permille);
-    let overlap = max(|r| r.adapt.final_overlap);
-    let trips = sum(|r| r.adapt.hot_trips);
-    let staged = sum(|r| r.adapt.hot_staged_kvs);
-    let uniques = sum(|r| r.adapt.hot_unique_kvs);
-    let jumbo = sum(|r| r.adapt.jumbo_floor_hits);
-    if switches + grows + shrinks + trips + jumbo == 0 && converged == 0 {
-        return;
-    }
-    // Per-round wait split around the convergence round: did the
-    // decisions actually shrink the waits they were voted on?
-    let (mut before_ns, mut before_rounds) = (0u64, 0u64);
-    let (mut after_ns, mut after_rounds) = (0u64, 0u64);
-    for r in reports {
-        let mut round = 0u64;
-        for e in &r.events {
-            if matches!(e.kind, EventKind::RoundWait) {
-                round += 1;
-                if converged > 0 && round > converged {
-                    after_ns += e.a + e.b;
-                    after_rounds += 1;
-                } else {
-                    before_ns += e.a + e.b;
-                    before_rounds += 1;
-                }
-            }
-        }
-    }
-    let per_round = |ns: u64, n: u64| ns.checked_div(n).unwrap_or(0);
-    let severity = if switches >= ADAPT_FLAP_WARN {
-        Severity::Warn
-    } else {
-        Severity::Info
-    };
-    let title = if switches >= ADAPT_FLAP_WARN {
-        format!(
-            "the adaptive controller flapped: {switches} mode switches in \
-             one job — widen the hysteresis/cooldown windows"
-        )
-    } else {
-        format!(
-            "the adaptive controller made {} decision(s): {switches} mode \
-             switch(es), {grows}+{shrinks} round-size steps, {trips} \
-             hot-key diversion(s); settled on {} at fill {:.0}%",
-            switches + grows + shrinks + trips,
-            if overlap != 0 {
-                "overlapped posting"
-            } else {
-                "zero-copy posting"
-            },
-            fill as f64 / 10.0,
-        )
-    };
-    out.push(Finding {
-        severity,
-        code: "adaptation",
-        title,
-        phase: "map/aggregate (shuffle)",
-        ranks: Vec::new(),
-        evidence: vec![
-            ("mode_switches".into(), num(switches)),
-            ("grow_steps".into(), num(grows)),
-            ("shrink_steps".into(), num(shrinks)),
-            ("converged_round".into(), num(converged)),
-            ("final_fill_permille".into(), num(fill)),
-            ("final_overlap".into(), num(overlap)),
-            ("hot_trips".into(), num(trips)),
-            ("hot_staged_kvs".into(), num(staged)),
-            ("hot_unique_kvs".into(), num(uniques)),
-            ("jumbo_floor_hits".into(), num(jumbo)),
-            (
-                "wait_per_round_before_ns".into(),
-                num(per_round(before_ns, before_rounds)),
-            ),
-            (
-                "wait_per_round_after_ns".into(),
-                num(per_round(after_ns, after_rounds)),
-            ),
-        ],
-        hint: "Adaptive decisions are taken by lockstep majority ballot \
-               (identical on every rank). Flapping means the wait signal \
-               oscillates around a policy bound: raise hysteresis_rounds \
-               or cooldown_rounds. A fill well below 100% with zero mode \
-               switches means the workload is straggler-bound and smaller \
-               rounds amortized the votes.",
-    });
 }
 
 /// Cross-job cache audit: is the retained memory paying for itself?
@@ -1052,75 +945,11 @@ mod tests {
             "joined title missing: {}",
             f.title
         );
-        assert!(f.hint.contains("Adaptive"), "skew-bound hint: {}", f.hint);
-    }
-
-    #[test]
-    fn adaptation_is_silent_without_adaptive_activity() {
-        let mut out = Vec::new();
-        adaptation(&world(4), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn adaptation_reports_decisions_and_wait_split() {
-        let mut reports = world(2);
-        for r in &mut reports {
-            r.adapt.mode_switches = 1;
-            r.adapt.grow_steps = 2;
-            r.adapt.converged_round = 2;
-            r.adapt.final_fill_permille = 750;
-            r.adapt.final_overlap = 1;
-        }
-        reports[0].adapt.hot_trips = 1;
-        reports[0].adapt.hot_staged_kvs = 500;
-        reports[0].adapt.hot_unique_kvs = 10;
-        // Waits: 4 rounds per rank, 100 µs before convergence, 20 µs after.
-        let ev = |t_ns, a, b| Event {
-            t_ns,
-            kind: EventKind::RoundWait,
-            a,
-            b,
-        };
-        for r in &mut reports {
-            r.events = vec![
-                ev(10, 60_000, 40_000),
-                ev(20, 70_000, 30_000),
-                ev(30, 15_000, 5_000),
-                ev(40, 12_000, 8_000),
-            ];
-        }
-        let mut out = Vec::new();
-        adaptation(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        let f = &out[0];
-        assert_eq!(f.code, "adaptation");
-        assert_eq!(f.severity, Severity::Info);
-        assert!(f.title.contains("4 decision(s)"), "{}", f.title);
-        assert!(f.title.contains("overlapped"), "{}", f.title);
-        let ev_of = |k: &str| {
-            f.evidence
-                .iter()
-                .find(|(name, _)| name == k)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing evidence {k}"))
-        };
-        assert_eq!(ev_of("hot_trips"), Json::Num(1.0));
-        assert_eq!(ev_of("wait_per_round_before_ns"), Json::Num(100_000.0));
-        assert_eq!(ev_of("wait_per_round_after_ns"), Json::Num(20_000.0));
-    }
-
-    #[test]
-    fn adaptation_flags_flapping_as_a_warning() {
-        let mut reports = world(2);
-        for r in &mut reports {
-            r.adapt.mode_switches = ADAPT_FLAP_WARN;
-        }
-        let mut out = Vec::new();
-        adaptation(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].severity, Severity::Warn);
-        assert!(out[0].title.contains("flapped"), "{}", out[0].title);
+        assert!(
+            f.hint.contains("KV compression") && f.hint.contains("partitioner"),
+            "skew-bound hint: {}",
+            f.hint
+        );
     }
 
     #[test]

@@ -37,7 +37,6 @@
 //! [`run_world_on`] selects a backend explicitly;
 //! [`TransportKind::from_env`] reads `MIMIR_TRANSPORT={inproc,uds}`.
 
-mod ballot;
 mod collectives;
 mod comm;
 mod error;
@@ -47,7 +46,6 @@ mod transport;
 mod wire;
 mod world;
 
-pub use ballot::{pack_vote, unpack_tally, BallotTally, BallotVote, MAX_BALLOT_RANKS};
 pub use collectives::PendingAlltoallv;
 pub use comm::{Comm, Request};
 pub use error::{is_disconnect_panic, panic_message, CommError, WorldError};

@@ -293,23 +293,6 @@ fn rank_events(rank: u64, events: &[Event], flows: &HashSet<u64>, out: &mut Vec<
                 ));
                 out.push(Json::obj(rec));
             }
-            EventKind::AdaptDecision => {
-                out.push(Json::obj(vec![
-                    ("name", Json::Str("adapt-decision".into())),
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("ts", ts),
-                    ("pid", Json::Num(PID)),
-                    ("tid", tid.clone()),
-                    (
-                        "args",
-                        Json::obj(vec![
-                            ("decision", Json::Num(e.a as f64)),
-                            ("operand", Json::Num(e.b as f64)),
-                        ]),
-                    ),
-                ]));
-            }
             EventKind::ShuffleElided => {
                 out.push(Json::obj(vec![
                     ("name", Json::Str("shuffle-elided".into())),
@@ -764,50 +747,34 @@ mod tests {
     }
 
     #[test]
-    fn adapt_decisions_render_as_thread_instants() {
+    fn elision_and_cache_instants_render_on_the_rank_lane() {
+        let ev = |t_ns, kind, a, b| Event { t_ns, kind, a, b };
         let evs = vec![
-            Event {
-                t_ns: 1_000,
-                kind: EventKind::AdaptDecision,
-                a: 1, // decision code (e.g. mode switch)
-                b: 7, // operand (round / dest / permille, per code)
-            },
-            Event {
-                t_ns: 2_000,
-                kind: EventKind::AdaptDecision,
-                a: 5,
-                b: 3,
-            },
+            ev(1_000, EventKind::ShuffleElided, 40, 640),
+            ev(2_000, EventKind::CacheEvict, 7, 4096),
+            ev(3_000, EventKind::CacheReload, 7, 4096),
         ];
         let doc = chrome_trace(&[report_with_events(1, evs)]);
         let trace = doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
-        let decisions: Vec<_> = trace
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("adapt-decision"))
-            .collect();
-        assert_eq!(decisions.len(), 2);
-        for d in &decisions {
-            // Thread-scoped instants: they pin to the deciding rank's
-            // lane instead of spanning the whole process track.
-            assert_eq!(d.get("ph").and_then(Json::as_str), Some("i"));
-            assert_eq!(d.get("s").and_then(Json::as_str), Some("t"));
-            assert_eq!(d.get("tid").and_then(Json::as_u64), Some(1));
+        let named = |name: &str| {
+            trace
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} instant"))
+                .clone()
+        };
+        for name in ["shuffle-elided", "cache-evict", "cache-reload"] {
+            let e = named(name);
+            // Thread-scoped instants: they pin to the rank's lane instead
+            // of spanning the whole process track.
+            assert_eq!(e.get("ph").and_then(Json::as_str), Some("i"), "{name}");
+            assert_eq!(e.get("s").and_then(Json::as_str), Some("t"), "{name}");
+            assert_eq!(e.get("tid").and_then(Json::as_u64), Some(1), "{name}");
         }
-        assert_eq!(
-            decisions[0]
-                .get("args")
-                .unwrap()
-                .get("decision")
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            decisions[1]
-                .get("args")
-                .unwrap()
-                .get("operand")
-                .and_then(Json::as_u64),
-            Some(3)
-        );
+        let args = named("shuffle-elided").get("args").unwrap().clone();
+        assert_eq!(args.get("kvs").and_then(Json::as_u64), Some(40));
+        assert_eq!(args.get("bytes").and_then(Json::as_u64), Some(640));
+        let args = named("cache-reload").get("args").unwrap().clone();
+        assert_eq!(args.get("name_hash").and_then(Json::as_u64), Some(7));
     }
 }

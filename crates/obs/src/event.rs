@@ -69,23 +69,12 @@ pub enum Step {
     Alltoallv = 1,
     /// Draining received KVs into the sink.
     Drain = 2,
-    /// Overlapped rounds: posting the nonblocking sends (before the
-    /// done-allreduce hides behind them).
-    Post = 3,
-    /// Overlapped rounds: completing the receives into the receive
-    /// buffer.
-    Recv = 4,
 }
 
 impl Step {
-    /// All steps, index-aligned with their discriminants.
-    pub const ALL: [Step; 5] = [
-        Step::Sync,
-        Step::Alltoallv,
-        Step::Drain,
-        Step::Post,
-        Step::Recv,
-    ];
+    /// All steps. Codes 3 and 4 belonged to retired steps and decode to
+    /// `None`.
+    pub const ALL: [Step; 3] = [Step::Sync, Step::Alltoallv, Step::Drain];
 
     /// Stable lowercase name (used in exported traces).
     pub fn name(self) -> &'static str {
@@ -93,14 +82,12 @@ impl Step {
             Step::Sync => "sync",
             Step::Alltoallv => "alltoallv",
             Step::Drain => "drain",
-            Step::Post => "post",
-            Step::Recv => "recv",
         }
     }
 
     /// Inverse of the discriminant encoding used in [`Event::a`].
     pub fn from_code(code: u64) -> Option<Step> {
-        Step::ALL.get(code as usize).copied()
+        Step::ALL.into_iter().find(|s| *s as u64 == code)
     }
 }
 
@@ -171,12 +158,8 @@ pub enum EventKind {
     /// copied from the sender's stamp, `b` = `(src_rank << 48) |
     /// payload_bytes`.
     FlowRecv = 19,
-    /// The adaptive shuffle controller applied a decision. `a` = decision
-    /// code (`mimir-core`'s `adapt::decision` constants: mode switch,
-    /// grow/shrink, hot trip, salted/merge flush, jumbo floor), `b` =
-    /// decision operand (new fill permille, hot destination rank, frames
-    /// flushed, …, per code).
-    AdaptDecision = 20,
+    // Code 20 belonged to a retired kind; it decodes to `None` and is
+    // never reused, so older compact `events` columns keep their meaning.
     /// A chained job consumed a cached input whose partition fingerprint
     /// matched its own, so the shuffle for that input was skipped
     /// entirely: map emits fed the local sink directly. `a` = KVs that
@@ -194,8 +177,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// All kinds, index-aligned with their discriminants.
-    pub const ALL: [EventKind; 24] = [
+    /// All kinds, in code order.
+    pub const ALL: [EventKind; 23] = [
         EventKind::PhaseBegin,
         EventKind::PhaseEnd,
         EventKind::RoundBegin,
@@ -216,7 +199,6 @@ impl EventKind {
         EventKind::JobHeartbeat,
         EventKind::FlowSend,
         EventKind::FlowRecv,
-        EventKind::AdaptDecision,
         EventKind::ShuffleElided,
         EventKind::CacheEvict,
         EventKind::CacheReload,
@@ -245,7 +227,6 @@ impl EventKind {
             EventKind::JobHeartbeat => "job_heartbeat",
             EventKind::FlowSend => "flow_send",
             EventKind::FlowRecv => "flow_recv",
-            EventKind::AdaptDecision => "adapt_decision",
             EventKind::ShuffleElided => "shuffle_elided",
             EventKind::CacheEvict => "cache_evict",
             EventKind::CacheReload => "cache_reload",
@@ -257,9 +238,11 @@ impl EventKind {
         self as u64
     }
 
-    /// Inverse of [`Self::code`].
+    /// Inverse of [`Self::code`]. Matches on the discriminant, not the
+    /// position in [`Self::ALL`], so a retired code stays `None` instead
+    /// of shifting every later kind down by one.
     pub fn from_code(code: u64) -> Option<EventKind> {
-        EventKind::ALL.get(code as usize).copied()
+        EventKind::ALL.into_iter().find(|k| k.code() == code)
     }
 
     /// Inverse of [`Self::name`] (used when re-ingesting `.jsonl`
@@ -330,6 +313,10 @@ mod tests {
         }
         assert_eq!(EventKind::from_code(255), None);
         assert_eq!(Phase::from_code(255), None);
+        // Retired codes stay unassigned.
+        assert_eq!(EventKind::from_code(20), None);
+        assert_eq!(Step::from_code(3), None);
+        assert_eq!(Step::from_code(4), None);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use recorder::{
     FLOW_SEQ_BITS,
 };
 pub use report::{
-    AdaptCounters, CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters,
-    JobRecord, LiveCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters,
-    WaitCounters, PROBE_HIST_BUCKETS,
+    CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, JobRecord,
+    LiveCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
+    PROBE_HIST_BUCKETS,
 };

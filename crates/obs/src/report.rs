@@ -2,21 +2,21 @@
 //!
 //! The stack accumulates statistics in every layer — communication in
 //! `mimir-mpi`, the node pool in `mimir-mem`, the shuffle, grouping
-//! engine, adaptive controller and cross-job cache in `mimir-core`, job
-//! lifecycles in `mimir-sched`. A [`RankReport`] gathers all of them
-//! (plus the rank's trace events) into one serializable record. Rank 0
-//! collects every rank's report via the `gather` collective at job end
-//! and [`RankReport::merge`]s them into cluster-wide totals.
+//! engine and cross-job cache in `mimir-core`, job lifecycles in
+//! `mimir-sched`. A [`RankReport`] gathers all of them (plus the rank's
+//! trace events) into one serializable record. Rank 0 collects every
+//! rank's report via the `gather` collective at job end and
+//! [`RankReport::merge`]s them into cluster-wide totals.
 //!
 //! Each section is one [`counters!`](crate::counters!) declaration
 //! below: the field list, with each field's merge, delta and parse rule,
 //! is written once and generates the struct, `merge`, `delta_since` and
 //! the JSON section. Every crate of the stack depends on this one, so a
 //! layer whose counters have this shape — the grouping engine, the
-//! adaptive controller, the cache — uses the section's struct directly;
-//! only layers whose own stats differ in shape (pool sizes in `usize`,
-//! the shuffle's wait split, the transport's wait/work pair) convert,
-//! each with one function in the producing crate.
+//! cache — uses the section's struct directly; only layers whose own
+//! stats differ in shape (pool sizes in `usize`, the shuffle's wait
+//! split, the transport's wait/work pair) convert, each with one
+//! function in the producing crate.
 
 use crate::event::{Event, EventKind};
 use crate::json::{Json, JsonError};
@@ -246,51 +246,6 @@ impl GroupCounters {
 }
 
 crate::counters! {
-    /// What `mimir-core`'s adaptive shuffle controller decided and what
-    /// its hot-key mitigation staged during one shuffle. All zero outside
-    /// `ShuffleMode::Adaptive`. Ranks decide from identical ballot
-    /// tallies, so the convergence descriptors merge by max (the
-    /// identity across participating ranks); decisions and traffic sum.
-    /// A live window keeps every field's latest value: these describe
-    /// the controller's state rather than a flow.
-    pub struct AdaptCounters {
-        /// Exchange-mode switches applied (zero-copy ↔ overlapped
-        /// posting).
-        mode_switches: u64 [sum, keep, opt],
-        /// Effective round-size grow steps applied.
-        grow_steps: u64 [sum, keep, opt],
-        /// Effective round-size shrink steps applied.
-        shrink_steps: u64 [sum, keep, opt],
-        /// Effective round-size fill target at job end, in permille of
-        /// the partition capacity (1000 = full partitions).
-        final_fill_permille: u64 [max, keep, opt],
-        /// 1 when the job finished with overlapped posting, 0 vote-first.
-        final_overlap: u64 [max, keep, opt],
-        /// Round index of the last tuning change (the controller is
-        /// converged from here on); 0 when no change was ever applied.
-        converged_round: u64 [max, keep, opt],
-        /// Hot-destination trips: times a destination crossed the trip
-        /// share and its traffic was diverted through the two-stage path.
-        hot_trips: u64 [sum, keep, opt],
-        /// KVs absorbed into the hot stage (count bumps included).
-        hot_staged_kvs: u64 [sum, keep, opt],
-        /// Encoded KV bytes those staged KVs would have sent directly.
-        hot_staged_bytes: u64 [sum, keep, opt],
-        /// Distinct KVs held by the hot stage (its interned population).
-        hot_unique_kvs: u64 [sum, keep, opt],
-        /// Encoded bytes that bypassed a full stage and shipped directly.
-        hot_forward_bytes: u64 [sum, keep, opt],
-        /// Exchange rounds spent in the salted spread phase of the flush.
-        salted_rounds: u64 [sum, keep, opt],
-        /// Exchange rounds spent in the owner-merge phase of the flush.
-        merge_rounds: u64 [sum, keep, opt],
-        /// Rounds where the jumbo floor overrode a shrunken fill target so
-        /// the largest KV seen still fits the effective round.
-        jumbo_floor_hits: u64 [sum, keep, opt],
-    }
-}
-
-crate::counters! {
     /// Job-level counters (from `mimir-core`'s `JobStats`).
     pub struct JobCounters {
         /// Unique keys grouped on this rank.
@@ -471,8 +426,6 @@ pub struct RankReport {
     pub waits: WaitCounters,
     /// Grouping-engine counters.
     pub group: GroupCounters,
-    /// Adaptive-shuffle controller counters.
-    pub adapt: AdaptCounters,
     /// Per-phase wall-clock times.
     pub times: PhaseTimes,
     /// Per-phase memory peaks.
@@ -516,7 +469,6 @@ impl RankReport {
         self.shuffle.merge(&other.shuffle);
         self.waits.merge(&other.waits);
         self.group.merge(&other.group);
-        self.adapt.merge(&other.adapt);
         self.times.merge(&other.times);
         self.peaks.merge(&other.peaks);
         self.job.merge(&other.job);
@@ -557,7 +509,6 @@ impl RankReport {
             shuffle: self.shuffle.delta_since(&base.shuffle),
             waits: self.waits.delta_since(&base.waits),
             group: self.group.delta_since(&base.group),
-            adapt: self.adapt.delta_since(&base.adapt),
             times: self.times.delta_since(&base.times),
             peaks: self.peaks.delta_since(&base.peaks),
             job: self.job.delta_since(&base.job),
@@ -592,7 +543,6 @@ impl RankReport {
             ("shuffle", self.shuffle.to_json()),
             ("waits", self.waits.to_json()),
             ("group", self.group.to_json()),
-            ("adapt", self.adapt.to_json()),
             ("times", self.times.to_json()),
             ("peaks", self.peaks.to_json()),
             ("job", self.job.to_json()),
@@ -610,7 +560,9 @@ impl RankReport {
 
     /// Deserializes a report produced by [`Self::to_json`]. Counters
     /// follow their declared parse rules; the keyed records (cache names,
-    /// jobs) postdate the first release and parse leniently.
+    /// jobs) postdate the first release and parse leniently. An event
+    /// whose kind code this build does not know — a retired kind — is
+    /// skipped, as the JSON-lines ingest skips unknown kind names.
     ///
     /// # Errors
     /// Missing or mistyped required fields, or a malformed event.
@@ -646,7 +598,9 @@ impl RankReport {
                     .as_u64()
                     .ok_or_else(|| err("event column is not a number"))
             };
-            let kind = EventKind::from_code(num(1)?).ok_or_else(|| err("unknown event kind"))?;
+            let Some(kind) = EventKind::from_code(num(1)?) else {
+                continue;
+            };
             events.push(Event {
                 t_ns: num(0)?,
                 kind,
@@ -663,7 +617,6 @@ impl RankReport {
             shuffle: ShuffleCounters::from_json(v, "shuffle")?,
             waits: WaitCounters::from_json(v, "waits")?,
             group: GroupCounters::from_json(v, "group")?,
-            adapt: AdaptCounters::from_json(v, "adapt")?,
             times: PhaseTimes::from_json(v, "times")?,
             peaks: PhasePeaks::from_json(v, "peaks")?,
             job: JobCounters::from_json(v, "job")?,
@@ -752,22 +705,6 @@ mod tests {
                 capacity: 128,
                 probe_hist: [150, 30, 10, 5, 5, 2, 1, rank],
             },
-            adapt: AdaptCounters {
-                mode_switches: 1 + rank,
-                grow_steps: 2,
-                shrink_steps: rank,
-                final_fill_permille: 750 + 50 * rank,
-                final_overlap: rank % 2,
-                converged_round: 6 + rank,
-                hot_trips: rank,
-                hot_staged_kvs: 300 * rank,
-                hot_staged_bytes: 4800 * rank,
-                hot_unique_kvs: 3 * rank,
-                hot_forward_bytes: 16 * rank,
-                salted_rounds: rank,
-                merge_rounds: rank,
-                jumbo_floor_hits: 1 + rank,
-            },
             times: PhaseTimes {
                 map_s: 0.5 + rank as f64,
                 aggregate_s: 0.0625,
@@ -854,12 +791,6 @@ mod tests {
             "skew takes the most skewed rank"
         );
         assert_eq!(a.job.unique_keys, 100);
-        assert_eq!(a.adapt.mode_switches, 1 + 2, "adapt decisions sum");
-        assert_eq!(
-            a.adapt.final_fill_permille, 800,
-            "the converged fill target takes the max"
-        );
-        assert_eq!(a.adapt.hot_staged_kvs, 300, "hot staging sums");
         assert!((a.times.map_s - 1.5).abs() < 1e-12, "times take the max");
         assert_eq!(a.cache.elisions, 5 + 10, "cache counters sum");
         assert_eq!(
@@ -885,7 +816,6 @@ mod tests {
         assert_eq!(left.comm, right.comm);
         assert_eq!(left.shuffle, right.shuffle);
         assert_eq!(left.waits, right.waits);
-        assert_eq!(left.adapt, right.adapt);
         assert_eq!(left.mem, right.mem);
         assert_eq!(left.peaks, right.peaks);
         assert_eq!(left.ranks, right.ranks);

@@ -8,9 +8,9 @@
 //! file only for a deliberate format change.
 
 use mimir_obs::{
-    chrome_trace_string, jsonl_string, AdaptCounters, CacheCounters, CacheNameRecord, CommCounters,
-    Event, EventKind, GroupCounters, JobCounters, JobRecord, Json, LiveCounters, MemCounters,
-    PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
+    chrome_trace_string, jsonl_string, CacheCounters, CacheNameRecord, CommCounters, Event,
+    EventKind, GroupCounters, JobCounters, JobRecord, Json, LiveCounters, MemCounters, PhasePeaks,
+    PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
 };
 
 /// A report with every counter non-zero and distinct (so a swapped or
@@ -72,22 +72,6 @@ fn report(rank: u64) -> RankReport {
             groups: 506 * k,
             capacity: 507 * k,
             probe_hist: [511, 512, 513, 514, 515, 516, 517, 518].map(|v| v * k),
-        },
-        adapt: AdaptCounters {
-            mode_switches: 601 * k,
-            grow_steps: 602 * k,
-            shrink_steps: 603 * k,
-            final_fill_permille: 604 * k,
-            final_overlap: 605 * k,
-            converged_round: 606 * k,
-            hot_trips: 607 * k,
-            hot_staged_kvs: 608 * k,
-            hot_staged_bytes: 609 * k,
-            hot_unique_kvs: 610 * k,
-            hot_forward_bytes: 611 * k,
-            salted_rounds: 612 * k,
-            merge_rounds: 613 * k,
-            jumbo_floor_hits: 614 * k,
         },
         times: PhaseTimes {
             map_s: 1.5 * k as f64,
@@ -243,6 +227,57 @@ fn pinned_bytes_parse_back_to_the_fixture() {
     assert_eq!(back, reports());
 }
 
+/// Reports written before the adaptive shuffle was retired carry an
+/// `adapt` section; it is ignored on load, and everything else in those
+/// files reads back unchanged.
+#[test]
+fn reports_with_a_retired_adapt_section_still_parse() {
+    let text = include_str!("golden/reports_with_adapt.json");
+    assert!(
+        text.contains("\"adapt\":{"),
+        "fixture must carry the section"
+    );
+    let back: Vec<RankReport> = text
+        .lines()
+        .map(|l| RankReport::from_json_string(l).unwrap())
+        .collect();
+    assert_eq!(back, reports());
+}
+
+/// Compact `events` columns carry kind codes. Code 20 belonged to a
+/// retired kind: the kinds after it keep their numbers, and a row that
+/// still carries it is skipped on load.
+#[test]
+fn event_codes_after_the_retired_one_are_pinned() {
+    for (code, kind) in [
+        (21, EventKind::ShuffleElided),
+        (22, EventKind::CacheEvict),
+        (23, EventKind::CacheReload),
+    ] {
+        assert_eq!(kind.code(), code, "{kind:?}");
+        let mut r = report(0);
+        r.events = vec![Event {
+            t_ns: 5,
+            kind,
+            a: 1,
+            b: 2,
+        }];
+        let line = r.to_json_string();
+        assert!(
+            line.contains(&format!("\"events\":[[5,{code},1,2]]")),
+            "{kind:?} serialized as {line}"
+        );
+        assert_eq!(RankReport::from_json_string(&line).unwrap(), r);
+    }
+    let retired = report(0)
+        .to_json_string()
+        .replace("\"events\":[[1000,0,0,0]", "\"events\":[[1000,20,0,0]");
+    assert!(retired.contains("[1000,20,0,0]"), "replacement must hit");
+    let mut want = report(0);
+    want.events.remove(0);
+    assert_eq!(RankReport::from_json_string(&retired).unwrap(), want);
+}
+
 /// Every key of a serialized report — top-level keys, and `section.key`
 /// for each key inside an object-valued section — with whether a report
 /// missing only that key still parses (`true`) or is rejected (`false`).
@@ -298,21 +333,6 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("group.groups", true),
     ("group.capacity", true),
     ("group.probe_hist", true),
-    ("adapt", true),
-    ("adapt.mode_switches", true),
-    ("adapt.grow_steps", true),
-    ("adapt.shrink_steps", true),
-    ("adapt.final_fill_permille", true),
-    ("adapt.final_overlap", true),
-    ("adapt.converged_round", true),
-    ("adapt.hot_trips", true),
-    ("adapt.hot_staged_kvs", true),
-    ("adapt.hot_staged_bytes", true),
-    ("adapt.hot_unique_kvs", true),
-    ("adapt.hot_forward_bytes", true),
-    ("adapt.salted_rounds", true),
-    ("adapt.merge_rounds", true),
-    ("adapt.jumbo_floor_hits", true),
     ("times", false),
     ("times.map_s", false),
     ("times.aggregate_s", false),

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use mimir_core::{AdaptPolicy, MimirConfig, MimirContext, MimirError, ShuffleMode};
+use mimir_core::{MimirConfig, MimirContext, MimirError};
 
 /// What a job body hands back to the service when it finishes.
 ///
@@ -90,18 +90,6 @@ impl JobSpec {
     #[must_use]
     pub fn config(mut self, config: MimirConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Opts this job into the adaptive shuffle runtime with a per-job
-    /// [`AdaptPolicy`] override — a tenant-level knob layered over
-    /// whatever [`MimirConfig`] the spec carries. SPMD like the rest of
-    /// the spec: every rank must submit the same policy, since adaptive
-    /// decisions are taken by lockstep ballot.
-    #[must_use]
-    pub fn adaptive(mut self, policy: AdaptPolicy) -> Self {
-        self.config.shuffle_mode = ShuffleMode::Adaptive;
-        self.config.adapt = policy;
         self
     }
 }
