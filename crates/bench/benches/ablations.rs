@@ -6,8 +6,9 @@
 //! 3. **Copy path** — Mimir's direct-into-send-buffer emission vs
 //!    MR-MPI's staged copies (map page → temps → send buffer), measured
 //!    on the same in-memory workload.
-//! 4. **Grouping strategy** — the two-pass hash-bucket convert vs the
-//!    partial-reduction fold vs MR-MPI's sort-based grouping.
+//! 4. **Grouping strategy** — grouping on arrival into per-key chunk
+//!    chains vs the partial-reduction fold vs MR-MPI's sort-based
+//!    grouping.
 //! 5. **KV-compression flush budget** — delayed vs streaming flushes on a
 //!    unique-heavy stream.
 //!
@@ -115,8 +116,8 @@ fn ablate_copy_path() {
 }
 
 fn ablate_grouping() {
-    // Hash-bucket two-pass convert (baseline reduce path).
-    bench("grouping/two_pass_convert", || {
+    // Grouping on arrival into chunk chains (baseline reduce path).
+    bench("grouping/on_arrival_chains", || {
         run_mimir_wc(64 << 10, 64 << 10, WcOptions::default())
     });
     // Partial-reduction fold (no KVC/KMVC materialization).

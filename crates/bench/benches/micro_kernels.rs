@@ -1,5 +1,5 @@
 //! Micro-benchmarks over the framework's hot kernels: hashing, KV
-//! codecs, container insert/drain, the two-pass convert, the combiner
+//! codecs, container insert/drain, the one-pass convert, the combiner
 //! fold, and the shuffle round-trip. Plain harness (`harness = false`):
 //! each case is timed over a fixed iteration count and reported as
 //! ns/iter, so `cargo bench` works without external crates.
@@ -90,7 +90,7 @@ fn bench_convert() {
     let ks = keys();
     let val = 1u64.to_le_bytes();
     let pool = MemPool::unlimited("bench", 64 * 1024);
-    bench("convert/two_pass_group", 100, || {
+    bench("convert/one_pass_group", 100, || {
         let mut kvc = KvContainer::new(&pool, KvMeta::cstr_key_u64_val());
         for k in &ks {
             kvc.push(k, &val).unwrap();

@@ -212,12 +212,27 @@ fn main() {
         base.peak_node_bytes > hint.peak_node_bytes
             && hint.peak_node_bytes > hint_pr.peak_node_bytes,
     );
-    let base_8m = run_wc_mimir(&mira, 1, WcDataset::Uniform, 8 << 20, WcOptions::default());
-    let stack_8m = run_wc_mimir(
+    // The baseline's cut-off: its last in-memory size, doubling from the
+    // 2M point above until it runs out of memory.
+    let mut base_max = 2 << 20;
+    let base_oom = loop {
+        let next = run_wc_mimir(
+            &mira,
+            1,
+            WcDataset::Uniform,
+            2 * base_max,
+            WcOptions::default(),
+        );
+        if next.status != Status::InMemory || base_max >= 64 << 20 {
+            break next;
+        }
+        base_max *= 2;
+    };
+    let stack_4x = run_wc_mimir(
         &mira,
         1,
         WcDataset::Uniform,
-        8 << 20,
+        4 * base_max,
         WcOptions {
             hint: true,
             partial_reduce: true,
@@ -227,10 +242,14 @@ fn main() {
     c.check(
         "the stack processes 4x larger datasets than the baseline (Mira)",
         format!(
-            "base @8M: {:?}, hint+pr @8M: {:?}",
-            base_8m.status, stack_8m.status
+            "base @{}M: InMemory, @{}M: {:?}; hint+pr @{}M: {:?}",
+            base_max >> 20,
+            (2 * base_max) >> 20,
+            base_oom.status,
+            (4 * base_max) >> 20,
+            stack_4x.status
         ),
-        base_8m.status == Status::Oom && stack_8m.status == Status::InMemory,
+        base_oom.status == Status::Oom && stack_4x.status == Status::InMemory,
     );
 
     println!("\n{} passed, {} failed", c.passed, c.failed);

@@ -4,14 +4,15 @@
 //!
 //! The convert cells feed the same 32 KiB encoded runs (one exchange
 //! round's worth from one source) through two paths, timing from the
-//! first run to the finished KMVC:
+//! first run to the finished KMVC. Both end in the same back half — each
+//! value appended once to its group's chunk chain, then a seal that
+//! copies nothing — and differ in when the grouping happens:
 //!
-//! * `arena` — `KvContainer::push_run` then the two-pass
-//!   [`convert_with`]: keys hash once in a cold pass 1 over the whole
-//!   KVC, pass 2 replays a per-KV group-id array.
+//! * `arena` — `KvContainer::push_run` then the one-pass
+//!   [`convert_with`]: a cold walk over the whole KVC after the last run,
+//!   freeing its pages as they are grouped.
 //! * `arrival` — what `map_reduce` jobs run: [`GroupedKvs`] groups each
-//!   run while it is cache-resident and stores `(group id, value)`;
-//!   `into_kmv` is layout + scatter only.
+//!   run while it is cache-resident, so no KVC ever exists.
 //!
 //! Cells cover the shapes that stress different parts of the engine:
 //! Zipf-skewed wordcount (the paper's WC workload — probe-hit dominated),
@@ -170,9 +171,9 @@ fn encode_runs(keys: &[Vec<u8>], meta: KvMeta) -> Vec<Vec<u8>> {
 
 /// `arrival` loses a cell when its best repeat is below this fraction of
 /// `arena`'s. On fully fixed-size KVs the two paths do the same hashing
-/// and scatter, and `push_run`'s boundary walk — what grouping on arrival
+/// and appends, and `push_run`'s boundary walk — what grouping on arrival
 /// removes — is free, so they tie: back-to-back runs of this bench put
-/// the ratio at 0.87–1.03 there (1.25–1.35 on the variable-length
+/// the ratio at 0.87–1.10 there (1.25–1.40 on the variable-length
 /// wordcount cell). The floor sits below that band; the first cut of the
 /// sink (a container `push` per KV) measured 0.74 and would have tripped
 /// it.

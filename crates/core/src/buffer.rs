@@ -6,7 +6,7 @@ use crate::Result;
 ///
 /// Used for allocations that are not page-shaped but must still count
 /// against the node budget: the static send/receive communication buffers
-/// and oversized ("jumbo") KMV entries.
+/// and keys too long for a page in a [`crate::GroupIndex`].
 pub(crate) struct TrackedBuf {
     _res: Reservation,
     data: Vec<u8>,

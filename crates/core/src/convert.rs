@@ -1,222 +1,68 @@
-//! The two-pass KV→KMV conversion (paper Section III-A):
+//! KV→KMV conversion in one pass.
+//!
+//! The paper's convert is two-pass (Section III-A):
 //!
 //! > "In the first pass, the size of the KVs for each unique key is
 //! > gathered in a hash bucket and used to calculate the position of each
 //! > KMV in the KMVC. In the second pass, the KVs are converted into KMVs
 //! > by inserting them into the corresponding position in the KMVC."
 //!
-//! Grouping runs on the shared [`GroupIndex`] engine in two halves:
+//! The first pass exists only because a contiguous KMV needs its size
+//! before it is placed. Here a KMV is a chain of chunks instead (see
+//! [`KmvContainer`]), so [`Grouper::observe`] does both at once: each
+//! KV's key is hashed exactly once and interned on the shared
+//! [`GroupIndex`], and its value is appended to that group's chain — the
+//! only time a value is written. A job's shuffle runs it *on arrival*,
+//! while the received run is still cache-resident ([`crate::GroupedKvs`]);
+//! [`convert`] runs it over a KVC that already exists, freeing the KVC's
+//! pages as they are consumed. Sealing the KMVC copies nothing.
 //!
-//! * **Front half — [`Grouper::observe`].** Each KV's key is hashed
-//!   exactly once and interned; the returned group id is the KV's
-//!   dictionary code and the group's value count and stored value bytes
-//!   grow. A job's shuffle runs this *on arrival*, while the received
-//!   run is still cache-resident ([`crate::GroupedKvs`]); [`convert`] of
-//!   an already-materialised KVC runs it as its pass 1, recording the
-//!   ids in a per-KV `u32` side array.
-//! * **Back half — [`Grouper::into_kmv`].** Every group's exact-size
-//!   entry is placed ([`layout_groups`]), then the values stream into
-//!   position **by group id** — zero re-hashing and zero map lookups.
-//!
-//! Every structure the phase holds — the group index, the group-info and
-//! group-id side arrays, the placement tables — is charged to the node
-//! pool, so the convert phase's real footprint (KVs + KMVC + grouping
-//! state coexisting) is what the peak-memory figures measure.
+//! Every structure the phase holds — the group index, the chain heads,
+//! the chunk pages — is charged to the node pool, so the convert phase's
+//! real footprint is what the peak-memory figures measure.
 
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
-use crate::buffer::TrackedBuf;
-use crate::group::{DeltaCharge, GroupIndex};
+use crate::group::GroupIndex;
 use crate::hash::fxhash64;
-use crate::kmvc::{GroupLoc, Slot};
-use crate::kv::write_side;
-use crate::{KmvContainer, KvContainer, KvMeta, LenHint, Result};
-
-/// Per-unique-key sizes gathered by the front half.
-#[derive(Default, Clone, Copy)]
-struct GroupInfo {
-    count: u32,
-    val_bytes: usize,
-}
-
-impl GroupInfo {
-    /// Accounts one more `val` stored under `hint`.
-    #[inline]
-    fn grow(&mut self, hint: LenHint, val: &[u8]) {
-        self.count += 1;
-        self.val_bytes += hint.overhead() + val.len();
-    }
-}
+use crate::kmvc::Chains;
+use crate::{KmvContainer, KvContainer, KvMeta, Result};
 
 /// Converts a KV container into a KMV container, grouping values by key.
 ///
-/// Keys appear in the output in first-occurrence order, making reduce
-/// output deterministic for a given KVC content.
+/// Keys appear in the output in first-occurrence order and values in
+/// container order, making reduce output deterministic for a given KVC
+/// content.
 ///
 /// # Errors
-/// Out-of-memory if the grouping state, the KMVC, or a jumbo entry
-/// exceeds the node budget.
+/// Out-of-memory if the grouping state and the KMVC exceed the node
+/// budget.
 pub fn convert(kvc: KvContainer, pool: &MemPool) -> Result<KmvContainer> {
     convert_with(kvc, pool).map(|(kmvc, _)| kmvc)
 }
 
-/// [`convert`], also returning the grouping engine's counters. Pass 1
-/// observes every KV, recording its group id; pass 2 replays the id array
-/// while draining — no hashing, no lookups, KVC pages freed as they are
-/// consumed.
+/// [`convert`], also returning the grouping engine's counters: one walk
+/// that groups the KVC's KVs as it drains them, freeing each page once
+/// its KVs are grouped.
 ///
 /// # Errors
 /// As [`convert`].
 pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupCounters)> {
     let mut grouper = Grouper::new(pool, kvc.meta())?;
-    // The per-KV group-id side array that eliminates pass-2 lookups:
-    // 4 bytes per KV, charged up front (the KV count is known).
-    let _ids_res = pool.try_reserve(kvc.len() as usize * std::mem::size_of::<u32>())?;
-    let mut kv_group: Vec<u32> = Vec::with_capacity(kvc.len() as usize);
-    for (k, v) in kvc.iter() {
-        kv_group.push(grouper.observe(k, v)?);
-    }
-    grouper.into_kmv(pool, |layout| {
-        let mut ids = kv_group.iter();
-        kvc.drain(|_, v| {
-            let gid = *ids.next().expect("drain order matches iter order");
-            layout.place(gid as usize, v);
-            Ok(())
-        })
-    })
+    kvc.drain(|k, v| grouper.observe(k, v))?;
+    grouper.into_kmv()
 }
 
-/// Every group's placed entry header plus the per-group write cursors
-/// the value scatter advances.
-pub(crate) struct Layout {
-    meta: KvMeta,
-    pages: Vec<mimir_mem::Page>,
-    jumbos: Vec<TrackedBuf>,
-    locs: Vec<GroupLoc>,
-    cursors: Vec<usize>,
-    page_used: usize,
-    total_bytes: u64,
-    n_values: u64,
-}
-
-/// Places every group's entry (`[key][count u32][values…]`) in pages or
-/// jumbo buffers and writes the headers; values stream in through
-/// [`Layout::place`]. The `locs`/`cursors` side arrays are charged to
-/// `side`.
-fn layout_groups<'k>(
-    pool: &MemPool,
-    meta: KvMeta,
-    groups: &[GroupInfo],
-    key_of: impl Fn(usize) -> &'k [u8],
-    side: &mut DeltaCharge,
-) -> Result<Layout> {
-    let page_size = pool.page_size();
-    side.add(groups.len() * (std::mem::size_of::<GroupLoc>() + std::mem::size_of::<usize>()))?;
-    let mut pages = Vec::new();
-    let mut jumbos: Vec<TrackedBuf> = Vec::new();
-    let mut locs: Vec<GroupLoc> = Vec::with_capacity(groups.len());
-    // Write cursor within each group's values section (absolute offset in
-    // the entry's slot buffer).
-    let mut cursors: Vec<usize> = Vec::with_capacity(groups.len());
-    let mut page_used = 0usize;
-    let mut total_bytes = 0u64;
-    let mut n_values = 0u64;
-
-    for (idx, g) in groups.iter().enumerate() {
-        let key = key_of(idx);
-        let key_len = meta.key.overhead() + key.len();
-        let entry_len = key_len + 4 + g.val_bytes;
-        total_bytes += entry_len as u64;
-        n_values += u64::from(g.count);
-
-        let (slot, offset) = if entry_len <= page_size {
-            let fits = pages
-                .last()
-                .map(|p: &mimir_mem::Page| p.capacity() - page_used >= entry_len)
-                .unwrap_or(false);
-            if !fits {
-                let mut p = pool.alloc_page()?;
-                let cap = p.capacity();
-                // Written random-access; the last page is trimmed to its
-                // used length once the values are in.
-                p.set_len(cap);
-                pages.push(p);
-                page_used = 0;
-            }
-            let off = page_used;
-            page_used += entry_len;
-            (Slot::Page(pages.len() as u32 - 1), off)
-        } else {
-            jumbos.push(TrackedBuf::new(pool, entry_len)?);
-            (Slot::Jumbo(jumbos.len() as u32 - 1), 0)
-        };
-
-        // Write the entry header (key + value count) now; values stream in
-        // during the scatter.
-        let buf = match slot {
-            Slot::Page(i) => pages[i as usize].as_mut_slice(),
-            Slot::Jumbo(i) => jumbos[i as usize].as_mut_slice(),
-        };
-        let koff = write_side(meta.key, key, buf, offset);
-        buf[koff..koff + 4].copy_from_slice(&g.count.to_le_bytes());
-
-        locs.push(GroupLoc {
-            slot,
-            offset,
-            entry_len,
-        });
-        cursors.push(koff + 4);
-    }
-    Ok(Layout {
-        meta,
-        pages,
-        jumbos,
-        locs,
-        cursors,
-        page_used,
-        total_bytes,
-        n_values,
-    })
-}
-
-impl Layout {
-    /// Appends `val` to group `gid`'s entry at its write cursor.
-    #[inline]
-    pub(crate) fn place(&mut self, gid: usize, val: &[u8]) {
-        let buf = match self.locs[gid].slot {
-            Slot::Page(i) => self.pages[i as usize].as_mut_slice(),
-            Slot::Jumbo(i) => self.jumbos[i as usize].as_mut_slice(),
-        };
-        self.cursors[gid] = write_side(self.meta.val, val, buf, self.cursors[gid]);
-    }
-
-    /// Seals the filled layout into the KMVC.
-    fn into_kmvc(mut self, pool: &MemPool) -> Result<KmvContainer> {
-        if let Some(p) = self.pages.last_mut() {
-            p.set_len(self.page_used);
-        }
-        KmvContainer::from_parts(
-            self.meta,
-            self.pages,
-            self.jumbos,
-            self.locs,
-            pool,
-            self.n_values,
-            self.total_bytes,
-        )
-    }
-}
-
-/// The grouping state, fed one KV at a time by whichever front half is
-/// running — the shuffle drain ([`crate::GroupedKvs`]) or pass 1 of
-/// [`convert`] — and consumed by the one back half.
+/// The grouping state, fed one KV at a time by the shuffle drain
+/// ([`crate::GroupedKvs`]) or by [`convert`], and sealed into the KMVC.
 pub(crate) struct Grouper {
     meta: KvMeta,
     index: GroupIndex,
-    groups: Vec<GroupInfo>,
-    /// Charges `groups`, then the layout's side arrays.
-    side: DeltaCharge,
+    chains: Chains,
+    n_values: u64,
+    /// [`KmvContainer::bytes`] so far.
+    bytes: u64,
 }
 
 impl Grouper {
@@ -224,47 +70,38 @@ impl Grouper {
         Ok(Self {
             meta,
             index: GroupIndex::new(pool)?,
-            groups: Vec::new(),
-            side: DeltaCharge::new(pool)?,
+            chains: Chains::new(pool)?,
+            n_values: 0,
+            bytes: 0,
         })
     }
 
-    /// Interns `key` (its one hash) and grows its group by `val`; returns
-    /// the group id — the KV's dictionary code.
+    /// Interns `key` (its one hash) and appends `val` to its group's
+    /// chain.
     #[inline]
-    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8]) -> Result<u32> {
+    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
+        self.chains.append(gid, self.meta.val, val)?;
         if fresh {
-            self.side.add(std::mem::size_of::<GroupInfo>())?;
-            self.groups.push(GroupInfo::default());
+            self.bytes += (self.meta.key.overhead() + key.len() + 4) as u64;
         }
-        self.groups[gid as usize].grow(self.meta.val, val);
-        Ok(gid)
+        self.bytes += (self.meta.val.overhead() + val.len()) as u64;
+        self.n_values += 1;
+        Ok(())
     }
 
-    /// The back half: lays out every group's exact-size entry, lets
-    /// `feed` stream the observed KVs' `(group id, value)` pairs into
-    /// [`Layout::place`] in arrival order, and seals the KMVC.
-    pub(crate) fn into_kmv(
-        mut self,
-        pool: &MemPool,
-        feed: impl FnOnce(&mut Layout) -> Result<()>,
-    ) -> Result<(KmvContainer, GroupCounters)> {
-        self.side.settle()?;
-        let index = &self.index;
-        let mut layout = layout_groups(
-            pool,
-            self.meta,
-            &self.groups,
-            |i| index.key(i as u32),
-            &mut self.side,
-        )?;
-        feed(&mut layout)?;
+    /// Seals the groups into the KMVC, returning it with the grouping
+    /// engine's counters.
+    pub(crate) fn into_kmv(self) -> Result<(KmvContainer, GroupCounters)> {
         let stats = self.index.stats();
-        // Release the grouping state before the KMVC charges its own
-        // group table.
-        drop(self);
-        Ok((layout.into_kmvc(pool)?, stats))
+        let kmvc = KmvContainer::seal(
+            self.meta,
+            self.index,
+            self.chains,
+            self.n_values,
+            self.bytes,
+        )?;
+        Ok((kmvc, stats))
     }
 }
 
@@ -362,22 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_key_gets_a_jumbo_entry() {
-        let pool = MemPool::new("t", 128, 256 * 1024).unwrap();
-        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
-        // 100 values × 8 B = 800 B ≫ 128 B page.
-        for i in 0..100u64 {
-            kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
-        }
-        kvc.push(b"cold", &0u64.to_le_bytes()).unwrap();
-        let kmvc = convert(kvc, &pool).unwrap();
-        assert_eq!(kmvc.jumbos_held(), 1);
-        let g = groups_of(&kmvc);
-        assert_eq!(g[&b"hotk".to_vec()].len(), 100);
-        assert_eq!(g[&b"cold".to_vec()].len(), 1);
-    }
-
-    #[test]
     fn empty_container_converts_to_empty() {
         let pool = MemPool::new("t", 128, 4096).unwrap();
         let kvc = KvContainer::new(&pool, KvMeta::var());
@@ -387,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn kvc_pages_are_freed_during_pass_two() {
+    fn kvc_pages_are_freed_as_they_are_grouped() {
         let page = 256;
         let pool = MemPool::new("t", page, 1024 * 1024).unwrap();
         let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
@@ -397,10 +218,19 @@ mod tests {
         let kvc_pages = kvc.pages_held();
         let before = pool.used();
         let kmvc = convert(kvc, &pool).unwrap();
-        // After convert the KVC is gone; only KMVC memory remains.
-        let after = pool.used();
-        assert!(after < before, "KVC freed: {before} -> {after}");
+        // The chains hold half of each KV (its value), so the KVC's pages
+        // going as they are read keeps the peak near the KVC itself.
         assert!(kvc_pages > 10);
+        assert!(
+            pool.peak() <= before + 4 * page,
+            "peak {} vs KVC {before}",
+            pool.peak()
+        );
+        assert!(
+            pool.used() < before,
+            "KVC freed: {before} -> {}",
+            pool.used()
+        );
         assert_eq!(kmvc.n_values(), 1000);
     }
 
@@ -437,34 +267,41 @@ mod tests {
 
     #[test]
     fn jumbo_entry_exceeding_budget_is_oom_not_panic() {
-        // Budget fits the KVC but not KVC + the jumbo KMV entry.
+        // One group whose values alone outgrow a 2 KiB budget.
         let pool = MemPool::new("t", 128, 2 * 1024).unwrap();
-        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
-        for i in 0..120u64 {
-            kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
-        }
-        let err = convert(kvc, &pool).unwrap_err();
+        let mut grouper = Grouper::new(&pool, KvMeta::fixed(4, 8)).unwrap();
+        let err = (0..300u64)
+            .try_for_each(|i| grouper.observe(b"hotk", &i.to_le_bytes()))
+            .unwrap_err();
         assert!(matches!(err, MimirError::Mem(_)), "{err}");
-        assert_eq!(pool.used(), 0, "partial convert fully unwinds");
+        drop(grouper);
+        assert_eq!(pool.used(), 0, "partial grouping fully unwinds");
+    }
+
+    #[test]
+    fn value_too_large_for_a_chunk_is_rejected() {
+        let pool = MemPool::unlimited("t", 64);
+        let mut grouper = Grouper::new(&pool, KvMeta::var()).unwrap();
+        grouper.observe(b"k", &[1; 48]).unwrap();
+        let err = grouper.observe(b"k", &[1; 49]).unwrap_err();
+        assert!(matches!(err, MimirError::KvTooLarge { .. }), "{err}");
     }
 
     #[test]
     fn side_arrays_are_charged_to_the_pool() {
-        // 4000 KVs over 16 keys: the per-KV group-id array alone is
-        // 16 KB, which must appear in the pool accounting during the
-        // phase (this was untracked before the arena engine).
+        // 4000 unique keys: the index entries (24 B) and chain heads
+        // (28 B) are 208 KB of side arrays beside 32 KB of values, and
+        // the sealed KMVC must be charged for all of it.
         let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
         let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
         for i in 0..4000u64 {
-            kvc.push(&(i % 16).to_le_bytes(), &i.to_le_bytes()).unwrap();
+            kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
         }
-        let kvc_bytes = pool.used();
-        let peak_before = pool.peak();
         let kmvc = convert(kvc, &pool).unwrap();
-        let peak = pool.peak();
         assert!(
-            peak >= peak_before.max(kvc_bytes) + 4000 * 4,
-            "peak {peak} must include the 16 KB kv_group side array (kvc was {kvc_bytes})"
+            pool.used() >= 4000 * (24 + 28 + 8),
+            "sealed KMVC charges {} B",
+            pool.used()
         );
         drop(kmvc);
         assert_eq!(pool.used(), 0);
@@ -478,6 +315,6 @@ mod tests {
         let kmvc = convert(kvc, &pool).unwrap();
         assert_eq!(kmvc.n_groups(), 1);
         assert_eq!(kmvc.n_values(), 1);
-        assert_eq!(kmvc.jumbos_held(), 0);
+        assert_eq!(kmvc.pages_held(), 1);
     }
 }

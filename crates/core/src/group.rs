@@ -1,6 +1,6 @@
 //! The shared grouping engine: an open-addressing, arena-keyed group
-//! index used by convert pass 1, the KV-compression combiner, and
-//! partial reduction.
+//! index used by convert (and grouping on arrival), the KV-compression
+//! combiner, and partial reduction.
 //!
 //! All three consumers answer the same question — "which group does this
 //! key belong to?" — and previously answered it with
@@ -385,6 +385,14 @@ impl GroupIndex {
     /// would outlive its last use.
     pub fn reset(&mut self) -> Result<()> {
         self.clear()?;
+        self.release_slots()
+    }
+
+    /// Frees the slot table and settles the charge, keeping every group's
+    /// key and hash: what is left answers [`Self::key`] and
+    /// [`Self::hash_of`] but takes no more inserts. A sealed KMVC keeps
+    /// its keys this way.
+    pub(crate) fn release_slots(&mut self) -> Result<()> {
         self.charge.sub(self.slots.len() * 8)?;
         self.slots = Vec::new();
         self.charge.settle()

@@ -4,7 +4,7 @@
 //!
 //! | method | aggregate sink | grouping | used by |
 //! |---|---|---|---|
-//! | [`MapReduceJob::map_reduce`] | [`GroupedKvs`] (grouped on arrival) | layout + scatter, reduce | WC/OC baseline |
+//! | [`MapReduceJob::map_reduce`] | [`GroupedKvs`] (grouped on arrival) | seal the chains, reduce | WC/OC baseline |
 //! | [`MapReduceJob::map_partial_reduce`] | fold bucket | (none) | WC/OC `pr` |
 //! | [`MapReduceJob::map_shuffle`] | KVC | none (map-only) | BFS |
 //!
@@ -224,8 +224,9 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     }
 
     /// [`Self::map_reduce`] with map-side KV compression. The received
-    /// KVs are grouped by the two-pass convert after the map, not on
-    /// arrival: the combiner's table is still resident while they arrive.
+    /// KVs are collected and grouped by [`crate::convert`] after the map,
+    /// not on arrival: the combiner's table is still resident while they
+    /// arrive.
     pub fn map_reduce_compress(
         self,
         map: MapFn<'_>,
@@ -643,7 +644,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         // flush ends, and what then arrives has at most one KV per key
         // and sender: grouping it on arrival would save next to nothing
         // and put the group index on top of that table-bound peak. Those
-        // jobs keep the two-pass convert.
+        // jobs collect a KVC and convert it after the map.
         let sink = match compress {
             None => GroupedKvs::new(pool, kv_meta)?,
             Some(_) => GroupedKvs::two_pass(pool, kv_meta),
@@ -926,9 +927,9 @@ fn stash_or_return(
 /// [`JobStats::barrier_wait_ns`]: the rank that waits *least* at a phase
 /// barrier is the straggler everyone else waited for.
 fn timed_barrier(comm: &mut mimir_mpi::Comm) -> u64 {
-    let w0 = comm.stats().wait_ns;
+    let w0 = comm.wait_ns();
     comm.barrier();
-    comm.stats().wait_ns.saturating_sub(w0)
+    comm.wait_ns() - w0
 }
 
 /// Collective cancellation checkpoint at a phase boundary: free when no

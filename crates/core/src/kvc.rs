@@ -68,25 +68,10 @@ impl KvContainer {
         validate(self.meta.key, key, "key")?;
         validate(self.meta.val, val, "value")?;
         let len = encoded_len(self.meta, key, val);
-        encode_into(self.meta, key, val, self.tail(len)?);
-        self.commit(1, len);
-        Ok(())
-    }
-
-    /// The writable tail of the last page, at least `need` bytes long (a
-    /// fresh page is opened when the current one has less). Whole KVs
-    /// encoded at its front join the container once [`Self::commit`]ted —
-    /// the append path for callers that encode many trusted KVs in a row.
-    ///
-    /// # Errors
-    /// [`MimirError::KvTooLarge`] if `need` exceeds one page,
-    /// [`MimirError::Mem`] if the node budget is exhausted.
-    #[inline]
-    pub(crate) fn tail(&mut self, need: usize) -> Result<&mut [u8]> {
-        if self.pages.back().is_none_or(|p| p.remaining() < need) {
-            if need > self.pool.page_size() {
+        if self.pages.back().is_none_or(|p| p.remaining() < len) {
+            if len > self.pool.page_size() {
                 return Err(MimirError::KvTooLarge {
-                    size: need,
+                    size: len,
                     limit: self.pool.page_size(),
                     what: "container page",
                 });
@@ -95,19 +80,11 @@ impl KvContainer {
         }
         let page = self.pages.back_mut().expect("page just ensured");
         let start = page.len();
-        Ok(&mut page.raw_mut()[start..])
-    }
-
-    /// Counts `n_kvs` whole KVs, `bytes` in all, written at the front of
-    /// the last [`Self::tail`].
-    #[inline]
-    pub(crate) fn commit(&mut self, n_kvs: u64, bytes: usize) {
-        match self.pages.back_mut() {
-            Some(page) => page.set_len(page.len() + bytes),
-            None => assert_eq!(bytes, 0, "commit follows tail"),
-        }
-        self.n_kvs += n_kvs;
-        self.bytes += bytes as u64;
+        encode_into(self.meta, key, val, &mut page.raw_mut()[start..]);
+        page.set_len(start + len);
+        self.n_kvs += 1;
+        self.bytes += len as u64;
+        Ok(())
     }
 
     /// Inserts a contiguous run of encoded KVs (already in this
@@ -155,8 +132,8 @@ impl KvContainer {
         Ok(total)
     }
 
-    /// Iterates the KVs without consuming them (used by the first pass of
-    /// the two-pass convert).
+    /// Iterates the KVs without consuming them (how a chained job's map
+    /// reads its cached input).
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         self.pages
             .iter()

@@ -22,13 +22,14 @@
 //!   grown, page-granular storage that frees pages as data is consumed.
 //!   Rounds interleave map and aggregate, so memory use does not grow with
 //!   the input.
-//! * `convert` groups the received KVs into a [`KmvContainer`] (KMVC)
-//!   with the paper's two-pass algorithm (pass 1 sizes each group in a
-//!   hash bucket; pass 2 places values), and `reduce` runs the user
-//!   callback over each `<key, [values]>` group. Jobs run pass 1 inside
-//!   the drain, while each received run is cache-resident, and keep only
-//!   `(group id, value)` per KV ([`GroupedKvs`]); [`convert`] runs both
-//!   passes over a KVC that already exists.
+//! * `convert` groups the received KVs into a [`KmvContainer`] (KMVC),
+//!   and `reduce` runs the user callback over each `<key, [values]>`
+//!   group. The paper converts in two passes (size each group in a hash
+//!   bucket, then place values) because its KMVs are contiguous; here a
+//!   KMV is a chain of chunks, so one pass does both. Jobs run it inside
+//!   the drain, while each received run is cache-resident, writing each
+//!   value once into its group's chain ([`GroupedKvs`]); [`convert`] runs
+//!   it over a KVC that already exists.
 //!
 //! ## Optional optimizations (paper Section III-C)
 //!

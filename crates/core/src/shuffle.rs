@@ -324,9 +324,9 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
 
         let (all_done, sync_wait) = {
             let _step = mimir_obs::step_span(Step::Sync);
-            let w0 = self.comm.stats().wait_ns;
+            let w0 = self.comm.wait_ns();
             let all_done = self.comm.allreduce_u64(ReduceOp::LAnd, u64::from(my_done)) == 1;
-            (all_done, self.comm.stats().wait_ns - w0)
+            (all_done, self.comm.wait_ns() - w0)
         };
 
         let data_wait = {
@@ -339,10 +339,10 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
                 (0..part_len.len()).map(|d| &send[d * part_cap..d * part_cap + part_len[d]]),
                 self.recv.as_mut_slice(),
             );
-            let w0 = self.comm.stats().wait_ns;
+            let w0 = self.comm.wait_ns();
             self.comm
                 .alltoallv_complete(pending, self.recv.as_mut_slice(), &mut self.ranges);
-            self.comm.stats().wait_ns - w0
+            self.comm.wait_ns() - w0
         };
         self.part_len.fill(0);
 

@@ -10,12 +10,13 @@ use crate::shuffle::ShuffleStats;
 pub struct JobStats {
     /// Wall time of the interleaved map+aggregate phases. In the
     /// convert+reduce shapes this includes grouping on arrival: every
-    /// received KV is hashed, interned and sized in the shuffle drain
-    /// (the paper's convert pass 1, see [`crate::GroupedKvs`]).
+    /// received KV is hashed and interned, and its value appended to its
+    /// group's chunk chain, in the shuffle drain (see
+    /// [`crate::GroupedKvs`]).
     pub map_time: Duration,
-    /// Wall time of the convert phase: the KMVC layout and the value
-    /// scatter (the paper's pass 2) — plus pass 1 for the compress shape,
-    /// which converts two-pass. Zero under partial reduction.
+    /// Wall time of the convert phase: sealing the chains into the KMVC,
+    /// which copies no value — or, for the compress shape, converting
+    /// the collected KVC. Zero under partial reduction.
     pub convert_time: Duration,
     /// Wall time of the reduce phase (or the fold finalization).
     pub reduce_time: Duration,
@@ -32,12 +33,11 @@ pub struct JobStats {
     /// ranks sharing the node).
     pub node_peak_bytes: usize,
     /// Node-pool peak observed within the map+aggregate phases (the
-    /// `(group id, value)` store and the group index included).
+    /// on-arrival chunk chains and group index included).
     pub map_peak_bytes: usize,
-    /// Node-pool peak observed within the convert phase: the whole
-    /// `(group id, value)` store, the group index and the fully laid-out
-    /// KMVC coexist at its start — the job's high-water mark. Zero under
-    /// partial reduction, which has no convert.
+    /// Node-pool peak observed within the convert phase: the grouped
+    /// chains at seal (the compress shape's KVC and the chains it drains
+    /// into). Zero under partial reduction, which has no convert.
     pub convert_peak_bytes: usize,
     /// Node-pool peak observed within the reduce phase (or the fold
     /// finalization).

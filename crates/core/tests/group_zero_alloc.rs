@@ -150,8 +150,9 @@ fn short_keys_take_no_pool_page() {
 
 /// Grouping on arrival — the convert+reduce jobs' shuffle drain — does
 /// no per-KV heap work: once the working set's groups exist, a received
-/// run is hashed, probed and re-encoded as `(group id, value)` straight
-/// into the store's current pool page. Only a fresh page allocates.
+/// run is hashed, probed and each value appended to its group's chunk
+/// chain, and a chain that outgrows its tail chunk carves the next one
+/// from the open pool page. Only a fresh page allocates.
 #[test]
 fn grouping_a_received_run_is_allocation_free() {
     use mimir_core::KvSink;
@@ -168,10 +169,13 @@ fn grouping_a_received_run_is_allocation_free() {
     }
     let mut sink = GroupedKvs::new(&pool, meta).unwrap();
     // Warm-up: all 500 groups, the slot table at its final capacity, the
-    // store's first page open.
+    // first chunk page open.
     sink.accept_run(meta, &run).unwrap();
+    let pages = pool.stats().page_allocs;
 
-    // 20,000 more KVs at 16 stored bytes each stay inside that 1 MiB page.
+    // 20,000 more values at 12 encoded bytes each: every chain grows
+    // three more chunks (of 96, 192 and 252 B), all carved from that
+    // 1 MiB page.
     let before = allocs();
     for _ in 0..10 {
         assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);
@@ -181,6 +185,7 @@ fn grouping_a_received_run_is_allocation_free() {
         during, 0,
         "grouping 20,000 arrivals allocated {during} times"
     );
+    assert_eq!(pool.stats().page_allocs, pages, "no page opened");
 
     let (kmvc, stats) = sink.into_kmv().unwrap();
     assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_000));

@@ -2,14 +2,14 @@
 //! every corpus shape, the three receive-to-KMVC paths —
 //!
 //! * `GroupedKvs::new` (group each run as it arrives),
-//! * `KvContainer` + the two-pass `convert`,
+//! * `KvContainer` + `convert`,
 //! * `GroupedKvs::two_pass` (collect, then convert) —
 //!
 //! must produce exactly the `for_each_group` sequence of a std `HashMap`
-//! model that shares no code with the library, and the on-arrival path
-//! must give every byte back to the pool on drop (also after an
-//! out-of-memory failure at any point) and never peak above the two-pass
-//! path.
+//! model that shares no code with the library and seal a KMVC that holds
+//! one copy of the values; and the on-arrival path must give every byte
+//! back to the pool on drop (also after an out-of-memory failure at any
+//! point) and never peak above collecting a KVC first.
 
 use std::collections::HashMap;
 
@@ -66,8 +66,7 @@ impl Rng {
 
 const HINTS: [LenHint; 3] = [LenHint::Var, LenHint::Fixed(6), LenHint::CStr];
 
-/// Key number `id` under `hint`. Keys encode to at least 4 bytes, so a
-/// `(group id, value)` record is never larger than the KV it replaces.
+/// Key number `id` under `hint`.
 fn key_of(hint: LenHint, id: u64) -> Vec<u8> {
     match hint {
         // Var keys may hold any bytes, including NULs.
@@ -75,6 +74,16 @@ fn key_of(hint: LenHint, id: u64) -> Vec<u8> {
         LenHint::Fixed(n) => format!("{id:0n$}").into_bytes(),
         LenHint::CStr => format!("key{id}").into_bytes(),
     }
+}
+
+/// Bytes `side` takes encoded under `hint`.
+fn encoded(hint: LenHint, side: &[u8]) -> usize {
+    side.len()
+        + match hint {
+            LenHint::Var => 4,
+            LenHint::Fixed(_) => 0,
+            LenHint::CStr => 1,
+        }
 }
 
 /// A value under `hint`, of varying length where the hint allows.
@@ -147,8 +156,8 @@ fn feed_sink(sink: &mut GroupedKvs, meta: KvMeta, ops: &[Op]) -> mimir_core::Res
     Ok(())
 }
 
-/// The two-pass path: materialise the KVC, then `convert`.
-fn two_pass(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
+/// Materialise the KVC, then `convert` it.
+fn kvc_then_convert(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
     let mut kvc = KvContainer::new(pool, meta);
     for op in ops {
         match op {
@@ -198,17 +207,13 @@ fn on_arrival_and_two_pass_match_model() {
     for_every_cell(|meta, name, ops| {
         let pool = MemPool::unlimited("t", PAGE);
         let arrival = on_arrival(&pool, meta, ops);
-        let converted = two_pass(&pool, meta, ops);
+        let converted = kvc_then_convert(&pool, meta, ops);
         let collecting = through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops);
 
         let want = model(ops);
         assert!(!want.is_empty());
         assert_eq!(groups(&arrival), want, "{meta:?} {name}: arrival");
-        assert_eq!(
-            groups(&converted),
-            want,
-            "{meta:?} {name}: two-pass convert"
-        );
+        assert_eq!(groups(&converted), want, "{meta:?} {name}: convert");
         assert_eq!(groups(&collecting), want, "{meta:?} {name}: two-pass sink");
         assert_eq!(
             (arrival.n_groups(), arrival.n_values(), arrival.bytes()),
@@ -220,13 +225,42 @@ fn on_arrival_and_two_pass_match_model() {
             "{meta:?} {name}"
         );
         if name == "one-jumbo-group" {
-            assert!(
-                arrival.jumbos_held() >= 1,
-                "{meta:?}: a group outgrew a page"
-            );
+            // A chunk is at most a page, so a group whose values fill
+            // several pages is a chain of at least that many chunks.
+            let hot: usize = want[0].1.iter().map(|v| encoded(meta.val, v)).sum();
+            assert!(hot > 8 * PAGE, "{meta:?}: hot group of {hot} B");
+            assert!(arrival.pages_held() > hot / PAGE, "{meta:?}");
         }
         drop((arrival, converted, collecting));
         assert_eq!(pool.used(), 0, "{meta:?} {name}: everything credited");
+    });
+}
+
+/// What a sealed group may hold beyond its payload: its index entry and
+/// chain head (52 B), its tail chunk's unused room (under a page), and
+/// the 12-byte headers and short ends of the chunks its chain grew
+/// through. Corpus values are at most 13 B, and no group here outgrows a
+/// few dozen chunks.
+const PER_GROUP: usize = 2 * PAGE;
+
+#[test]
+fn sealed_kmvc_holds_one_copy_of_the_values() {
+    for_every_cell(|meta, name, ops| {
+        for path in ["arrival", "convert", "two-pass sink"] {
+            let pool = MemPool::unlimited("t", PAGE);
+            let kmvc = match path {
+                "arrival" => on_arrival(&pool, meta, ops),
+                "convert" => kvc_then_convert(&pool, meta, ops),
+                _ => through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops),
+            };
+            // `bytes` is what one contiguous copy of the groups takes.
+            let bound = kmvc.bytes() as usize + PER_GROUP * kmvc.n_groups() + PAGE;
+            assert!(
+                pool.used() <= bound,
+                "{meta:?} {name} {path}: {} B held, bound {bound} B",
+                pool.used()
+            );
+        }
     });
 }
 
@@ -234,12 +268,12 @@ fn on_arrival_and_two_pass_match_model() {
 fn on_arrival_never_peaks_above_two_pass() {
     for_every_cell(|meta, name, ops| {
         let old = MemPool::unlimited("old", PAGE);
-        drop(two_pass(&old, meta, ops));
+        drop(kvc_then_convert(&old, meta, ops));
         let new = MemPool::unlimited("new", PAGE);
         drop(on_arrival(&new, meta, ops));
         assert!(
             new.peak() <= old.peak(),
-            "{meta:?} {name}: on-arrival peak {} > two-pass peak {}",
+            "{meta:?} {name}: on-arrival peak {} > KVC + convert peak {}",
             new.peak(),
             old.peak()
         );

@@ -106,6 +106,42 @@ fn reduce_error_propagates_single_rank() {
     assert!(out[0]);
 }
 
+/// An elided chain hands its map's KVs to the grouping sink one at a
+/// time, past the shuffle's emit-side checks: a value that breaks the
+/// hint must still be refused there, and the failed job must give its
+/// memory back.
+#[test]
+fn elided_chain_rejects_a_value_that_breaks_the_hint() {
+    let out = ctx_world(1, |ctx| {
+        ctx.job()
+            .kv_meta(KvMeta::fixed(8, 8))
+            .output_cached("in")
+            .map_shuffle(&mut |em| {
+                (0..50u64).try_for_each(|i| em.emit(&typed::enc_u64(i), &typed::enc_u64(i)))
+            })
+            .unwrap();
+        let mut chain = |val_len: usize| {
+            ctx.job()
+                .kv_meta(KvMeta::fixed(8, 8))
+                .input_cached("in")
+                .chain_reduce(
+                    &mut |k, _v, em| em.emit(k, &vec![7; val_len]),
+                    &mut |k, _, em| em.emit(k, b""),
+                )
+                .map(drop)
+        };
+        chain(8).unwrap();
+        let res = chain(7);
+        let elisions = ctx.cache_stats().elisions;
+        ctx.cache_remove("in");
+        (res.err(), elisions, ctx.pool().used())
+    });
+    let (err, elisions, used) = &out[0];
+    assert_eq!(*elisions, 1, "the well-formed chain was elided");
+    assert!(matches!(err, Some(MimirError::HintViolation(_))), "{err:?}");
+    assert_eq!(*used, 0);
+}
+
 #[test]
 fn stats_are_populated() {
     let out = ctx_world(2, |ctx| {

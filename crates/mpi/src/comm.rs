@@ -170,6 +170,14 @@ impl Comm {
         stats
     }
 
+    /// [`CommStats::wait_ns`] so far, without merging the transport's
+    /// extras (none of which are wait time): what a caller timing one
+    /// blocking call differences.
+    #[inline]
+    pub fn wait_ns(&self) -> u64 {
+        self.stats.wait_ns
+    }
+
     /// Sends `data` to `dst` with `tag`, taking ownership of the buffer
     /// (no copy).
     ///

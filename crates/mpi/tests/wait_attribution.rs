@@ -60,13 +60,18 @@ fn barrier_wait_absorbs_an_injected_delay() {
 #[test]
 fn allreduce_wait_absorbs_an_injected_delay() {
     let stats = run_world(RANKS, |comm| {
-        let before = comm.stats().wait_ns;
+        let before = comm.wait_ns();
         if comm.rank() == 1 {
             std::thread::sleep(DELAY);
         }
         let sum = comm.allreduce_u64(ReduceOp::Sum, comm.rank() as u64);
         assert_eq!(sum, (RANKS * (RANKS - 1) / 2) as u64);
-        comm.stats().wait_ns - before
+        assert_eq!(
+            comm.wait_ns(),
+            comm.stats().wait_ns,
+            "one counter, two reads"
+        );
+        comm.wait_ns() - before
     });
 
     let floor = (DELAY.as_nanos() as u64 * 8) / 10;
