@@ -12,10 +12,13 @@
 //! [`KmvContainer`]), so [`Grouper::observe`] does both at once: each
 //! KV's key is hashed exactly once and interned on the shared
 //! [`GroupIndex`], and its value is appended to that group's chain — the
-//! only time a value is written. A job's shuffle runs it *on arrival*,
-//! while the received run is still cache-resident ([`crate::GroupedKvs`]);
-//! [`convert`] runs it over a KVC that already exists, freeing the KVC's
-//! pages as they are consumed. Sealing the KMVC copies nothing.
+//! only time a value is written. A chunk whose values share one length
+//! stores them bare, without the hint's length word or NUL; the first
+//! value of another length opens a chunk that encodes each value under
+//! the hint. A job's shuffle runs it *on arrival*, while the received
+//! run is still cache-resident ([`crate::GroupedKvs`]); [`convert`] runs
+//! it over a KVC that already exists, freeing the KVC's pages as they
+//! are consumed. Sealing the KMVC copies nothing.
 //!
 //! Every structure the phase holds — the group index, the chain heads,
 //! the chunk pages — is charged to the node pool, so the convert phase's
@@ -60,7 +63,6 @@ pub(crate) struct Grouper {
     meta: KvMeta,
     index: GroupIndex,
     chains: Chains,
-    n_values: u64,
     /// [`KmvContainer::bytes`] so far.
     bytes: u64,
 }
@@ -70,23 +72,22 @@ impl Grouper {
         Ok(Self {
             meta,
             index: GroupIndex::new(pool)?,
-            chains: Chains::new(pool)?,
-            n_values: 0,
+            chains: Chains::new(pool, meta.val)?,
             bytes: 0,
         })
     }
 
     /// Interns `key` (its one hash) and appends `val` to its group's
-    /// chain.
+    /// chain. [`KmvContainer::bytes`] counts `val` encoded under the hint,
+    /// however the chain stores it.
     #[inline]
     pub(crate) fn observe(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
-        self.chains.append(gid, self.meta.val, val)?;
+        self.chains.append(gid, val)?;
         if fresh {
             self.bytes += (self.meta.key.overhead() + key.len() + 4) as u64;
         }
         self.bytes += (self.meta.val.overhead() + val.len()) as u64;
-        self.n_values += 1;
         Ok(())
     }
 
@@ -94,13 +95,7 @@ impl Grouper {
     /// engine's counters.
     pub(crate) fn into_kmv(self) -> Result<(KmvContainer, GroupCounters)> {
         let stats = self.index.stats();
-        let kmvc = KmvContainer::seal(
-            self.meta,
-            self.index,
-            self.chains,
-            self.n_values,
-            self.bytes,
-        )?;
+        let kmvc = KmvContainer::seal(self.meta, self.index, self.chains, self.bytes)?;
         Ok((kmvc, stats))
     }
 }
@@ -280,26 +275,31 @@ mod tests {
 
     #[test]
     fn value_too_large_for_a_chunk_is_rejected() {
+        // A 64 B page holds an 8 B chunk header and one bare 56 B value,
+        // or a 52 B value behind its length word in a variable chunk.
         let pool = MemPool::unlimited("t", 64);
         let mut grouper = Grouper::new(&pool, KvMeta::var()).unwrap();
-        grouper.observe(b"k", &[1; 48]).unwrap();
-        let err = grouper.observe(b"k", &[1; 49]).unwrap_err();
+        grouper.observe(b"k", &[1; 56]).unwrap();
+        let err = grouper.observe(b"k", &[1; 53]).unwrap_err();
         assert!(matches!(err, MimirError::KvTooLarge { .. }), "{err}");
+        grouper.observe(b"k", &[1; 52]).unwrap();
     }
 
     #[test]
     fn side_arrays_are_charged_to_the_pool() {
         // 4000 unique keys: the index entries (24 B) and chain heads
-        // (28 B) are 208 KB of side arrays beside 32 KB of values, and
-        // the sealed KMVC must be charged for all of it.
+        // (16 B) are 160 KB of side arrays beside 32 KB of values and
+        // their 8 B chunk headers, and the sealed KMVC must be charged
+        // for all of it — and for little more.
         let pool = MemPool::new("t", 4096, 1 << 20).unwrap();
         let mut kvc = KvContainer::new(&pool, KvMeta::fixed(8, 8));
         for i in 0..4000u64 {
             kvc.push(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
         }
         let kmvc = convert(kvc, &pool).unwrap();
+        let held = 4000 * (24 + 16 + 8 + 8);
         assert!(
-            pool.used() >= 4000 * (24 + 28 + 8),
+            (held..held + 4096).contains(&pool.used()),
             "sealed KMVC charges {} B",
             pool.used()
         );

@@ -4,41 +4,35 @@ use crate::group::{DeltaCharge, GroupIndex};
 use crate::kv::{decode_side, write_side};
 use crate::{KvMeta, LenHint, MimirError, Result};
 
-/// Bytes in front of every chunk's payload: three little-endian `u32`s,
-/// the payload length and the page index and offset of the group's next
-/// chunk. A chunk is carved describing its whole capacity and linked to
-/// itself; when it stops being its group's tail its filled length and
-/// the next chunk are written. Readers stop at the group's value count,
-/// so a tail's unfilled end is never decoded, and every link is valid.
-const CHUNK_HDR: usize = 12;
-/// Payload a chain's chunks double to from one value. Small chunks keep
-/// a group of a few dozen values close to the size of its values: its
-/// unused tail stays under this, and the headers cost under 5 % of it.
+/// Bytes in front of every chunk's payload: a little-endian `u32` word,
+/// then `u16`s for its value count and their width. The word is the
+/// chunk's capacity while it is its group's tail, then its successor's
+/// address; readers stop at the group's count and never follow a tail.
+const CHUNK_HDR: usize = 8;
+/// The width of a variable chunk, whose values are encoded under the
+/// value hint. Any other width is a uniform chunk's: its values all have
+/// that length and are stored bare, as under `Fixed(width)`.
+const VAR: u16 = u16::MAX;
+/// Stored payload a chain's chunks double to from one value, so a group
+/// of a few dozen values keeps its unused tail under this and pays about
+/// 3 % of it in headers.
 const SMALL_CHUNK: usize = 256;
 /// Largest chunk payload. Past [`SMALL_CHUNK`] a chunk is at most about
 /// an eighth of what its group already holds, so a big group's unused
-/// tail stays near an eighth of it at most while the reader hops chunks
-/// rarely.
+/// tail stays near an eighth of it while the reader hops chunks rarely.
 const MAX_CHUNK: usize = 4096;
 /// Cache lines the reader prefetches of each next chunk: a whole small
 /// one; the hardware prefetcher follows a larger one from there.
 const PREFETCH_LINES: usize = (CHUNK_HDR + SMALL_CHUNK).div_ceil(64);
 
-/// Where a chunk starts: a page index and a byte offset into that page.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ChunkRef {
-    page: u32,
-    off: u32,
-}
-
-/// One group's chain head.
+/// One group's chain head. A chunk's address is one `u32`: page slot ×
+/// page stride (the page size rounded up to a power of two) + offset.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
-    first: ChunkRef,
-    tail: ChunkRef,
-    /// Payload bytes written into, and held by, the tail chunk.
+    first: u32,
+    tail: u32,
+    /// Payload bytes written into the tail chunk.
     fill: u32,
-    cap: u32,
     /// Values in the whole chain.
     count: u32,
 }
@@ -48,7 +42,11 @@ struct Chain {
 /// chunks, so the chains are written once and read in place.
 pub(crate) struct Chains {
     pool: MemPool,
+    /// The value hint, which variable chunks encode under.
+    hint: LenHint,
     pages: Vec<Page>,
+    /// log2 of the page stride.
+    shift: u32,
     heads: Vec<Chain>,
     /// Charges `heads`.
     charge: DeltaCharge,
@@ -73,128 +71,138 @@ fn prefetch(buf: &[u8], at: usize) {
     let _ = (buf, at);
 }
 
-/// Reads the `u32` at `at`.
-#[inline]
-fn word(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4-byte field"))
+/// The address of byte `off` of page `slot` at a page stride of
+/// 2^`shift`, or [`MimirError::KvTooLarge`] past 4 GiB.
+fn pack(slot: usize, off: usize, shift: u32) -> Result<u32> {
+    let at = ((slot as u128) << shift) + off as u128;
+    let (size, limit) = (usize::try_from(at).unwrap_or(usize::MAX), u32::MAX as usize);
+    let what = "KMV chunk address space";
+    u32::try_from(at).map_err(|_| MimirError::KvTooLarge { size, limit, what })
 }
 
 impl Chains {
-    pub(crate) fn new(pool: &MemPool) -> Result<Self> {
+    pub(crate) fn new(pool: &MemPool, hint: LenHint) -> Result<Self> {
         Ok(Self {
             pool: pool.clone(),
+            hint,
             pages: Vec::new(),
+            shift: pool.page_size().next_power_of_two().trailing_zeros(),
             heads: Vec::new(),
             charge: DeltaCharge::new(pool)?,
         })
     }
 
-    /// Appends `val`, encoded under `hint`, to group `gid`'s chain; a `gid`
+    /// The page slot and offset of chunk address `at`.
+    #[inline]
+    fn locate(&self, at: u32) -> (usize, usize) {
+        let at = at as usize;
+        (at >> self.shift, at & ((1 << self.shift) - 1))
+    }
+
+    /// The chunk at `at`: page slot, offset, word, value count, storage.
+    #[inline]
+    fn header(&self, at: u32) -> (usize, usize, u32, u16, LenHint) {
+        let (slot, off) = self.locate(at);
+        let h = &self.pages[slot].as_slice()[off..off + CHUNK_HDR];
+        let h = u64::from_le_bytes(h.try_into().expect("chunk header"));
+        let stored = match (h >> 48) as u16 {
+            VAR => self.hint,
+            width => LenHint::Fixed(width.into()),
+        };
+        (slot, off, h as u32, (h >> 32) as u16, stored)
+    }
+
+    /// Appends `val` to group `gid`'s chain, bare into a uniform tail of
+    /// its length and encoded under the hint into a variable one; a `gid`
     /// one past the last group opens that group's chain.
     ///
     /// # Errors
-    /// [`MimirError::KvTooLarge`] if the encoded value and a chunk header
-    /// exceed one page, [`MimirError::Mem`] if the node budget is
-    /// exhausted.
+    /// [`MimirError::KvTooLarge`] if the stored value and a chunk header
+    /// exceed one page, [`MimirError::Mem`] if the budget is exhausted.
     #[inline]
-    pub(crate) fn append(&mut self, gid: u32, hint: LenHint, val: &[u8]) -> Result<()> {
-        let need = hint.overhead() + val.len();
+    pub(crate) fn append(&mut self, gid: u32, val: &[u8]) -> Result<()> {
         let gid = gid as usize;
         if gid == self.heads.len() {
             self.charge.add(std::mem::size_of::<Chain>())?;
-            let (first, cap) = self.carve(need, need)?;
-            self.heads.push(Chain {
-                first,
-                tail: first,
-                fill: 0,
-                cap,
-                count: 0,
-            });
-        } else if need > (self.heads[gid].cap - self.heads[gid].fill) as usize {
-            self.grow(gid, need)?;
+            self.carve(gid, val, false)?;
         }
-        let c = &mut self.heads[gid];
-        let at = c.tail.off as usize + CHUNK_HDR + c.fill as usize;
-        let page = self.pages[c.tail.page as usize].as_mut_slice();
-        write_side(hint, val, page, at);
-        prefetch(page, at + 64);
-        c.fill += need as u32;
-        c.count += 1;
-        Ok(())
-    }
-
-    /// Links a fresh chunk behind group `gid`'s tail: twice the tail's
-    /// size, within the limits of [`SMALL_CHUNK`] and [`MAX_CHUNK`].
-    fn grow(&mut self, gid: usize, need: usize) -> Result<()> {
-        let c = self.heads[gid];
-        let limit = (c.count as usize * need / 8).clamp(SMALL_CHUNK, MAX_CHUNK);
-        // Whole values of this size, so fixed-size values fill chunks
-        // exactly.
-        let top = limit.max(need) / need.max(1) * need.max(1);
-        let want = (2 * c.cap as usize).clamp(need, top);
-        let (next, cap) = self.carve(want, need)?;
-        self.write_header(c.tail, c.fill, next);
-        let c = &mut self.heads[gid];
-        (c.tail, c.fill, c.cap) = (next, 0, cap);
-        Ok(())
-    }
-
-    /// Writes the header of the chunk at `at`: `len` payload bytes, then
-    /// `next`.
-    fn write_header(&mut self, at: ChunkRef, len: u32, next: ChunkRef) {
-        let page = self.pages[at.page as usize].as_mut_slice();
-        let off = at.off as usize;
-        for (i, w) in [len, next.page, next.off].into_iter().enumerate() {
-            page[off + 4 * i..off + 4 * i + 4].copy_from_slice(&w.to_le_bytes());
+        loop {
+            let c = self.heads[gid];
+            let (slot, off, cap, n, stored) = self.header(c.tail);
+            let need = stored.overhead() + val.len();
+            let broken = matches!(stored, LenHint::Fixed(w) if w != val.len());
+            if broken || n == u16::MAX || c.fill as usize + need > cap as usize {
+                self.carve(gid, val, broken)?;
+                continue;
+            }
+            let page = self.pages[slot].as_mut_slice();
+            let at = off + CHUNK_HDR + c.fill as usize;
+            write_side(stored, val, page, at);
+            page[off + 4..off + 6].copy_from_slice(&(n + 1).to_le_bytes());
+            prefetch(page, at + 64);
+            let c = &mut self.heads[gid];
+            (c.fill, c.count) = (c.fill + need as u32, c.count + 1);
+            return Ok(());
         }
     }
 
-    /// Carves a chunk of `want` payload bytes from the current page, or
-    /// of what the page has left when that is less but still holds
-    /// `need`; opens a page when it does not.
-    fn carve(&mut self, want: usize, need: usize) -> Result<(ChunkRef, u32)> {
+    /// Carves group `gid`'s next tail for `val`, variable if `var` or if
+    /// `val`'s length is no `u16` width, else uniform at that length: at
+    /// twice the old tail's capacity, within the limits above, in its
+    /// unused room — given back to the page if it ends the open page — or
+    /// at the open page's end or a new page's, shrunk to the room there.
+    fn carve(&mut self, gid: usize, val: &[u8], var: bool) -> Result<()> {
+        let width = u16::try_from(val.len()).ok().filter(|&w| !var && w != VAR);
+        let need = val.len() + width.map_or(self.hint.overhead(), |_| 0);
         let page_size = self.pool.page_size();
         if CHUNK_HDR + need > page_size {
-            return Err(MimirError::KvTooLarge {
-                size: CHUNK_HDR + need,
-                limit: page_size,
-                what: "KMV chunk",
+            let (size, limit, what) = (CHUNK_HDR + need, page_size, "KMV chunk");
+            return Err(MimirError::KvTooLarge { size, limit, what });
+        }
+        let prev = self.heads.get(gid).copied();
+        let (mut room, mut cap, mut n) = ((0, 0, 0), 0, 0);
+        if let Some(c) = prev {
+            let (slot, off, word, ..) = self.header(c.tail);
+            let end = off + CHUNK_HDR + c.fill as usize;
+            let stop = off + CHUNK_HDR + word as usize;
+            let open = slot + 1 == self.pages.len();
+            let page = &mut self.pages[slot];
+            if open && stop == page.len() {
+                page.set_len(end);
+                page.as_mut_slice()[off..off + 4].copy_from_slice(&c.fill.to_le_bytes());
+            }
+            (room, cap, n) = ((slot, end, stop.min(page.len())), word as usize, c.count);
+        }
+        if room.2 < room.1 + CHUNK_HDR + need {
+            if self.pages.last().map_or(0, Page::remaining) < CHUNK_HDR + need {
+                self.pages.push(self.pool.alloc_page()?);
+            }
+            let slot = self.pages.len() - 1;
+            room = (slot, self.pages[slot].len(), page_size);
+        }
+        let (slot, off, stop) = room;
+        let limit = (n as usize * need / 8).clamp(SMALL_CHUNK, MAX_CHUNK);
+        // Whole values, so fixed-size values fill chunks exactly.
+        let top = limit.max(need) / need.max(1) * need.max(1);
+        let cap = (2 * cap).clamp(need, top).min(stop - off - CHUNK_HDR);
+        let page = &mut self.pages[slot];
+        page.set_len(page.len().max(off + CHUNK_HDR + cap));
+        let h = cap as u64 | u64::from(width.unwrap_or(VAR)) << 48;
+        page.as_mut_slice()[off..off + CHUNK_HDR].copy_from_slice(&h.to_le_bytes());
+        let at = pack(slot, off, self.shift)?;
+        let Some(c) = prev else {
+            self.heads.push(Chain {
+                first: at,
+                tail: at,
+                fill: 0,
+                count: 0,
             });
-        }
-        if self
-            .pages
-            .last()
-            .is_none_or(|p| p.remaining() < CHUNK_HDR + need)
-        {
-            self.pages.push(self.pool.alloc_page()?);
-        }
-        let page = self.pages.last_mut().expect("page just ensured");
-        let off = page.len();
-        let cap = want.min(page.remaining() - CHUNK_HDR);
-        page.set_len(off + CHUNK_HDR + cap);
-        let at = ChunkRef {
-            page: self.pages.len() as u32 - 1,
-            off: off as u32,
+            return Ok(());
         };
-        self.write_header(at, cap as u32, at);
-        Ok((at, cap as u32))
-    }
-
-    /// The payload and successor of the chunk at `at`, prefetching the
-    /// successor.
-    fn chunk(&self, at: ChunkRef) -> (&[u8], ChunkRef) {
-        let page = self.pages[at.page as usize].as_slice();
-        let off = at.off as usize;
-        let start = off + CHUNK_HDR;
-        let next = ChunkRef {
-            page: word(page, off + 4),
-            off: word(page, off + 8),
-        };
-        let to = self.pages[next.page as usize].as_slice();
-        for line in 0..PREFETCH_LINES {
-            prefetch(to, next.off as usize + 64 * line);
-        }
-        (&page[start..start + word(page, off) as usize], next)
+        let (slot, off) = self.locate(c.tail);
+        self.pages[slot].as_mut_slice()[off..off + 4].copy_from_slice(&at.to_le_bytes());
+        (self.heads[gid].tail, self.heads[gid].fill) = (at, 0);
+        Ok(())
     }
 }
 
@@ -202,38 +210,29 @@ impl Chains {
 /// arrival by the grouping engine ([`crate::GroupedKvs`], or
 /// [`crate::convert`] of a KVC).
 ///
-/// Keys stay in the [`GroupIndex`] entries that interned them — its slot
-/// table is released at seal — and each group's values stay in the chain
-/// of chunks they were appended to, each value encoded per the value
-/// hint. Nothing is copied to seal the container: a hot key's chain just
-/// grows, chunk by chunk, with no buffer larger than a page.
+/// Keys stay in the [`GroupIndex`] entries that interned them (its slot
+/// table is released at seal), values in the chunk chains they were
+/// appended to: sealing copies nothing, and no buffer exceeds a page.
 pub struct KmvContainer {
     meta: KvMeta,
     keys: GroupIndex,
     chains: Chains,
-    n_values: u64,
     bytes: u64,
 }
 
 impl KmvContainer {
     /// Seals the grouping engine's keys and chains into a container.
-    pub(crate) fn seal(
-        meta: KvMeta,
-        mut keys: GroupIndex,
-        mut chains: Chains,
-        n_values: u64,
-        bytes: u64,
-    ) -> Result<Self> {
+    pub(crate) fn seal(meta: KvMeta, keys: GroupIndex, chains: Chains, bytes: u64) -> Result<Self> {
         debug_assert_eq!(keys.len(), chains.heads.len());
-        keys.release_slots()?;
-        chains.charge.settle()?;
-        Ok(Self {
+        let mut kmvc = Self {
             meta,
             keys,
             chains,
-            n_values,
             bytes,
-        })
+        };
+        kmvc.keys.release_slots()?;
+        kmvc.chains.charge.settle()?;
+        Ok(kmvc)
     }
 
     /// Number of unique keys (groups).
@@ -243,7 +242,7 @@ impl KmvContainer {
 
     /// Total number of values across all groups.
     pub fn n_values(&self) -> u64 {
-        self.n_values
+        self.chains.heads.iter().map(|c| u64::from(c.count)).sum()
     }
 
     /// Encoded bytes a contiguous KMVC would hold: per group, the key
@@ -262,9 +261,8 @@ impl KmvContainer {
         self.meta
     }
 
-    /// Visits every group in first-occurrence order with its key and an
-    /// iterator over its values in arrival order — the reduce phase's
-    /// access path.
+    /// Visits every group, in first-occurrence order, with its key and its
+    /// values in arrival order: the reduce phase's access path.
     ///
     /// # Errors
     /// Propagates the first error from `f`.
@@ -273,13 +271,12 @@ impl KmvContainer {
         mut f: impl FnMut(&[u8], ValueIter<'_>) -> Result<()>,
     ) -> Result<()> {
         for (gid, c) in self.chains.heads.iter().enumerate() {
-            let (buf, next) = self.chains.chunk(c.first);
             let vals = ValueIter {
-                hint: self.meta.val,
                 chains: &self.chains,
-                buf,
-                next,
-                off: 0,
+                buf: &[],
+                next: c.first,
+                stored: self.meta.val,
+                left: 0,
                 remaining: c.count,
             };
             f(self.keys.key(gid as u32), vals)?;
@@ -292,7 +289,7 @@ impl std::fmt::Debug for KmvContainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KmvContainer")
             .field("groups", &self.n_groups())
-            .field("n_values", &self.n_values)
+            .field("n_values", &self.n_values())
             .field("pages", &self.chains.pages.len())
             .finish()
     }
@@ -300,12 +297,14 @@ impl std::fmt::Debug for KmvContainer {
 
 /// Iterator over the values of one KMV group, walking its chunk chain.
 pub struct ValueIter<'a> {
-    hint: LenHint,
     chains: &'a Chains,
-    /// The current chunk's payload.
+    /// The current chunk's page, from its next value on.
     buf: &'a [u8],
-    next: ChunkRef,
-    off: usize,
+    /// The current chunk's word: its successor, unless it is the tail.
+    next: u32,
+    stored: LenHint,
+    /// Values of the current chunk not yet returned.
+    left: u16,
     remaining: u32,
 }
 
@@ -316,14 +315,22 @@ impl<'a> Iterator for ValueIter<'a> {
         if self.remaining == 0 {
             return None;
         }
-        if self.off == self.buf.len() {
-            (self.buf, self.next) = self.chains.chunk(self.next);
-            self.off = 0;
+        if self.left == 0 {
+            let (slot, off);
+            (slot, off, self.next, self.left, self.stored) = self.chains.header(self.next);
+            self.buf = &self.chains.pages[slot].as_slice()[off + CHUNK_HDR..];
+            if self.remaining > u32::from(self.left) {
+                let (slot, off) = self.chains.locate(self.next);
+                let to = self.chains.pages[slot].as_slice();
+                (0..PREFETCH_LINES).for_each(|line| prefetch(to, off + 64 * line));
+            }
         }
         self.remaining -= 1;
-        let (range, next) = decode_side(self.hint, self.buf, self.off);
-        self.off = next;
-        Some(&self.buf[range])
+        self.left -= 1;
+        let (range, next) = decode_side(self.stored, self.buf, 0);
+        let val = &self.buf[range];
+        self.buf = &self.buf[next..];
+        Some(val)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -338,38 +345,27 @@ mod tests {
     use super::*;
     use crate::{convert, KvContainer};
 
-    /// Chunks in group `gid`'s chain.
-    fn chunks_of(kmvc: &KmvContainer, gid: usize) -> usize {
-        let Chain { first, tail, .. } = kmvc.chains.heads[gid];
-        let mut at = first;
-        let mut n = 1;
-        while at != tail {
-            at = kmvc.chains.chunk(at).1;
-            n += 1;
+    #[test]
+    fn hot_key_chain_spans_many_chunks() {
+        // 100 values × 8 B = 800 B ≫ 128 B page, in uniform chunks.
+        let pool = MemPool::unlimited("t", 128);
+        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(1, 8));
+        (0..100u64).for_each(|i| kvc.push(b"k", &i.to_le_bytes()).unwrap());
+        let chains = convert(kvc, &pool).unwrap().chains;
+        let (mut at, mut chunks) = (chains.heads[0].first, 1);
+        while at != chains.heads[0].tail {
+            let (.., next, _, stored) = chains.header(at);
+            assert_eq!(stored, LenHint::Fixed(8));
+            (at, chunks) = (next, chunks + 1);
         }
-        n
+        assert!(chunks >= 7, "{chunks} chunks");
     }
 
     #[test]
-    fn hot_key_chain_spans_many_chunks() {
-        let pool = MemPool::new("t", 128, 256 * 1024).unwrap();
-        let mut kvc = KvContainer::new(&pool, KvMeta::fixed(4, 8));
-        // 100 values × 8 B = 800 B ≫ 128 B page.
-        for i in 0..100u64 {
-            kvc.push(b"hotk", &i.to_le_bytes()).unwrap();
-        }
-        kvc.push(b"cold", &0u64.to_le_bytes()).unwrap();
-        let kmvc = convert(kvc, &pool).unwrap();
-        assert!(chunks_of(&kmvc, 0) >= 7, "{} chunks", chunks_of(&kmvc, 0));
-        assert_eq!(chunks_of(&kmvc, 1), 1);
-        let mut groups = Vec::new();
-        kmvc.for_each_group(|k, vals| {
-            let vals = vals.map(|v| u64::from_le_bytes(v.try_into().unwrap()));
-            groups.push((k.to_vec(), vals.collect::<Vec<_>>()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(groups[0], (b"hotk".to_vec(), (0..100).collect()));
-        assert_eq!(groups[1], (b"cold".to_vec(), vec![0]));
+    fn a_chunk_address_past_u32_is_too_large_not_a_wrap() {
+        assert_eq!(pack((1 << 24) - 1, 255, 8).unwrap(), u32::MAX);
+        let too_large = |r| matches!(r, Err(MimirError::KvTooLarge { .. }));
+        assert!(too_large(pack(1 << 24, 0, 8)) && too_large(pack(1, 0, 32)));
+        assert_eq!(pack(0, 7, 33).unwrap(), 7);
     }
 }

@@ -173,9 +173,9 @@ fn grouping_a_received_run_is_allocation_free() {
     sink.accept_run(meta, &run).unwrap();
     let pages = pool.stats().page_allocs;
 
-    // 20,000 more values at 12 encoded bytes each: every chain grows
-    // three more chunks (of 96, 192 and 252 B), all carved from that
-    // 1 MiB page.
+    // 20,000 more values of one width, stored bare at 8 B each: every
+    // chain grows three more chunks (of 64, 128 and 256 B), all carved
+    // from that 1 MiB page.
     let before = allocs();
     for _ in 0..10 {
         assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);

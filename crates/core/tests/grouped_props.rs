@@ -112,7 +112,18 @@ fn runs(meta: KvMeta, kvs: &[(Vec<u8>, Vec<u8>)], run_bytes: usize) -> Vec<Op> {
     out
 }
 
-/// The four corpus shapes of the issue, as `(name, ops)`.
+/// The width corpora: a value's width cycles through its pattern by the
+/// value's index within its group — one width (WordCount's shape), runs
+/// of widths, alternating widths, and empty values.
+const WIDTHS: [(&str, [usize; 6]); 4] = [
+    ("one-width", [8; 6]),
+    ("width-runs", [8, 8, 8, 3, 3, 8]),
+    ("alternating-widths", [8, 3, 8, 3, 8, 3]),
+    ("zero-width", [0; 6]),
+];
+
+/// The corpus shapes, as `(name, ops)`; under a value hint that leaves
+/// lengths free, also the width corpora over five keys.
 fn corpora(meta: KvMeta) -> Vec<(&'static str, Vec<Op>)> {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
     let mut kv = |id: u64| (key_of(meta.key, id), val_of(meta.val, rng.next()));
@@ -135,12 +146,26 @@ fn corpora(meta: KvMeta) -> Vec<(&'static str, Vec<Op>)> {
         singles.push(Op::One(k, v));
     }
 
-    vec![
+    let mut out = vec![
         ("duplicate-heavy", runs(meta, &dup_heavy, 120)),
         ("all-unique", runs(meta, &all_unique, 64)),
         ("one-jumbo-group", runs(meta, &jumbo, 200)),
         ("single-accepts", singles),
-    ]
+    ];
+    if !matches!(meta.val, LenHint::Fixed(_)) {
+        for (name, widths) in WIDTHS {
+            let kvs: Vec<_> = (0..1500u64)
+                .map(|i| {
+                    (
+                        key_of(meta.key, i % 5),
+                        vec![b'a' + i as u8 % 26; widths[i as usize / 5 % 6]],
+                    )
+                })
+                .collect();
+            out.push((name, runs(meta, &kvs, 120)));
+        }
+    }
+    out
 }
 
 /// Feeds `ops` into an on-arrival sink; the first error stops the feed.
@@ -226,8 +251,9 @@ fn on_arrival_and_two_pass_match_model() {
         );
         if name == "one-jumbo-group" {
             // A chunk is at most a page, so a group whose values fill
-            // several pages is a chain of at least that many chunks.
-            let hot: usize = want[0].1.iter().map(|v| encoded(meta.val, v)).sum();
+            // several pages is a chain of at least that many chunks. A
+            // value takes at least its bare bytes.
+            let hot: usize = want[0].1.iter().map(Vec::len).sum();
             assert!(hot > 8 * PAGE, "{meta:?}: hot group of {hot} B");
             assert!(arrival.pages_held() > hot / PAGE, "{meta:?}");
         }
@@ -237,11 +263,11 @@ fn on_arrival_and_two_pass_match_model() {
 }
 
 /// What a sealed group may hold beyond its payload: its index entry and
-/// chain head (52 B), its tail chunk's unused room (under a page), and
-/// the 12-byte headers and short ends of the chunks its chain grew
-/// through. Corpus values are at most 13 B, and no group here outgrows a
-/// few dozen chunks.
-const PER_GROUP: usize = 2 * PAGE;
+/// chain head (24 + 16 B), its tail chunk's unused room (under a page
+/// less one 8-byte chunk header), and the headers and short ends of the
+/// chunks its chain grew through — at most sixteen headers' worth here,
+/// after the length words that bare values do not store.
+const PER_GROUP: usize = 24 + 16 + (PAGE - 8) + 16 * 8;
 
 #[test]
 fn sealed_kmvc_holds_one_copy_of_the_values() {
@@ -253,8 +279,13 @@ fn sealed_kmvc_holds_one_copy_of_the_values() {
                 "convert" => kvc_then_convert(&pool, meta, ops),
                 _ => through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops),
             };
-            // `bytes` is what one contiguous copy of the groups takes.
-            let bound = kmvc.bytes() as usize + PER_GROUP * kmvc.n_groups() + PAGE;
+            // `bytes` is what one contiguous copy of the groups takes,
+            // and values of one width are stored without their encoding.
+            let bare = match name {
+                "one-width" => encoded(meta.val, &[]) * kmvc.n_values() as usize,
+                _ => 0,
+            };
+            let bound = kmvc.bytes() as usize - bare + PER_GROUP * kmvc.n_groups() + PAGE;
             assert!(
                 pool.used() <= bound,
                 "{meta:?} {name} {path}: {} B held, bound {bound} B",
@@ -316,4 +347,30 @@ fn pool_is_credited_after_oom_at_every_accept() {
             "{meta:?} {name}: no budget below {peak} B failed"
         );
     });
+}
+
+/// One group of more values than a chunk header counts, after a width
+/// change: uniform chunks, a variable one, then uniform chunks of width
+/// 0 each up to the count limit, read back exactly.
+#[test]
+fn a_group_past_a_chunks_value_count_reads_back() {
+    for val in [LenHint::Var, LenHint::CStr] {
+        let meta = KvMeta {
+            key: LenHint::Var,
+            val,
+        };
+        let zeros = std::iter::repeat_n(0, 70_000);
+        let kvs: Vec<_> = [8, 8, 8, 3, 0, 8]
+            .into_iter()
+            .chain(zeros)
+            .map(|w| (b"k".to_vec(), vec![b'a'; w]))
+            .collect();
+        let ops = runs(meta, &kvs, 4096);
+        let pool = MemPool::unlimited("t", PAGE);
+        assert_eq!(
+            groups(&on_arrival(&pool, meta, &ops)),
+            model(&ops),
+            "{meta:?}"
+        );
+    }
 }
