@@ -141,12 +141,6 @@ impl KvCache {
         *self.elisions_by_name.entry(name.to_string()).or_insert(0) += 1;
     }
 
-    /// Records one lookup of a name the cache did not hold (cold-start
-    /// probes by iterative drivers).
-    pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
     /// Whether `name` is cached (resident or spilled). Does not count
     /// toward hit/miss statistics.
     pub fn contains(&self, name: &str) -> bool {

@@ -109,12 +109,6 @@ impl<'w> MimirContext<'w> {
         lock_cache(&self.cache).contains(name)
     }
 
-    /// Records a cold-start cache miss (an iterative driver probed a
-    /// name before seeding it).
-    pub fn cache_note_miss(&self) {
-        lock_cache(&self.cache).note_miss();
-    }
-
     /// Reads the named cached container without consuming it, reloading
     /// it from spill first if it was evicted.
     ///

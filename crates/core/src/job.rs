@@ -1,27 +1,35 @@
-//! Job driver: wires map callbacks, the shuffle, the optional
-//! optimizations, and the convert/reduce phases into the four run shapes
-//! the paper's benchmarks need.
+//! Job driver: runs the paper's one workflow — map → aggregate →
+//! convert → reduce — for every run shape. A shape is a *feed* (where the
+//! map phase's KVs come from), a *sink* (what the aggregate lands them
+//! in) and a *tail* (what turns the sink into the job's output):
 //!
-//! | method | aggregate sink | grouping | used by |
-//! |---|---|---|---|
-//! | [`MapReduceJob::map_reduce`] | [`GroupedKvs`] (grouped on arrival) | seal the chains, reduce | WC/OC baseline |
-//! | [`MapReduceJob::map_partial_reduce`] | fold bucket | (none) | WC/OC `pr` |
-//! | [`MapReduceJob::map_shuffle`] | KVC | none (map-only) | BFS |
+//! | method | feed | sink | tail | used by |
+//! |---|---|---|---|---|
+//! | [`MapReduceJob::map_reduce`] | map | [`GroupedKvs`] (grouped on arrival) | convert + reduce | WC/OC baseline |
+//! | [`MapReduceJob::map_reduce_compress`] | map + combiner | [`GroupedKvs`] (two-pass) | convert + reduce | WC/OC `cps` |
+//! | [`MapReduceJob::map_partial_reduce`] | map | [`PartialReducer`] | fold finalise | WC/OC `pr` |
+//! | [`MapReduceJob::map_partial_reduce_compress`] | map + combiner | [`PartialReducer`] | fold finalise | WC/OC `pr`+`cps` |
+//! | [`MapReduceJob::map_shuffle`] | map | KVC | (none) | BFS partition |
+//! | [`MapReduceJob::chain_shuffle`] | cached input | KVC | (none) | BFS levels |
+//! | [`MapReduceJob::chain_reduce`] | cached input | [`GroupedKvs`] | convert + reduce | chained jobs |
+//! | [`MapReduceJob::chain_partial_reduce`] | cached input | [`PartialReducer`] | fold finalise | PageRank |
 //!
-//! Each shape has a `*_compress` variant that interposes the KV
-//! compression table between the map and the shuffle, and a `chain_*`
-//! variant (`chain_reduce`, `chain_partial_reduce`, `chain_shuffle`) that
-//! replaces the map's input with a cross-job cached container (see
-//! [`crate::KvCache`]) — eliding the shuffle entirely when the cached
-//! placement fingerprint matches the job's partitioner.
+//! The map phase is one function for every shape: the feed drives the
+//! map — through the KV compression table when a combiner is given —
+//! into the shuffle, whose last rounds drain in the Aggregate span. A
+//! cached input (see [`crate::KvCache`]) whose placement fingerprint
+//! matches the job's partitioner skips the exchange: the chained map
+//! feeds the sink directly.
 //!
 //! Per the paper, the global synchronization between map and reduce is
 //! retained (a barrier after the shuffle completes); everything else is
 //! implicit and interleaved.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use mimir_obs::{EventKind, GroupCounters, Phase};
+use mimir_mem::MemPool;
+use mimir_mpi::Comm;
+use mimir_obs::{EventKind, GroupCounters, Phase, SpanGuard};
 
 use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
 use crate::combiner::{CombineFn, CombinerTable, StreamingCombiner};
@@ -29,21 +37,10 @@ use crate::context::MimirContext;
 use crate::grouped::GroupedKvs;
 use crate::kmvc::ValueIter;
 use crate::partial::PartialReducer;
-use crate::partitioner::{PartitionFingerprint, Partitioner};
+use crate::partitioner::Partitioner;
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
 use crate::sink::KvSink;
-use crate::{JobStats, KvContainer, KvMeta, MimirError, Result};
-
-/// Pushes the pool's current occupancy into this rank's live telemetry
-/// accumulator (a no-op unless the plane is armed on this thread), so
-/// the online memory-headroom rule sees gauges that move at phase
-/// boundaries instead of only in the end-of-job report.
-fn note_live_mem(pool: &mimir_mem::MemPool) {
-    if mimir_obs::live::shared().is_none() {
-        return;
-    }
-    mimir_obs::live::note_mem(pool.stats().counters());
-}
+use crate::{CancelToken, JobStats, KvContainer, KvMeta, MimirError, Result};
 
 /// A configured-but-not-yet-run MapReduce job.
 pub struct MapReduceJob<'c, 'w> {
@@ -67,15 +64,11 @@ pub struct JobOutput {
 }
 
 /// Emitter wrapper for reduce callbacks writing job output.
-pub struct OutEmitter<'a> {
-    kvc: &'a mut KvContainer,
-    count: u64,
-}
+struct OutEmitter<'a>(&'a mut KvContainer);
 
 impl Emitter for OutEmitter<'_> {
     fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        self.count += 1;
-        self.kvc.push(key, val)
+        self.0.push(key, val)
     }
 }
 
@@ -219,8 +212,10 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     /// # Errors
     /// Memory exhaustion, hint violations, oversized KVs, or errors from
     /// the callbacks.
-    pub fn map_reduce(self, map: MapFn<'_>, reduce: ReduceFn<'_>) -> Result<JobOutput> {
-        self.run_grouped(map, None, reduce)
+    pub fn map_reduce(mut self, map: MapFn<'_>, reduce: ReduceFn<'_>) -> Result<JobOutput> {
+        let meta = self.kv_meta;
+        let mapped = self.map_phase(Feed::Map(map, None), |pool| GroupedKvs::new(pool, meta))?;
+        self.convert_reduce(mapped, reduce)
     }
 
     /// [`Self::map_reduce`] with map-side KV compression. The received
@@ -228,138 +223,55 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     /// not on arrival: the combiner's table is still resident while they
     /// arrive.
     pub fn map_reduce_compress(
-        self,
+        mut self,
         map: MapFn<'_>,
         compress: CombineFn<'_>,
         reduce: ReduceFn<'_>,
     ) -> Result<JobOutput> {
-        self.run_grouped(map, Some(compress), reduce)
+        // A combiner ahead of the shuffle holds its whole table until the
+        // flush ends, and what then arrives has at most one KV per key
+        // and sender: grouping it on arrival would save next to nothing
+        // and put the group index on top of that table-bound peak.
+        let meta = self.kv_meta;
+        let feed = Feed::Map(map, Some(compress));
+        let mapped = self.map_phase(feed, |pool| Ok(GroupedKvs::two_pass(pool, meta)))?;
+        self.convert_reduce(mapped, reduce)
     }
 
     /// Partial reduction: map → (implicit aggregate) → fold. Replaces
     /// convert+reduce; requires `combine` to be commutative and
     /// associative.
-    pub fn map_partial_reduce(self, map: MapFn<'_>, combine: CombineFn<'_>) -> Result<JobOutput> {
-        self.run_partial(map, None, combine)
+    pub fn map_partial_reduce(
+        mut self,
+        map: MapFn<'_>,
+        combine: CombineFn<'_>,
+    ) -> Result<JobOutput> {
+        let meta = self.kv_meta;
+        let feed = Feed::Map(map, None);
+        let mapped = self.map_phase(feed, |pool| PartialReducer::new(pool, meta, combine))?;
+        self.fold_finish(mapped)
     }
 
     /// [`Self::map_partial_reduce`] with map-side KV compression too.
     pub fn map_partial_reduce_compress(
-        self,
+        mut self,
         map: MapFn<'_>,
         compress: CombineFn<'_>,
         combine: CombineFn<'_>,
     ) -> Result<JobOutput> {
-        self.run_partial(map, Some(compress), combine)
+        let meta = self.kv_meta;
+        let feed = Feed::Map(map, Some(compress));
+        let mapped = self.map_phase(feed, |pool| PartialReducer::new(pool, meta, combine))?;
+        self.fold_finish(mapped)
     }
 
     /// Map-only with shuffle: emitted KVs are hash-partitioned to their
     /// owner ranks and returned ungrouped (the BFS traversal shape).
-    pub fn map_shuffle(self, map: MapFn<'_>) -> Result<JobOutput> {
-        ensure_not_chained(&self.input_cached)?;
-        let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
-        } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = KvContainer::new(pool, self.kv_meta);
-        let mut shuffler = Shuffler::with_partitioner(
-            comm,
-            pool,
-            self.kv_meta,
-            cfg.comm_buf_size,
-            sink,
-            self.partitioner.clone(),
-        )?;
-        map(&mut shuffler)?;
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let (kvc, shuffle) = shuffler.finish()?;
-        let barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let kvs_out = kvc.len();
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, kvc);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time: t0.elapsed(),
-                shuffle,
-                kvs_out,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes: pool.phase_peak(),
-                barrier_wait_ns,
-                ..JobStats::default()
-            },
-        })
-    }
-
-    /// [`Self::map_shuffle`] with map-side KV compression.
-    pub fn map_shuffle_compress(
-        self,
-        map: MapFn<'_>,
-        compress: CombineFn<'_>,
-    ) -> Result<JobOutput> {
-        ensure_not_chained(&self.input_cached)?;
-        let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
-        } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = KvContainer::new(pool, self.kv_meta);
-        let mut shuffler = Shuffler::with_partitioner(
-            comm,
-            pool,
-            self.kv_meta,
-            cfg.comm_buf_size,
-            sink,
-            self.partitioner.clone(),
-        )?;
-        let group = drive_compressed_map(
-            map,
-            compress,
-            pool,
-            self.kv_meta,
-            self.compress_flush_bytes,
-            &mut shuffler,
-        )?;
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let (kvc, shuffle) = shuffler.finish()?;
-        let barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let kvs_out = kvc.len();
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, kvc);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time: t0.elapsed(),
-                shuffle,
-                group,
-                kvs_out,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes: pool.phase_peak(),
-                barrier_wait_ns,
-                ..JobStats::default()
-            },
-        })
+    pub fn map_shuffle(mut self, map: MapFn<'_>) -> Result<JobOutput> {
+        let meta = self.kv_meta;
+        let feed = Feed::Map(map, None);
+        let (kvc, stats) = self.map_phase(feed, |pool| Ok(KvContainer::new(pool, meta)))?;
+        self.finish(kvc, stats)
     }
 
     /// Chained map-only: runs `map` once per KV of the cached input named
@@ -373,56 +285,11 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     /// [`MimirError::Cache`] when no input name was declared, the name is
     /// not cached, or an elided map emits a key this rank does not own;
     /// otherwise as [`Self::map_shuffle`].
-    pub fn chain_shuffle(self, map: ChainMapFn<'_>) -> Result<JobOutput> {
-        let in_name = require_chain_input(&self.input_cached)?;
-        let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
-        } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let input = lock_cache(cache).checkout(&in_name, pool)?;
-        let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = KvContainer::new(pool, self.kv_meta);
-        let fed = feed_chain(
-            comm,
-            pool,
-            cfg.comm_buf_size,
-            self.kv_meta,
-            &self.partitioner,
-            &input.kvc,
-            map,
-            sink,
-            elide,
-        );
-        finish_chain_input(cache, &in_name, input, elide && fed.is_ok());
-        let (kvc, shuffle) = fed?;
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let kvs_out = kvc.len();
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, kvc);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time: t0.elapsed(),
-                shuffle,
-                kvs_out,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes: pool.phase_peak(),
-                barrier_wait_ns,
-                ..JobStats::default()
-            },
-        })
+    pub fn chain_shuffle(mut self, map: ChainMapFn<'_>) -> Result<JobOutput> {
+        let meta = self.kv_meta;
+        let feed = Feed::Chain(map);
+        let (kvc, stats) = self.map_phase(feed, |pool| Ok(KvContainer::new(pool, meta)))?;
+        self.finish(kvc, stats)
     }
 
     /// Chained full workflow: per-KV map over the cached input, then
@@ -432,100 +299,10 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     ///
     /// # Errors
     /// As [`Self::chain_shuffle`] and [`Self::map_reduce`].
-    pub fn chain_reduce(self, map: ChainMapFn<'_>, reduce: ReduceFn<'_>) -> Result<JobOutput> {
-        let in_name = require_chain_input(&self.input_cached)?;
-        let out_meta = self.out_meta;
-        let kv_meta = self.kv_meta;
-        let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
-        } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- chained map + (elided) aggregate -------------------------
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let input = lock_cache(cache).checkout(&in_name, pool)?;
-        let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = GroupedKvs::new(pool, kv_meta)?;
-        let fed = feed_chain(
-            comm,
-            pool,
-            cfg.comm_buf_size,
-            kv_meta,
-            &self.partitioner,
-            &input.kvc,
-            map,
-            sink,
-            elide,
-        );
-        finish_chain_input(cache, &in_name, input, elide && fed.is_ok());
-        let (grouped, shuffle) = fed?;
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let mut barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let map_time = t0.elapsed();
-        let map_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- convert ---------------------------------------------------
-        let t1 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, group) = grouped.into_kmv()?;
-        drop(convert_span);
-        let convert_time = t1.elapsed();
-        let convert_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- reduce ----------------------------------------------------
-        let t2 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let reduce_span = mimir_obs::phase_span(Phase::Reduce);
-        let mut out = KvContainer::new(pool, out_meta);
-        let unique_keys = kmvc.n_groups() as u64;
-        {
-            let mut emitter = OutEmitter {
-                kvc: &mut out,
-                count: 0,
-            };
-            kmvc.for_each_group(|k, vals| reduce(k, vals, &mut emitter))?;
-        }
-        drop(kmvc);
-        barrier_wait_ns += timed_barrier(comm);
-        drop(reduce_span);
-        let reduce_time = t2.elapsed();
-        let reduce_peak_bytes = pool.phase_peak();
-
-        let kvs_out = out.len();
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, out);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time,
-                convert_time,
-                reduce_time,
-                shuffle,
-                group,
-                unique_keys,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes,
-                convert_peak_bytes,
-                reduce_peak_bytes,
-                kvs_out,
-                barrier_wait_ns,
-            },
-        })
+    pub fn chain_reduce(mut self, map: ChainMapFn<'_>, reduce: ReduceFn<'_>) -> Result<JobOutput> {
+        let meta = self.kv_meta;
+        let mapped = self.map_phase(Feed::Chain(map), |pool| GroupedKvs::new(pool, meta))?;
+        self.convert_reduce(mapped, reduce)
     }
 
     /// Chained partial reduction: per-KV map over the cached input folding
@@ -537,94 +314,42 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     /// # Errors
     /// As [`Self::chain_shuffle`] and [`Self::map_partial_reduce`].
     pub fn chain_partial_reduce(
-        self,
+        mut self,
         map: ChainMapFn<'_>,
         combine: CombineFn<'_>,
     ) -> Result<JobOutput> {
-        let in_name = require_chain_input(&self.input_cached)?;
-        let out_meta = self.out_meta;
-        let kv_meta = self.kv_meta;
-        let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
-        } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let input = lock_cache(cache).checkout(&in_name, pool)?;
-        let elide = self.elide && input.fingerprint == fingerprint;
-        let sink = PartialReducer::new(pool, kv_meta, combine)?;
-        let fed = feed_chain(
-            comm,
-            pool,
-            cfg.comm_buf_size,
-            kv_meta,
-            &self.partitioner,
-            &input.kvc,
-            map,
-            sink,
-            elide,
-        );
-        finish_chain_input(cache, &in_name, input, elide && fed.is_ok());
-        let (reducer, shuffle) = fed?;
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let mut barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let map_time = t0.elapsed();
-        let map_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
-
-        let t2 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let reduce_span = mimir_obs::phase_span(Phase::Reduce);
-        let unique_keys = reducer.unique_keys() as u64;
-        let group = reducer.group_stats();
-        let out = reducer.into_output(pool, out_meta)?;
-        barrier_wait_ns += timed_barrier(comm);
-        drop(reduce_span);
-        let reduce_time = t2.elapsed();
-        let reduce_peak_bytes = pool.phase_peak();
-
-        let kvs_out = out.len();
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, out);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time,
-                convert_time: std::time::Duration::ZERO,
-                reduce_time,
-                shuffle,
-                group,
-                unique_keys,
-                kvs_out,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes,
-                reduce_peak_bytes,
-                barrier_wait_ns,
-                ..JobStats::default()
-            },
-        })
+        let meta = self.kv_meta;
+        let feed = Feed::Chain(map);
+        let mapped = self.map_phase(feed, |pool| PartialReducer::new(pool, meta, combine))?;
+        self.fold_finish(mapped)
     }
 
-    fn run_grouped(
-        self,
-        map: MapFn<'_>,
-        compress: Option<CombineFn<'_>>,
-        reduce: ReduceFn<'_>,
-    ) -> Result<JobOutput> {
-        ensure_not_chained(&self.input_cached)?;
-        let out_meta = self.out_meta;
-        let kv_meta = self.kv_meta;
+    /// The map phase of every shape: drives `feed` into the sink that
+    /// `new_sink` builds — through the shuffle, or straight in when a
+    /// chained input's placement allows the elision — then drains the
+    /// exchange and runs the map → reduce barrier in the Aggregate span.
+    /// Returns the filled sink and the stats so far.
+    fn map_phase<S: KvSink>(
+        &mut self,
+        feed: Feed<'_>,
+        new_sink: impl FnOnce(&MemPool) -> Result<S>,
+    ) -> Result<(S, JobStats)> {
+        // A map feed drives its own input and would silently ignore a
+        // cached one.
+        let chain_input = match (&feed, &self.input_cached) {
+            (Feed::Map(..), None) => None,
+            (Feed::Map(..), Some(name)) => {
+                return Err(MimirError::Cache(format!(
+                    "input_cached({name:?}) requires a chain_* run shape"
+                )))
+            }
+            (Feed::Chain(_), Some(name)) => Some(name.clone()),
+            (Feed::Chain(_), None) => {
+                return Err(MimirError::Cache(
+                    "chain_* run shapes require input_cached(name)".to_string(),
+                ))
+            }
+        };
         let MimirContext {
             comm,
             pool,
@@ -633,260 +358,223 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             cache,
             ..
         } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- map + implicit aggregate --------------------------------
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        // A combiner ahead of the shuffle holds its whole table until the
-        // flush ends, and what then arrives has at most one KV per key
-        // and sender: grouping it on arrival would save next to nothing
-        // and put the group index on top of that table-bound peak. Those
-        // jobs collect a KVC and convert it after the map.
-        let sink = match compress {
-            None => GroupedKvs::new(pool, kv_meta)?,
-            Some(_) => GroupedKvs::two_pass(pool, kv_meta),
+        let mut clock = PhaseClock::start(comm, cancel, pool, Phase::Map)?;
+        let input = match &chain_input {
+            Some(name) => Some(lock_cache(cache).checkout(name, pool)?),
+            None => None,
         };
-        let mut shuffler = Shuffler::with_partitioner(
-            comm,
-            pool,
-            kv_meta,
-            cfg.comm_buf_size,
-            sink,
-            self.partitioner.clone(),
-        )?;
-        let mut group = GroupCounters::default();
-        match compress {
-            None => map(&mut shuffler)?,
-            Some(cf) => {
-                group = drive_compressed_map(
-                    map,
-                    cf,
-                    pool,
-                    kv_meta,
-                    self.compress_flush_bytes,
-                    &mut shuffler,
-                )?;
+        let fingerprint = self.partitioner.fingerprint(comm.size());
+        let elide = self.elide && input.as_ref().is_some_and(|i| i.fingerprint == fingerprint);
+        let input_kvc = input.as_ref().map(|i| &i.kvc);
+        let (meta, flush_bytes) = (self.kv_meta, self.compress_flush_bytes);
+        let fed = (|| -> Result<(S, ShuffleStats, GroupCounters)> {
+            let mut sink = new_sink(pool)?;
+            if elide {
+                let mut local = LocalEmitter {
+                    sink: &mut sink,
+                    partitioner: &self.partitioner,
+                    rank: comm.rank(),
+                    n_ranks: comm.size(),
+                    kvs: 0,
+                    bytes: 0,
+                };
+                let group = feed.drive(input_kvc, pool, meta, flush_bytes, &mut local)?;
+                mimir_obs::emit(EventKind::ShuffleElided, local.kvs, local.bytes);
+                clock.enter(Phase::Aggregate);
+                return Ok((sink, ShuffleStats::default(), group));
             }
+            let partitioner = self.partitioner.clone();
+            let mut shuffler =
+                Shuffler::with_partitioner(comm, pool, meta, cfg.comm_buf_size, sink, partitioner)?;
+            let group = feed.drive(input_kvc, pool, meta, flush_bytes, &mut shuffler)?;
+            clock.enter(Phase::Aggregate);
+            let (sink, shuffle) = shuffler.finish()?;
+            Ok((sink, shuffle, group))
+        })();
+        if let (Some(name), Some(input)) = (chain_input, input) {
+            finish_chain_input(cache, &name, input, elide && fed.is_ok());
         }
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let (grouped, shuffle) = shuffler.finish()?;
+        let (sink, shuffle, group) = fed?;
         // The paper retains the global synchronization between the map
         // and reduce phases.
-        let mut barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let map_time = t0.elapsed();
-        let map_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- convert ---------------------------------------------------
-        let t1 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let convert_span = mimir_obs::phase_span(Phase::Convert);
-        let (kmvc, sink_group) = grouped.into_kmv()?;
-        group.merge(&sink_group);
-        drop(convert_span);
-        let convert_time = t1.elapsed();
-        let convert_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
-
-        // --- reduce ----------------------------------------------------
-        let t2 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let reduce_span = mimir_obs::phase_span(Phase::Reduce);
-        let mut out = KvContainer::new(pool, out_meta);
-        let unique_keys = kmvc.n_groups() as u64;
-        {
-            let mut emitter = OutEmitter {
-                kvc: &mut out,
-                count: 0,
-            };
-            kmvc.for_each_group(|k, vals| reduce(k, vals, &mut emitter))?;
-        }
-        drop(kmvc);
-        barrier_wait_ns += timed_barrier(comm);
-        drop(reduce_span);
-        let reduce_time = t2.elapsed();
-        let reduce_peak_bytes = pool.phase_peak();
-
-        let kvs_out = out.len();
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, out);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time,
-                convert_time,
-                reduce_time,
-                shuffle,
-                group,
-                unique_keys,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes,
-                convert_peak_bytes,
-                reduce_peak_bytes,
-                kvs_out,
-                barrier_wait_ns,
-            },
-        })
+        let barrier_wait_ns = timed_barrier(comm);
+        let (map_time, map_peak_bytes) = clock.stop(pool);
+        let stats = JobStats {
+            map_time,
+            shuffle,
+            group,
+            map_peak_bytes,
+            barrier_wait_ns,
+            ..JobStats::default()
+        };
+        Ok((sink, stats))
     }
 
-    fn run_partial(
+    /// Convert + reduce: seals the grouped chains into the KMVC, then runs
+    /// `reduce` over every group into the output.
+    fn convert_reduce(
         self,
-        map: MapFn<'_>,
-        compress: Option<CombineFn<'_>>,
-        combine: CombineFn<'_>,
+        (grouped, mut stats): (GroupedKvs, JobStats),
+        reduce: ReduceFn<'_>,
     ) -> Result<JobOutput> {
-        ensure_not_chained(&self.input_cached)?;
-        let out_meta = self.out_meta;
-        let kv_meta = self.kv_meta;
         let MimirContext {
-            comm,
-            pool,
-            cfg,
-            cancel,
-            cache,
-            ..
+            comm, pool, cancel, ..
         } = &mut *self.ctx;
-        cancel_checkpoint(comm, cancel)?;
+        let clock = PhaseClock::start(comm, cancel, pool, Phase::Convert)?;
+        let (kmvc, group) = grouped.into_kmv()?;
+        stats.group.merge(&group);
+        (stats.convert_time, stats.convert_peak_bytes) = clock.stop(pool);
 
-        let t0 = Instant::now();
-        pool.reset_phase_peak();
-        note_live_mem(pool);
-        let map_span = mimir_obs::phase_span(Phase::Map);
-        let sink = PartialReducer::new(pool, kv_meta, combine)?;
-        let mut shuffler = Shuffler::with_partitioner(
-            comm,
-            pool,
-            kv_meta,
-            cfg.comm_buf_size,
-            sink,
-            self.partitioner.clone(),
-        )?;
-        let mut group = GroupCounters::default();
-        match compress {
-            None => map(&mut shuffler)?,
-            Some(cf) => {
-                group = drive_compressed_map(
-                    map,
-                    cf,
-                    pool,
-                    kv_meta,
-                    self.compress_flush_bytes,
-                    &mut shuffler,
-                )?;
+        let clock = PhaseClock::start(comm, cancel, pool, Phase::Reduce)?;
+        let mut out = KvContainer::new(pool, self.out_meta);
+        stats.unique_keys = kmvc.n_groups() as u64;
+        let mut emitter = OutEmitter(&mut out);
+        kmvc.for_each_group(|k, vals| reduce(k, vals, &mut emitter))?;
+        drop(kmvc);
+        stats.barrier_wait_ns += timed_barrier(comm);
+        (stats.reduce_time, stats.reduce_peak_bytes) = clock.stop(pool);
+        self.finish(out, stats)
+    }
+
+    /// The partial-reduction finalise: moves the fold table into the
+    /// output in the Reduce span.
+    fn fold_finish(
+        self,
+        (reducer, mut stats): (PartialReducer<'_>, JobStats),
+    ) -> Result<JobOutput> {
+        let MimirContext {
+            comm, pool, cancel, ..
+        } = &mut *self.ctx;
+        let clock = PhaseClock::start(comm, cancel, pool, Phase::Reduce)?;
+        stats.unique_keys = reducer.unique_keys() as u64;
+        stats.group.merge(&reducer.group_stats());
+        let out = reducer.into_output(pool, self.out_meta)?;
+        stats.barrier_wait_ns += timed_barrier(comm);
+        (stats.reduce_time, stats.reduce_peak_bytes) = clock.stop(pool);
+        self.finish(out, stats)
+    }
+
+    /// The finish of every shape: applies [`Self::output_cached`] — the
+    /// output moves into the cache under the job's placement fingerprint
+    /// and the caller gets an empty container of the same encoding — and
+    /// completes the stats.
+    fn finish(self, out: KvContainer, mut stats: JobStats) -> Result<JobOutput> {
+        let MimirContext {
+            comm, pool, cache, ..
+        } = &*self.ctx;
+        stats.kvs_out = out.len();
+        let output = match &self.output_cached {
+            Some(name) => {
+                let meta = out.meta();
+                let fingerprint = self.partitioner.fingerprint(comm.size());
+                lock_cache(cache).insert(name, out, fingerprint);
+                KvContainer::new(pool, meta)
+            }
+            None => out,
+        };
+        stats.node_peak_bytes = pool.peak();
+        Ok(JobOutput { output, stats })
+    }
+}
+
+/// Where a job's map phase takes its KVs from.
+enum Feed<'f> {
+    /// The map callback, behind a KV-compression table when a combiner
+    /// is given.
+    Map(MapFn<'f>, Option<CombineFn<'f>>),
+    /// The chained map, once per KV of the cached input.
+    Chain(ChainMapFn<'f>),
+}
+
+impl Feed<'_> {
+    /// Runs the feed into `out`. A compression table flushes either once
+    /// at the end (the paper's delayed aggregate) or whenever it exceeds
+    /// `flush_bytes`. Returns the table's counters (none without one).
+    fn drive(
+        self,
+        input: Option<&KvContainer>,
+        pool: &MemPool,
+        meta: KvMeta,
+        flush_bytes: Option<usize>,
+        out: &mut dyn Emitter,
+    ) -> Result<GroupCounters> {
+        match self {
+            Feed::Map(map, None) => map(out)?,
+            Feed::Map(map, Some(cf)) => {
+                let mut table = CombinerTable::new(pool, meta, cf)?;
+                return match flush_bytes {
+                    None => {
+                        map(&mut table)?;
+                        table.flush_into(out)?;
+                        Ok(table.group_stats())
+                    }
+                    Some(limit) => {
+                        let mut streaming = StreamingCombiner::new(table, out, limit);
+                        map(&mut streaming)?;
+                        streaming.finish().map(|(_, stats)| stats)
+                    }
+                };
+            }
+            Feed::Chain(map) => {
+                if let Some(input) = input {
+                    for (k, v) in input.iter() {
+                        map(k, v, out)?;
+                    }
+                }
             }
         }
-        drop(map_span);
-        let agg_span = mimir_obs::phase_span(Phase::Aggregate);
-        let (reducer, shuffle) = shuffler.finish()?;
-        let mut barrier_wait_ns = timed_barrier(comm);
-        drop(agg_span);
-        let map_time = t0.elapsed();
-        let map_peak_bytes = pool.phase_peak();
-        cancel_checkpoint(comm, cancel)?;
+        Ok(GroupCounters::default())
+    }
+}
 
-        let t2 = Instant::now();
+/// One phase's clock, opened at a phase boundary and stopped into the
+/// phase's wall time and pool peak.
+struct PhaseClock {
+    t0: Instant,
+    span: Option<SpanGuard>,
+}
+
+impl PhaseClock {
+    /// Opens `phase`. First the collective cancellation checkpoint: free
+    /// when no [`CancelToken`] is installed; otherwise an `allreduce Max`
+    /// vote of the local flag on the job's communicator, so all ranks
+    /// abandon the job at the same boundary (see the `cancel` module
+    /// docs). Then the timer, a fresh pool phase peak, and the pool's
+    /// occupancy pushed into this rank's live telemetry (a no-op unless
+    /// the plane is armed on this thread), so the online memory-headroom
+    /// rule sees gauges that move at phase boundaries.
+    fn start(
+        comm: &mut Comm,
+        cancel: &Option<CancelToken>,
+        pool: &MemPool,
+        phase: Phase,
+    ) -> Result<Self> {
+        if let Some(token) = cancel {
+            let raised =
+                comm.allreduce_u64(mimir_mpi::ReduceOp::Max, u64::from(token.is_cancelled()));
+            if raised != 0 {
+                return Err(MimirError::Cancelled);
+            }
+        }
+        let t0 = Instant::now();
         pool.reset_phase_peak();
-        note_live_mem(pool);
-        let reduce_span = mimir_obs::phase_span(Phase::Reduce);
-        let unique_keys = reducer.unique_keys() as u64;
-        group.merge(&reducer.group_stats());
-        let out = reducer.into_output(pool, out_meta)?;
-        barrier_wait_ns += timed_barrier(comm);
-        drop(reduce_span);
-        let reduce_time = t2.elapsed();
-        let reduce_peak_bytes = pool.phase_peak();
-
-        let kvs_out = out.len();
-        let fingerprint = self.partitioner.fingerprint(comm.size());
-        let output = stash_or_return(cache, pool, &self.output_cached, fingerprint, out);
-        Ok(JobOutput {
-            output,
-            stats: JobStats {
-                map_time,
-                convert_time: std::time::Duration::ZERO,
-                reduce_time,
-                shuffle,
-                group,
-                unique_keys,
-                kvs_out,
-                node_peak_bytes: pool.peak(),
-                map_peak_bytes,
-                reduce_peak_bytes,
-                barrier_wait_ns,
-                ..JobStats::default()
-            },
-        })
-    }
-}
-
-/// Rejects [`MapReduceJob::input_cached`] on a non-chain run shape: the
-/// classic shapes drive their own input and would silently ignore it.
-fn ensure_not_chained(input: &Option<String>) -> Result<()> {
-    match input {
-        Some(name) => Err(MimirError::Cache(format!(
-            "input_cached({name:?}) requires a chain_* run shape"
-        ))),
-        None => Ok(()),
-    }
-}
-
-/// Requires the chain shapes' input name.
-fn require_chain_input(input: &Option<String>) -> Result<String> {
-    input.clone().ok_or_else(|| {
-        MimirError::Cache("chain_* run shapes require input_cached(name)".to_string())
-    })
-}
-
-/// Drives the chained map over the cached input and into `sink`: either
-/// through the elided local path (per-emit ownership check, no exchange,
-/// a `shuffle_elided` trace event) or through a real [`Shuffler`].
-#[allow(clippy::too_many_arguments)]
-fn feed_chain<S: KvSink>(
-    comm: &mut mimir_mpi::Comm,
-    pool: &mimir_mem::MemPool,
-    comm_buf_size: usize,
-    kv_meta: KvMeta,
-    partitioner: &Partitioner,
-    input: &KvContainer,
-    map: ChainMapFn<'_>,
-    mut sink: S,
-    elide: bool,
-) -> Result<(S, ShuffleStats)> {
-    if elide {
-        let mut em = LocalEmitter {
-            sink: &mut sink,
-            partitioner,
-            rank: comm.rank(),
-            n_ranks: comm.size(),
-            kvs: 0,
-            bytes: 0,
-        };
-        for (k, v) in input.iter() {
-            map(k, v, &mut em)?;
+        if mimir_obs::live::shared().is_some() {
+            mimir_obs::live::note_mem(pool.stats().counters());
         }
-        let (kvs, bytes) = (em.kvs, em.bytes);
-        mimir_obs::emit(EventKind::ShuffleElided, kvs, bytes);
-        Ok((sink, ShuffleStats::default()))
-    } else {
-        let mut shuffler = Shuffler::with_partitioner(
-            comm,
-            pool,
-            kv_meta,
-            comm_buf_size,
-            sink,
-            partitioner.clone(),
-        )?;
-        for (k, v) in input.iter() {
-            map(k, v, &mut shuffler)?;
-        }
-        shuffler.finish()
+        let span = Some(mimir_obs::phase_span(phase));
+        Ok(Self { t0, span })
+    }
+
+    /// Moves the trace span on to `phase`; the timer keeps running.
+    fn enter(&mut self, phase: Phase) {
+        self.span = None;
+        self.span = Some(mimir_obs::phase_span(phase));
+    }
+
+    /// Closes the phase: its wall time and the pool's peak within it.
+    fn stop(self, pool: &MemPool) -> (Duration, usize) {
+        drop(self.span);
+        (self.t0.elapsed(), pool.phase_peak())
     }
 }
 
@@ -901,76 +589,12 @@ fn finish_chain_input(cache: &SharedKvCache, name: &str, input: CheckedOut, elid
     }
 }
 
-/// Applies [`MapReduceJob::output_cached`]: moves the finished output
-/// into the cache under the job's placement fingerprint and hands the
-/// caller an empty container of the same encoding; without a name the
-/// output passes through untouched.
-fn stash_or_return(
-    cache: &SharedKvCache,
-    pool: &mimir_mem::MemPool,
-    name: &Option<String>,
-    fingerprint: PartitionFingerprint,
-    out: KvContainer,
-) -> KvContainer {
-    match name {
-        Some(n) => {
-            let meta = out.meta();
-            lock_cache(cache).insert(n, out, fingerprint);
-            KvContainer::new(pool, meta)
-        }
-        None => out,
-    }
-}
-
 /// Runs a barrier and returns the time this rank spent blocked in it, by
 /// differencing the communicator's cumulative wait counter. Feeds
 /// [`JobStats::barrier_wait_ns`]: the rank that waits *least* at a phase
 /// barrier is the straggler everyone else waited for.
-fn timed_barrier(comm: &mut mimir_mpi::Comm) -> u64 {
+fn timed_barrier(comm: &mut Comm) -> u64 {
     let w0 = comm.wait_ns();
     comm.barrier();
     comm.wait_ns() - w0
-}
-
-/// Collective cancellation checkpoint at a phase boundary: free when no
-/// [`crate::CancelToken`] is installed; otherwise an `allreduce Max` vote
-/// of the local flag on the job's communicator, so all ranks abandon the
-/// job at the same boundary (see the `cancel` module docs).
-fn cancel_checkpoint(
-    comm: &mut mimir_mpi::Comm,
-    cancel: &Option<crate::CancelToken>,
-) -> Result<()> {
-    if let Some(token) = cancel {
-        let raised = comm.allreduce_u64(mimir_mpi::ReduceOp::Max, u64::from(token.is_cancelled()));
-        if raised != 0 {
-            return Err(crate::MimirError::Cancelled);
-        }
-    }
-    Ok(())
-}
-
-/// Runs `map` through a compression table, flushing into `shuffler`
-/// either once at the end (the paper's delayed aggregate) or whenever the
-/// table exceeds `flush_bytes`. Returns the grouping engine's counters.
-fn drive_compressed_map(
-    map: MapFn<'_>,
-    cf: CombineFn<'_>,
-    pool: &mimir_mem::MemPool,
-    meta: KvMeta,
-    flush_bytes: Option<usize>,
-    shuffler: &mut dyn Emitter,
-) -> Result<GroupCounters> {
-    let mut table = CombinerTable::new(pool, meta, cf)?;
-    match flush_bytes {
-        None => {
-            map(&mut table)?;
-            table.flush_into(shuffler)?;
-            Ok(table.group_stats())
-        }
-        Some(limit) => {
-            let mut streaming = StreamingCombiner::new(table, shuffler, limit);
-            map(&mut streaming)?;
-            streaming.finish().map(|(_, stats)| stats)
-        }
-    }
 }

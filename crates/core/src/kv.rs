@@ -133,22 +133,19 @@ pub(crate) fn kv_span(
     (krange, vrange, end)
 }
 
-/// A decoded `(key, value)` pair borrowed from an encoded buffer.
-pub type KvRef<'a> = (&'a [u8], &'a [u8]);
-
 /// Decodes the KV starting at the beginning of `buf`, returning
-/// `((key, val), bytes_consumed)`, or `None` if `buf` is empty.
+/// `(key, val, bytes_consumed)`, or `None` if `buf` is empty.
 ///
 /// # Panics
 /// Panics on a truncated or malformed buffer — encoded buffers are
 /// framework-internal, so that is a bug, not an input error.
 #[inline]
-pub fn decode_one(meta: KvMeta, buf: &[u8]) -> Option<(KvRef<'_>, usize)> {
+pub fn decode_one(meta: KvMeta, buf: &[u8]) -> Option<(&[u8], &[u8], usize)> {
     if buf.is_empty() {
         return None;
     }
     let (krange, vrange, end) = kv_span(meta, buf, 0);
-    Some(((&buf[krange], &buf[vrange]), end))
+    Some((&buf[krange], &buf[vrange], end))
 }
 
 /// Iterator over the KVs of an encoded buffer.
@@ -168,7 +165,7 @@ impl<'a> Iterator for KvDecoder<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let ((k, v), used) = decode_one(self.meta, self.buf)?;
+        let (k, v, used) = decode_one(self.meta, self.buf)?;
         self.buf = &self.buf[used..];
         Some((k, v))
     }

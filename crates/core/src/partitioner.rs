@@ -72,9 +72,8 @@ impl Partitioner {
     /// outside the send buffer.
     ///
     /// The name is the partitioner's cache identity: two custom
-    /// partitioners with the same name (and salt, see [`Self::salted`])
-    /// fingerprint as interchangeable. Pick distinct names for distinct
-    /// placement functions.
+    /// partitioners with the same name fingerprint as interchangeable.
+    /// Pick distinct names for distinct placement functions.
     pub fn custom(
         name: &'static str,
         f: impl Fn(&[u8], usize) -> usize + Send + Sync + 'static,
@@ -103,14 +102,6 @@ impl Partitioner {
             salt: n_keys,
             is_hash: false,
         }
-    }
-
-    /// Folds a structural parameter into this partitioner's fingerprint
-    /// (custom partitioners parameterized beyond their name).
-    #[must_use]
-    pub fn salted(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
     }
 
     /// The placement identity of this partitioner over `n_ranks` ranks.
@@ -218,10 +209,6 @@ mod tests {
         assert_ne!(
             Partitioner::custom("a", |_, _| 0).fingerprint(2),
             Partitioner::custom("b", |_, _| 0).fingerprint(2)
-        );
-        assert_ne!(
-            Partitioner::custom("a", |_, _| 0).salted(7).fingerprint(2),
-            Partitioner::custom("a", |_, _| 0).fingerprint(2)
         );
     }
 

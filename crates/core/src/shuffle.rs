@@ -150,8 +150,6 @@ pub struct Shuffler<'a, S: KvSink> {
     /// Cumulative bytes emitted towards each destination rank — the
     /// per-destination histogram behind the skew metrics.
     dest_bytes: Vec<u64>,
-    /// Cumulative KVs emitted towards each destination rank.
-    dest_kvs: Vec<u64>,
     /// Preallocated sort buffer for the Gini computation, so per-round
     /// skew accounting stays allocation-free in steady state.
     skew_scratch: Vec<u64>,
@@ -232,7 +230,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             part_len: vec![0; p],
             ranges: Vec::with_capacity(p),
             dest_bytes: vec![0; p],
-            dest_kvs: vec![0; p],
             skew_scratch: Vec::with_capacity(p),
             partitioner,
             sink,
@@ -257,12 +254,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         }
         self.push_live();
         Ok((self.sink, self.stats))
-    }
-
-    /// The cumulative per-destination histogram: `(bytes, kvs)` emitted
-    /// towards each rank so far.
-    pub fn dest_histogram(&self) -> (&[u64], &[u64]) {
-        (&self.dest_bytes, &self.dest_kvs)
     }
 
     /// [`skew_permille`] of the cumulative per-destination histogram,
@@ -409,7 +400,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         );
         self.part_len[dst] += len;
         self.dest_bytes[dst] += len as u64;
-        self.dest_kvs[dst] += 1;
         self.stats.kvs_emitted += 1;
         self.stats.kv_bytes_emitted += len as u64;
         Ok(())
@@ -661,9 +651,6 @@ mod tests {
                     let key = format!("key-{i}");
                     sh.emit(key.as_bytes(), &i.to_le_bytes()).unwrap();
                 }
-                let (bytes, kvs) = sh.dest_histogram();
-                assert_eq!(bytes.len(), 4);
-                assert_eq!(kvs.iter().sum::<u64>(), 400);
                 sh.finish().unwrap().1
             })
         };

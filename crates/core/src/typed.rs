@@ -34,29 +34,6 @@ pub fn dec_u64_pair(b: &[u8]) -> (u64, u64) {
     (dec_u64(&b[..8]), dec_u64(&b[8..]))
 }
 
-/// Encodes a 3-D point (octree benchmark).
-#[inline]
-pub fn enc_point(p: [f32; 3]) -> [u8; 12] {
-    let mut out = [0u8; 12];
-    for (i, c) in p.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&c.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a 3-D point from a 12-byte slice.
-///
-/// # Panics
-/// Panics if `b` is not exactly 12 bytes.
-#[inline]
-pub fn dec_point(b: &[u8]) -> [f32; 3] {
-    let mut p = [0f32; 3];
-    for (i, c) in p.iter_mut().enumerate() {
-        *c = f32::from_le_bytes(b[i * 4..i * 4 + 4].try_into().expect("12-byte point"));
-    }
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,11 +48,5 @@ mod tests {
     #[test]
     fn pair_roundtrip() {
         assert_eq!(dec_u64_pair(&enc_u64_pair(3, u64::MAX)), (3, u64::MAX));
-    }
-
-    #[test]
-    fn point_roundtrip() {
-        let p = [0.25f32, -1.5, 3.75];
-        assert_eq!(dec_point(&enc_point(p)), p);
     }
 }

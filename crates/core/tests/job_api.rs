@@ -1,12 +1,15 @@
 //! Job-API surface tests: run-shape combinations, stats, error
 //! propagation, and context reuse across jobs.
 
+use std::collections::HashMap;
+
 use mimir_core::{
-    typed, Emitter, KvMeta, LenHint, MimirConfig, MimirContext, MimirError, ValueIter,
+    typed, Emitter, JobStats, KvMeta, LenHint, MimirConfig, MimirContext, MimirError, ValueIter,
 };
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
+use mimir_obs::{EventKind, Phase};
 
 fn ctx_world<R: Send>(
     ranks: usize,
@@ -267,8 +270,6 @@ fn mixed_hint_combinations_roundtrip_through_jobs() {
 
 #[test]
 fn streaming_compression_bounds_memory_and_preserves_results() {
-    use std::collections::HashMap;
-
     fn sum(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
         o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
     }
@@ -339,4 +340,277 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
         (peak_streaming as f64) < 0.7 * peak_delayed as f64,
         "streaming {peak_streaming} vs delayed {peak_delayed}"
     );
+}
+
+/// Every public run shape, for the matrix below.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Shape {
+    MapReduce,
+    MapReduceCompress,
+    MapPartialReduce,
+    MapPartialReduceCompress,
+    MapShuffle,
+    ChainShuffle,
+    ChainReduce,
+    ChainPartialReduce,
+}
+
+impl Shape {
+    const ALL: [Shape; 8] = [
+        Shape::MapReduce,
+        Shape::MapReduceCompress,
+        Shape::MapPartialReduce,
+        Shape::MapPartialReduceCompress,
+        Shape::MapShuffle,
+        Shape::ChainShuffle,
+        Shape::ChainReduce,
+        Shape::ChainPartialReduce,
+    ];
+
+    fn chained(self) -> bool {
+        matches!(
+            self,
+            Shape::ChainShuffle | Shape::ChainReduce | Shape::ChainPartialReduce
+        )
+    }
+
+    fn converts(self) -> bool {
+        matches!(
+            self,
+            Shape::MapReduce | Shape::MapReduceCompress | Shape::ChainReduce
+        )
+    }
+
+    fn groups(self) -> bool {
+        !matches!(self, Shape::MapShuffle | Shape::ChainShuffle)
+    }
+}
+
+/// The matrix's word counts: rank `r` emits `40 + 15r` KVs over 13 keys.
+fn matrix_input(rank: usize) -> impl Iterator<Item = (Vec<u8>, u64)> {
+    (0..40 + 15 * rank as u64).map(|i| (format!("w{}", i % 13).into_bytes(), 1 + i % 3))
+}
+
+fn add_u64(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
+    o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
+}
+
+/// One rank's output KVs, values decoded.
+type Kvs = Vec<(Vec<u8>, u64)>;
+
+/// What one rank saw of one matrix cell.
+struct ShapeRun {
+    /// The output KVs and stats, or the job's error.
+    result: Result<(Kvs, JobStats), MimirError>,
+    /// Whether the chained input `in` was cached after the job.
+    input_cached: bool,
+    elisions: u64,
+    /// Pool occupancy once the output is dropped and the cache cleared.
+    used_after: usize,
+}
+
+/// Runs `shape` on two ranks. The chain shapes read a cache entry `in`
+/// that a `map_shuffle` seeds with [`matrix_input`]; a chained map
+/// re-emits each KV, which keeps the placement, so `elide` decides the
+/// elision. With `fail`, every map callback errors after its first KV.
+fn run_shape(shape: Shape, elide: bool, fail: bool) -> Vec<ShapeRun> {
+    ctx_world(2, move |ctx| {
+        let rank = ctx.rank();
+        let failure = || Err(MimirError::Config("synthetic map failure".into()));
+        if shape.chained() {
+            ctx.job()
+                .output_cached("in")
+                .map_shuffle(&mut |em| {
+                    matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
+                })
+                .unwrap();
+        }
+        let mut map = |em: &mut dyn Emitter| {
+            for (k, v) in matrix_input(rank) {
+                em.emit(&k, &typed::enc_u64(v))?;
+                if fail {
+                    return failure();
+                }
+            }
+            Ok(())
+        };
+        let mut chain_map = |k: &[u8], v: &[u8], em: &mut dyn Emitter| {
+            em.emit(k, v)?;
+            if fail {
+                return failure();
+            }
+            Ok(())
+        };
+        let mut reduce = |k: &[u8], vals: ValueIter<'_>, em: &mut dyn Emitter| {
+            em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
+        };
+        let mut job = ctx.job();
+        if shape.chained() {
+            job = job.input_cached("in").shuffle_elision(elide);
+        }
+        let res = match shape {
+            Shape::MapReduce => job.map_reduce(&mut map, &mut reduce),
+            Shape::MapReduceCompress => {
+                job.map_reduce_compress(&mut map, Box::new(add_u64), &mut reduce)
+            }
+            Shape::MapPartialReduce => job.map_partial_reduce(&mut map, Box::new(add_u64)),
+            Shape::MapPartialReduceCompress => {
+                job.map_partial_reduce_compress(&mut map, Box::new(add_u64), Box::new(add_u64))
+            }
+            Shape::MapShuffle => job.map_shuffle(&mut map),
+            Shape::ChainShuffle => job.chain_shuffle(&mut chain_map),
+            Shape::ChainReduce => job.chain_reduce(&mut chain_map, &mut reduce),
+            Shape::ChainPartialReduce => {
+                job.chain_partial_reduce(&mut chain_map, Box::new(add_u64))
+            }
+        };
+        let result = res.map(|out| {
+            let mut kvs = Vec::new();
+            out.output
+                .drain(|k, v| {
+                    kvs.push((k.to_vec(), typed::dec_u64(v)));
+                    Ok(())
+                })
+                .unwrap();
+            (kvs, out.stats)
+        });
+        let input_cached = ctx.cache_contains("in");
+        let elisions = ctx.cache_stats().elisions;
+        ctx.cache_clear();
+        ShapeRun {
+            result,
+            input_cached,
+            elisions,
+            used_after: ctx.pool().used(),
+        }
+    })
+}
+
+/// Each public run shape — chained ones elided and not — once as is and
+/// once with a failing map: the output matches a `HashMap` model, the
+/// pool drains, a chained input survives its job, an elision is credited
+/// only on success, and the convert stats are set exactly by the shapes
+/// that convert.
+#[test]
+fn run_shape_matrix_matches_the_model_and_gives_memory_back() {
+    let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
+    for rank in 0..2 {
+        for (k, v) in matrix_input(rank) {
+            *model.entry(k).or_default() += v;
+        }
+    }
+    for shape in Shape::ALL {
+        let elide_cases: &[bool] = if shape.chained() {
+            &[true, false]
+        } else {
+            &[true]
+        };
+        for &elide in elide_cases {
+            for fail in [false, true] {
+                let case = format!("{shape:?} elide={elide} fail={fail}");
+                let runs = run_shape(shape, elide, fail);
+                let mut got: HashMap<Vec<u8>, u64> = HashMap::new();
+                for run in &runs {
+                    assert_eq!(run.used_after, 0, "{case}: pages left in the pool");
+                    assert_eq!(run.input_cached, shape.chained(), "{case}");
+                    let elided = shape.chained() && elide && !fail;
+                    assert_eq!(run.elisions, u64::from(elided), "{case}");
+                    if fail {
+                        let err = run.result.as_ref().err();
+                        assert!(
+                            matches!(err, Some(MimirError::Config(_))),
+                            "{case}: {err:?}"
+                        );
+                        continue;
+                    }
+                    let (kvs, stats) = run.result.as_ref().unwrap();
+                    for (k, v) in kvs {
+                        let slot = got.entry(k.clone()).or_default();
+                        assert!(!shape.groups() || *slot == 0, "{case}: key output twice");
+                        *slot += v;
+                    }
+                    assert_eq!(stats.kvs_out, kvs.len() as u64, "{case}");
+                    assert_eq!(stats.convert_time.is_zero(), !shape.converts(), "{case}");
+                    assert_eq!(stats.convert_peak_bytes == 0, !shape.converts(), "{case}");
+                    assert!(stats.map_peak_bytes <= stats.node_peak_bytes, "{case}");
+                }
+                if !fail {
+                    assert_eq!(got, model, "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// The events between this rank's Aggregate phase span's begin and end.
+fn aggregate_span(events: &[mimir_obs::Event]) -> &[mimir_obs::Event] {
+    let agg = |kind| {
+        events
+            .iter()
+            .position(|e| e.kind == kind && e.a == Phase::Aggregate as u64)
+            .unwrap()
+    };
+    &events[agg(EventKind::PhaseBegin)..agg(EventKind::PhaseEnd)]
+}
+
+/// The exchange's last rounds drain inside the Aggregate span in every
+/// shape: a non-elided chain finishes its shuffle there, as `map_shuffle`
+/// does, instead of inside the Map span.
+#[test]
+fn chained_exchange_finishes_in_the_aggregate_span() {
+    for chained in [false, true] {
+        let out = ctx_world(2, move |ctx| {
+            let rank = ctx.rank();
+            let mut map = |em: &mut dyn Emitter| {
+                matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
+            };
+            if chained {
+                ctx.job().output_cached("in").map_shuffle(&mut map).unwrap();
+            }
+            mimir_obs::install(mimir_obs::Recorder::new(rank, 4096));
+            let job = ctx.job();
+            if chained {
+                job.input_cached("in")
+                    .shuffle_elision(false)
+                    .chain_shuffle(&mut |k, v, em| em.emit(k, v))
+                    .unwrap();
+            } else {
+                job.map_shuffle(&mut map).unwrap();
+            }
+            mimir_obs::take().unwrap().events()
+        });
+        for events in &out {
+            let rounds = aggregate_span(events)
+                .iter()
+                .filter(|e| e.kind == EventKind::RoundEnd)
+                .count();
+            assert!(
+                rounds >= 1,
+                "chained={chained}: no exchange round in Aggregate"
+            );
+        }
+    }
+}
+
+/// A cached input goes with the chain shapes only: a map shape refuses
+/// one, and a chain shape refuses to run without one, before either
+/// touches the communicator.
+#[test]
+fn cached_input_and_run_shape_must_agree() {
+    let out = ctx_world(1, |ctx| {
+        let map_with_input = ctx
+            .job()
+            .input_cached("in")
+            .map_shuffle(&mut |em| em.emit(b"k", b"v"))
+            .err();
+        let chain_without_input = ctx.job().chain_shuffle(&mut |k, v, em| em.emit(k, v)).err();
+        (map_with_input, chain_without_input)
+    });
+    let (map_with_input, chain_without_input) = &out[0];
+    let msg = |e: &Option<MimirError>| match e {
+        Some(MimirError::Cache(m)) => m.clone(),
+        other => panic!("expected a cache error, got {other:?}"),
+    };
+    assert!(msg(map_with_input).contains("requires a chain_* run shape"));
+    assert!(msg(chain_without_input).contains("require input_cached(name)"));
 }

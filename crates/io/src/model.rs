@@ -208,11 +208,6 @@ impl IoModel {
         self.inner.paced.store(paced, Ordering::Release);
     }
 
-    /// Whether charges currently sleep their modeled duration.
-    pub fn is_paced(&self) -> bool {
-        self.inner.paced.load(Ordering::Acquire)
-    }
-
     fn charge(&self, bytes: usize, bw: f64) -> Duration {
         let transfer = if bw.is_finite() {
             Duration::from_secs_f64(bytes as f64 / bw)
@@ -223,7 +218,7 @@ impl IoModel {
         self.inner
             .modeled_nanos
             .fetch_add(total.as_nanos() as u64, Ordering::AcqRel);
-        if total > Duration::ZERO && self.is_paced() {
+        if total > Duration::ZERO && self.inner.paced.load(Ordering::Acquire) {
             std::thread::sleep(total);
         }
         total

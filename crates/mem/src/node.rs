@@ -90,13 +90,6 @@ impl NodeMap {
     pub fn max_node_peak(&self) -> usize {
         self.pools.iter().map(MemPool::peak).max().unwrap_or(0)
     }
-
-    /// Resets every node pool's peak tracker.
-    pub fn reset_peaks(&self) {
-        for p in &self.pools {
-            p.reset_peak();
-        }
-    }
 }
 
 #[cfg(test)]

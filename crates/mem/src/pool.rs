@@ -174,11 +174,6 @@ impl MemPool {
         self.inner.budget.saturating_sub(self.used())
     }
 
-    /// Number of whole pages still allocatable under the budget.
-    pub fn available_pages(&self) -> usize {
-        self.available() / self.inner.page_size
-    }
-
     /// The pool's diagnostic name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -219,12 +214,6 @@ impl MemPool {
             page_frees: self.inner.page_frees.load(Ordering::Relaxed),
             oom_events: self.oom_events(),
         }
-    }
-
-    /// Drops cached free-page buffers, returning their memory to the host
-    /// allocator. Accounting is unaffected (cached buffers are not charged).
-    pub fn trim_cache(&self) {
-        self.inner.free_pages.lock().unwrap().clear();
     }
 
     fn charge(&self, bytes: usize) -> Result<()> {
@@ -473,10 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn available_pages_reflects_budget() {
+    fn available_reflects_budget() {
         let pool = MemPool::new("t", 64, 640).unwrap();
-        assert_eq!(pool.available_pages(), 10);
+        assert_eq!(pool.available(), 640);
         let _p = pool.alloc_page().unwrap();
-        assert_eq!(pool.available_pages(), 9);
+        assert_eq!(pool.available(), 576);
     }
 }

@@ -23,11 +23,6 @@ impl MemStats {
         self.page_allocs - self.page_frees
     }
 
-    /// Peak usage as a fraction of the budget, or `None` when unlimited.
-    pub fn peak_fraction(&self) -> Option<f64> {
-        (self.budget != usize::MAX).then(|| self.peak as f64 / self.budget as f64)
-    }
-
     /// The snapshot as the report's pool section. An unlimited budget
     /// (`usize::MAX`) reads as 0, so headroom diagnosis skips pools that
     /// were never metered.
@@ -61,7 +56,6 @@ mod tests {
         assert_eq!(s.used, 32);
         assert_eq!(s.peak, 96);
         assert_eq!(s.pages_live(), 1);
-        assert!((s.peak_fraction().unwrap() - 0.3).abs() < 1e-9);
         let c = s.counters();
         assert_eq!((c.pages_allocated, c.pages_recycled), (4, 3));
         assert_eq!(
@@ -71,9 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_pool_has_no_peak_fraction() {
+    fn unlimited_pool_reports_a_zero_budget() {
         let pool = MemPool::unlimited("t", 32);
-        assert_eq!(pool.stats().peak_fraction(), None);
         assert_eq!(
             pool.stats().counters().budget_bytes,
             0,

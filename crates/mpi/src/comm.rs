@@ -23,38 +23,6 @@ const BUF_POOL_CAP: usize = 64;
 /// within one default 100ms publish interval.
 const LIVE_WAIT_SLICE: Duration = Duration::from_millis(25);
 
-/// Handle for a nonblocking send posted with [`Comm::isend`] /
-/// [`Comm::isend_vec`].
-///
-/// Both backends are eager and unbounded: the payload is handed to the
-/// destination's channel (or written to the peer's socket, the part a
-/// full socket buffer refuses parked in that peer's outbox) at post
-/// time, so requests are born complete: the buffer is the transport's.
-/// On the socket backend a parked remainder reaches the wire the next
-/// time the process sends to that peer or blocks in a receive, or at
-/// world teardown. The type still exists so callers are
-/// written against the MPI-shaped post/complete protocol (and so a
-/// bounded-rendezvous transport could be dropped in later without touching
-/// call sites).
-#[derive(Debug)]
-#[must_use = "an isend must be completed with wait() or test()"]
-pub struct Request {
-    completed: bool,
-}
-
-impl Request {
-    /// True once the send buffer may be reused. Always true on the eager
-    /// transports.
-    pub fn test(&self) -> bool {
-        self.completed
-    }
-
-    /// Blocks until the send completes (a no-op on the eager transports).
-    pub fn wait(self) {
-        debug_assert!(self.completed);
-    }
-}
-
 /// A rank's endpoint into the world: point-to-point messaging plus the
 /// collective operations (barrier, allreduce, alltoallv, …).
 ///
@@ -208,25 +176,6 @@ impl Comm {
             "tag {tag:#x} is reserved for collectives"
         );
         self.send_copy_pooled(dst, tag, data);
-    }
-
-    /// Posts a nonblocking copying send and returns its [`Request`].
-    ///
-    /// The payload is copied into a pooled buffer at post time, so `data`
-    /// may be reused immediately regardless of request completion.
-    pub fn isend(&mut self, dst: usize, tag: Tag, data: &[u8]) -> Request {
-        assert!(
-            tag <= tags::USER_MAX,
-            "tag {tag:#x} is reserved for collectives"
-        );
-        self.send_copy_pooled(dst, tag, data);
-        Request { completed: true }
-    }
-
-    /// Posts a nonblocking send that takes ownership of `data` (no copy).
-    pub fn isend_vec(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Request {
-        self.send_vec(dst, tag, data);
-        Request { completed: true }
     }
 
     /// Receives the next message from `src` carrying `tag`, blocking until

@@ -47,7 +47,7 @@ mod wire;
 mod world;
 
 pub use collectives::PendingAlltoallv;
-pub use comm::{Comm, Request};
+pub use comm::Comm;
 pub use error::{is_disconnect_panic, panic_message, CommError, WorldError};
 pub use msg::{Msg, Tag};
 pub use stats::CommStats;

@@ -1,5 +1,5 @@
 //! Tests for the zero-copy transport path: `alltoallv_into`, the
-//! post/complete split, the pooled message buffers, and `isend`.
+//! post/complete split, and the pooled message buffers.
 
 use std::ops::Range;
 
@@ -133,26 +133,6 @@ fn receive_overflow_panics_with_the_iii_b_bound() {
         .cloned()
         .unwrap_or_default();
     assert!(msg.contains("receive overflow"), "got: {msg}");
-}
-
-#[test]
-fn isend_completes_and_delivers() {
-    let out = run_world(2, |c| {
-        if c.rank() == 0 {
-            let data = vec![9u8; 33];
-            let req = c.isend(1, 5, &data);
-            assert!(req.test());
-            req.wait();
-            let req = c.isend_vec(1, 6, vec![7u8; 3]);
-            req.wait();
-            Vec::new()
-        } else {
-            let a = c.recv(0, 5);
-            let b = c.recv(0, 6);
-            vec![a, b]
-        }
-    });
-    assert_eq!(out[1], vec![vec![9u8; 33], vec![7u8; 3]]);
 }
 
 #[test]

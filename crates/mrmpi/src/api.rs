@@ -10,7 +10,7 @@ use mimir_mpi::{Comm, ReduceOp};
 use mimir_obs::{EventKind, Phase, Step};
 
 use crate::buf::MrPage;
-use crate::codec::{kv_len, read_kv, write_kv};
+use crate::codec::{read_kv, write_kv};
 use crate::kmvset::{KmvSet, MrValueIter};
 use crate::kvset::KvSet;
 use crate::sortmerge::group_kvs;
@@ -490,11 +490,6 @@ impl<'w> MapReduce<'w> {
         let mut s = self.stats;
         s.node_peak_bytes = self.pool.peak();
         s
-    }
-
-    /// Size of one KV as stored by MR-MPI (for workload arithmetic).
-    pub fn encoded_kv_len(key: &[u8], val: &[u8]) -> usize {
-        kv_len(key, val)
     }
 
     fn note_spill(&mut self, kv: &KvSet) {
