@@ -5,10 +5,7 @@
 //!
 //! Run: `cargo run --release -p mimir-bench --bin claims_check`
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::{run_bfs_mimir, run_fig1_point, run_wc_mimir, run_wc_mrmpi, WcDataset};
-use mimir_bench::{Platform, RunOutcome, Status};
+use mimir_bench::{run, App, Opts, Platform, RunOutcome, Status, System, WcDataset};
 
 struct Claims {
     passed: u32,
@@ -27,9 +24,16 @@ impl Claims {
     }
 }
 
+/// WordCount on one node of `p`.
+fn wc(p: &Platform, dataset: WcDataset, bytes: usize, system: System) -> RunOutcome {
+    run(p, 1, App::Wc(dataset, bytes), system)
+}
+
 fn main() {
+    use WcDataset::{Uniform, Wikipedia};
     let comet = Platform::comet_mini();
     let mira = Platform::mira_mini();
+    let mimir = System::Mimir;
     let mut c = Claims {
         passed: 0,
         failed: 0,
@@ -37,8 +41,9 @@ fn main() {
 
     // --- Figure 1: the out-of-core cliff. -----------------------------
     println!("== Figure 1 claims ==");
-    let in_mem = run_fig1_point(&comet, 4 << 20);
-    let spilled = run_fig1_point(&comet, 32 << 20);
+    let fig1 = System::mrmpi(comet.mrmpi_page_large, false);
+    let in_mem = wc(&comet, Uniform, 4 << 20, fig1);
+    let spilled = wc(&comet, Uniform, 32 << 20, fig1);
     c.check(
         "WC on one Comet node stays in memory at 4G (scaled 4M)",
         format!("{:?}", in_mem.status),
@@ -56,27 +61,8 @@ fn main() {
 
     // --- Figure 7: KV-hint saving. -------------------------------------
     println!("== Figure 7 claims ==");
-    let plain = run_wc_mimir(
-        &comet,
-        1,
-        WcDataset::Wikipedia,
-        4 << 20,
-        WcOptions {
-            partial_reduce: true,
-            ..WcOptions::default()
-        },
-    );
-    let hinted = run_wc_mimir(
-        &comet,
-        1,
-        WcDataset::Wikipedia,
-        4 << 20,
-        WcOptions {
-            hint: true,
-            partial_reduce: true,
-            ..WcOptions::default()
-        },
-    );
+    let plain = wc(&comet, Wikipedia, 4 << 20, mimir(Opts::BASE.pr()));
+    let hinted = wc(&comet, Wikipedia, 4 << 20, mimir(Opts::BASE.hint().pr()));
     let saving = 1.0 - hinted.kv_bytes as f64 / plain.kv_bytes as f64;
     c.check(
         "KV-hint saves ~26% of WC (Wikipedia) KV bytes",
@@ -86,21 +72,9 @@ fn main() {
 
     // --- Figures 8/9: memory efficiency. --------------------------------
     println!("== Figure 8/9 claims ==");
-    let mimir_small = run_wc_mimir(
-        &comet,
-        1,
-        WcDataset::Uniform,
-        256 << 10,
-        WcOptions::default(),
-    );
-    let mrmpi_small = run_wc_mrmpi(
-        &comet,
-        1,
-        WcDataset::Uniform,
-        256 << 10,
-        comet.mrmpi_page_small,
-        false,
-    );
+    let (small_page, large_page) = (comet.mrmpi_page_small, comet.mrmpi_page_large);
+    let mimir_small = wc(&comet, Uniform, 256 << 10, mimir(Opts::BASE));
+    let mrmpi_small = wc(&comet, Uniform, 256 << 10, System::mrmpi(small_page, false));
     c.check(
         "Mimir uses at least 25% less memory than MR-MPI (64M)",
         format!(
@@ -110,21 +84,8 @@ fn main() {
         ),
         (mimir_small.peak_node_bytes as f64) < 0.75 * mrmpi_small.peak_node_bytes as f64,
     );
-    let mimir_16m = run_wc_mimir(
-        &comet,
-        1,
-        WcDataset::Uniform,
-        16 << 20,
-        WcOptions::default(),
-    );
-    let mrmpi_8m = run_wc_mrmpi(
-        &comet,
-        1,
-        WcDataset::Uniform,
-        8 << 20,
-        comet.mrmpi_page_large,
-        false,
-    );
+    let mimir_16m = wc(&comet, Uniform, 16 << 20, mimir(Opts::BASE));
+    let mrmpi_8m = wc(&comet, Uniform, 8 << 20, System::mrmpi(large_page, false));
     c.check(
         "Mimir runs 4x larger datasets in memory than the best MR-MPI config",
         format!(
@@ -133,14 +94,7 @@ fn main() {
         ),
         mimir_16m.status == Status::InMemory && mrmpi_8m.status == Status::Spilled,
     );
-    let mrmpi_tiny = run_wc_mrmpi(
-        &comet,
-        1,
-        WcDataset::Uniform,
-        128 << 10,
-        comet.mrmpi_page_small,
-        false,
-    );
+    let mrmpi_tiny = wc(&comet, Uniform, 128 << 10, System::mrmpi(small_page, false));
     c.check(
         "MR-MPI's footprint is its static page sets, independent of data",
         format!(
@@ -153,22 +107,14 @@ fn main() {
     // --- Figure 10: weak scaling under skew. ----------------------------
     println!("== Figure 10 claims ==");
     let thin = comet.thin(4);
-    let per_rank = (512 << 10) / comet.ranks_per_node;
-    let mr_skew = run_wc_mrmpi(
+    let skewed = App::Wc(Wikipedia, (512 << 10) / comet.ranks_per_node).times(thin.ranks(2));
+    let mr_skew = run(
         &thin,
         2,
-        WcDataset::Wikipedia,
-        per_rank * thin.ranks(2),
-        thin.mrmpi_page_small,
-        false,
+        skewed,
+        System::mrmpi(thin.mrmpi_page_small, false),
     );
-    let mimir_skew = run_wc_mimir(
-        &thin,
-        2,
-        WcDataset::Wikipedia,
-        per_rank * thin.ranks(2),
-        WcOptions::default(),
-    );
+    let mimir_skew = run(&thin, 2, skewed, mimir(Opts::BASE));
     c.check(
         "skewed WC breaks MR-MPI (64M) already at 2 nodes; Mimir is unaffected",
         format!(
@@ -180,38 +126,15 @@ fn main() {
 
     // --- Figure 13: the optimization staircase. -------------------------
     println!("== Figure 13 claims ==");
-    let base = run_wc_mimir(&mira, 1, WcDataset::Uniform, 2 << 20, WcOptions::default());
-    let hint = run_wc_mimir(
-        &mira,
-        1,
-        WcDataset::Uniform,
-        2 << 20,
-        WcOptions {
-            hint: true,
-            ..WcOptions::default()
-        },
-    );
-    let hint_pr = run_wc_mimir(
-        &mira,
-        1,
-        WcDataset::Uniform,
-        2 << 20,
-        WcOptions {
-            hint: true,
-            partial_reduce: true,
-            ..WcOptions::default()
-        },
-    );
+    let base = wc(&mira, Uniform, 2 << 20, mimir(Opts::BASE));
+    let hint = wc(&mira, Uniform, 2 << 20, mimir(Opts::BASE.hint()));
+    let hint_pr = wc(&mira, Uniform, 2 << 20, mimir(Opts::BASE.hint().pr()));
     // The hint's own step is measured where its bytes are stored as
     // declared: BFS's KVCs. WC's KMVC stores values of one length bare
     // with or without the hint, so there the baseline derives what the
     // hint declares and may sit at most a page per rank above it.
-    let bfs_hint = |hint| BfsOptions {
-        hint,
-        compress: false,
-    };
-    let bfs_base = run_bfs_mimir(&mira, 1, 13, bfs_hint(false));
-    let bfs_hinted = run_bfs_mimir(&mira, 1, 13, bfs_hint(true));
+    let bfs_base = run(&mira, 1, App::Bfs(13), mimir(Opts::BASE));
+    let bfs_hinted = run(&mira, 1, App::Bfs(13), mimir(Opts::BASE.hint()));
     let page_per_rank = mira.page_size * mira.ranks_per_node;
     let mib = |r: &RunOutcome| r.peak_node_bytes as f64 / (1 << 20) as f64;
     c.check(
@@ -235,29 +158,13 @@ fn main() {
     // 2M point above until it runs out of memory.
     let mut base_max = 2 << 20;
     let base_oom = loop {
-        let next = run_wc_mimir(
-            &mira,
-            1,
-            WcDataset::Uniform,
-            2 * base_max,
-            WcOptions::default(),
-        );
+        let next = wc(&mira, Uniform, 2 * base_max, mimir(Opts::BASE));
         if next.status != Status::InMemory || base_max >= 64 << 20 {
             break next;
         }
         base_max *= 2;
     };
-    let stack_4x = run_wc_mimir(
-        &mira,
-        1,
-        WcDataset::Uniform,
-        4 * base_max,
-        WcOptions {
-            hint: true,
-            partial_reduce: true,
-            compress: false,
-        },
-    );
+    let stack_4x = wc(&mira, Uniform, 4 * base_max, mimir(Opts::BASE.hint().pr()));
     c.check(
         "the stack processes 4x larger datasets than the baseline (Mira)",
         format!(

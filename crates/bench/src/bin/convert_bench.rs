@@ -22,14 +22,15 @@
 //! 20 000-word one the whole-job benchmark's `wc_zipf_opt` folds.
 //!
 //! Writes `BENCH_convert.json`; `--quick` runs shrunken cells as a CI
-//! smoke test. A `REGRESSION` marker (nonzero exit) fires if `arrival`
-//! loses to `arena` in any convert cell: a higher peak (exact), or
-//! throughput below the noise band ([`ARRIVAL_NOISE_FLOOR`]). The fold
-//! rows report rate and spread only.
+//! smoke test. Two gates per convert cell, and a `REGRESSION` marker
+//! (nonzero exit) when either fails: `arrival` may not lose to `arena`
+//! on peak (exact), nor on best-of-repeats throughput beyond the noise
+//! band ([`ARRIVAL_NOISE_FLOOR`]). The fold rows report rate and spread
+//! only.
 
 use std::time::Instant;
 
-use mimir_bench::HarnessArgs;
+use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
 use mimir_core::{
     convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta,
     KvSink, StreamingCombiner,
@@ -112,6 +113,7 @@ impl Workload {
     }
 }
 
+/// One repeat of one path.
 struct Measure {
     mkvs_per_s: f64,
     /// Pool high-water mark of the timed region (0 for the fold cells,
@@ -119,31 +121,6 @@ struct Measure {
     peak_bytes: usize,
     stats: GroupCounters,
     kvs: usize,
-    /// The rate of every repeat so far, this one included.
-    rates: Vec<f64>,
-}
-
-impl Measure {
-    /// Keeps the faster of `best` and `m` (best-of-repeats), and every
-    /// repeat's rate with it.
-    fn keep_best(best: &mut Option<Measure>, mut m: Measure) {
-        let mut rates = best
-            .as_mut()
-            .map_or(Vec::new(), |b| std::mem::take(&mut b.rates));
-        rates.push(m.mkvs_per_s);
-        match best {
-            Some(b) if b.mkvs_per_s >= m.mkvs_per_s => b.rates = rates,
-            _ => {
-                m.rates = rates;
-                *best = Some(m);
-            }
-        }
-    }
-
-    /// The slowest repeat's rate.
-    fn slowest(&self) -> f64 {
-        self.rates.iter().copied().fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// One exchange round's receive from one source at the default 64 KiB
@@ -179,52 +156,44 @@ fn encode_runs(keys: &[Vec<u8>], meta: KvMeta) -> Vec<Vec<u8>> {
 /// it.
 const ARRIVAL_NOISE_FLOOR: f64 = 0.8;
 
-/// Best-of-repeats throughput of the `arena` and `arrival` paths (see
-/// the module docs) over the same runs, interleaved within every repeat
-/// so a slow spell of the machine lifts both alike.
-fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> [Measure; 2] {
-    let mut best: [Option<Measure>; 2] = [None, None];
-    for _ in 0..repeats {
-        for (slot, arrival) in best.iter_mut().zip([false, true]) {
-            let pool = MemPool::unlimited("bench", PAGE);
-            let t0 = Instant::now();
-            let (kmvc, stats) = if arrival {
-                let mut sink = GroupedKvs::new(&pool, meta).unwrap();
-                for run in runs {
-                    sink.accept_run(meta, run).unwrap();
-                }
-                sink.into_kmv().unwrap()
-            } else {
-                let mut kvc = KvContainer::new(&pool, meta);
-                for run in runs {
-                    kvc.push_run(run).unwrap();
-                }
-                convert_with(kvc, &pool).unwrap()
-            };
-            let elapsed = t0.elapsed().as_secs_f64();
-            assert_eq!(kmvc.n_values(), kvs as u64);
-            drop(kmvc);
-            Measure::keep_best(
-                slot,
-                Measure {
-                    mkvs_per_s: kvs as f64 / 1e6 / elapsed,
-                    peak_bytes: pool.peak(),
-                    stats,
-                    kvs,
-                    rates: Vec::new(),
-                },
-            );
+/// Every repeat of the `arena` and `arrival` paths (see the module
+/// docs) over the same runs, interleaved within every repeat so a slow
+/// spell of the machine lifts both alike.
+fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> Vec<Vec<Measure>> {
+    interleaved(repeats, 2, |path| {
+        let pool = MemPool::unlimited("bench", PAGE);
+        let t0 = Instant::now();
+        let (kmvc, stats) = if path == 1 {
+            let mut sink = GroupedKvs::new(&pool, meta).unwrap();
+            for run in runs {
+                sink.accept_run(meta, run).unwrap();
+            }
+            sink.into_kmv().unwrap()
+        } else {
+            let mut kvc = KvContainer::new(&pool, meta);
+            for run in runs {
+                kvc.push_run(run).unwrap();
+            }
+            convert_with(kvc, &pool).unwrap()
+        };
+        let elapsed = t0.elapsed().as_secs_f64();
+        assert_eq!(kmvc.n_values(), kvs as u64);
+        drop(kmvc);
+        Measure {
+            mkvs_per_s: kvs as f64 / 1e6 / elapsed,
+            peak_bytes: pool.peak(),
+            stats,
+            kvs,
         }
-    }
-    best.map(|m| m.expect("repeats >= 1"))
+    })
 }
 
-/// Best-of-repeats streaming-combiner throughput: the real bounded
+/// Every repeat's streaming-combiner throughput: the real bounded
 /// pipeline — KVs fold into the table, the table flushes into a
 /// partitioning sink whenever it exceeds `compress_flush_bytes`-style
 /// budget. The sink partitions the way the shuffler does, reusing the
 /// stored hash ([`mimir_core::partition_of_hashed`] via `emit_hashed`).
-fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
+fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
     /// Stands in for the shuffler's partition step (16 destinations).
     struct PartitionSink(u64);
     impl Emitter for PartitionSink {
@@ -242,8 +211,7 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
     // streams go through several fill cycles.
     const FLUSH_BYTES: usize = 256 << 10;
     let pool = MemPool::unlimited("bench", PAGE);
-    let mut best = None;
-    for _ in 0..repeats {
+    let mut repeats = interleaved(repeats, 1, |_| {
         let sum: CombineFn = Box::new(|_k, a, b, out| {
             let s = u64::from_le_bytes(a.try_into().unwrap())
                 + u64::from_le_bytes(b.try_into().unwrap());
@@ -259,32 +227,80 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Measure {
         let (_flushes, stats) = sc.finish().unwrap();
         let elapsed = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink.0);
-        Measure::keep_best(
-            &mut best,
-            Measure {
-                mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
-                peak_bytes: 0,
-                stats,
-                kvs: keys.len(),
-                rates: Vec::new(),
-            },
-        );
+        Measure {
+            mkvs_per_s: keys.len() as f64 / 1e6 / elapsed,
+            peak_bytes: 0,
+            stats,
+            kvs: keys.len(),
+        }
+    });
+    repeats.pop().expect("one variant")
+}
+
+/// Prints and returns one measured path's row. Only the convert rows
+/// carry `vs_arena` and a peak: the fold rows share one pool across
+/// repeats.
+fn row(
+    phase: &str,
+    cell: Workload,
+    mode: &str,
+    repeats: &[Measure],
+    vs_arena: Option<f64>,
+) -> Vec<(&'static str, Json)> {
+    let (m, rate) = fastest(repeats, |m| m.mkvs_per_s);
+    println!(
+        "{:<10}{:>16}{:>10}{:>12.2}{:>10.2}{:>10}{:>10.1}{:>10}{:>10}{:>12.3}",
+        phase,
+        cell.name(),
+        mode,
+        rate.max,
+        rate.median,
+        vs_arena.map_or("-".into(), |r| format!("{r:.2}x")),
+        m.peak_bytes as f64 / 1e6,
+        m.stats.groups,
+        m.stats.rehashes,
+        m.stats.avg_probe(),
+    );
+    let mut fields = vec![
+        ("phase", Json::Str(phase.into())),
+        ("cell", Json::Str(cell.name().into())),
+        ("mode", Json::Str(mode.into())),
+        ("kvs", Json::Num(m.kvs as f64)),
+        ("mkvs_per_s", Json::Num(rate.max)),
+    ];
+    fields.extend(rate.json_fields());
+    if let Some(r) = vs_arena {
+        fields.push(("speedup_vs_arena", Json::Num(r)));
+        fields.push(("peak_bytes", Json::Num(m.peak_bytes as f64)));
     }
-    best.expect("repeats >= 1")
+    fields.extend([
+        ("groups", Json::Num(m.stats.groups as f64)),
+        ("rehashes", Json::Num(m.stats.rehashes as f64)),
+        ("avg_probe", Json::Num(m.stats.avg_probe())),
+        ("max_probe", Json::Num(m.stats.max_probe as f64)),
+        (
+            "interned_kb",
+            Json::Num(m.stats.interned_bytes as f64 / 1024.0),
+        ),
+        ("load_factor", Json::Num(m.stats.load_factor())),
+    ]);
+    fields
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let scale = if args.quick { 20 } else { 1 };
     let repeats = if args.quick { 5 } else { 7 };
     let convert_cells = [
         Workload::SkewedWords {
-            corpus_bytes: 12 << 20,
+            corpus_bytes: (12 << 20) / scale,
             vocab: 50_000,
         },
-        Workload::UniformUnique { kvs: 1_000_000 },
+        Workload::UniformUnique {
+            kvs: 1_000_000 / scale,
+        },
         Workload::DupHeavy {
-            kvs: 1_000_000,
+            kvs: 1_000_000 / scale,
             vocab: 512,
         },
     ];
@@ -295,89 +311,47 @@ fn main() {
         "cell",
         "mode",
         "MKV/s",
+        "median",
         "vs_arena",
-        "spread",
         "peak_MB",
         "groups",
         "rehashes",
         "avg_probe"
     );
-
-    let mut rows = Vec::new();
-    let mut regression = false;
-    // One row per measured path. Only the convert rows carry `vs_arena`
-    // and a peak: the fold rows share one pool across repeats.
-    let mut report =
-        |phase: &str, cell: Workload, mode: &str, m: &Measure, vs_arena: Option<f64>| {
-            let spread = 1.0 - m.slowest() / m.mkvs_per_s;
-            println!(
-                "{:<10}{:>16}{:>10}{:>12.2}{:>10}{:>10.3}{:>10.1}{:>10}{:>10}{:>12.3}",
-                phase,
-                cell.name(),
-                mode,
-                m.mkvs_per_s,
-                vs_arena.map_or("-".into(), |r| format!("{r:.2}x")),
-                spread,
-                m.peak_bytes as f64 / 1e6,
-                m.stats.groups,
-                m.stats.rehashes,
-                m.stats.avg_probe(),
-            );
-            let mut row = vec![
-                ("phase", Json::Str(phase.into())),
-                ("cell", Json::Str(cell.name().into())),
-                ("mode", Json::Str(mode.into())),
-                ("kvs", Json::Num(m.kvs as f64)),
-                ("mkvs_per_s", Json::Num(m.mkvs_per_s)),
-                ("repeats", Json::Num(m.rates.len() as f64)),
-                ("mkvs_per_s_slowest", Json::Num(m.slowest())),
-                // How far below the best the slowest repeat fell.
-                ("spread", Json::Num(spread)),
-            ];
-            if let Some(r) = vs_arena {
-                row.push(("speedup_vs_arena", Json::Num(r)));
-                row.push(("peak_bytes", Json::Num(m.peak_bytes as f64)));
-            }
-            row.extend([
-                ("groups", Json::Num(m.stats.groups as f64)),
-                ("rehashes", Json::Num(m.stats.rehashes as f64)),
-                ("avg_probe", Json::Num(m.stats.avg_probe())),
-                ("max_probe", Json::Num(m.stats.max_probe as f64)),
-                (
-                    "interned_kb",
-                    Json::Num(m.stats.interned_bytes as f64 / 1024.0),
-                ),
-                ("load_factor", Json::Num(m.stats.load_factor())),
-            ]);
-            rows.push(Json::obj(row));
-        };
-
+    let mut report = Report::new("convert_grouping", &args);
     for cell in convert_cells {
-        let scaled = match cell {
-            Workload::SkewedWords {
-                corpus_bytes,
-                vocab,
-            } => Workload::SkewedWords {
-                corpus_bytes: corpus_bytes / scale,
-                vocab,
-            },
-            Workload::UniformUnique { kvs } => Workload::UniformUnique { kvs: kvs / scale },
-            Workload::DupHeavy { kvs, vocab } => Workload::DupHeavy {
-                kvs: kvs / scale,
-                vocab,
-            },
-        };
-        let keys = scaled.keys();
-        let runs = encode_runs(&keys, scaled.meta());
-        let [arena, arrival] = run_convert(&runs, keys.len(), scaled.meta(), repeats);
-        // Arrival's peak is exact and may not be higher; its speed may not
-        // fall out of the noise band below arena's.
-        let vs_arena = arrival.mkvs_per_s / arena.mkvs_per_s;
-        if vs_arena < ARRIVAL_NOISE_FLOOR || arrival.peak_bytes > arena.peak_bytes {
-            regression = true;
-        }
-        report("convert", scaled, "arena", &arena, Some(1.0));
-        report("convert", scaled, "arrival", &arrival, Some(vs_arena));
+        let keys = cell.keys();
+        let runs = encode_runs(&keys, cell.meta());
+        let paths = run_convert(&runs, keys.len(), cell.meta(), repeats);
+        let ((arena, arena_rate), (arrival, arrival_rate)) = (
+            fastest(&paths[0], |m| m.mkvs_per_s),
+            fastest(&paths[1], |m| m.mkvs_per_s),
+        );
+        let vs_arena = arrival_rate.max / arena_rate.max;
+        report.cell(row("convert", cell, "arena", &paths[0], Some(1.0)));
+        report.cell(row("convert", cell, "arrival", &paths[1], Some(vs_arena)));
+        // Arrival's peak is exact and may not be higher; its best rate
+        // may not fall out of the noise band below arena's best. The rate
+        // gate's spread is that of the per-repeat arrival/arena ratios.
+        let paired: Vec<f64> = paths[1]
+            .iter()
+            .zip(&paths[0])
+            .map(|(arrival, arena)| arrival.mkvs_per_s / arena.mkvs_per_s)
+            .collect();
+        report.gate(
+            &format!("{} arrival/arena rate", cell.name()),
+            vs_arena,
+            ARRIVAL_NOISE_FLOOR,
+            vs_arena >= ARRIVAL_NOISE_FLOOR,
+            Some(Summary::of(&paired)),
+        );
+        report.gate(
+            &format!("{} arrival peak bytes vs arena", cell.name()),
+            arrival.peak_bytes as f64,
+            arena.peak_bytes as f64,
+            arrival.peak_bytes <= arena.peak_bytes,
+            None,
+        );
     }
 
     // The fold path (combiner / partial reduction) on the skewed streams.
@@ -386,22 +360,8 @@ fn main() {
             corpus_bytes: (12 << 20) / scale,
             vocab,
         };
-        let keys = fold_cell.keys();
-        let fold = run_fold(&keys, fold_cell.meta(), repeats);
-        report("fold", fold_cell, "arena", &fold, None);
+        let fold = run_fold(&fold_cell.keys(), fold_cell.meta(), repeats);
+        report.cell(row("fold", fold_cell, "arena", &fold, None));
     }
-
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("convert_grouping".into())),
-        ("quick", Json::Bool(args.quick)),
-        ("regression", Json::Bool(regression)),
-        ("cells", Json::Arr(rows)),
-    ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_convert.json".into());
-    std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
-    println!("wrote {path}");
-    if regression {
-        println!("REGRESSION: arrival lost to arena (speed or peak)");
-        std::process::exit(1);
-    }
+    report.finish(&args, "BENCH_convert.json");
 }

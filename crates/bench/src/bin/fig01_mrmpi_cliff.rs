@@ -4,14 +4,15 @@
 //! shared parallel file system and execution time degrades by orders of
 //! magnitude (the paper reports ~1000× from 4 GB to 64 GB).
 //!
-//! Scaled sweep: 1 MB–64 MB on comet-mini with 64 KiB MR-MPI pages.
+//! Scaled sweep: 1 MB–64 MB on comet-mini with MR-MPI's *large* pages —
+//! the paper's curve stays in memory until ~4 GB, which is the 512 MB-page
+//! regime.
 
-use mimir_bench::report::{DataPoint, Figure, Series};
-use mimir_bench::runner::run_fig1_point;
-use mimir_bench::{fmt_size, print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::report::degradation;
+use mimir_bench::{emit, sweep, App, Args, Axis, Platform, System, WcDataset};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let p = Platform::comet_mini();
     let sizes: &[usize] = if args.quick {
         &[1 << 20, 2 << 20, 4 << 20, 8 << 20]
@@ -26,63 +27,27 @@ fn main() {
             64 << 20,
         ]
     };
-
-    let mut points = Vec::new();
-    for &size in sizes {
-        let outcome = run_fig1_point(&p, size);
-        eprintln!(
-            "  fig01 {}: {:?} {:.3}s",
-            fmt_size(size),
-            outcome.status,
-            outcome.time_s
-        );
-        points.push(DataPoint {
-            x: fmt_size(size),
-            outcome,
-        });
-    }
-    let fig = Figure {
-        id: "fig01".into(),
-        title: "MR-MPI WordCount single-node cliff (paper Fig. 1)".into(),
-        xlabel: "dataset".into(),
-        series: vec![Series {
-            label: "MR-MPI (512K)".into(),
-            points,
-        }],
-    };
-    print_figure(&fig);
-
-    // The headline number: degradation factor between the largest
-    // in-memory point and the largest spilled point.
-    let times: Vec<(f64, bool)> = fig.series[0]
-        .points
-        .iter()
-        .map(|pt| {
-            (
-                pt.outcome.time_s,
-                pt.outcome.status == mimir_bench::Status::Spilled,
-            )
-        })
-        .collect();
-    let best_in_mem = times
-        .iter()
-        .filter(|(_, s)| !s)
-        .map(|(t, _)| *t)
-        .fold(f64::NAN, f64::max);
-    let worst_spill = times
-        .iter()
-        .filter(|(_, s)| *s)
-        .map(|(t, _)| *t)
-        .fold(f64::NAN, f64::max);
-    if best_in_mem.is_finite() && worst_spill.is_finite() {
+    let series = [(
+        "MR-MPI (512K)",
+        System::MrMpi {
+            page: p.mrmpi_page_large,
+            cps: false,
+        },
+    )];
+    let fig = sweep(
+        "fig01",
+        "MR-MPI WordCount single-node cliff (paper Fig. 1)",
+        &p,
+        &Axis::sizes(sizes.iter().map(|&b| App::Wc(WcDataset::Uniform, b))),
+        &series,
+    );
+    emit(&args, std::slice::from_ref(&fig));
+    // The headline number: degradation between the largest in-memory
+    // point and the largest spilled point.
+    if let Some((in_mem, spilled)) = degradation(&fig) {
         println!(
-            "\ndegradation: {:.0}x (in-memory {:.3}s -> spilled {:.1}s; paper reports ~1000x)",
-            worst_spill / best_in_mem,
-            best_in_mem,
-            worst_spill
+            "\ndegradation: {:.0}x (in-memory {in_mem:.3}s -> spilled {spilled:.1}s; paper reports ~1000x)",
+            spilled / in_mem
         );
-    }
-    if let Some(path) = &args.json {
-        write_json(path, &fig);
     }
 }

@@ -5,75 +5,48 @@
 //!
 //! Scaled sweep: 8 MB / 16 MB / 32 MB on comet-mini.
 
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::report::{DataPoint, Figure, Series};
-use mimir_bench::runner::{run_wc_mimir, WcDataset};
-use mimir_bench::{fmt_size, print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, sweep, App, Args, Axis, Opts, Platform, System, WcDataset};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let p = Platform::comet_mini();
     let sizes: &[usize] = if args.quick {
         &[1 << 20, 2 << 20]
     } else {
         &[8 << 20, 16 << 20, 32 << 20]
     };
-
-    let mut series = Vec::new();
-    for (label, hint) in [("without KV-hint", false), ("with KV-hint", true)] {
-        let mut points = Vec::new();
-        for &size in sizes {
-            let opts = WcOptions {
-                hint,
-                // pr keeps the largest size in memory; it does not change
-                // the emitted-KV-bytes metric this figure plots.
-                partial_reduce: true,
-                compress: false,
-            };
-            let outcome = run_wc_mimir(&p, 1, WcDataset::Wikipedia, size, opts);
-            eprintln!(
-                "  fig07 {label} {}: {:?} kv={} MiB",
-                fmt_size(size),
-                outcome.status,
-                outcome.kv_bytes >> 20
-            );
-            points.push(DataPoint {
-                x: fmt_size(size),
-                outcome,
-            });
-        }
-        series.push(Series {
-            label: label.into(),
-            points,
-        });
-    }
-    let fig = Figure {
-        id: "fig07".into(),
-        title: "KV bytes of WC (Wikipedia) with/without KV-hint (paper Fig. 7)".into(),
-        xlabel: "dataset".into(),
-        series,
+    // pr keeps the largest size in memory; it does not change the
+    // emitted-KV-bytes metric this figure plots.
+    let pr = |hint| {
+        System::Mimir(Opts {
+            hint,
+            pr: true,
+            cps: false,
+        })
     };
+    let fig = sweep(
+        "fig07",
+        "KV bytes of WC (Wikipedia) with/without KV-hint (paper Fig. 7)",
+        &p,
+        &Axis::sizes(sizes.iter().map(|&b| App::Wc(WcDataset::Wikipedia, b))),
+        &[("without KV-hint", pr(false)), ("with KV-hint", pr(true))],
+    );
 
     println!("\n=== fig07 — KV size (MiB) ===");
     println!(
         "{:<10}{:>20}{:>20}{:>12}",
         "dataset", "without hint", "with hint", "saving"
     );
-    for i in 0..fig.series[0].points.len() {
-        let plain = fig.series[0].points[i].outcome.kv_bytes;
-        let hinted = fig.series[1].points[i].outcome.kv_bytes;
-        let saving = 100.0 * (1.0 - hinted as f64 / plain as f64);
+    for (plain, hinted) in fig.series[0].points.iter().zip(&fig.series[1].points) {
+        let (plain_kv, hinted_kv) = (plain.outcome.kv_bytes, hinted.outcome.kv_bytes);
         println!(
             "{:<10}{:>20.2}{:>20.2}{:>11.1}%",
-            fig.series[0].points[i].x,
-            plain as f64 / (1 << 20) as f64,
-            hinted as f64 / (1 << 20) as f64,
-            saving
+            plain.x,
+            plain_kv as f64 / (1 << 20) as f64,
+            hinted_kv as f64 / (1 << 20) as f64,
+            100.0 * (1.0 - hinted_kv as f64 / plain_kv as f64)
         );
     }
     println!("(paper reports ~26% saving at 8G/16G/32G)");
-    print_figure(&fig);
-    if let Some(path) = &args.json {
-        write_json(path, &fig);
-    }
+    emit(&args, &[fig]);
 }

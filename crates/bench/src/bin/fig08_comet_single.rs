@@ -6,130 +6,34 @@
 //! regime, stays in memory for ~4× larger datasets than the best MR-MPI
 //! configuration, and matches its in-memory execution times.
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::octree::OcOptions;
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::WcDataset;
-use mimir_bench::sweeps::{bfs_figure, oc_figure, wc_figure, BfsSeries, OcSeries, WcSeries};
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, panels, Args, Opts, Platform, System};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let p = Platform::comet_mini();
-    let small = p.mrmpi_page_small;
-    let large = p.mrmpi_page_large;
-
-    let wc_series: &[(&str, WcSeries)] = &[
-        ("Mimir", WcSeries::Mimir(WcOptions::default())),
-        (
-            "MR-MPI (64K)",
-            WcSeries::MrMpi {
-                page: small,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (512K)",
-            WcSeries::MrMpi {
-                page: large,
-                cps: false,
-            },
-        ),
+    let series = [
+        ("Mimir", System::Mimir(Opts::BASE)),
+        ("MR-MPI (64K)", System::mrmpi(p.mrmpi_page_small, false)),
+        ("MR-MPI (512K)", System::mrmpi(p.mrmpi_page_large, false)),
     ];
-    let oc_series: &[(&str, OcSeries)] = &[
-        ("Mimir", OcSeries::Mimir(OcOptions::default())),
-        (
-            "MR-MPI (64K)",
-            OcSeries::MrMpi {
-                page: small,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (512K)",
-            OcSeries::MrMpi {
-                page: large,
-                cps: false,
-            },
-        ),
-    ];
-    let bfs_series: &[(&str, BfsSeries)] = &[
-        ("Mimir", BfsSeries::Mimir(BfsOptions::default())),
-        (
-            "MR-MPI (64K)",
-            BfsSeries::MrMpi {
-                page: small,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (512K)",
-            BfsSeries::MrMpi {
-                page: large,
-                cps: false,
-            },
-        ),
-    ];
-
-    let wc_sizes: &[usize] = if args.quick {
-        &[256 << 10, 1 << 20, 4 << 20]
+    let sizes: (&[usize], &[u32], &[u32]) = if args.quick {
+        (&[256 << 10, 1 << 20, 4 << 20], &[14, 16, 18], &[9, 11, 13])
     } else {
-        &[
-            256 << 10,
-            512 << 10,
-            1 << 20,
-            2 << 20,
-            4 << 20,
-            8 << 20,
-            16 << 20,
-        ]
+        (
+            &[
+                256 << 10,
+                512 << 10,
+                1 << 20,
+                2 << 20,
+                4 << 20,
+                8 << 20,
+                16 << 20,
+            ],
+            &[14, 15, 16, 17, 18, 19, 20],
+            &[9, 10, 11, 12, 13, 14, 15, 16],
+        )
     };
-    let oc_points: &[u32] = if args.quick {
-        &[14, 16, 18]
-    } else {
-        &[14, 15, 16, 17, 18, 19, 20]
-    };
-    let bfs_scales: &[u32] = if args.quick {
-        &[9, 11, 13]
-    } else {
-        &[9, 10, 11, 12, 13, 14, 15, 16]
-    };
-
-    let figs = [
-        wc_figure(
-            "fig08a",
-            "WC (Uniform), one Comet node",
-            &p,
-            1,
-            WcDataset::Uniform,
-            wc_sizes,
-            wc_series,
-        ),
-        wc_figure(
-            "fig08b",
-            "WC (Wikipedia), one Comet node",
-            &p,
-            1,
-            WcDataset::Wikipedia,
-            wc_sizes,
-            wc_series,
-        ),
-        oc_figure("fig08c", "OC, one Comet node", &p, 1, oc_points, oc_series),
-        bfs_figure(
-            "fig08d",
-            "BFS, one Comet node",
-            &p,
-            1,
-            bfs_scales,
-            bfs_series,
-        ),
-    ];
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    let title = "{app}, one Comet node";
+    let figs = panels("fig08", title, &p, [&series; 3], sizes);
+    emit(&args, &figs);
 }

@@ -10,67 +10,41 @@
 //! with the paper's per-rank data share — the ratios that decide who
 //! spills are preserved exactly.
 
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::WcDataset;
-use mimir_bench::sweeps::{wc_scaling_figure, WcSeries};
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, sweep, App, Args, Axis, Opts, Platform, System, WcDataset};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let max_nodes = args.max_nodes.unwrap_or(if args.quick { 8 } else { 64 });
-    let node_counts: Vec<usize> = [2usize, 4, 8, 16, 32, 64]
-        .into_iter()
-        .filter(|&n| n <= max_nodes)
-        .collect();
-
+    let args = Args::parse();
+    let nodes = args.node_counts(&[2, 4, 8, 16, 32, 64]);
     let mut figs = Vec::new();
-    for (platform, per_node_paper) in [
+    for (full, per_node_paper) in [
         (Platform::comet_mini(), 512 << 10), // paper: 512 MB/node on 24 ranks
         (Platform::mira_mini(), 256 << 10),  // paper: 256 MB/node on 16 ranks
     ] {
-        let thin = platform.thin(4);
-        let bytes_per_rank = per_node_paper / platform.ranks_per_node;
-        let series: &[(&str, WcSeries)] = &[
-            ("Mimir", WcSeries::Mimir(WcOptions::default())),
-            (
-                "MR-MPI (64K)",
-                WcSeries::MrMpi {
-                    page: platform.mrmpi_page_small,
-                    cps: false,
-                },
-            ),
+        let p = full.thin(4);
+        let bytes_per_rank = per_node_paper / full.ranks_per_node;
+        let series = [
+            ("Mimir", System::Mimir(Opts::BASE)),
+            ("MR-MPI (64K)", System::mrmpi(full.mrmpi_page_small, false)),
             (
                 "MR-MPI (large)",
-                WcSeries::MrMpi {
-                    page: platform.mrmpi_page_large,
-                    cps: false,
-                },
+                System::mrmpi(full.mrmpi_page_large, false),
             ),
         ];
         for (suffix, dataset) in [
             ("uniform", WcDataset::Uniform),
             ("wikipedia", WcDataset::Wikipedia),
         ] {
-            figs.push(wc_scaling_figure(
-                &format!("fig10-{}-{suffix}", platform.name),
+            figs.push(sweep(
+                &format!("fig10-{}-{suffix}", full.name),
                 &format!(
-                    "Weak scaling, WC ({suffix}), {} ({} B/rank)",
-                    platform.name, bytes_per_rank
+                    "Weak scaling, WC ({suffix}), {} ({bytes_per_rank} B/rank)",
+                    full.name
                 ),
-                &thin,
-                dataset,
-                bytes_per_rank,
-                &node_counts,
-                series,
+                &p,
+                &Axis::nodes(&p, &nodes, App::Wc(dataset, bytes_per_rank)),
+                &series,
             ));
         }
     }
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    emit(&args, &figs);
 }

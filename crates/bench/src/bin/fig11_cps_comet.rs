@@ -6,119 +6,39 @@
 //! sets) so compression only shrinks the shuffled bytes; BFS's peak is
 //! unchanged for both (its peak lives in the partitioning phase).
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::octree::OcOptions;
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::WcDataset;
-use mimir_bench::sweeps::{bfs_figure, oc_figure, wc_figure, BfsSeries, OcSeries, WcSeries};
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, panels, Args, Opts, Platform, System};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let p = Platform::comet_mini();
     // The paper uses MR-MPI's maximum page size here, "because the
     // increased page size allows MR-MPI to support larger datasets".
     let page = p.mrmpi_page_large;
-
-    let cps_wc = WcOptions {
-        compress: true,
-        ..WcOptions::default()
-    };
-    let cps_oc = OcOptions {
-        compress: true,
-        ..OcOptions::default()
-    };
-    let cps_bfs = BfsOptions {
-        compress: true,
-        ..BfsOptions::default()
-    };
-
-    let wc_series: &[(&str, WcSeries)] = &[
-        ("Mimir", WcSeries::Mimir(WcOptions::default())),
-        ("Mimir (cps)", WcSeries::Mimir(cps_wc)),
-        ("MR-MPI", WcSeries::MrMpi { page, cps: false }),
-        ("MR-MPI (cps)", WcSeries::MrMpi { page, cps: true }),
+    let series = [
+        ("Mimir", System::Mimir(Opts::BASE)),
+        ("Mimir (cps)", System::Mimir(Opts::BASE.cps())),
+        ("MR-MPI", System::mrmpi(page, false)),
+        ("MR-MPI (cps)", System::mrmpi(page, true)),
     ];
-    let oc_series: &[(&str, OcSeries)] = &[
-        ("Mimir", OcSeries::Mimir(OcOptions::default())),
-        ("Mimir (cps)", OcSeries::Mimir(cps_oc)),
-        ("MR-MPI", OcSeries::MrMpi { page, cps: false }),
-        ("MR-MPI (cps)", OcSeries::MrMpi { page, cps: true }),
-    ];
-    let bfs_series: &[(&str, BfsSeries)] = &[
-        ("Mimir", BfsSeries::Mimir(BfsOptions::default())),
-        ("Mimir (cps)", BfsSeries::Mimir(cps_bfs)),
-        ("MR-MPI", BfsSeries::MrMpi { page, cps: false }),
-        ("MR-MPI (cps)", BfsSeries::MrMpi { page, cps: true }),
-    ];
-
-    let wc_sizes: &[usize] = if args.quick {
-        &[512 << 10, 4 << 20]
+    let sizes: (&[usize], &[u32], &[u32]) = if args.quick {
+        (&[512 << 10, 4 << 20], &[15, 18], &[10, 13])
     } else {
-        &[
-            512 << 10,
-            1 << 20,
-            2 << 20,
-            4 << 20,
-            8 << 20,
-            16 << 20,
-            32 << 20,
-            64 << 20,
-        ]
+        (
+            &[
+                512 << 10,
+                1 << 20,
+                2 << 20,
+                4 << 20,
+                8 << 20,
+                16 << 20,
+                32 << 20,
+                64 << 20,
+            ],
+            &[15, 16, 17, 18, 19, 20, 21, 22],
+            &[10, 11, 12, 13, 14, 15, 16],
+        )
     };
-    let oc_points: &[u32] = if args.quick {
-        &[15, 18]
-    } else {
-        &[15, 16, 17, 18, 19, 20, 21, 22]
-    };
-    let bfs_scales: &[u32] = if args.quick {
-        &[10, 13]
-    } else {
-        &[10, 11, 12, 13, 14, 15, 16]
-    };
-
-    let figs = [
-        wc_figure(
-            "fig11a",
-            "KV compression, WC (Uniform), Comet",
-            &p,
-            1,
-            WcDataset::Uniform,
-            wc_sizes,
-            wc_series,
-        ),
-        wc_figure(
-            "fig11b",
-            "KV compression, WC (Wikipedia), Comet",
-            &p,
-            1,
-            WcDataset::Wikipedia,
-            wc_sizes,
-            wc_series,
-        ),
-        oc_figure(
-            "fig11c",
-            "KV compression, OC, Comet",
-            &p,
-            1,
-            oc_points,
-            oc_series,
-        ),
-        bfs_figure(
-            "fig11d",
-            "KV compression, BFS, Comet",
-            &p,
-            1,
-            bfs_scales,
-            bfs_series,
-        ),
-    ];
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    let title = "KV compression, {app}, Comet";
+    let figs = panels("fig11", title, &p, [&series; 3], sizes);
+    emit(&args, &figs);
 }

@@ -3,147 +3,32 @@
 //! with compression "processing up to 16-fold larger datasets compared
 //! with MR-MPI".
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::octree::OcOptions;
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::WcDataset;
-use mimir_bench::sweeps::{bfs_figure, oc_figure, wc_figure, BfsSeries, OcSeries, WcSeries};
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, panels, Args, Opts, Platform, System};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let p = Platform::mira_mini();
     // Paper: max page for WC (128 M), default page for OC and BFS (the
     // 128 M page set is not even allocatable for those).
-    let wc_page = p.mrmpi_page_large;
-    let other_page = p.mrmpi_page_small;
-
-    let cps_wc = WcOptions {
-        compress: true,
-        ..WcOptions::default()
+    let series = |page| {
+        [
+            ("Mimir", System::Mimir(Opts::BASE)),
+            ("Mimir (cps)", System::Mimir(Opts::BASE.cps())),
+            ("MR-MPI", System::mrmpi(page, false)),
+            ("MR-MPI (cps)", System::mrmpi(page, true)),
+        ]
     };
-    let cps_oc = OcOptions {
-        compress: true,
-        ..OcOptions::default()
-    };
-    let cps_bfs = BfsOptions {
-        compress: true,
-        ..BfsOptions::default()
-    };
-
-    let wc_series: &[(&str, WcSeries)] = &[
-        ("Mimir", WcSeries::Mimir(WcOptions::default())),
-        ("Mimir (cps)", WcSeries::Mimir(cps_wc)),
-        (
-            "MR-MPI",
-            WcSeries::MrMpi {
-                page: wc_page,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (cps)",
-            WcSeries::MrMpi {
-                page: wc_page,
-                cps: true,
-            },
-        ),
-    ];
-    let oc_series: &[(&str, OcSeries)] = &[
-        ("Mimir", OcSeries::Mimir(OcOptions::default())),
-        ("Mimir (cps)", OcSeries::Mimir(cps_oc)),
-        (
-            "MR-MPI",
-            OcSeries::MrMpi {
-                page: other_page,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (cps)",
-            OcSeries::MrMpi {
-                page: other_page,
-                cps: true,
-            },
-        ),
-    ];
-    let bfs_series: &[(&str, BfsSeries)] = &[
-        ("Mimir", BfsSeries::Mimir(BfsOptions::default())),
-        ("Mimir (cps)", BfsSeries::Mimir(cps_bfs)),
-        (
-            "MR-MPI",
-            BfsSeries::MrMpi {
-                page: other_page,
-                cps: false,
-            },
-        ),
-        (
-            "MR-MPI (cps)",
-            BfsSeries::MrMpi {
-                page: other_page,
-                cps: true,
-            },
-        ),
-    ];
-
-    let wc_sizes: &[usize] = if args.quick {
-        &[256 << 10, 1 << 20]
+    let (wc_series, other) = (series(p.mrmpi_page_large), series(p.mrmpi_page_small));
+    let sizes: (&[usize], &[u32], &[u32]) = if args.quick {
+        (&[256 << 10, 1 << 20], &[14, 16], &[8, 10])
     } else {
-        &[256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20]
+        (
+            &[256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20],
+            &[14, 15, 16, 17, 18, 19],
+            &[8, 9, 10, 11, 12, 13],
+        )
     };
-    let oc_points: &[u32] = if args.quick {
-        &[14, 16]
-    } else {
-        &[14, 15, 16, 17, 18, 19]
-    };
-    let bfs_scales: &[u32] = if args.quick {
-        &[8, 10]
-    } else {
-        &[8, 9, 10, 11, 12, 13]
-    };
-
-    let figs = [
-        wc_figure(
-            "fig12a",
-            "KV compression, WC (Uniform), Mira",
-            &p,
-            1,
-            WcDataset::Uniform,
-            wc_sizes,
-            wc_series,
-        ),
-        wc_figure(
-            "fig12b",
-            "KV compression, WC (Wikipedia), Mira",
-            &p,
-            1,
-            WcDataset::Wikipedia,
-            wc_sizes,
-            wc_series,
-        ),
-        oc_figure(
-            "fig12c",
-            "KV compression, OC, Mira",
-            &p,
-            1,
-            oc_points,
-            oc_series,
-        ),
-        bfs_figure(
-            "fig12d",
-            "KV compression, BFS, Mira",
-            &p,
-            1,
-            bfs_scales,
-            bfs_series,
-        ),
-    ];
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    let title = "KV compression, {app}, Mira";
+    let figs = panels("fig12", title, &p, [&wc_series, &other, &other], sizes);
+    emit(&args, &figs);
 }

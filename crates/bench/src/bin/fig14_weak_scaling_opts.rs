@@ -12,21 +12,12 @@
 //! the per-rank data share — and therefore the imbalance arithmetic —
 //! identical.
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::octree::OcOptions;
-use mimir_apps::wordcount::WcOptions;
-use mimir_bench::runner::{run_bfs_mimir, run_oc_mimir, run_wc_mimir, WcDataset};
-use mimir_bench::sweeps::scaling_figure;
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::sweep::{BFS_STACK, STACK};
+use mimir_bench::{emit, sweep, App, Args, Axis, Platform, WcDataset};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let max_nodes = args.max_nodes.unwrap_or(if args.quick { 8 } else { 64 });
-    let node_counts: Vec<usize> = [2usize, 4, 8, 16, 32, 64, 128]
-        .into_iter()
-        .filter(|&n| n <= max_nodes)
-        .collect();
-
+    let args = Args::parse();
+    let nodes = args.node_counts(&[2, 4, 8, 16, 32, 64, 128]);
     let full = Platform::mira_mini();
     let p = full.thin(2);
     // Paper per-node workloads are "the maximum dataset sizes that the
@@ -36,122 +27,36 @@ fn main() {
     // in-memory maximum so the same brink the paper starts from is
     // reproduced.
     let wc_bytes_per_rank = 160 << 10;
-    let oc_points_per_rank = 1usize << 14;
-    let bfs_verts_per_rank = (1usize << 12) / full.ranks_per_node;
-
-    let wc_stack = [
-        ("Mimir", WcOptions::default()),
+    let oc_points_per_rank = 1 << 14;
+    // 2^12 vertices over 16 ranks: 2^8 a rank.
+    let bfs_scale_per_rank = 12 - full.ranks_per_node.ilog2();
+    let panels = [
         (
-            "Mimir (hint)",
-            WcOptions {
-                hint: true,
-                ..WcOptions::default()
-            },
+            "wc-uniform",
+            "WC (uniform)",
+            App::Wc(WcDataset::Uniform, wc_bytes_per_rank),
+            &STACK[..],
         ),
         (
-            "Mimir (hint;pr)",
-            WcOptions {
-                hint: true,
-                partial_reduce: true,
-                ..WcOptions::default()
-            },
+            "wc-wikipedia",
+            "WC (wikipedia)",
+            App::Wc(WcDataset::Wikipedia, wc_bytes_per_rank),
+            &STACK,
         ),
-        ("Mimir (hint;pr;cps)", WcOptions::all()),
+        ("oc", "OC", App::Oc(oc_points_per_rank), &STACK),
+        ("bfs", "BFS", App::Bfs(bfs_scale_per_rank), &BFS_STACK),
     ];
-    let oc_stack = [
-        ("Mimir", OcOptions::default()),
-        (
-            "Mimir (hint)",
-            OcOptions {
-                hint: true,
-                ..OcOptions::default()
-            },
-        ),
-        (
-            "Mimir (hint;pr)",
-            OcOptions {
-                hint: true,
-                partial_reduce: true,
-                ..OcOptions::default()
-            },
-        ),
-        ("Mimir (hint;pr;cps)", OcOptions::all()),
-    ];
-    let bfs_stack = [
-        ("Mimir", BfsOptions::default()),
-        (
-            "Mimir (hint)",
-            BfsOptions {
-                hint: true,
-                compress: false,
-            },
-        ),
-        ("Mimir (hint;cps)", BfsOptions::all()),
-    ];
-
-    let mut figs = Vec::new();
-    for (suffix, dataset) in [
-        ("uniform", WcDataset::Uniform),
-        ("wikipedia", WcDataset::Wikipedia),
-    ] {
-        let labels: Vec<&str> = wc_stack.iter().map(|(l, _)| *l).collect();
-        figs.push(scaling_figure(
-            &format!("fig14-wc-{suffix}"),
-            &format!("Weak scaling of optimizations, WC ({suffix}), Mira"),
-            "nodes",
-            &node_counts,
-            &labels,
-            |si, nodes| {
-                run_wc_mimir(
-                    &p,
-                    nodes,
-                    dataset,
-                    wc_bytes_per_rank * p.ranks(nodes),
-                    wc_stack[si].1,
-                )
-            },
-        ));
-    }
-    {
-        let labels: Vec<&str> = oc_stack.iter().map(|(l, _)| *l).collect();
-        figs.push(scaling_figure(
-            "fig14-oc",
-            "Weak scaling of optimizations, OC, Mira",
-            "nodes",
-            &node_counts,
-            &labels,
-            |si, nodes| {
-                run_oc_mimir(
-                    &p,
-                    nodes,
-                    oc_points_per_rank * p.ranks(nodes),
-                    oc_stack[si].1,
-                )
-            },
-        ));
-    }
-    {
-        let labels: Vec<&str> = bfs_stack.iter().map(|(l, _)| *l).collect();
-        figs.push(scaling_figure(
-            "fig14-bfs",
-            "Weak scaling of optimizations, BFS, Mira",
-            "nodes",
-            &node_counts,
-            &labels,
-            |si, nodes| {
-                let verts = bfs_verts_per_rank * p.ranks(nodes);
-                let scale = usize::BITS - 1 - verts.leading_zeros();
-                run_bfs_mimir(&p, nodes, scale, bfs_stack[si].1)
-            },
-        ));
-    }
-
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    let figs: Vec<_> = panels
+        .into_iter()
+        .map(|(id, app, share, series)| {
+            sweep(
+                &format!("fig14-{id}"),
+                &format!("Weak scaling of optimizations, {app}, Mira"),
+                &p,
+                &Axis::nodes(&p, &nodes, share),
+                series,
+            )
+        })
+        .collect();
+    emit(&args, &figs);
 }

@@ -32,8 +32,8 @@
 use std::time::Instant;
 
 use mimir_apps::RunMetrics;
+use mimir_bench::harness::{Args, Report, Summary};
 use mimir_bench::trace::build_report;
-use mimir_bench::HarnessArgs;
 use mimir_core::{typed, KvMeta, MimirConfig, MimirContext, Partitioner};
 use mimir_doctor::Severity;
 use mimir_io::{IoModel, IoModelConfig, SpillStore};
@@ -81,18 +81,21 @@ fn combine(_k: &[u8], a: &[u8], b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&typed::enc_u64(s));
 }
 
-type RankRun = (
-    Vec<f64>,                // per-iteration cold seconds
-    Vec<f64>,                // per-iteration cached seconds
-    bool,                    // final outputs byte-identical on this rank
-    usize,                   // pool peak
-    usize,                   // pool used after cache_clear
-    Option<Vec<RankReport>>, // gathered reports (rank 0 only)
-);
+/// One run of both paths, folded over the ranks: per-iteration seconds
+/// of the slowest rank, outputs byte-identical on every rank, the
+/// largest pool peak and use after `cache_clear`, every rank's report.
+struct Attempt {
+    cold: Vec<f64>,
+    cached: Vec<f64>,
+    outputs_match: bool,
+    peak: usize,
+    used: usize,
+    reports: Vec<RankReport>,
+}
 
-fn run_shape(shape: Shape) -> Vec<RankRun> {
+fn run_shape(shape: Shape) -> Attempt {
     let epoch = Instant::now();
-    run_world(RANKS, move |comm| {
+    let ranks = run_world(RANKS, move |comm| {
         let rank = comm.rank() as u64;
         let npr = shape.vertices_per_rank;
         let n = RANKS as u64 * npr;
@@ -258,14 +261,41 @@ fn run_shape(shape: Shape) -> Vec<RankRun> {
             gathered
                 .iter()
                 .map(|b| RankReport::from_json_string(std::str::from_utf8(b).unwrap()).unwrap())
-                .collect()
+                .collect::<Vec<_>>()
         });
         (cold_s, cached_s, outputs_match, peak, used, reports)
-    })
+    });
+    let mut out = Attempt {
+        cold: vec![0.0; shape.iters],
+        cached: vec![0.0; shape.iters],
+        outputs_match: true,
+        peak: 0,
+        used: 0,
+        reports: Vec::new(),
+    };
+    for (cold_s, cached_s, outputs_match, peak, used, reports) in ranks {
+        for (i, (cold, cached)) in cold_s.into_iter().zip(cached_s).enumerate() {
+            out.cold[i] = out.cold[i].max(cold);
+            out.cached[i] = out.cached[i].max(cached);
+        }
+        out.outputs_match &= outputs_match;
+        out.peak = out.peak.max(peak);
+        out.used = out.used.max(used);
+        out.reports.extend(reports.into_iter().flatten());
+    }
+    out
+}
+
+fn criticals(diagnosis: &mimir_doctor::Diagnosis) -> usize {
+    diagnosis
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Critical)
+        .count()
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let shape = if args.quick {
         Shape {
             vertices_per_rank: 32 * 1024,
@@ -287,48 +317,30 @@ fn main() {
     // milliseconds, which the imbalance rules rightly flag — but a real
     // structural straggler flags on every attempt, noise does not.
     const ATTEMPTS: usize = 3;
-    let mut cold = Vec::new();
-    let mut cached = Vec::new();
-    let mut outputs_match = true;
-    let mut peak = 0usize;
-    let mut used = 0usize;
-    let mut reports: Vec<RankReport> = Vec::new();
-    for attempt in 1..=ATTEMPTS {
-        cold = vec![0.0f64; shape.iters];
-        cached = vec![0.0f64; shape.iters];
-        outputs_match = true;
-        peak = 0;
-        used = 0;
-        reports = Vec::new();
-        // Iteration wall time is the slowest rank's.
-        for (cold_s, cached_s, m, p, u, r) in run_shape(shape) {
-            for (i, s) in cold_s.into_iter().enumerate() {
-                cold[i] = cold[i].max(s);
-            }
-            for (i, s) in cached_s.into_iter().enumerate() {
-                cached[i] = cached[i].max(s);
-            }
-            outputs_match &= m;
-            peak = peak.max(p);
-            used = used.max(u);
-            if let Some(r) = r {
-                reports = r;
-            }
-        }
-        let criticals = mimir_doctor::diagnose(&reports)
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Critical)
-            .count();
-        if criticals == 0 || attempt == ATTEMPTS {
+    let mut run = run_shape(shape);
+    let mut diagnosis = mimir_doctor::diagnose(&run.reports);
+    for attempt in 1..ATTEMPTS {
+        let criticals = criticals(&diagnosis);
+        if criticals == 0 {
             break;
         }
         println!(
             "doctor raised {criticals} critical(s) on attempt {attempt}/{ATTEMPTS}; \
              retrying to rule out scheduling noise"
         );
+        run = run_shape(shape);
+        diagnosis = mimir_doctor::diagnose(&run.reports);
     }
+    let Attempt {
+        cold,
+        cached,
+        outputs_match,
+        peak,
+        used,
+        reports,
+    } = run;
 
+    let mut report = Report::new("iterative_chaining", &args);
     println!(
         "{:<6}{:>12}{:>12}{:>10}",
         "iter", "cold(ms)", "cached(ms)", "speedup"
@@ -344,18 +356,19 @@ fn main() {
             cached[i] * 1e3,
             s
         );
+        report.cell(vec![
+            ("iteration", Json::Num((i + 1) as f64)),
+            ("cold_s", Json::Num(cold[i])),
+            ("cached_s", Json::Num(cached[i])),
+            ("speedup", Json::Num(s)),
+        ]);
     }
     // The bar applies from iteration 2 onward (iteration 1 includes
     // first-touch effects on both paths).
     let min_steady = speedups[1..].iter().copied().fold(f64::INFINITY, f64::min);
 
     // In-process doctor gate over the gathered reports.
-    let diagnosis = mimir_doctor::diagnose(&reports);
-    let criticals = diagnosis
-        .findings
-        .iter()
-        .filter(|f| f.severity == Severity::Critical)
-        .count();
+    let criticals = criticals(&diagnosis);
     let elisions: u64 = reports.iter().map(|r| r.cache.elisions).sum();
     let cache_reported = diagnosis
         .findings
@@ -367,56 +380,40 @@ fn main() {
     );
     print!("{}", diagnosis.to_text());
 
-    let budget_ok = peak <= BUDGET && used == 0;
+    report.field("ranks", Json::Num(RANKS as f64));
+    report.field(
+        "vertices_per_rank",
+        Json::Num(shape.vertices_per_rank as f64),
+    );
+    report.field("iterations", Json::Num(shape.iters as f64));
+    report.field("degree", Json::Num(DEG as f64));
+    report.field("node_budget_bytes", Json::Num(BUDGET as f64));
+    report.field("peak_bytes", Json::Num(peak as f64));
+    report.field("used_after_clear", Json::Num(used as f64));
+    report.gate(
+        "per-iteration speedup, iteration 2 on (min)",
+        min_steady,
+        SPEEDUP_BAR,
+        min_steady >= SPEEDUP_BAR,
+        Some(Summary::of(&speedups[1..])),
+    );
+    report.check("outputs match", outputs_match);
+    report.check("budget kept and credited back", peak <= BUDGET && used == 0);
+    report.gate(
+        "doctor criticals",
+        criticals as f64,
+        0.0,
+        criticals == 0,
+        None,
+    );
+    report.check("doctor reports the cache", cache_reported);
     let expected_elisions = RANKS as u64 * shape.iters as u64;
-    let regression = min_steady < SPEEDUP_BAR
-        || !outputs_match
-        || !budget_ok
-        || criticals > 0
-        || !cache_reported
-        || elisions != expected_elisions;
-
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("iterative_chaining".into())),
-        ("quick", Json::Bool(args.quick)),
-        ("ranks", Json::Num(RANKS as f64)),
-        (
-            "vertices_per_rank",
-            Json::Num(shape.vertices_per_rank as f64),
-        ),
-        ("iterations", Json::Num(shape.iters as f64)),
-        ("degree", Json::Num(DEG as f64)),
-        ("node_budget_bytes", Json::Num(BUDGET as f64)),
-        (
-            "cold_iter_s",
-            Json::Arr(cold.iter().map(|&s| Json::Num(s)).collect()),
-        ),
-        (
-            "cached_iter_s",
-            Json::Arr(cached.iter().map(|&s| Json::Num(s)).collect()),
-        ),
-        (
-            "per_iter_speedup",
-            Json::Arr(speedups.iter().map(|&s| Json::Num(s)).collect()),
-        ),
-        ("min_steady_speedup", Json::Num(min_steady)),
-        ("speedup_bar", Json::Num(SPEEDUP_BAR)),
-        ("outputs_match", Json::Bool(outputs_match)),
-        ("peak_bytes", Json::Num(peak as f64)),
-        ("used_after_clear", Json::Num(used as f64)),
-        ("shuffles_elided", Json::Num(elisions as f64)),
-        ("doctor_criticals", Json::Num(criticals as f64)),
-        ("regression", Json::Bool(regression)),
-    ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_iter.json".into());
-    std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
-    println!("wrote {path}");
-    println!("steady-state per-iteration speedup (min, iter 2+): {min_steady:.2}x");
-    if regression {
-        println!(
-            "REGRESSION: cached chaining below the {SPEEDUP_BAR}x per-iteration bar \
-             (or correctness/budget/doctor failure)"
-        );
-        std::process::exit(1);
-    }
+    report.gate(
+        "shuffles elided",
+        elisions as f64,
+        expected_elisions as f64,
+        elisions == expected_elisions,
+        None,
+    );
+    report.finish(&args, "BENCH_iter.json");
 }

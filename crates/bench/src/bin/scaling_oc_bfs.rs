@@ -7,75 +7,31 @@
 //! Same thinning convention as fig10 (4 ranks/node, per-rank workload
 //! share preserved).
 
-use mimir_apps::bfs::BfsOptions;
-use mimir_apps::octree::OcOptions;
-use mimir_bench::runner::{run_bfs_mimir, run_bfs_mrmpi, run_oc_mimir, run_oc_mrmpi};
-use mimir_bench::sweeps::scaling_figure;
-use mimir_bench::{print_figure, write_json, HarnessArgs, Platform};
+use mimir_bench::{emit, sweep, App, Args, Axis, Opts, Platform, System};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let max_nodes = args.max_nodes.unwrap_or(if args.quick { 8 } else { 64 });
-    let node_counts: Vec<usize> = [2usize, 4, 8, 16, 32, 64]
-        .into_iter()
-        .filter(|&n| n <= max_nodes)
-        .collect();
-
+    let args = Args::parse();
+    let nodes = args.node_counts(&[2, 4, 8, 16, 32, 64]);
     let mut figs = Vec::new();
     for full in [Platform::comet_mini(), Platform::mira_mini()] {
-        let thin = full.thin(4);
+        let p = full.thin(4);
+        let series = [
+            ("Mimir", System::Mimir(Opts::BASE)),
+            ("MR-MPI (64K)", System::mrmpi(p.mrmpi_page_small, false)),
+            ("MR-MPI (large)", System::mrmpi(p.mrmpi_page_large, false)),
+        ];
         // Per-rank shares mirroring the fig10 WC choice: the largest
         // per-node workload the small-page MR-MPI can hold in memory on
-        // balanced data.
-        let oc_points_per_rank = 1usize << 11;
-        let bfs_verts_per_rank = 1usize << 7;
-        let series = ["Mimir", "MR-MPI (64K)", "MR-MPI (large)"];
-
-        {
-            let labels: Vec<&str> = series.to_vec();
-            figs.push(scaling_figure(
-                &format!("scaling-oc-{}", full.name),
-                &format!("Weak scaling, OC, {}", full.name),
-                "nodes",
-                &node_counts,
-                &labels,
-                |si, nodes| {
-                    let points = oc_points_per_rank * thin.ranks(nodes);
-                    match si {
-                        0 => run_oc_mimir(&thin, nodes, points, OcOptions::default()),
-                        1 => run_oc_mrmpi(&thin, nodes, points, thin.mrmpi_page_small, false),
-                        _ => run_oc_mrmpi(&thin, nodes, points, thin.mrmpi_page_large, false),
-                    }
-                },
-            ));
-        }
-        {
-            let labels: Vec<&str> = series.to_vec();
-            figs.push(scaling_figure(
-                &format!("scaling-bfs-{}", full.name),
-                &format!("Weak scaling, BFS, {}", full.name),
-                "nodes",
-                &node_counts,
-                &labels,
-                |si, nodes| {
-                    let verts = bfs_verts_per_rank * thin.ranks(nodes);
-                    let scale = usize::BITS - 1 - verts.leading_zeros();
-                    match si {
-                        0 => run_bfs_mimir(&thin, nodes, scale, BfsOptions::default()),
-                        1 => run_bfs_mrmpi(&thin, nodes, scale, thin.mrmpi_page_small, false),
-                        _ => run_bfs_mrmpi(&thin, nodes, scale, thin.mrmpi_page_large, false),
-                    }
-                },
+        // balanced data (2^11 points, 2^7 vertices).
+        for (app, share) in [("oc", App::Oc(1 << 11)), ("bfs", App::Bfs(7))] {
+            figs.push(sweep(
+                &format!("scaling-{app}-{}", full.name),
+                &format!("Weak scaling, {}, {}", app.to_uppercase(), full.name),
+                &p,
+                &Axis::nodes(&p, &nodes, share),
+                &series,
             ));
         }
     }
-
-    for fig in &figs {
-        print_figure(fig);
-    }
-    if let Some(path) = &args.json {
-        for fig in &figs {
-            write_json(&format!("{path}.{}.json", fig.id), fig);
-        }
-    }
+    emit(&args, &figs);
 }

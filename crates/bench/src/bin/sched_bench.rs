@@ -13,15 +13,15 @@
 //!
 //! Writes `BENCH_sched.json`; `--quick` shrinks the mix for the CI
 //! smoke gate. The acceptance bar is ≥1.3× aggregate throughput
-//! (serial wall-clock / concurrent wall-clock) with zero budget
-//! violations and identical outputs in both runs; a `REGRESSION`
-//! marker (nonzero exit) fires otherwise.
+//! (serial wall-clock / concurrent wall-clock of one run each) with
+//! zero budget violations, every job done and identical outputs in both
+//! runs; a `REGRESSION` marker (nonzero exit) fires otherwise.
 
 use std::time::Instant;
 
 use mimir_apps::bfs::{bfs_mimir, BfsOptions};
 use mimir_apps::wordcount::{wordcount_mimir, WcOptions};
-use mimir_bench::HarnessArgs;
+use mimir_bench::harness::{Args, Report};
 use mimir_datagen::{Graph500, UniformWords};
 use mimir_io::{IoModel, IoModelConfig};
 use mimir_mem::MemPool;
@@ -96,7 +96,7 @@ fn build_specs(mix: Mix) -> Vec<JobSpec> {
 }
 
 /// Runs the whole mix through the service with the given concurrency
-/// and returns per-rank results.
+/// and folds the per-rank results.
 fn run_mix(mix: Mix, max_running: usize) -> RunResult {
     let per_rank = run_world(RANKS, move |comm| {
         let pool = MemPool::new(format!("node{}", comm.rank()), 64 * 1024, BUDGET).unwrap();
@@ -124,38 +124,29 @@ fn run_mix(mix: Mix, max_running: usize) -> RunResult {
                 digest.extend_from_slice(&y.data);
             }
         }
-        (
+        RunResult {
             wall_s,
             digest,
-            svc.pool().peak(),
-            svc.pool().used(),
+            peak_bytes: svc.pool().peak(),
+            used_after: svc.pool().used(),
             all_done,
-        )
+        }
     });
     // Wall-clock is the slowest rank; digests concatenate rank-ordered.
-    let mut digest = Vec::new();
-    let mut wall_s: f64 = 0.0;
-    let mut peak_bytes = 0;
-    let mut used_after = 0;
-    let mut all_done = true;
-    for (w, d, peak, used, done) in per_rank {
-        wall_s = wall_s.max(w);
-        digest.extend_from_slice(&d);
-        peak_bytes = peak_bytes.max(peak);
-        used_after = used_after.max(used);
-        all_done &= done;
-    }
-    RunResult {
-        wall_s,
-        digest,
-        peak_bytes,
-        used_after,
-        all_done,
-    }
+    per_rank
+        .into_iter()
+        .reduce(|a, b| RunResult {
+            wall_s: a.wall_s.max(b.wall_s),
+            digest: [a.digest, b.digest].concat(),
+            peak_bytes: a.peak_bytes.max(b.peak_bytes),
+            used_after: a.used_after.max(b.used_after),
+            all_done: a.all_done && b.all_done,
+        })
+        .expect("at least one rank")
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     let mix = if args.quick {
         Mix {
             n_wordcounts: 4,
@@ -185,12 +176,7 @@ fn main() {
     let concurrent = run_mix(mix, 3);
 
     let speedup = serial.wall_s / concurrent.wall_s;
-    let outputs_match = serial.digest == concurrent.digest;
-    let budget_ok = serial.peak_bytes <= BUDGET
-        && concurrent.peak_bytes <= BUDGET
-        && serial.used_after == 0
-        && concurrent.used_after == 0;
-
+    let mut report = Report::new("sched_mixed_workload", &args);
     println!(
         "{:<12}{:>10}{:>12}{:>14}{:>10}",
         "mode", "wall(s)", "peak(MiB)", "jobs done", "speedup"
@@ -207,40 +193,33 @@ fn main() {
             if r.all_done { "all" } else { "NOT ALL" },
             s,
         );
+        report.cell(vec![
+            ("mode", Json::Str(mode.into())),
+            ("wall_s", Json::Num(r.wall_s)),
+            ("peak_bytes", Json::Num(r.peak_bytes as f64)),
+            ("used_after", Json::Num(r.used_after as f64)),
+            ("all_done", Json::Bool(r.all_done)),
+        ]);
     }
-    println!("outputs match: {outputs_match}");
 
-    let regression =
-        speedup < 1.3 || !outputs_match || !budget_ok || !serial.all_done || !concurrent.all_done;
-
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("sched_mixed_workload".into())),
-        ("quick", Json::Bool(args.quick)),
-        ("ranks", Json::Num(RANKS as f64)),
-        ("node_budget_bytes", Json::Num(BUDGET as f64)),
-        ("n_wordcounts", Json::Num(mix.n_wordcounts as f64)),
-        ("bfs_scale", Json::Num(f64::from(mix.bfs_scale))),
-        ("serial_wall_s", Json::Num(serial.wall_s)),
-        ("concurrent_wall_s", Json::Num(concurrent.wall_s)),
-        ("aggregate_speedup", Json::Num(speedup)),
-        ("serial_peak_bytes", Json::Num(serial.peak_bytes as f64)),
-        (
-            "concurrent_peak_bytes",
-            Json::Num(concurrent.peak_bytes as f64),
-        ),
-        ("outputs_match", Json::Bool(outputs_match)),
-        (
-            "budget_violations",
-            Json::Num(f64::from(u8::from(!budget_ok))),
-        ),
-        ("regression", Json::Bool(regression)),
-    ]);
-    let path = args.json.unwrap_or_else(|| "BENCH_sched.json".into());
-    std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
-    println!("wrote {path}");
-    println!("aggregate throughput (concurrent vs serial): {speedup:.2}x");
-    if regression {
-        println!("REGRESSION: concurrent job service below the 1.3x bar (or correctness failure)");
-        std::process::exit(1);
-    }
+    report.field("ranks", Json::Num(RANKS as f64));
+    report.field("node_budget_bytes", Json::Num(BUDGET as f64));
+    report.field("n_wordcounts", Json::Num(mix.n_wordcounts as f64));
+    report.field("bfs_scale", Json::Num(f64::from(mix.bfs_scale)));
+    report.gate(
+        "aggregate speedup, concurrent vs serial",
+        speedup,
+        1.3,
+        speedup >= 1.3,
+        None,
+    );
+    report.check("outputs match", serial.digest == concurrent.digest);
+    report.check(
+        "budget kept and credited back",
+        [&serial, &concurrent]
+            .iter()
+            .all(|r| r.peak_bytes <= BUDGET && r.used_after == 0),
+    );
+    report.check("every job done", serial.all_done && concurrent.all_done);
+    report.finish(&args, "BENCH_sched.json");
 }

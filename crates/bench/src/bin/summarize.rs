@@ -5,6 +5,7 @@
 //!
 //! Usage: `cargo run --release -p mimir-bench --bin summarize -- results/*.json`
 
+use mimir_bench::report::degradation;
 use mimir_bench::{Figure, Status};
 
 fn main() {
@@ -71,23 +72,10 @@ fn summarize(fig: &Figure) {
     }
 
     // Degradation factor for single-series figures (Figure 1 style).
-    if fig.series.len() == 1 {
-        let pts = &fig.series[0].points;
-        let best_in_mem = pts
-            .iter()
-            .filter(|p| p.outcome.status == Status::InMemory)
-            .map(|p| p.outcome.time_s)
-            .fold(f64::NAN, f64::max);
-        let worst = pts
-            .iter()
-            .filter(|p| p.outcome.status == Status::Spilled)
-            .map(|p| p.outcome.time_s)
-            .fold(f64::NAN, f64::max);
-        if best_in_mem.is_finite() && worst.is_finite() {
-            println!(
-                "degradation: {:.0}x ({best_in_mem:.3}s -> {worst:.1}s)",
-                worst / best_in_mem
-            );
-        }
+    if let Some((in_mem, spilled)) = degradation(fig) {
+        println!(
+            "degradation: {:.0}x ({in_mem:.3}s -> {spilled:.1}s)",
+            spilled / in_mem
+        );
     }
 }

@@ -17,22 +17,23 @@
 //!   a 64× larger cell so the timed region spans several publish
 //!   intervals and the comparison measures steady state, not arm cost.
 //!
-//! Best-of-repeats throughput per configuration; trace overhead is
-//! reported against `off`. `telemetry_overhead` comes from the live
-//! pair run as interleaved A/B repeats compared best-against-best —
-//! scheduler noise only ever slows a run, so the best run per side is
-//! the clean-machine sample and background drift cancels out of the
-//! ratio instead of masquerading as plane cost. Writes
-//! `BENCH_trace_overhead.json`; `--quick` runs a
-//! smaller cell as a CI smoke test. Prints a `REGRESSION` marker and
-//! exits nonzero if full-flow tracing costs ≥5% — or the live plane
-//! ≥2% — of untraced throughput: the budgets under which "leave tracing
-//! on in production" and "watch every run live" stay easy
-//! recommendations.
+//! The three trace configurations run as interleaved repeats, and so
+//! does the live pair; each configuration reports its best-of-repeats
+//! throughput, and overheads compare best against best — scheduler
+//! noise only ever slows a run, so the best run per side is the
+//! clean-machine sample and background drift cancels out of the ratio
+//! instead of masquerading as tracing or plane cost. Trace overhead is
+//! against `off`; `telemetry_overhead` is live-on against live-off.
+//! Writes `BENCH_trace_overhead.json`; `--quick` runs a smaller cell as
+//! a CI smoke test. Prints a `REGRESSION` marker and exits nonzero if
+//! full-flow tracing costs ≥5% — or the live plane ≥2% — of untraced
+//! throughput: the budgets under which "leave tracing on in production"
+//! and "watch every run live" stay easy recommendations.
 
 use std::time::{Duration, Instant};
 
-use mimir_bench::{fmt_size, HarnessArgs};
+use mimir_bench::fmt_size;
+use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
 use mimir_core::{Emitter, KvContainer, KvMeta, Shuffler};
 use mimir_datagen::rank_rng;
 use mimir_mem::MemPool;
@@ -158,59 +159,22 @@ fn run_cell(ranks: usize, comm_buf: usize, kvs_per_rank: usize, cell: Cell) -> M
     }
 }
 
-fn best_of(
-    ranks: usize,
-    comm_buf: usize,
-    kvs_per_rank: usize,
-    cell: Cell,
-    repeats: usize,
-) -> Measure {
-    (0..repeats)
-        .map(|_| run_cell(ranks, comm_buf, kvs_per_rank, cell))
-        .max_by(|a, b| a.mb_per_s.total_cmp(&b.mb_per_s))
-        .unwrap()
-}
-
-/// Measures the live-off/live-on pair as interleaved A/B repeats and
-/// returns (best live-off, best live-on, overhead estimate).
-///
-/// A sequential best-of-each comparison is hostage to machine drift:
-/// on a shared (or single-CPU) box the background load changes between
-/// the off block and the on block, and a 2% gate drowns in 10% swings.
-/// Interleaving the runs spreads both configurations across the same
-/// conditions, and the overhead estimate compares best against best:
-/// scheduler noise only ever *slows* a run, so with enough repeats the
-/// best run of each side converges on that side's clean-machine
-/// throughput and their ratio isolates the plane's true cost.
-fn measure_live_pair(
-    ranks: usize,
-    comm_buf: usize,
-    kvs_per_rank: usize,
-    pairs: usize,
-) -> (Measure, Measure, f64) {
-    let (off_cell, on_cell) = (CELLS[3], CELLS[4]);
-    // Discarded warmup: the first world of a process pays one-time costs
-    // (thread spawn paths, allocator growth) that would land on the
-    // first pair's off side and read as plane overhead.
-    let _ = run_cell(ranks, comm_buf, kvs_per_rank, off_cell);
-    let mut offs = Vec::with_capacity(pairs);
-    let mut ons = Vec::with_capacity(pairs);
-    for _ in 0..pairs {
-        offs.push(run_cell(ranks, comm_buf, kvs_per_rank, off_cell));
-        ons.push(run_cell(ranks, comm_buf, kvs_per_rank, on_cell));
-    }
-    let best = |v: Vec<Measure>| {
-        v.into_iter()
-            .max_by(|a, b| a.mb_per_s.total_cmp(&b.mb_per_s))
-            .unwrap()
-    };
-    let (best_off, best_on) = (best(offs), best(ons));
-    let overhead = (best_off.mb_per_s / best_on.mb_per_s - 1.0).max(0.0);
-    (best_off, best_on, overhead)
+/// Overhead of `cell` against `baseline` as a fraction of baseline
+/// throughput (0.03 = 3% lost): per interleaved repeat pair (unclamped,
+/// so its spread shows the noise) and best against best (clamped at 0,
+/// the gated statistic).
+fn overhead(baseline: &[Measure], cell: &[Measure]) -> (Vec<f64>, f64) {
+    let paired = baseline
+        .iter()
+        .zip(cell)
+        .map(|(b, c)| b.mb_per_s / c.mb_per_s - 1.0)
+        .collect();
+    let best = |ms: &[Measure]| ms.iter().map(|m| m.mb_per_s).fold(0.0, f64::max);
+    (paired, (best(baseline) / best(cell) - 1.0).max(0.0))
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = Args::parse();
     // Heavy-8 preset: the cell where the exchange engine (and therefore
     // per-message tracing) is busiest. --quick shrinks it for CI.
     let (ranks, comm_buf, repeats) = if args.quick {
@@ -219,111 +183,93 @@ fn main() {
         (8usize, 256 << 10, 5)
     };
     let kvs_per_rank = 8 * comm_buf / KV_BYTES as usize;
+    let run = |cell| run_cell(ranks, comm_buf, kvs_per_rank, cell);
+
+    let mut runs = interleaved(repeats, 3, |i| run(CELLS[i]));
+    // The live pair: same recorder state (off), plane disarmed vs armed
+    // — isolates the telemetry plane's cost from trace cost. A
+    // sequential best-of-each comparison is hostage to machine drift: on
+    // a shared (or single-CPU) box the background load changes between
+    // the off block and the on block, and a 2% gate drowns in 10% swings.
+    // Interleaving spreads both sides across the same conditions. The
+    // first world of a process pays one-time costs (thread spawn paths,
+    // allocator growth) that would land on the first pair's off side and
+    // read as plane overhead, so a warmup run is discarded.
+    let _ = run(CELLS[3]);
+    runs.extend(interleaved(repeats + 4, 2, |i| run(CELLS[3 + i])));
 
     println!(
-        "{:<6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>10}",
-        "ranks", "buf", "config", "MB/s", "overhead", "events", "dropped"
+        "{:<6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
+        "ranks", "buf", "config", "MB/s", "median", "overhead", "events", "dropped"
     );
-    let trace_measures: Vec<Measure> = CELLS[..3]
-        .iter()
-        .map(|&c| best_of(ranks, comm_buf, kvs_per_rank, c, repeats))
-        .collect();
-    // The paired comparison: same recorder state (off), plane disarmed
-    // vs armed — isolates the telemetry plane's cost from trace cost.
-    let (live_off_m, live_on_m, telemetry_overhead) =
-        measure_live_pair(ranks, comm_buf, kvs_per_rank, repeats + 4);
-    let off = trace_measures[0].mb_per_s;
-
-    let mut measures = trace_measures;
-    measures.push(live_off_m);
-    measures.push(live_on_m);
-    let mut rows = Vec::new();
-    let mut full_flow_overhead = 0.0;
-    for (cell, m) in CELLS.iter().zip(&measures) {
-        // Overhead of this configuration vs its baseline, as a fraction
-        // (0.03 = 3% of baseline throughput lost). The live pair is
-        // compared within itself (median of adjacent-run ratios) — it
-        // runs a larger workload, so `off` is not its baseline.
+    let (full_flow, full_flow_overhead) = overhead(&runs[0], &runs[2]);
+    let (telemetry, telemetry_overhead) = overhead(&runs[3], &runs[4]);
+    let mut report = Report::new("trace_overhead", &args);
+    let mut dropped = 0;
+    for (cell, repeats) in CELLS.iter().zip(&runs) {
+        // The live pair is compared within itself, best against best —
+        // it runs a larger workload, so `off` is not its baseline.
         let overhead = match cell.name {
             "live-off" => 0.0,
             "live-on" => telemetry_overhead,
-            _ => (off / m.mb_per_s - 1.0).max(0.0),
+            _ => overhead(&runs[0], repeats).1,
         };
-        if cell.name == "full-flow" {
-            full_flow_overhead = overhead;
-        }
+        let (fastest, rate) = fastest(repeats, |m| m.mb_per_s);
+        dropped += fastest.events_dropped;
         println!(
-            "{:<6}{:>8}{:>12}{:>12.1}{:>11.1}%{:>12}{:>10}",
+            "{:<6}{:>8}{:>12}{:>12.1}{:>12.1}{:>11.1}%{:>12}{:>10}",
             ranks,
             fmt_size(comm_buf),
             cell.name,
-            m.mb_per_s,
+            rate.max,
+            rate.median,
             overhead * 100.0,
-            m.events,
-            m.events_dropped
+            fastest.events,
+            fastest.events_dropped
         );
-        rows.push(Json::obj(vec![
+        let mut fields = vec![
             ("tracing", Json::Str(cell.name.into())),
             (
                 "kvs_per_rank",
                 Json::Num((kvs_per_rank * cell.kvs_mult) as f64),
             ),
-            ("mb_per_s", Json::Num(m.mb_per_s)),
+            ("mb_per_s", Json::Num(rate.max)),
+        ];
+        fields.extend(rate.json_fields());
+        fields.extend([
             ("overhead", Json::Num(overhead)),
-            ("events", Json::Num(m.events as f64)),
-            ("events_dropped", Json::Num(m.events_dropped as f64)),
-        ]));
+            ("events", Json::Num(fastest.events as f64)),
+            ("events_dropped", Json::Num(fastest.events_dropped as f64)),
+        ]);
+        report.cell(fields);
     }
-
-    let dropped: u64 = measures.iter().map(|m| m.events_dropped).sum();
-    let trace_regression = full_flow_overhead >= 0.05;
-    let live_regression = telemetry_overhead >= 0.02;
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("trace_overhead".into())),
-        ("quick", Json::Bool(args.quick)),
-        ("ranks", Json::Num(ranks as f64)),
-        ("comm_buf", Json::Num(comm_buf as f64)),
-        ("kvs_per_rank", Json::Num(kvs_per_rank as f64)),
-        ("kv_meta", Json::Str("fixed(8,8)".into())),
-        ("full_flow_overhead", Json::Num(full_flow_overhead)),
-        (
-            "live_interval_ms",
-            Json::Num(LIVE_INTERVAL.as_millis() as f64),
-        ),
-        ("telemetry_overhead", Json::Num(telemetry_overhead)),
-        (
-            "regression",
-            Json::Bool(trace_regression || live_regression),
-        ),
-        ("cells", Json::Arr(rows)),
-    ]);
-    let path = args
-        .json
-        .unwrap_or_else(|| "BENCH_trace_overhead.json".into());
-    std::fs::write(&path, doc.to_pretty()).expect("writing bench JSON");
-    println!("wrote {path}");
-    println!(
-        "full-flow tracing overhead vs untraced: {:.1}%",
-        full_flow_overhead * 100.0
-    );
-    println!(
-        "live telemetry plane overhead ({}ms interval): {:.1}%",
-        LIVE_INTERVAL.as_millis(),
-        telemetry_overhead * 100.0
-    );
     if dropped > 0 {
         println!(
             "note: {dropped} events dropped — the ring overflowed, raise \
              RING_CAP for a fair comparison"
         );
     }
-    if trace_regression {
-        println!("REGRESSION: full-flow tracing costs >=5% of untraced throughput");
-    }
-    if live_regression {
-        println!("REGRESSION: live telemetry plane costs >=2% of untraced throughput");
-    }
-    if trace_regression || live_regression {
-        std::process::exit(1);
-    }
+
+    report.field("ranks", Json::Num(ranks as f64));
+    report.field("comm_buf", Json::Num(comm_buf as f64));
+    report.field("kv_meta", Json::Str("fixed(8,8)".into()));
+    report.field(
+        "live_interval_ms",
+        Json::Num(LIVE_INTERVAL.as_millis() as f64),
+    );
+    report.gate(
+        "full-flow tracing overhead vs untraced",
+        full_flow_overhead,
+        0.05,
+        full_flow_overhead < 0.05,
+        Some(Summary::of(&full_flow)),
+    );
+    report.gate(
+        "live telemetry plane overhead vs live-off",
+        telemetry_overhead,
+        0.02,
+        telemetry_overhead < 0.02,
+        Some(Summary::of(&telemetry)),
+    );
+    report.finish(&args, "BENCH_trace_overhead.json");
 }

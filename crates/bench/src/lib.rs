@@ -1,64 +1,30 @@
 //! # mimir-bench — figure-reproduction harnesses
 //!
 //! One binary per table/figure of the paper's evaluation (Section IV),
-//! plus plain-harness micro and ablation benches. Each binary prints the
-//! series the figure plots and writes a JSON record next to it; see
-//! EXPERIMENTS.md for paper-vs-measured notes.
+//! the gated benches, and a plain-harness ablation bench. Each figure
+//! binary is a table of platform, series and x values: [`sweep()`] runs
+//! every series at every x value through the one [`run`] and assembles
+//! the [`Figure`] the binary prints and writes as JSON. The gated
+//! benches share [`harness`]. See EXPERIMENTS.md for paper-vs-measured
+//! notes.
 //!
 //! All sizes follow the scaling convention in DESIGN.md: the paper's GB
 //! become MB (÷1024), node memory and page sizes scale alike, so the
 //! crossover points land at the same ratios.
 
+pub mod harness;
 pub mod platforms;
 pub mod report;
 pub mod runner;
-pub mod sweeps;
+pub mod sweep;
 pub mod trace;
 
+pub use harness::Args;
 pub use platforms::Platform;
-pub use report::{print_figure, write_json, DataPoint, Figure, Series};
-pub use runner::{RunOutcome, Status};
+pub use report::{emit, print_figure, DataPoint, Figure, Series};
+pub use runner::{run, App, Opts, RunOutcome, Status, System, WcDataset};
+pub use sweep::{panels, sweep, Axis, SeriesSpec};
 pub use trace::TraceSession;
-
-/// Parses the common harness CLI: `--quick` (shrink sweeps), `--json
-/// <path>` (write results), `--nodes <n>` (override max node count).
-#[derive(Debug, Clone, Default)]
-pub struct HarnessArgs {
-    /// Shrink sweeps for smoke-testing.
-    pub quick: bool,
-    /// Where to write the JSON record.
-    pub json: Option<String>,
-    /// Cap on simulated node counts for scaling figures.
-    pub max_nodes: Option<usize>,
-}
-
-impl HarnessArgs {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    /// Panics on unknown arguments (these binaries are harnesses, not
-    /// user tools).
-    pub fn parse() -> Self {
-        let mut out = Self::default();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => out.quick = true,
-                "--json" => out.json = Some(it.next().expect("path after --json")),
-                "--nodes" => {
-                    out.max_nodes = Some(
-                        it.next()
-                            .expect("count after --nodes")
-                            .parse()
-                            .expect("number"),
-                    );
-                }
-                other => panic!("unknown argument {other} (expected --quick/--json/--nodes)"),
-            }
-        }
-        out
-    }
-}
 
 /// Formats a byte count the way the paper's axes do (256K, 1M, 16M…).
 pub fn fmt_size(bytes: usize) -> String {

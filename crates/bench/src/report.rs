@@ -6,6 +6,7 @@ use std::io::Write;
 
 use mimir_obs::Json;
 
+use crate::harness::Args;
 use crate::runner::{RunOutcome, Status};
 
 /// One series of a figure (e.g. "Mimir", "MR-MPI (64M)").
@@ -42,36 +43,25 @@ pub struct Figure {
 impl Figure {
     /// Serializes the whole figure to JSON.
     pub fn to_json(&self) -> Json {
+        let point = |p: &DataPoint| {
+            Json::obj(vec![
+                ("x", Json::Str(p.x.clone())),
+                ("outcome", p.outcome.to_json()),
+            ])
+        };
+        let series = |s: &Series| {
+            Json::obj(vec![
+                ("label", Json::Str(s.label.clone())),
+                ("points", Json::Arr(s.points.iter().map(point).collect())),
+            ])
+        };
         Json::obj(vec![
             ("id", Json::Str(self.id.clone())),
             ("title", Json::Str(self.title.clone())),
             ("xlabel", Json::Str(self.xlabel.clone())),
             (
                 "series",
-                Json::Arr(
-                    self.series
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("label", Json::Str(s.label.clone())),
-                                (
-                                    "points",
-                                    Json::Arr(
-                                        s.points
-                                            .iter()
-                                            .map(|p| {
-                                                Json::obj(vec![
-                                                    ("x", Json::Str(p.x.clone())),
-                                                    ("outcome", p.outcome.to_json()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.series.iter().map(series).collect()),
             ),
         ])
     }
@@ -136,10 +126,15 @@ pub fn print_figure(fig: &Figure) {
         .map(|s| s.points.iter().map(|p| p.x.as_str()).collect())
         .unwrap_or_default();
 
-    for (metric, header) in [
-        (MetricKind::Time, "execution time (s)"),
-        (MetricKind::Peak, "peak node memory (MiB)"),
+    // Time in seconds, peak in MiB; `*` marks a spilled cell.
+    for (header, peak) in [
+        ("execution time (s)", false),
+        ("peak node memory (MiB)", true),
     ] {
+        let value = |o: &RunOutcome| match peak {
+            false => format!("{:.3}", o.time_s),
+            true => format!("{:.2}", o.peak_node_bytes as f64 / (1 << 20) as f64),
+        };
         let _ = writeln!(out, "--- {header} ---");
         let _ = write!(out, "{:<12}", fig.xlabel);
         for s in &fig.series {
@@ -149,11 +144,14 @@ pub fn print_figure(fig: &Figure) {
         for (i, x) in xs.iter().enumerate() {
             let _ = write!(out, "{x:<12}");
             for s in &fig.series {
-                let cell = s
-                    .points
-                    .get(i)
-                    .map(|p| format_cell(&p.outcome, metric))
-                    .unwrap_or_else(|| "-".into());
+                let cell = s.points.get(i).map_or_else(
+                    || "-".into(),
+                    |p| match p.outcome.status {
+                        Status::Oom => "OOM".into(),
+                        Status::Spilled => format!("{}*", value(&p.outcome)),
+                        Status::InMemory => value(&p.outcome),
+                    },
+                );
                 let _ = write!(out, "{cell:>18}");
             }
             let _ = writeln!(out);
@@ -161,37 +159,42 @@ pub fn print_figure(fig: &Figure) {
     }
 }
 
-#[derive(Clone, Copy)]
-enum MetricKind {
-    Time,
-    Peak,
-}
-
-fn format_cell(o: &RunOutcome, metric: MetricKind) -> String {
-    match o.status {
-        Status::Oom => "OOM".into(),
-        _ => {
-            let spill_mark = if o.status == Status::Spilled { "*" } else { "" };
-            match metric {
-                MetricKind::Time => format!("{:.3}{spill_mark}", o.time_s),
-                MetricKind::Peak => {
-                    format!(
-                        "{:.2}{spill_mark}",
-                        o.peak_node_bytes as f64 / (1 << 20) as f64
-                    )
-                }
-            }
+/// Prints every figure and, with `--json <path>`, writes each one's
+/// record: a lone figure to `path`, several to `<path>.<id>.json`.
+///
+/// # Panics
+/// Panics on I/O failure — harness output is the whole point of the run.
+pub fn emit(args: &Args, figs: &[Figure]) {
+    for fig in figs {
+        print_figure(fig);
+        if let Some(path) = &args.json {
+            let path = match figs {
+                [_] => path.clone(),
+                _ => format!("{path}.{}.json", fig.id),
+            };
+            std::fs::write(&path, fig.to_json().to_pretty()).expect("writing figure JSON");
+            println!("wrote {path}");
         }
     }
 }
 
-/// Writes the figure's JSON record.
-///
-/// # Panics
-/// Panics on I/O failure — harness output is the whole point of the run.
-pub fn write_json(path: &str, fig: &Figure) {
-    std::fs::write(path, fig.to_json().to_pretty()).expect("writing figure JSON");
-    println!("wrote {path}");
+/// Figure 1's headline for a single-series figure: the slowest
+/// in-memory point's time and the slowest spilled point's, when both
+/// exist.
+pub fn degradation(fig: &Figure) -> Option<(f64, f64)> {
+    let [series] = fig.series.as_slice() else {
+        return None;
+    };
+    let slowest = |status| {
+        series
+            .points
+            .iter()
+            .filter(|p| p.outcome.status == status)
+            .map(|p| p.outcome.time_s)
+            .fold(f64::NAN, f64::max)
+    };
+    let (in_mem, spilled) = (slowest(Status::InMemory), slowest(Status::Spilled));
+    (in_mem.is_finite() && spilled.is_finite()).then_some((in_mem, spilled))
 }
 
 #[cfg(test)]

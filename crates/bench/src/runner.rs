@@ -1,20 +1,22 @@
-//! Benchmark runners: one function per (benchmark, framework) pair,
-//! returning the figure metrics for one configuration.
+//! The benchmark runner: [`run`] executes one (platform, nodes, app,
+//! system) configuration and returns the figure metrics for it.
 //!
-//! Every runner honors `MIMIR_TRACE=1`: each rank records trace events
+//! Every run honors `MIMIR_TRACE=1`: each rank records trace events
 //! into a preallocated ring and the run exports a chrome-trace JSON plus
 //! a JSON-lines report (see [`crate::trace`]).
+
+use std::fmt;
 
 use mimir_apps::bfs::{bfs_mimir, bfs_mrmpi, pick_root, BfsOptions};
 use mimir_apps::octree::{octree_mimir, octree_mrmpi, OcOptions};
 use mimir_apps::wordcount::{wordcount_mimir, wordcount_mrmpi, WcOptions};
 use mimir_apps::RunMetrics;
-use mimir_core::{JobStats, MimirConfig, MimirContext};
-use mimir_datagen::{Graph500, PointGen, UniformWords, WikipediaWords};
+use mimir_core::{JobStats, MimirConfig, MimirContext, MimirError};
+use mimir_datagen::{Graph500, Point, PointGen, UniformWords, WikipediaWords};
 use mimir_io::{IoModel, SpillStore};
-use mimir_mpi::{run_world, run_world_result};
+use mimir_mpi::{run_world_result, Comm, WorldError};
 use mimir_obs::Json;
-use mrmpi::{MrMpiConfig, OocMode};
+use mrmpi::{MrError, MrMpiConfig, OocMode};
 
 use crate::trace::TraceSession;
 use crate::Platform;
@@ -193,13 +195,13 @@ impl WcDataset {
             WcDataset::Uniform => UniformWords {
                 vocab: 8 * 1024,
                 word_len: 8,
-                seed: 0xC0FFEE,
+                seed: SEED,
             }
             .generate(rank, n_ranks, total),
             WcDataset::Wikipedia => WikipediaWords {
                 vocab: 20_000,
                 zipf_s: 1.0,
-                seed: 0xC0FFEE,
+                seed: SEED,
             }
             .generate(rank, n_ranks, total),
         }
@@ -213,295 +215,270 @@ impl WcDataset {
     }
 }
 
-/// WordCount on Mimir.
-pub fn run_wc_mimir(
-    p: &Platform,
-    n_nodes: usize,
-    dataset: WcDataset,
-    total_bytes: usize,
-    opts: WcOptions,
-) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let page = p.page_size;
-    let trace = TraceSession::from_env(format!(
-        "wc-mimir-{}-{n_nodes}n-{total_bytes}",
-        dataset.tag()
-    ));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let text = dataset.generate(comm.rank(), ranks, total_bytes);
-        let pool = nodes2.pool_for_rank(comm.rank());
-        if let Some(t) = &trace {
-            t.install(comm.rank());
+/// Seed of every generated input, so each configuration sees the same
+/// data on both systems.
+const SEED: u64 = 0xC0FFEE;
+
+/// One benchmark workload at one size, totalled over the whole world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum App {
+    /// WordCount over this many bytes of text.
+    Wc(WcDataset, usize),
+    /// Octree clustering of this many normal-distributed points.
+    Oc(usize),
+    /// BFS over a Graph500 graph with `2^scale` vertices.
+    Bfs(u32),
+}
+
+impl App {
+    /// The same workload with `ranks` times the size: the total for a
+    /// weak-scaling point whose per-rank share is `self`. BFS scales its
+    /// vertex count, rounded down to a power of two.
+    pub fn times(self, ranks: usize) -> App {
+        match self {
+            App::Wc(dataset, bytes) => App::Wc(dataset, bytes * ranks),
+            App::Oc(points) => App::Oc(points * ranks),
+            App::Bfs(scale) => App::Bfs(((1usize << scale) * ranks).ilog2()),
         }
-        let m = {
-            let mut ctx = MimirContext::new(
-                comm,
-                pool.clone(),
-                io2.clone(),
-                MimirConfig {
-                    comm_buf_size: page,
-                    ..MimirConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            wordcount_mimir(&mut ctx, &text, &opts)
-                .map(|(_, m)| m)
-                .map_err(|e| e.to_string())?
+    }
+
+    /// A size sweep's axis name and this size's value on it: `dataset`
+    /// `16M`, `points` `2^18`, `vertices` `2^13`.
+    pub fn size_axis(self) -> (&'static str, String) {
+        match self {
+            App::Wc(_, bytes) => ("dataset", crate::fmt_size(bytes)),
+            App::Oc(points) => ("points", format!("2^{}", points.ilog2())),
+            App::Bfs(scale) => ("vertices", format!("2^{scale}")),
+        }
+    }
+
+    /// Names this run's trace files: `wc-mimir-uniform-1n-<bytes>`,
+    /// `oc-mrmpi-2n-<points>`, `bfs-mimir-1n-s<scale>`.
+    fn trace_label(self, system: System, n_nodes: usize) -> String {
+        let sys = match system {
+            System::Mimir(_) => "mimir",
+            System::MrMpi { .. } => "mrmpi",
         };
-        if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
+        match self {
+            App::Wc(dataset, bytes) => {
+                format!("wc-{sys}-{}-{n_nodes}n-{bytes}", dataset.tag())
+            }
+            App::Oc(points) => format!("oc-{sys}-{n_nodes}n-{points}"),
+            App::Bfs(scale) => format!("bfs-{sys}-{n_nodes}n-s{scale}"),
         }
-        Ok(m)
-    });
-    match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), total_bytes),
-        Err(_) => RunOutcome::oom(),
+    }
+
+    /// Bytes the whole input occupies on the parallel file system.
+    fn input_bytes(self) -> usize {
+        match self {
+            App::Wc(_, bytes) => bytes,
+            App::Oc(points) => points * 12,
+            App::Bfs(scale) => Graph500::new(scale, SEED).n_edges() as usize * 16,
+        }
+    }
+
+    /// Generates this rank's share of the input (BFS also agrees on the
+    /// root, a collective).
+    fn input(self, comm: &mut Comm) -> Input {
+        let (rank, ranks) = (comm.rank(), comm.size());
+        match self {
+            App::Wc(dataset, bytes) => Input::Text(dataset.generate(rank, ranks, bytes)),
+            App::Oc(points) => Input::Points(PointGen::new(SEED).generate(rank, ranks, points)),
+            App::Bfs(scale) => {
+                let edges = Graph500::new(scale, SEED).edges(rank, ranks);
+                let root = pick_root(comm, &edges);
+                Input::Graph(edges, root)
+            }
+        }
     }
 }
 
-/// WordCount on MR-MPI.
-pub fn run_wc_mrmpi(
-    p: &Platform,
-    n_nodes: usize,
-    dataset: WcDataset,
-    total_bytes: usize,
-    page_size: usize,
-    compress: bool,
-) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let trace = TraceSession::from_env(format!(
-        "wc-mrmpi-{}-{n_nodes}n-{total_bytes}",
-        dataset.tag()
-    ));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let text = dataset.generate(comm.rank(), ranks, total_bytes);
-        let pool = nodes2.pool_for_rank(comm.rank());
-        if let Some(t) = &trace {
-            t.install(comm.rank());
-        }
-        let store = SpillStore::new_temp("bench-wc", io2.clone()).map_err(|e| e.to_string())?;
-        let cfg = MrMpiConfig {
-            page_size,
-            ooc: OocMode::WhenNeeded,
-        };
-        let m = wordcount_mrmpi(comm, pool.clone(), store, cfg, &text, compress)
-            .map(|(_, m)| m)
-            .map_err(|e| e.to_string())?;
-        if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
-        }
-        Ok(m)
-    });
-    match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), total_bytes),
-        Err(_) => RunOutcome::oom(),
-    }
+/// One rank's share of an [`App`]'s input.
+enum Input {
+    Text(Vec<u8>),
+    Points(Vec<Point>),
+    Graph(Vec<(u64, u64)>, u64),
 }
 
-/// Octree clustering on Mimir over `total_points` normal-distributed
-/// points.
-pub fn run_oc_mimir(
-    p: &Platform,
-    n_nodes: usize,
-    total_points: usize,
-    opts: OcOptions,
-) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let page = p.page_size;
-    let trace = TraceSession::from_env(format!("oc-mimir-{n_nodes}n-{total_points}"));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let pts = PointGen::new(0xC0FFEE).generate(comm.rank(), ranks, total_points);
-        let pool = nodes2.pool_for_rank(comm.rank());
-        if let Some(t) = &trace {
-            t.install(comm.rank());
-        }
-        let m = {
-            let mut ctx = MimirContext::new(
-                comm,
-                pool.clone(),
-                io2.clone(),
-                MimirConfig {
-                    comm_buf_size: page,
-                    ..MimirConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            octree_mimir(&mut ctx, &pts, &opts)
-                .map(|(_, m)| m)
-                .map_err(|e| e.to_string())?
-        };
-        if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
-        }
-        Ok(m)
-    });
-    match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), total_points * 12),
-        Err(_) => RunOutcome::oom(),
-    }
+/// Mimir's three optimizations (paper §III-C), applied to whichever app
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Opts {
+    /// KV-hint: declared key/value lengths instead of headers.
+    pub hint: bool,
+    /// Partial reduction instead of convert + reduce (not BFS).
+    pub pr: bool,
+    /// Map-side KV compression.
+    pub cps: bool,
 }
 
-/// Octree clustering on MR-MPI.
-pub fn run_oc_mrmpi(
-    p: &Platform,
-    n_nodes: usize,
-    total_points: usize,
-    page_size: usize,
-    compress: bool,
-) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let opts = OcOptions {
-        compress,
-        ..OcOptions::default()
-    };
-    let trace = TraceSession::from_env(format!("oc-mrmpi-{n_nodes}n-{total_points}"));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let pts = PointGen::new(0xC0FFEE).generate(comm.rank(), ranks, total_points);
-        let pool = nodes2.pool_for_rank(comm.rank());
-        if let Some(t) = &trace {
-            t.install(comm.rank());
-        }
-        let store = SpillStore::new_temp("bench-oc", io2.clone()).map_err(|e| e.to_string())?;
-        let cfg = MrMpiConfig {
-            page_size,
-            ooc: OocMode::WhenNeeded,
-        };
-        let m = octree_mrmpi(comm, pool.clone(), &store, cfg, &pts, &opts)
-            .map(|(_, m)| m)
-            .map_err(|e| e.to_string())?;
-        if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
-        }
-        Ok(m)
-    });
-    match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), total_points * 12),
-        Err(_) => RunOutcome::oom(),
-    }
-}
-
-/// BFS on Mimir over a Graph500 graph with `2^scale` vertices.
-pub fn run_bfs_mimir(p: &Platform, n_nodes: usize, scale: u32, opts: BfsOptions) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let page = p.page_size;
-    let graph = Graph500::new(scale, 0xC0FFEE);
-    let input_bytes = graph.n_edges() as usize * 16;
-    let trace = TraceSession::from_env(format!("bfs-mimir-{n_nodes}n-s{scale}"));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let edges = graph.edges(comm.rank(), ranks);
-        let root = pick_root(comm, &edges);
-        let pool = nodes2.pool_for_rank(comm.rank());
-        if let Some(t) = &trace {
-            t.install(comm.rank());
-        }
-        let m = {
-            let mut ctx = MimirContext::new(
-                comm,
-                pool.clone(),
-                io2.clone(),
-                MimirConfig {
-                    comm_buf_size: page,
-                    ..MimirConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            bfs_mimir(&mut ctx, &edges, root, &opts)
-                .map(|(_, m)| m)
-                .map_err(|e| e.to_string())?
-        };
-        if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
-        }
-        Ok(m)
-    });
-    match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), input_bytes),
-        Err(_) => RunOutcome::oom(),
-    }
-}
-
-/// BFS on MR-MPI.
-pub fn run_bfs_mrmpi(
-    p: &Platform,
-    n_nodes: usize,
-    scale: u32,
-    page_size: usize,
-    compress: bool,
-) -> RunOutcome {
-    let nodes = p.node_map(n_nodes);
-    let nodes2 = nodes.clone();
-    let io = IoModel::new(p.io).expect("io model");
-    let io2 = io.clone();
-    let ranks = p.ranks(n_nodes);
-    let graph = Graph500::new(scale, 0xC0FFEE);
-    let input_bytes = graph.n_edges() as usize * 16;
-    let opts = BfsOptions {
+impl Opts {
+    /// No optimization: the baseline.
+    pub const BASE: Opts = Opts {
         hint: false,
-        compress,
+        pr: false,
+        cps: false,
     };
-    let trace = TraceSession::from_env(format!("bfs-mrmpi-{n_nodes}n-s{scale}"));
-    let res = run_world_result(ranks, move |comm| -> Result<RunMetrics, String> {
-        let edges = graph.edges(comm.rank(), ranks);
-        let root = pick_root(comm, &edges);
-        let pool = nodes2.pool_for_rank(comm.rank());
+
+    /// These options plus the KV-hint.
+    pub const fn hint(self) -> Opts {
+        Opts { hint: true, ..self }
+    }
+
+    /// These options plus partial reduction.
+    pub const fn pr(self) -> Opts {
+        Opts { pr: true, ..self }
+    }
+
+    /// These options plus KV compression.
+    pub const fn cps(self) -> Opts {
+        Opts { cps: true, ..self }
+    }
+}
+
+/// The framework a configuration runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// Mimir with these optimizations.
+    Mimir(Opts),
+    /// MR-MPI with a page size, optionally with its KV compression.
+    MrMpi {
+        /// Page size of every page set.
+        page: usize,
+        /// Run MR-MPI's compress pass.
+        cps: bool,
+    },
+}
+
+impl System {
+    /// MR-MPI with `page`-byte pages, compressing when `cps`.
+    pub const fn mrmpi(page: usize, cps: bool) -> System {
+        System::MrMpi { page, cps }
+    }
+}
+
+/// Why a rank stopped early, typed so [`run`] can tell running out of
+/// memory (a missing figure point) from a failure.
+#[derive(Debug)]
+enum Failure {
+    Mimir(MimirError),
+    MrMpi(MrError),
+    Trace(String),
+}
+
+impl Failure {
+    fn is_oom(&self) -> bool {
+        match self {
+            Failure::Mimir(e) => e.is_oom(),
+            Failure::MrMpi(e) => e.is_oom(),
+            Failure::Trace(_) => false,
+        }
+    }
+}
+
+impl From<MimirError> for Failure {
+    fn from(e: MimirError) -> Self {
+        Failure::Mimir(e)
+    }
+}
+
+impl From<MrError> for Failure {
+    fn from(e: MrError) -> Self {
+        Failure::MrMpi(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Mimir(e) => write!(f, "mimir: {e}"),
+            Failure::MrMpi(e) => write!(f, "mr-mpi: {e}"),
+            Failure::Trace(e) => write!(f, "trace export: {e}"),
+        }
+    }
+}
+
+/// Runs `app` on `system` over `n_nodes` nodes of `p`.
+///
+/// A run that exceeds the node budget (Mimir) or cannot allocate its
+/// page sets (MR-MPI) is a missing point of the figure and comes back as
+/// [`Status::Oom`].
+///
+/// # Panics
+/// On any other failure — a rank panic, a configuration error, a KV too
+/// large for its buffer — with the failure's message: a harness that
+/// recorded those as missing points would plot a bug as a result.
+pub fn run(p: &Platform, n_nodes: usize, app: App, system: System) -> RunOutcome {
+    let nodes = p.node_map(n_nodes);
+    let io = IoModel::new(p.io).expect("io model");
+    let label = app.trace_label(system, n_nodes);
+    let trace = TraceSession::from_env(label.clone());
+    let res = run_world_result(p.ranks(n_nodes), |comm| -> Result<RunMetrics, Failure> {
+        let input = app.input(comm);
+        let pool = nodes.pool_for_rank(comm.rank());
         if let Some(t) = &trace {
             t.install(comm.rank());
         }
-        let store = SpillStore::new_temp("bench-bfs", io2.clone()).map_err(|e| e.to_string())?;
-        let cfg = MrMpiConfig {
-            page_size,
-            ooc: OocMode::WhenNeeded,
+        // MR-MPI's compress pass is its only option; it runs the apps
+        // without hint or partial reduction.
+        let o = match system {
+            System::Mimir(o) => o,
+            System::MrMpi { cps, .. } => Opts { cps, ..Opts::BASE },
         };
-        let m = bfs_mrmpi(comm, pool.clone(), &store, cfg, &edges, root, &opts)
-            .map(|(_, m)| m)
-            .map_err(|e| e.to_string())?;
+        let oc = OcOptions {
+            hint: o.hint,
+            partial_reduce: o.pr,
+            compress: o.cps,
+            ..OcOptions::default()
+        };
+        let bfs = BfsOptions {
+            hint: o.hint,
+            compress: o.cps,
+        };
+        let m = if let System::MrMpi { page, .. } = system {
+            let store = SpillStore::new_temp("bench", io.clone()).map_err(MrError::Io)?;
+            let cfg = MrMpiConfig {
+                page_size: page,
+                ooc: OocMode::WhenNeeded,
+            };
+            let pool = pool.clone();
+            match &input {
+                Input::Text(text) => wordcount_mrmpi(comm, pool, store, cfg, text, o.cps)?.1,
+                Input::Points(pts) => octree_mrmpi(comm, pool, &store, cfg, pts, &oc)?.1,
+                Input::Graph(edges, root) => {
+                    bfs_mrmpi(comm, pool, &store, cfg, edges, *root, &bfs)?.1
+                }
+            }
+        } else {
+            let cfg = MimirConfig {
+                comm_buf_size: p.page_size,
+                ..MimirConfig::default()
+            };
+            let ctx = &mut MimirContext::new(comm, pool.clone(), io.clone(), cfg)?;
+            match &input {
+                Input::Text(text) => {
+                    let wc = WcOptions {
+                        hint: o.hint,
+                        partial_reduce: o.pr,
+                        compress: o.cps,
+                    };
+                    wordcount_mimir(ctx, text, &wc)?.1
+                }
+                Input::Points(pts) => octree_mimir(ctx, pts, &oc)?.1,
+                Input::Graph(edges, root) => {
+                    assert!(!o.pr, "BFS has no partial reduction");
+                    bfs_mimir(ctx, edges, *root, &bfs)?.1
+                }
+            }
+        };
         if let Some(t) = &trace {
-            t.finish(comm, &pool, &m)?;
+            t.finish(comm, &pool, &m).map_err(Failure::Trace)?;
         }
         Ok(m)
     });
     match res {
-        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), input_bytes),
-        Err(_) => RunOutcome::oom(),
+        Ok(ms) => RunOutcome::from_metrics(&ms, &io, nodes.max_node_peak(), app.input_bytes()),
+        Err(WorldError::Aborted(e)) if e.is_oom() => RunOutcome::oom(),
+        Err(e) => panic!("{label}: {e}"),
     }
-}
-
-/// Helper for Figure 1: MR-MPI WordCount where we *want* the spill regime
-/// (the out-of-core cliff), single node, uniform data. Uses the platform's
-/// *large* page configuration — the paper's Figure 1 curve stays in memory
-/// until ~4 GB, which is the 512 MB-page regime.
-pub fn run_fig1_point(p: &Platform, total_bytes: usize) -> RunOutcome {
-    run_wc_mrmpi(
-        p,
-        1,
-        WcDataset::Uniform,
-        total_bytes,
-        p.mrmpi_page_large,
-        false,
-    )
-}
-
-/// Sanity helper used by the smoke bench: a quick world round-trip.
-pub fn smoke_world(ranks: usize) -> u64 {
-    run_world(ranks, |c| c.allreduce_u64(mimir_mpi::ReduceOp::Sum, 1))[0]
 }

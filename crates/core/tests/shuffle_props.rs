@@ -1,9 +1,10 @@
 //! Randomized delivery properties of the shuffle engine: for arbitrary
 //! KV multisets under every hint encoding, the exchange must deliver
 //! exactly the emitted multiset, routed by the partitioner — even when
-//! the partitioner sends everything to one rank — and the bulk
-//! [`KvSink::accept_run`] path must be observationally identical to
-//! per-KV [`KvSink::accept`]. Seeded PRNG, so failures replay.
+//! the partitioner sends everything to one rank, and on both transport
+//! backends — and the bulk [`KvSink::accept_run`] path must be
+//! observationally identical to per-KV [`KvSink::accept`]. Seeded PRNG,
+//! so failures replay.
 
 use std::collections::HashMap;
 
@@ -13,7 +14,7 @@ use mimir_core::{
 };
 use mimir_datagen::{rank_rng, RankRng};
 use mimir_mem::MemPool;
-use mimir_mpi::run_world;
+use mimir_mpi::{run_world, run_world_on, TransportKind};
 
 /// The hint matrix: every encoding class the wire format supports.
 fn metas() -> [KvMeta; 4] {
@@ -64,15 +65,16 @@ fn multiset(kvs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) -> Multiset {
 /// four ranks.
 const COMM_BUF: usize = 2048;
 
-/// Shuffles `kvs(rank)` from every rank through `partitioner` and
-/// returns each rank's received multiset.
+/// Shuffles `kvs(rank)` from every rank through `partitioner` over the
+/// `kind` transport and returns each rank's received multiset.
 fn shuffle(
+    kind: TransportKind,
     ranks: usize,
     meta: KvMeta,
     partitioner: Partitioner,
     kvs: impl Fn(usize) -> Vec<(Vec<u8>, Vec<u8>)> + Send + Sync,
 ) -> Vec<Multiset> {
-    run_world(ranks, move |comm| {
+    let received = run_world_on(kind, ranks, move |comm| {
         let pool = MemPool::unlimited("t", 4096);
         let sink = KvContainer::new(&pool, meta);
         let mut sh =
@@ -90,8 +92,9 @@ fn shuffle(
             Ok(())
         })
         .unwrap();
-        multiset(got)
-    })
+        got
+    });
+    received.into_iter().map(multiset).collect()
 }
 
 /// The routing model: every rank's stream, each KV sent to `route(key)`,
@@ -110,17 +113,21 @@ fn routed(
     expected.into_iter().map(multiset).collect()
 }
 
+/// Forked ranks over Unix sockets see the same world as rank threads, so
+/// every rank must receive exactly the routed multiset on both backends.
 #[test]
 fn shuffle_delivers_the_emitted_multiset_under_every_hint() {
     let ranks = 4;
     let n_kvs = 400;
-    for (case, meta) in metas().into_iter().enumerate() {
-        let seed = 0xC0FFEE + case as u64;
-        let kvs = move |rank| rank_kvs(seed, rank, meta, n_kvs);
-        let expected = routed(ranks, kvs, |k| partition_of(k, ranks));
-        let got = shuffle(ranks, meta, Partitioner::hash(), kvs);
-        for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g, e, "{meta:?} rank {rank}");
+    for kind in [TransportKind::Inproc, TransportKind::Uds] {
+        for (case, meta) in metas().into_iter().enumerate() {
+            let seed = 0xC0FFEE + case as u64;
+            let kvs = move |rank| rank_kvs(seed, rank, meta, n_kvs);
+            let expected = routed(ranks, kvs, |k| partition_of(k, ranks));
+            let got = shuffle(kind, ranks, meta, Partitioner::hash(), kvs);
+            for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(g, e, "{kind:?} {meta:?} rank {rank}");
+            }
         }
     }
 }
@@ -155,7 +162,8 @@ fn point_mass_shuffle_delivers_the_routed_multiset() {
             let seed = 0xD17E_u64.wrapping_add(case as u64);
             let kvs = move |rank| hot_kvs(seed, rank, meta, n_kvs, dup_heavy);
             let expected = routed(ranks, kvs, |_| 0);
-            let got = shuffle(ranks, meta, Partitioner::custom("to-zero", |_, _| 0), kvs);
+            let to_zero = Partitioner::custom("to-zero", |_, _| 0);
+            let got = shuffle(TransportKind::Inproc, ranks, meta, to_zero, kvs);
             for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
                 assert_eq!(g, e, "{meta:?} dup={dup_heavy} rank {rank}");
             }
