@@ -8,11 +8,15 @@
 //!    rank, which builds its local adjacency. The paper notes BFS's
 //!    *peak memory usage occurs in this phase* (the full edge list flows
 //!    through the framework), which is why KV compression does not lower
-//!    BFS's peak (Figures 11–13).
+//!    BFS's peak (Figures 11–13). It holds here: no traversal level rises
+//!    above the partitioned edge list (`memory_behavior.rs` pins it).
 //! 2. **Level-synchronous traversal** — each iteration maps over the
 //!    local frontier, emitting `(neighbor, parent)` KVs shuffled to the
-//!    neighbor's owner; unvisited neighbors join the next frontier. This
-//!    is "map-only": no convert/reduce.
+//!    neighbor's owner. The owner claims a vertex as the first proposal
+//!    for it arrives — an arrival filter on the level's job — and drops
+//!    every later proposal before it is stored, so the next frontier
+//!    holds exactly one KV per newly reached vertex. This is "map-only":
+//!    no convert/reduce.
 //!
 //! The traversal is chained through the cross-job KV cache: each level's
 //! output is stashed under a frontier name with `output_cached` and the
@@ -24,12 +28,14 @@
 //! shuffle itself.
 //!
 //! Vertex ownership is `partition_of(key)` — identical to the shuffle's
-//! partitioner, so shuffled KVs land exactly on their owner.
+//! partitioner, so shuffled KVs land exactly on their owner, and the
+//! root's owner claims the root directly.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use mimir_core::{typed, Emitter, KvMeta, MimirContext};
+use mimir_core::{partition_of, typed, Emitter, KvMeta, MimirContext};
 use mimir_io::SpillStore;
 use mimir_mem::{MemPool, Reservation};
 use mimir_mpi::{Comm, ReduceOp};
@@ -161,16 +167,20 @@ pub fn bfs_mimir(
         .drain(|k, v| adj.add(typed::dec_u64(k), typed::dec_u64(v)))?;
 
     // --- Stage 2: level-synchronous traversal (iterative map-only), ----
-    // chained through the cross-job cache. The seed job plants the root
-    // proposal on its owner rank and stashes it as the frontier; every
-    // level then consumes the cached frontier in place and stashes its
-    // successor under the same name (the checkout happens before the
+    // chained through the cross-job cache. The root's owner claims it
+    // directly and the seed job plants it there as the first frontier.
+    // Every level then expands the cached frontier in place and stashes
+    // its successor under the same name (the checkout happens before the
     // stash, so the overwrite is safe).
     const FRONTIER: &str = "bfs.frontier";
     let mut parents: HashMap<u64, u64> = HashMap::new();
+    let root_key = typed::enc_u64(root);
+    if partition_of(&root_key, ctx.size()) == rank {
+        parents.insert(root, root);
+    }
     let mut seed_map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
         if rank == 0 {
-            em.emit(&typed::enc_u64(root), &typed::enc_u64(root))?;
+            em.emit(&root_key, &root_key)?;
         }
         Ok(())
     };
@@ -182,59 +192,60 @@ pub fn bfs_mimir(
     metrics.job.merge(&out.stats);
 
     let mut depth = 0u32;
-    let mut level = 0u64;
     let compress = opts.compress;
     // Compression state: the neighbors this rank already proposed a
     // parent for in the current level (first-parent wins, so later
     // duplicate proposals carry no information and need not be shuffled).
     let mut proposed: std::collections::HashSet<u64> = std::collections::HashSet::new();
     loop {
-        // Per-KV traversal map: claim the vertex (first parent proposal
-        // across ranks wins at the claim site) and propose this vertex
-        // as the parent of every neighbor.
-        let mut new_local = 0u64;
+        // Expand: propose every frontier vertex as the parent of each of
+        // its neighbors.
         let adj_map = &adj.map;
         proposed.clear();
         let prop = &mut proposed;
-        let mut trav_map = |k: &[u8], v: &[u8], em: &mut dyn Emitter| -> mimir_core::Result<()> {
+        let mut expand = |k: &[u8], _v: &[u8], em: &mut dyn Emitter| -> mimir_core::Result<()> {
             let vertex = typed::dec_u64(k);
-            if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(vertex) {
-                e.insert(typed::dec_u64(v));
-                new_local += 1;
-                if let Some(neighbors) = adj_map.get(&vertex) {
-                    for &n in neighbors {
-                        if compress && !prop.insert(n) {
-                            continue;
-                        }
-                        em.emit(&typed::enc_u64(n), &typed::enc_u64(vertex))?;
+            if let Some(neighbors) = adj_map.get(&vertex) {
+                for &n in neighbors {
+                    if compress && !prop.insert(n) {
+                        continue;
                     }
+                    em.emit(&typed::enc_u64(n), k)?;
                 }
             }
             Ok(())
+        };
+        // Claim on arrival: the first proposal for an unvisited vertex
+        // wins and joins the next frontier; every other is dropped before
+        // it is stored.
+        let mut claim = |k: &[u8], v: &[u8]| match parents.entry(typed::dec_u64(k)) {
+            Entry::Vacant(e) => {
+                e.insert(typed::dec_u64(v));
+                true
+            }
+            Entry::Occupied(_) => false,
         };
         let out = ctx
             .job()
             .kv_meta(meta)
             .input_cached(FRONTIER)
             .output_cached(FRONTIER)
+            .arrival_filter(&mut claim)
             // Traversal re-keys (vertex → neighbor): placement changes,
             // so every level needs a real exchange.
             .shuffle_elision(false)
-            .chain_shuffle(&mut trav_map)?;
+            .chain_shuffle(&mut expand)?;
         metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
         metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
         metrics.exchange_rounds += out.stats.shuffle.rounds;
         metrics.job.merge(&out.stats);
 
-        let new_global = ctx.allreduce_sum(new_local);
-        if new_global == 0 {
+        // The job's output is exactly this rank's newly claimed vertices.
+        if ctx.allreduce_sum(out.stats.kvs_out) == 0 {
             break;
         }
-        if level > 0 {
-            depth += 1;
-            metrics.iterations += 1;
-        }
-        level += 1;
+        depth += 1;
+        metrics.iterations += 1;
     }
     ctx.cache_remove(FRONTIER);
 
@@ -265,7 +276,6 @@ pub fn bfs_mrmpi(
     opts: &BfsOptions,
 ) -> mrmpi::Result<(BfsResult, RunMetrics)> {
     let t0 = Instant::now();
-    let p = comm.size();
     let rank = comm.rank();
     let mut metrics = RunMetrics::default();
 
@@ -315,7 +325,9 @@ pub fn bfs_mrmpi(
 
     let mut depth = 0u32;
     loop {
-        let mut received: Vec<(u64, u64)> = Vec::new();
+        // Claim as the scan reads the received proposals: the first for an
+        // unvisited vertex wins and joins the next frontier.
+        let mut next: Vec<u64> = Vec::new();
         {
             let inner = SpillStore::new_temp("bfs-trav", store.model().clone())?;
             let mut mr = MapReduce::new(comm, pool.clone(), inner, cfg);
@@ -336,7 +348,11 @@ pub fn bfs_mrmpi(
             }
             mr.aggregate()?;
             mr.scan(|k, v| {
-                received.push((typed::dec_u64(k), typed::dec_u64(v)));
+                let vertex = typed::dec_u64(k);
+                if let Entry::Vacant(e) = parents.entry(vertex) {
+                    e.insert(typed::dec_u64(v));
+                    next.push(vertex);
+                }
                 Ok(())
             })?;
             let s = mr.stats();
@@ -345,13 +361,6 @@ pub fn bfs_mrmpi(
             metrics.job.merge(&crate::job_stats_from_mr(&s));
         }
 
-        let mut next: Vec<u64> = Vec::new();
-        for (vertex, parent) in received {
-            if let std::collections::hash_map::Entry::Vacant(e) = parents.entry(vertex) {
-                e.insert(parent);
-                next.push(vertex);
-            }
-        }
         frontier = next;
         let frontier_global = comm.allreduce_u64(ReduceOp::Sum, frontier.len() as u64);
         if frontier_global == 0 {
@@ -364,7 +373,6 @@ pub fn bfs_mrmpi(
     let visited_global = comm.allreduce_u64(ReduceOp::Sum, parents.len() as u64);
     metrics.wall = t0.elapsed();
     metrics.node_peak = pool.peak();
-    let _ = p;
     Ok((
         BfsResult {
             parents,

@@ -10,7 +10,7 @@
 //! | [`MapReduceJob::map_partial_reduce`] | map | [`PartialReducer`] | fold finalise | WC/OC `pr` |
 //! | [`MapReduceJob::map_partial_reduce_compress`] | map + combiner | [`PartialReducer`] | fold finalise | WC/OC `pr`+`cps` |
 //! | [`MapReduceJob::map_shuffle`] | map | KVC | (none) | BFS partition |
-//! | [`MapReduceJob::chain_shuffle`] | cached input | KVC | (none) | BFS levels |
+//! | [`MapReduceJob::chain_shuffle`] | cached input | KVC, behind the arrival filter if one is set | (none) | BFS levels |
 //! | [`MapReduceJob::chain_reduce`] | cached input | [`GroupedKvs`] | convert + reduce | chained jobs |
 //! | [`MapReduceJob::chain_partial_reduce`] | cached input | [`PartialReducer`] | fold finalise | PageRank |
 //!
@@ -20,6 +20,12 @@
 //! cached input (see [`crate::KvCache`]) whose placement fingerprint
 //! matches the job's partitioner skips the exchange: the chained map
 //! feeds the sink directly.
+//!
+//! One shape takes one more part: [`MapReduceJob::arrival_filter`] puts a
+//! predicate in front of `chain_shuffle`'s KVC, so a KV lands in the
+//! output only if the filter keeps it, whether it came through the
+//! exchange or from an elided map. BFS claims its vertices there.
+//! Unfiltered jobs still drain received runs into their sink in bulk.
 //!
 //! Per the paper, the global synchronization between map and reduce is
 //! retained (a barrier after the shuffle completes); everything else is
@@ -52,6 +58,7 @@ pub struct MapReduceJob<'c, 'w> {
     input_cached: Option<String>,
     output_cached: Option<String>,
     elide: bool,
+    arrival_filter: Option<ArrivalFilterFn<'c>>,
 }
 
 /// A finished job: the output KVs this rank owns, plus metrics.
@@ -111,6 +118,28 @@ impl<S: KvSink> Emitter for LocalEmitter<'_, S> {
     }
 }
 
+/// Arrival filter (see [`MapReduceJob::arrival_filter`]): called once per
+/// KV on its owner rank before the KV lands in the output; `true` keeps
+/// it.
+pub type ArrivalFilterFn<'f> = &'f mut dyn FnMut(&[u8], &[u8]) -> bool;
+
+/// The sink behind an arrival filter: a KVC that takes only the KVs the
+/// filter keeps. Runs arrive through [`KvSink::accept_run`]'s per-KV
+/// default, since the filter must see every KV.
+struct Filtered<'f> {
+    kvc: KvContainer,
+    keep: ArrivalFilterFn<'f>,
+}
+
+impl KvSink for Filtered<'_> {
+    fn accept(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
+        if (self.keep)(key, val) {
+            self.kvc.push(key, val)?;
+        }
+        Ok(())
+    }
+}
+
 /// Reduce callback: one key with all its values; emits output KVs.
 pub type ReduceFn<'f> = &'f mut dyn FnMut(&[u8], ValueIter<'_>, &mut dyn Emitter) -> Result<()>;
 
@@ -125,6 +154,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             input_cached: None,
             output_cached: None,
             elide: true,
+            arrival_filter: None,
         }
     }
 
@@ -206,6 +236,20 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self
     }
 
+    /// Filters [`Self::chain_shuffle`]'s output on arrival: `keep` runs
+    /// once per KV on the rank that owns it — as each exchange round
+    /// drains, or at the emit when the shuffle is elided — and only the
+    /// KVs it returns `true` for land in the output (and count in
+    /// [`JobStats::kvs_out`]). KVs reach it in arrival order, so "keep
+    /// the first KV of each key" is a first-come claim. Only valid with
+    /// `chain_shuffle`; every other shape fails with
+    /// [`MimirError::Config`].
+    #[must_use]
+    pub fn arrival_filter(mut self, keep: ArrivalFilterFn<'c>) -> Self {
+        self.arrival_filter = Some(keep);
+        self
+    }
+
     /// The baseline workflow: map → (implicit aggregate) → convert →
     /// reduce.
     ///
@@ -279,7 +323,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     /// partitioner. When the input's placement fingerprint matches and
     /// elision is enabled, the exchange is skipped entirely (a
     /// `shuffle_elided` trace event marks it); otherwise the output goes
-    /// through a real shuffle. The iterative BFS traversal shape.
+    /// through a real shuffle. With an [`Self::arrival_filter`], only the
+    /// KVs it keeps land in the output. The iterative BFS traversal shape.
     ///
     /// # Errors
     /// [`MimirError::Cache`] when no input name was declared, the name is
@@ -288,7 +333,16 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     pub fn chain_shuffle(mut self, map: ChainMapFn<'_>) -> Result<JobOutput> {
         let meta = self.kv_meta;
         let feed = Feed::Chain(map);
-        let (kvc, stats) = self.map_phase(feed, |pool| Ok(KvContainer::new(pool, meta)))?;
+        let (kvc, stats) = match self.arrival_filter.take() {
+            None => self.map_phase(feed, |pool| Ok(KvContainer::new(pool, meta)))?,
+            Some(keep) => {
+                let (filtered, stats) = self.map_phase(feed, move |pool| {
+                    let kvc = KvContainer::new(pool, meta);
+                    Ok(Filtered { kvc, keep })
+                })?;
+                (filtered.kvc, stats)
+            }
+        };
         self.finish(kvc, stats)
     }
 
@@ -334,6 +388,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         feed: Feed<'_>,
         new_sink: impl FnOnce(&MemPool) -> Result<S>,
     ) -> Result<(S, JobStats)> {
+        // `chain_shuffle` takes its filter before it gets here; any other
+        // shape would silently ignore it.
+        if self.arrival_filter.is_some() {
+            return Err(MimirError::Config(
+                "arrival_filter requires the chain_shuffle run shape".to_string(),
+            ));
+        }
         // A map feed drives its own input and would silently ignore a
         // cached one.
         let chain_input = match (&feed, &self.input_cached) {

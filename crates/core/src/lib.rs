@@ -75,7 +75,7 @@ pub use convert::{convert, convert_with};
 pub use error::MimirError;
 pub use group::GroupIndex;
 pub use grouped::GroupedKvs;
-pub use job::{ChainMapFn, JobOutput, MapFn, MapReduceJob, ReduceFn};
+pub use job::{ArrivalFilterFn, ChainMapFn, JobOutput, MapFn, MapReduceJob, ReduceFn};
 pub use kmvc::{KmvContainer, ValueIter};
 pub use kv::{decode_one, encode_push, encoded_len, KvDecoder};
 pub use kvc::KvContainer;

@@ -3,7 +3,8 @@
 //! input — checkout, per-KV map over the resident partition, local
 //! re-emit into the output container — performs no per-KV heap
 //! allocations. The cached pages are pool-backed and the elided path
-//! never touches serialization, send buffers, or the exchange.
+//! never touches serialization, send buffers, or the exchange. The same
+//! holds with an arrival filter in front of the output container.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,13 +51,12 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const KVS: u64 = 2000;
 const WARMUP: u64 = 512;
 
-/// The strict proof: past KV `WARMUP` (output page acquired, lazy state
-/// initialized), the elided chain's per-KV path — cached-page iteration,
-/// the partition-honesty check, and the container append — allocates
-/// nothing through the end of the input.
-#[test]
-fn steady_state_elided_iteration_is_allocation_free() {
-    run_world(1, |comm| {
+/// Runs one elided chain over `KVS` cached fixed(8,8) pairs, with the
+/// map re-emitting each key with its value + 1, and returns the output
+/// count and the allocations between the map's `WARMUP`th KV and its
+/// last. With `filtered`, an arrival filter keeps the even keys.
+fn steady_state_allocs(filtered: bool) -> (u64, u64) {
+    let out = run_world(1, move |comm| {
         let pool = MemPool::unlimited("t", 256 * 1024);
         let mut ctx =
             MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
@@ -79,10 +79,15 @@ fn steady_state_elided_iteration_is_allocation_free() {
         let mut seen = 0u64;
         let mut at_warmup = 0u64;
         let mut at_last = 0u64;
-        let out = ctx
+        let mut even = |k: &[u8], _v: &[u8]| typed::dec_u64(k).is_multiple_of(2);
+        let mut job = ctx
             .job()
             .kv_meta(KvMeta::fixed(8, 8))
-            .input_cached("steady")
+            .input_cached("steady");
+        if filtered {
+            job = job.arrival_filter(&mut even);
+        }
+        let out = job
             .chain_shuffle(&mut |k, v, em| {
                 seen += 1;
                 if seen == WARMUP {
@@ -97,16 +102,40 @@ fn steady_state_elided_iteration_is_allocation_free() {
             .unwrap();
 
         assert_eq!(seen, KVS, "the chain visited every cached KV");
-        assert_eq!(out.stats.kvs_out, KVS);
-        let during = at_last - at_warmup;
-        assert_eq!(
-            during,
-            0,
-            "elided steady state allocated {during} times over {} KVs",
-            KVS - WARMUP
-        );
         let stats = ctx.cache_stats();
         assert_eq!(stats.elisions, 1, "the shuffle was elided");
         ctx.cache_clear();
+        (out.stats.kvs_out, at_last - at_warmup)
     });
+    out[0]
+}
+
+/// The strict proof: past KV `WARMUP` (output page acquired, lazy state
+/// initialized), the elided chain's per-KV path — cached-page iteration,
+/// the partition-honesty check, and the container append — allocates
+/// nothing through the end of the input.
+#[test]
+fn steady_state_elided_iteration_is_allocation_free() {
+    let (kvs_out, during) = steady_state_allocs(false);
+    assert_eq!(kvs_out, KVS);
+    assert_eq!(
+        during,
+        0,
+        "elided steady state allocated {during} times over {} KVs",
+        KVS - WARMUP
+    );
+}
+
+/// The same with an arrival filter installed: the filter's call per KV
+/// adds no allocation, and only the KVs it keeps are output.
+#[test]
+fn steady_state_filtered_iteration_is_allocation_free() {
+    let (kvs_out, during) = steady_state_allocs(true);
+    assert_eq!(kvs_out, KVS / 2);
+    assert_eq!(
+        during,
+        0,
+        "filtered steady state allocated {during} times over {} KVs",
+        KVS - WARMUP
+    );
 }

@@ -1,7 +1,7 @@
 //! Job-API surface tests: run-shape combinations, stats, error
 //! propagation, and context reuse across jobs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use mimir_core::{
     typed, Emitter, JobStats, KvMeta, LenHint, MimirConfig, MimirContext, MimirError, ValueIter,
@@ -413,7 +413,8 @@ struct ShapeRun {
 /// that a `map_shuffle` seeds with [`matrix_input`]; a chained map
 /// re-emits each KV, which keeps the placement, so `elide` decides the
 /// elision. With `fail`, every map callback errors after its first KV.
-fn run_shape(shape: Shape, elide: bool, fail: bool) -> Vec<ShapeRun> {
+/// With `filtered`, the job gets an arrival filter that keeps every KV.
+fn run_shape(shape: Shape, elide: bool, fail: bool, filtered: bool) -> Vec<ShapeRun> {
     ctx_world(2, move |ctx| {
         let rank = ctx.rank();
         let failure = || Err(MimirError::Config("synthetic map failure".into()));
@@ -444,9 +445,13 @@ fn run_shape(shape: Shape, elide: bool, fail: bool) -> Vec<ShapeRun> {
         let mut reduce = |k: &[u8], vals: ValueIter<'_>, em: &mut dyn Emitter| {
             em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
         };
+        let mut keep_all = |_: &[u8], _: &[u8]| true;
         let mut job = ctx.job();
         if shape.chained() {
             job = job.input_cached("in").shuffle_elision(elide);
+        }
+        if filtered {
+            job = job.arrival_filter(&mut keep_all);
         }
         let res = match shape {
             Shape::MapReduce => job.map_reduce(&mut map, &mut reduce),
@@ -508,7 +513,7 @@ fn run_shape_matrix_matches_the_model_and_gives_memory_back() {
         for &elide in elide_cases {
             for fail in [false, true] {
                 let case = format!("{shape:?} elide={elide} fail={fail}");
-                let runs = run_shape(shape, elide, fail);
+                let runs = run_shape(shape, elide, fail, false);
                 let mut got: HashMap<Vec<u8>, u64> = HashMap::new();
                 for run in &runs {
                     assert_eq!(run.used_after, 0, "{case}: pages left in the pool");
@@ -613,4 +618,146 @@ fn cached_input_and_run_shape_must_agree() {
     };
     assert!(msg(map_with_input).contains("requires a chain_* run shape"));
     assert!(msg(chain_without_input).contains("require input_cached(name)"));
+}
+
+/// An arrival filter goes with `chain_shuffle` only: every other shape
+/// refuses it with a config error, gives its memory back, and leaves a
+/// chained input cached.
+#[test]
+fn arrival_filter_is_refused_by_every_other_shape() {
+    for shape in Shape::ALL {
+        if shape == Shape::ChainShuffle {
+            continue;
+        }
+        for run in run_shape(shape, true, false, true) {
+            let err = run.result.as_ref().err();
+            let case = format!("{shape:?}: {err:?}");
+            match err {
+                Some(MimirError::Config(m)) => assert!(m.contains("arrival_filter"), "{case}"),
+                _ => panic!("{case}"),
+            }
+            assert_eq!(run.used_after, 0, "{case}");
+            assert_eq!(run.input_cached, shape.chained(), "{case}");
+        }
+    }
+}
+
+/// What one rank saw of a filtered chain.
+struct FilteredRun {
+    /// Every KV the filter was offered, in order, with its verdict.
+    offered: Vec<(Vec<u8>, u64, bool)>,
+    /// The output KVs and stats, or the job's error.
+    result: Result<(Kvs, JobStats), MimirError>,
+    input_cached: bool,
+    used_after: usize,
+}
+
+/// `chain_shuffle` with a first-come claim as its arrival filter (keep
+/// the first KV of each key, drop the rest), elided and shuffled, with
+/// and without a failing map. The chained map re-emits each cached
+/// [`matrix_input`] KV; shuffled, it re-keys nothing but still crosses
+/// the exchange. Checked against a `HashMap` oracle: the filter is
+/// offered every KV exactly once, on its owner; the output is exactly
+/// the KVs it kept, in the order it kept them; `kvs_out` counts only
+/// those; and the pool is fully credited on success and after the
+/// failing map.
+#[test]
+fn arrival_filter_keeps_exactly_what_it_accepts() {
+    let mut model: HashMap<(Vec<u8>, u64), usize> = HashMap::new();
+    for rank in 0..2 {
+        for kv in matrix_input(rank) {
+            *model.entry(kv).or_default() += 1;
+        }
+    }
+    for elide in [true, false] {
+        for fail in [false, true] {
+            let case = format!("elide={elide} fail={fail}");
+            let runs = ctx_world(2, move |ctx| {
+                let rank = ctx.rank();
+                ctx.job()
+                    .output_cached("in")
+                    .map_shuffle(&mut |em| {
+                        matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
+                    })
+                    .unwrap();
+                let mut offered = Vec::new();
+                let mut claimed = HashSet::new();
+                let mut claim = |k: &[u8], v: &[u8]| {
+                    let keep = claimed.insert(k.to_vec());
+                    offered.push((k.to_vec(), typed::dec_u64(v), keep));
+                    keep
+                };
+                let res = ctx
+                    .job()
+                    .input_cached("in")
+                    .shuffle_elision(elide)
+                    .arrival_filter(&mut claim)
+                    .chain_shuffle(&mut |k, v, em| {
+                        em.emit(k, v)?;
+                        if fail {
+                            return Err(MimirError::Config("synthetic map failure".into()));
+                        }
+                        Ok(())
+                    });
+                let result = res.map(|out| {
+                    let mut kvs = Vec::new();
+                    out.output
+                        .drain(|k, v| {
+                            kvs.push((k.to_vec(), typed::dec_u64(v)));
+                            Ok(())
+                        })
+                        .unwrap();
+                    (kvs, out.stats)
+                });
+                let input_cached = ctx.cache_contains("in");
+                ctx.cache_clear();
+                FilteredRun {
+                    offered,
+                    result,
+                    input_cached,
+                    used_after: ctx.pool().used(),
+                }
+            });
+            let mut seen: HashMap<(Vec<u8>, u64), usize> = HashMap::new();
+            let mut owner: HashMap<Vec<u8>, usize> = HashMap::new();
+            for (rank, run) in runs.iter().enumerate() {
+                assert_eq!(run.used_after, 0, "{case}: pages left in the pool");
+                assert!(run.input_cached, "{case}: the input survives");
+                for (k, v, _) in &run.offered {
+                    *seen.entry((k.clone(), *v)).or_default() += 1;
+                    let first = *owner.entry(k.clone()).or_insert(rank);
+                    assert_eq!(first, rank, "{case}: a key offered on two ranks");
+                }
+                if fail {
+                    let err = run.result.as_ref().err();
+                    assert!(
+                        matches!(err, Some(MimirError::Config(_))),
+                        "{case}: {err:?}"
+                    );
+                    continue;
+                }
+                let (kvs, stats) = run.result.as_ref().unwrap();
+                let kept: Kvs = run
+                    .offered
+                    .iter()
+                    .filter(|(_, _, keep)| *keep)
+                    .map(|(k, v, _)| (k.clone(), *v))
+                    .collect();
+                assert_eq!(*kvs, kept, "{case}: output differs from the kept KVs");
+                assert_eq!(stats.kvs_out, kept.len() as u64, "{case}");
+            }
+            if !fail {
+                assert_eq!(
+                    seen, model,
+                    "{case}: the filter was not offered every KV once"
+                );
+                assert_eq!(owner.len(), 13, "{case}");
+                let kept: usize = runs
+                    .iter()
+                    .map(|r| r.result.as_ref().unwrap().0.len())
+                    .sum();
+                assert_eq!(kept, 13, "{case}: one KV kept per key");
+            }
+        }
+    }
 }

@@ -1,5 +1,6 @@
 //! End-to-end BFS on Graph500 Kronecker graphs: tree validity, depth
-//! consistency with the serial reference, both optimization flags.
+//! consistency with the serial reference, both optimization flags, both
+//! transports.
 
 use mimir::apps::bfs::{bfs_mimir, bfs_serial, pick_root, BfsOptions};
 use mimir::apps::validate::validate_bfs_tree;
@@ -10,24 +11,42 @@ fn run_bfs(
     ranks: usize,
     opts: BfsOptions,
 ) -> (u64, Vec<mimir::apps::bfs::BfsResult>, Vec<(u64, u64)>) {
+    run_bfs_on(TransportKind::Inproc, scale, ranks, opts)
+}
+
+/// [`run_bfs`] on `kind`'s ranks; each rank's result crosses back to
+/// the test as `(root, parents, visited, depth)`.
+fn run_bfs_on(
+    kind: TransportKind,
+    scale: u32,
+    ranks: usize,
+    opts: BfsOptions,
+) -> (u64, Vec<mimir::apps::bfs::BfsResult>, Vec<(u64, u64)>) {
     let graph = Graph500::new(scale, 17);
     let all_edges: Vec<(u64, u64)> = (0..ranks).flat_map(|r| graph.edges(r, ranks)).collect();
     let nodes = NodeMap::new(ranks, 2.min(ranks), 64 * 1024, 256 << 20).unwrap();
-    let results = run_world(ranks, move |comm| {
+    let results = run_world_on(kind, ranks, move |comm| {
         let edges = graph.edges(comm.rank(), comm.size());
         let root = pick_root(comm, &edges);
         let pool = nodes.pool_for_rank(comm.rank());
         let mut ctx =
             MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
         let (res, _) = bfs_mimir(&mut ctx, &edges, root, &opts).unwrap();
-        (root, res)
+        let parents: Vec<(u64, u64)> = res.parents.into_iter().collect();
+        (root, parents, res.visited_global, res.depth)
     });
     let root = results[0].0;
-    (
-        root,
-        results.into_iter().map(|(_, r)| r).collect(),
-        all_edges,
-    )
+    let per_rank = results
+        .into_iter()
+        .map(
+            |(_, parents, visited_global, depth)| mimir::apps::bfs::BfsResult {
+                parents: parents.into_iter().collect(),
+                visited_global,
+                depth,
+            },
+        )
+        .collect();
+    (root, per_rank, all_edges)
 }
 
 #[test]
@@ -47,6 +66,25 @@ fn tree_is_valid_and_depth_matches_reference() {
         let max_depth_result = per_rank.iter().map(|r| r.depth).max().unwrap();
         let eccentricity = *reference.values().max().unwrap();
         assert_eq!(max_depth_result, eccentricity, "{opts:?}");
+        validate_bfs_tree(per_rank, &all_edges, root, &reference);
+    }
+}
+
+/// The traversal claims each vertex on arrival at its owner, so the
+/// tree must come out valid on the socket transport too, where ranks
+/// are processes and arrival order is the kernel's.
+#[test]
+fn tree_is_valid_over_sockets() {
+    for opts in [BfsOptions::default(), BfsOptions::all()] {
+        let (root, per_rank, all_edges) = run_bfs_on(TransportKind::Uds, 10, 2, opts);
+        let reference = bfs_serial(&all_edges, root);
+        assert_eq!(
+            per_rank[0].visited_global as usize,
+            reference.len(),
+            "{opts:?}"
+        );
+        let depth = per_rank.iter().map(|r| r.depth).max().unwrap();
+        assert_eq!(depth, *reference.values().max().unwrap(), "{opts:?}");
         validate_bfs_tree(per_rank, &all_edges, root, &reference);
     }
 }

@@ -221,3 +221,44 @@ fn communication_buffers_bound_mimir_recv_memory() {
         assert!(n == 0 || n == 4 * 5000);
     });
 }
+
+/// BFS peaks in its partition stage, where the paper puts its peak
+/// (Section IV): each traversal level claims a vertex as its first
+/// proposal arrives and drops every later one, so a frontier holds one
+/// KV per newly reached vertex and no level rises above the partitioned
+/// edge list. Each rank runs the partition stage alone first, resets its
+/// pool peak, then the whole BFS, whose peak must be that stage's.
+#[test]
+fn bfs_peaks_in_its_partition_stage() {
+    const BFS_RANKS: usize = 2;
+    let graph = Graph500::new(13, 17);
+    let nodes = NodeMap::new(BFS_RANKS, 1, 16 * 1024, 256 << 20).unwrap();
+    let peaks = run_world(BFS_RANKS, move |comm| {
+        let edges = graph.edges(comm.rank(), comm.size());
+        let root = pick_root(comm, &edges);
+        let pool = nodes.pool_for_rank(comm.rank());
+        let mut ctx =
+            MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
+        let partition = ctx
+            .job()
+            .map_shuffle(&mut |em| {
+                for &(u, v) in &edges {
+                    em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
+                    em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
+                }
+                Ok(())
+            })
+            .unwrap()
+            .stats
+            .node_peak_bytes;
+        ctx.pool().reset_peak();
+        let (_, metrics) = bfs_mimir(&mut ctx, &edges, root, &BfsOptions::default()).unwrap();
+        (partition, metrics.node_peak)
+    });
+    for (rank, &(partition, bfs)) in peaks.iter().enumerate() {
+        assert_eq!(
+            bfs, partition,
+            "rank {rank}: BFS peak {bfs} vs its partition stage's {partition}"
+        );
+    }
+}
