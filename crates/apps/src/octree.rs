@@ -11,15 +11,22 @@
 //! The intermediate key is the octant path (one byte per level), so at
 //! level ℓ the key has exactly ℓ bytes — a natural fit for the paper's
 //! fixed-length KV-hint. The value is a fixed 8-byte count.
+//!
+//! Both frameworks run one level map, [`map_level`]: a coordinate is
+//! quantised once a level to `q = ⌊c · 2^ℓ⌋` clamped to `[0, 2^ℓ − 1]`,
+//! and digit i, bit `ℓ − 1 − i` of `(qx, qy, qz)` interleaved, is the one
+//! [`octant_path`] bisects for. The active set is the previous level's
+//! dense octants, [`pack`]ed 3 bits a digit and sorted; a `u64` holds
+//! [`MAX_DEPTH`] digits. [`octree_serial`] keeps the bisection as oracle.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
-use mimir_core::{typed, Emitter, KvMeta, LenHint, MimirContext};
+use mimir_core::{typed, Emitter, KvMeta, MimirContext, MimirError, ValueIter};
 use mimir_io::SpillStore;
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
-use mrmpi::{MapReduce, MrMpiConfig};
+use mrmpi::{MapReduce, MrError, MrMpiConfig};
 
 use crate::RunMetrics;
 
@@ -37,7 +44,8 @@ pub struct OcOptions {
     pub compress: bool,
     /// Density threshold as a fraction of total points (paper: 1 %).
     pub density: f64,
-    /// Maximum refinement depth.
+    /// Maximum refinement depth. Past [`MAX_DEPTH`] both frameworks refuse
+    /// the run with a configuration error before any job starts.
     pub max_depth: usize,
 }
 
@@ -53,6 +61,9 @@ impl Default for OcOptions {
     }
 }
 
+/// The deepest level [`map_level`] supports: 21 3-bit digits fill a `u64`.
+pub const MAX_DEPTH: usize = 21;
+
 impl OcOptions {
     /// The full optimization stack.
     pub fn all() -> Self {
@@ -66,12 +77,16 @@ impl OcOptions {
 
     fn meta(&self, level: usize) -> KvMeta {
         if self.hint {
-            KvMeta {
-                key: LenHint::Fixed(level),
-                val: LenHint::Fixed(8),
-            }
+            KvMeta::fixed(level, 8)
         } else {
             KvMeta::var()
+        }
+    }
+
+    fn check_depth(&self) -> Result<(), String> {
+        match self.max_depth {
+            0..=MAX_DEPTH => Ok(()),
+            d => Err(format!("octree max_depth {d} exceeds {MAX_DEPTH}")),
         }
     }
 }
@@ -97,6 +112,43 @@ pub fn octant_path(p: Point, depth: usize) -> Vec<u8> {
     path
 }
 
+/// Packs octant digits 3 bits each, the first digit most significant.
+pub fn pack(digits: &[u8]) -> u64 {
+    digits.iter().fold(0, |code, &d| code << 3 | u64::from(d))
+}
+
+/// One level's map: emits the `level`-digit octant path of every point
+/// whose parent octant's [`pack`]ed code is in the sorted `active` set.
+/// Allocation-free; `level` must be in `1..=MAX_DEPTH`.
+///
+/// # Errors
+/// The first error `emit` returns.
+pub fn map_level<E>(
+    points: &[Point],
+    level: usize,
+    active: &[u64],
+    mut emit: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let scale = (1u32 << level) as f32;
+    let top = (1u32 << level) - 1;
+    let mut key = [0u8; MAX_DEPTH];
+    for p in points {
+        // Scaling by a power of two is exact; `as` saturates negatives
+        // and NaN to 0, and `min` clamps values at or past 1.
+        let [x, y, z] = p.map(|c| ((c * scale) as u32).min(top));
+        let mut code = 0u64;
+        for (i, digit) in key[..level].iter_mut().enumerate() {
+            let b = level - 1 - i;
+            *digit = (x >> b & 1 | (y >> b & 1) << 1 | (z >> b & 1) << 2) as u8;
+            code = code << 3 | u64::from(*digit);
+        }
+        if active.binary_search(&(code >> 3)).is_ok() {
+            emit(&key[..level])?;
+        }
+    }
+    Ok(())
+}
+
 /// The result of a clustering run: the dense octant paths of the deepest
 /// level that had any, with their point counts (on the rank that reduced
 /// them), plus the level reached.
@@ -112,20 +164,38 @@ fn sum_u64(_k: &[u8], a: &[u8], b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
 }
 
-/// Gathers dense octant keys from every rank into a global active set.
-fn allgather_dense(comm: &mut Comm, local: &[(Vec<u8>, u64)], level: usize) -> HashSet<Vec<u8>> {
-    let mut packed = Vec::new();
-    for (k, _) in local {
-        debug_assert_eq!(k.len(), level);
-        packed.extend_from_slice(k);
-    }
-    let mut set = HashSet::new();
-    for buf in comm.allgather(packed) {
-        for chunk in buf.chunks_exact(level) {
-            set.insert(chunk.to_vec());
+/// The refinement both frameworks share. `level_job(rt, level, active)`
+/// runs one level's job over the points whose parent octant is in the
+/// packed `active` set and returns this rank's reduced `(octant, count)`
+/// pairs; the dense ones, gathered from every rank, become the next set.
+fn refine<R, E>(
+    rt: &mut R,
+    comm: fn(&mut R) -> &mut Comm,
+    n_points: usize,
+    opts: &OcOptions,
+    mut level_job: impl FnMut(&mut R, usize, &[u64]) -> Result<Vec<(Vec<u8>, u64)>, E>,
+) -> Result<OcResult, E> {
+    let total_points = comm(rt).allreduce_u64(mimir_mpi::ReduceOp::Sum, n_points as u64);
+    let threshold = (total_points as f64 * opts.density).ceil() as u64;
+    let mut active = vec![pack(&[])]; // the root octant
+    let mut result = OcResult::default();
+    for level in 1..=opts.max_depth {
+        let mut local_dense = level_job(rt, level, &active)?;
+        local_dense.retain(|&(_, count)| count >= threshold);
+        let keys = local_dense.iter().flat_map(|(k, _)| k.iter().copied());
+        let gathered = comm(rt).allgather(keys.collect()).concat();
+        active = gathered.chunks_exact(level).map(pack).collect();
+        if active.is_empty() {
+            break;
         }
+        active.sort_unstable();
+        active.dedup();
+        result = OcResult {
+            local_dense,
+            final_level: level,
+        };
     }
-    set
+    Ok(result)
 }
 
 /// Octree clustering on Mimir over this rank's points.
@@ -137,32 +207,15 @@ pub fn octree_mimir(
     points: &[Point],
     opts: &OcOptions,
 ) -> mimir_core::Result<(OcResult, RunMetrics)> {
+    opts.check_depth().map_err(MimirError::Config)?;
     let t0 = Instant::now();
-    let total_points = ctx.allreduce_sum(points.len() as u64);
-    let threshold = (total_points as f64 * opts.density).ceil() as u64;
-
-    let mut active: HashSet<Vec<u8>> = HashSet::new();
-    active.insert(Vec::new()); // the root octant
-    let mut result = OcResult::default();
-    let mut metrics = RunMetrics {
-        iterations: 0,
-        ..RunMetrics::default()
-    };
-
-    for level in 1..=opts.max_depth {
-        if active.is_empty() {
-            break;
-        }
+    let mut metrics = RunMetrics::default();
+    let level_job = |ctx: &mut MimirContext<'_>, level, active: &[u64]| -> mimir_core::Result<_> {
         let meta = opts.meta(level);
         let one = typed::enc_u64(1);
-        let mut map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
-            for &p in points {
-                let path = octant_path(p, level);
-                if active.contains(&path[..level - 1]) {
-                    em.emit(&path, &one)?;
-                }
-            }
-            Ok(())
+        let mut map = |em: &mut dyn Emitter| map_level(points, level, active, |k| em.emit(k, &one));
+        let mut reduce = |k: &[u8], vals: ValueIter<'_>, em: &mut dyn Emitter| {
+            em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
         };
         let job = ctx.job().kv_meta(meta).out_meta(meta);
         let out = match (opts.partial_reduce, opts.compress) {
@@ -170,42 +223,22 @@ pub fn octree_mimir(
                 job.map_partial_reduce_compress(&mut map, Box::new(sum_u64), Box::new(sum_u64))?
             }
             (true, false) => job.map_partial_reduce(&mut map, Box::new(sum_u64))?,
-            (false, true) => {
-                job.map_reduce_compress(&mut map, Box::new(sum_u64), &mut |k, vals, em| {
-                    let total: u64 = vals.map(typed::dec_u64).sum();
-                    em.emit(k, &typed::enc_u64(total))
-                })?
-            }
-            (false, false) => job.map_reduce(&mut map, &mut |k, vals, em| {
-                let total: u64 = vals.map(typed::dec_u64).sum();
-                em.emit(k, &typed::enc_u64(total))
-            })?,
+            (false, true) => job.map_reduce_compress(&mut map, Box::new(sum_u64), &mut reduce)?,
+            (false, false) => job.map_reduce(&mut map, &mut reduce)?,
         };
         metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
         metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
         metrics.exchange_rounds += out.stats.shuffle.rounds;
         metrics.job.merge(&out.stats);
         metrics.iterations += 1;
-
-        let mut local_dense = Vec::new();
+        let mut reduced = Vec::new();
         out.output.drain(|k, v| {
-            let count = typed::dec_u64(v);
-            if count >= threshold {
-                local_dense.push((k.to_vec(), count));
-            }
+            reduced.push((k.to_vec(), typed::dec_u64(v)));
             Ok(())
         })?;
-        let dense = allgather_dense(ctx.comm(), &local_dense, level);
-        if dense.is_empty() {
-            break;
-        }
-        result = OcResult {
-            local_dense,
-            final_level: level,
-        };
-        active = dense;
-    }
-
+        Ok(reduced)
+    };
+    let result = refine(ctx, MimirContext::comm, points.len(), opts, level_job)?;
     metrics.wall = t0.elapsed();
     metrics.node_peak = ctx.pool().peak();
     Ok((result, metrics))
@@ -225,68 +258,35 @@ pub fn octree_mrmpi(
     points: &[Point],
     opts: &OcOptions,
 ) -> mrmpi::Result<(OcResult, RunMetrics)> {
+    opts.check_depth().map_err(MrError::Config)?;
     let t0 = Instant::now();
-    let total_points = comm.allreduce_u64(mimir_mpi::ReduceOp::Sum, points.len() as u64);
-    let threshold = (total_points as f64 * opts.density).ceil() as u64;
-
-    let mut active: HashSet<Vec<u8>> = HashSet::new();
-    active.insert(Vec::new());
-    let mut result = OcResult::default();
     let mut metrics = RunMetrics::default();
-
-    for level in 1..=opts.max_depth {
-        if active.is_empty() {
-            break;
+    let level_job = |comm: &mut Comm, level, active: &[u64]| -> mrmpi::Result<_> {
+        let inner_store = SpillStore::new_temp("oc-iter", store.model().clone())?;
+        let mut mr = MapReduce::new(comm, pool.clone(), inner_store, cfg);
+        let one = typed::enc_u64(1);
+        mr.map(|em| map_level(points, level, active, |k| em.emit(k, &one)))?;
+        metrics.kv_bytes += mr.kv_bytes();
+        metrics.kvs_emitted += mr.kv_count();
+        if opts.compress {
+            mr.compress(sum_u64)?;
         }
-        let mut local_dense = Vec::new();
-        {
-            let inner_store = SpillStore::new_temp("oc-iter", store.model().clone())?;
-            let mut mr = MapReduce::new(comm, pool.clone(), inner_store, cfg);
-            mr.map(|em| {
-                for &p in points {
-                    let path = octant_path(p, level);
-                    if active.contains(&path[..level - 1]) {
-                        em.emit(&path, &typed::enc_u64(1))?;
-                    }
-                }
-                Ok(())
-            })?;
-            metrics.kv_bytes += mr.kv_bytes();
-            metrics.kvs_emitted += mr.kv_count();
-            if opts.compress {
-                mr.compress(sum_u64)?;
-            }
-            mr.aggregate()?;
-            mr.convert()?;
-            mr.reduce(|k, vals, em| {
-                let total: u64 = vals.map(typed::dec_u64).sum();
-                em.emit(k, &typed::enc_u64(total))
-            })?;
-            mr.scan(|k, v| {
-                let count = typed::dec_u64(v);
-                if count >= threshold {
-                    local_dense.push((k.to_vec(), count));
-                }
-                Ok(())
-            })?;
-            let s = mr.stats();
-            metrics.spilled |= s.spilled;
-            metrics.exchange_rounds += s.exchange_rounds;
-            metrics.job.merge(&crate::job_stats_from_mr(&s));
-        }
+        mr.aggregate()?;
+        mr.convert()?;
+        mr.reduce(|k, vals, em| em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum())))?;
+        let mut reduced = Vec::new();
+        mr.scan(|k, v| {
+            reduced.push((k.to_vec(), typed::dec_u64(v)));
+            Ok(())
+        })?;
+        let s = mr.stats();
+        metrics.spilled |= s.spilled;
+        metrics.exchange_rounds += s.exchange_rounds;
+        metrics.job.merge(&crate::job_stats_from_mr(&s));
         metrics.iterations += 1;
-
-        let dense = allgather_dense(comm, &local_dense, level);
-        if dense.is_empty() {
-            break;
-        }
-        result = OcResult {
-            local_dense,
-            final_level: level,
-        };
-        active = dense;
-    }
-
+        Ok(reduced)
+    };
+    let result = refine(comm, |c| c, points.len(), opts, level_job)?;
     metrics.wall = t0.elapsed();
     metrics.node_peak = pool.peak();
     Ok((result, metrics))

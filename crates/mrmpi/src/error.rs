@@ -30,6 +30,8 @@ pub enum MrError {
     },
     /// Phase called out of order (e.g. `reduce` before `convert`).
     Phase(String),
+    /// A job was asked for something it cannot do, refused before it runs.
+    Config(String),
 }
 
 impl fmt::Display for MrError {
@@ -47,6 +49,7 @@ impl fmt::Display for MrError {
                 write!(f, "entry of {size} B cannot fit a {page_size} B page")
             }
             MrError::Phase(msg) => write!(f, "phase error: {msg}"),
+            MrError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }

@@ -92,11 +92,15 @@ fn octree_equivalence() {
     let n_points = 16_000;
     let opts = OcOptions::default();
 
+    // Both frameworks run one level map, so the whole `OcResult` agrees:
+    // the level reached on every rank and the dense octants with counts.
     let dense = |per_rank: Vec<mimir::apps::octree::OcResult>| {
-        per_rank
+        let levels: Vec<usize> = per_rank.iter().map(|r| r.final_level).collect();
+        let octants = per_rank
             .into_iter()
             .flat_map(|r| r.local_dense)
-            .collect::<std::collections::BTreeMap<Vec<u8>, u64>>()
+            .collect::<std::collections::BTreeMap<Vec<u8>, u64>>();
+        (levels, octants)
     };
 
     let mimir_dense = dense(run_world(RANKS, move |comm| {
@@ -123,8 +127,8 @@ fn octree_equivalence() {
         .0
     }));
 
-    assert_eq!(mimir_dense, mr_dense, "dense octants and counts");
-    assert!(!mimir_dense.is_empty());
+    assert_eq!(mimir_dense, mr_dense, "levels, dense octants and counts");
+    assert!(!mimir_dense.1.is_empty());
 }
 
 #[test]
