@@ -8,8 +8,6 @@
 //!    with the partial-reduction fold, vs MR-MPI's staged copies (map
 //!    page → temps → send buffer) and sort-based grouping, measured on
 //!    the same in-memory workload.
-//! 4. **KV-compression flush budget** — delayed vs streaming flushes on a
-//!    unique-heavy stream.
 //!
 //! Plain harness (`cargo bench` passes its own flags, so this bench
 //! takes none): the cases of each ablation run as interleaved repeats
@@ -140,49 +138,8 @@ fn ablate_copy_path_and_grouping() {
     );
 }
 
-fn ablate_cps_flush_threshold() {
-    use mimir_core::typed;
-    // Unique-heavy stream: compression cannot help, only cost — the
-    // regime where the streaming flush budget matters.
-    let flushes = [0usize, 16, 256];
-    ablation("cps_flush", &["delayed", "flush-16K", "flush-256K"], |i| {
-        let flush_kib = flushes[i];
-        let out = run_world(2, move |comm| {
-            let pool = MemPool::unlimited("ablate", 64 << 10);
-            let mut ctx =
-                MimirContext::new(comm, pool.clone(), IoModel::free(), MimirConfig::default())
-                    .unwrap();
-            let mut job = ctx
-                .job()
-                .kv_meta(mimir_core::KvMeta::cstr_key_u64_val())
-                .out_meta(mimir_core::KvMeta::cstr_key_u64_val());
-            if flush_kib > 0 {
-                job = job.compress_flush_bytes(flush_kib << 10);
-            }
-            let sum = |_k: &[u8], a: &[u8], bb: &[u8], o: &mut Vec<u8>| {
-                o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(bb)));
-            };
-            let res = job
-                .map_partial_reduce_compress(
-                    &mut |em| {
-                        for i in 0..5_000u64 {
-                            em.emit(format!("uniq-{i}").as_bytes(), &typed::enc_u64(1))?;
-                        }
-                        Ok(())
-                    },
-                    Box::new(sum),
-                    Box::new(sum),
-                )
-                .unwrap();
-            (res.output.len(), pool.peak())
-        });
-        out[0].1
-    });
-}
-
 fn main() {
     ablate_comm_buffer();
     ablate_page_size();
     ablate_copy_path_and_grouping();
-    ablate_cps_flush_threshold();
 }

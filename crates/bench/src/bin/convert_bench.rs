@@ -33,7 +33,7 @@ use std::time::Instant;
 use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
 use mimir_core::{
     convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta,
-    KvSink, StreamingCombiner,
+    KvSink,
 };
 use mimir_datagen::{rank_rng, WikipediaWords};
 use mimir_mem::MemPool;
@@ -188,10 +188,10 @@ fn run_convert(runs: &[Vec<u8>], kvs: usize, meta: KvMeta, repeats: usize) -> Ve
     })
 }
 
-/// Every repeat's streaming-combiner throughput: the real bounded
-/// pipeline — KVs fold into the table, the table flushes into a
-/// partitioning sink whenever it exceeds `compress_flush_bytes`-style
-/// budget. The sink partitions the way the shuffler does, reusing the
+/// Every repeat's combiner throughput: the bounded pipeline a job's map
+/// runs — KVs fold into the table ([`CombinerTable::emit_into`]), which
+/// flushes into a partitioning sink whenever it outgrows its share of
+/// the pool. The sink partitions the way the shuffler does, reusing the
 /// stored hash ([`mimir_core::partition_of_hashed`] via `emit_hashed`).
 fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
     /// Stands in for the shuffler's partition step (16 destinations).
@@ -206,25 +206,24 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
             Ok(())
         }
     }
-    // The table counts exactly what its accumulators hold — a span and a
-    // `u64`, 16 B a key — so this is a flush every 16 Ki unique keys: both
-    // streams go through several fill cycles.
-    const FLUSH_BYTES: usize = 256 << 10;
-    let pool = MemPool::unlimited("bench", PAGE);
+    // The table flushes past 1/256 of its pool, here 1 MiB: index entry,
+    // slots, span and `u64` take ≈ 50 B a key, so a fill cycle ends near
+    // 20 Ki unique keys and both streams go through several.
+    let pool = MemPool::new("bench", PAGE, 256 << 20).unwrap();
     let mut repeats = interleaved(repeats, 1, |_| {
         let sum: CombineFn = Box::new(|_k, a, b, out| {
             let s = u64::from_le_bytes(a.try_into().unwrap())
                 + u64::from_le_bytes(b.try_into().unwrap());
             out.extend_from_slice(&s.to_le_bytes());
         });
-        let table = CombinerTable::new(&pool, meta, sum).unwrap();
+        let mut table = CombinerTable::new(&pool, meta, sum).unwrap();
         let mut sink = PartitionSink(0);
-        let mut sc = StreamingCombiner::new(table, &mut sink, FLUSH_BYTES);
         let t0 = Instant::now();
         for k in keys {
-            sc.emit(k, &1u64.to_le_bytes()).unwrap();
+            table.emit_into(k, &1u64.to_le_bytes(), &mut sink).unwrap();
         }
-        let (_flushes, stats) = sc.finish().unwrap();
+        table.flush_into(&mut sink).unwrap();
+        let stats = table.group_stats();
         let elapsed = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink.0);
         Measure {

@@ -32,7 +32,7 @@ impl TrackedBuf {
         &mut self.data
     }
 
-    #[cfg(test)]
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }

@@ -9,16 +9,16 @@
 //!
 //! The first pass exists only because a contiguous KMV needs its size
 //! before it is placed. Here a KMV is a chain of chunks instead (see
-//! [`KmvContainer`]), so [`Grouper::observe`] does both at once: each
-//! KV's key is hashed exactly once and interned on the shared
-//! [`GroupIndex`], and its value is appended to that group's chain — the
-//! only time a value is written. A chunk whose values share one length
-//! stores them bare, without the hint's length word or NUL; the first
-//! value of another length opens a chunk that encodes each value under
-//! the hint. A job's shuffle runs it *on arrival*, while the received
-//! run is still cache-resident ([`crate::GroupedKvs`]); [`convert`] runs
-//! it over a KVC that already exists, freeing the KVC's pages as they
-//! are consumed. Sealing the KMVC copies nothing.
+//! [`KmvContainer`]), so [`GroupedKvs`] does both at once: each KV's
+//! key is hashed exactly once and interned on the shared
+//! [`crate::GroupIndex`], and its value is appended to that group's
+//! chain — the only time a value is written. A chunk whose values share
+//! one length stores them bare, without the hint's length word or NUL;
+//! the first value of another length opens a chunk that encodes each
+//! value under the hint. A job's shuffle runs it *on arrival*, while the
+//! received run is still cache-resident; [`convert`] runs it over a KVC
+//! that already exists, freeing the KVC's pages as they are consumed.
+//! Sealing the KMVC copies nothing.
 //!
 //! Every structure the phase holds — the group index, the chain heads,
 //! the chunk pages — is charged to the node pool, so the convert phase's
@@ -27,10 +27,7 @@
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
-use crate::group::GroupIndex;
-use crate::hash::fxhash64;
-use crate::kmvc::Chains;
-use crate::{KmvContainer, KvContainer, KvMeta, Result};
+use crate::{GroupedKvs, KmvContainer, KvContainer, Result};
 
 /// Converts a KV container into a KMV container, grouping values by key.
 ///
@@ -52,52 +49,9 @@ pub fn convert(kvc: KvContainer, pool: &MemPool) -> Result<KmvContainer> {
 /// # Errors
 /// As [`convert`].
 pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupCounters)> {
-    let mut grouper = Grouper::new(pool, kvc.meta())?;
-    kvc.drain(|k, v| grouper.observe(k, v))?;
-    grouper.into_kmv()
-}
-
-/// The grouping state, fed one KV at a time by the shuffle drain
-/// ([`crate::GroupedKvs`]) or by [`convert`], and sealed into the KMVC.
-pub(crate) struct Grouper {
-    meta: KvMeta,
-    index: GroupIndex,
-    chains: Chains,
-    /// [`KmvContainer::bytes`] so far.
-    bytes: u64,
-}
-
-impl Grouper {
-    pub(crate) fn new(pool: &MemPool, meta: KvMeta) -> Result<Self> {
-        Ok(Self {
-            meta,
-            index: GroupIndex::new(pool)?,
-            chains: Chains::new(pool, meta.val)?,
-            bytes: 0,
-        })
-    }
-
-    /// Interns `key` (its one hash) and appends `val` to its group's
-    /// chain. [`KmvContainer::bytes`] counts `val` encoded under the hint,
-    /// however the chain stores it.
-    #[inline]
-    pub(crate) fn observe(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
-        self.chains.append(gid, val)?;
-        if fresh {
-            self.bytes += (self.meta.key.overhead() + key.len() + 4) as u64;
-        }
-        self.bytes += (self.meta.val.overhead() + val.len()) as u64;
-        Ok(())
-    }
-
-    /// Seals the groups into the KMVC, returning it with the grouping
-    /// engine's counters.
-    pub(crate) fn into_kmv(self) -> Result<(KmvContainer, GroupCounters)> {
-        let stats = self.index.stats();
-        let kmvc = KmvContainer::seal(self.meta, self.index, self.chains, self.bytes)?;
-        Ok((kmvc, stats))
-    }
+    let mut grouped = GroupedKvs::new(pool, kvc.meta())?;
+    kvc.drain(|k, v| grouped.observe(k, v))?;
+    grouped.into_kmv()
 }
 
 #[cfg(test)]
@@ -264,7 +218,7 @@ mod tests {
     fn jumbo_entry_exceeding_budget_is_oom_not_panic() {
         // One group whose values alone outgrow a 2 KiB budget.
         let pool = MemPool::new("t", 128, 2 * 1024).unwrap();
-        let mut grouper = Grouper::new(&pool, KvMeta::fixed(4, 8)).unwrap();
+        let mut grouper = GroupedKvs::new(&pool, KvMeta::fixed(4, 8)).unwrap();
         let err = (0..300u64)
             .try_for_each(|i| grouper.observe(b"hotk", &i.to_le_bytes()))
             .unwrap_err();
@@ -278,7 +232,7 @@ mod tests {
         // A 64 B page holds an 8 B chunk header and one bare 56 B value,
         // or a 52 B value behind its length word in a variable chunk.
         let pool = MemPool::unlimited("t", 64);
-        let mut grouper = Grouper::new(&pool, KvMeta::var()).unwrap();
+        let mut grouper = GroupedKvs::new(&pool, KvMeta::var()).unwrap();
         grouper.observe(b"k", &[1; 56]).unwrap();
         let err = grouper.observe(b"k", &[1; 53]).unwrap_err();
         assert!(matches!(err, MimirError::KvTooLarge { .. }), "{err}");

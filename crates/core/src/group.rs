@@ -366,9 +366,8 @@ impl GroupIndex {
     }
 
     /// Drops all groups and interned keys but keeps the slot table (and
-    /// its pool charge) at its current capacity, so a table that flushes
-    /// repeatedly — the streaming combiner — does not regrow from
-    /// scratch each cycle. Statistics are cumulative across clears.
+    /// its pool charge) at its current capacity. Statistics are
+    /// cumulative across clears.
     pub fn clear(&mut self) -> Result<()> {
         self.charge.sub(self.entries.len() * ENTRY_BYTES)?;
         self.stats.groups += self.entries.len() as u64;
@@ -381,8 +380,7 @@ impl GroupIndex {
 
     /// [`Self::clear`] plus a full release of the slot table: the index
     /// returns to its freshly-created footprint (zero pool bytes modulo
-    /// charge batching). Used for final flushes, where retained capacity
-    /// would outlive its last use.
+    /// charge batching). Every fold-table flush ends this way.
     pub fn reset(&mut self) -> Result<()> {
         self.clear()?;
         self.release_slots()
@@ -396,6 +394,19 @@ impl GroupIndex {
         self.charge.sub(self.slots.len() * 8)?;
         self.slots = Vec::new();
         self.charge.settle()
+    }
+
+    /// Bytes the index holds: its entries and slots, as charged, plus
+    /// the key arena taken so far — closed pages whole, the open page up
+    /// to its fill, jumbos by length. The open page's tail is the only
+    /// pool charge it leaves out.
+    pub(crate) fn footprint(&self) -> usize {
+        let pages = match self.pages.split_last() {
+            Some((open, closed)) => closed.len() * self.pool.page_size() + open.len(),
+            None => 0,
+        };
+        let jumbos: usize = self.jumbos.iter().map(TrackedBuf::len).sum();
+        self.charge.held() + pages + jumbos
     }
 
     /// A snapshot of the table's counters.

@@ -6,7 +6,7 @@
 //! | method | feed | sink | tail | used by |
 //! |---|---|---|---|---|
 //! | [`MapReduceJob::map_reduce`] | map | [`GroupedKvs`] (grouped on arrival) | convert + reduce | WC/OC baseline |
-//! | [`MapReduceJob::map_reduce_compress`] | map + combiner | [`GroupedKvs`] (two-pass) | convert + reduce | WC/OC `cps` |
+//! | [`MapReduceJob::map_reduce_compress`] | map + combiner | [`GroupedKvs`] (grouped on arrival) | convert + reduce | WC/OC `cps` |
 //! | [`MapReduceJob::map_partial_reduce`] | map | [`PartialReducer`] | fold finalise | WC/OC `pr` |
 //! | [`MapReduceJob::map_partial_reduce_compress`] | map + combiner | [`PartialReducer`] | fold finalise | WC/OC `pr`+`cps` |
 //! | [`MapReduceJob::map_shuffle`] | map | KVC | (none) | BFS partition |
@@ -15,8 +15,10 @@
 //! | [`MapReduceJob::chain_partial_reduce`] | cached input | [`PartialReducer`] | fold finalise | PageRank |
 //!
 //! The map phase is one function for every shape: the feed drives the
-//! map — through the KV compression table when a combiner is given —
-//! into the shuffle, whose last rounds drain in the Aggregate span. A
+//! map — through the KV compression table when a combiner is given,
+//! which flushes into the shuffle whenever it outgrows its share of the
+//! node's pool (see [`CombinerTable::emit_into`]) — into the shuffle,
+//! whose last rounds drain in the Aggregate span. A
 //! cached input (see [`crate::KvCache`]) whose placement fingerprint
 //! matches the job's partitioner skips the exchange: the chained map
 //! feeds the sink directly.
@@ -38,7 +40,7 @@ use mimir_mpi::Comm;
 use mimir_obs::{EventKind, GroupCounters, Phase, SpanGuard};
 
 use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
-use crate::combiner::{CombineFn, CombinerTable, StreamingCombiner};
+use crate::combiner::{CombineFn, CombinerTable};
 use crate::context::MimirContext;
 use crate::grouped::GroupedKvs;
 use crate::kmvc::ValueIter;
@@ -54,7 +56,6 @@ pub struct MapReduceJob<'c, 'w> {
     kv_meta: KvMeta,
     out_meta: KvMeta,
     partitioner: Partitioner,
-    compress_flush_bytes: Option<usize>,
     input_cached: Option<String>,
     output_cached: Option<String>,
     elide: bool,
@@ -150,7 +151,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             kv_meta: KvMeta::var(),
             out_meta: KvMeta::var(),
             partitioner: Partitioner::hash(),
-            compress_flush_bytes: None,
             input_cached: None,
             output_cached: None,
             elide: true,
@@ -177,23 +177,6 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     #[must_use]
     pub fn partitioner(mut self, partitioner: Partitioner) -> Self {
         self.partitioner = partitioner;
-        self
-    }
-
-    /// Bounds the KV-compression table: when its footprint exceeds
-    /// `bytes`, it flushes into the shuffle mid-map instead of delaying
-    /// the whole aggregate until the map completes.
-    ///
-    /// This implements the improvement the paper defers to "a future
-    /// version of Mimir" (Section III-C2 lists the delayed aggregate as
-    /// an implementation shortcoming of KV compression): the compression
-    /// memory becomes a tunable budget rather than scaling with the
-    /// number of unique keys. Flushing early trades some compression
-    /// ratio for bounded memory — duplicates arriving after a flush are
-    /// re-sent rather than merged.
-    #[must_use]
-    pub fn compress_flush_bytes(mut self, bytes: usize) -> Self {
-        self.compress_flush_bytes = Some(bytes);
         self
     }
 
@@ -262,23 +245,16 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self.convert_reduce(mapped, reduce)
     }
 
-    /// [`Self::map_reduce`] with map-side KV compression. The received
-    /// KVs are collected and grouped by [`crate::convert`] after the map,
-    /// not on arrival: the combiner's table is still resident while they
-    /// arrive.
+    /// [`Self::map_reduce`] with map-side KV compression.
     pub fn map_reduce_compress(
         mut self,
         map: MapFn<'_>,
         compress: CombineFn<'_>,
         reduce: ReduceFn<'_>,
     ) -> Result<JobOutput> {
-        // A combiner ahead of the shuffle holds its whole table until the
-        // flush ends, and what then arrives has at most one KV per key
-        // and sender: grouping it on arrival would save next to nothing
-        // and put the group index on top of that table-bound peak.
         let meta = self.kv_meta;
         let feed = Feed::Map(map, Some(compress));
-        let mapped = self.map_phase(feed, |pool| Ok(GroupedKvs::two_pass(pool, meta)))?;
+        let mapped = self.map_phase(feed, |pool| GroupedKvs::new(pool, meta))?;
         self.convert_reduce(mapped, reduce)
     }
 
@@ -427,7 +403,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         let fingerprint = self.partitioner.fingerprint(comm.size());
         let elide = self.elide && input.as_ref().is_some_and(|i| i.fingerprint == fingerprint);
         let input_kvc = input.as_ref().map(|i| &i.kvc);
-        let (meta, flush_bytes) = (self.kv_meta, self.compress_flush_bytes);
+        let meta = self.kv_meta;
         let fed = (|| -> Result<(S, ShuffleStats, GroupCounters)> {
             let mut sink = new_sink(pool)?;
             if elide {
@@ -439,7 +415,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
                     kvs: 0,
                     bytes: 0,
                 };
-                let group = feed.drive(input_kvc, pool, meta, flush_bytes, &mut local)?;
+                let group = feed.drive(input_kvc, pool, meta, &mut local)?;
                 mimir_obs::emit(EventKind::ShuffleElided, local.kvs, local.bytes);
                 clock.enter(Phase::Aggregate);
                 return Ok((sink, ShuffleStats::default(), group));
@@ -447,7 +423,7 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             let partitioner = self.partitioner.clone();
             let mut shuffler =
                 Shuffler::with_partitioner(comm, pool, meta, cfg.comm_buf_size, sink, partitioner)?;
-            let group = feed.drive(input_kvc, pool, meta, flush_bytes, &mut shuffler)?;
+            let group = feed.drive(input_kvc, pool, meta, &mut shuffler)?;
             clock.enter(Phase::Aggregate);
             let (sink, shuffle) = shuffler.finish()?;
             Ok((sink, shuffle, group))
@@ -547,34 +523,40 @@ enum Feed<'f> {
     Chain(ChainMapFn<'f>),
 }
 
+/// A map's emitter through a compression table: each KV folds into the
+/// table, which flushes into `out` whenever it outgrows its budget.
+struct Combining<'a, 'f> {
+    table: &'a mut CombinerTable<'f>,
+    out: &'a mut dyn Emitter,
+}
+
+impl Emitter for Combining<'_, '_> {
+    fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
+        self.table.emit_into(key, val, self.out)
+    }
+}
+
 impl Feed<'_> {
-    /// Runs the feed into `out`. A compression table flushes either once
-    /// at the end (the paper's delayed aggregate) or whenever it exceeds
-    /// `flush_bytes`. Returns the table's counters (none without one).
+    /// Runs the feed into `out`, flushing a compression table's
+    /// remainder at the end. Returns the table's counters (none without
+    /// one).
     fn drive(
         self,
         input: Option<&KvContainer>,
         pool: &MemPool,
         meta: KvMeta,
-        flush_bytes: Option<usize>,
         out: &mut dyn Emitter,
     ) -> Result<GroupCounters> {
         match self {
             Feed::Map(map, None) => map(out)?,
             Feed::Map(map, Some(cf)) => {
                 let mut table = CombinerTable::new(pool, meta, cf)?;
-                return match flush_bytes {
-                    None => {
-                        map(&mut table)?;
-                        table.flush_into(out)?;
-                        Ok(table.group_stats())
-                    }
-                    Some(limit) => {
-                        let mut streaming = StreamingCombiner::new(table, out, limit);
-                        map(&mut streaming)?;
-                        streaming.finish().map(|(_, stats)| stats)
-                    }
-                };
+                map(&mut Combining {
+                    table: &mut table,
+                    out,
+                })?;
+                table.flush_into(out)?;
+                return Ok(table.group_stats());
             }
             Feed::Chain(map) => {
                 if let Some(input) = input {

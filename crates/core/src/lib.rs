@@ -68,7 +68,7 @@ pub mod typed;
 
 pub use cache::{lock_cache, shared_cache, CheckedOut, KvCache, SharedKvCache};
 pub use cancel::CancelToken;
-pub use combiner::{CombineFn, CombinerTable, StreamingCombiner};
+pub use combiner::{CombineFn, CombinerTable};
 pub use config::{KvMeta, LenHint, MimirConfig};
 pub use context::MimirContext;
 pub use convert::{convert, convert_with};

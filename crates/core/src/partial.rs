@@ -66,7 +66,7 @@ impl<'f> PartialReducer<'f> {
                 self.0.push(k, v)
             }
         }
-        self.table.drain_into(&mut Adapter(&mut out), false)?;
+        self.table.drain_into(&mut Adapter(&mut out))?;
         Ok(out)
     }
 }
@@ -76,7 +76,7 @@ impl KvSink for PartialReducer<'_> {
         validate(self.meta.key, key, "key")?;
         validate(self.meta.val, val, "value")?;
         self.kvs_in += 1;
-        self.table.fold(key, val)
+        self.table.fold(key, val).map(drop)
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use mimir_core::{
     convert, fxhash64, partition_of, CombineFn, CombinerTable, Emitter, GroupIndex, KvContainer,
-    KvMeta, KvSink, LenHint, PartialReducer, StreamingCombiner,
+    KvMeta, KvSink, LenHint, PartialReducer,
 };
 use mimir_mem::MemPool;
 
@@ -413,15 +413,17 @@ fn fold_stream(rng: &mut Rng, meta: KvMeta, lens: &[usize], n: usize) -> Kvs {
         .collect()
 }
 
-/// `CombinerTable` — alone, and behind a `StreamingCombiner` whose byte
-/// limit forces soft-flush cycles mid-stream — flushes exactly what the
-/// model holds, in first-occurrence order, with each key's stored hash.
+/// `CombinerTable` — alone, and through `emit_into` in a pool whose
+/// 1/256 share (512 B) forces flush cycles mid-stream — flushes exactly
+/// what the model holds, in first-occurrence order, with each key's
+/// stored hash.
 #[test]
 fn combiner_table_matches_hashmap_oracle() {
     for (case, (meta, lens, merge)) in fold_cases().into_iter().enumerate() {
-        for limit in [None, Some(48usize)] {
-            let ctx = format!("case {case} {meta:?} {merge:?} limit {limit:?}");
-            let pool = MemPool::new("t", FOLD_PAGE, 1 << 20).unwrap();
+        for bounded in [false, true] {
+            let ctx = format!("case {case} {meta:?} {merge:?} bounded {bounded}");
+            let pool =
+                MemPool::new("t", FOLD_PAGE, if bounded { 128 << 10 } else { 1 << 20 }).unwrap();
             let mut rng = Rng(0xF01D_0000 + case as u64);
             let stream = fold_stream(&mut rng, meta, &lens, 3000);
             let mut model = FoldModel::default();
@@ -429,44 +431,39 @@ fn combiner_table_matches_hashmap_oracle() {
             let flushed = got.0.clone();
             let mut table = CombinerTable::new(&pool, meta, merge.combine_fn()).unwrap();
 
-            match limit {
-                None => {
-                    for (k, v) in &stream {
-                        table.emit(k, v).unwrap();
-                        model.fold(merge, k, v);
-                    }
-                    assert_eq!(table.unique_keys(), model.order.len(), "{ctx}");
-                    assert_eq!(table.kvs_in(), 3000, "{ctx}");
-                    let mut out = got;
-                    table.flush_into(&mut out).unwrap();
-                    assert_eq!(*flushed.borrow(), model.drain(), "{ctx}");
-                }
-                Some(limit) => {
-                    let mut out = got;
-                    let mut sc = StreamingCombiner::new(table, &mut out, limit);
-                    let mut cycles = 0;
-                    for (k, v) in &stream {
-                        sc.emit(k, v).unwrap();
-                        model.fold(merge, k, v);
-                        // Anything flushed is the whole table, as the model
-                        // has it; both start the next cycle empty.
-                        let mut f = flushed.borrow_mut();
-                        if !f.is_empty() {
-                            assert_eq!(*f, model.drain(), "{ctx} cycle {cycles}");
-                            f.clear();
-                            cycles += 1;
-                        }
-                    }
-                    let (early, stats) = sc.finish().unwrap();
-                    assert_eq!(*flushed.borrow(), model.drain(), "{ctx} final flush");
-                    assert_eq!(early, cycles, "{ctx}");
-                    assert_eq!(stats.inserts, 3000, "{ctx}");
-                    // Four `u64` accumulators pass the limit; only the
-                    // lone empty key and emptied accumulators stay under.
-                    if lens != [0] && !matches!(merge, Merge::Truncate) {
-                        assert!(cycles > 0, "{ctx}: the limit must force soft flushes");
+            if bounded {
+                let mut out = got;
+                let mut cycles = 0;
+                for (k, v) in &stream {
+                    table.emit_into(k, v, &mut out).unwrap();
+                    model.fold(merge, k, v);
+                    // Anything flushed is the whole table, as the model
+                    // has it; both start the next cycle empty.
+                    let mut f = flushed.borrow_mut();
+                    if !f.is_empty() {
+                        assert_eq!(*f, model.drain(), "{ctx} cycle {cycles}");
+                        f.clear();
+                        cycles += 1;
                     }
                 }
+                table.flush_into(&mut out).unwrap();
+                assert_eq!(*flushed.borrow(), model.drain(), "{ctx} final flush");
+                assert_eq!(table.group_stats().inserts, 3000, "{ctx}");
+                // A dozen groups of any key length pass 512 B; only
+                // the lone empty key stays under.
+                if lens != [0] {
+                    assert!(cycles > 0, "{ctx}: the budget must force flushes");
+                }
+            } else {
+                for (k, v) in &stream {
+                    table.emit(k, v).unwrap();
+                    model.fold(merge, k, v);
+                }
+                assert_eq!(table.unique_keys(), model.order.len(), "{ctx}");
+                assert_eq!(table.kvs_in(), 3000, "{ctx}");
+                let mut out = got;
+                table.flush_into(&mut out).unwrap();
+                assert_eq!(*flushed.borrow(), model.drain(), "{ctx}");
             }
             assert_eq!(pool.used(), 0, "{ctx}: flush releases every byte");
         }

@@ -1,9 +1,8 @@
 //! Property tests for grouping on arrival: for every [`LenHint`] pair and
-//! every corpus shape, the three receive-to-KMVC paths —
+//! every corpus shape, the two receive-to-KMVC paths —
 //!
-//! * `GroupedKvs::new` (group each run as it arrives),
-//! * `KvContainer` + `convert`,
-//! * `GroupedKvs::two_pass` (collect, then convert) —
+//! * `GroupedKvs` (group each run as it arrives),
+//! * `KvContainer` + `convert` —
 //!
 //! must produce exactly the `for_each_group` sequence of a std `HashMap`
 //! model that shares no code with the library and seal a KMVC that holds
@@ -195,13 +194,10 @@ fn kvc_then_convert(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
     convert(kvc, pool).unwrap()
 }
 
-fn through_sink(mut sink: GroupedKvs, meta: KvMeta, ops: &[Op]) -> KmvContainer {
+fn on_arrival(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
+    let mut sink = GroupedKvs::new(pool, meta).unwrap();
     feed_sink(&mut sink, meta, ops).unwrap();
     sink.into_kmv().unwrap().0
-}
-
-fn on_arrival(pool: &MemPool, meta: KvMeta, ops: &[Op]) -> KmvContainer {
-    through_sink(GroupedKvs::new(pool, meta).unwrap(), meta, ops)
 }
 
 /// The exact `for_each_group` sequence: keys in visit order, each with
@@ -228,18 +224,16 @@ fn for_every_cell(mut f: impl FnMut(KvMeta, &str, &[Op])) {
 }
 
 #[test]
-fn on_arrival_and_two_pass_match_model() {
+fn on_arrival_and_convert_match_model() {
     for_every_cell(|meta, name, ops| {
         let pool = MemPool::unlimited("t", PAGE);
         let arrival = on_arrival(&pool, meta, ops);
         let converted = kvc_then_convert(&pool, meta, ops);
-        let collecting = through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops);
 
         let want = model(ops);
         assert!(!want.is_empty());
         assert_eq!(groups(&arrival), want, "{meta:?} {name}: arrival");
         assert_eq!(groups(&converted), want, "{meta:?} {name}: convert");
-        assert_eq!(groups(&collecting), want, "{meta:?} {name}: two-pass sink");
         assert_eq!(
             (arrival.n_groups(), arrival.n_values(), arrival.bytes()),
             (
@@ -257,7 +251,7 @@ fn on_arrival_and_two_pass_match_model() {
             assert!(hot > 8 * PAGE, "{meta:?}: hot group of {hot} B");
             assert!(arrival.pages_held() > hot / PAGE, "{meta:?}");
         }
-        drop((arrival, converted, collecting));
+        drop((arrival, converted));
         assert_eq!(pool.used(), 0, "{meta:?} {name}: everything credited");
     });
 }
@@ -272,12 +266,11 @@ const PER_GROUP: usize = 24 + 16 + (PAGE - 8) + 16 * 8;
 #[test]
 fn sealed_kmvc_holds_one_copy_of_the_values() {
     for_every_cell(|meta, name, ops| {
-        for path in ["arrival", "convert", "two-pass sink"] {
+        for path in ["arrival", "convert"] {
             let pool = MemPool::unlimited("t", PAGE);
             let kmvc = match path {
                 "arrival" => on_arrival(&pool, meta, ops),
-                "convert" => kvc_then_convert(&pool, meta, ops),
-                _ => through_sink(GroupedKvs::two_pass(&pool, meta), meta, ops),
+                _ => kvc_then_convert(&pool, meta, ops),
             };
             // `bytes` is what one contiguous copy of the groups takes,
             // and values of one width are stored without their encoding.

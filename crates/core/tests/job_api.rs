@@ -275,21 +275,20 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
     }
 
     // Unique-heavy workload: the compression table grows with keys, the
-    // paper's worst case for cps. A flush budget must bound the peak.
-    let run = |flush: Option<usize>| {
+    // paper's worst case for cps. The table flushes past 1/256 of its
+    // pool: 64 KiB of a 16 MiB pool binds, 4 MiB of a 1 GiB one holds
+    // all 20k keys until the map's end, as the paper's delayed
+    // aggregate does.
+    let run = |budget: usize| {
         run_world(2, move |comm| {
-            let pool = MemPool::new("node", 16 * 1024, 64 << 20).unwrap();
+            let pool = MemPool::new("node", 16 * 1024, budget).unwrap();
             let mut ctx =
                 MimirContext::new(comm, pool.clone(), IoModel::free(), MimirConfig::default())
                     .unwrap();
-            let mut job = ctx
+            let res = ctx
                 .job()
                 .kv_meta(KvMeta::cstr_key_u64_val())
-                .out_meta(KvMeta::cstr_key_u64_val());
-            if let Some(b) = flush {
-                job = job.compress_flush_bytes(b);
-            }
-            let res = job
+                .out_meta(KvMeta::cstr_key_u64_val())
                 .map_partial_reduce_compress(
                     &mut |em| {
                         for i in 0..20_000u64 {
@@ -312,8 +311,8 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
         })
     };
 
-    let delayed = run(None);
-    let streaming = run(Some(64 * 1024));
+    let delayed = run(1 << 30);
+    let streaming = run(16 << 20);
 
     // Same results either way.
     let merge = |rs: &[(HashMap<Vec<u8>, u64>, usize)]| {
@@ -332,14 +331,146 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
     assert_eq!(a.len(), 20_000);
     assert!(a.values().all(|&v| v == 2));
 
-    // The streaming variant's peak is meaningfully lower: the delayed
-    // table holds 20k unique keys, the streaming one at most ~64 KiB.
+    // The bounded table's peak is meaningfully lower: the delayed table
+    // holds 20k unique keys, the bounded one about 64 KiB.
     let peak_delayed = delayed.iter().map(|(_, p)| *p).max().unwrap();
     let peak_streaming = streaming.iter().map(|(_, p)| *p).max().unwrap();
     assert!(
         (peak_streaming as f64) < 0.7 * peak_delayed as f64,
         "streaming {peak_streaming} vs delayed {peak_delayed}"
     );
+}
+
+/// What one compressing job reports: its output as a map, and every
+/// `(entries, footprint)` its combiner flushed at.
+type CompressRun = (HashMap<Vec<u8>, u64>, Vec<(u64, u64)>);
+
+/// Runs a compressing shape on 2 ranks over a unique-heavy stream (5
+/// hot keys among 12 000 that each rank emits once), each rank in its
+/// own pool of `budget` bytes. Returns each rank's output and flushes,
+/// after checking the pool is fully credited once the output is gone.
+fn compress_unique_heavy(partial: bool, budget: usize) -> Vec<CompressRun> {
+    fn add(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
+        o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
+    }
+    run_world(2, move |comm| {
+        let rank = comm.rank() as u64;
+        let pool = MemPool::new("node", 16 * 1024, budget).unwrap();
+        let mut ctx =
+            MimirContext::new(comm, pool.clone(), IoModel::free(), MimirConfig::default()).unwrap();
+        let mut map = |em: &mut dyn Emitter| {
+            for i in 0..12_000u64 {
+                // Keys of at most 15 bytes live in their index entry.
+                em.emit(format!("u{}", i * 2 + rank).as_bytes(), &typed::enc_u64(i))?;
+                em.emit(format!("hot{}", i % 5).as_bytes(), &typed::enc_u64(1))?;
+            }
+            Ok(())
+        };
+        let mut reduce = |k: &[u8], vals: ValueIter<'_>, em: &mut dyn Emitter| {
+            em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
+        };
+        mimir_obs::install(mimir_obs::Recorder::new(rank as usize, 1 << 16));
+        let job = ctx
+            .job()
+            .kv_meta(KvMeta::cstr_key_u64_val())
+            .out_meta(KvMeta::cstr_key_u64_val());
+        let res = if partial {
+            job.map_partial_reduce_compress(&mut map, Box::new(add), Box::new(add))
+        } else {
+            job.map_reduce_compress(&mut map, Box::new(add), &mut reduce)
+        }
+        .unwrap();
+        let recorder = mimir_obs::take().unwrap();
+        assert_eq!(recorder.dropped(), 0);
+        let flushes = recorder
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::CombinerFlush)
+            .map(|e| (e.a, e.b))
+            .collect();
+        let mut out = HashMap::new();
+        res.output
+            .drain(|k, v| {
+                assert!(out.insert(k.to_vec(), typed::dec_u64(v)).is_none());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(pool.used(), 0, "rank {rank}: pool credited");
+        (out, flushes)
+    })
+}
+
+/// The stream of [`compress_unique_heavy`], summed by a `HashMap`.
+fn unique_heavy_oracle() -> HashMap<Vec<u8>, u64> {
+    let mut want = HashMap::new();
+    for rank in 0..2u64 {
+        for i in 0..12_000u64 {
+            *want
+                .entry(format!("u{}", i * 2 + rank).into_bytes())
+                .or_default() += i;
+            *want
+                .entry(format!("hot{}", i % 5).into_bytes())
+                .or_default() += 1;
+        }
+    }
+    want
+}
+
+/// The job's KV-compression table flushes once its footprint passes
+/// 1/256 of its node's pool, so at a flush it holds at most that budget
+/// plus what the last fold added: one slot-table doubling, an entry, a
+/// span and a `u64`. Both compressing shapes give the `HashMap` oracle's
+/// output and hand every byte back.
+#[test]
+fn compression_table_stays_within_its_share_of_the_pool() {
+    // The slots of `n` groups: 16 to start, doubled past 3/4 full.
+    let slots = |n: u64| {
+        let mut cap = 16;
+        while n * 4 > cap * 3 {
+            cap *= 2;
+        }
+        cap
+    };
+    let budget = 16 << 20;
+    for partial in [false, true] {
+        let ranks = compress_unique_heavy(partial, budget);
+        let mut got = HashMap::new();
+        for (rank, (out, flushes)) in ranks.into_iter().enumerate() {
+            assert!(
+                flushes.len() > 4,
+                "partial={partial} rank {rank}: {flushes:?}"
+            );
+            for (entries, footprint) in flushes {
+                let bound = budget as u64 / 256 + slots(entries) / 2 * 8 + 24 + 16;
+                assert!(
+                    footprint <= bound,
+                    "partial={partial} rank {rank}: {footprint} B at {entries} groups, \
+                     bound {bound} B"
+                );
+            }
+            got.extend(out);
+        }
+        assert_eq!(got, unique_heavy_oracle(), "partial={partial}");
+    }
+}
+
+/// A table that never reaches its budget flushes exactly once, at the
+/// map's end: on a 1 GiB pool its 4 MiB share holds all 12 005 keys.
+#[test]
+fn compression_table_under_its_budget_flushes_once() {
+    for partial in [false, true] {
+        let ranks = compress_unique_heavy(partial, 1 << 30);
+        let mut got = HashMap::new();
+        for (rank, (out, flushes)) in ranks.into_iter().enumerate() {
+            assert_eq!(
+                flushes.iter().map(|f| f.0).collect::<Vec<_>>(),
+                [12_005],
+                "partial={partial} rank {rank}"
+            );
+            got.extend(out);
+        }
+        assert_eq!(got, unique_heavy_oracle(), "partial={partial}");
+    }
 }
 
 /// Every public run shape, for the matrix below.

@@ -118,7 +118,8 @@ pub enum EventKind {
     /// A spill file was sealed. `a` = spill file id, `b` = payload bytes.
     SpillEnd = 8,
     /// The combiner table flushed into the shuffle. `a` = entries,
-    /// `b` = estimated table bytes before the flush.
+    /// `b` = the table's footprint (index and accumulators) before the
+    /// flush.
     CombinerFlush = 9,
     /// A group index rebuilt its slot table. `a` = new slot capacity,
     /// `b` = live groups re-placed.
