@@ -5,18 +5,22 @@
 //!
 //! 1. **Graph partitioning** — every undirected edge is emitted in both
 //!    directions keyed by endpoint and shuffled to the endpoint's owner
-//!    rank, which builds its local adjacency. The paper notes BFS's
-//!    *peak memory usage occurs in this phase* (the full edge list flows
-//!    through the framework), which is why KV compression does not lower
-//!    BFS's peak (Figures 11–13). It holds here: no traversal level rises
-//!    above the partitioned edge list (`memory_behavior.rs` pins it).
+//!    rank, which groups it on arrival (`map_group`): the job's keyed
+//!    KMVC is the local adjacency, each vertex's neighbours one chain of
+//!    bare 8-byte ids. The paper notes BFS's *peak memory usage occurs in
+//!    this phase* (the full edge list flows through the framework), which
+//!    is why KV compression does not lower BFS's peak (Figures 11–13). It
+//!    holds here up to the frontiers: the KMVC stays resident through the
+//!    traversal, and a level adds only its input and output frontiers
+//!    (`memory_behavior.rs` pins the bound).
 //! 2. **Level-synchronous traversal** — each iteration maps over the
-//!    local frontier, emitting `(neighbor, parent)` KVs shuffled to the
-//!    neighbor's owner. The owner claims a vertex as the first proposal
-//!    for it arrives — an arrival filter on the level's job — and drops
-//!    every later proposal before it is stored, so the next frontier
-//!    holds exactly one KV per newly reached vertex. This is "map-only":
-//!    no convert/reduce.
+//!    local frontier, reads each vertex's neighbours from the KMVC
+//!    (`KmvContainer::get`) and emits `(neighbor, parent)` KVs, the
+//!    stored neighbour id as the key, shuffled to the neighbor's owner.
+//!    The owner claims a vertex as the first proposal for it arrives — an
+//!    arrival filter on the level's job — and drops every later proposal
+//!    before it is stored, so the next frontier holds exactly one KV per
+//!    newly reached vertex. This is "map-only": no convert/reduce.
 //!
 //! The traversal is chained through the cross-job KV cache: each level's
 //! output is stashed under a frontier name with `output_cached` and the
@@ -37,7 +41,7 @@ use std::time::Instant;
 
 use mimir_core::{partition_of, typed, Emitter, KvMeta, MimirContext};
 use mimir_io::SpillStore;
-use mimir_mem::{MemPool, Reservation};
+use mimir_mem::MemPool;
 use mimir_mpi::{Comm, ReduceOp};
 use mrmpi::{MapReduce, MrMpiConfig};
 
@@ -91,37 +95,6 @@ fn keep_first(_k: &[u8], a: &[u8], _b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(a);
 }
 
-/// Local adjacency: owner-rank's vertices to their neighbors, with its
-/// heap footprint charged to the node pool.
-struct Adjacency {
-    map: HashMap<u64, Vec<u64>>,
-    res: Reservation,
-    bytes: usize,
-}
-
-impl Adjacency {
-    fn new(pool: &MemPool) -> mimir_core::Result<Self> {
-        Ok(Self {
-            map: HashMap::new(),
-            res: pool.try_reserve(0)?,
-            bytes: 0,
-        })
-    }
-
-    fn add(&mut self, v: u64, n: u64) -> mimir_core::Result<()> {
-        let entry = self.map.entry(v).or_insert_with(|| {
-            self.bytes += 64;
-            Vec::new()
-        });
-        entry.push(n);
-        self.bytes += 8;
-        if self.bytes.abs_diff(self.res.bytes()) > 16 * 1024 {
-            self.res.resize(self.bytes)?;
-        }
-        Ok(())
-    }
-}
-
 /// Picks a root every rank agrees on: the globally smallest vertex id
 /// that has at least one edge.
 pub fn pick_root(comm: &mut Comm, edges: &[(u64, u64)]) -> u64 {
@@ -148,7 +121,7 @@ pub fn bfs_mimir(
     let rank = ctx.rank();
     let mut metrics = RunMetrics::default();
 
-    // --- Stage 1: graph partitioning (map-only with shuffle). ----------
+    // --- Stage 1: graph partitioning, grouped on arrival. --------------
     let mut part_map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
         for &(u, v) in edges {
             em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
@@ -156,15 +129,11 @@ pub fn bfs_mimir(
         }
         Ok(())
     };
-    let out = ctx.job().kv_meta(meta).map_shuffle(&mut part_map)?;
-    metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
-    metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
-    metrics.exchange_rounds += out.stats.shuffle.rounds;
-    metrics.job.merge(&out.stats);
-
-    let mut adj = Adjacency::new(ctx.pool())?;
-    out.output
-        .drain(|k, v| adj.add(typed::dec_u64(k), typed::dec_u64(v)))?;
+    let (adj, stats) = ctx.job().kv_meta(meta).map_group(&mut part_map)?;
+    metrics.kv_bytes += stats.shuffle.kv_bytes_emitted;
+    metrics.kvs_emitted += stats.shuffle.kvs_emitted;
+    metrics.exchange_rounds += stats.shuffle.rounds;
+    metrics.job.merge(&stats);
 
     // --- Stage 2: level-synchronous traversal (iterative map-only), ----
     // chained through the cross-job cache. The root's owner claims it
@@ -200,18 +169,14 @@ pub fn bfs_mimir(
     loop {
         // Expand: propose every frontier vertex as the parent of each of
         // its neighbors.
-        let adj_map = &adj.map;
         proposed.clear();
         let prop = &mut proposed;
         let mut expand = |k: &[u8], _v: &[u8], em: &mut dyn Emitter| -> mimir_core::Result<()> {
-            let vertex = typed::dec_u64(k);
-            if let Some(neighbors) = adj_map.get(&vertex) {
-                for &n in neighbors {
-                    if compress && !prop.insert(n) {
-                        continue;
-                    }
-                    em.emit(&typed::enc_u64(n), k)?;
+            for n in adj.get(k)?.into_iter().flatten() {
+                if compress && !prop.insert(typed::dec_u64(n)) {
+                    continue;
                 }
+                em.emit(n, k)?;
             }
             Ok(())
         };

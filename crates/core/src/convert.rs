@@ -27,7 +27,7 @@
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
-use crate::{GroupedKvs, KmvContainer, KvContainer, Result};
+use crate::{GroupedKvs, KmvContainer, KvContainer, KvSink, Result};
 
 /// Converts a KV container into a KMV container, grouping values by key.
 ///
@@ -43,14 +43,15 @@ pub fn convert(kvc: KvContainer, pool: &MemPool) -> Result<KmvContainer> {
 }
 
 /// [`convert`], also returning the grouping engine's counters: one walk
-/// that groups the KVC's KVs as it drains them, freeing each page once
-/// its KVs are grouped.
+/// that hands each KVC page to the on-arrival pass as a run, freeing the
+/// page once its KVs are grouped.
 ///
 /// # Errors
 /// As [`convert`].
 pub fn convert_with(kvc: KvContainer, pool: &MemPool) -> Result<(KmvContainer, GroupCounters)> {
-    let mut grouped = GroupedKvs::new(pool, kvc.meta())?;
-    kvc.drain(|k, v| grouped.observe(k, v))?;
+    let meta = kvc.meta();
+    let mut grouped = GroupedKvs::new(pool, meta)?;
+    kvc.drain_runs(|run| grouped.accept_run(meta, run).map(drop))?;
     grouped.into_kmv()
 }
 
@@ -220,7 +221,7 @@ mod tests {
         let pool = MemPool::new("t", 128, 2 * 1024).unwrap();
         let mut grouper = GroupedKvs::new(&pool, KvMeta::fixed(4, 8)).unwrap();
         let err = (0..300u64)
-            .try_for_each(|i| grouper.observe(b"hotk", &i.to_le_bytes()))
+            .try_for_each(|i| grouper.accept(b"hotk", &i.to_le_bytes()))
             .unwrap_err();
         assert!(matches!(err, MimirError::Mem(_)), "{err}");
         drop(grouper);
@@ -233,10 +234,10 @@ mod tests {
         // or a 52 B value behind its length word in a variable chunk.
         let pool = MemPool::unlimited("t", 64);
         let mut grouper = GroupedKvs::new(&pool, KvMeta::var()).unwrap();
-        grouper.observe(b"k", &[1; 56]).unwrap();
-        let err = grouper.observe(b"k", &[1; 53]).unwrap_err();
+        grouper.accept(b"k", &[1; 56]).unwrap();
+        let err = grouper.accept(b"k", &[1; 53]).unwrap_err();
         assert!(matches!(err, MimirError::KvTooLarge { .. }), "{err}");
-        grouper.observe(b"k", &[1; 52]).unwrap();
+        grouper.accept(b"k", &[1; 52]).unwrap();
     }
 
     #[test]

@@ -396,6 +396,12 @@ impl GroupIndex {
         self.charge.settle()
     }
 
+    /// Charges any growth still batched in the delta, so an index sealed
+    /// with its slot table kept is charged exactly.
+    pub(crate) fn settle(&mut self) -> Result<()> {
+        self.charge.settle()
+    }
+
     /// Bytes the index holds: its entries and slots, as charged, plus
     /// the key arena taken so far — closed pages whole, the open page up
     /// to its fill, jumbos by length. The open page's tail is the only

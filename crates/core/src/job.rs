@@ -9,7 +9,8 @@
 //! | [`MapReduceJob::map_reduce_compress`] | map + combiner | [`GroupedKvs`] (grouped on arrival) | convert + reduce | WC/OC `cps` |
 //! | [`MapReduceJob::map_partial_reduce`] | map | [`PartialReducer`] | fold finalise | WC/OC `pr` |
 //! | [`MapReduceJob::map_partial_reduce_compress`] | map + combiner | [`PartialReducer`] | fold finalise | WC/OC `pr`+`cps` |
-//! | [`MapReduceJob::map_shuffle`] | map | KVC | (none) | BFS partition |
+//! | [`MapReduceJob::map_group`] | map | [`GroupedKvs`] (grouped on arrival) | convert, keeping the index | BFS partition |
+//! | [`MapReduceJob::map_shuffle`] | map | KVC | (none) | BFS seed, map-only jobs |
 //! | [`MapReduceJob::chain_shuffle`] | cached input | KVC, behind the arrival filter if one is set | (none) | BFS levels |
 //! | [`MapReduceJob::chain_reduce`] | cached input | [`GroupedKvs`] | convert + reduce | chained jobs |
 //! | [`MapReduceJob::chain_partial_reduce`] | cached input | [`PartialReducer`] | fold finalise | PageRank |
@@ -43,7 +44,7 @@ use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
 use crate::combiner::{CombineFn, CombinerTable};
 use crate::context::MimirContext;
 use crate::grouped::GroupedKvs;
-use crate::kmvc::ValueIter;
+use crate::kmvc::{KmvContainer, ValueIter};
 use crate::partial::PartialReducer;
 use crate::partitioner::Partitioner;
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
@@ -285,8 +286,34 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self.fold_finish(mapped)
     }
 
+    /// Map, then group on arrival into a KMVC that is the job's output:
+    /// emitted KVs go to their owner ranks, are grouped there as they
+    /// arrive, and the sealed container keeps its index, so it answers
+    /// [`KmvContainer::get`] besides [`KmvContainer::for_each_group`]. No
+    /// reduce runs and no output KVC exists. The BFS partition shape:
+    /// the returned container is the graph the traversal reads.
+    ///
+    /// # Errors
+    /// [`MimirError::Cache`] with [`Self::input_cached`] or
+    /// [`Self::output_cached`] (the cache holds KVCs), otherwise as
+    /// [`Self::map_reduce`].
+    pub fn map_group(mut self, map: MapFn<'_>) -> Result<(KmvContainer, JobStats)> {
+        if let Some(name) = &self.output_cached {
+            return Err(MimirError::Cache(format!(
+                "output_cached({name:?}) caches a KVC; map_group returns a KMVC"
+            )));
+        }
+        let meta = self.kv_meta;
+        let feed = Feed::Map(map, None);
+        let (grouped, mut stats) = self.map_phase(feed, |pool| GroupedKvs::new(pool, meta))?;
+        let kmvc = self.convert(grouped, &mut stats, true)?;
+        stats.kvs_out = kmvc.n_values();
+        stats.node_peak_bytes = self.ctx.pool.peak();
+        Ok((kmvc, stats))
+    }
+
     /// Map-only with shuffle: emitted KVs are hash-partitioned to their
-    /// owner ranks and returned ungrouped (the BFS traversal shape).
+    /// owner ranks and returned ungrouped.
     pub fn map_shuffle(mut self, map: MapFn<'_>) -> Result<JobOutput> {
         let meta = self.kv_meta;
         let feed = Feed::Map(map, None);
@@ -447,24 +474,38 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         Ok((sink, stats))
     }
 
-    /// Convert + reduce: seals the grouped chains into the KMVC, then runs
-    /// `reduce` over every group into the output.
-    fn convert_reduce(
-        self,
-        (grouped, mut stats): (GroupedKvs, JobStats),
-        reduce: ReduceFn<'_>,
-    ) -> Result<JobOutput> {
+    /// The Convert span of the grouping shapes: seals the grouped chains
+    /// into the KMVC, keeping the index's slot table if `keyed`.
+    fn convert(
+        &mut self,
+        grouped: GroupedKvs,
+        stats: &mut JobStats,
+        keyed: bool,
+    ) -> Result<KmvContainer> {
         let MimirContext {
             comm, pool, cancel, ..
         } = &mut *self.ctx;
         let clock = PhaseClock::start(comm, cancel, pool, Phase::Convert)?;
-        let (kmvc, group) = grouped.into_kmv()?;
+        let (kmvc, group) = grouped.seal(keyed)?;
         stats.group.merge(&group);
+        stats.unique_keys = kmvc.n_groups() as u64;
         (stats.convert_time, stats.convert_peak_bytes) = clock.stop(pool);
+        Ok(kmvc)
+    }
 
+    /// Convert + reduce: seals the grouped chains into the KMVC, then runs
+    /// `reduce` over every group into the output.
+    fn convert_reduce(
+        mut self,
+        (grouped, mut stats): (GroupedKvs, JobStats),
+        reduce: ReduceFn<'_>,
+    ) -> Result<JobOutput> {
+        let kmvc = self.convert(grouped, &mut stats, false)?;
+        let MimirContext {
+            comm, pool, cancel, ..
+        } = &mut *self.ctx;
         let clock = PhaseClock::start(comm, cancel, pool, Phase::Reduce)?;
         let mut out = KvContainer::new(pool, self.out_meta);
-        stats.unique_keys = kmvc.n_groups() as u64;
         let mut emitter = OutEmitter(&mut out);
         kmvc.for_each_group(|k, vals| reduce(k, vals, &mut emitter))?;
         drop(kmvc);

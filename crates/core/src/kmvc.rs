@@ -56,9 +56,11 @@ pub(crate) struct Chains {
 /// the target can. With thousands of chains filling or read at once the
 /// hardware prefetcher cannot follow them, so [`Chains::append`] names
 /// the line after the one it wrote (that chain's next appends land
-/// there), and the reader names the next chunk of the chain it walks.
+/// there), the reader names the next chunk of the chain it walks, and
+/// the on-arrival pass names a whole batch's heads and tails before it
+/// appends to any of them.
 #[inline]
-fn prefetch(buf: &[u8], at: usize) {
+fn prefetch<T>(buf: &[T], at: usize) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64 target
     // has, and it is a hint: the address is never dereferenced, so one
@@ -110,6 +112,26 @@ impl Chains {
             width => LenHint::Fixed(width.into()),
         };
         (slot, off, h as u32, (h >> 32) as u16, stored)
+    }
+
+    /// Starts loading group `gid`'s chain head, if the group has one.
+    #[inline]
+    pub(crate) fn prefetch_head(&self, gid: u32) {
+        prefetch(&self.heads, gid as usize);
+    }
+
+    /// Starts loading what [`Self::append`] touches in group `gid`'s
+    /// tail chunk: its header and its write position. Reads the chain
+    /// head, so [`Self::prefetch_head`] should run some time before.
+    #[inline]
+    pub(crate) fn prefetch_tail(&self, gid: u32) {
+        let Some(c) = self.heads.get(gid as usize) else {
+            return;
+        };
+        let (slot, off) = self.locate(c.tail);
+        let page = self.pages[slot].as_slice();
+        prefetch(page, off);
+        prefetch(page, off + CHUNK_HDR + c.fill as usize);
     }
 
     /// Appends `val` to group `gid`'s chain, bare into a uniform tail of
@@ -210,27 +232,43 @@ impl Chains {
 /// arrival by the grouping engine ([`crate::GroupedKvs`], or
 /// [`crate::convert`] of a KVC).
 ///
-/// Keys stay in the [`GroupIndex`] entries that interned them (its slot
-/// table is released at seal), values in the chunk chains they were
-/// appended to: sealing copies nothing, and no buffer exceeds a page.
+/// Keys stay in the [`GroupIndex`] entries that interned them, values in
+/// the chunk chains they were appended to: sealing copies nothing, and no
+/// buffer exceeds a page. The index's slot table is released at seal,
+/// except in the container [`crate::MapReduceJob::map_group`] returns,
+/// which keeps it to answer [`Self::get`].
 pub struct KmvContainer {
     meta: KvMeta,
     keys: GroupIndex,
     chains: Chains,
     bytes: u64,
+    /// Whether the slot table was kept, so keyed lookups can be answered.
+    keyed: bool,
 }
 
 impl KmvContainer {
-    /// Seals the grouping engine's keys and chains into a container.
-    pub(crate) fn seal(meta: KvMeta, keys: GroupIndex, chains: Chains, bytes: u64) -> Result<Self> {
+    /// Seals the grouping engine's keys and chains into a container,
+    /// keeping the index's slot table if `keyed`.
+    pub(crate) fn seal(
+        meta: KvMeta,
+        keys: GroupIndex,
+        chains: Chains,
+        bytes: u64,
+        keyed: bool,
+    ) -> Result<Self> {
         debug_assert_eq!(keys.len(), chains.heads.len());
         let mut kmvc = Self {
             meta,
             keys,
             chains,
             bytes,
+            keyed,
         };
-        kmvc.keys.release_slots()?;
+        if keyed {
+            kmvc.keys.settle()?;
+        } else {
+            kmvc.keys.release_slots()?;
+        }
         kmvc.chains.charge.settle()?;
         Ok(kmvc)
     }
@@ -270,18 +308,39 @@ impl KmvContainer {
         &self,
         mut f: impl FnMut(&[u8], ValueIter<'_>) -> Result<()>,
     ) -> Result<()> {
-        for (gid, c) in self.chains.heads.iter().enumerate() {
-            let vals = ValueIter {
-                chains: &self.chains,
-                buf: &[],
-                next: c.first,
-                stored: self.meta.val,
-                left: 0,
-                remaining: c.count,
-            };
-            f(self.keys.key(gid as u32), vals)?;
+        for gid in 0..self.chains.heads.len() as u32 {
+            f(self.keys.key(gid), self.values(gid))?;
         }
         Ok(())
+    }
+
+    /// The values of `key`'s group in arrival order, or `None` if no KV
+    /// had that key: one probe of the kept index, then a walk of the
+    /// group's chain.
+    ///
+    /// # Errors
+    /// [`MimirError::Config`] on a container whose index was released at
+    /// seal — every one but [`crate::MapReduceJob::map_group`]'s — rather
+    /// than a `None` that would claim the key is absent.
+    pub fn get(&self, key: &[u8]) -> Result<Option<ValueIter<'_>>> {
+        if !self.keyed {
+            return Err(MimirError::Config(
+                "KmvContainer::get needs the index only map_group keeps".to_string(),
+            ));
+        }
+        Ok(self.keys.get(key).map(|gid| self.values(gid)))
+    }
+
+    /// Group `gid`'s values, from the head of its chain.
+    fn values(&self, gid: u32) -> ValueIter<'_> {
+        ValueIter {
+            chains: &self.chains,
+            buf: &[],
+            next: self.chains.heads[gid as usize].first,
+            stored: self.meta.val,
+            left: 0,
+            remaining: self.chains.heads[gid as usize].count,
+        }
     }
 }
 
@@ -343,7 +402,80 @@ impl ExactSizeIterator for ValueIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{convert, KvContainer};
+    use crate::{convert, encode_push, GroupedKvs, KvContainer, KvSink};
+    use std::collections::HashMap;
+
+    /// Key `i`, sized by `i` to live inline in its index entry (up to 15
+    /// bytes), in the key arena (up to a page) or in a jumbo buffer.
+    fn key_of(i: u64, page: usize) -> Vec<u8> {
+        let mut k = format!("{i}").into_bytes();
+        k.resize([3, 15, 16, 40, page, page + 1][i as usize % 6], b'.');
+        k
+    }
+
+    #[test]
+    fn get_matches_a_hashmap_oracle() {
+        let page = 64;
+        let pool = MemPool::unlimited("t", page);
+        let meta = KvMeta::var();
+        let mut sink = GroupedKvs::new(&pool, meta).unwrap();
+        let mut oracle: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+        let mut run = Vec::new();
+        for n in 0..900u64 {
+            let (key, val) = (
+                key_of(n * 7 % 60, page),
+                &n.to_le_bytes()[..1 + n as usize % 8],
+            );
+            oracle.entry(key.clone()).or_default().push(val.to_vec());
+            encode_push(meta, &key, val, &mut run);
+            if n % 100 == 99 {
+                sink.accept_run(meta, &run).unwrap();
+                run.clear();
+            }
+        }
+        let (kmvc, _) = sink.seal(true).unwrap();
+        assert_eq!(kmvc.n_groups(), oracle.len());
+        for (key, vals) in &oracle {
+            let got: Vec<_> = kmvc
+                .get(key)
+                .unwrap()
+                .unwrap()
+                .map(<[u8]>::to_vec)
+                .collect();
+            assert_eq!(&got, vals, "values of {key:?} in arrival order");
+        }
+        for i in 60..72 {
+            assert!(kmvc.get(&key_of(i, page)).unwrap().is_none(), "key {i}");
+        }
+        drop(kmvc);
+        assert_eq!(pool.used(), 0);
+    }
+
+    #[test]
+    fn get_on_a_container_without_its_index_is_refused() {
+        let pool = MemPool::unlimited("t", 256);
+        let mut kvc = KvContainer::new(&pool, KvMeta::var());
+        kvc.push(b"k", b"v").unwrap();
+        let converted = convert(kvc, &pool).unwrap();
+        let empty = GroupedKvs::new(&pool, KvMeta::var())
+            .unwrap()
+            .into_kmv()
+            .unwrap()
+            .0;
+        for kmvc in [converted, empty] {
+            let err = kmvc.get(b"k").err();
+            assert!(matches!(err, Some(MimirError::Config(_))), "{err:?}");
+        }
+        let keyed = GroupedKvs::new(&pool, KvMeta::var())
+            .unwrap()
+            .seal(true)
+            .unwrap()
+            .0;
+        assert!(
+            keyed.get(b"k").unwrap().is_none(),
+            "an empty keyed container answers"
+        );
+    }
 
     #[test]
     fn hot_key_chain_spans_many_chunks() {

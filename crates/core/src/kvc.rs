@@ -151,6 +151,21 @@ impl KvContainer {
         self.drain_all(f)
     }
 
+    /// Consumes the container a page at a time: `f` gets each page's
+    /// encoded bytes — a run, as in [`Self::for_each_page`] — and the page
+    /// is freed as soon as `f` returns. How [`crate::convert`] groups a
+    /// KVC through the same pass that groups received runs.
+    ///
+    /// # Errors
+    /// Propagates the first error from `f`; remaining pages are released
+    /// on drop.
+    pub(crate) fn drain_runs(mut self, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        while let Some(page) = self.pages.pop_front() {
+            f(page.as_slice())?;
+        }
+        Ok(())
+    }
+
     /// [`Self::drain`] through a mutable reference, for callers that hold
     /// the container inside a closure environment (multi-stage pipelines
     /// feeding one job's output into the next job's map). The container is

@@ -15,8 +15,8 @@ pub struct JobStats {
     /// [`crate::GroupedKvs`]).
     pub map_time: Duration,
     /// Wall time of the convert phase: sealing the chains into the KMVC,
-    /// which copies no value — or, for the compress shape, converting
-    /// the collected KVC. Zero under partial reduction.
+    /// which copies no value. Zero under partial reduction and the
+    /// map-only shapes.
     pub convert_time: Duration,
     /// Wall time of the reduce phase (or the fold finalization).
     pub reduce_time: Duration,
@@ -36,8 +36,8 @@ pub struct JobStats {
     /// on-arrival chunk chains and group index included).
     pub map_peak_bytes: usize,
     /// Node-pool peak observed within the convert phase: the grouped
-    /// chains at seal (the compress shape's KVC and the chains it drains
-    /// into). Zero under partial reduction, which has no convert.
+    /// chains at seal. Zero under partial reduction and the map-only
+    /// shapes, which have no convert.
     pub convert_peak_bytes: usize,
     /// Node-pool peak observed within the reduce phase (or the fold
     /// finalization).

@@ -150,9 +150,13 @@ fn short_keys_take_no_pool_page() {
 
 /// Grouping on arrival — the convert+reduce jobs' shuffle drain — does
 /// no per-KV heap work: once the working set's groups exist, a received
-/// run is hashed, probed and each value appended to its group's chunk
-/// chain, and a chain that outgrows its tail chunk carves the next one
-/// from the open pool page. Only a fresh page allocates.
+/// run is taken in batches on the stack (2000 KVs: 62 whole batches of 32
+/// and a short one), each batch's keys hashed and probed, its heads and
+/// tails prefetched and its values appended to their groups' chunk
+/// chains, and a chain that outgrows its
+/// tail chunk carves the next one from the open pool page. Only a fresh
+/// page allocates. A single accepted KV is a batch of one, and allocates
+/// no more.
 #[test]
 fn grouping_a_received_run_is_allocation_free() {
     use mimir_core::KvSink;
@@ -172,22 +176,26 @@ fn grouping_a_received_run_is_allocation_free() {
     // first chunk page open.
     sink.accept_run(meta, &run).unwrap();
     let pages = pool.stats().page_allocs;
+    let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("w{i:03}").into_bytes()).collect();
 
-    // 20,000 more values of one width, stored bare at 8 B each: every
+    // 20,500 more values of one width, stored bare at 8 B each: every
     // chain grows three more chunks (of 64, 128 and 256 B), all carved
     // from that 1 MiB page.
     let before = allocs();
     for _ in 0..10 {
         assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);
     }
+    for key in &keys {
+        sink.accept(key, &[2; 8]).unwrap();
+    }
     let during = allocs() - before;
     assert_eq!(
         during, 0,
-        "grouping 20,000 arrivals allocated {during} times"
+        "grouping 20,500 arrivals allocated {during} times"
     );
     assert_eq!(pool.stats().page_allocs, pages, "no page opened");
 
     let (kmvc, stats) = sink.into_kmv().unwrap();
-    assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_000));
-    assert_eq!(stats.inserts, 22_000);
+    assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_500));
+    assert_eq!(stats.inserts, 22_500);
 }

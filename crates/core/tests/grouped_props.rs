@@ -145,7 +145,15 @@ fn corpora(meta: KvMeta) -> Vec<(&'static str, Vec<Op>)> {
         singles.push(Op::One(k, v));
     }
 
+    // Runs of hundreds of KVs, so the on-arrival pass takes many whole
+    // batches and a short one per run; every 13th KV opens a fresh group,
+    // landing at shifting places inside a batch.
+    let long: Vec<_> = (0..3000u64)
+        .map(|i| kv(if i % 13 == 5 { 1000 + i } else { i * 7 % 20 }))
+        .collect();
+
     let mut out = vec![
+        ("long-runs", runs(meta, &long, 4096)),
         ("duplicate-heavy", runs(meta, &dup_heavy, 120)),
         ("all-unique", runs(meta, &all_unique, 64)),
         ("one-jumbo-group", runs(meta, &jumbo, 200)),

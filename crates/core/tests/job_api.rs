@@ -892,3 +892,114 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
         }
     }
 }
+
+/// One rank's keyed KMVC from [`map_group`](mimir_core::MapReduceJob::map_group):
+/// each group's key and its values in arrival order, as `for_each_group`
+/// visits them.
+type Groups = Vec<(Vec<u8>, Vec<u64>)>;
+
+/// `map_group` on two ranks of `kind`: rank `r` emits `300 + 50r` KVs over
+/// 40 keys, each value `r << 32 | i`. Returns each rank's groups, its
+/// `(unique_keys, kvs_out)` and its pool occupancy once the KMVC drops,
+/// after checking on the rank that `get` answers every group it holds and
+/// `None` for a key it does not.
+fn map_group_on(kind: mimir_mpi::TransportKind) -> Vec<(Groups, (u64, u64), u64)> {
+    mimir_mpi::run_world_on(kind, 2, |comm| {
+        let pool = MemPool::unlimited("node", 16 * 1024);
+        let mut ctx =
+            MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
+        let rank = ctx.rank() as u64;
+        let (kmvc, stats) = ctx
+            .job()
+            .kv_meta(KvMeta::fixed(8, 8))
+            .map_group(&mut |em| {
+                (0..300 + 50 * rank).try_for_each(|i| {
+                    em.emit(&typed::enc_u64(i * 7 % 40), &typed::enc_u64(rank << 32 | i))
+                })
+            })
+            .unwrap();
+        let mut groups = Groups::new();
+        kmvc.for_each_group(|k, vals| {
+            groups.push((k.to_vec(), vals.map(typed::dec_u64).collect()));
+            Ok(())
+        })
+        .unwrap();
+        for (k, vals) in &groups {
+            let got: Vec<u64> = kmvc.get(k).unwrap().unwrap().map(typed::dec_u64).collect();
+            assert_eq!(&got, vals, "get and for_each_group agree");
+        }
+        assert!(kmvc.get(&typed::enc_u64(40)).unwrap().is_none());
+        drop(kmvc);
+        let used = ctx.pool().used() as u64;
+        (groups, (stats.unique_keys, stats.kvs_out), used)
+    })
+}
+
+/// On both transports, the two ranks' keyed KMVCs together are a serial
+/// grouping of every rank's KVs: each key on exactly one rank, holding
+/// every value emitted for it, each source rank's values in the order it
+/// emitted them. The stats count the groups and values, and the pool
+/// drains once the KMVC drops.
+#[test]
+fn map_group_equals_a_serial_grouping_on_both_transports() {
+    let mut serial: HashMap<Vec<u8>, Vec<u64>> = HashMap::new();
+    for rank in 0..2u64 {
+        for i in 0..300 + 50 * rank {
+            serial
+                .entry(typed::enc_u64(i * 7 % 40).to_vec())
+                .or_default()
+                .push(rank << 32 | i);
+        }
+    }
+    for kind in [
+        mimir_mpi::TransportKind::Inproc,
+        mimir_mpi::TransportKind::Uds,
+    ] {
+        let mut got: HashMap<Vec<u8>, Vec<u64>> = HashMap::new();
+        for (groups, (unique_keys, kvs_out), used) in map_group_on(kind) {
+            assert_eq!(used, 0, "{kind:?}: pages left in the pool");
+            assert_eq!(unique_keys, groups.len() as u64, "{kind:?}");
+            let values: usize = groups.iter().map(|(_, v)| v.len()).sum();
+            assert_eq!(kvs_out, values as u64, "{kind:?}");
+            for (k, vals) in groups {
+                for src in 0..2u64 {
+                    let from: Vec<u64> = vals.iter().copied().filter(|v| v >> 32 == src).collect();
+                    assert!(from.is_sorted(), "{kind:?}: source {src} out of order");
+                }
+                assert!(
+                    got.insert(k, vals).is_none(),
+                    "{kind:?}: a key on two ranks"
+                );
+            }
+        }
+        for vals in got.values_mut() {
+            vals.sort_unstable();
+        }
+        assert_eq!(got, serial, "{kind:?}");
+    }
+}
+
+/// `map_group` refuses what it cannot honour, before it runs: an arrival
+/// filter (config), a cached input or a cached output (cache). Each
+/// refusal gives its memory back.
+#[test]
+fn map_group_refuses_filters_and_cached_inputs_and_outputs() {
+    let out = ctx_world(1, |ctx| {
+        let mut keep = |_: &[u8], _: &[u8]| true;
+        let mut map = |em: &mut dyn Emitter| em.emit(b"k", b"v");
+        let errs = [
+            ctx.job()
+                .arrival_filter(&mut keep)
+                .map_group(&mut map)
+                .err(),
+            ctx.job().input_cached("in").map_group(&mut map).err(),
+            ctx.job().output_cached("out").map_group(&mut map).err(),
+        ];
+        (errs, ctx.pool().used(), ctx.cache_contains("out"))
+    });
+    let ([filter, input, output], used, cached) = &out[0];
+    assert!(matches!(filter, Some(MimirError::Config(m)) if m.contains("arrival_filter")));
+    assert!(matches!(input, Some(MimirError::Cache(m)) if m.contains("input_cached")));
+    assert!(matches!(output, Some(MimirError::Cache(m)) if m.contains("output_cached")));
+    assert_eq!((*used, *cached), (0, false));
+}

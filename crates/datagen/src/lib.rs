@@ -32,7 +32,9 @@ pub use points::{Point, PointGen};
 pub use rng::{rank_rng, splitmix64, RankRng, Xoshiro256pp};
 pub use wikipedia::WikipediaWords;
 pub use words::UniformWords;
-pub use writer::{parse_edges, parse_points, write_corpus, write_edges, write_points};
+pub use writer::{
+    parse_edges, parse_points, with_huge_pages, write_corpus, write_edges, write_points,
+};
 
 /// Number of words per generated text line (both corpora).
 pub(crate) const WORDS_PER_LINE: usize = 10;

@@ -73,6 +73,37 @@ pub fn write_edges(path: &Path, graph: &crate::Graph500, n_shares: usize) -> std
     Ok(written)
 }
 
+/// Size of an x86-64 transparent huge page.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// An empty vector with room for `capacity` elements, whose 2 MiB-aligned
+/// interior the kernel is asked to back with transparent huge pages
+/// (`madvise(MADV_HUGEPAGE)`, on Linux only). The advice is a hint and
+/// covers only pages first touched after it, so fill the vector after
+/// this call: a 32 MiB input buffer then takes about a thousand page
+/// faults instead of eight thousand, whatever state earlier buffers left
+/// the heap in. Where the advice does not apply the vector is plain.
+pub fn with_huge_pages<T>(capacity: usize) -> Vec<T> {
+    let v = Vec::with_capacity(capacity);
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+        }
+        const MADV_HUGEPAGE: i32 = 14;
+        let at = v.as_ptr() as usize;
+        let start = at.next_multiple_of(HUGE_PAGE);
+        let end = (at + v.capacity() * std::mem::size_of::<T>()) / HUGE_PAGE * HUGE_PAGE;
+        if end > start {
+            // SAFETY: `start..end` lies inside `v`'s allocation, which
+            // nothing else references yet, and the advice changes how its
+            // pages are backed, not what they hold. A refusal is ignored.
+            unsafe { madvise(start as *mut _, end - start, MADV_HUGEPAGE) };
+        }
+    }
+    v
+}
+
 /// Parses packed 12-byte point records back into points.
 pub fn parse_points(bytes: &[u8]) -> Vec<crate::Point> {
     bytes
@@ -88,16 +119,16 @@ pub fn parse_points(bytes: &[u8]) -> Vec<crate::Point> {
 }
 
 /// Parses packed 16-byte edge records back into edges.
+/// The edges land in a [`with_huge_pages`] buffer.
 pub fn parse_edges(bytes: &[u8]) -> Vec<(u64, u64)> {
-    bytes
-        .chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().expect("u64")),
-                u64::from_le_bytes(c[8..16].try_into().expect("u64")),
-            )
-        })
-        .collect()
+    let mut edges = with_huge_pages(bytes.len() / 16);
+    edges.extend(bytes.chunks_exact(16).map(|c| {
+        (
+            u64::from_le_bytes(c[0..8].try_into().expect("u64")),
+            u64::from_le_bytes(c[8..16].try_into().expect("u64")),
+        )
+    }));
+    edges
 }
 
 #[cfg(test)]

@@ -71,7 +71,8 @@ pub fn split_records(data: &[u8], parts: usize, delim: u8) -> Vec<Range<usize>> 
 }
 
 /// Reads rank `rank`-of-`n_ranks`'s record-aligned share of the file at
-/// `path`, charging the read to `model`.
+/// `path`, charging the read to `model`. The read window and the share
+/// are [`mimir_datagen::with_huge_pages`] buffers.
 ///
 /// # Errors
 /// OS failures opening, seeking, or reading the file.
@@ -100,7 +101,8 @@ pub fn read_split(
     let buf = loop {
         let window_end = (raw.end + lookahead).min(total);
         let len = (window_end - read_start) as usize;
-        let mut b = vec![0u8; len];
+        let mut b = mimir_datagen::with_huge_pages(len);
+        b.resize(len, 0);
         file.seek(SeekFrom::Start(read_start))
             .map_err(IoError::os(format!("seeking {path:?}")))?;
         file.read_exact(&mut b)
@@ -115,7 +117,9 @@ pub fn read_split(
 
     let local_raw = (raw.start - read_start) as usize..(raw.end - read_start) as usize;
     let aligned = align_range(&buf, local_raw, delim);
-    Ok(buf[aligned].to_vec())
+    let mut out = mimir_datagen::with_huge_pages(aligned.len());
+    out.extend_from_slice(&buf[aligned]);
+    Ok(out)
 }
 
 /// Evenly divides `n_records` fixed-size records into `parts` contiguous
@@ -126,7 +130,8 @@ pub fn record_ranges(n_records: u64, parts: usize) -> Vec<Range<u64>> {
 }
 
 /// Reads rank `rank`-of-`n_ranks`'s share of a binary file of
-/// `record_size`-byte records, charging the read to `model`.
+/// `record_size`-byte records, charging the read to `model`. The share
+/// lands in a [`mimir_datagen::with_huge_pages`] buffer.
 ///
 /// # Errors
 /// OS failures, or a file whose length is not a whole number of records.
@@ -155,11 +160,15 @@ pub fn read_fixed_split(
         .expect("rank < n_ranks");
     let start = range.start * record_size as u64;
     let len = ((range.end - range.start) as usize) * record_size;
-    let mut buf = vec![0u8; len];
+    let mut buf = mimir_datagen::with_huge_pages(len);
     file.seek(SeekFrom::Start(start))
         .map_err(IoError::os(format!("seeking {path:?}")))?;
-    file.read_exact(&mut buf)
-        .map_err(IoError::os(format!("reading {path:?}")))?;
+    let reading = IoError::os(format!("reading {path:?}"));
+    match file.take(len as u64).read_to_end(&mut buf) {
+        Ok(n) if n == len => {}
+        Ok(_) => return Err(reading(std::io::ErrorKind::UnexpectedEof.into())),
+        Err(e) => return Err(reading(e)),
+    }
     model.charge_read(buf.len());
     Ok(buf)
 }
@@ -310,6 +319,69 @@ mod tests {
                 }
             }
             assert_eq!(seen, (0..101).collect::<Vec<_>>(), "parts={parts}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Text shares read through huge-page-advised buffers are the
+    /// in-memory split's, on a file of several huge pages whose size is
+    /// not a multiple of one.
+    #[test]
+    fn text_shares_in_huge_page_buffers_match_the_in_memory_split() {
+        let dir = std::env::temp_dir().join(format!("mimir-split-huge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("input.txt");
+        let content: Vec<u8> = (0..200_000u32)
+            .flat_map(|i| format!("record-{i} {}\n", "x".repeat(i as usize % 40)).into_bytes())
+            .collect();
+        assert!(content.len() > 5 << 20 && !content.len().is_multiple_of(2 << 20));
+        std::fs::write(&path, &content).unwrap();
+        let model = IoModel::free();
+        for n_ranks in [1, 2] {
+            let expected = split_records(&content, n_ranks, b'\n');
+            for (rank, want) in expected.into_iter().enumerate() {
+                let got = read_split(&path, rank, n_ranks, b'\n', &model).unwrap();
+                assert!(got == content[want], "rank {rank}/{n_ranks}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A share read into a huge-page-advised buffer, and the edges parsed
+    /// from it into another, hold exactly the file's bytes and edges — on
+    /// a file of several huge pages whose size is not a multiple of one.
+    #[test]
+    fn huge_page_buffers_hold_the_file_exactly() {
+        let dir = std::env::temp_dir().join(format!("mimir-fixed-huge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("edges.bin");
+        let n_edges = (5 << 20) / 16 + 3;
+        let content: Vec<u8> = (0..2 * n_edges as u64)
+            .flat_map(|i| (i * 0x9E37_79B9).to_le_bytes())
+            .collect();
+        assert_ne!(content.len() % (2 << 20), 0);
+        std::fs::write(&path, &content).unwrap();
+        let model = IoModel::free();
+        for parts in [1usize, 3] {
+            let mut at = 0;
+            for rank in 0..parts {
+                let share = read_fixed_split(&path, rank, parts, 16, &model).unwrap();
+                assert_eq!(
+                    share,
+                    content[at..at + share.len()],
+                    "parts={parts} rank={rank}"
+                );
+                at += share.len();
+                let want: Vec<(u64, u64)> = share
+                    .chunks_exact(16)
+                    .map(|c| {
+                        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+                        (word(&c[..8]), word(&c[8..]))
+                    })
+                    .collect();
+                assert_eq!(mimir_datagen::parse_edges(&share), want, "parts={parts}");
+            }
+            assert_eq!(at, content.len(), "parts={parts}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,11 +1,13 @@
 //! PageRank over a Graph500 Kronecker graph — a fourth domain workload
-//! beyond the paper's three benchmarks, showing three API features
+//! beyond the paper's three benchmarks, showing four API features
 //! together:
 //!
 //! * iterative jobs chained through the **cross-job KV cache**: the rank
 //!   vector lives in the cache between iterations (`output_cached` /
 //!   `input_cached`), never round-tripping through serialization or
 //!   spill,
+//! * a **keyed KMVC** as the graph: `map_group` groups each vertex's
+//!   neighbours on arrival, and the scatter reads them with `get`,
 //! * **shuffle elision**: the damping update preserves keys under the
 //!   same partitioner, so its shuffle is elided outright — the map feeds
 //!   grouping straight from the locally-resident partition, and
@@ -23,8 +25,6 @@
 //! cargo run --release -p mimir --example pagerank -- \
 //!     [--scale 12] [--ranks 4] [--iters 10]
 //! ```
-
-use std::collections::HashMap;
 
 use mimir::prelude::*;
 use mimir_core::{typed, Partitioner};
@@ -70,12 +70,13 @@ fn main() {
             out.extend_from_slice(&s.to_le_bytes());
         };
 
-        // Stage 1: partition the directed adjacency by source vertex.
-        let out = ctx
+        // Stage 1: partition the adjacency by vertex, grouped on arrival:
+        // the keyed KMVC holds each vertex's neighbours as one chain.
+        let (adj, _) = ctx
             .job()
             .kv_meta(meta)
             .partitioner(part.clone())
-            .map_shuffle(&mut |em| {
+            .map_group(&mut |em| {
                 for &(u, v) in &edges {
                     em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
                     em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
@@ -83,15 +84,6 @@ fn main() {
                 Ok(())
             })
             .expect("partition stage");
-        let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
-        out.output
-            .drain(|k, v| {
-                adj.entry(typed::dec_u64(k))
-                    .or_default()
-                    .push(typed::dec_u64(v));
-                Ok(())
-            })
-            .expect("build adjacency");
 
         // Seed the cached rank vector: my contiguous vertex range
         // (courtesy of the block partitioner) at the uniform 1/n.
@@ -122,15 +114,14 @@ fn main() {
                 .shuffle_elision(false)
                 .chain_partial_reduce(
                     &mut |k, v, em| {
-                        let vertex = typed::dec_u64(k);
                         // Self-contribution of zero keeps every vertex in
                         // the sums, edges or not (and stays rank-local).
                         em.emit(k, &0.0f64.to_le_bytes())?;
-                        if let Some(neighbors) = adj.get(&vertex) {
+                        if let Some(neighbors) = adj.get(k)? {
                             let r = f64::from_le_bytes(v.try_into().unwrap());
                             let share = r / neighbors.len() as f64;
-                            for &dst in neighbors {
-                                em.emit(&typed::enc_u64(dst), &share.to_le_bytes())?;
+                            for dst in neighbors {
+                                em.emit(dst, &share.to_le_bytes())?;
                             }
                         }
                         Ok(())

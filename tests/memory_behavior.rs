@@ -109,31 +109,32 @@ fn mimir_fails_cleanly_at_the_node_budget() {
     assert!(res.is_ok(), "optimizations should fit the budget: {res:?}");
 }
 
-/// Mimir BFS's peak node bytes on a scale-10 Graph500 graph.
-fn bfs_peak(opts: BfsOptions) -> usize {
+/// Mimir BFS's peak node bytes on a scale-10 Graph500 graph, and the KV
+/// bytes its ranks shuffled.
+fn bfs_peak(opts: BfsOptions) -> (usize, u64) {
     let graph = Graph500::new(10, 17);
     let nodes = NodeMap::new(RANKS, RANKS, 16 * 1024, 256 << 20).unwrap();
     let nodes2 = nodes.clone();
-    run_world(RANKS, move |comm| {
+    let kv_bytes = run_world(RANKS, move |comm| {
         let edges = graph.edges(comm.rank(), comm.size());
         let root = pick_root(comm, &edges);
         let pool = nodes2.pool_for_rank(comm.rank());
         let mut ctx =
             MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
-        bfs_mimir(&mut ctx, &edges, root, &opts).unwrap();
+        bfs_mimir(&mut ctx, &edges, root, &opts).unwrap().1.kv_bytes
     });
-    nodes.max_node_peak()
+    (nodes.max_node_peak(), kv_bytes.iter().sum())
 }
 
 #[test]
 fn optimization_stack_lowers_peak_in_order() {
-    // Figure 13's staircase. The hint's own step shows where hinted
-    // bytes are stored as declared: BFS's KVCs. WordCount's KMVC stores
-    // a chunk's same-length values bare with or without the hint, so
-    // there the baseline stays within a page per rank of the hinted run,
-    // and partial reduction is the step.
-    let bfs_base = bfs_peak(BfsOptions::default());
-    let bfs_hint = bfs_peak(BfsOptions {
+    // Figure 13's staircase. Both apps' KMVCs store a chunk's
+    // same-length values bare with or without the hint, so WordCount's
+    // and BFS's baselines each stay within a page per rank of the hinted
+    // run. What the hint still does on BFS is shrink the wire: 16 B a KV
+    // against 24 B. Partial reduction is WordCount's step.
+    let (bfs_base, bfs_base_kv) = bfs_peak(BfsOptions::default());
+    let (bfs_hint, bfs_hint_kv) = bfs_peak(BfsOptions {
         hint: true,
         compress: false,
     });
@@ -149,8 +150,12 @@ fn optimization_stack_lowers_peak_in_order() {
         ..WcOptions::default()
     });
     assert!(
-        bfs_hint < bfs_base,
+        bfs_base <= bfs_hint + RANKS * 16 * 1024,
         "BFS hint {bfs_hint} vs base {bfs_base}"
+    );
+    assert!(
+        3 * bfs_hint_kv <= 2 * bfs_base_kv,
+        "BFS hinted KV bytes {bfs_hint_kv} vs base {bfs_base_kv}"
     );
     assert!(
         base <= hint + RANKS * 16 * 1024,
@@ -223,42 +228,49 @@ fn communication_buffers_bound_mimir_recv_memory() {
 }
 
 /// BFS peaks in its partition stage, where the paper puts its peak
-/// (Section IV): each traversal level claims a vertex as its first
-/// proposal arrives and drops every later one, so a frontier holds one
-/// KV per newly reached vertex and no level rises above the partitioned
-/// edge list. Each rank runs the partition stage alone first, resets its
-/// pool peak, then the whole BFS, whose peak must be that stage's.
+/// (Section IV), give or take its frontiers: the graph the partition
+/// stage groups stays resident through the traversal, and each level
+/// adds an input and an output frontier. A level claims a vertex as its
+/// first proposal arrives and drops every later one, so a frontier holds
+/// one KV per newly reached vertex, and the two together never exceed
+/// this rank's claimed vertices. Each rank runs the partition stage alone
+/// first, drops it and resets its pool peak, then runs the whole BFS,
+/// whose peak may pass that stage's by those KVs in pages, twice, plus
+/// one page.
 #[test]
 fn bfs_peaks_in_its_partition_stage() {
     const BFS_RANKS: usize = 2;
+    const PAGE: usize = 16 * 1024;
+    /// An unhinted `(vertex, parent)` KV: two length words, two ids.
+    const KV: usize = 4 + 8 + 4 + 8;
     let graph = Graph500::new(13, 17);
-    let nodes = NodeMap::new(BFS_RANKS, 1, 16 * 1024, 256 << 20).unwrap();
+    let nodes = NodeMap::new(BFS_RANKS, 1, PAGE, 256 << 20).unwrap();
     let peaks = run_world(BFS_RANKS, move |comm| {
         let edges = graph.edges(comm.rank(), comm.size());
         let root = pick_root(comm, &edges);
         let pool = nodes.pool_for_rank(comm.rank());
         let mut ctx =
             MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
-        let partition = ctx
+        let (graph, stats) = ctx
             .job()
-            .map_shuffle(&mut |em| {
+            .map_group(&mut |em| {
                 for &(u, v) in &edges {
                     em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
                     em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
                 }
                 Ok(())
             })
-            .unwrap()
-            .stats
-            .node_peak_bytes;
+            .unwrap();
+        drop(graph);
         ctx.pool().reset_peak();
-        let (_, metrics) = bfs_mimir(&mut ctx, &edges, root, &BfsOptions::default()).unwrap();
-        (partition, metrics.node_peak)
+        let (res, metrics) = bfs_mimir(&mut ctx, &edges, root, &BfsOptions::default()).unwrap();
+        (stats.node_peak_bytes, metrics.node_peak, res.parents.len())
     });
-    for (rank, &(partition, bfs)) in peaks.iter().enumerate() {
-        assert_eq!(
-            bfs, partition,
-            "rank {rank}: BFS peak {bfs} vs its partition stage's {partition}"
+    for (rank, &(partition, bfs, claimed)) in peaks.iter().enumerate() {
+        let slack = (2 * (claimed * KV).div_ceil(PAGE) + 1) * PAGE;
+        assert!(
+            bfs <= partition + slack,
+            "rank {rank}: BFS peak {bfs} vs its partition stage's {partition} + {slack}"
         );
     }
 }
