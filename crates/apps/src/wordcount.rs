@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use mimir_core::{typed, Emitter, KvMeta, MimirContext};
-use mimir_io::{words, LineReader, SpillStore};
+use mimir_io::{words, SpillStore};
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
 use mrmpi::{MapReduce, MrMpiConfig};
@@ -69,10 +69,8 @@ pub fn wordcount_mimir(
     let meta = opts.meta();
     let one = typed::enc_u64(1);
     let mut map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
-        for line in LineReader::new(text) {
-            for w in words(line) {
-                em.emit(w, &one)?;
-            }
+        for w in words(text) {
+            em.emit(w, &one)?;
         }
         Ok(())
     };
@@ -129,11 +127,10 @@ pub fn wordcount_mrmpi(
 ) -> mrmpi::Result<WcOutput> {
     let t0 = Instant::now();
     let mut mr = MapReduce::new(comm, pool.clone(), store, cfg);
+    let one = typed::enc_u64(1);
     mr.map(|em| {
-        for line in LineReader::new(text) {
-            for w in words(line) {
-                em.emit(w, &typed::enc_u64(1))?;
-            }
+        for w in words(text) {
+            em.emit(w, &one)?;
         }
         Ok(())
     })?;
@@ -168,14 +165,17 @@ pub fn wordcount_mrmpi(
     Ok((counts, metrics))
 }
 
-/// Serial reference: exact word counts of a whole corpus.
+/// Serial reference: exact word counts of a whole corpus. It splits
+/// with the standard library rather than [`words`], so checks against it
+/// test the block scanner too.
 pub fn wordcount_serial(shares: &[&[u8]]) -> std::collections::HashMap<Vec<u8>, u64> {
     let mut counts = std::collections::HashMap::new();
     for share in shares {
-        for line in LineReader::new(share) {
-            for w in words(line) {
-                *counts.entry(w.to_vec()).or_insert(0) += 1;
-            }
+        for w in share
+            .split(u8::is_ascii_whitespace)
+            .filter(|w| !w.is_empty())
+        {
+            *counts.entry(w.to_vec()).or_insert(0) += 1;
         }
     }
     counts

@@ -36,7 +36,7 @@ use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
 use crate::buffer::TrackedBuf;
-use crate::hash::{fast_range, fxhash64};
+use crate::hash::{fast_range, fxhash64, load_short};
 use crate::Result;
 
 /// Maximum bytes a [`DeltaCharge`] may consume beyond its reservation.
@@ -143,9 +143,10 @@ fn inline_key(key: &[u8]) -> Option<[u8; 16]> {
     if key.len() > INLINE_KEY_MAX {
         return None;
     }
+    let (lo, hi) = load_short(key);
     let mut k = [0u8; 16];
-    k[..key.len()].copy_from_slice(key);
-    k[INLINE_KEY_MAX] = key.len() as u8;
+    k[..8].copy_from_slice(&lo.to_le_bytes());
+    k[8..].copy_from_slice(&(hi | (key.len() as u64) << 56).to_le_bytes());
     Some(k)
 }
 
@@ -415,21 +416,29 @@ impl GroupIndex {
         self.charge.held() + pages + jumbos
     }
 
-    /// A snapshot of the table's counters.
+    /// A snapshot of the table's counters. The first histogram bucket,
+    /// never written on the insert path, is every insert the other
+    /// buckets do not hold.
     pub fn stats(&self) -> GroupCounters {
-        GroupCounters {
+        let mut stats = GroupCounters {
             groups: self.stats.groups + self.entries.len() as u64,
             capacity: self.slots.len() as u64,
             ..self.stats
-        }
+        };
+        stats.probe_hist[0] = stats.inserts - stats.probe_hist[1..].iter().sum::<u64>();
+        stats
     }
 
+    /// Counts one insert that took `probe` steps past its home slot. A
+    /// home-slot insert, the common case, only bumps `inserts`.
     #[inline]
     fn note_probe(&mut self, probe: u64) {
         self.stats.inserts += 1;
-        self.stats.probes += probe;
-        self.stats.max_probe = self.stats.max_probe.max(probe);
-        self.stats.probe_hist[GroupCounters::probe_bucket(probe)] += 1;
+        if probe > 0 {
+            self.stats.probes += probe;
+            self.stats.max_probe = self.stats.max_probe.max(probe);
+            self.stats.probe_hist[GroupCounters::probe_bucket(probe)] += 1;
+        }
     }
 
     /// Doubles the slot table (first growth: 16 slots) and re-places
@@ -708,6 +717,90 @@ mod tests {
         );
         assert!(s.max_probe >= 1, "some collision occurs at this scale");
         assert_eq!(s.probe_hist.iter().sum::<u64>(), 2000);
+    }
+
+    /// The counters kept the plain way: every insert recorded in every
+    /// field, `probe_hist[0]` included.
+    #[derive(Default)]
+    struct CounterModel {
+        inserts: u64,
+        probes: u64,
+        max_probe: u64,
+        probe_hist: [u64; 8],
+    }
+
+    impl CounterModel {
+        /// Inserts `key` and records the probe length it took: the
+        /// distance from its home slot to the slot holding its group,
+        /// which is where the probe stopped (slots only move on growth,
+        /// and growth runs before the probe).
+        fn insert(&mut self, ix: &mut GroupIndex, key: &[u8]) {
+            let (id, _) = ix.insert(key).unwrap();
+            let cap = ix.slots.len();
+            let at = ix
+                .slots
+                .iter()
+                .position(|&s| s != EMPTY && s & 0xFFFF_FFFF == u64::from(id))
+                .unwrap();
+            let probe = ((at + cap - start_slot(fxhash64(key), cap)) & (cap - 1)) as u64;
+            self.inserts += 1;
+            self.probes += probe;
+            self.max_probe = self.max_probe.max(probe);
+            self.probe_hist[GroupCounters::probe_bucket(probe)] += 1;
+        }
+
+        fn check(&self, got: &GroupCounters) {
+            assert_eq!(
+                (got.inserts, got.probes, got.max_probe, got.probe_hist),
+                (self.inserts, self.probes, self.max_probe, self.probe_hist)
+            );
+        }
+    }
+
+    #[test]
+    fn counters_equal_a_per_insert_model() {
+        let pool = MemPool::unlimited("t", 64);
+        let keys = mixed_keys(1500, 64);
+        let mut x = 0x9E37_79B9u64;
+        let mut pick = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let (mut a, mut b) = (
+            GroupIndex::new(&pool).unwrap(),
+            GroupIndex::new(&pool).unwrap(),
+        );
+        let (mut ma, mut mb) = (CounterModel::default(), CounterModel::default());
+        for cycle in 0..4 {
+            // A mixed stream: fresh keys and hits, inline, arena and
+            // jumbo keys, at loads up to the growth threshold.
+            for _ in 0..3000 {
+                let key = &keys[pick(keys.len())];
+                ma.insert(&mut a, key);
+                ma.check(&a.stats());
+                let key = &keys[pick(200)];
+                mb.insert(&mut b, key);
+            }
+            mb.check(&b.stats());
+            match cycle {
+                0 => a.clear().unwrap(),
+                1 => a.reset().unwrap(),
+                _ => {}
+            }
+            ma.check(&a.stats());
+        }
+        assert!(ma.max_probe > 1 && ma.probe_hist[1..].iter().sum::<u64>() > 0);
+        let mut merged = a.stats();
+        merged.merge(&b.stats());
+        ma.inserts += mb.inserts;
+        ma.probes += mb.probes;
+        ma.max_probe = ma.max_probe.max(mb.max_probe);
+        for (m, b) in ma.probe_hist.iter_mut().zip(mb.probe_hist) {
+            *m += b;
+        }
+        ma.check(&merged);
     }
 
     #[test]

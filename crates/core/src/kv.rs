@@ -8,6 +8,7 @@
 //! carries this encoding, so a hint shrinks storage *and* communication,
 //! as the paper observes.
 
+use crate::hash::{load_short, SHORT_KEY};
 use crate::{KvMeta, LenHint, MimirError, Result};
 
 /// Checks `bytes` against a hint.
@@ -24,11 +25,34 @@ pub(crate) fn validate(hint: LenHint, bytes: &[u8], what: &str) -> Result<()> {
             "{what} of {} B under Fixed({n}) hint",
             bytes.len()
         ))),
-        LenHint::CStr if !bytes.contains(&0) => Ok(()),
+        LenHint::CStr if !has_nul(bytes) => Ok(()),
         LenHint::CStr => Err(MimirError::HintViolation(format!(
             "{what} contains an interior NUL under the CStr hint"
         ))),
     }
+}
+
+/// Whether `bytes` holds a NUL, by a zero-byte test on whole 8-byte
+/// words: a key of up to 16 bytes is tested on its two [`load_short`]
+/// words, padded with `0x01` bytes; a longer one word by word, plus its
+/// (overlapping) last eight bytes.
+#[inline]
+fn has_nul(bytes: &[u8]) -> bool {
+    const ONES: u64 = u64::MAX / 0xFF;
+    // Nonzero exactly when `w` has a zero byte.
+    let zero_bytes = |w: u64| w.wrapping_sub(ONES) & !w & (ONES << 7);
+    let n = bytes.len();
+    if n <= SHORT_KEY {
+        // Pad with 0x01 bytes, which are not NUL.
+        let (lo, hi) = load_short(bytes);
+        let pad = |from: usize| ONES.checked_shl(8 * from as u32).unwrap_or(0);
+        return zero_bytes(lo | pad(n)) | zero_bytes(hi | pad(n.saturating_sub(8))) != 0;
+    }
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+    bytes
+        .chunks_exact(8)
+        .chain([&bytes[n - 8..]])
+        .any(|w| zero_bytes(word(w)) != 0)
 }
 
 #[inline]
@@ -255,6 +279,23 @@ mod tests {
         assert!(validate(LenHint::CStr, b"a\0b", "key").is_err());
         assert!(validate(LenHint::CStr, b"ab", "key").is_ok());
         assert!(validate(LenHint::CStr, b"", "key").is_ok());
+    }
+
+    #[test]
+    fn has_nul_finds_a_nul_at_every_position() {
+        for len in 0..=40usize {
+            // 0x01 and 0x80 are the bytes a borrow-based zero test could
+            // mistake for NUL.
+            for fill in [b'a', 0x01, 0x80, 0xFF] {
+                let clean = vec![fill; len];
+                assert!(!has_nul(&clean), "len {len} fill {fill:#x}");
+                for at in 0..len {
+                    let mut key = clean.clone();
+                    key[at] = 0;
+                    assert!(has_nul(&key), "len {len} NUL at {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -199,3 +199,55 @@ fn grouping_a_received_run_is_allocation_free() {
     assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_500));
     assert_eq!(stats.inserts, 22_500);
 }
+
+/// The WordCount job's map with KV compression: `words(text)` feeding
+/// [`CombinerTable::emit_into`]. Once every word of the text has a group
+/// and the table has reached its size, another pass over the text —
+/// scanning, hashing, probing and merging each word — allocates nothing,
+/// and nothing reaches the downstream emitter because the table never
+/// outgrows its budget.
+#[test]
+fn wordcount_map_into_the_compression_table_is_allocation_free() {
+    use mimir_core::{CombinerTable, Emitter, KvMeta};
+    struct Refuse;
+    impl Emitter for Refuse {
+        fn emit(&mut self, _k: &[u8], _v: &[u8]) -> mimir_core::Result<()> {
+            panic!("the table must not flush");
+        }
+    }
+    // Words of 1–40 bytes (inline and arena keys), across 64-byte block
+    // edges, with every separator.
+    let mut text = Vec::new();
+    for i in 0..3000usize {
+        let len = 1 + i * 7 % 40;
+        text.extend((0..len).map(|j| b'a' + ((i % 200 + j) % 26) as u8));
+        text.push(b" \t\n\x0C\r"[i % 5]);
+    }
+    let pool = MemPool::new("t", 64 * 1024, 1 << 30).unwrap();
+    let combine: mimir_core::CombineFn = Box::new(|_k, a, b, out| {
+        let s =
+            u64::from_le_bytes(a.try_into().unwrap()) + u64::from_le_bytes(b.try_into().unwrap());
+        out.extend_from_slice(&s.to_le_bytes());
+    });
+    let mut table = CombinerTable::new(&pool, KvMeta::cstr_key_u64_val(), combine).unwrap();
+    let one = 1u64.to_le_bytes();
+    let map = |table: &mut CombinerTable| -> u64 {
+        let mut n = 0;
+        for w in mimir_io::words(&text) {
+            table.emit_into(w, &one, &mut Refuse).unwrap();
+            n += 1;
+        }
+        n
+    };
+    let n = map(&mut table);
+    let keys = table.unique_keys();
+
+    let before = allocs();
+    assert_eq!(map(&mut table), n);
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "a warm map pass of {n} words allocated {during} times"
+    );
+    assert_eq!((table.unique_keys(), table.kvs_in()), (keys, 2 * n));
+}

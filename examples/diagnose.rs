@@ -49,10 +49,8 @@ fn run_wordcount(corpus: impl Fn(usize) -> Vec<u8> + Send + Sync, traced: bool) 
             .job()
             .kv_meta(meta)
             .map_shuffle(&mut |em| {
-                for line in mimir::io::LineReader::new(&text) {
-                    for word in mimir::io::words(line) {
-                        em.emit(word, &1u64.to_le_bytes())?;
-                    }
+                for word in mimir::io::words(&text) {
+                    em.emit(word, &1u64.to_le_bytes())?;
                 }
                 Ok(())
             })

@@ -29,10 +29,8 @@ fn main() {
             .out_meta(meta)
             .map_partial_reduce(
                 &mut |em| {
-                    for line in mimir::io::LineReader::new(&text) {
-                        for word in mimir::io::words(line) {
-                            em.emit(word, &1u64.to_le_bytes())?;
-                        }
+                    for word in mimir::io::words(&text) {
+                        em.emit(word, &1u64.to_le_bytes())?;
                     }
                     Ok(())
                 },

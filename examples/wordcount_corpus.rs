@@ -1,7 +1,8 @@
 //! File-based WordCount with selectable optimizations — the paper's WC
 //! benchmark end to end: a corpus is materialized on the (simulated)
 //! parallel file system, each rank reads its record-aligned split, and
-//! the configured framework counts words.
+//! the configured framework counts words. The merged counts are checked
+//! against a serial count of the file; a wrong answer exits nonzero.
 //!
 //! Usage:
 //! ```text
@@ -13,7 +14,7 @@
 use std::path::PathBuf;
 
 use mimir::apps::validate::merge_counts;
-use mimir::apps::wordcount::{wordcount_mimir, wordcount_mrmpi, WcOptions};
+use mimir::apps::wordcount::{wordcount_mimir, wordcount_mrmpi, wordcount_serial, WcOptions};
 use mimir::prelude::*;
 
 struct Args {
@@ -144,5 +145,16 @@ fn main() {
         }
     );
 
+    // The answer, checked against a serial count of the whole file.
+    let expected = wordcount_serial(&[&std::fs::read(&path).expect("read corpus")]);
     std::fs::remove_dir_all(&dir).ok();
+    if counts != expected {
+        eprintln!(
+            "wrong answer: {} distinct words counted, the serial reference has {}",
+            counts.len(),
+            expected.len()
+        );
+        std::process::exit(1);
+    }
+    println!("counts equal the serial reference");
 }

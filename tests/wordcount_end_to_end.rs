@@ -67,6 +67,52 @@ fn tiny_comm_buffers_force_many_rounds_same_answer() {
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
+/// The block word scanner against the serial reference's `split` on
+/// both corpora (fixed-length uniform words and variable-length Zipf
+/// words), on both transports, with every combination of partial
+/// reduction and compression under the KV hint, and with no option.
+#[test]
+fn both_corpora_both_transports_every_option_match_serial() {
+    let corpora: [(&str, Vec<Vec<u8>>); 2] = [
+        (
+            "uniform",
+            (0..3)
+                .map(|r| UniformWords::new(5).generate(r, 3, 60_000))
+                .collect(),
+        ),
+        (
+            "wikipedia",
+            (0..3)
+                .map(|r| WikipediaWords::new(5).generate(r, 3, 60_000))
+                .collect(),
+        ),
+    ];
+    let mut options = vec![WcOptions::default()];
+    for (partial_reduce, compress) in [(false, false), (true, false), (false, true), (true, true)] {
+        options.push(WcOptions {
+            hint: true,
+            partial_reduce,
+            compress,
+        });
+    }
+    for (name, shares) in &corpora {
+        let expected = wordcount_serial(&shares.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        for kind in [TransportKind::Inproc, TransportKind::Uds] {
+            for opts in &options {
+                let per_rank = run_world_on(kind, 3, |comm| {
+                    let pool = MemPool::unlimited("node", 64 * 1024);
+                    let text = shares[comm.rank()].clone();
+                    let mut ctx =
+                        MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default())
+                            .unwrap();
+                    wordcount_mimir(&mut ctx, &text, opts).unwrap().0
+                });
+                assert_eq!(merge_counts(per_rank), expected, "{name} {kind:?} {opts:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn input_reads_are_charged_to_the_io_model() {
     let path = corpus_file(50_000);
@@ -132,10 +178,8 @@ fn output_written_to_part_files() {
                 .out_meta(meta)
                 .map_partial_reduce(
                     &mut |em| {
-                        for line in mimir::io::LineReader::new(&text) {
-                            for w in mimir::io::words(line) {
-                                em.emit(w, &1u64.to_le_bytes())?;
-                            }
+                        for w in mimir::io::words(&text) {
+                            em.emit(w, &1u64.to_le_bytes())?;
                         }
                         Ok(())
                     },
