@@ -38,8 +38,8 @@ use mimir_core::{typed, KvMeta, MimirConfig, MimirContext, Partitioner};
 use mimir_doctor::Severity;
 use mimir_io::{IoModel, IoModelConfig, SpillStore};
 use mimir_mem::MemPool;
-use mimir_mpi::run_world;
-use mimir_obs::{Json, RankReport};
+use mimir_mpi::{run_world, CommStats};
+use mimir_obs::{Counter, Json, RankReport};
 
 const RANKS: usize = 4;
 const BUDGET: usize = 64 << 20;
@@ -181,7 +181,12 @@ fn run_shape(shape: Shape) -> Attempt {
         let mut report = build_report(ctx.comm(), &pool, &metrics);
         // Rebase onto the pre-phase snapshot: the doctor must judge the
         // cached run alone, not world startup.
-        let since = ctx.comm().stats().delta_since(&base);
+        let mut now = Vec::new();
+        ctx.comm().stats().words(&mut now);
+        let mut then = Vec::new();
+        base.words(&mut then);
+        let mut diff = now.iter().zip(&then).map(|(n, t)| n.saturating_sub(*t));
+        let since = CommStats::from_words(&mut diff).expect("same counter layout");
         report.comm = since.counters();
         (report.waits.total_wait_ns, report.waits.total_work_ns) = (since.wait_ns, since.work_ns);
         if let Some(rec) = mimir_obs::take() {

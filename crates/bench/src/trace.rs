@@ -112,11 +112,5 @@ pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
         report.events = rec.events().to_vec();
         report.events_dropped = rec.dropped();
     }
-    // When the live telemetry plane is armed on this rank thread, fold
-    // its publisher bookkeeping into the final report so the end-of-run
-    // export records what live observation itself cost.
-    if let Some(live) = mimir_obs::live::shared() {
-        report.live = live.live_counters();
-    }
     report
 }

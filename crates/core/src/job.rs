@@ -623,10 +623,7 @@ impl PhaseClock {
     /// when no [`CancelToken`] is installed; otherwise an `allreduce Max`
     /// vote of the local flag on the job's communicator, so all ranks
     /// abandon the job at the same boundary (see the `cancel` module
-    /// docs). Then the timer, a fresh pool phase peak, and the pool's
-    /// occupancy pushed into this rank's live telemetry (a no-op unless
-    /// the plane is armed on this thread), so the online memory-headroom
-    /// rule sees gauges that move at phase boundaries.
+    /// docs). Then the timer and a fresh pool phase peak.
     fn start(
         comm: &mut Comm,
         cancel: &Option<CancelToken>,
@@ -642,9 +639,6 @@ impl PhaseClock {
         }
         let t0 = Instant::now();
         pool.reset_phase_peak();
-        if mimir_obs::live::shared().is_some() {
-            mimir_obs::live::note_mem(pool.stats().counters());
-        }
         let span = Some(mimir_obs::phase_span(phase));
         Ok(Self { t0, span })
     }

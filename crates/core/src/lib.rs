@@ -62,7 +62,6 @@ mod partitioner;
 mod recovery;
 mod shuffle;
 mod sink;
-mod staging;
 mod stats;
 pub mod typed;
 
@@ -84,7 +83,6 @@ pub use partitioner::{PartitionFingerprint, Partitioner};
 pub use recovery::{run_iterative_with_recovery, CheckpointStore, RestartPoint};
 pub use shuffle::{Emitter, ShuffleStats, Shuffler};
 pub use sink::KvSink;
-pub use staging::StagedKvs;
 pub use stats::JobStats;
 
 pub use hash::{fast_range, fxhash64, partition_of, partition_of_hashed};

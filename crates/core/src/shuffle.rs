@@ -82,36 +82,36 @@ mimir_obs::counters! {
     /// do the per-round receive high-water mark and the skew metrics.
     pub struct ShuffleStats {
         /// KVs emitted by this rank's map.
-        kvs_emitted: u64 [sum, sub],
+        kvs_emitted: u64 [sum],
         /// Encoded bytes emitted (the "KV size" of paper Figure 7).
-        kv_bytes_emitted: u64 [sum, sub],
+        kv_bytes_emitted: u64 [sum],
         /// KVs received into this rank's sink.
-        kvs_received: u64 [sum, sub],
+        kvs_received: u64 [sum],
         /// Exchange rounds this rank participated in.
-        rounds: u64 [max, sub],
+        rounds: u64 [max],
         /// Encoded bytes landed in this rank's receive buffer (includes
         /// the rank's own partition).
-        bytes_received: u64 [sum, sub],
+        bytes_received: u64 [sum],
         /// Largest single-round receive total. The Section III-B
         /// invariant is `max_round_recv_bytes ≤ comm_buf_size`; the data
         /// path asserts it every round.
-        max_round_recv_bytes: u64 [max, keep],
+        max_round_recv_bytes: u64 [max],
         /// Nanoseconds this rank spent blocked in the rounds'
         /// done-allreduce — straggler-bound wait: some peer was still
         /// mapping or draining when this rank entered the vote.
-        sync_wait_ns: u64 [sum, sub],
+        sync_wait_ns: u64 [sum],
         /// Nanoseconds blocked receiving the rounds' partition payloads —
         /// byte-bound wait: peers were still pushing data.
-        data_wait_ns: u64 [sum, sub],
+        data_wait_ns: u64 [sum],
         /// Cumulative bytes this rank sent to its hottest destination.
-        max_dest_bytes: u64 [max, keep],
+        max_dest_bytes: u64 [max],
         /// Send-side partition imbalance over the whole shuffle: max/mean
         /// of cumulative per-destination bytes in permille (1000 =
         /// perfectly balanced, 0 = nothing emitted).
-        imbalance_permille: u64 [max, keep],
+        imbalance_permille: u64 [max],
         /// Gini coefficient of cumulative per-destination bytes in
         /// permille (0 = uniform, →1000 = everything to one destination).
-        gini_permille: u64 [max, keep],
+        gini_permille: u64 [max],
     }
 }
 
@@ -252,7 +252,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             self.stats.imbalance_permille = imbalance;
             self.stats.gini_permille = gini;
         }
-        self.push_live();
         Ok((self.sink, self.stats))
     }
 
@@ -262,24 +261,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         self.skew_scratch.clear();
         self.skew_scratch.extend_from_slice(&self.dest_bytes);
         skew_permille(&mut self.skew_scratch)
-    }
-
-    /// Pushes the running shuffle counters — with skew computed over the
-    /// cumulative per-destination histogram *so far* — into this rank's
-    /// live telemetry accumulator, so the online partition-skew rule sees
-    /// traffic while rounds are still in flight. No-op unless the live
-    /// plane is armed on this thread.
-    fn push_live(&mut self) {
-        if mimir_obs::live::shared().is_none() {
-            return;
-        }
-        let mut counters = self.stats.counters();
-        counters.max_dest_bytes = self.dest_bytes.iter().copied().max().unwrap_or(0);
-        if let Some((imbalance, gini)) = self.dest_skew() {
-            counters.imbalance_permille = imbalance;
-            counters.gini_permille = gini;
-        }
-        mimir_obs::live::note_shuffle(counters);
     }
 
     /// This rank's index.
@@ -360,7 +341,6 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         self.stats.bytes_received += recv_bytes;
         self.stats.max_round_recv_bytes = self.stats.max_round_recv_bytes.max(recv_bytes);
         self.stats.rounds += 1;
-        self.push_live();
         round.set_b(u64::from(all_done));
         Ok(all_done)
     }

@@ -36,25 +36,39 @@ fn canonical(out: mimir_core::KvContainer) -> Vec<(Vec<u8>, Vec<u8>)> {
     kvs
 }
 
+/// Fixed-width u64 keys and values: the layout most tests cache.
+fn fixed() -> KvMeta {
+    KvMeta::fixed(8, 8)
+}
+
+/// Key `k` in `meta`'s key encoding: its u64 bytes under a fixed-width
+/// hint, a string otherwise (NUL-free, for a CStr hint).
+fn key(meta: KvMeta, k: u64) -> Vec<u8> {
+    if meta == fixed() {
+        typed::enc_u64(k).to_vec()
+    } else {
+        format!("key{k}").into_bytes()
+    }
+}
+
 /// Seeds the cache (or returns the raw output when `name` is `None`)
-/// with a deterministic multi-key dataset partitioned by `part`.
+/// with a deterministic multi-key dataset in `meta`'s layout,
+/// partitioned by `part`.
 fn seed(
     ctx: &mut MimirContext<'_>,
+    meta: KvMeta,
     part: &Partitioner,
     name: Option<&str>,
 ) -> mimir_core::KvContainer {
     let rank = ctx.rank() as u64;
-    let mut job = ctx
-        .job()
-        .kv_meta(KvMeta::fixed(8, 8))
-        .partitioner(part.clone());
+    let mut job = ctx.job().kv_meta(meta).partitioner(part.clone());
     if let Some(n) = name {
         job = job.output_cached(n);
     }
     job.map_shuffle(&mut |em| {
         for i in 0..KVS_PER_RANK {
             let k = (rank * KVS_PER_RANK + i) % KEYS;
-            em.emit(&typed::enc_u64(k), &typed::enc_u64(i))?;
+            em.emit(&key(meta, k), &typed::enc_u64(i))?;
         }
         Ok(())
     })
@@ -66,13 +80,14 @@ fn seed(
 /// sum-reduce — the shape every iterative update job takes.
 fn chain_step(
     ctx: &mut MimirContext<'_>,
+    meta: KvMeta,
     part: &Partitioner,
     in_name: &str,
     elide: bool,
 ) -> mimir_core::KvContainer {
     ctx.job()
-        .kv_meta(KvMeta::fixed(8, 8))
-        .out_meta(KvMeta::fixed(8, 8))
+        .kv_meta(meta)
+        .out_meta(meta)
         .partitioner(part.clone())
         .input_cached(in_name)
         .shuffle_elision(elide)
@@ -95,8 +110,8 @@ fn cold_step(
     input: &[(Vec<u8>, Vec<u8>)],
 ) -> mimir_core::KvContainer {
     ctx.job()
-        .kv_meta(KvMeta::fixed(8, 8))
-        .out_meta(KvMeta::fixed(8, 8))
+        .kv_meta(fixed())
+        .out_meta(fixed())
         .partitioner(part.clone())
         .map_reduce(
             &mut |em| {
@@ -123,12 +138,12 @@ fn elided_chain_matches_cold_path() {
         let part = Partitioner::hash();
         // Cold reference: materialize the seed, then run the transform
         // through a real shuffle.
-        let cold_in = canonical(seed(ctx, &part, None));
+        let cold_in = canonical(seed(ctx, fixed(), &part, None));
         let cold = canonical(cold_step(ctx, &part, &cold_in));
         // Chained: same seed cached, transform consumes it in place with
         // the shuffle elided.
-        seed(ctx, &part, Some("props"));
-        let chained = canonical(chain_step(ctx, &part, "props", true));
+        seed(ctx, fixed(), &part, Some("props"));
+        let chained = canonical(chain_step(ctx, fixed(), &part, "props", true));
         let stats = ctx.cache_stats();
         ctx.cache_clear();
         (cold, chained, stats)
@@ -150,11 +165,11 @@ fn partitioner_change_forces_a_real_shuffle() {
     let results = ctx_world(|ctx| {
         let hash = Partitioner::hash();
         let block = Partitioner::u64_block(KEYS);
-        let cold_in = canonical(seed(ctx, &hash, None));
+        let cold_in = canonical(seed(ctx, fixed(), &hash, None));
         let cold = canonical(cold_step(ctx, &block, &cold_in));
-        seed(ctx, &hash, Some("reparted"));
+        seed(ctx, fixed(), &hash, Some("reparted"));
         // Elision is requested, but the fingerprint mismatch must win.
-        let chained = canonical(chain_step(ctx, &block, "reparted", true));
+        let chained = canonical(chain_step(ctx, fixed(), &block, "reparted", true));
         let stats = ctx.cache_stats();
         ctx.cache_clear();
         (cold, chained, stats)
@@ -168,27 +183,37 @@ fn partitioner_change_forces_a_real_shuffle() {
 
 /// Eviction under pressure is transparent: force the cached entry out to
 /// spill, then chain over it — the checkout reloads it and the output is
-/// identical to the never-evicted chain.
+/// identical to the never-evicted chain. Fixed-width and CStr-keyed
+/// layouts both come back with their hints intact.
 #[test]
 fn evicted_entry_reloads_transparently() {
-    let results = ctx_world(|ctx| {
-        let part = Partitioner::hash();
-        seed(ctx, &part, Some("hot"));
-        let hot = canonical(chain_step(ctx, &part, "hot", true));
-        ctx.cache_clear();
+    for meta in [fixed(), KvMeta::cstr_key_u64_val()] {
+        let results = ctx_world(|ctx| {
+            let part = Partitioner::hash();
+            seed(ctx, meta, &part, Some("hot"));
+            let hot = canonical(chain_step(ctx, meta, &part, "hot", true));
+            ctx.cache_clear();
 
-        seed(ctx, &part, Some("pressured"));
-        let freed = ctx.cache_evict("pressured").unwrap();
-        assert!(freed.unwrap_or(0) > 0, "eviction freed nothing");
-        let reloaded = canonical(chain_step(ctx, &part, "pressured", true));
-        let stats = ctx.cache_stats();
-        ctx.cache_clear();
-        (hot, reloaded, stats)
-    });
-    for (rank, (hot, reloaded, stats)) in results.into_iter().enumerate() {
-        assert_eq!(reloaded, hot, "rank {rank} diverged after evict+reload");
-        assert_eq!(stats.evictions, 1, "rank {rank}");
-        assert_eq!(stats.reloads, 1, "rank {rank}");
-        assert_eq!(stats.elisions, 2, "both chains elided on rank {rank}");
+            seed(ctx, meta, &part, Some("pressured"));
+            let freed = ctx.cache_evict("pressured").unwrap();
+            assert!(freed.unwrap_or(0) > 0, "eviction freed nothing");
+            let reloaded = canonical(chain_step(ctx, meta, &part, "pressured", true));
+            let stats = ctx.cache_stats();
+            ctx.cache_clear();
+            (hot, reloaded, stats)
+        });
+        for (rank, (hot, reloaded, stats)) in results.into_iter().enumerate() {
+            assert!(!hot.is_empty(), "{meta:?}: rank {rank} held no keys");
+            assert_eq!(
+                reloaded, hot,
+                "{meta:?}: rank {rank} diverged after evict+reload"
+            );
+            assert_eq!(stats.evictions, 1, "{meta:?}: rank {rank}");
+            assert_eq!(stats.reloads, 1, "{meta:?}: rank {rank}");
+            assert_eq!(
+                stats.elisions, 2,
+                "{meta:?}: both chains elided on rank {rank}"
+            );
+        }
     }
 }

@@ -89,45 +89,6 @@ fn steady_state_round_is_allocation_free() {
     });
 }
 
-/// The strict proof with the live telemetry plane armed: every round
-/// pushes the running counters — skew over the cumulative histogram
-/// included — into the rank's [`mimir_obs::live::LiveShared`], and the
-/// measured burst must still allocate nothing.
-#[test]
-fn steady_state_round_is_allocation_free_with_live_plane() {
-    use mimir_obs::live::{install_shared, LiveShared};
-    run_world(1, |comm| {
-        install_shared(std::sync::Arc::new(LiveShared::new(0, 1)));
-        let pool = MemPool::unlimited("t", 256 * 1024);
-        let meta = KvMeta::fixed(8, 8);
-        let sink = KvContainer::new(&pool, meta);
-        let mut sh = Shuffler::new(comm, &pool, meta, 1024, sink).unwrap();
-
-        for i in 0..512u64 {
-            sh.emit(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-        }
-
-        let before = allocs();
-        for i in 0..65u64 {
-            sh.emit(&i.to_le_bytes(), &i.to_le_bytes()).unwrap();
-        }
-        let during = allocs() - before;
-        assert_eq!(
-            during, 0,
-            "live-plane steady-state round allocated {during} times"
-        );
-
-        let (_, stats) = sh.finish().unwrap();
-        assert!(stats.rounds >= 9, "burst crossed an exchange round");
-        let live = mimir_obs::live::take_shared().expect("still installed");
-        assert_eq!(
-            live.snapshot().shuffle.rounds,
-            stats.rounds,
-            "every round reached the plane"
-        );
-    });
-}
-
 /// The same strict proof with full-flow tracing live: a recorder with
 /// flow stamping enabled is installed, so every send allocates a flow id
 /// and every message records `FlowSend`/`FlowRecv` into the ring — and

@@ -23,12 +23,9 @@
 //! | `cache-efficiency` | cross-job cache counters, evict/reload event stream | low hit rate while cached bytes crowd the pool, eviction thrash; reports elisions and per-name residency (info) |
 //! | `transport` | per-backend wire counters (frames, bytes, handshake) | handshake stalls, tiny-message chatter; silent on the in-process backend |
 //!
-//! Two companion modes live in [`live`]: **live-attach** (`mimir-doctor
-//! --watch <dir>` tails a run's telemetry directory and re-runs the
-//! live-capable rules over a rolling window while the job is still in
-//! flight) and **post-mortem triage** ([`diagnose_postmortem`] ingests
-//! the flight-recorder dumps a crashed run leaves behind and names the
-//! rank that died without dumping).
+//! A companion mode lives in [`postmortem`]: [`diagnose_postmortem`]
+//! ingests the flight-recorder dumps a crashed run leaves behind and
+//! names the rank that died without dumping.
 //!
 //! The `mimir-doctor` binary wraps this over `.jsonl` / `.trace.json`
 //! files; see `src/main.rs` or `README.md`.
@@ -37,12 +34,12 @@
 
 pub mod critical_path;
 pub mod ingest;
-pub mod live;
+pub mod postmortem;
 pub mod rules;
 
 pub use critical_path::{critical_path, CriticalPath, Segment, SegmentKind};
 pub use ingest::{ingest_chrome, ingest_jsonl, ingest_path_text};
-pub use live::{diagnose_postmortem, LiveTailer, LiveWatcher, LiveWindow};
+pub use postmortem::diagnose_postmortem;
 
 use mimir_obs::{Json, RankReport};
 

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mimir-doctor [--json] [--critical-path] [--fail-on info|warn|critical] <file|dir>...
-//! mimir-doctor --watch <dir> [--once] [--interval <ms>]
 //! ```
 //!
 //! Inputs are the files the trace stack writes: `<label>.jsonl` (full
@@ -14,13 +13,6 @@
 //! are triaged post-mortem, including naming any rank that died without
 //! dumping.
 //!
-//! `--watch <dir>` live-attaches to a running job's telemetry directory
-//! (`MIMIR_LIVE_DIR`): the live-capable rules re-run over a rolling
-//! window as the ranks publish, findings stream to
-//! `<dir>/findings.jsonl`, and a per-rank status view refreshes every
-//! `--interval` ms (default 500) until every rank disarms. `--once`
-//! renders a single snapshot and exits.
-//!
 //! `--critical-path` additionally prints the measured critical path's
 //! per-segment breakdown for each input that carries flow events (with
 //! `--json`, a `critical_paths` object keyed by file joins the
@@ -31,62 +23,29 @@
 //! on usage or read errors.
 
 use mimir_doctor::{
-    critical_path, diagnose, diagnose_postmortem, ingest_path_text, Diagnosis, LiveWatcher,
-    Severity,
+    critical_path, diagnose, diagnose_postmortem, ingest_path_text, Diagnosis, Severity,
 };
 use mimir_obs::Json;
 
 fn usage() -> ! {
     eprintln!(
         "usage: mimir-doctor [--json] [--critical-path] [--fail-on info|warn|critical] <file|dir>...\n\
-         \x20      mimir-doctor --watch <dir> [--once] [--interval <ms>]\n\
          \n\
          Diagnoses Mimir trace exports (.jsonl preferred; .trace.json\n\
          yields a skeleton view; a directory is triaged as a\n\
          flight-recorder dump dir). Prints human text by default, a JSON\n\
          document with --json. --critical-path adds the measured\n\
          critical path's per-segment breakdown for inputs that carry\n\
-         flow events. --watch live-attaches to a running job's\n\
-         MIMIR_LIVE_DIR, streaming findings to <dir>/findings.jsonl.\n\
-         Exits 1 when any finding reaches the --fail-on severity\n\
-         (default critical), 2 on bad input."
+         flow events. Exits 1 when any finding reaches the --fail-on\n\
+         severity (default critical), 2 on bad input."
     );
     std::process::exit(2);
-}
-
-/// Live-attach loop: poll, render, repeat until every rank disarms (or
-/// forever if no rank ever appears — ^C is the exit). Returns the worst
-/// severity fired, for the exit status.
-fn watch(dir: &str, interval_ms: u64, once: bool) -> Option<Severity> {
-    let mut watcher = LiveWatcher::new(dir);
-    loop {
-        watcher.step();
-        let view = watcher.render();
-        if once {
-            print!("{view}");
-        } else {
-            // Full clear + home: the view is a small status page.
-            print!("\x1b[2J\x1b[H{view}");
-            use std::io::Write;
-            let _ = std::io::stdout().flush();
-        }
-        if once || watcher.finished() {
-            if !once {
-                println!("\nall ranks disarmed — watch complete");
-            }
-            return watcher.findings().iter().map(|f| f.severity).max();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
-    }
 }
 
 fn main() {
     let mut json = false;
     let mut want_path = false;
     let mut fail_on = Severity::Critical;
-    let mut watch_dir: Option<String> = None;
-    let mut once = false;
-    let mut interval_ms = 500u64;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -99,29 +58,10 @@ fn main() {
                 };
                 fail_on = level;
             }
-            "--watch" => {
-                let Some(dir) = args.next() else { usage() };
-                watch_dir = Some(dir);
-            }
-            "--once" => once = true,
-            "--interval" => {
-                let Some(ms) = args.next().as_deref().and_then(|s| s.parse().ok()) else {
-                    usage();
-                };
-                interval_ms = ms;
-            }
             "-h" | "--help" => usage(),
             _ if arg.starts_with('-') => usage(),
             _ => paths.push(arg),
         }
-    }
-    if let Some(dir) = watch_dir {
-        if !paths.is_empty() {
-            usage();
-        }
-        let worst = watch(&dir, interval_ms, once);
-        let failed = worst.is_some_and(|w| w >= fail_on);
-        std::process::exit(i32::from(failed));
     }
     if paths.is_empty() {
         usage();

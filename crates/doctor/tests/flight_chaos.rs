@@ -15,13 +15,11 @@ use mimir_mpi::{run_world_uds_with, ReduceOp, UdsWorldOptions, WorldError};
 
 #[test]
 fn killed_uds_rank_leaves_ingestible_corpses_naming_it() {
-    let dir = std::env::temp_dir().join(format!("mimir-flight-chaos-{}", std::process::id()));
-    let flight = dir.join("postmortem");
-    let _ = std::fs::remove_dir_all(&dir);
-    // Children inherit the environment through fork; the live plane and
-    // flight recorder arm themselves from it in each rank process.
-    std::env::set_var("MIMIR_LIVE_DIR", &dir);
-    std::env::set_var("MIMIR_LIVE_INTERVAL_MS", "20");
+    let flight = std::env::temp_dir().join(format!("mimir-flight-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&flight);
+    // Children inherit the environment through fork; the flight
+    // recorder arms itself from it in each rank process.
+    std::env::set_var("MIMIR_FLIGHT_DIR", &flight);
 
     let opts = UdsWorldOptions {
         connect_window: Duration::from_secs(5),
@@ -40,8 +38,7 @@ fn killed_uds_rank_leaves_ingestible_corpses_naming_it() {
         }
         sum
     });
-    std::env::remove_var("MIMIR_LIVE_DIR");
-    std::env::remove_var("MIMIR_LIVE_INTERVAL_MS");
+    std::env::remove_var("MIMIR_FLIGHT_DIR");
 
     // The world reports the death (not a hang, not a success).
     match result {
@@ -88,11 +85,5 @@ fn killed_uds_rank_leaves_ingestible_corpses_naming_it() {
         dead.title
     );
     assert!(dead.ranks.contains(&2), "ranks field carries it too");
-
-    // The survivors' live files captured telemetry up to the crash.
-    let lived = (0..4)
-        .filter(|r| dir.join(format!("rank{r}.live.jsonl")).exists())
-        .count();
-    assert!(lived >= 3, "survivors published live telemetry");
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&flight);
 }

@@ -169,11 +169,6 @@ impl MemPool {
         self.inner.peak.load(Ordering::Acquire)
     }
 
-    /// Bytes still available under the budget.
-    pub fn available(&self) -> usize {
-        self.inner.budget.saturating_sub(self.used())
-    }
-
     /// The pool's diagnostic name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -459,13 +454,5 @@ mod tests {
             "4 allocs + 4 frees each move a full page; 16-byte churn is decimated"
         );
         assert_eq!(samples[3].a, 4 * 1024, "sample carries bytes used");
-    }
-
-    #[test]
-    fn available_reflects_budget() {
-        let pool = MemPool::new("t", 64, 640).unwrap();
-        assert_eq!(pool.available(), 640);
-        let _p = pool.alloc_page().unwrap();
-        assert_eq!(pool.available(), 576);
     }
 }

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use mimir_core::{
         run_iterative_with_recovery, typed, CancelToken, ChainMapFn, CheckpointStore, Emitter,
         JobOutput, JobStats, KvCache, KvContainer, KvMeta, LenHint, MimirConfig, MimirContext,
-        MimirError, Partitioner, StagedKvs, ValueIter,
+        MimirError, Partitioner, ValueIter,
     };
     pub use mimir_datagen::{Graph500, PointGen, UniformWords, WikipediaWords};
     pub use mimir_io::{IoModel, IoModelConfig, SpillStore};

@@ -1,8 +1,5 @@
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use mimir_obs::live::LiveShared;
+use std::time::Instant;
 
 use crate::error::DisconnectPanic;
 use crate::msg::{tags, Msg, Payload, Tag};
@@ -16,12 +13,6 @@ use crate::CommStats;
 /// warm-up round every rank's pool oscillates around `size - 1` entries.
 /// The cap only matters for bursty user point-to-point traffic.
 const BUF_POOL_CAP: usize = 64;
-
-/// Bound on one blocking-receive slice while the telemetry plane is
-/// armed: long enough that slicing costs nothing measurable, short
-/// enough that a stuck rank's climbing wait reaches the publisher well
-/// within one default 100ms publish interval.
-const LIVE_WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// A rank's endpoint into the world: point-to-point messaging plus the
 /// collective operations (barrier, allreduce, alltoallv, …).
@@ -56,15 +47,6 @@ pub struct Comm {
     /// pooled buffers.
     free_bufs: Vec<Vec<u8>>,
     pub(crate) stats: CommStats,
-    /// The rank's live-telemetry accumulator, captured from the
-    /// constructing thread at creation time (so derived communicators
-    /// feed the same per-rank plane). `None` when the plane is unarmed —
-    /// the common case, costing one `Option` check per operation.
-    live: Option<Arc<LiveShared>>,
-    /// Counters as of the last live push; the next push ships the
-    /// difference, keeping pushes sum-correct across any number of
-    /// communicators feeding one rank accumulator.
-    live_last: CommStats,
 }
 
 impl Comm {
@@ -83,29 +65,7 @@ impl Comm {
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             free_bufs: Vec::new(),
             stats: CommStats::default(),
-            live: mimir_obs::live::shared(),
-            live_last: CommStats::default(),
         }
-    }
-
-    /// Attaches the rank's live-telemetry accumulator. Normally captured
-    /// from the constructing thread's armed plane in [`Comm::new`]
-    /// (which covers derived communicators); world bootstrap constructs
-    /// the root comms *before* the rank threads arm, so it attaches
-    /// explicitly afterwards.
-    pub(crate) fn attach_live(&mut self, live: Arc<LiveShared>) {
-        self.live = Some(live);
-    }
-
-    /// Pushes the counters accrued since the last push into the rank's
-    /// live accumulator; a no-op when the plane is unarmed.
-    fn push_live(&mut self) {
-        let Some(live) = &self.live else { return };
-        let cur = self.stats();
-        let delta = cur.delta_since(&self.live_last);
-        live.add_comm(&delta.counters());
-        live.add_waits(&delta.wait_counters());
-        self.live_last = cur;
     }
 
     /// This rank's index in `0..size()`.
@@ -272,7 +232,6 @@ impl Comm {
             // printed.
             std::panic::resume_unwind(Box::new(DisconnectPanic(err)));
         }
-        self.push_live();
     }
 
     pub(crate) fn recv_internal(&mut self, src: usize, tag: Tag) -> Vec<u8> {
@@ -322,7 +281,6 @@ impl Comm {
             self.stats.msgs_recvd += 1;
             self.stats.bytes_recvd += msg.data.len() as u64;
             mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
-            self.push_live();
             return msg.data;
         }
         // Everything below blocks on a peer: this loop is the single
@@ -330,49 +288,19 @@ impl Comm {
         // collective-internal receives), so timing it here gives complete
         // wait-state attribution with one clock read per matched message.
         let wait_start = Instant::now();
-        let data = if let Some(live) = self.live.clone() {
-            // Telemetry-plane variant: slice the indefinite block into
-            // bounded waits and publish the in-flight blocked time on
-            // each timeout, so a rank stuck behind a straggler keeps
-            // reporting a climbing wait instead of going silent until
-            // the message lands.
-            loop {
-                match self
-                    .transport
-                    .recv_deadline(src, &mut self.stats, LIVE_WAIT_SLICE)
-                {
-                    Ok(Some(msg)) if msg.tag == tag => {
-                        self.stats.msgs_recvd += 1;
-                        self.stats.bytes_recvd += msg.data.len() as u64;
-                        mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
-                        break msg.data;
-                    }
-                    Ok(Some(msg)) => self.pending[src].push_back(msg),
-                    Ok(None) => {
-                        live.set_pending_wait(wait_start.elapsed().as_nanos() as u64);
-                    }
-                    Err(err) => std::panic::resume_unwind(Box::new(DisconnectPanic(err))),
+        let data = loop {
+            match self.transport.recv(src, &mut self.stats) {
+                Ok(msg) if msg.tag == tag => {
+                    self.stats.msgs_recvd += 1;
+                    self.stats.bytes_recvd += msg.data.len() as u64;
+                    mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
+                    break msg.data;
                 }
-            }
-        } else {
-            loop {
-                match self.transport.recv(src, &mut self.stats) {
-                    Ok(msg) if msg.tag == tag => {
-                        self.stats.msgs_recvd += 1;
-                        self.stats.bytes_recvd += msg.data.len() as u64;
-                        mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
-                        break msg.data;
-                    }
-                    Ok(msg) => self.pending[src].push_back(msg),
-                    Err(err) => std::panic::resume_unwind(Box::new(DisconnectPanic(err))),
-                }
+                Ok(msg) => self.pending[src].push_back(msg),
+                Err(err) => std::panic::resume_unwind(Box::new(DisconnectPanic(err))),
             }
         };
         self.stats.wait_ns += wait_start.elapsed().as_nanos() as u64;
-        if let Some(live) = &self.live {
-            live.set_pending_wait(0);
-        }
-        self.push_live();
         data
     }
 

@@ -16,22 +16,22 @@ mimir_obs::counters! {
     /// add"; `wire_frames_sent / wire_bytes_sent` exposes tiny-message chatter.
     pub struct CommStats {
         /// Messages this rank sent (point-to-point and collective-internal).
-        msgs_sent: u64 [sum, sub],
+        msgs_sent: u64 [sum],
         /// Payload bytes this rank sent.
-        bytes_sent: u64 [sum, sub],
+        bytes_sent: u64 [sum],
         /// Messages this rank received.
-        msgs_recvd: u64 [sum, sub],
+        msgs_recvd: u64 [sum],
         /// Payload bytes this rank received.
-        bytes_recvd: u64 [sum, sub],
+        bytes_recvd: u64 [sum],
         /// Collective operations this rank participated in.
-        collectives: u64 [sum, sub],
+        collectives: u64 [sum],
         /// Payload bytes memcpy'd by the transport (into pooled send buffers
         /// and out into caller-owned receive buffers).
-        bytes_copied: u64 [sum, sub],
+        bytes_copied: u64 [sum],
         /// Heap allocations taken on the send path: pool misses plus pooled
         /// buffer capacity growths. Stops increasing once the exchange reaches
         /// steady state.
-        send_allocs: u64 [sum, sub],
+        send_allocs: u64 [sum],
         /// Nanoseconds this rank spent *blocked* waiting for a peer: every
         /// blocking point in the transport (point-to-point `recv`, and the
         /// internal receives of barrier / allreduce / allgather / alltoallv /
@@ -41,31 +41,31 @@ mimir_obs::counters! {
         /// a pool pop; misses are `send_allocs`), so wait time is entirely
         /// "blocked on peers". The BSP diagnosis question — byte-bound or
         /// straggler-bound? — is answered by comparing this against `work_ns`.
-        wait_ns: u64 [sum, sub],
+        wait_ns: u64 [sum],
         /// Nanoseconds the transport spent doing *work* on payload bytes:
         /// memcpy into pooled send buffers and out into caller-owned receive
         /// buffers (the time behind `bytes_copied`). Stays flat when a peer is
         /// slow; grows with traffic volume.
-        work_ns: u64 [sum, sub],
+        work_ns: u64 [sum],
         /// Bytes this rank put on the wire, *including framing headers*.
         /// Zero on the in-process backend (no wire). Self-sends stay on a
         /// process-local loopback and are not counted.
-        wire_bytes_sent: u64 [sum, sub],
+        wire_bytes_sent: u64 [sum],
         /// Bytes this rank took off the wire, including framing headers.
-        wire_bytes_recvd: u64 [sum, sub],
+        wire_bytes_recvd: u64 [sum],
         /// Frames this rank sent (one frame per message on the UDS backend).
-        wire_frames_sent: u64 [sum, sub],
+        wire_frames_sent: u64 [sum],
         /// Frames this rank received.
-        wire_frames_recvd: u64 [sum, sub],
+        wire_frames_recvd: u64 [sum],
         /// Receive-side buffer-pool misses: frames whose payload needed a
         /// fresh heap allocation because the socket receive pool was empty.
         /// The wire-side analogue of `send_allocs`.
-        wire_recv_allocs: u64 [sum, sub],
+        wire_recv_allocs: u64 [sum],
         /// Nanoseconds this rank spent in transport bootstrap (socket bind /
         /// connect / accept / hello exchange). Reported once per rank by the
         /// world communicator; derived communicators reuse the connections
         /// and report zero.
-        handshake_ns: u64 [sum, sub],
+        handshake_ns: u64 [sum],
     }
 }
 

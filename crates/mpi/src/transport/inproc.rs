@@ -74,23 +74,6 @@ impl Transport for InprocTransport {
             })
     }
 
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        _stats: &mut CommStats,
-        timeout: std::time::Duration,
-    ) -> Result<Option<Msg>, CommError> {
-        use std::sync::mpsc::RecvTimeoutError;
-        match self.rxs[src].recv_timeout(timeout) {
-            Ok(msg) => Ok(Some(msg)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(CommError::RankDisconnected {
-                observer: self.me,
-                peer: src,
-            }),
-        }
-    }
-
     fn begin_derive(
         &mut self,
         _seq: u64,

@@ -148,18 +148,6 @@ pub trait Transport: Send {
     /// `(src, self)` pair. Tag matching happens above the seam.
     fn recv(&mut self, src: usize, stats: &mut CommStats) -> Result<Msg, CommError>;
 
-    /// Like [`Transport::recv`], but gives up after `timeout` and
-    /// returns `Ok(None)`. The telemetry plane uses this to slice an
-    /// indefinite blocking receive into bounded waits, so a rank stuck
-    /// on a straggler still publishes its climbing wait time instead of
-    /// going silent.
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        stats: &mut CommStats,
-        timeout: std::time::Duration,
-    ) -> Result<Option<Msg>, CommError>;
-
     /// Starts building a derived communicator spanning `members`
     /// (indexed by new rank, holding *this* communicator's ranks; this
     /// rank appears at `my_new_rank`). Returns the backend state plus,

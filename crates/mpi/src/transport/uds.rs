@@ -38,7 +38,7 @@
 //! * `send` frames the message and writes it to the non-blocking
 //!   socket there and then. Whatever the kernel does not take is parked
 //!   in a per-peer outbox, so sends stay eager and never block.
-//! * `recv` / `recv_deadline` drive progress for the whole process
+//! * `recv` drives progress for the whole process
 //!   until the caller's inbox has a frame: sleep in `poll(2)` over
 //!   every peer socket, read whatever is readable through an
 //!   incremental frame parser, route each frame to its `(comm, src)`
@@ -147,6 +147,7 @@ mod imp {
     use crate::error::{is_disconnect_panic, panic_message};
     use crate::msg::{Msg, Payload, Tag};
     use crate::transport::{Derivation, DeriveState, Endpoint, EndpointInner, Transport};
+    use crate::world::flight_dump;
     use crate::CommError;
     use crate::CommStats;
 
@@ -742,49 +743,6 @@ mod imp {
                 peer,
             }
         }
-
-        /// The next frame from `src` on this communicator, driving the
-        /// progress engine until it is there, `src` is dead, or
-        /// `deadline` passes (`Ok(None)`).
-        fn recv_until(
-            &mut self,
-            src: usize,
-            stats: &mut CommStats,
-            deadline: Option<Instant>,
-        ) -> Result<Option<Msg>, CommError> {
-            if src == self.my_rank {
-                if let Some(msg) = self.loopback.pop_front() {
-                    return Ok(Some(msg));
-                }
-                // Only this thread could have filled the loopback.
-                let Some(deadline) = deadline else {
-                    panic!("rank {src} receives from itself with nothing sent: deadlock");
-                };
-                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                return Ok(None);
-            }
-            let world_src = self.members[src];
-            let shared = &*self.shared;
-            let mut st = shared.lock();
-            loop {
-                let inbox = st.inboxes.get_mut(&(self.comm, world_src));
-                if let Some(msg) = inbox.and_then(VecDeque::pop_front) {
-                    stats.wire_frames_recvd += 1;
-                    stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
-                    return Ok(Some(msg));
-                }
-                // Frames routed before the peer died were drained above:
-                // exactly the in-process channel semantics.
-                if st.peer(world_src).dead {
-                    return Err(self.disconnect(src));
-                }
-                let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if left.is_some_and(|l| l.is_zero()) {
-                    return Ok(None);
-                }
-                st = shared.progress(st, left);
-            }
-        }
     }
 
     impl Drop for UdsTransport {
@@ -827,18 +785,32 @@ mod imp {
             Ok(())
         }
 
+        /// The next frame from `src` on this communicator, driving the
+        /// progress engine until it is there or `src` is dead.
         fn recv(&mut self, src: usize, stats: &mut CommStats) -> Result<Msg, CommError> {
-            let msg = self.recv_until(src, stats, None)?;
-            Ok(msg.expect("a receive without a deadline returns a message"))
-        }
-
-        fn recv_deadline(
-            &mut self,
-            src: usize,
-            stats: &mut CommStats,
-            timeout: Duration,
-        ) -> Result<Option<Msg>, CommError> {
-            self.recv_until(src, stats, Some(Instant::now() + timeout))
+            if src == self.my_rank {
+                // Only this thread could have filled the loopback.
+                return Ok(self.loopback.pop_front().unwrap_or_else(|| {
+                    panic!("rank {src} receives from itself with nothing sent: deadlock")
+                }));
+            }
+            let world_src = self.members[src];
+            let shared = &*self.shared;
+            let mut st = shared.lock();
+            loop {
+                let inbox = st.inboxes.get_mut(&(self.comm, world_src));
+                if let Some(msg) = inbox.and_then(VecDeque::pop_front) {
+                    stats.wire_frames_recvd += 1;
+                    stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
+                    return Ok(msg);
+                }
+                // Frames routed before the peer died were drained above:
+                // exactly the in-process channel semantics.
+                if st.peer(world_src).dead {
+                    return Err(self.disconnect(src));
+                }
+                st = shared.progress(st, None);
+            }
         }
 
         fn begin_derive(
@@ -1147,18 +1119,17 @@ mod imp {
     where
         F: Fn(&mut Comm) -> (bool, Vec<u8>),
     {
-        // Arm the live telemetry plane before bootstrap (no-op unless
-        // configured). `process_scoped` installs the SIGTERM flight
-        // recorder: a forked rank killed mid-run still leaves a corpse.
-        // Comm::new below runs on this thread after arming, so the comm
-        // picks the accumulator up from the thread-local.
-        let live = mimir_obs::live::arm(rank, n, true);
+        // Pre-open the SIGTERM flight-recorder dump (no-op unless
+        // armed): a forked rank killed mid-run still leaves a corpse.
+        mimir_obs::arm_sigterm(rank, n);
         // The connection state escapes the catch so parked frames flush
         // on every exit path that got past the handshake — on a panic,
         // peers still receive everything sent before it, matching
         // in-process channel semantics where sent messages stay
         // deliverable.
         let mut shared = None;
+        // The communicator escapes too, so a dump reads its counters.
+        let mut comm = None;
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(bool, Vec<u8>), String> {
                 if let Some(fault) = &opts.fault {
@@ -1168,11 +1139,10 @@ mod imp {
                 }
                 let transport = bootstrap(rank, n, dir, opts)?;
                 shared = Some(Arc::clone(&transport.shared));
-                let mut comm = Comm::new(name.to_string(), rank, n, Box::new(transport));
-                let out = body(&mut comm);
-                drop(comm);
-                Ok(out)
+                let comm = comm.insert(Comm::new(name.to_string(), rank, n, Box::new(transport)));
+                Ok(body(comm))
             }));
+        let stats = comm.take().map(|comm| comm.stats());
         if let Some(shared) = shared {
             shared.flush_outboxes(TEARDOWN_FLUSH);
         }
@@ -1180,7 +1150,7 @@ mod imp {
             Ok(Ok((abort, bytes))) => {
                 write_result(dir, rank, abort, &bytes);
                 if abort {
-                    mimir_obs::live::flight_dump(rank, n, "abort", "rank returned an error");
+                    flight_dump(rank, n, stats, "abort", "rank returned an error");
                 }
                 0
             }
@@ -1188,25 +1158,24 @@ mod imp {
                 // Handshake failures are disconnect-class: the peer died
                 // or stalled; fold behind genuine root causes.
                 write_panic(dir, rank, true, &handshake);
-                mimir_obs::live::flight_dump(rank, n, "disconnect", &handshake);
+                flight_dump(rank, n, stats, "disconnect", &handshake);
                 101
             }
             Err(payload) => {
                 let disconnect = is_disconnect_panic(payload.as_ref());
                 let message = panic_message(payload.as_ref());
                 write_panic(dir, rank, disconnect, &message);
-                mimir_obs::live::flight_dump(
+                flight_dump(
                     rank,
                     n,
+                    stats,
                     if disconnect { "disconnect" } else { "panic" },
                     &message,
                 );
                 101
             }
         };
-        if let Some(handle) = live {
-            handle.disarm();
-        }
+        mimir_obs::disarm_sigterm(rank);
         std::process::exit(code)
     }
 

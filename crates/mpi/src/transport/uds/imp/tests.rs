@@ -1,6 +1,6 @@
 //! The socket engine without processes: the frame parser and reader on
 //! hostile and arbitrarily split byte streams, the write path through a
-//! writer that takes a few bytes at a time, and `recv_deadline` over an
+//! writer that takes a few bytes at a time, and a corrupt peer over an
 //! in-process socket pair.
 
 use std::io;
@@ -253,59 +253,6 @@ fn arbitrary_bytes_never_panic_or_allocate_ahead_of_arrival() {
             );
         }
     }
-}
-
-/// Two single-peer worlds over one socket pair, in this process.
-fn pair() -> (UdsTransport, UdsTransport) {
-    let (a, b) = UnixStream::pair().expect("socket pair");
-    let t0 = world_transport(0, vec![None, Some(a)], 0).expect("rank 0");
-    let t1 = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
-    (t0, t1)
-}
-
-fn heap(tag: Tag, bytes: Vec<u8>) -> Msg {
-    let data = Payload::Heap(bytes);
-    Msg { tag, data, flow: 0 }
-}
-
-#[test]
-fn recv_deadline_times_out_and_keeps_a_half_arrived_frame() {
-    let (mut a, mut b) = pair();
-    let mut stats = CommStats::default();
-    let slice = Duration::from_millis(20);
-
-    // No traffic: `Ok(None)`, and not before the timeout.
-    let t = Instant::now();
-    assert!(matches!(b.recv_deadline(0, &mut stats, slice), Ok(None)));
-    assert!(t.elapsed() >= slice);
-
-    // 8 MiB does not fit a socket buffer: the send returns at once with
-    // the rest parked, and nothing moves it until `a` makes progress.
-    let body: Vec<u8> = (0..8 << 20).map(|i| (i % 251) as u8).collect();
-    a.send(1, heap(5, body.clone()), &mut stats)
-        .expect("eager send");
-    assert!(!a.shared.lock().peer(1).outbox.is_empty(), "rest is parked");
-    for _ in 0..3 {
-        assert!(matches!(b.recv_deadline(0, &mut stats, slice), Ok(None)));
-    }
-    assert!(
-        b.shared.lock().peer(0).reader.heap.is_some(),
-        "half arrived"
-    );
-
-    // The sender's teardown flush needs a reader: give it one.
-    let flusher = std::thread::spawn(move || {
-        a.shared.flush_outboxes(Duration::from_secs(10));
-        a
-    });
-    let msg = b.recv(0, &mut stats).expect("the frame completes");
-    assert_eq!(flatten(0, msg).4, body, "no byte lost across the timeouts");
-    let a = flusher.join().expect("flusher");
-
-    // A dropped peer is a disconnect on both paths.
-    drop(a);
-    assert!(b.recv_deadline(0, &mut stats, slice).is_err());
-    assert!(b.send(0, heap(5, vec![1]), &mut stats).is_err());
 }
 
 #[test]

@@ -6,6 +6,7 @@ use crate::transport::inproc::InprocTransport;
 use crate::transport::uds::{self, RankEnd, UdsWorldOptions};
 use crate::transport::TransportKind;
 use crate::wire::Wire;
+use crate::CommStats;
 
 /// Runs `f` as an SPMD program across `n_ranks` rank threads and returns
 /// the per-rank results indexed by rank.
@@ -86,35 +87,25 @@ where
                 std::thread::Builder::new()
                     .name(format!("{name}-rank{rank}"))
                     .spawn_scoped(scope, move || {
-                        // Arm the live telemetry plane on the rank thread
-                        // (no-op unless configured). The comm was built on
-                        // the caller thread, so attach it explicitly.
-                        let live = mimir_obs::live::arm(rank, n_ranks, false);
-                        if let Some(handle) = &live {
-                            comm.attach_live(handle.shared());
-                        }
                         // Catch the panic so the Comm (and its channel
                         // endpoints) drops deterministically before the
                         // thread exits, waking blocked peers.
                         let res = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+                        let stats = res.is_err().then(|| comm.stats());
                         drop(comm);
                         if let Err(payload) = &res {
-                            // Flight recorder: leave a doctor-ingestible
-                            // corpse for the failed rank (no-op unarmed).
                             let cause = if payload.is::<DisconnectPanic>() {
                                 "disconnect"
                             } else {
                                 "panic"
                             };
-                            mimir_obs::live::flight_dump(
+                            flight_dump(
                                 rank,
                                 n_ranks,
+                                stats,
                                 cause,
                                 &panic_message(payload.as_ref()),
                             );
-                        }
-                        if let Some(handle) = live {
-                            handle.disarm();
                         }
                         res
                     })
@@ -138,6 +129,25 @@ where
         .into_iter()
         .map(|r| r.expect("rank completed without panic"))
         .collect())
+}
+
+/// Flight recorder: leaves a doctor-ingestible corpse for a failed rank
+/// (a no-op unless the recorder is armed). `stats` are the rank's
+/// communication counters, read before its `Comm` dropped; `None` when
+/// the rank never got a `Comm`.
+pub(crate) fn flight_dump(
+    rank: usize,
+    world: usize,
+    stats: Option<CommStats>,
+    cause: &str,
+    message: &str,
+) {
+    let mut report = mimir_obs::RankReport::new(rank);
+    if let Some(stats) = stats {
+        report.comm = stats.counters();
+        report.waits = stats.wait_counters();
+    }
+    mimir_obs::flight_dump(report, world, cause, message);
 }
 
 /// [`run_world`] for fallible SPMD programs: a rank returning `Err`

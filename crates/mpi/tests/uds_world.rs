@@ -335,11 +335,6 @@ fn a_receive_on_a_dup_parks_the_parents_frames_in_order() {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_rank_process_has_one_thread() {
-    // The live plane would add its publisher thread; it is armed from
-    // the environment.
-    if std::env::var_os("MIMIR_LIVE_DIR").is_some() {
-        return;
-    }
     let out: Vec<u64> = run_world_on(UDS, 3, |c| {
         // After real traffic in every direction, so lazily started
         // helpers would be running by now.

@@ -1,39 +1,29 @@
 //! Declarative counter groups: one [`counters!`](crate::counters!)
-//! declaration per group generates the struct, its cross-rank `merge`,
-//! its windowed `delta_since` and (optionally) its JSON section.
+//! declaration per group generates the struct, its cross-rank `merge`
+//! and (optionally) its JSON section.
 //!
-//! Every field names three rules next to its type:
+//! Every field names two rules next to its type:
 //!
 //! - **merge** — `sum` for flows (bytes, KVs, nanoseconds blocked) or
 //!   `max` for gauges, high-water marks and collective quantities that
 //!   every rank sees alike;
-//! - **delta** — `sub` for cumulative counters (the window saw the
-//!   difference) or `keep` for gauges and descriptors (the window sees
-//!   the latest value);
 //! - **parse** — `req` when a report without the key is malformed, or
 //!   `opt` when the key postdates the first release and reads as zero
 //!   from older reports.
 //!
 //! A group without a JSON section (a layer's own stats struct) names
-//! only the first two. A field may itself be a declared group; it then
-//! merges and subtracts by its own rules.
+//! only the first. A field may itself be a declared group; it then
+//! merges by its own rules.
 
 use crate::json::{Json, JsonError};
 
-/// A value a counter field can hold: how two of them merge and subtract.
+/// A value a counter field can hold: how two of them merge.
 /// Implemented for `u64`, `f64`, `[u64; N]` and every declared group.
 pub trait Counter: Copy {
     /// `self += other` (element-wise for arrays).
     fn sum(&mut self, other: &Self);
     /// `self = max(self, other)` (element-wise for arrays).
     fn max(&mut self, other: &Self);
-    /// `self − base`, clamped at zero so a restarted counter reads as
-    /// "the whole window" instead of wrapping.
-    fn sub(&self, base: &Self) -> Self;
-    /// The later view, ignoring `base`.
-    fn keep(&self, _base: &Self) -> Self {
-        *self
-    }
     /// Appends the value as fixed-width words (a declared group: its
     /// fields in declaration order), for binary encodings.
     fn words(&self, out: &mut Vec<u64>);
@@ -47,9 +37,6 @@ impl Counter for u64 {
     }
     fn max(&mut self, other: &Self) {
         *self = Ord::max(*self, *other);
-    }
-    fn sub(&self, base: &Self) -> Self {
-        self.saturating_sub(*base)
     }
     fn words(&self, out: &mut Vec<u64>) {
         out.push(*self);
@@ -65,9 +52,6 @@ impl Counter for f64 {
     }
     fn max(&mut self, other: &Self) {
         *self = f64::max(*self, *other);
-    }
-    fn sub(&self, base: &Self) -> Self {
-        (self - base).max(0.0)
     }
     fn words(&self, out: &mut Vec<u64>) {
         out.push(self.to_bits());
@@ -85,9 +69,6 @@ impl<const N: usize> Counter for [u64; N] {
         self.iter_mut()
             .zip(other)
             .for_each(|(a, b)| Counter::max(a, b));
-    }
-    fn sub(&self, base: &Self) -> Self {
-        std::array::from_fn(|i| self[i].sub(&base[i]))
     }
     fn words(&self, out: &mut Vec<u64>) {
         out.extend_from_slice(self);
@@ -188,11 +169,10 @@ pub fn opt<T: JsonField>(v: &Json, section: &str, key: &str) -> Result<T, JsonEr
 /// mimir_obs::counters! {
 ///     /// What the group counts.
 ///     pub struct ExampleCounters {
-///         /// A flow: sums across ranks, subtracts over a window,
-///         /// required in JSON.
-///         sent: u64 [sum, sub, req],
+///         /// A flow: sums across ranks, required in JSON.
+///         sent: u64 [sum, req],
 ///         /// A high-water mark added in a later release.
-///         peak: u64 [max, keep, opt],
+///         peak: u64 [max, opt],
 ///     }
 /// }
 /// let mut a = ExampleCounters { sent: 3, peak: 9 };
@@ -202,7 +182,7 @@ pub fn opt<T: JsonField>(v: &Json, section: &str, key: &str) -> Result<T, JsonEr
 /// assert_eq!(ExampleCounters::from_json(&json, "example").unwrap(), a);
 /// ```
 ///
-/// Leaving out the parse rule (`[sum, sub]`) declares a group with no
+/// Leaving out the parse rule (`[sum]`) declares a group with no
 /// JSON section. Generated structs derive `Debug`, `Clone`, `Copy`,
 /// `Default` and `PartialEq`, and every field is `pub`.
 #[macro_export]
@@ -210,7 +190,7 @@ macro_rules! counters {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
-            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident, $delta:ident] ),* $(,)?
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident] ),* $(,)?
         }
     ) => {
         $(#[$meta])*
@@ -225,15 +205,6 @@ macro_rules! counters {
             pub fn merge(&mut self, other: &$name) {
                 $( $crate::Counter::$merge(&mut self.$field, &other.$field); )*
             }
-
-            /// The windowed difference `self − base`, where `base` is an
-            /// earlier snapshot of the same counters, each field by its
-            /// declared delta rule.
-            pub fn delta_since(&self, base: &$name) -> $name {
-                $name {
-                    $( $field: $crate::Counter::$delta(&self.$field, &base.$field), )*
-                }
-            }
         }
 
         impl $crate::Counter for $name {
@@ -242,9 +213,6 @@ macro_rules! counters {
             }
             fn max(&mut self, other: &Self) {
                 self.merge(other);
-            }
-            fn sub(&self, base: &Self) -> Self {
-                self.delta_since(base)
             }
             fn words(&self, out: &mut Vec<u64>) {
                 $( $crate::Counter::words(&self.$field, out); )*
@@ -259,13 +227,13 @@ macro_rules! counters {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
-            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident, $delta:ident, $parse:ident] ),* $(,)?
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident, $parse:ident] ),* $(,)?
         }
     ) => {
         $crate::counters! {
             $(#[$meta])*
             pub struct $name {
-                $( $(#[$fmeta])* $field: $ty [$merge, $delta], )*
+                $( $(#[$fmeta])* $field: $ty [$merge], )*
             }
         }
 

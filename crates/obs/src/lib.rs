@@ -1,6 +1,6 @@
 //! Observability substrate for the Mimir reproduction.
 //!
-//! Three pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! - **Event tracing** ([`recorder`]): a per-rank [`Recorder`] holding a
 //!   preallocated ring of fixed-size [`Event`]s. Rank threads install a
@@ -11,16 +11,15 @@
 //!   communication, memory-pool, shuffle, grouping, cache and job
 //!   statistics of every layer into one serializable record with
 //!   cross-rank [`RankReport::merge`]. Each section is declared once with
-//!   [`counters!`], which generates its struct, merge, windowed delta
-//!   and JSON from one per-field rule table ([`mod@counters`]).
+//!   [`counters!`], which generates its struct, merge and JSON from one
+//!   per-field rule table ([`mod@counters`]).
 //! - **Exporters** ([`chrome`], [`jsonl`]): chrome trace_event JSON for
 //!   Perfetto / `about://tracing`, and JSON-lines for scripting. Both sit
 //!   on the crate's own minimal [`json`] module, so nothing external is
 //!   needed to write *or* parse them.
-//! - **Live telemetry + flight recorder** ([`live`]): per-rank sidecar
-//!   streams of periodic counter snapshots for in-flight diagnosis
-//!   (`MIMIR_LIVE_DIR`), and crash-scoped postmortem dumps so failed
-//!   runs still leave a doctor-ingestible record.
+//! - **Flight recorder** ([`live`]): crash-scoped postmortem dumps
+//!   (`MIMIR_FLIGHT_DIR`), so failed runs still leave a
+//!   doctor-ingestible record.
 
 #![warn(missing_docs)]
 
@@ -38,7 +37,7 @@ pub use counters::Counter;
 pub use event::{pack_rank_bytes, unpack_rank_bytes, Event, EventKind, Phase, Step};
 pub use json::{Json, JsonError};
 pub use jsonl::jsonl_string;
-pub use live::{flight_dump, LiveConfig, LiveHandle, LiveShared};
+pub use live::{arm_sigterm, disarm_sigterm, flight_dump};
 pub use recorder::{
     active, emit, env_capacity, env_enabled, env_flow_enabled, flow_recv, flow_send, install,
     next_flow_id, phase_span, span, step_span, take, Recorder, SpanGuard, DEFAULT_CAPACITY,
@@ -46,6 +45,6 @@ pub use recorder::{
 };
 pub use report::{
     CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, JobRecord,
-    LiveCounters, MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
+    MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
     PROBE_HIST_BUCKETS,
 };

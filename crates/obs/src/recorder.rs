@@ -298,12 +298,9 @@ pub fn span(begin: EventKind, end: EventKind, a: u64, b: u64) -> SpanGuard {
     }
 }
 
-/// Span covering one MapReduce phase. Also marks the phase on the live
-/// telemetry plane (when armed), so `mimir-doctor --watch` and crash
-/// dumps know where each rank currently is — even with tracing off.
+/// Span covering one MapReduce phase.
 #[inline]
 pub fn phase_span(phase: Phase) -> SpanGuard {
-    crate::live::note_phase(phase as u64);
     span(EventKind::PhaseBegin, EventKind::PhaseEnd, phase as u64, 0)
 }
 

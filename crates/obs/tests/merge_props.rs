@@ -183,25 +183,3 @@ fn merge_sums_waits_and_maxes_skew() {
     assert_eq!(a.mem.oom_events, 1);
     assert_eq!(a.ranks, 2);
 }
-
-#[test]
-fn merge_sums_live_counters_and_maxes_lag() {
-    // Same spot-check discipline for the telemetry-plane counters.
-    let mut a = RankReport::new(0);
-    a.live.snapshots = 10;
-    a.live.published_bytes = 4000;
-    a.live.publish_ns = 900;
-    a.live.max_publish_lag_ms = 3;
-    a.live.flight_dumps = 1;
-    let mut b = RankReport::new(1);
-    b.live.snapshots = 12;
-    b.live.published_bytes = 5000;
-    b.live.publish_ns = 1100;
-    b.live.max_publish_lag_ms = 25;
-    a.merge(&b);
-    assert_eq!(a.live.snapshots, 22);
-    assert_eq!(a.live.published_bytes, 9000);
-    assert_eq!(a.live.publish_ns, 2000);
-    assert_eq!(a.live.max_publish_lag_ms, 25, "lag takes the max");
-    assert_eq!(a.live.flight_dumps, 1);
-}

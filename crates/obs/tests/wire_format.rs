@@ -9,8 +9,8 @@
 
 use mimir_obs::{
     chrome_trace_string, jsonl_string, CacheCounters, CacheNameRecord, CommCounters, Event,
-    EventKind, GroupCounters, JobCounters, JobRecord, Json, LiveCounters, MemCounters, PhasePeaks,
-    PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
+    EventKind, GroupCounters, JobCounters, JobRecord, Json, MemCounters, PhasePeaks, PhaseTimes,
+    RankReport, ShuffleCounters, WaitCounters,
 };
 
 /// A report with every counter non-zero and distinct (so a swapped or
@@ -96,13 +96,6 @@ fn report(rank: u64) -> RankReport {
             evictions: 1004 * k,
             reloads: 1005 * k,
             cached_bytes: 1006 * k,
-        },
-        live: LiveCounters {
-            snapshots: 1101 * k,
-            published_bytes: 1102 * k,
-            publish_ns: 1103 * k,
-            max_publish_lag_ms: 1104 * k,
-            flight_dumps: 1105 * k,
         },
         cache_names: vec![
             CacheNameRecord {
@@ -228,20 +221,25 @@ fn pinned_bytes_parse_back_to_the_fixture() {
 }
 
 /// Reports written before the adaptive shuffle was retired carry an
-/// `adapt` section; it is ignored on load, and everything else in those
-/// files reads back unchanged.
+/// `adapt` section, and reports written before the live telemetry plane
+/// was retired carry a `live` section; both are ignored on load, and
+/// everything else in those files reads back unchanged.
 #[test]
 fn reports_with_a_retired_adapt_section_still_parse() {
-    let text = include_str!("golden/reports_with_adapt.json");
-    assert!(
-        text.contains("\"adapt\":{"),
-        "fixture must carry the section"
-    );
-    let back: Vec<RankReport> = text
-        .lines()
-        .map(|l| RankReport::from_json_string(l).unwrap())
-        .collect();
-    assert_eq!(back, reports());
+    for (text, section) in [
+        (include_str!("golden/reports_with_adapt.json"), "adapt"),
+        (include_str!("golden/reports_with_live.json"), "live"),
+    ] {
+        assert!(
+            text.contains(&format!("\"{section}\":{{")),
+            "fixture must carry the `{section}` section"
+        );
+        let back: Vec<RankReport> = text
+            .lines()
+            .map(|l| RankReport::from_json_string(l).unwrap())
+            .collect();
+        assert_eq!(back, reports(), "with a retired `{section}` section");
+    }
 }
 
 /// Compact `events` columns carry kind codes. Code 20 belonged to a
@@ -353,12 +351,6 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("cache.evictions", true),
     ("cache.reloads", true),
     ("cache.cached_bytes", true),
-    ("live", true),
-    ("live.snapshots", true),
-    ("live.published_bytes", true),
-    ("live.publish_ns", true),
-    ("live.max_publish_lag_ms", true),
-    ("live.flight_dumps", true),
     ("cache_names", true),
     ("jobs", true),
     ("events", true),

@@ -124,10 +124,6 @@ pub struct JobService<'w> {
     /// decimates the heartbeat stream to ~1 ms so a busy tick loop
     /// (500 µs cadence) doesn't double the trace volume.
     last_heartbeat: Instant,
-    /// Last time [`Self::tick`] pushed job lifecycle + pool gauges into
-    /// the live telemetry plane; decimated to ~5 ms (cloning the retired
-    /// record list every 500 µs tick would dominate small jobs).
-    last_live: Instant,
     /// The rank-wide cross-job KV cache, installed on every worker's
     /// context so chained jobs see each other's cached outputs. Cached
     /// pages stay charged to `pool`, which makes them admission-visible;
@@ -150,7 +146,6 @@ impl<'w> JobService<'w> {
             running: Vec::new(),
             finished: Vec::new(),
             last_heartbeat: Instant::now(),
-            last_live: Instant::now(),
             cache: shared_cache(),
         }
     }
@@ -208,18 +203,6 @@ impl<'w> JobService<'w> {
                 for r in &self.running {
                     mimir_obs::emit(EventKind::JobHeartbeat, r.id, used);
                 }
-            }
-        }
-
-        // Live telemetry lane: retired-job lifecycle records plus the
-        // node pool's gauges. Independent of the recorder gate above —
-        // the plane is armed per-thread and is its own opt-in.
-        if let Some(live) = mimir_obs::live::shared() {
-            let now = Instant::now();
-            if now.duration_since(self.last_live) >= Duration::from_millis(5) {
-                self.last_live = now;
-                live.set_jobs(self.job_records());
-                live.set_mem(self.pool.stats().counters());
             }
         }
 

@@ -236,35 +236,18 @@ fn stress_world() -> Vec<RankResult> {
 
 #[test]
 fn sixteen_mixed_priority_jobs_on_a_tight_budget() {
-    // When the telemetry plane is armed (MIMIR_LIVE_DIR set — CI does
-    // this), attach an in-process online doctor to the live directory
-    // for the duration of the stress: it tails the per-rank sidecars,
-    // evaluates the live rules, and leaves `findings.jsonl` behind as
-    // the live-findings log CI uploads.
-    let live_dir = std::env::var_os("MIMIR_LIVE_DIR").map(std::path::PathBuf::from);
-
     // Watchdog: the whole SPMD run must finish well inside the bound —
     // a deadlocked vote or a lost wakeup would otherwise hang CI.
     let start = Instant::now();
     let runner = std::thread::spawn(stress_world);
-    let mut watcher = live_dir.map(mimir_doctor::LiveWatcher::new);
     while !runner.is_finished() {
         assert!(
             start.elapsed() < WATCHDOG,
             "watchdog: scheduler stress did not finish within {WATCHDOG:?}"
         );
-        if let Some(w) = &mut watcher {
-            w.step();
-        }
         std::thread::sleep(Duration::from_millis(20));
     }
     let outs = runner.join().unwrap();
-    if let Some(w) = &mut watcher {
-        // Final step drains whatever the ranks published on their way
-        // out, then the fired findings land in the test log for triage.
-        w.step();
-        eprintln!("{}", w.render());
-    }
 
     let mut per_rank_words = Vec::new();
     let mut chain_total = 0u64;

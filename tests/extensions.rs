@@ -1,8 +1,10 @@
 //! End-to-end tests for the extension features beyond the paper's core:
-//! custom partitioners and out-of-core staging of job outputs.
+//! custom partitioners, and parking a job's output out of core between
+//! stages through the cross-job cache (insert, evict to spill, check
+//! out).
 
 use mimir::prelude::*;
-use mimir_core::{typed, Partitioner, StagedKvs};
+use mimir_core::{typed, Partitioner};
 
 #[test]
 fn block_partitioner_gives_contiguous_ownership() {
@@ -89,8 +91,8 @@ fn staged_output_survives_between_stages() {
     let counts = run_world(4, |comm| {
         let pool = MemPool::new("node", 64 * 1024, 32 << 20).unwrap();
         let io = IoModel::free();
-        let store = SpillStore::new_temp("stage-e2e", io.clone()).unwrap();
-        let mut ctx = MimirContext::new(comm, pool.clone(), io, MimirConfig::default()).unwrap();
+        let mut ctx =
+            MimirContext::new(comm, pool.clone(), io.clone(), MimirConfig::default()).unwrap();
 
         // Stage 1: per-key counts.
         let meta = KvMeta::cstr_key_u64_val();
@@ -111,16 +113,19 @@ fn staged_output_survives_between_stages() {
             )
             .unwrap();
 
-        // Park it; memory for the output must be released.
+        // Park it: evicted to spill, its memory must be released.
         let used_before_park = pool.used();
-        let staged = StagedKvs::park(stage1.output, &store).unwrap();
+        let mut cache = KvCache::default();
+        let placement = Partitioner::hash().fingerprint(ctx.size());
+        cache.insert("counts", stage1.output, placement);
+        cache.evict("counts", &io).unwrap();
         assert!(pool.used() <= used_before_park);
 
         // ... an unrelated memory-hungry stage runs here ...
         let _scratch = pool.try_reserve(16 << 20).unwrap();
 
         // Stage 2: restore and post-process (histogram of counts).
-        let mut restored = staged.restore(&pool).unwrap();
+        let mut restored = cache.checkout("counts", &pool).unwrap().kvc;
         let mut histogram: std::collections::BTreeMap<u64, u64> = Default::default();
         restored
             .drain_all(|_k, v| {
@@ -147,8 +152,8 @@ fn staging_keeps_hints() {
     run_world(1, |comm| {
         let pool = MemPool::unlimited("node", 64 * 1024);
         let io = IoModel::free();
-        let store = SpillStore::new_temp("stage-hints", io.clone()).unwrap();
-        let mut ctx = MimirContext::new(comm, pool.clone(), io, MimirConfig::default()).unwrap();
+        let mut ctx =
+            MimirContext::new(comm, pool.clone(), io.clone(), MimirConfig::default()).unwrap();
         let meta = KvMeta::fixed(8, 16);
         let out = ctx
             .job()
@@ -160,9 +165,11 @@ fn staging_keeps_hints() {
                 Ok(())
             })
             .unwrap();
-        let staged = StagedKvs::park(out.output, &store).unwrap();
-        assert_eq!(staged.meta(), meta);
-        let restored = staged.restore(&pool).unwrap();
+        let mut cache = KvCache::default();
+        cache.insert("pairs", out.output, Partitioner::hash().fingerprint(1));
+        assert!(cache.evict("pairs", &io).unwrap().is_some());
+        let restored = cache.checkout("pairs", &pool).unwrap().kvc;
+        assert_eq!(restored.meta(), meta);
         let mut ok = 0;
         restored
             .drain(|k, v| {
