@@ -10,20 +10,21 @@
 //!   a flow id and the receive loop records `FlowSend`/`FlowRecv`
 //!   pairs, i.e. everything the critical-path engine needs.
 //!
-//! The three configurations run as interleaved repeats; each reports its
-//! best-of-repeats throughput, and overheads compare best against best
-//! against `off` — scheduler noise only ever slows a run, so the best
-//! run per side is the clean-machine sample and background drift
-//! cancels out of the ratio instead of masquerading as tracing cost.
-//! Writes `BENCH_trace_overhead.json`; `--quick` runs a smaller cell as
-//! a CI smoke test. Prints a `REGRESSION` marker and exits nonzero if
+//! The three configurations run as interleaved repeats, the order
+//! reversed every other round. A configuration's overhead is the median,
+//! over rounds, of `off`'s throughput over its own in the same round,
+//! minus one: a slow spell lifts both sides of a pair alike, the
+//! alternating order cancels a first-runner effect, and the median
+//! ignores the odd pair a descheduled rank ruins. Writes
+//! `BENCH_trace_overhead.json`; `--quick` runs a smaller cell as a CI
+//! smoke test. Prints a `REGRESSION` marker and exits nonzero if
 //! full-flow tracing costs ≥5% of untraced throughput: the budget under
 //! which "leave tracing on in production" stays an easy recommendation.
 
 use std::time::Instant;
 
 use mimir_bench::fmt_size;
-use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
+use mimir_bench::harness::{fastest, Args, Report, Summary};
 use mimir_core::{Emitter, KvContainer, KvMeta, Shuffler};
 use mimir_datagen::rank_rng;
 use mimir_mem::MemPool;
@@ -31,6 +32,10 @@ use mimir_mpi::run_world;
 use mimir_obs::{Json, Recorder};
 
 const KV_BYTES: u64 = 16; // fixed(8,8)
+
+/// Rounds of the three cells. Odd, so the paired median is one pair.
+const REPEATS_QUICK: usize = 51;
+const REPEATS_FULL: usize = 11;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Tracing {
@@ -91,18 +96,34 @@ fn run_cell(ranks: usize, comm_buf: usize, kvs_per_rank: usize, tracing: Tracing
     }
 }
 
+/// Runs every cell `repeats` times, one of each per round, and returns
+/// each cell's measures in run order. Odd rounds run the cells in
+/// reverse, so neither side of a pair always runs first.
+fn alternating(repeats: usize, mut run: impl FnMut(usize) -> Measure) -> Vec<Vec<Measure>> {
+    let mut out: Vec<Vec<Measure>> = CELLS.iter().map(|_| Vec::new()).collect();
+    for round in 0..repeats {
+        for i in 0..CELLS.len() {
+            let cell = if round % 2 == 0 {
+                i
+            } else {
+                CELLS.len() - 1 - i
+            };
+            out[cell].push(run(cell));
+        }
+    }
+    out
+}
+
 /// Overhead of `cell` against `baseline` as a fraction of baseline
-/// throughput (0.03 = 3% lost): per interleaved repeat pair (unclamped,
-/// so its spread shows the noise) and best against best (clamped at 0,
-/// the gated statistic).
-fn overhead(baseline: &[Measure], cell: &[Measure]) -> (Vec<f64>, f64) {
-    let paired = baseline
+/// throughput (0.03 = 3% lost), per round: the gate reads the median of
+/// these pairs, and their spread shows the noise.
+fn overhead(baseline: &[Measure], cell: &[Measure]) -> Summary {
+    let paired: Vec<f64> = baseline
         .iter()
         .zip(cell)
         .map(|(b, c)| b.mb_per_s / c.mb_per_s - 1.0)
         .collect();
-    let best = |ms: &[Measure]| ms.iter().map(|m| m.mb_per_s).fold(0.0, f64::max);
-    (paired, (best(baseline) / best(cell) - 1.0).max(0.0))
+    Summary::of(&paired)
 }
 
 fn main() {
@@ -110,12 +131,12 @@ fn main() {
     // Heavy-8 preset: the cell where the exchange engine (and therefore
     // per-message tracing) is busiest. --quick shrinks it for CI.
     let (ranks, comm_buf, repeats) = if args.quick {
-        (2usize, 64 << 10, 3)
+        (2usize, 64 << 10, REPEATS_QUICK)
     } else {
-        (8usize, 256 << 10, 5)
+        (8usize, 256 << 10, REPEATS_FULL)
     };
     let kvs_per_rank = 8 * comm_buf / KV_BYTES as usize;
-    let runs = interleaved(repeats, CELLS.len(), |i| {
+    let runs = alternating(repeats, |i| {
         run_cell(ranks, comm_buf, kvs_per_rank, CELLS[i].1)
     });
 
@@ -123,11 +144,11 @@ fn main() {
         "{:<6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
         "ranks", "buf", "config", "MB/s", "median", "overhead", "events", "dropped"
     );
-    let (full_flow, full_flow_overhead) = overhead(&runs[0], &runs[2]);
+    let full_flow = overhead(&runs[0], &runs[2]);
     let mut report = Report::new("trace_overhead", &args);
     let mut dropped = 0;
     for ((name, _), repeats) in CELLS.iter().zip(&runs) {
-        let overhead = overhead(&runs[0], repeats).1;
+        let overhead = overhead(&runs[0], repeats).median;
         let (fastest, rate) = fastest(repeats, |m| m.mb_per_s);
         dropped += fastest.events_dropped;
         println!(
@@ -166,10 +187,10 @@ fn main() {
     report.field("kv_meta", Json::Str("fixed(8,8)".into()));
     report.gate(
         "full-flow tracing overhead vs untraced",
-        full_flow_overhead,
+        full_flow.median,
         0.05,
-        full_flow_overhead < 0.05,
-        Some(Summary::of(&full_flow)),
+        full_flow.median < 0.05,
+        Some(full_flow),
     );
     report.finish(&args, "BENCH_trace_overhead.json");
 }

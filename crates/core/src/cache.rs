@@ -11,20 +11,16 @@
 //! entirely (see `MapReduceJob::chain_*`).
 //!
 //! Memory accounting is the pool's, not a private ledger: a resident
-//! container's pages stay charged to the node [`mimir_mem::MemPool`], so
-//! the sched service's admission probes see cached bytes exactly like any
-//! running job's footprint. When admission cannot place a job, the
-//! service asks the cache to [`KvCache::evict_to_spill`] — least recently
-//! used first, serialized page-wise into a [`SpillStore`] — so holding a
-//! cache can never deadlock admission. An evicted entry transparently
-//! reloads on its next use.
+//! container's pages stay charged to the node [`mimir_mem::MemPool`]
+//! like any running job's footprint. [`KvCache::evict`] serializes an
+//! entry page-wise into a [`SpillStore`] and frees its pages; an evicted
+//! entry transparently reloads on its next use.
 //!
 //! The cache is per rank (placement *is* the point: partition `r` of a
-//! cached dataset lives on rank `r`), shared across the jobs of that rank
-//! via [`SharedKvCache`].
+//! cached dataset lives on rank `r`), owned by the rank's
+//! `MimirContext` and shared by every job run on it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use mimir_io::{IoModel, SpillFile, SpillStore};
 use mimir_mem::MemPool;
@@ -43,13 +39,10 @@ struct CacheEntry {
     fingerprint: PartitionFingerprint,
     /// Payload bytes (resident or spilled).
     bytes: u64,
-    /// LRU clock value at last touch.
-    last_used: u64,
 }
 
 /// A checked-out cache entry: the container leaves the cache for the
-/// duration of a chained job (so the cache lock is never held across user
-/// callbacks) and is checked back in afterwards.
+/// duration of a chained job and is checked back in afterwards.
 pub struct CheckedOut {
     /// The resident container, reloaded from spill if necessary.
     pub kvc: KvContainer,
@@ -64,32 +57,20 @@ pub struct KvCache {
     /// Cumulative elisions per name; survives entry overwrites/removals.
     elisions_by_name: HashMap<String, u64>,
     stats: CacheCounters,
-    tick: u64,
     spill: Option<SpillStore>,
-}
-
-/// The shareable handle installed on `MimirContext` and held by the sched
-/// service: one cache per rank, shared by every job that rank runs.
-pub type SharedKvCache = Arc<Mutex<KvCache>>;
-
-/// Creates a fresh shared cache handle.
-pub fn shared_cache() -> SharedKvCache {
-    Arc::new(Mutex::new(KvCache::default()))
 }
 
 impl KvCache {
     /// Retains `kvc` under `name`, replacing (and freeing) any previous
     /// entry of that name. The container's pages remain charged to its
-    /// pool — that is what makes the cache admission-visible.
+    /// pool.
     pub fn insert(&mut self, name: &str, kvc: KvContainer, fingerprint: PartitionFingerprint) {
-        self.tick += 1;
         let entry = CacheEntry {
             bytes: kvc.bytes(),
             meta: kvc.meta(),
             resident: Some(kvc),
             spilled: None,
             fingerprint,
-            last_used: self.tick,
         };
         self.entries.insert(name.to_string(), entry);
         self.elisions_by_name.entry(name.to_string()).or_insert(0);
@@ -194,31 +175,6 @@ impl KvCache {
         Ok(Some(freed))
     }
 
-    /// Evicts least-recently-used entries until at least `target_bytes`
-    /// of payload have been released or nothing resident remains.
-    /// Returns the bytes released. This is the admission-pressure hook:
-    /// the sched service calls it before declaring a footprint
-    /// unsatisfiable.
-    ///
-    /// # Errors
-    /// Spill-file I/O failures.
-    pub fn evict_to_spill(&mut self, target_bytes: u64, io: &IoModel) -> Result<u64> {
-        let mut freed = 0u64;
-        while freed < target_bytes {
-            let Some(victim) = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.resident.is_some())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(n, _)| n.clone())
-            else {
-                break;
-            };
-            freed += self.evict(&victim, io)?.unwrap_or(0);
-        }
-        Ok(freed)
-    }
-
     /// Payload bytes currently resident (and therefore evictable).
     pub fn resident_bytes(&self) -> u64 {
         self.entries
@@ -311,14 +267,6 @@ fn reload(entry: &CacheEntry, name: &str, pool: &MemPool) -> Result<KvContainer>
         kvc.bytes(),
     );
     Ok(kvc)
-}
-
-/// Locks a [`SharedKvCache`], recovering from poisoning (a panicked
-/// sibling job must not wedge every later job on the rank).
-pub fn lock_cache(cache: &SharedKvCache) -> std::sync::MutexGuard<'_, KvCache> {
-    cache
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -476,29 +424,6 @@ mod tests {
         assert_eq!(out.kvc.len(), 0);
         assert_eq!(out.kvc.meta(), KvMeta::var());
         assert_eq!(pool.used(), 0);
-    }
-
-    #[test]
-    fn evict_to_spill_takes_lru_first() {
-        let pool = MemPool::unlimited("t", 4096);
-        let io = IoModel::free();
-        let mut cache = KvCache::default();
-        let fp = Partitioner::hash().fingerprint(1);
-        cache.insert("old", filled(&pool, 10), fp);
-        cache.insert("new", filled(&pool, 10), fp);
-        // Touch "old" so "new"... no: insertion order makes "old" LRU.
-        let freed = cache.evict_to_spill(1, &io).unwrap();
-        assert_eq!(freed, 160);
-        let snaps = cache.entry_snapshots();
-        let old = snaps.iter().find(|s| s.name == "old").unwrap();
-        let new = snaps.iter().find(|s| s.name == "new").unwrap();
-        assert_eq!(old.bytes, 0, "LRU entry was evicted");
-        assert_eq!(new.bytes, 160, "recently inserted entry stayed resident");
-
-        // Demanding more than everything evicts everything and stops.
-        let freed = cache.evict_to_spill(u64::MAX, &io).unwrap();
-        assert_eq!(freed, 160);
-        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]

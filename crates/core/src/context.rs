@@ -5,20 +5,19 @@ use mimir_mem::MemPool;
 use mimir_mpi::Comm;
 use mimir_obs::{CacheCounters, CacheNameRecord};
 
-use crate::cache::{lock_cache, shared_cache, SharedKvCache};
 use crate::job::MapReduceJob;
-use crate::{CancelToken, KvContainer, MimirConfig, Result};
+use crate::{KvCache, KvContainer, MimirConfig, Result};
 
 /// A rank's handle to the Mimir runtime: communication, the node memory
-/// pool, the I/O model, and framework configuration. One context serves
-/// many jobs (multi-stage and iterative workloads reuse it).
+/// pool, the I/O model, framework configuration and the rank's cross-job
+/// KV cache. One context serves many jobs (multi-stage and iterative
+/// workloads reuse it, chaining through the cache).
 pub struct MimirContext<'w> {
     pub(crate) comm: &'w mut Comm,
     pub(crate) pool: MemPool,
     pub(crate) io: IoModel,
     pub(crate) cfg: MimirConfig,
-    pub(crate) cancel: Option<CancelToken>,
-    pub(crate) cache: SharedKvCache,
+    pub(crate) cache: KvCache,
 }
 
 impl<'w> MimirContext<'w> {
@@ -34,19 +33,8 @@ impl<'w> MimirContext<'w> {
             pool,
             io,
             cfg,
-            cancel: None,
-            cache: shared_cache(),
+            cache: KvCache::default(),
         })
-    }
-
-    /// Installs a cooperative cancellation token: every job run on this
-    /// context votes on the flag collectively at its phase boundaries and
-    /// fails with [`crate::MimirError::Cancelled`] once any rank's clone
-    /// has been raised. Without a token the checkpoints are free (no extra
-    /// collectives). Every rank of the job must install a token (or none):
-    /// the vote is a collective.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
     }
 
     /// This rank's index.
@@ -79,34 +67,21 @@ impl<'w> MimirContext<'w> {
         MapReduceJob::new(self)
     }
 
-    /// Replaces this context's cross-job KV cache handle. The sched
-    /// service installs its rank-wide cache here so containers cached by
-    /// one job are visible to every later job on the rank; standalone
-    /// contexts keep the private cache created by [`Self::new`].
-    pub fn set_cache(&mut self, cache: SharedKvCache) {
-        self.cache = cache;
-    }
-
-    /// The cross-job KV cache handle (cheap to clone and share).
-    pub fn cache(&self) -> SharedKvCache {
-        self.cache.clone()
-    }
-
     /// Cross-job cache counters for this rank.
     pub fn cache_stats(&self) -> CacheCounters {
-        lock_cache(&self.cache).stats()
+        self.cache.stats()
     }
 
     /// Per-name cache snapshots (resident bytes, elisions), sorted by
     /// name.
     pub fn cache_snapshots(&self) -> Vec<CacheNameRecord> {
-        lock_cache(&self.cache).entry_snapshots()
+        self.cache.entry_snapshots()
     }
 
     /// Whether `name` is currently cached (resident or spilled). Local;
     /// does not count toward hit/miss statistics.
     pub fn cache_contains(&self, name: &str) -> bool {
-        lock_cache(&self.cache).contains(name)
+        self.cache.contains(name)
     }
 
     /// Reads the named cached container without consuming it, reloading
@@ -115,32 +90,31 @@ impl<'w> MimirContext<'w> {
     /// # Errors
     /// [`crate::MimirError::Cache`] for an unknown name; reload failures.
     pub fn with_cached<R>(
-        &self,
+        &mut self,
         name: &str,
         f: impl FnOnce(&KvContainer) -> Result<R>,
     ) -> Result<R> {
-        lock_cache(&self.cache).with_resident(name, &self.pool, f)
+        self.cache.with_resident(name, &self.pool, f)
     }
 
-    /// Forces the named entry out to spill (tests and pressure drills;
-    /// the sched service evicts collectively through its own handle).
+    /// Forces the named entry out to spill (tests and pressure drills).
     ///
     /// # Errors
     /// Spill I/O failures.
-    pub fn cache_evict(&self, name: &str) -> Result<Option<u64>> {
-        lock_cache(&self.cache).evict(name, &self.io)
+    pub fn cache_evict(&mut self, name: &str) -> Result<Option<u64>> {
+        self.cache.evict(name, &self.io)
     }
 
     /// Drops the named cache entry, freeing its pages or spill file.
-    pub fn cache_remove(&self, name: &str) {
-        lock_cache(&self.cache).remove(name);
+    pub fn cache_remove(&mut self, name: &str) {
+        self.cache.remove(name);
     }
 
     /// Drops every cache entry. Iterative drivers call this when their
     /// chain ends so a finished workload holds nothing against the
     /// shared memory budget.
-    pub fn cache_clear(&self) {
-        lock_cache(&self.cache).clear();
+    pub fn cache_clear(&mut self) {
+        self.cache.clear();
     }
 
     /// Reads this rank's record-aligned share of a text file on the

@@ -27,11 +27,6 @@ pub enum MimirError {
     HintViolation(String),
     /// Invalid job configuration.
     Config(String),
-    /// The job was cooperatively cancelled at a phase boundary (its
-    /// [`crate::CancelToken`] was raised on some rank). All ranks of the
-    /// job observe this error at the same boundary, so partially-built
-    /// containers drop — and credit their pool — on every rank.
-    Cancelled,
     /// A cross-job cache misuse: a chained input name was never cached,
     /// or a shuffle-elided map emitted a key that does not belong to this
     /// rank under the declared partitioner (the map was not
@@ -40,8 +35,8 @@ pub enum MimirError {
     Cache(String),
     /// A peer rank disconnected mid-job: its process died or its
     /// transport endpoint closed while this rank was blocked on it. The
-    /// message names the lost peer. Unlike [`MimirError::Cancelled`]
-    /// this is involuntary — the job cannot be resumed on this world.
+    /// message names the lost peer; the job cannot be resumed on this
+    /// world.
     Disconnected(String),
 }
 
@@ -55,7 +50,6 @@ impl fmt::Display for MimirError {
             }
             MimirError::HintViolation(msg) => write!(f, "KV-hint violation: {msg}"),
             MimirError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            MimirError::Cancelled => write!(f, "job cancelled at a phase boundary"),
             MimirError::Cache(msg) => write!(f, "cross-job cache: {msg}"),
             MimirError::Disconnected(msg) => write!(f, "peer disconnected: {msg}"),
         }
@@ -89,11 +83,6 @@ impl MimirError {
     /// condition the bench harness turns into a "missing data point".
     pub fn is_oom(&self) -> bool {
         matches!(self, MimirError::Mem(MemError::OutOfMemory { .. }))
-    }
-
-    /// True when the job stopped because its cancel token was raised.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, MimirError::Cancelled)
     }
 
     /// True when the job died because a peer rank's transport went away.

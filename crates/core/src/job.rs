@@ -40,7 +40,7 @@ use mimir_mem::MemPool;
 use mimir_mpi::Comm;
 use mimir_obs::{EventKind, GroupCounters, Phase, SpanGuard};
 
-use crate::cache::{lock_cache, CheckedOut, SharedKvCache};
+use crate::cache::{CheckedOut, KvCache};
 use crate::combiner::{CombineFn, CombinerTable};
 use crate::context::MimirContext;
 use crate::grouped::GroupedKvs;
@@ -49,7 +49,7 @@ use crate::partial::PartialReducer;
 use crate::partitioner::Partitioner;
 use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
 use crate::sink::KvSink;
-use crate::{CancelToken, JobStats, KvContainer, KvMeta, MimirError, Result};
+use crate::{JobStats, KvContainer, KvMeta, MimirError, Result};
 
 /// A configured-but-not-yet-run MapReduce job.
 pub struct MapReduceJob<'c, 'w> {
@@ -418,13 +418,12 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
             comm,
             pool,
             cfg,
-            cancel,
             cache,
             ..
         } = &mut *self.ctx;
-        let mut clock = PhaseClock::start(comm, cancel, pool, Phase::Map)?;
+        let mut clock = PhaseClock::start(pool, Phase::Map);
         let input = match &chain_input {
-            Some(name) => Some(lock_cache(cache).checkout(name, pool)?),
+            Some(name) => Some(cache.checkout(name, pool)?),
             None => None,
         };
         let fingerprint = self.partitioner.fingerprint(comm.size());
@@ -482,10 +481,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         stats: &mut JobStats,
         keyed: bool,
     ) -> Result<KmvContainer> {
-        let MimirContext {
-            comm, pool, cancel, ..
-        } = &mut *self.ctx;
-        let clock = PhaseClock::start(comm, cancel, pool, Phase::Convert)?;
+        let MimirContext { pool, .. } = &*self.ctx;
+        let clock = PhaseClock::start(pool, Phase::Convert);
         let (kmvc, group) = grouped.seal(keyed)?;
         stats.group.merge(&group);
         stats.unique_keys = kmvc.n_groups() as u64;
@@ -501,10 +498,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         reduce: ReduceFn<'_>,
     ) -> Result<JobOutput> {
         let kmvc = self.convert(grouped, &mut stats, false)?;
-        let MimirContext {
-            comm, pool, cancel, ..
-        } = &mut *self.ctx;
-        let clock = PhaseClock::start(comm, cancel, pool, Phase::Reduce)?;
+        let MimirContext { comm, pool, .. } = &mut *self.ctx;
+        let clock = PhaseClock::start(pool, Phase::Reduce);
         let mut out = KvContainer::new(pool, self.out_meta);
         let mut emitter = OutEmitter(&mut out);
         kmvc.for_each_group(|k, vals| reduce(k, vals, &mut emitter))?;
@@ -520,10 +515,8 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
         self,
         (reducer, mut stats): (PartialReducer<'_>, JobStats),
     ) -> Result<JobOutput> {
-        let MimirContext {
-            comm, pool, cancel, ..
-        } = &mut *self.ctx;
-        let clock = PhaseClock::start(comm, cancel, pool, Phase::Reduce)?;
+        let MimirContext { comm, pool, .. } = &mut *self.ctx;
+        let clock = PhaseClock::start(pool, Phase::Reduce);
         stats.unique_keys = reducer.unique_keys() as u64;
         stats.group.merge(&reducer.group_stats());
         let out = reducer.into_output(pool, self.out_meta)?;
@@ -539,13 +532,13 @@ impl<'c, 'w> MapReduceJob<'c, 'w> {
     fn finish(self, out: KvContainer, mut stats: JobStats) -> Result<JobOutput> {
         let MimirContext {
             comm, pool, cache, ..
-        } = &*self.ctx;
+        } = &mut *self.ctx;
         stats.kvs_out = out.len();
         let output = match &self.output_cached {
             Some(name) => {
                 let meta = out.meta();
                 let fingerprint = self.partitioner.fingerprint(comm.size());
-                lock_cache(cache).insert(name, out, fingerprint);
+                cache.insert(name, out, fingerprint);
                 KvContainer::new(pool, meta)
             }
             None => out,
@@ -619,28 +612,12 @@ struct PhaseClock {
 }
 
 impl PhaseClock {
-    /// Opens `phase`. First the collective cancellation checkpoint: free
-    /// when no [`CancelToken`] is installed; otherwise an `allreduce Max`
-    /// vote of the local flag on the job's communicator, so all ranks
-    /// abandon the job at the same boundary (see the `cancel` module
-    /// docs). Then the timer and a fresh pool phase peak.
-    fn start(
-        comm: &mut Comm,
-        cancel: &Option<CancelToken>,
-        pool: &MemPool,
-        phase: Phase,
-    ) -> Result<Self> {
-        if let Some(token) = cancel {
-            let raised =
-                comm.allreduce_u64(mimir_mpi::ReduceOp::Max, u64::from(token.is_cancelled()));
-            if raised != 0 {
-                return Err(MimirError::Cancelled);
-            }
-        }
+    /// Opens `phase`: the timer and a fresh pool phase peak.
+    fn start(pool: &MemPool, phase: Phase) -> Self {
         let t0 = Instant::now();
         pool.reset_phase_peak();
         let span = Some(mimir_obs::phase_span(phase));
-        Ok(Self { t0, span })
+        Self { t0, span }
     }
 
     /// Moves the trace span on to `phase`; the timer keeps running.
@@ -659,11 +636,10 @@ impl PhaseClock {
 /// Returns a chained input to the cache — even when the map failed, so an
 /// errored job does not lose the cached dataset — and credits an elision
 /// on success.
-fn finish_chain_input(cache: &SharedKvCache, name: &str, input: CheckedOut, elided: bool) {
-    let mut c = lock_cache(cache);
-    c.checkin(name, input);
+fn finish_chain_input(cache: &mut KvCache, name: &str, input: CheckedOut, elided: bool) {
+    cache.checkin(name, input);
     if elided {
-        c.note_elision(name);
+        cache.note_elision(name);
     }
 }
 

@@ -44,7 +44,6 @@
 
 mod buffer;
 mod cache;
-mod cancel;
 mod combiner;
 mod config;
 mod context;
@@ -65,8 +64,7 @@ mod sink;
 mod stats;
 pub mod typed;
 
-pub use cache::{lock_cache, shared_cache, CheckedOut, KvCache, SharedKvCache};
-pub use cancel::CancelToken;
+pub use cache::{CheckedOut, KvCache};
 pub use combiner::{CombineFn, CombinerTable};
 pub use config::{KvMeta, LenHint, MimirConfig};
 pub use context::MimirContext;

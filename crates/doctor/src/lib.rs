@@ -18,7 +18,6 @@
 //! | `memory-headroom` | pool peak vs budget, OOM events | margin <10% or any budget violation |
 //! | `spill-amplification` | spilled vs emitted shuffle bytes | spill exceeding the data itself |
 //! | `dropped-events` | trace ring overwrites | any loss; >5% is critical |
-//! | `job-lifecycle` | scheduler job records | non-`Done` outcomes, suspend-and-retry churn |
 //! | `deadlock-suspect` | wait fraction vs wall time | ≥95% wall spent blocked with nothing received |
 //! | `cache-efficiency` | cross-job cache counters, evict/reload event stream | low hit rate while cached bytes crowd the pool, eviction thrash; reports elisions and per-name residency (info) |
 //! | `transport` | per-backend wire counters (frames, bytes, handshake) | handshake stalls, tiny-message chatter; silent on the in-process backend |
@@ -284,7 +283,6 @@ pub fn diagnose(reports: &[RankReport]) -> Diagnosis {
     rules::memory_headroom(reports, &mut findings);
     rules::spill_amplification(reports, &mut findings);
     rules::dropped_events(reports, &mut findings);
-    rules::job_lifecycle(reports, &mut findings);
     rules::deadlock_suspect(reports, &mut findings);
     rules::cache_efficiency(reports, &mut findings);
     rules::transport(reports, &mut findings);

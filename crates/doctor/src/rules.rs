@@ -373,10 +373,7 @@ pub fn memory_headroom(reports: &[RankReport], out: &mut Vec<Finding>) {
 /// Spill amplification: spilling more bytes than the job emitted means
 /// the out-of-core path is thrashing, not absorbing a burst.
 pub fn spill_amplification(reports: &[RankReport], out: &mut Vec<Finding>) {
-    let spilled: u64 = reports
-        .iter()
-        .map(|r| r.shuffle.spilled_bytes + r.jobs.iter().map(|j| j.spill_bytes).sum::<u64>())
-        .sum();
+    let spilled: u64 = reports.iter().map(|r| r.shuffle.spilled_bytes).sum();
     let emitted: u64 = reports.iter().map(|r| r.shuffle.kv_bytes_emitted).sum();
     if spilled == 0 || emitted == 0 || spilled <= emitted {
         return;
@@ -437,58 +434,6 @@ pub fn dropped_events(reports: &[RankReport], out: &mut Vec<Finding>) {
                missing from the timeline. Raise MIMIR_TRACE_CAP (each event \
                is 32 bytes; the default 64Ki events = 2 MiB per rank).",
     });
-}
-
-/// Scheduler job lifecycle: every non-`Done` outcome and every
-/// suspend-and-retry cycle is worth a line. Outcome codes mirror
-/// `mimir_sched::JobOutcome` (the doctor reads reports, not the crate).
-pub fn job_lifecycle(reports: &[RankReport], out: &mut Vec<Finding>) {
-    // Records are replicated per rank; take the widest view seen.
-    let Some(r) = reports.iter().max_by_key(|r| r.jobs.len()) else {
-        return;
-    };
-    for j in &r.jobs {
-        let (severity, what) = match j.outcome {
-            0 => {
-                if j.retries > 0 {
-                    (
-                        Severity::Warn,
-                        format!(
-                            "finished only after {} suspend-and-retry cycle(s)",
-                            j.retries
-                        ),
-                    )
-                } else {
-                    continue;
-                }
-            }
-            1 => (Severity::Warn, "died of a peer's disconnect".to_string()),
-            2 => (Severity::Info, "was cancelled".to_string()),
-            3 => (
-                Severity::Critical,
-                "ran out of pool memory (retries exhausted)".to_string(),
-            ),
-            4 => (Severity::Critical, "failed".to_string()),
-            _ => (Severity::Critical, "panicked".to_string()),
-        };
-        out.push(Finding {
-            severity,
-            code: "job-lifecycle",
-            title: format!("job {} `{}` {what}", j.id, j.name),
-            phase: "",
-            ranks: Vec::new(),
-            evidence: vec![
-                ("job_id".into(), num(j.id)),
-                ("outcome_code".into(), num(j.outcome)),
-                ("retries".into(), num(j.retries)),
-                ("footprint_bytes".into(), num(j.footprint_bytes)),
-            ],
-            hint: "Suspend-and-retry doubles the footprint estimate each \
-                   cycle: a job that retries often was submitted with a far \
-                   too small footprint, and one that exhausts retries cannot \
-                   fit at all — split its input or raise the node budget.",
-        });
-    }
 }
 
 /// Deadlock suspect: a rank that spent ≥95% of its wall time blocked
@@ -1231,30 +1176,6 @@ mod tests {
         let mut out = Vec::new();
         dropped_events(&reports, &mut out);
         assert_eq!(out[0].severity, Severity::Critical, "33% loss is critical");
-    }
-
-    #[test]
-    fn job_lifecycle_reads_outcomes_and_retries() {
-        let mut reports = world(2);
-        let job = |id: u64, outcome: u64, retries: u64| mimir_obs::JobRecord {
-            id,
-            name: format!("j{id}"),
-            outcome,
-            retries,
-            ..mimir_obs::JobRecord::default()
-        };
-        reports[0].jobs = vec![
-            job(0, 0, 0), // clean: silent
-            job(1, 0, 2), // retried: warn
-            job(2, 2, 0), // cancelled: info
-            job(3, 3, 3), // OOM: critical
-        ];
-        let mut out = Vec::new();
-        job_lifecycle(&reports, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].severity, Severity::Warn);
-        assert_eq!(out[1].severity, Severity::Info);
-        assert_eq!(out[2].severity, Severity::Critical);
     }
 
     #[test]

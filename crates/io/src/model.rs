@@ -200,10 +200,8 @@ impl IoModel {
     /// finish as fast as the CPU allows and the modeled PFS time is a
     /// number in the report. Paced, every charge also sleeps its modeled
     /// duration on the calling thread, so an I/O-bound phase really stalls
-    /// the rank that issued it. That is what gives a multi-job scheduler
-    /// something to overlap: while one job sleeps in its ingest reads,
-    /// another job's compute proceeds — the same latency-hiding the paper's
-    /// platforms get from asynchronous PFS traffic.
+    /// the rank that issued it, so the gap between a cold spill+reload
+    /// round trip and a resident cache hit shows up as wall time.
     pub fn set_paced(&self, paced: bool) {
         self.inner.paced.store(paced, Ordering::Release);
     }

@@ -132,22 +132,6 @@ impl MemPool {
         Ok(Reservation::new(bytes, Arc::clone(&self.inner)))
     }
 
-    /// Admission-control variant of [`Self::try_reserve`]: attempts the
-    /// same budget charge but returns `None` instead of an error on
-    /// refusal, **without** counting an OOM event.
-    ///
-    /// A scheduler probing "would this job fit right now?" expects the
-    /// answer to routinely be no while the node is busy; those probes are
-    /// policy, not failures, and must not pollute the pool's OOM
-    /// diagnostics (which the paper's missing-data-points analysis and the
-    /// stress tests treat as real budget violations).
-    pub fn probe_reserve(&self, bytes: usize) -> Option<Reservation> {
-        self.inner
-            .charge(bytes)
-            .ok()
-            .map(|()| Reservation::new(bytes, Arc::clone(&self.inner)))
-    }
-
     /// The pool's fixed page size in bytes.
     pub fn page_size(&self) -> usize {
         self.inner.page_size
@@ -416,18 +400,6 @@ mod tests {
         assert_eq!(pool.used(), 0);
         assert!(pool.peak() <= 8 * 8 * 8 * 1000); // sanity: bounded
         assert_eq!(pool.stats().page_allocs, 800);
-    }
-
-    #[test]
-    fn probe_reserve_does_not_count_oom() {
-        let pool = MemPool::new("t", 64, 128).unwrap();
-        let held = pool.probe_reserve(100).expect("fits");
-        assert_eq!(pool.used(), 100);
-        assert!(pool.probe_reserve(29).is_none(), "over budget");
-        assert_eq!(pool.oom_events(), 0, "probe refusals are not OOM events");
-        drop(held);
-        assert_eq!(pool.used(), 0);
-        assert!(pool.probe_reserve(29).is_some());
     }
 
     #[test]

@@ -51,15 +51,14 @@ pub use mimir_doctor as doctor;
 pub use mimir_io as io;
 pub use mimir_mem as mem;
 pub use mimir_mpi as mpi;
-pub use mimir_sched as sched;
 pub use mrmpi;
 
 /// The names most programs need.
 pub mod prelude {
     pub use mimir_core::{
-        run_iterative_with_recovery, typed, CancelToken, ChainMapFn, CheckpointStore, Emitter,
-        JobOutput, JobStats, KvCache, KvContainer, KvMeta, LenHint, MimirConfig, MimirContext,
-        MimirError, Partitioner, ValueIter,
+        run_iterative_with_recovery, typed, ChainMapFn, CheckpointStore, Emitter, JobOutput,
+        JobStats, KvCache, KvContainer, KvMeta, LenHint, MimirConfig, MimirContext, MimirError,
+        Partitioner, ValueIter,
     };
     pub use mimir_datagen::{Graph500, PointGen, UniformWords, WikipediaWords};
     pub use mimir_io::{IoModel, IoModelConfig, SpillStore};
@@ -69,6 +68,5 @@ pub mod prelude {
         TransportKind, WorldError,
     };
     pub use mimir_obs::CacheCounters;
-    pub use mimir_sched::{JobOutcome, JobService, JobSpec, JobState, JobYield, SchedConfig};
     pub use mrmpi::{MapReduce, MrMpiConfig, OocMode};
 }

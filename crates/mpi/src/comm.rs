@@ -325,10 +325,9 @@ impl Comm {
     /// other duplicate, whatever tags either side uses. (On the in-process
     /// backend the namespace is a private channel matrix; on the socket
     /// backend it is a fresh communicator id multiplexed over the existing
-    /// connections.) This is the isolation primitive the job scheduler
-    /// hands to each running job, so two jobs' `alltoallv` rounds can
-    /// interleave on the same ranks (even from different threads — the
-    /// duplicate is `Send` and fully independent).
+    /// connections.) Two jobs, each on its own duplicate, can therefore
+    /// interleave their `alltoallv` rounds on the same ranks (even from
+    /// different threads — the duplicate is `Send` and fully independent).
     ///
     /// The duplicate starts with an empty pooled-buffer free-list, so
     /// concurrent owners never contend for recycled buffers.
@@ -340,15 +339,6 @@ impl Comm {
     pub fn dup(&mut self) -> Comm {
         let seq = self.begin_derivation(DERIVE_DUP);
         let name = format!("{}.dup{seq}", self.name);
-        let members: Vec<usize> = (0..self.size).collect();
-        self.derive_transport(name, seq, &members, self.rank, tags::DUP)
-    }
-
-    /// [`Comm::dup`] with a caller-chosen label suffix (e.g. a job name),
-    /// visible in spill directories and panic messages.
-    pub fn dup_named(&mut self, label: &str) -> Comm {
-        let seq = self.begin_derivation(DERIVE_DUP);
-        let name = format!("{}.{label}", self.name);
         let members: Vec<usize> = (0..self.size).collect();
         self.derive_transport(name, seq, &members, self.rank, tags::DUP)
     }

@@ -38,10 +38,10 @@ pub(crate) struct DisconnectPanic(pub CommError);
 /// when a rank's channel endpoints vanish (the in-process analogue of an
 /// MPI job abort reaching a survivor).
 ///
-/// Schedulers running jobs on [`crate::Comm::dup`]'d communicators use
-/// this to classify a worker's `catch_unwind` payload: a disconnect panic
-/// means *some peer* failed first and this rank is collateral, so the
-/// job's failure should be attributed to the root cause, not to this rank.
+/// The UDS rank harness uses this to classify a rank's `catch_unwind`
+/// payload: a disconnect panic means *some peer* failed first and this
+/// rank is collateral, so the failure should be attributed to the root
+/// cause, not to this rank.
 pub fn is_disconnect_panic(payload: &(dyn std::any::Any + Send)) -> bool {
     payload.is::<DisconnectPanic>()
 }

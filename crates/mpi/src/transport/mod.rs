@@ -129,8 +129,8 @@ pub(crate) enum DeriveState {
 
 /// The message-delivery seam beneath [`crate::Comm`].
 ///
-/// Implementations are `Send` (a `Comm` moves between threads, e.g.
-/// into a scheduler's job workers) but not `Sync` — a transport, like a
+/// Implementations are `Send` (a `Comm` moves between threads, e.g. a
+/// `dup`'d communicator handed to a second thread) but not `Sync` — a transport, like a
 /// `Comm`, is owned by exactly one rank thread.
 ///
 /// `stats` is threaded through `send`/`recv` so backends can keep their

@@ -11,7 +11,7 @@
 //! Implementations exist for the primitive types, `String`, `Vec<T>`,
 //! `Option<T>`, and tuples up to arity 6 — enough to carry test and
 //! bench results. Downstream crates implement it for their own result
-//! types (e.g. the scheduler's `JobOutcome`).
+//! types.
 
 use mimir_obs::Counter;
 

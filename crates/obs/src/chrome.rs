@@ -16,67 +16,12 @@ use crate::report::RankReport;
 /// Process id used for all ranks (one logical job = one process row).
 const PID: f64 = 1.0;
 
-/// Scheduler job lanes get tids far above the rank lanes:
-/// `(rank + 1) * JOB_LANE_STRIDE + job_id`, so each rank's jobs group
-/// under that rank in Perfetto's tid-sorted view.
-const JOB_LANE_STRIDE: u64 = 1_000;
-
-/// The tid of job `job_id`'s lane on `rank`.
-fn job_lane(rank: u64, job_id: u64) -> f64 {
-    ((rank + 1) * JOB_LANE_STRIDE + job_id) as f64
-}
-
 /// Converts one rank's events into trace_event records. `flows` is the
 /// set of flow ids seen on *both* ends across the whole report set:
 /// arrows are only drawn for complete pairs, so a ring-dropped half can
 /// never leave a dangling `ph:"s"` in the export.
 fn rank_events(rank: u64, events: &[Event], flows: &HashSet<u64>, out: &mut Vec<Json>) {
     let tid = Json::Num(rank as f64);
-    // Per-job lane state: which span ("queued"/"running") is open, so
-    // suspend/re-admit cycles and ends stay balanced whatever order the
-    // scheduler emitted.
-    let mut job_state: std::collections::HashMap<u64, &'static str> =
-        std::collections::HashMap::new();
-    let job_span = |out: &mut Vec<Json>,
-                    state: &mut std::collections::HashMap<u64, &'static str>,
-                    job: u64,
-                    ts: &Json,
-                    next: Option<&'static str>,
-                    args: Vec<(&str, Json)>| {
-        let lane = Json::Num(job_lane(rank, job));
-        if let Some(open) = state.remove(&job) {
-            out.push(Json::obj(vec![
-                ("name", Json::Str(open.into())),
-                ("ph", Json::Str("E".into())),
-                ("ts", ts.clone()),
-                ("pid", Json::Num(PID)),
-                ("tid", lane.clone()),
-            ]));
-        } else if next.is_some() {
-            // First sighting of this job on this rank: label its lane.
-            out.push(Json::obj(vec![
-                ("name", Json::Str("thread_name".into())),
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::Num(PID)),
-                ("tid", lane.clone()),
-                (
-                    "args",
-                    Json::obj(vec![("name", Json::Str(format!("r{rank} job {job}")))]),
-                ),
-            ]));
-        }
-        if let Some(name) = next {
-            out.push(Json::obj(vec![
-                ("name", Json::Str(name.into())),
-                ("ph", Json::Str("B".into())),
-                ("ts", ts.clone()),
-                ("pid", Json::Num(PID)),
-                ("tid", lane),
-                ("args", Json::obj(args)),
-            ]));
-            state.insert(job, name);
-        }
-    };
     for e in events {
         // trace_event timestamps are microseconds; keep sub-µs precision
         // as a fraction.
@@ -184,48 +129,6 @@ fn rank_events(rank: u64, events: &[Event], flows: &HashSet<u64>, out: &mut Vec<
                     ),
                 ]));
             }
-            EventKind::JobSubmit => {
-                job_span(
-                    out,
-                    &mut job_state,
-                    e.a,
-                    &ts,
-                    Some("queued"),
-                    vec![("priority", Json::Num(e.b as f64))],
-                );
-            }
-            EventKind::JobAdmit => {
-                job_span(
-                    out,
-                    &mut job_state,
-                    e.a,
-                    &ts,
-                    Some("running"),
-                    vec![("footprint_bytes", Json::Num(e.b as f64))],
-                );
-            }
-            EventKind::JobSuspend => {
-                job_span(
-                    out,
-                    &mut job_state,
-                    e.a,
-                    &ts,
-                    Some("queued"),
-                    vec![("retries", Json::Num(e.b as f64))],
-                );
-            }
-            EventKind::JobEnd => {
-                job_span(out, &mut job_state, e.a, &ts, None, Vec::new());
-                out.push(Json::obj(vec![
-                    ("name", Json::Str(format!("job {} end", e.a))),
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("ts", Json::Num(e.t_ns as f64 / 1000.0)),
-                    ("pid", Json::Num(PID)),
-                    ("tid", Json::Num(job_lane(rank, e.a))),
-                    ("args", Json::obj(vec![("outcome", Json::Num(e.b as f64))])),
-                ]));
-            }
             EventKind::RoundWait => {
                 out.push(Json::obj(vec![
                     ("name", Json::Str(format!("round-wait r{rank}"))),
@@ -330,18 +233,6 @@ fn rank_events(rank: u64, events: &[Event], flows: &HashSet<u64>, out: &mut Vec<
                             ("bytes", Json::Num(e.b as f64)),
                         ]),
                     ),
-                ]));
-            }
-            EventKind::JobHeartbeat => {
-                // Memory counter on the job's own lane: tenants' pool
-                // footprints read side by side under their rank row.
-                out.push(Json::obj(vec![
-                    ("name", Json::Str(format!("job-mem r{rank} j{}", e.a))),
-                    ("ph", Json::Str("C".into())),
-                    ("ts", ts),
-                    ("pid", Json::Num(PID)),
-                    ("tid", Json::Num(job_lane(rank, e.a))),
-                    ("args", Json::obj(vec![("used", Json::Num(e.b as f64))])),
                 ]));
             }
         }
@@ -501,69 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn job_lifecycle_renders_as_balanced_lane_spans() {
-        let evs = vec![
-            Event {
-                t_ns: 1_000,
-                kind: EventKind::JobSubmit,
-                a: 3,
-                b: 7, // priority
-            },
-            Event {
-                t_ns: 2_000,
-                kind: EventKind::JobAdmit,
-                a: 3,
-                b: 4096,
-            },
-            Event {
-                t_ns: 3_000,
-                kind: EventKind::JobSuspend,
-                a: 3,
-                b: 1,
-            },
-            Event {
-                t_ns: 4_000,
-                kind: EventKind::JobAdmit,
-                a: 3,
-                b: 8192,
-            },
-            Event {
-                t_ns: 5_000,
-                kind: EventKind::JobEnd,
-                a: 3,
-                b: 0,
-            },
-        ];
-        let doc = chrome_trace(&[report_with_events(1, evs)]);
-        let trace = doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
-        let lane = (1 + 1) * 1_000 + 3; // (rank+1)*stride + job id
-        let lane_events: Vec<_> = trace
-            .iter()
-            .filter(|e| e.get("tid").and_then(Json::as_u64) == Some(lane))
-            .collect();
-        let (mut begins, mut ends, mut metas, mut instants) = (0, 0, 0, 0);
-        for ev in &lane_events {
-            match ev.get("ph").and_then(Json::as_str) {
-                Some("B") => begins += 1,
-                Some("E") => ends += 1,
-                Some("M") => metas += 1,
-                Some("i") => instants += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(metas, 1, "one lane label");
-        assert_eq!(begins, 4, "queued, running, queued-again, running-again");
-        assert_eq!(begins, ends, "balanced spans despite suspend cycle");
-        assert_eq!(instants, 1, "job-end marker");
-        // First span on the lane is the queued state.
-        let first_b = lane_events
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
-            .unwrap();
-        assert_eq!(first_b.get("name").unwrap().as_str(), Some("queued"));
-    }
-
-    #[test]
     fn dropped_events_stamp_trace_metadata() {
         let mut lossy = report_with_events(0, Vec::new());
         lossy.events_dropped = 42;
@@ -581,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_skew_and_heartbeat_render_as_counter_lanes() {
+    fn wait_and_skew_render_as_counter_lanes() {
         let evs = vec![
             Event {
                 t_ns: 1_000,
@@ -595,12 +423,6 @@ mod tests {
                 a: 2_400,
                 b: 310,
             },
-            Event {
-                t_ns: 3_000,
-                kind: EventKind::JobHeartbeat,
-                a: 5,
-                b: 65_536,
-            },
         ];
         let doc = chrome_trace(&[report_with_events(1, evs)]);
         let trace = doc.get("traceEvents").unwrap().as_arr().unwrap();
@@ -608,7 +430,7 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
             .collect();
-        assert_eq!(counters.len(), 3);
+        assert_eq!(counters.len(), 2);
         assert_eq!(
             counters[0]
                 .get("args")
@@ -627,11 +449,9 @@ mod tests {
                 .as_u64(),
             Some(2_400)
         );
-        // The heartbeat lands on job 5's lane, not the rank lane.
-        assert_eq!(
-            counters[2].get("tid").and_then(Json::as_u64),
-            Some((1 + 1) * 1_000 + 5)
-        );
+        for c in &counters {
+            assert_eq!(c.get("tid").and_then(Json::as_u64), Some(1), "rank lane");
+        }
     }
 
     #[test]

@@ -124,17 +124,8 @@ pub enum EventKind {
     /// A group index rebuilt its slot table. `a` = new slot capacity,
     /// `b` = live groups re-placed.
     GroupRehash = 10,
-    /// A job entered the scheduler queue. `a` = job id, `b` = priority.
-    JobSubmit = 11,
-    /// A job passed admission (its memory reservation succeeded on every
-    /// node). `a` = job id, `b` = reserved footprint bytes.
-    JobAdmit = 12,
-    /// A job left the running set. `a` = job id, `b` = outcome code
-    /// (the scheduler's `JobOutcome` encoding).
-    JobEnd = 13,
-    /// A running job was suspended for retry after an OOM. `a` = job id,
-    /// `b` = retry count so far.
-    JobSuspend = 14,
+    // Codes 11–14 belonged to the retired job service's lifecycle kinds;
+    // like code 17 and 20 they decode to `None` and are never reused.
     /// Wait-state summary of one exchange round. `a` = nanoseconds this
     /// rank spent blocked in the round's done-allreduce (straggler-bound
     /// wait), `b` = nanoseconds blocked completing the round's partition
@@ -145,10 +136,7 @@ pub enum EventKind {
     /// `a` = imbalance ratio max/mean in permille (1000 = perfectly
     /// balanced), `b` = Gini coefficient in permille (0 = uniform).
     RoundSkew = 16,
-    /// Scheduler heartbeat for one running job. `a` = job id, `b` = pool
-    /// bytes in use on this rank at the tick. Rendered as a counter lane
-    /// per job so tenants' memory footprints read side by side.
-    JobHeartbeat = 17,
+    // Code 17 belonged to the retired job service's heartbeat.
     /// A message left this rank. `a` = flow id
     /// (`(src_world_rank << 48) | seq`, see `next_flow_id`), `b` =
     /// `(dst_rank << 48) | payload_bytes`. Together with the matching
@@ -179,7 +167,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in code order.
-    pub const ALL: [EventKind; 23] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::PhaseBegin,
         EventKind::PhaseEnd,
         EventKind::RoundBegin,
@@ -191,13 +179,8 @@ impl EventKind {
         EventKind::SpillEnd,
         EventKind::CombinerFlush,
         EventKind::GroupRehash,
-        EventKind::JobSubmit,
-        EventKind::JobAdmit,
-        EventKind::JobEnd,
-        EventKind::JobSuspend,
         EventKind::RoundWait,
         EventKind::RoundSkew,
-        EventKind::JobHeartbeat,
         EventKind::FlowSend,
         EventKind::FlowRecv,
         EventKind::ShuffleElided,
@@ -219,13 +202,8 @@ impl EventKind {
             EventKind::SpillEnd => "spill_end",
             EventKind::CombinerFlush => "combiner_flush",
             EventKind::GroupRehash => "group_rehash",
-            EventKind::JobSubmit => "job_submit",
-            EventKind::JobAdmit => "job_admit",
-            EventKind::JobEnd => "job_end",
-            EventKind::JobSuspend => "job_suspend",
             EventKind::RoundWait => "round_wait",
             EventKind::RoundSkew => "round_skew",
-            EventKind::JobHeartbeat => "job_heartbeat",
             EventKind::FlowSend => "flow_send",
             EventKind::FlowRecv => "flow_recv",
             EventKind::ShuffleElided => "shuffle_elided",
@@ -315,7 +293,9 @@ mod tests {
         assert_eq!(EventKind::from_code(255), None);
         assert_eq!(Phase::from_code(255), None);
         // Retired codes stay unassigned.
-        assert_eq!(EventKind::from_code(20), None);
+        for retired in [11, 12, 13, 14, 17, 20] {
+            assert_eq!(EventKind::from_code(retired), None);
+        }
         assert_eq!(Step::from_code(3), None);
         assert_eq!(Step::from_code(4), None);
     }

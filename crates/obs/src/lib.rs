@@ -44,7 +44,6 @@ pub use recorder::{
     FLOW_SEQ_BITS,
 };
 pub use report::{
-    CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, JobRecord,
-    MemCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters,
-    PROBE_HIST_BUCKETS,
+    CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, MemCounters,
+    PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters, PROBE_HIST_BUCKETS,
 };

@@ -2,8 +2,7 @@
 //!
 //! The stack accumulates statistics in every layer — communication in
 //! `mimir-mpi`, the node pool in `mimir-mem`, the shuffle, grouping
-//! engine and cross-job cache in `mimir-core`, job lifecycles in
-//! `mimir-sched`. A [`RankReport`] gathers all of them (plus the rank's
+//! engine and cross-job cache in `mimir-core`. A [`RankReport`] gathers all of them (plus the rank's
 //! trace events) into one serializable record. Rank 0 collects every
 //! rank's report via the `gather` collective at job end and
 //! [`RankReport::merge`]s them into cluster-wide totals.
@@ -302,90 +301,6 @@ impl CacheNameRecord {
     }
 }
 
-/// One scheduled job's lifecycle record (mirrors `mimir-sched`'s
-/// per-job stats): how long it queued, how long it ran, what it
-/// reserved, and what it produced. A rank reports one record per job it
-/// participated in; merged reports combine records by job id.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JobRecord {
-    /// Scheduler-assigned job id.
-    pub id: u64,
-    /// Human-readable job name.
-    pub name: String,
-    /// Submission priority (higher runs first).
-    pub priority: u64,
-    /// Terminal outcome code (the scheduler's `JobOutcome` encoding:
-    /// 0 done, then increasing severity).
-    pub outcome: u64,
-    /// Times the job was suspended and re-queued after an OOM.
-    pub retries: u64,
-    /// Seconds spent waiting in the admission queue.
-    pub queued_s: f64,
-    /// Seconds spent admitted and running.
-    pub running_s: f64,
-    /// Reserved memory footprint at final admission, in bytes.
-    pub footprint_bytes: u64,
-    /// KVs the job's reduce produced on this rank.
-    pub kvs_out: u64,
-    /// Bytes the job spilled to its scoped spill directory on this rank.
-    pub spill_bytes: u64,
-}
-
-impl JobRecord {
-    /// Folds another rank's record for the *same job* into this one:
-    /// per-rank production sums, lifecycle times and extremes take the
-    /// max (the lifecycle is collective, so ranks agree up to clock
-    /// skew).
-    pub fn merge(&mut self, other: &JobRecord) {
-        self.priority = self.priority.max(other.priority);
-        self.outcome = self.outcome.max(other.outcome);
-        self.retries = self.retries.max(other.retries);
-        self.queued_s = self.queued_s.max(other.queued_s);
-        self.running_s = self.running_s.max(other.running_s);
-        self.footprint_bytes = self.footprint_bytes.max(other.footprint_bytes);
-        self.kvs_out += other.kvs_out;
-        self.spill_bytes += other.spill_bytes;
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Num(self.id as f64)),
-            ("name", Json::Str(self.name.clone())),
-            ("priority", Json::Num(self.priority as f64)),
-            ("outcome", Json::Num(self.outcome as f64)),
-            ("retries", Json::Num(self.retries as f64)),
-            ("queued_s", Json::Num(self.queued_s)),
-            ("running_s", Json::Num(self.running_s)),
-            ("footprint_bytes", Json::Num(self.footprint_bytes as f64)),
-            ("kvs_out", Json::Num(self.kvs_out as f64)),
-            ("spill_bytes", Json::Num(self.spill_bytes as f64)),
-        ])
-    }
-
-    /// The job service postdates the first release, so every key parses
-    /// leniently.
-    fn from_json(item: &Json) -> JobRecord {
-        let u = |key: &str| item.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let f = |key: &str| item.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-        JobRecord {
-            id: u("id"),
-            name: item
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            priority: u("priority"),
-            outcome: u("outcome"),
-            retries: u("retries"),
-            queued_s: f("queued_s"),
-            running_s: f("running_s"),
-            footprint_bytes: u("footprint_bytes"),
-            kvs_out: u("kvs_out"),
-            spill_bytes: u("spill_bytes"),
-        }
-    }
-}
-
 /// Everything one rank knows about a finished job: counters from every
 /// layer plus (optionally) the rank's trace events.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -416,9 +331,6 @@ pub struct RankReport {
     pub cache: CacheCounters,
     /// Per-name cache entries. Merged reports combine records by name.
     pub cache_names: Vec<CacheNameRecord>,
-    /// Per-scheduled-job lifecycle records (empty outside the job
-    /// service). Merged reports combine records by job id.
-    pub jobs: Vec<JobRecord>,
     /// Trace events retained by the rank's recorder (empty when tracing
     /// was off, and dropped from merged reports).
     pub events: Vec<Event>,
@@ -459,14 +371,6 @@ impl RankReport {
             }
         }
         self.cache_names.sort_by(|a, b| a.name.cmp(&b.name));
-        for theirs in &other.jobs {
-            if let Some(mine) = self.jobs.iter_mut().find(|j| j.id == theirs.id) {
-                mine.merge(theirs);
-            } else {
-                self.jobs.push(theirs.clone());
-            }
-        }
-        self.jobs.sort_by_key(|j| j.id);
         self.events.clear();
         self.events_dropped += other.events_dropped;
     }
@@ -499,20 +403,18 @@ impl RankReport {
             ("job", self.job.to_json()),
             ("cache", self.cache.to_json()),
             ("cache_names", Json::Arr(cache_names.collect())),
-            (
-                "jobs",
-                Json::Arr(self.jobs.iter().map(JobRecord::to_json).collect()),
-            ),
             ("events", Json::Arr(events.collect())),
             ("events_dropped", num(self.events_dropped)),
         ])
     }
 
     /// Deserializes a report produced by [`Self::to_json`]. Counters
-    /// follow their declared parse rules; the keyed records (cache names,
-    /// jobs) postdate the first release and parse leniently. An event
-    /// whose kind code this build does not know — a retired kind — is
-    /// skipped, as the JSON-lines ingest skips unknown kind names.
+    /// follow their declared parse rules; the keyed cache-name records
+    /// postdate the first release and parse leniently. A section this
+    /// build no longer writes (a retired one, such as the job service's
+    /// `jobs`) is ignored, and an event whose kind code this build does
+    /// not know — a retired kind — is skipped, as the JSON-lines ingest
+    /// skips unknown kind names.
     ///
     /// # Errors
     /// Missing or mistyped required fields, or a malformed event.
@@ -572,7 +474,6 @@ impl RankReport {
             job: JobCounters::from_json(v, "job")?,
             cache: CacheCounters::from_json(v, "cache")?,
             cache_names,
-            jobs: items("jobs").iter().map(JobRecord::from_json).collect(),
             events,
             events_dropped: top("events_dropped")?,
         })
@@ -683,18 +584,6 @@ mod tests {
                 bytes: 4096 * (rank + 1),
                 elisions: 5 * (rank + 1),
             }],
-            jobs: vec![JobRecord {
-                id: 7,
-                name: "wc-small".into(),
-                priority: 2,
-                outcome: 1,
-                retries: rank,
-                queued_s: 0.01,
-                running_s: 0.5 + rank as f64,
-                footprint_bytes: 1 << 20,
-                kvs_out: 25 * (rank + 1),
-                spill_bytes: 128 * rank,
-            }],
             events: vec![Event {
                 t_ns: 42,
                 kind: EventKind::MemSample,
@@ -764,34 +653,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_job_records_by_id() {
-        let mut a = sample(0);
-        let mut b = sample(1);
-        b.jobs.push(JobRecord {
-            id: 9,
-            name: "bfs-big".into(),
-            outcome: 3,
-            ..JobRecord::default()
-        });
-        a.merge(&b);
-        assert_eq!(a.jobs.len(), 2, "same id folds, new id appends");
-        let wc = a.jobs.iter().find(|j| j.id == 7).unwrap();
-        assert_eq!(wc.kvs_out, 25 + 50, "per-rank production sums");
-        assert_eq!(wc.retries, 1, "retries take the max");
-        assert!((wc.running_s - 1.5).abs() < 1e-12, "times take the max");
-        assert_eq!(a.jobs.iter().find(|j| j.id == 9).unwrap().outcome, 3);
-    }
-
-    #[test]
-    fn old_reports_without_jobs_section_still_parse() {
-        let mut r = sample(0);
-        r.jobs.clear();
-        let mut s = r.to_json_string();
-        // Simulate a pre-job-service report by deleting the field.
-        s = s.replace("\"jobs\":[],", "");
+    fn reports_with_a_retired_jobs_section_still_parse() {
+        let r = sample(0);
+        // Simulate a report written while the job service existed by
+        // inserting its `jobs` section.
+        let s = r.to_json_string().replace(
+            "\"events\":",
+            "\"jobs\":[{\"id\":7,\"name\":\"wc\",\"outcome\":0}],\"events\":",
+        );
+        assert!(s.contains("\"jobs\""));
         let back = RankReport::from_json_string(&s).unwrap();
-        assert!(back.jobs.is_empty());
-        assert_eq!(back.comm, r.comm);
+        assert_eq!(back, r);
     }
 
     #[test]

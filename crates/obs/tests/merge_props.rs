@@ -2,12 +2,12 @@
 //!
 //! A gathered run merges per-rank [`RankReport`]s in whatever order the
 //! collective delivered them; the cluster aggregate must not depend on
-//! it. Sums commute, maxes commute, job records key-merge by id — this
-//! test exercises all of it, every counter of every section, over seeded
-//! random reports and random permutations, no external property-test
-//! crate needed.
+//! it. Sums commute, maxes commute, cache-name records key-merge by
+//! name — this test exercises all of it, every counter of every section,
+//! over seeded random reports and random permutations, no external
+//! property-test crate needed.
 
-use mimir_obs::{JobRecord, Json, RankReport};
+use mimir_obs::{CacheNameRecord, Json, RankReport};
 
 /// xorshift64*: tiny seeded PRNG, deterministic across platforms.
 struct Rng(u64);
@@ -40,8 +40,8 @@ fn randomize(rng: &mut Rng, times: bool, v: &mut Json) {
 
 /// A report with every counter of every section randomized and
 /// non-zero — filled through the report's own JSON form, so a counter
-/// added to any section is covered without touching this test — and job
-/// ids that overlap across ranks to exercise key-merge.
+/// added to any section is covered without touching this test — and cache
+/// names that overlap across ranks to exercise key-merge.
 fn random_report(rng: &mut Rng, rank: usize) -> RankReport {
     let mut v = RankReport::new(rank).to_json();
     let Json::Obj(sections) = &mut v else {
@@ -57,21 +57,17 @@ fn random_report(rng: &mut Rng, rank: usize) -> RankReport {
     }
     let mut r = RankReport::from_json(&v).unwrap();
     r.events_dropped = rng.below(100);
-    // 0–3 job records drawn from a small id pool so ranks share ids.
+    // 0–3 distinct cache names drawn from a small pool so ranks share
+    // names.
     for _ in 0..rng.below(4) {
-        let id = rng.below(5);
-        r.jobs.push(JobRecord {
-            id,
-            name: format!("job{id}"),
-            priority: rng.below(3),
-            outcome: rng.below(6),
-            retries: rng.below(3),
-            queued_s: rng.below(1000) as f64,
-            running_s: rng.below(1000) as f64,
-            footprint_bytes: rng.below(1 << 24),
-            kvs_out: rng.below(1 << 16),
-            spill_bytes: rng.below(1 << 20),
-        });
+        let name = format!("c{}", rng.below(5));
+        if r.cache_names.iter().all(|c| c.name != name) {
+            r.cache_names.push(CacheNameRecord {
+                name,
+                bytes: rng.below(1 << 24),
+                elisions: rng.below(1 << 16),
+            });
+        }
     }
     r
 }

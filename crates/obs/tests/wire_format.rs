@@ -9,13 +9,12 @@
 
 use mimir_obs::{
     chrome_trace_string, jsonl_string, CacheCounters, CacheNameRecord, CommCounters, Event,
-    EventKind, GroupCounters, JobCounters, JobRecord, Json, MemCounters, PhasePeaks, PhaseTimes,
-    RankReport, ShuffleCounters, WaitCounters,
+    EventKind, GroupCounters, JobCounters, Json, MemCounters, PhasePeaks, PhaseTimes, RankReport,
+    ShuffleCounters, WaitCounters,
 };
 
 /// A report with every counter non-zero and distinct (so a swapped or
-/// dropped field changes the output), two cache names, two job records
-/// and a few events.
+/// dropped field changes the output), two cache names and a few events.
 fn report(rank: u64) -> RankReport {
     let k = rank + 1;
     RankReport {
@@ -109,32 +108,6 @@ fn report(rank: u64) -> RankReport {
                 elisions: k,
             },
         ],
-        jobs: vec![
-            JobRecord {
-                id: 7,
-                name: "wc-small".into(),
-                priority: 2,
-                outcome: 1,
-                retries: k,
-                queued_s: 0.5,
-                running_s: 1.25 * k as f64,
-                footprint_bytes: 1 << 20,
-                kvs_out: 25 * k,
-                spill_bytes: 128 * k,
-            },
-            JobRecord {
-                id: 9,
-                name: "bfs".into(),
-                priority: 1,
-                outcome: 3,
-                retries: 2,
-                queued_s: 0.75,
-                running_s: 2.0,
-                footprint_bytes: 1 << 21,
-                kvs_out: 40 * k,
-                spill_bytes: 64,
-            },
-        ],
         events: vec![
             Event {
                 t_ns: 1_000,
@@ -221,17 +194,19 @@ fn pinned_bytes_parse_back_to_the_fixture() {
 }
 
 /// Reports written before the adaptive shuffle was retired carry an
-/// `adapt` section, and reports written before the live telemetry plane
-/// was retired carry a `live` section; both are ignored on load, and
-/// everything else in those files reads back unchanged.
+/// `adapt` section, reports written before the live telemetry plane was
+/// retired carry a `live` section, and reports written before the job
+/// service was retired carry a `jobs` section; each is ignored on load,
+/// and everything else in those files reads back unchanged.
 #[test]
 fn reports_with_a_retired_adapt_section_still_parse() {
-    for (text, section) in [
-        (include_str!("golden/reports_with_adapt.json"), "adapt"),
-        (include_str!("golden/reports_with_live.json"), "live"),
+    for (text, section, open) in [
+        (include_str!("golden/reports_with_adapt.json"), "adapt", "{"),
+        (include_str!("golden/reports_with_live.json"), "live", "{"),
+        (include_str!("golden/reports_with_jobs.json"), "jobs", "[{"),
     ] {
         assert!(
-            text.contains(&format!("\"{section}\":{{")),
+            text.contains(&format!("\"{section}\":{open}")),
             "fixture must carry the `{section}` section"
         );
         let back: Vec<RankReport> = text
@@ -242,12 +217,17 @@ fn reports_with_a_retired_adapt_section_still_parse() {
     }
 }
 
-/// Compact `events` columns carry kind codes. Code 20 belonged to a
-/// retired kind: the kinds after it keep their numbers, and a row that
-/// still carries it is skipped on load.
+/// Compact `events` columns carry kind codes. Codes 11–14 and 17 (the
+/// retired job service's lifecycle and heartbeat kinds) and 20 belonged
+/// to retired kinds: the kinds after them keep their numbers, and a row
+/// that still carries one is skipped on load.
 #[test]
 fn event_codes_after_the_retired_one_are_pinned() {
     for (code, kind) in [
+        (15, EventKind::RoundWait),
+        (16, EventKind::RoundSkew),
+        (18, EventKind::FlowSend),
+        (19, EventKind::FlowRecv),
         (21, EventKind::ShuffleElided),
         (22, EventKind::CacheEvict),
         (23, EventKind::CacheReload),
@@ -267,13 +247,23 @@ fn event_codes_after_the_retired_one_are_pinned() {
         );
         assert_eq!(RankReport::from_json_string(&line).unwrap(), r);
     }
-    let retired = report(0)
-        .to_json_string()
-        .replace("\"events\":[[1000,0,0,0]", "\"events\":[[1000,20,0,0]");
-    assert!(retired.contains("[1000,20,0,0]"), "replacement must hit");
-    let mut want = report(0);
-    want.events.remove(0);
-    assert_eq!(RankReport::from_json_string(&retired).unwrap(), want);
+    for code in [11, 12, 13, 14, 17, 20] {
+        let retired = report(0).to_json_string().replace(
+            "\"events\":[[1000,0,0,0]",
+            &format!("\"events\":[[1000,{code},0,0]"),
+        );
+        assert!(
+            retired.contains(&format!("[1000,{code},0,0]")),
+            "replacement must hit"
+        );
+        let mut want = report(0);
+        want.events.remove(0);
+        assert_eq!(
+            RankReport::from_json_string(&retired).unwrap(),
+            want,
+            "a row with retired code {code} is skipped"
+        );
+    }
 }
 
 /// Every key of a serialized report — top-level keys, and `section.key`
@@ -352,7 +342,6 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("cache.reloads", true),
     ("cache.cached_bytes", true),
     ("cache_names", true),
-    ("jobs", true),
     ("events", true),
     ("events_dropped", false),
 ];
