@@ -5,7 +5,7 @@
 //!
 //! 1. **Graph partitioning** — every undirected edge is emitted in both
 //!    directions keyed by endpoint and shuffled to the endpoint's owner
-//!    rank, which groups it on arrival (`map_group`): the job's keyed
+//!    rank, which groups it on arrival (`map(..).group()`): the job's keyed
 //!    KMVC is the local adjacency, each vertex's neighbours one chain of
 //!    bare 8-byte ids. The paper notes BFS's *peak memory usage occurs in
 //!    this phase* (the full edge list flows through the framework), which
@@ -24,7 +24,7 @@
 //!
 //! The traversal is chained through the cross-job KV cache: each level's
 //! output is stashed under a frontier name with `output_cached` and the
-//! next level consumes it in place with `input_cached` + `chain_shuffle`,
+//! next level consumes it in place with `chain(name, ..)` + `collect`,
 //! so frontier KVs never round-trip through serialization or spill
 //! between levels. Traversal re-keys every KV (`vertex → neighbor`), so
 //! the chain declares `shuffle_elision(false)` and each level still runs
@@ -129,7 +129,7 @@ pub fn bfs_mimir(
         }
         Ok(())
     };
-    let (adj, stats) = ctx.job().kv_meta(meta).map_group(&mut part_map)?;
+    let (adj, stats) = ctx.job().kv_meta(meta).map(&mut part_map).group()?;
     metrics.kv_bytes += stats.shuffle.kv_bytes_emitted;
     metrics.kvs_emitted += stats.shuffle.kvs_emitted;
     metrics.exchange_rounds += stats.shuffle.rounds;
@@ -157,7 +157,8 @@ pub fn bfs_mimir(
         .job()
         .kv_meta(meta)
         .output_cached(FRONTIER)
-        .map_shuffle(&mut seed_map)?;
+        .map(&mut seed_map)
+        .collect()?;
     metrics.job.merge(&out.stats);
 
     let mut depth = 0u32;
@@ -193,13 +194,13 @@ pub fn bfs_mimir(
         let out = ctx
             .job()
             .kv_meta(meta)
-            .input_cached(FRONTIER)
             .output_cached(FRONTIER)
-            .arrival_filter(&mut claim)
+            .chain(FRONTIER, &mut expand)
             // Traversal re-keys (vertex → neighbor): placement changes,
             // so every level needs a real exchange.
             .shuffle_elision(false)
-            .chain_shuffle(&mut expand)?;
+            .arrival_filter(&mut claim)
+            .collect()?;
         metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
         metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
         metrics.exchange_rounds += out.stats.shuffle.rounds;

@@ -22,7 +22,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use mimir_core::{typed, Emitter, KvMeta, MimirContext, MimirError, ValueIter};
+use mimir_core::{typed, Emitter, KvMeta, MimirContext, MimirError};
 use mimir_io::SpillStore;
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
@@ -214,17 +214,16 @@ pub fn octree_mimir(
         let meta = opts.meta(level);
         let one = typed::enc_u64(1);
         let mut map = |em: &mut dyn Emitter| map_level(points, level, active, |k| em.emit(k, &one));
-        let mut reduce = |k: &[u8], vals: ValueIter<'_>, em: &mut dyn Emitter| {
-            em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
-        };
-        let job = ctx.job().kv_meta(meta).out_meta(meta);
-        let out = match (opts.partial_reduce, opts.compress) {
-            (true, true) => {
-                job.map_partial_reduce_compress(&mut map, Box::new(sum_u64), Box::new(sum_u64))?
-            }
-            (true, false) => job.map_partial_reduce(&mut map, Box::new(sum_u64))?,
-            (false, true) => job.map_reduce_compress(&mut map, Box::new(sum_u64), &mut reduce)?,
-            (false, false) => job.map_reduce(&mut map, &mut reduce)?,
+        let mut job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);
+        if opts.compress {
+            job = job.combine(Box::new(sum_u64));
+        }
+        let out = if opts.partial_reduce {
+            job.partial_reduce(Box::new(sum_u64))?
+        } else {
+            job.reduce(&mut |k, vals, em| {
+                em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
+            })?
         };
         metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
         metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;

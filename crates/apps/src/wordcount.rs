@@ -75,22 +75,17 @@ pub fn wordcount_mimir(
         Ok(())
     };
 
-    let job = ctx.job().kv_meta(meta).out_meta(meta);
-    let out = match (opts.partial_reduce, opts.compress) {
-        (true, true) => {
-            job.map_partial_reduce_compress(&mut map, Box::new(sum_u64), Box::new(sum_u64))?
-        }
-        (true, false) => job.map_partial_reduce(&mut map, Box::new(sum_u64))?,
-        (false, true) => {
-            job.map_reduce_compress(&mut map, Box::new(sum_u64), &mut |k, vals, em| {
-                let total: u64 = vals.map(typed::dec_u64).sum();
-                em.emit(k, &typed::enc_u64(total))
-            })?
-        }
-        (false, false) => job.map_reduce(&mut map, &mut |k, vals, em| {
+    let mut job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);
+    if opts.compress {
+        job = job.combine(Box::new(sum_u64));
+    }
+    let out = if opts.partial_reduce {
+        job.partial_reduce(Box::new(sum_u64))?
+    } else {
+        job.reduce(&mut |k, vals, em| {
             let total: u64 = vals.map(typed::dec_u64).sum();
             em.emit(k, &typed::enc_u64(total))
-        })?,
+        })?
     };
 
     let mut counts = Vec::with_capacity(out.output.len() as usize);

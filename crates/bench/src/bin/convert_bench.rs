@@ -11,7 +11,7 @@
 //! * `arena` — `KvContainer::push_run` then the one-pass
 //!   [`convert_with`]: a cold walk over the whole KVC after the last run,
 //!   freeing its pages as they are grouped.
-//! * `arrival` — what `map_reduce` jobs run: [`GroupedKvs`] groups each
+//! * `arrival` — what `reduce` jobs run: [`GroupedKvs`] groups each
 //!   run while it is cache-resident, so no KVC ever exists.
 //!
 //! Cells cover the shapes that stress different parts of the engine:

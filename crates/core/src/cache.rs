@@ -8,7 +8,7 @@
 //! [`PartitionFingerprint`] they were placed by. A chained job consumes a
 //! cached input with zero serialization, and — when it declares the same
 //! fingerprint and a partition-preserving map — with the shuffle elided
-//! entirely (see `MapReduceJob::chain_*`).
+//! entirely (see [`MapReduceJob::chain`](crate::MapReduceJob::chain)).
 //!
 //! Memory accounting is the pool's, not a private ledger: a resident
 //! container's pages stay charged to the node [`mimir_mem::MemPool`]

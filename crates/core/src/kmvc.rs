@@ -235,7 +235,7 @@ impl Chains {
 /// Keys stay in the [`GroupIndex`] entries that interned them, values in
 /// the chunk chains they were appended to: sealing copies nothing, and no
 /// buffer exceeds a page. The index's slot table is released at seal,
-/// except in the container [`crate::MapReduceJob::map_group`] returns,
+/// except in the container [`crate::FedJob::group`] returns,
 /// which keeps it to answer [`Self::get`].
 pub struct KmvContainer {
     meta: KvMeta,
@@ -320,12 +320,12 @@ impl KmvContainer {
     ///
     /// # Errors
     /// [`MimirError::Config`] on a container whose index was released at
-    /// seal — every one but [`crate::MapReduceJob::map_group`]'s — rather
+    /// seal — every one but [`crate::FedJob::group`]'s — rather
     /// than a `None` that would claim the key is absent.
     pub fn get(&self, key: &[u8]) -> Result<Option<ValueIter<'_>>> {
         if !self.keyed {
             return Err(MimirError::Config(
-                "KmvContainer::get needs the index only map_group keeps".to_string(),
+                "KmvContainer::get needs the index only group keeps".to_string(),
             ));
         }
         Ok(self.keys.get(key).map(|gid| self.values(gid)))

@@ -35,10 +35,10 @@
 //!
 //! * **KV-hint** ([`LenHint`]): fixed-length or NUL-terminated keys/values
 //!   drop the 8-byte per-KV length header.
-//! * **Partial reduction** ([`MapReduceJob::map_partial_reduce`]): for
+//! * **Partial reduction** ([`FedJob::partial_reduce`]): for
 //!   commutative+associative reductions, incoming KVs fold into a hash
 //!   bucket as they arrive — no KVC, no KMVC.
-//! * **KV compression** (`compress` variants): a map-side combiner that
+//! * **KV compression** ([`FedJob::combine`]): a map-side combiner that
 //!   merges duplicate keys before the exchange, trading a tracked hash
 //!   table for less communication.
 
@@ -72,7 +72,8 @@ pub use convert::{convert, convert_with};
 pub use error::MimirError;
 pub use group::GroupIndex;
 pub use grouped::GroupedKvs;
-pub use job::{ArrivalFilterFn, ChainMapFn, JobOutput, MapFn, MapReduceJob, ReduceFn};
+pub use job::{ArrivalFilterFn, ChainFeed, ChainMapFn, FedJob, JobOutput};
+pub use job::{MapFeed, MapFn, MapReduceJob, ReduceFn};
 pub use kmvc::{KmvContainer, ValueIter};
 pub use kv::{decode_one, encode_push, encoded_len, KvDecoder};
 pub use kvc::KvContainer;

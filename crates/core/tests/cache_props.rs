@@ -65,13 +65,14 @@ fn seed(
     if let Some(n) = name {
         job = job.output_cached(n);
     }
-    job.map_shuffle(&mut |em| {
+    job.map(&mut |em| {
         for i in 0..KVS_PER_RANK {
             let k = (rank * KVS_PER_RANK + i) % KEYS;
             em.emit(&key(meta, k), &typed::enc_u64(i))?;
         }
         Ok(())
     })
+    .collect()
     .unwrap()
     .output
 }
@@ -89,15 +90,14 @@ fn chain_step(
         .kv_meta(meta)
         .out_meta(meta)
         .partitioner(part.clone())
-        .input_cached(in_name)
+        .chain(in_name, &mut |k, v, em| {
+            em.emit(k, &typed::enc_u64(typed::dec_u64(v) * 2 + 1))
+        })
         .shuffle_elision(elide)
-        .chain_reduce(
-            &mut |k, v, em| em.emit(k, &typed::enc_u64(typed::dec_u64(v) * 2 + 1)),
-            &mut |k, vals, em| {
-                let s: u64 = vals.map(typed::dec_u64).sum();
-                em.emit(k, &typed::enc_u64(s))
-            },
-        )
+        .reduce(&mut |k, vals, em| {
+            let s: u64 = vals.map(typed::dec_u64).sum();
+            em.emit(k, &typed::enc_u64(s))
+        })
         .unwrap()
         .output
 }
@@ -113,18 +113,16 @@ fn cold_step(
         .kv_meta(fixed())
         .out_meta(fixed())
         .partitioner(part.clone())
-        .map_reduce(
-            &mut |em| {
-                for (k, v) in input {
-                    em.emit(k, &typed::enc_u64(typed::dec_u64(v) * 2 + 1))?;
-                }
-                Ok(())
-            },
-            &mut |k, vals, em| {
-                let s: u64 = vals.map(typed::dec_u64).sum();
-                em.emit(k, &typed::enc_u64(s))
-            },
-        )
+        .map(&mut |em| {
+            for (k, v) in input {
+                em.emit(k, &typed::enc_u64(typed::dec_u64(v) * 2 + 1))?;
+            }
+            Ok(())
+        })
+        .reduce(&mut |k, vals, em| {
+            let s: u64 = vals.map(typed::dec_u64).sum();
+            em.emit(k, &typed::enc_u64(s))
+        })
         .unwrap()
         .output
 }

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mimir_core::{typed, KvMeta, MimirConfig, MimirContext};
+use mimir_core::{typed, Emitter, KvMeta, MimirConfig, MimirContext};
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
@@ -65,12 +65,13 @@ fn steady_state_allocs(filtered: bool) -> (u64, u64) {
         ctx.job()
             .kv_meta(KvMeta::fixed(8, 8))
             .output_cached("steady")
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for i in 0..KVS {
                     em.emit(&typed::enc_u64(i), &typed::enc_u64(i * 3))?;
                 }
                 Ok(())
             })
+            .collect()
             .unwrap();
 
         // Chained elided iteration: key-preserving value transform. The
@@ -80,26 +81,25 @@ fn steady_state_allocs(filtered: bool) -> (u64, u64) {
         let mut at_warmup = 0u64;
         let mut at_last = 0u64;
         let mut even = |k: &[u8], _v: &[u8]| typed::dec_u64(k).is_multiple_of(2);
+        let mut chain_map = |k: &[u8], v: &[u8], em: &mut dyn Emitter| {
+            seen += 1;
+            if seen == WARMUP {
+                at_warmup = allocs();
+            }
+            em.emit(k, &typed::enc_u64(typed::dec_u64(v) + 1))?;
+            if seen == KVS {
+                at_last = allocs();
+            }
+            Ok(())
+        };
         let mut job = ctx
             .job()
             .kv_meta(KvMeta::fixed(8, 8))
-            .input_cached("steady");
+            .chain("steady", &mut chain_map);
         if filtered {
             job = job.arrival_filter(&mut even);
         }
-        let out = job
-            .chain_shuffle(&mut |k, v, em| {
-                seen += 1;
-                if seen == WARMUP {
-                    at_warmup = allocs();
-                }
-                em.emit(k, &typed::enc_u64(typed::dec_u64(v) + 1))?;
-                if seen == KVS {
-                    at_last = allocs();
-                }
-                Ok(())
-            })
-            .unwrap();
+        let out = job.collect().unwrap();
 
         assert_eq!(seen, KVS, "the chain visited every cached KV");
         let stats = ctx.cache_stats();

@@ -1,10 +1,11 @@
-//! Job-API surface tests: run-shape combinations, stats, error
+//! Job-API surface tests: feed × terminal pairings, stats, error
 //! propagation, and context reuse across jobs.
 
 use std::collections::{HashMap, HashSet};
 
 use mimir_core::{
-    typed, Emitter, JobStats, KvMeta, LenHint, MimirConfig, MimirContext, MimirError, ValueIter,
+    typed, Emitter, FedJob, JobStats, KvMeta, LenHint, MimirConfig, MimirContext, MimirError,
+    ReduceFn, ValueIter,
 };
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
@@ -31,29 +32,21 @@ fn output_meta_can_differ_from_intermediate_meta() {
             .job()
             .kv_meta(KvMeta::var())
             .out_meta(KvMeta::fixed(8, 8))
-            .map_reduce(
-                &mut |em| {
-                    for i in 0..40u64 {
-                        em.emit(format!("group-{}", i % 4).as_bytes(), &i.to_le_bytes())?;
-                    }
-                    Ok(())
-                },
-                &mut |k, vals: ValueIter<'_>, em| {
-                    let n = vals.count() as u64;
-                    // Re-key to a fixed 8-byte hash of the group name.
-                    em.emit(&typed::enc_u64(mimir_core::fxhash64(k)), &typed::enc_u64(n))
-                },
-            )
-            .unwrap();
-        let mut total = 0u64;
-        res.output
-            .drain(|k, v| {
-                assert_eq!(k.len(), 8);
-                total += typed::dec_u64(v);
+            .map(&mut |em| {
+                for i in 0..40u64 {
+                    em.emit(format!("group-{}", i % 4).as_bytes(), &i.to_le_bytes())?;
+                }
                 Ok(())
             })
+            .reduce(&mut |k, vals: ValueIter<'_>, em| {
+                let n = vals.count() as u64;
+                // Re-key to a fixed 8-byte hash of the group name.
+                em.emit(&typed::enc_u64(mimir_core::fxhash64(k)), &typed::enc_u64(n))
+            })
             .unwrap();
-        total
+        let kvs = drain_u64s(res.output);
+        assert!(kvs.iter().all(|(k, _)| k.len() == 8));
+        kvs.iter().map(|kv| kv.1).sum::<u64>()
     });
     assert_eq!(out.iter().sum::<u64>(), 2 * 40);
 }
@@ -63,21 +56,19 @@ fn reduce_may_emit_many_kvs_per_group() {
     let out = ctx_world(1, |ctx| {
         let res = ctx
             .job()
-            .map_reduce(
-                &mut |em| {
-                    for i in 0..6u64 {
-                        em.emit(b"k", &i.to_le_bytes())?;
-                    }
-                    Ok(())
-                },
-                &mut |_k, vals, em| {
-                    // Echo every value back as its own KV.
-                    for v in vals {
-                        em.emit(b"echoed", v)?;
-                    }
-                    Ok(())
-                },
-            )
+            .map(&mut |em| {
+                for i in 0..6u64 {
+                    em.emit(b"k", &i.to_le_bytes())?;
+                }
+                Ok(())
+            })
+            .reduce(&mut |_k, vals, em| {
+                // Echo every value back as its own KV.
+                for v in vals {
+                    em.emit(b"echoed", v)?;
+                }
+                Ok(())
+            })
             .unwrap();
         assert_eq!(res.stats.unique_keys, 1);
         res.output.len()
@@ -90,7 +81,8 @@ fn map_error_propagates_without_hanging_single_rank() {
     let out = ctx_world(1, |ctx| {
         let res = ctx
             .job()
-            .map_shuffle(&mut |_em| Err(MimirError::Config("synthetic map failure".into())));
+            .map(&mut |_em| Err(MimirError::Config("synthetic map failure".into())))
+            .collect();
         matches!(res, Err(MimirError::Config(_)))
     });
     assert!(out[0]);
@@ -101,7 +93,8 @@ fn reduce_error_propagates_single_rank() {
     let out = ctx_world(1, |ctx| {
         let res = ctx
             .job()
-            .map_reduce(&mut |em| em.emit(b"k", b"v"), &mut |_k, _vals, _em| {
+            .map(&mut |em| em.emit(b"k", b"v"))
+            .reduce(&mut |_k, _vals, _em| {
                 Err(MimirError::Config("synthetic reduce failure".into()))
             });
         matches!(res, Err(MimirError::Config(_)))
@@ -119,18 +112,16 @@ fn elided_chain_rejects_a_value_that_breaks_the_hint() {
         ctx.job()
             .kv_meta(KvMeta::fixed(8, 8))
             .output_cached("in")
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 (0..50u64).try_for_each(|i| em.emit(&typed::enc_u64(i), &typed::enc_u64(i)))
             })
+            .collect()
             .unwrap();
         let mut chain = |val_len: usize| {
             ctx.job()
                 .kv_meta(KvMeta::fixed(8, 8))
-                .input_cached("in")
-                .chain_reduce(
-                    &mut |k, _v, em| em.emit(k, &vec![7; val_len]),
-                    &mut |k, _, em| em.emit(k, b""),
-                )
+                .chain("in", &mut |k, _v, em| em.emit(k, &vec![7; val_len]))
+                .reduce(&mut |k, _, em| em.emit(k, b""))
                 .map(drop)
         };
         chain(8).unwrap();
@@ -152,18 +143,16 @@ fn stats_are_populated() {
             .job()
             .kv_meta(KvMeta::cstr_key_u64_val())
             .out_meta(KvMeta::cstr_key_u64_val())
-            .map_reduce(
-                &mut |em| {
-                    for i in 0..100u64 {
-                        em.emit(format!("w{}", i % 10).as_bytes(), &typed::enc_u64(1))?;
-                    }
-                    Ok(())
-                },
-                &mut |k, vals, em| {
-                    let n: u64 = vals.map(typed::dec_u64).sum();
-                    em.emit(k, &typed::enc_u64(n))
-                },
-            )
+            .map(&mut |em| {
+                for i in 0..100u64 {
+                    em.emit(format!("w{}", i % 10).as_bytes(), &typed::enc_u64(1))?;
+                }
+                Ok(())
+            })
+            .reduce(&mut |k, vals, em| {
+                let n: u64 = vals.map(typed::dec_u64).sum();
+                em.emit(k, &typed::enc_u64(n))
+            })
             .unwrap();
         res.stats
     });
@@ -183,9 +172,8 @@ fn empty_map_produces_empty_everything() {
     let out = ctx_world(3, |ctx| {
         let res = ctx
             .job()
-            .map_reduce(&mut |_em| Ok(()), &mut |_k, _v, _em| {
-                panic!("reduce must not be called")
-            })
+            .map(&mut |_em| Ok(()))
+            .reduce(&mut |_k, _v, _em| panic!("reduce must not be called"))
             .unwrap();
         (res.output.len(), res.stats.unique_keys)
     });
@@ -201,26 +189,15 @@ fn context_runs_many_jobs_back_to_back() {
                 .job()
                 .kv_meta(KvMeta::fixed(8, 8))
                 .out_meta(KvMeta::fixed(8, 8))
-                .map_partial_reduce(
-                    &mut |em| {
-                        for i in 0..round * 10 {
-                            em.emit(&typed::enc_u64(i % 3), &typed::enc_u64(1))?;
-                        }
-                        Ok(())
-                    },
-                    Box::new(|_k, a, b, o| {
-                        o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
-                    }),
-                )
-                .unwrap();
-            let mut sum = 0;
-            res.output
-                .drain(|_k, v| {
-                    sum += typed::dec_u64(v);
+                .map(&mut |em| {
+                    for i in 0..round * 10 {
+                        em.emit(&typed::enc_u64(i % 3), &typed::enc_u64(1))?;
+                    }
                     Ok(())
                 })
+                .partial_reduce(Box::new(add_u64))
                 .unwrap();
-            totals.push(sum);
+            totals.push(drain_u64s(res.output).iter().map(|kv| kv.1).sum::<u64>());
         }
         totals
     });
@@ -247,7 +224,7 @@ fn mixed_hint_combinations_roundtrip_through_jobs() {
                 .job()
                 .kv_meta(meta)
                 .out_meta(meta)
-                .map_shuffle(&mut |em: &mut dyn Emitter| {
+                .map(&mut |em: &mut dyn Emitter| {
                     for i in 0..20u32 {
                         let k = match key {
                             LenHint::Fixed(4) => i.to_le_bytes().to_vec(),
@@ -261,6 +238,7 @@ fn mixed_hint_combinations_roundtrip_through_jobs() {
                     }
                     Ok(())
                 })
+                .collect()
                 .unwrap();
             res.output.len()
         });
@@ -270,10 +248,6 @@ fn mixed_hint_combinations_roundtrip_through_jobs() {
 
 #[test]
 fn streaming_compression_bounds_memory_and_preserves_results() {
-    fn sum(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
-        o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
-    }
-
     // Unique-heavy workload: the compression table grows with keys, the
     // paper's worst case for cps. The table flushes past 1/256 of its
     // pool: 64 KiB of a 16 MiB pool binds, 4 MiB of a 1 GiB one holds
@@ -289,24 +263,16 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
                 .job()
                 .kv_meta(KvMeta::cstr_key_u64_val())
                 .out_meta(KvMeta::cstr_key_u64_val())
-                .map_partial_reduce_compress(
-                    &mut |em| {
-                        for i in 0..20_000u64 {
-                            em.emit(format!("unique-key-{i}").as_bytes(), &typed::enc_u64(1))?;
-                        }
-                        Ok(())
-                    },
-                    Box::new(sum),
-                    Box::new(sum),
-                )
-                .unwrap();
-            let mut counts: HashMap<Vec<u8>, u64> = HashMap::new();
-            res.output
-                .drain(|k, v| {
-                    counts.insert(k.to_vec(), typed::dec_u64(v));
+                .map(&mut |em| {
+                    for i in 0..20_000u64 {
+                        em.emit(format!("unique-key-{i}").as_bytes(), &typed::enc_u64(1))?;
+                    }
                     Ok(())
                 })
+                .combine(Box::new(add_u64))
+                .partial_reduce(Box::new(add_u64))
                 .unwrap();
+            let counts: HashMap<Vec<u8>, u64> = drain_u64s(res.output).into_iter().collect();
             (counts, pool.peak())
         })
     };
@@ -345,14 +311,11 @@ fn streaming_compression_bounds_memory_and_preserves_results() {
 /// `(entries, footprint)` its combiner flushed at.
 type CompressRun = (HashMap<Vec<u8>, u64>, Vec<(u64, u64)>);
 
-/// Runs a compressing shape on 2 ranks over a unique-heavy stream (5
+/// Runs a combining map feed on 2 ranks over a unique-heavy stream (5
 /// hot keys among 12 000 that each rank emits once), each rank in its
 /// own pool of `budget` bytes. Returns each rank's output and flushes,
 /// after checking the pool is fully credited once the output is gone.
 fn compress_unique_heavy(partial: bool, budget: usize) -> Vec<CompressRun> {
-    fn add(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
-        o.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
-    }
     run_world(2, move |comm| {
         let rank = comm.rank() as u64;
         let pool = MemPool::new("node", 16 * 1024, budget).unwrap();
@@ -370,14 +333,13 @@ fn compress_unique_heavy(partial: bool, budget: usize) -> Vec<CompressRun> {
             em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
         };
         mimir_obs::install(mimir_obs::Recorder::new(rank as usize, 1 << 16));
-        let job = ctx
-            .job()
-            .kv_meta(KvMeta::cstr_key_u64_val())
-            .out_meta(KvMeta::cstr_key_u64_val());
+        let meta = KvMeta::cstr_key_u64_val();
+        let job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);
+        let job = job.combine(Box::new(add_u64));
         let res = if partial {
-            job.map_partial_reduce_compress(&mut map, Box::new(add), Box::new(add))
+            job.partial_reduce(Box::new(add_u64))
         } else {
-            job.map_reduce_compress(&mut map, Box::new(add), &mut reduce)
+            job.reduce(&mut reduce)
         }
         .unwrap();
         let recorder = mimir_obs::take().unwrap();
@@ -388,13 +350,9 @@ fn compress_unique_heavy(partial: bool, budget: usize) -> Vec<CompressRun> {
             .filter(|e| e.kind == EventKind::CombinerFlush)
             .map(|e| (e.a, e.b))
             .collect();
-        let mut out = HashMap::new();
-        res.output
-            .drain(|k, v| {
-                assert!(out.insert(k.to_vec(), typed::dec_u64(v)).is_none());
-                Ok(())
-            })
-            .unwrap();
+        let kvs = drain_u64s(res.output);
+        let out: HashMap<Vec<u8>, u64> = kvs.iter().cloned().collect();
+        assert_eq!(out.len(), kvs.len(), "rank {rank}: a key output twice");
         assert_eq!(pool.used(), 0, "rank {rank}: pool credited");
         (out, flushes)
     })
@@ -419,7 +377,7 @@ fn unique_heavy_oracle() -> HashMap<Vec<u8>, u64> {
 /// The job's KV-compression table flushes once its footprint passes
 /// 1/256 of its node's pool, so at a flush it holds at most that budget
 /// plus what the last fold added: one slot-table doubling, an entry, a
-/// span and a `u64`. Both compressing shapes give the `HashMap` oracle's
+/// span and a `u64`. Both folding terminals give the `HashMap` oracle's
 /// output and hand every byte back.
 #[test]
 fn compression_table_stays_within_its_share_of_the_pool() {
@@ -473,53 +431,67 @@ fn compression_table_under_its_budget_flushes_once() {
     }
 }
 
-/// Every public run shape, for the matrix below.
+/// A job's terminal, for the matrix below.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Shape {
-    MapReduce,
-    MapReduceCompress,
-    MapPartialReduce,
-    MapPartialReduceCompress,
-    MapShuffle,
-    ChainShuffle,
-    ChainReduce,
-    ChainPartialReduce,
+enum Terminal {
+    Reduce,
+    PartialReduce,
+    Group,
+    Collect,
 }
 
-impl Shape {
-    const ALL: [Shape; 8] = [
-        Shape::MapReduce,
-        Shape::MapReduceCompress,
-        Shape::MapPartialReduce,
-        Shape::MapPartialReduceCompress,
-        Shape::MapShuffle,
-        Shape::ChainShuffle,
-        Shape::ChainReduce,
-        Shape::ChainPartialReduce,
-    ];
+/// One cell of feed × combiner × terminal.
+#[derive(Clone, Copy, Debug)]
+struct Pairing {
+    chained: bool,
+    combine: bool,
+    terminal: Terminal,
+}
 
-    fn chained(self) -> bool {
-        matches!(
-            self,
-            Shape::ChainShuffle | Shape::ChainReduce | Shape::ChainPartialReduce
-        )
+impl Pairing {
+    /// Every cell, the ones the types refuse included.
+    fn all() -> impl Iterator<Item = Pairing> {
+        use Terminal::*;
+        (0..16).map(|i| Pairing {
+            chained: i & 8 != 0,
+            combine: i & 4 != 0,
+            terminal: [Reduce, PartialReduce, Group, Collect][i % 4],
+        })
+    }
+
+    /// Whether the builder's types admit the cell: a chained feed takes
+    /// no combiner and has no `group`.
+    fn compiles(self) -> bool {
+        !self.chained || (!self.combine && self.terminal != Terminal::Group)
+    }
+
+    /// Whether an admitted cell runs: a combiner goes with the folding
+    /// terminals only.
+    fn runs(self) -> bool {
+        !self.combine || matches!(self.terminal, Terminal::Reduce | Terminal::PartialReduce)
     }
 
     fn converts(self) -> bool {
-        matches!(
-            self,
-            Shape::MapReduce | Shape::MapReduceCompress | Shape::ChainReduce
-        )
-    }
-
-    fn groups(self) -> bool {
-        !matches!(self, Shape::MapShuffle | Shape::ChainShuffle)
+        matches!(self.terminal, Terminal::Reduce | Terminal::Group)
     }
 }
 
 /// The matrix's word counts: rank `r` emits `40 + 15r` KVs over 13 keys.
 fn matrix_input(rank: usize) -> impl Iterator<Item = (Vec<u8>, u64)> {
     (0..40 + 15 * rank as u64).map(|i| (format!("w{}", i % 13).into_bytes(), 1 + i % 3))
+}
+
+/// Caches this rank's [`matrix_input`] under `in`, for a chained feed.
+fn cache_matrix_input(ctx: &mut MimirContext<'_>) {
+    let rank = ctx.rank();
+    let mut map = |em: &mut dyn Emitter| {
+        matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
+    };
+    ctx.job()
+        .output_cached("in")
+        .map(&mut map)
+        .collect()
+        .unwrap();
 }
 
 fn add_u64(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
@@ -529,10 +501,12 @@ fn add_u64(_k: &[u8], a: &[u8], b: &[u8], o: &mut Vec<u8>) {
 /// One rank's output KVs, values decoded.
 type Kvs = Vec<(Vec<u8>, u64)>;
 
+/// A job's output KVs (a group's values summed) and stats.
+type Ran = Result<(Kvs, JobStats), MimirError>;
+
 /// What one rank saw of one matrix cell.
-struct ShapeRun {
-    /// The output KVs and stats, or the job's error.
-    result: Result<(Kvs, JobStats), MimirError>,
+struct PairingRun {
+    result: Ran,
     /// Whether the chained input `in` was cached after the job.
     input_cached: bool,
     elisions: u64,
@@ -540,22 +514,39 @@ struct ShapeRun {
     used_after: usize,
 }
 
-/// Runs `shape` on two ranks. The chain shapes read a cache entry `in`
-/// that a `map_shuffle` seeds with [`matrix_input`]; a chained map
-/// re-emits each KV, which keeps the placement, so `elide` decides the
-/// elision. With `fail`, every map callback errors after its first KV.
-/// With `filtered`, the job gets an arrival filter that keeps every KV.
-fn run_shape(shape: Shape, elide: bool, fail: bool, filtered: bool) -> Vec<ShapeRun> {
+fn drain_u64s(output: mimir_core::KvContainer) -> Kvs {
+    let mut kvs = Vec::new();
+    output
+        .drain(|k, v| {
+            kvs.push((k.to_vec(), typed::dec_u64(v)));
+            Ok(())
+        })
+        .unwrap();
+    kvs
+}
+
+/// Runs a KVC terminal on either feed.
+fn terminate<F>(job: FedJob<'_, '_, F>, terminal: Terminal, reduce: ReduceFn<'_>) -> Ran {
+    match terminal {
+        Terminal::Reduce => job.reduce(reduce),
+        Terminal::PartialReduce => job.partial_reduce(Box::new(add_u64)),
+        Terminal::Collect => job.collect(),
+        Terminal::Group => unreachable!("group takes a map feed"),
+    }
+    .map(|out| (drain_u64s(out.output), out.stats))
+}
+
+/// Runs `pairing` on two ranks. A chained feed reads a cache entry `in`
+/// that a collecting job seeds with [`matrix_input`]; its map re-emits
+/// each KV, which keeps the placement, so `elide` decides the elision.
+/// With `fail`, every map callback errors after its first KV. With
+/// `filtered`, a chained feed gets an arrival filter that keeps every KV.
+fn run_pairing(p: Pairing, elide: bool, fail: bool, filtered: bool) -> Vec<PairingRun> {
     ctx_world(2, move |ctx| {
         let rank = ctx.rank();
         let failure = || Err(MimirError::Config("synthetic map failure".into()));
-        if shape.chained() {
-            ctx.job()
-                .output_cached("in")
-                .map_shuffle(&mut |em| {
-                    matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
-                })
-                .unwrap();
+        if p.chained {
+            cache_matrix_input(ctx);
         }
         let mut map = |em: &mut dyn Emitter| {
             for (k, v) in matrix_input(rank) {
@@ -577,56 +568,54 @@ fn run_shape(shape: Shape, elide: bool, fail: bool, filtered: bool) -> Vec<Shape
             em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
         };
         let mut keep_all = |_: &[u8], _: &[u8]| true;
-        let mut job = ctx.job();
-        if shape.chained() {
-            job = job.input_cached("in").shuffle_elision(elide);
-        }
-        if filtered {
-            job = job.arrival_filter(&mut keep_all);
-        }
-        let res = match shape {
-            Shape::MapReduce => job.map_reduce(&mut map, &mut reduce),
-            Shape::MapReduceCompress => {
-                job.map_reduce_compress(&mut map, Box::new(add_u64), &mut reduce)
+        let result = if p.chained {
+            let mut job = ctx.job().chain("in", &mut chain_map).shuffle_elision(elide);
+            if filtered {
+                job = job.arrival_filter(&mut keep_all);
             }
-            Shape::MapPartialReduce => job.map_partial_reduce(&mut map, Box::new(add_u64)),
-            Shape::MapPartialReduceCompress => {
-                job.map_partial_reduce_compress(&mut map, Box::new(add_u64), Box::new(add_u64))
+            terminate(job, p.terminal, &mut reduce)
+        } else {
+            let mut job = ctx.job().map(&mut map);
+            if p.combine {
+                job = job.combine(Box::new(add_u64));
             }
-            Shape::MapShuffle => job.map_shuffle(&mut map),
-            Shape::ChainShuffle => job.chain_shuffle(&mut chain_map),
-            Shape::ChainReduce => job.chain_reduce(&mut chain_map, &mut reduce),
-            Shape::ChainPartialReduce => {
-                job.chain_partial_reduce(&mut chain_map, Box::new(add_u64))
+            if p.terminal == Terminal::Group {
+                job.group().map(|(kmvc, stats)| {
+                    let mut kvs = Vec::new();
+                    kmvc.for_each_group(|k, vals| {
+                        kvs.push((k.to_vec(), vals.map(typed::dec_u64).sum()));
+                        Ok(())
+                    })
+                    .unwrap();
+                    (kvs, stats)
+                })
+            } else {
+                terminate(job, p.terminal, &mut reduce)
             }
         };
-        let result = res.map(|out| {
-            let mut kvs = Vec::new();
-            out.output
-                .drain(|k, v| {
-                    kvs.push((k.to_vec(), typed::dec_u64(v)));
-                    Ok(())
-                })
-                .unwrap();
-            (kvs, out.stats)
-        });
-        let input_cached = ctx.cache_contains("in");
-        let elisions = ctx.cache_stats().elisions;
-        ctx.cache_clear();
-        ShapeRun {
-            result,
-            input_cached,
-            elisions,
-            used_after: ctx.pool().used(),
-        }
+        finish_run(ctx, result)
     })
 }
 
-/// Each public run shape — chained ones elided and not — once as is and
-/// once with a failing map: the output matches a `HashMap` model, the
-/// pool drains, a chained input survives its job, an elision is credited
-/// only on success, and the convert stats are set exactly by the shapes
-/// that convert.
+/// What the rank saw of a job that returned `result`, with the cache
+/// cleared afterwards.
+fn finish_run(ctx: &mut MimirContext<'_>, result: Ran) -> PairingRun {
+    let input_cached = ctx.cache_contains("in");
+    let elisions = ctx.cache_stats().elisions;
+    ctx.cache_clear();
+    PairingRun {
+        result,
+        input_cached,
+        elisions,
+        used_after: ctx.pool().used(),
+    }
+}
+
+/// Each pairing the builder runs — chained ones elided and not — once as
+/// is and once with a failing map: the output matches a `HashMap` model,
+/// the pool drains, a chained input survives its job, an elision is
+/// credited only on success, and the convert stats are set exactly by
+/// the terminals that convert.
 #[test]
 fn run_shape_matrix_matches_the_model_and_gives_memory_back() {
     let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
@@ -635,21 +624,20 @@ fn run_shape_matrix_matches_the_model_and_gives_memory_back() {
             *model.entry(k).or_default() += v;
         }
     }
-    for shape in Shape::ALL {
-        let elide_cases: &[bool] = if shape.chained() {
-            &[true, false]
-        } else {
-            &[true]
-        };
+    let pairings: Vec<_> = Pairing::all()
+        .filter(|p| p.compiles() && p.runs())
+        .collect();
+    assert_eq!(pairings.len(), 9);
+    for p in pairings {
+        let elide_cases: &[bool] = if p.chained { &[true, false] } else { &[true] };
         for &elide in elide_cases {
             for fail in [false, true] {
-                let case = format!("{shape:?} elide={elide} fail={fail}");
-                let runs = run_shape(shape, elide, fail, false);
+                let case = format!("{p:?} elide={elide} fail={fail}");
                 let mut got: HashMap<Vec<u8>, u64> = HashMap::new();
-                for run in &runs {
+                for run in run_pairing(p, elide, fail, false) {
                     assert_eq!(run.used_after, 0, "{case}: pages left in the pool");
-                    assert_eq!(run.input_cached, shape.chained(), "{case}");
-                    let elided = shape.chained() && elide && !fail;
+                    assert_eq!(run.input_cached, p.chained, "{case}");
+                    let elided = p.chained && elide && !fail;
                     assert_eq!(run.elisions, u64::from(elided), "{case}");
                     if fail {
                         let err = run.result.as_ref().err();
@@ -659,21 +647,41 @@ fn run_shape_matrix_matches_the_model_and_gives_memory_back() {
                         );
                         continue;
                     }
-                    let (kvs, stats) = run.result.as_ref().unwrap();
-                    for (k, v) in kvs {
+                    let (kvs, stats) = run.result.unwrap();
+                    let groups = p.terminal != Terminal::Collect;
+                    for (k, v) in &kvs {
                         let slot = got.entry(k.clone()).or_default();
-                        assert!(!shape.groups() || *slot == 0, "{case}: key output twice");
+                        assert!(!groups || *slot == 0, "{case}: key output twice");
                         *slot += v;
                     }
-                    assert_eq!(stats.kvs_out, kvs.len() as u64, "{case}");
-                    assert_eq!(stats.convert_time.is_zero(), !shape.converts(), "{case}");
-                    assert_eq!(stats.convert_peak_bytes == 0, !shape.converts(), "{case}");
+                    if p.terminal != Terminal::Group {
+                        assert_eq!(stats.kvs_out, kvs.len() as u64, "{case}");
+                    }
+                    assert_eq!(stats.convert_time.is_zero(), !p.converts(), "{case}");
+                    assert_eq!(stats.convert_peak_bytes == 0, !p.converts(), "{case}");
                     assert!(stats.map_peak_bytes <= stats.node_peak_bytes, "{case}");
                 }
                 if !fail {
                     assert_eq!(got, model, "{case}");
                 }
             }
+        }
+    }
+}
+
+/// A combiner goes with `reduce` and `partial_reduce` only: `group` and
+/// `collect` refuse it with a config error and give their memory back.
+#[test]
+fn combine_is_refused_by_group_and_collect() {
+    for p in Pairing::all().filter(|p| p.compiles() && !p.runs()) {
+        for run in run_pairing(p, true, false, false) {
+            let err = run.result.as_ref().err();
+            let case = format!("{p:?}: {err:?}");
+            assert!(
+                matches!(err, Some(MimirError::Config(m)) if m.contains("combine")),
+                "{case}"
+            );
+            assert_eq!(run.used_after, 0, "{case}");
         }
     }
 }
@@ -689,8 +697,8 @@ fn aggregate_span(events: &[mimir_obs::Event]) -> &[mimir_obs::Event] {
     &events[agg(EventKind::PhaseBegin)..agg(EventKind::PhaseEnd)]
 }
 
-/// The exchange's last rounds drain inside the Aggregate span in every
-/// shape: a non-elided chain finishes its shuffle there, as `map_shuffle`
+/// The exchange's last rounds drain inside the Aggregate span on either
+/// feed: a non-elided chain finishes its shuffle there, as a map feed
 /// does, instead of inside the Map span.
 #[test]
 fn chained_exchange_finishes_in_the_aggregate_span() {
@@ -701,17 +709,17 @@ fn chained_exchange_finishes_in_the_aggregate_span() {
                 matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
             };
             if chained {
-                ctx.job().output_cached("in").map_shuffle(&mut map).unwrap();
+                cache_matrix_input(ctx);
             }
             mimir_obs::install(mimir_obs::Recorder::new(rank, 4096));
             let job = ctx.job();
             if chained {
-                job.input_cached("in")
+                job.chain("in", &mut |k, v, em| em.emit(k, v))
                     .shuffle_elision(false)
-                    .chain_shuffle(&mut |k, v, em| em.emit(k, v))
+                    .collect()
                     .unwrap();
             } else {
-                job.map_shuffle(&mut map).unwrap();
+                job.map(&mut map).collect().unwrap();
             }
             mimir_obs::take().unwrap().events()
         });
@@ -728,64 +736,50 @@ fn chained_exchange_finishes_in_the_aggregate_span() {
     }
 }
 
-/// A cached input goes with the chain shapes only: a map shape refuses
-/// one, and a chain shape refuses to run without one, before either
-/// touches the communicator.
+/// A chained feed whose input is not cached fails with a cache error,
+/// gives its memory back, and leaves the cache as it was.
 #[test]
-fn cached_input_and_run_shape_must_agree() {
+fn chain_refuses_an_input_that_is_not_cached() {
     let out = ctx_world(1, |ctx| {
-        let map_with_input = ctx
+        let err = ctx
             .job()
-            .input_cached("in")
-            .map_shuffle(&mut |em| em.emit(b"k", b"v"))
+            .output_cached("out")
+            .chain("in", &mut |k, v, em| em.emit(k, v))
+            .collect()
             .err();
-        let chain_without_input = ctx.job().chain_shuffle(&mut |k, v, em| em.emit(k, v)).err();
-        (map_with_input, chain_without_input)
+        (err, ctx.pool().used(), ctx.cache_contains("out"))
     });
-    let (map_with_input, chain_without_input) = &out[0];
-    let msg = |e: &Option<MimirError>| match e {
-        Some(MimirError::Cache(m)) => m.clone(),
-        other => panic!("expected a cache error, got {other:?}"),
-    };
-    assert!(msg(map_with_input).contains("requires a chain_* run shape"));
-    assert!(msg(chain_without_input).contains("require input_cached(name)"));
+    let (err, used, cached) = &out[0];
+    assert!(
+        matches!(err, Some(MimirError::Cache(m)) if m.contains("`in` is not cached")),
+        "{err:?}"
+    );
+    assert_eq!((*used, *cached), (0, false));
 }
 
-/// An arrival filter goes with `chain_shuffle` only: every other shape
-/// refuses it with a config error, gives its memory back, and leaves a
-/// chained input cached.
+/// An arrival filter goes with `collect` only: every other terminal of
+/// the chained feed refuses it with a config error, gives its memory
+/// back, and leaves the chained input cached.
 #[test]
 fn arrival_filter_is_refused_by_every_other_shape() {
-    for shape in Shape::ALL {
-        if shape == Shape::ChainShuffle {
-            continue;
-        }
-        for run in run_shape(shape, true, false, true) {
+    let refusing = Pairing::all().filter(|p| p.chained && p.compiles());
+    for p in refusing.filter(|p| p.terminal != Terminal::Collect) {
+        for run in run_pairing(p, true, false, true) {
             let err = run.result.as_ref().err();
-            let case = format!("{shape:?}: {err:?}");
-            match err {
-                Some(MimirError::Config(m)) => assert!(m.contains("arrival_filter"), "{case}"),
-                _ => panic!("{case}"),
-            }
+            let case = format!("{p:?}: {err:?}");
+            assert!(
+                matches!(err, Some(MimirError::Config(m)) if m.contains("arrival_filter")),
+                "{case}"
+            );
             assert_eq!(run.used_after, 0, "{case}");
-            assert_eq!(run.input_cached, shape.chained(), "{case}");
+            assert!(run.input_cached, "{case}");
         }
     }
 }
 
-/// What one rank saw of a filtered chain.
-struct FilteredRun {
-    /// Every KV the filter was offered, in order, with its verdict.
-    offered: Vec<(Vec<u8>, u64, bool)>,
-    /// The output KVs and stats, or the job's error.
-    result: Result<(Kvs, JobStats), MimirError>,
-    input_cached: bool,
-    used_after: usize,
-}
-
-/// `chain_shuffle` with a first-come claim as its arrival filter (keep
-/// the first KV of each key, drop the rest), elided and shuffled, with
-/// and without a failing map. The chained map re-emits each cached
+/// A chained feed's `collect` with a first-come claim as its arrival
+/// filter (keep the first KV of each key, drop the rest), elided and
+/// shuffled, with and without a failing map. The chained map re-emits each cached
 /// [`matrix_input`] KV; shuffled, it re-keys nothing but still crosses
 /// the exchange. Checked against a `HashMap` oracle: the filter is
 /// offered every KV exactly once, on its owner; the output is exactly
@@ -804,13 +798,7 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
         for fail in [false, true] {
             let case = format!("elide={elide} fail={fail}");
             let runs = ctx_world(2, move |ctx| {
-                let rank = ctx.rank();
-                ctx.job()
-                    .output_cached("in")
-                    .map_shuffle(&mut |em| {
-                        matrix_input(rank).try_for_each(|(k, v)| em.emit(&k, &typed::enc_u64(v)))
-                    })
-                    .unwrap();
+                cache_matrix_input(ctx);
                 let mut offered = Vec::new();
                 let mut claimed = HashSet::new();
                 let mut claim = |k: &[u8], v: &[u8]| {
@@ -818,43 +806,28 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
                     offered.push((k.to_vec(), typed::dec_u64(v), keep));
                     keep
                 };
-                let res = ctx
+                let result = ctx
                     .job()
-                    .input_cached("in")
-                    .shuffle_elision(elide)
-                    .arrival_filter(&mut claim)
-                    .chain_shuffle(&mut |k, v, em| {
+                    .chain("in", &mut |k, v, em| {
                         em.emit(k, v)?;
                         if fail {
                             return Err(MimirError::Config("synthetic map failure".into()));
                         }
                         Ok(())
-                    });
-                let result = res.map(|out| {
-                    let mut kvs = Vec::new();
-                    out.output
-                        .drain(|k, v| {
-                            kvs.push((k.to_vec(), typed::dec_u64(v)));
-                            Ok(())
-                        })
-                        .unwrap();
-                    (kvs, out.stats)
-                });
-                let input_cached = ctx.cache_contains("in");
-                ctx.cache_clear();
-                FilteredRun {
-                    offered,
-                    result,
-                    input_cached,
-                    used_after: ctx.pool().used(),
-                }
+                    })
+                    .shuffle_elision(elide)
+                    .arrival_filter(&mut claim)
+                    .collect()
+                    .map(|out| (drain_u64s(out.output), out.stats));
+                // Every KV the filter was offered, in order, with its verdict.
+                (offered, finish_run(ctx, result))
             });
             let mut seen: HashMap<(Vec<u8>, u64), usize> = HashMap::new();
             let mut owner: HashMap<Vec<u8>, usize> = HashMap::new();
-            for (rank, run) in runs.iter().enumerate() {
+            for (rank, (offered, run)) in runs.iter().enumerate() {
                 assert_eq!(run.used_after, 0, "{case}: pages left in the pool");
                 assert!(run.input_cached, "{case}: the input survives");
-                for (k, v, _) in &run.offered {
+                for (k, v, _) in offered {
                     *seen.entry((k.clone(), *v)).or_default() += 1;
                     let first = *owner.entry(k.clone()).or_insert(rank);
                     assert_eq!(first, rank, "{case}: a key offered on two ranks");
@@ -868,8 +841,7 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
                     continue;
                 }
                 let (kvs, stats) = run.result.as_ref().unwrap();
-                let kept: Kvs = run
-                    .offered
+                let kept: Kvs = offered
                     .iter()
                     .filter(|(_, _, keep)| *keep)
                     .map(|(k, v, _)| (k.clone(), *v))
@@ -885,7 +857,7 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
                 assert_eq!(owner.len(), 13, "{case}");
                 let kept: usize = runs
                     .iter()
-                    .map(|r| r.result.as_ref().unwrap().0.len())
+                    .map(|(_, r)| r.result.as_ref().unwrap().0.len())
                     .sum();
                 assert_eq!(kept, 13, "{case}: one KV kept per key");
             }
@@ -893,12 +865,12 @@ fn arrival_filter_keeps_exactly_what_it_accepts() {
     }
 }
 
-/// One rank's keyed KMVC from [`map_group`](mimir_core::MapReduceJob::map_group):
+/// One rank's keyed KMVC from [`group`](mimir_core::FedJob::group):
 /// each group's key and its values in arrival order, as `for_each_group`
 /// visits them.
 type Groups = Vec<(Vec<u8>, Vec<u64>)>;
 
-/// `map_group` on two ranks of `kind`: rank `r` emits `300 + 50r` KVs over
+/// `group` on two ranks of `kind`: rank `r` emits `300 + 50r` KVs over
 /// 40 keys, each value `r << 32 | i`. Returns each rank's groups, its
 /// `(unique_keys, kvs_out)` and its pool occupancy once the KMVC drops,
 /// after checking on the rank that `get` answers every group it holds and
@@ -912,11 +884,12 @@ fn map_group_on(kind: mimir_mpi::TransportKind) -> Vec<(Groups, (u64, u64), u64)
         let (kmvc, stats) = ctx
             .job()
             .kv_meta(KvMeta::fixed(8, 8))
-            .map_group(&mut |em| {
+            .map(&mut |em| {
                 (0..300 + 50 * rank).try_for_each(|i| {
                     em.emit(&typed::enc_u64(i * 7 % 40), &typed::enc_u64(rank << 32 | i))
                 })
             })
+            .group()
             .unwrap();
         let mut groups = Groups::new();
         kmvc.for_each_group(|k, vals| {
@@ -979,27 +952,24 @@ fn map_group_equals_a_serial_grouping_on_both_transports() {
     }
 }
 
-/// `map_group` refuses what it cannot honour, before it runs: an arrival
-/// filter (config), a cached input or a cached output (cache). Each
-/// refusal gives its memory back.
+/// `group` returns a KMVC, and the cache holds KVCs: with
+/// `output_cached` it fails with a cache error before it runs, gives its
+/// memory back and caches nothing.
 #[test]
-fn map_group_refuses_filters_and_cached_inputs_and_outputs() {
+fn group_refuses_a_cached_output() {
     let out = ctx_world(1, |ctx| {
-        let mut keep = |_: &[u8], _: &[u8]| true;
-        let mut map = |em: &mut dyn Emitter| em.emit(b"k", b"v");
-        let errs = [
-            ctx.job()
-                .arrival_filter(&mut keep)
-                .map_group(&mut map)
-                .err(),
-            ctx.job().input_cached("in").map_group(&mut map).err(),
-            ctx.job().output_cached("out").map_group(&mut map).err(),
-        ];
-        (errs, ctx.pool().used(), ctx.cache_contains("out"))
+        let err = ctx
+            .job()
+            .output_cached("out")
+            .map(&mut |em| em.emit(b"k", b"v"))
+            .group()
+            .err();
+        (err, ctx.pool().used(), ctx.cache_contains("out"))
     });
-    let ([filter, input, output], used, cached) = &out[0];
-    assert!(matches!(filter, Some(MimirError::Config(m)) if m.contains("arrival_filter")));
-    assert!(matches!(input, Some(MimirError::Cache(m)) if m.contains("input_cached")));
-    assert!(matches!(output, Some(MimirError::Cache(m)) if m.contains("output_cached")));
+    let (err, used, cached) = &out[0];
+    assert!(
+        matches!(err, Some(MimirError::Cache(m)) if m.contains("output_cached")),
+        "{err:?}"
+    );
     assert_eq!((*used, *cached), (0, false));
 }

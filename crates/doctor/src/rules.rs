@@ -595,7 +595,7 @@ pub fn cache_efficiency(reports: &[RankReport], out: &mut Vec<Finding>) {
             evidence,
             hint: "Retained partitions charge the same pool admission \
                    meters, so a cold cache squeezes every tenant. Check \
-                   the chain's names: a miss means input_cached asked for \
+                   the chain's names: a miss means a chained job asked for \
                    a name no prior job stashed with output_cached.",
         });
         return;

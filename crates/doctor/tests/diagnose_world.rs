@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use mimir_core::{MimirConfig, MimirContext, Partitioner};
+use mimir_core::{JobStats, MimirConfig, MimirContext, Partitioner};
 use mimir_io::IoModel;
 use mimir_mem::MemPool;
 use mimir_mpi::run_world;
@@ -24,30 +24,36 @@ fn run_shuffle(partitioner: Partitioner) -> Vec<RankReport> {
         let out = ctx
             .job()
             .partitioner(partitioner.clone())
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for i in 0..KEYS_PER_RANK {
                     let key = format!("key-{:05}", i * RANKS + rank);
                     em.emit(key.as_bytes(), b"1")?;
                 }
                 Ok(())
             })
-            .expect("map_shuffle");
-        let s = &out.stats;
-        let mut r = RankReport::new(rank);
-        r.ranks = RANKS as u64;
-        r.shuffle.kvs_emitted = s.shuffle.kvs_emitted;
-        r.shuffle.kv_bytes_emitted = s.shuffle.kv_bytes_emitted;
-        r.shuffle.kvs_received = s.shuffle.kvs_received;
-        r.shuffle.bytes_received = s.shuffle.bytes_received;
-        r.shuffle.max_dest_bytes = s.shuffle.max_dest_bytes;
-        r.shuffle.imbalance_permille = s.shuffle.imbalance_permille;
-        r.shuffle.gini_permille = s.shuffle.gini_permille;
-        r.waits.sync_wait_ns = s.shuffle.sync_wait_ns;
-        r.waits.data_wait_ns = s.shuffle.data_wait_ns;
-        r.waits.barrier_wait_ns = s.barrier_wait_ns;
-        r.times.map_s = s.map_time.as_secs_f64();
-        r
+            .collect()
+            .expect("collect");
+        report(rank, RANKS, &out.stats)
     })
+}
+
+/// One rank's report from its (merged) job stats: the shuffle and wait
+/// counters the skew and straggler rules read.
+fn report(rank: usize, ranks: usize, s: &JobStats) -> RankReport {
+    let mut r = RankReport::new(rank);
+    r.ranks = ranks as u64;
+    r.shuffle.kvs_emitted = s.shuffle.kvs_emitted;
+    r.shuffle.kv_bytes_emitted = s.shuffle.kv_bytes_emitted;
+    r.shuffle.kvs_received = s.shuffle.kvs_received;
+    r.shuffle.bytes_received = s.shuffle.bytes_received;
+    r.shuffle.max_dest_bytes = s.shuffle.max_dest_bytes;
+    r.shuffle.imbalance_permille = s.shuffle.imbalance_permille;
+    r.shuffle.gini_permille = s.shuffle.gini_permille;
+    r.waits.sync_wait_ns = s.shuffle.sync_wait_ns;
+    r.waits.data_wait_ns = s.shuffle.data_wait_ns;
+    r.waits.barrier_wait_ns = s.barrier_wait_ns;
+    r.times.map_s = s.map_time.as_secs_f64();
+    r
 }
 
 /// Deterministic per-key work, identical on every rank. Without it the
@@ -87,7 +93,7 @@ fn run_traced_shuffle(
         let mut ctx = MimirContext::new(comm, pool, IoModel::free(), config).expect("context");
         let out = ctx
             .job()
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for i in 0..keys_per_rank {
                     if let Some((victim, dur)) = delay {
                         if rank == victim && i == keys_per_rank / 2 {
@@ -107,7 +113,8 @@ fn run_traced_shuffle(
                 }
                 Ok(())
             })
-            .expect("map_shuffle");
+            .collect()
+            .expect("collect");
         let rec = mimir_obs::take().expect("recorder installed");
         let s = &out.stats;
         let mut r = RankReport::new(rank);
@@ -240,6 +247,42 @@ fn uniform_run_yields_no_skew_finding() {
     assert!(
         d.findings.iter().all(|f| f.code != "partition-skew"),
         "hash partitioning flagged as skew:\n{}",
+        d.to_text()
+    );
+}
+
+/// A balanced multi-MB job, then a near-empty one on 16 ranks (an octree's
+/// or BFS's late level), merged per rank as the apps merge jobs. The late
+/// job's hottest destination is many times its fair share but less than
+/// one partition buffer over it, so the run draws no critical skew.
+#[test]
+fn a_near_empty_job_after_a_balanced_one_draws_no_critical_skew() {
+    const WIDE: usize = 16;
+    let reports = run_world(WIDE, |comm| {
+        let rank = comm.rank();
+        let pool = MemPool::unlimited(format!("n{rank}"), 64 * 1024);
+        let mut ctx = MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default())
+            .expect("context");
+        let mut stats = JobStats::default();
+        for kvs in [16_384, 3] {
+            let out = ctx
+                .job()
+                .map(&mut |em| {
+                    (0..kvs).try_for_each(|i| em.emit(format!("k{rank}-{i}").as_bytes(), &[1; 8]))
+                })
+                .collect()
+                .expect("collect");
+            stats.merge(&out.stats);
+        }
+        assert!(stats.shuffle.kv_bytes_emitted > 256 * 1024);
+        report(rank, WIDE, &stats)
+    });
+    let d = mimir_doctor::diagnose(&reports);
+    assert!(
+        d.findings
+            .iter()
+            .all(|f| f.code != "partition-skew" || f.severity != mimir_doctor::Severity::Critical),
+        "a near-empty job read as a hotspot:\n{}",
         d.to_text()
     );
 }

@@ -23,19 +23,17 @@
 //!         .job()
 //!         .kv_meta(KvMeta::cstr_key_u64_val())
 //!         .out_meta(KvMeta::cstr_key_u64_val())
-//!         .map_partial_reduce(
-//!             &mut |em| {
-//!                 for w in text.split(|b| b.is_ascii_whitespace()).filter(|w| !w.is_empty()) {
-//!                     em.emit(w, &1u64.to_le_bytes())?;
-//!                 }
-//!                 Ok(())
-//!             },
-//!             Box::new(|_k, a, b, out| {
-//!                 let sum = u64::from_le_bytes(a.try_into().unwrap())
-//!                     + u64::from_le_bytes(b.try_into().unwrap());
-//!                 out.extend_from_slice(&sum.to_le_bytes());
-//!             }),
-//!         )
+//!         .map(&mut |em| {
+//!             for w in text.split(|b| b.is_ascii_whitespace()).filter(|w| !w.is_empty()) {
+//!                 em.emit(w, &1u64.to_le_bytes())?;
+//!             }
+//!             Ok(())
+//!         })
+//!         .partial_reduce(Box::new(|_k, a, b, out| {
+//!             let sum = u64::from_le_bytes(a.try_into().unwrap())
+//!                 + u64::from_le_bytes(b.try_into().unwrap());
+//!             out.extend_from_slice(&sum.to_le_bytes());
+//!         }))
 //!         .unwrap();
 //!     let mut local = 0u64;
 //!     out.output.drain(|_k, _v| { local += 1; Ok(()) }).unwrap();

@@ -50,22 +50,20 @@ fn run_once(ckpt_dir: std::path::PathBuf, fault_at: Option<u32>) -> std::thread:
                         .job()
                         .kv_meta(KvMeta::fixed(8, 8))
                         .out_meta(KvMeta::fixed(8, 8))
-                        .map_partial_reduce(
-                            &mut |em| {
-                                for i in 0..1000u64 {
-                                    em.emit(
-                                        &typed::enc_u64(i % 97),
-                                        &typed::enc_u64(u64::from(iter) + 1),
-                                    )?;
-                                }
-                                Ok(())
-                            },
-                            Box::new(|_k, a, b, o| {
-                                o.extend_from_slice(&typed::enc_u64(
-                                    typed::dec_u64(a) + typed::dec_u64(b),
-                                ));
-                            }),
-                        )
+                        .map(&mut |em| {
+                            for i in 0..1000u64 {
+                                em.emit(
+                                    &typed::enc_u64(i % 97),
+                                    &typed::enc_u64(u64::from(iter) + 1),
+                                )?;
+                            }
+                            Ok(())
+                        })
+                        .partial_reduce(Box::new(|_k, a, b, o| {
+                            o.extend_from_slice(&typed::enc_u64(
+                                typed::dec_u64(a) + typed::dec_u64(b),
+                            ));
+                        }))
                         .expect("iteration job");
                     res.output.drain(|k, v| {
                         *state.entry(typed::dec_u64(k)).or_insert(0) += typed::dec_u64(v);

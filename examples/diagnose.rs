@@ -5,6 +5,7 @@
 //! reports the way a trace session does, and feeds both to the doctor.
 //! The skewed run draws a partition-skew finding naming the shuffle
 //! phase and the hotspot rank; the uniform control comes back healthy.
+//! The example exits nonzero when either half of that does not hold.
 //! The skewed run is additionally flow-traced (shared-epoch recorders,
 //! flow ids on every message), so the doctor measures its critical path
 //! instead of guessing the straggler, and the per-segment breakdown is
@@ -48,12 +49,13 @@ fn run_wordcount(corpus: impl Fn(usize) -> Vec<u8> + Send + Sync, traced: bool) 
         let out = ctx
             .job()
             .kv_meta(meta)
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for word in mimir::io::words(&text) {
                     em.emit(word, &1u64.to_le_bytes())?;
                 }
                 Ok(())
             })
+            .collect()
             .expect("wordcount shuffle");
 
         let s = &out.stats;
@@ -91,7 +93,8 @@ fn main() {
     let reports = run_wordcount(|rank| zipf.generate(rank, RANKS, CORPUS_BYTES), true);
     let received: Vec<u64> = reports.iter().map(|r| r.shuffle.bytes_received).collect();
     println!("bytes received per rank: {received:?}");
-    println!("{}", mimir_doctor::diagnose(&reports).to_text());
+    let skewed = mimir_doctor::diagnose(&reports);
+    println!("{}", skewed.to_text());
     if let Some(path) = mimir_doctor::critical_path(&reports) {
         println!("{}", path.to_text());
     }
@@ -101,5 +104,12 @@ fn main() {
     let reports = run_wordcount(|rank| uniform.generate(rank, RANKS, CORPUS_BYTES), false);
     let received: Vec<u64> = reports.iter().map(|r| r.shuffle.bytes_received).collect();
     println!("bytes received per rank: {received:?}");
-    println!("{}", mimir_doctor::diagnose(&reports).to_text());
+    let control = mimir_doctor::diagnose(&reports);
+    println!("{}", control.to_text());
+
+    let skew = |d: &mimir_doctor::Diagnosis| d.findings.iter().any(|f| f.code == "partition-skew");
+    assert!(
+        skew(&skewed) && !skew(&control),
+        "expected a partition-skew finding on the Zipf run and none on the control"
+    );
 }

@@ -39,26 +39,24 @@ fn main() {
             .job()
             .kv_meta(meta)
             .out_meta(meta)
-            .map_partial_reduce(
-                &mut |em| {
-                    let mut state = 0x9E37_79B9u64.wrapping_mul(rank as u64 + 1);
-                    for step in 0..STEPS {
-                        for _ in 0..PARTICLES_PER_RANK {
-                            // A cheap LCG stands in for the physics.
-                            state = state
-                                .wrapping_mul(6_364_136_223_846_793_005)
-                                .wrapping_add(1_442_695_040_888_963_407);
-                            // Energies drift upward with the step so the
-                            // per-bin peak step is non-trivial.
-                            let energy = (state >> 33) % (40 + step * 3);
-                            let bin = energy / 10;
-                            em.emit(&typed::enc_u64_pair(step, bin), &typed::enc_u64(1))?;
-                        }
+            .map(&mut |em| {
+                let mut state = 0x9E37_79B9u64.wrapping_mul(rank as u64 + 1);
+                for step in 0..STEPS {
+                    for _ in 0..PARTICLES_PER_RANK {
+                        // A cheap LCG stands in for the physics.
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        // Energies drift upward with the step so the
+                        // per-bin peak step is non-trivial.
+                        let energy = (state >> 33) % (40 + step * 3);
+                        let bin = energy / 10;
+                        em.emit(&typed::enc_u64_pair(step, bin), &typed::enc_u64(1))?;
                     }
-                    Ok(())
-                },
-                Box::new(sum_u64),
-            )
+                }
+                Ok(())
+            })
+            .partial_reduce(Box::new(sum_u64))
             .expect("stage 1");
 
         // --- Stage 2: input = stage 1's output KVs, no storage hop. ----
@@ -70,24 +68,22 @@ fn main() {
             .job()
             .kv_meta(out_meta)
             .out_meta(out_meta)
-            .map_reduce(
-                &mut |em| {
-                    // `drain` frees stage 1's container pages as the next
-                    // stage consumes them.
-                    stage1_kvs.drain_all(|k, v| {
-                        let (step, bin) = typed::dec_u64_pair(k);
-                        let count = typed::dec_u64(v);
-                        em.emit(&typed::enc_u64(bin), &typed::enc_u64_pair(count, step))
-                    })
-                },
-                &mut |k, vals, em| {
-                    let best = vals
-                        .map(typed::dec_u64_pair)
-                        .max()
-                        .expect("non-empty group");
-                    em.emit(k, &typed::enc_u64_pair(best.0, best.1))
-                },
-            )
+            .map(&mut |em| {
+                // `drain` frees stage 1's container pages as the next
+                // stage consumes them.
+                stage1_kvs.drain_all(|k, v| {
+                    let (step, bin) = typed::dec_u64_pair(k);
+                    let count = typed::dec_u64(v);
+                    em.emit(&typed::enc_u64(bin), &typed::enc_u64_pair(count, step))
+                })
+            })
+            .reduce(&mut |k, vals, em| {
+                let best = vals
+                    .map(typed::dec_u64_pair)
+                    .max()
+                    .expect("non-empty group");
+                em.emit(k, &typed::enc_u64_pair(best.0, best.1))
+            })
             .expect("stage 2");
 
         let mut results: Vec<(u64, u64, u64)> = Vec::new();

@@ -4,9 +4,9 @@
 //!
 //! * iterative jobs chained through the **cross-job KV cache**: the rank
 //!   vector lives in the cache between iterations (`output_cached` /
-//!   `input_cached`), never round-tripping through serialization or
+//!   `chain`), never round-tripping through serialization or
 //!   spill,
-//! * a **keyed KMVC** as the graph: `map_group` groups each vertex's
+//! * a **keyed KMVC** as the graph: `group` groups each vertex's
 //!   neighbours on arrival, and the scatter reads them with `get`,
 //! * **shuffle elision**: the damping update preserves keys under the
 //!   same partitioner, so its shuffle is elided outright — the map feeds
@@ -76,13 +76,14 @@ fn main() {
             .job()
             .kv_meta(meta)
             .partitioner(part.clone())
-            .map_group(&mut |em| {
+            .map(&mut |em| {
                 for &(u, v) in &edges {
                     em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
                     em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
                 }
                 Ok(())
             })
+            .group()
             .expect("partition stage");
 
         // Seed the cached rank vector: my contiguous vertex range
@@ -93,12 +94,13 @@ fn main() {
             .kv_meta(meta)
             .partitioner(part.clone())
             .output_cached("pr")
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for v in my_range.clone() {
                     em.emit(&typed::enc_u64(v), &(1.0 / n as f64).to_le_bytes())?;
                 }
                 Ok(())
             })
+            .collect()
             .expect("seed rank vector");
 
         // Power iterations: two chained jobs each. Scatter re-keys
@@ -109,37 +111,34 @@ fn main() {
                 .kv_meta(meta)
                 .out_meta(meta)
                 .partitioner(part.clone())
-                .input_cached("pr")
                 .output_cached("pr.sums")
-                .shuffle_elision(false)
-                .chain_partial_reduce(
-                    &mut |k, v, em| {
-                        // Self-contribution of zero keeps every vertex in
-                        // the sums, edges or not (and stays rank-local).
-                        em.emit(k, &0.0f64.to_le_bytes())?;
-                        if let Some(neighbors) = adj.get(k)? {
-                            let r = f64::from_le_bytes(v.try_into().unwrap());
-                            let share = r / neighbors.len() as f64;
-                            for dst in neighbors {
-                                em.emit(dst, &share.to_le_bytes())?;
-                            }
+                .chain("pr", &mut |k, v, em| {
+                    // Self-contribution of zero keeps every vertex in
+                    // the sums, edges or not (and stays rank-local).
+                    em.emit(k, &0.0f64.to_le_bytes())?;
+                    if let Some(neighbors) = adj.get(k)? {
+                        let r = f64::from_le_bytes(v.try_into().unwrap());
+                        let share = r / neighbors.len() as f64;
+                        for dst in neighbors {
+                            em.emit(dst, &share.to_le_bytes())?;
                         }
-                        Ok(())
-                    },
-                    Box::new(sum_f64),
-                )
+                    }
+                    Ok(())
+                })
+                .shuffle_elision(false)
+                .partial_reduce(Box::new(sum_f64))
                 .expect("scatter stage");
 
             ctx.job()
                 .kv_meta(meta)
                 .partitioner(part.clone())
-                .input_cached("pr.sums")
                 .output_cached("pr")
-                .chain_shuffle(&mut |k, v, em| {
+                .chain("pr.sums", &mut |k, v, em| {
                     let inc = f64::from_le_bytes(v.try_into().unwrap());
                     let r = (1.0 - DAMPING) / n as f64 + DAMPING * inc;
                     em.emit(k, &r.to_le_bytes())
                 })
+                .collect()
                 .expect("damping update (elided)");
         }
 

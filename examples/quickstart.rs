@@ -27,19 +27,17 @@ fn main() {
             .job()
             .kv_meta(meta)
             .out_meta(meta)
-            .map_partial_reduce(
-                &mut |em| {
-                    for word in mimir::io::words(&text) {
-                        em.emit(word, &1u64.to_le_bytes())?;
-                    }
-                    Ok(())
-                },
-                Box::new(|_k, a, b, out| {
-                    let sum = u64::from_le_bytes(a.try_into().unwrap())
-                        + u64::from_le_bytes(b.try_into().unwrap());
-                    out.extend_from_slice(&sum.to_le_bytes());
-                }),
-            )
+            .map(&mut |em| {
+                for word in mimir::io::words(&text) {
+                    em.emit(word, &1u64.to_le_bytes())?;
+                }
+                Ok(())
+            })
+            .partial_reduce(Box::new(|_k, a, b, out| {
+                let sum = u64::from_le_bytes(a.try_into().unwrap())
+                    + u64::from_le_bytes(b.try_into().unwrap());
+                out.extend_from_slice(&sum.to_le_bytes());
+            }))
             .expect("wordcount job");
 
         // Collect this rank's reduced counts.

@@ -36,50 +36,48 @@ fn main() {
                 key: mimir_core::LenHint::Fixed(8),
                 val: mimir_core::LenHint::Var,
             })
-            .map_reduce(
-                &mut |em| {
-                    // This rank's slice of the user table…
-                    let mut uid = rank;
-                    while uid < USERS {
-                        let region = (uid % REGIONS.len() as u64) as u8;
-                        em.emit(&typed::enc_u64(uid), &[0u8, region])?;
-                        uid += RANKS as u64;
-                    }
-                    // …and a stream of purchases with a cheap LCG.
-                    let mut state = 0x1234_5678u64.wrapping_add(rank);
-                    for _ in 0..PURCHASES_PER_RANK {
-                        state = state
-                            .wrapping_mul(6_364_136_223_846_793_005)
-                            .wrapping_add(1_442_695_040_888_963_407);
-                        let uid = (state >> 13) % USERS;
-                        let cents = (state >> 40) % 10_000;
-                        let mut val = vec![1u8];
-                        val.extend_from_slice(&typed::enc_u64(cents));
-                        em.emit(&typed::enc_u64(uid), &val)?;
-                    }
-                    Ok(())
-                },
-                &mut |_uid, vals, em| {
-                    // One user record and many purchases per key.
-                    let mut region: Option<u8> = None;
-                    let mut total = 0u64;
-                    let mut n = 0u64;
-                    for v in vals {
-                        match v[0] {
-                            0 => region = Some(v[1]),
-                            _ => {
-                                total += typed::dec_u64(&v[1..]);
-                                n += 1;
-                            }
+            .map(&mut |em| {
+                // This rank's slice of the user table…
+                let mut uid = rank;
+                while uid < USERS {
+                    let region = (uid % REGIONS.len() as u64) as u8;
+                    em.emit(&typed::enc_u64(uid), &[0u8, region])?;
+                    uid += RANKS as u64;
+                }
+                // …and a stream of purchases with a cheap LCG.
+                let mut state = 0x1234_5678u64.wrapping_add(rank);
+                for _ in 0..PURCHASES_PER_RANK {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let uid = (state >> 13) % USERS;
+                    let cents = (state >> 40) % 10_000;
+                    let mut val = vec![1u8];
+                    val.extend_from_slice(&typed::enc_u64(cents));
+                    em.emit(&typed::enc_u64(uid), &val)?;
+                }
+                Ok(())
+            })
+            .reduce(&mut |_uid, vals, em| {
+                // One user record and many purchases per key.
+                let mut region: Option<u8> = None;
+                let mut total = 0u64;
+                let mut n = 0u64;
+                for v in vals {
+                    match v[0] {
+                        0 => region = Some(v[1]),
+                        _ => {
+                            total += typed::dec_u64(&v[1..]);
+                            n += 1;
                         }
                     }
-                    let region = region.expect("every purchase has a user");
-                    if n > 0 {
-                        em.emit(&[region], &typed::enc_u64_pair(total, n))?;
-                    }
-                    Ok(())
-                },
-            )
+                }
+                let region = region.expect("every purchase has a user");
+                if n > 0 {
+                    em.emit(&[region], &typed::enc_u64_pair(total, n))?;
+                }
+                Ok(())
+            })
             .expect("join job");
 
         // Aggregate (region -> revenue) locally; regions are few.

@@ -17,12 +17,13 @@ fn block_partitioner_gives_contiguous_ownership() {
             .job()
             .kv_meta(KvMeta::fixed(8, 8))
             .partitioner(Partitioner::u64_block(n_keys))
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for v in 0..n_keys {
                     em.emit(&typed::enc_u64(v), &typed::enc_u64(v * 2))?;
                 }
                 Ok(())
             })
+            .collect()
             .unwrap();
         let mut keys = Vec::new();
         res.output
@@ -69,17 +70,15 @@ fn custom_partitioner_reduces_on_chosen_rank() {
         let res = ctx
             .job()
             .partitioner(Partitioner::custom("to-rank-1", |_k, _n| 1))
-            .map_partial_reduce(
-                &mut |em| {
-                    for i in 0..100u64 {
-                        em.emit(format!("k{}", i % 10).as_bytes(), &typed::enc_u64(1))?;
-                    }
-                    Ok(())
-                },
-                Box::new(|_k, a, b, out| {
-                    out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
-                }),
-            )
+            .map(&mut |em| {
+                for i in 0..100u64 {
+                    em.emit(format!("k{}", i % 10).as_bytes(), &typed::enc_u64(1))?;
+                }
+                Ok(())
+            })
+            .partial_reduce(Box::new(|_k, a, b, out| {
+                out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
+            }))
             .unwrap();
         res.output.len()
     });
@@ -100,17 +99,15 @@ fn staged_output_survives_between_stages() {
             .job()
             .kv_meta(meta)
             .out_meta(meta)
-            .map_partial_reduce(
-                &mut |em| {
-                    for i in 0..2000u64 {
-                        em.emit(format!("word{}", i % 50).as_bytes(), &typed::enc_u64(1))?;
-                    }
-                    Ok(())
-                },
-                Box::new(|_k, a, b, out| {
-                    out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
-                }),
-            )
+            .map(&mut |em| {
+                for i in 0..2000u64 {
+                    em.emit(format!("word{}", i % 50).as_bytes(), &typed::enc_u64(1))?;
+                }
+                Ok(())
+            })
+            .partial_reduce(Box::new(|_k, a, b, out| {
+                out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
+            }))
             .unwrap();
 
         // Park it: evicted to spill, its memory must be released.
@@ -158,12 +155,13 @@ fn staging_keeps_hints() {
         let out = ctx
             .job()
             .kv_meta(meta)
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for i in 0..64u64 {
                     em.emit(&typed::enc_u64(i), &typed::enc_u64_pair(i, i * i))?;
                 }
                 Ok(())
             })
+            .collect()
             .unwrap();
         let mut cache = KvCache::default();
         cache.insert("pairs", out.output, Partitioner::hash().fingerprint(1));

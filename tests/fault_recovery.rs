@@ -54,20 +54,18 @@ fn incarnation(
                         .job()
                         .kv_meta(KvMeta::fixed(8, 8))
                         .out_meta(KvMeta::fixed(8, 8))
-                        .map_partial_reduce(
-                            &mut |em| {
-                                for i in 0..50u64 {
-                                    let key = u64::from(iteration) * 7 + i % 13;
-                                    em.emit(&typed::enc_u64(key), &typed::enc_u64(1))?;
-                                }
-                                Ok(())
-                            },
-                            Box::new(|_k, a, b, o| {
-                                o.extend_from_slice(&typed::enc_u64(
-                                    typed::dec_u64(a) + typed::dec_u64(b),
-                                ));
-                            }),
-                        )
+                        .map(&mut |em| {
+                            for i in 0..50u64 {
+                                let key = u64::from(iteration) * 7 + i % 13;
+                                em.emit(&typed::enc_u64(key), &typed::enc_u64(1))?;
+                            }
+                            Ok(())
+                        })
+                        .partial_reduce(Box::new(|_k, a, b, o| {
+                            o.extend_from_slice(&typed::enc_u64(
+                                typed::dec_u64(a) + typed::dec_u64(b),
+                            ));
+                        }))
                         .unwrap();
                     res.output.drain(|k, v| {
                         *state.entry(typed::dec_u64(k)).or_insert(0) += typed::dec_u64(v);

@@ -214,12 +214,13 @@ fn communication_buffers_bound_mimir_recv_memory() {
         let out = ctx
             .job()
             .kv_meta(KvMeta::cstr_key_u64_val())
-            .map_shuffle(&mut |em| {
+            .map(&mut |em| {
                 for i in 0..5000u64 {
                     em.emit(b"only-key", &i.to_le_bytes())?;
                 }
                 Ok(())
             })
+            .collect()
             .unwrap();
         let n = out.output.len();
         // The owner holds all 4×5000 KVs; others none.
@@ -253,13 +254,14 @@ fn bfs_peaks_in_its_partition_stage() {
             MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
         let (graph, stats) = ctx
             .job()
-            .map_group(&mut |em| {
+            .map(&mut |em| {
                 for &(u, v) in &edges {
                     em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
                     em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
                 }
                 Ok(())
             })
+            .group()
             .unwrap();
         drop(graph);
         ctx.pool().reset_peak();

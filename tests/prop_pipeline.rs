@@ -74,27 +74,19 @@ fn run_sum_job(
             }
             Ok(())
         };
-        let job = ctx.job().kv_meta(meta).out_meta(meta);
-        let out = match (pr, cps) {
-            (true, true) => job
-                .map_partial_reduce_compress(&mut map, Box::new(sum_combine), Box::new(sum_combine))
-                .unwrap(),
-            (true, false) => job
-                .map_partial_reduce(&mut map, Box::new(sum_combine))
-                .unwrap(),
-            (false, true) => job
-                .map_reduce_compress(&mut map, Box::new(sum_combine), &mut |k, vals, em| {
-                    let total = vals.map(typed::dec_u64).fold(0u64, u64::wrapping_add);
-                    em.emit(k, &typed::enc_u64(total))
-                })
-                .unwrap(),
-            (false, false) => job
-                .map_reduce(&mut map, &mut |k, vals, em| {
-                    let total = vals.map(typed::dec_u64).fold(0u64, u64::wrapping_add);
-                    em.emit(k, &typed::enc_u64(total))
-                })
-                .unwrap(),
-        };
+        let mut job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);
+        if cps {
+            job = job.combine(Box::new(sum_combine));
+        }
+        let out = if pr {
+            job.partial_reduce(Box::new(sum_combine))
+        } else {
+            job.reduce(&mut |k, vals, em| {
+                let total = vals.map(typed::dec_u64).fold(0u64, u64::wrapping_add);
+                em.emit(k, &typed::enc_u64(total))
+            })
+        }
+        .unwrap();
         let mut local = Vec::new();
         out.output
             .drain(|k, v| {

@@ -176,19 +176,17 @@ fn output_written_to_part_files() {
                 .job()
                 .kv_meta(meta)
                 .out_meta(meta)
-                .map_partial_reduce(
-                    &mut |em| {
-                        for w in mimir::io::words(&text) {
-                            em.emit(w, &1u64.to_le_bytes())?;
-                        }
-                        Ok(())
-                    },
-                    Box::new(|_k, a, b, o| {
-                        let s = u64::from_le_bytes(a.try_into().unwrap())
-                            + u64::from_le_bytes(b.try_into().unwrap());
-                        o.extend_from_slice(&s.to_le_bytes());
-                    }),
-                )
+                .map(&mut |em| {
+                    for w in mimir::io::words(&text) {
+                        em.emit(w, &1u64.to_le_bytes())?;
+                    }
+                    Ok(())
+                })
+                .partial_reduce(Box::new(|_k, a, b, o| {
+                    let s = u64::from_le_bytes(a.try_into().unwrap())
+                        + u64::from_le_bytes(b.try_into().unwrap());
+                    o.extend_from_slice(&s.to_le_bytes());
+                }))
                 .unwrap();
             let path = ctx
                 .write_text_output(out.output, &dir2, |k, v, line| {
