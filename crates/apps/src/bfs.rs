@@ -37,9 +37,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use mimir_core::{partition_of, typed, Emitter, KvMeta, MimirContext};
+use mimir_core::{fxhash64, partition_of, typed, Emitter, KvMeta, MimirContext};
 use mimir_io::SpillStore;
 use mimir_mem::MemPool;
 use mimir_mpi::{Comm, ReduceOp};
@@ -89,6 +90,34 @@ pub struct BfsResult {
     pub depth: u32,
 }
 
+/// KVs the partition map hands the emitter in one
+/// [`Emitter::emit_batch`] call (16 edges, both directions): the
+/// shuffler's own batch size.
+const MAP_BATCH: usize = 32;
+
+/// Hashes a vertex id with the framework's `fxhash64`: the claim table
+/// takes one lookup a proposal, millions a level, and std's SipHash
+/// costs over twice as much a lookup on 8-byte keys.
+#[derive(Default)]
+struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fxhash64(bytes);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = fxhash64(&v.to_le_bytes());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `vertex → parent` while the traversal claims vertices.
+type Claims = HashMap<u64, u64, BuildHasherDefault<VertexHasher>>;
+
 /// Keeps the first-proposed parent — a valid choice for BFS trees, and
 /// the compression callback for traversal KVs.
 fn keep_first(_k: &[u8], a: &[u8], _b: &[u8], out: &mut Vec<u8>) {
@@ -122,10 +151,20 @@ pub fn bfs_mimir(
     let mut metrics = RunMetrics::default();
 
     // --- Stage 1: graph partitioning, grouped on arrival. --------------
+    // Each edge in both directions, handed to the emitter a batch at a
+    // time so the shuffler routes a batch before it copies any of it.
     let mut part_map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
-        for &(u, v) in edges {
-            em.emit(&typed::enc_u64(u), &typed::enc_u64(v))?;
-            em.emit(&typed::enc_u64(v), &typed::enc_u64(u))?;
+        for chunk in edges.chunks(MAP_BATCH / 2) {
+            let mut ends = [[0u8; 8]; MAP_BATCH];
+            for (pair, &(u, v)) in ends.chunks_exact_mut(2).zip(chunk) {
+                (pair[0], pair[1]) = (typed::enc_u64(u), typed::enc_u64(v));
+            }
+            let mut batch: [(&[u8], &[u8]); MAP_BATCH] = [(&[], &[]); MAP_BATCH];
+            for (kvs, pair) in batch.chunks_exact_mut(2).zip(ends.chunks_exact(2)) {
+                let (u, v): (&[u8], &[u8]) = (&pair[0], &pair[1]);
+                (kvs[0], kvs[1]) = ((u, v), (v, u));
+            }
+            em.emit_batch(&batch[..2 * chunk.len()])?;
         }
         Ok(())
     };
@@ -142,7 +181,7 @@ pub fn bfs_mimir(
     // its successor under the same name (the checkout happens before the
     // stash, so the overwrite is safe).
     const FRONTIER: &str = "bfs.frontier";
-    let mut parents: HashMap<u64, u64> = HashMap::new();
+    let mut parents = Claims::default();
     let root_key = typed::enc_u64(root);
     if partition_of(&root_key, ctx.size()) == rank {
         parents.insert(root, root);
@@ -220,7 +259,7 @@ pub fn bfs_mimir(
     metrics.node_peak = ctx.pool().peak();
     Ok((
         BfsResult {
-            parents,
+            parents: parents.into_iter().collect(),
             visited_global,
             depth,
         },
@@ -341,7 +380,7 @@ pub fn bfs_mrmpi(
     metrics.node_peak = pool.peak();
     Ok((
         BfsResult {
-            parents,
+            parents: parents.into_iter().collect(),
             visited_global,
             depth,
         },

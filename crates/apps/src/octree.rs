@@ -149,6 +149,25 @@ pub fn map_level<E>(
     Ok(())
 }
 
+/// Octant paths a level's map hands the emitter in one
+/// [`Emitter::emit_batch`] call: the shuffler's own batch size.
+const MAP_BATCH: usize = 32;
+
+/// Emits the first `level` digits of each of `keys`, valued `one`, as
+/// one batch.
+fn emit_keys(
+    em: &mut dyn Emitter,
+    keys: &[[u8; MAX_DEPTH]],
+    level: usize,
+    one: &[u8],
+) -> mimir_core::Result<()> {
+    let mut batch: [(&[u8], &[u8]); MAP_BATCH] = [(&[], one); MAP_BATCH];
+    for (slot, key) in batch.iter_mut().zip(keys) {
+        slot.0 = &key[..level];
+    }
+    em.emit_batch(&batch[..keys.len()])
+}
+
 /// The result of a clustering run: the dense octant paths of the deepest
 /// level that had any, with their point counts (on the rank that reduced
 /// them), plus the level reached.
@@ -213,7 +232,22 @@ pub fn octree_mimir(
     let level_job = |ctx: &mut MimirContext<'_>, level, active: &[u64]| -> mimir_core::Result<_> {
         let meta = opts.meta(level);
         let one = typed::enc_u64(1);
-        let mut map = |em: &mut dyn Emitter| map_level(points, level, active, |k| em.emit(k, &one));
+        // The level's keys go to the emitter a batch at a time, so the
+        // shuffler routes a batch before it copies any of it.
+        let mut map = |em: &mut dyn Emitter| {
+            let mut keys = [[0u8; MAX_DEPTH]; MAP_BATCH];
+            let mut n = 0;
+            map_level(points, level, active, |k| {
+                keys[n][..level].copy_from_slice(k);
+                n += 1;
+                if n == MAP_BATCH {
+                    n = 0;
+                    return emit_keys(em, &keys, level, &one);
+                }
+                Ok(())
+            })?;
+            emit_keys(em, &keys[..n], level, &one)
+        };
         let mut job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);
         if opts.compress {
             job = job.combine(Box::new(sum_u64));

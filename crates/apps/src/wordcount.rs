@@ -50,6 +50,10 @@ impl WcOptions {
     }
 }
 
+/// Words WordCount's map hands the emitter in one
+/// [`Emitter::emit_batch`] call: the shuffler's own batch size.
+const MAP_BATCH: usize = 32;
+
 fn sum_u64(_k: &[u8], a: &[u8], b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&typed::enc_u64(typed::dec_u64(a) + typed::dec_u64(b)));
 }
@@ -68,11 +72,20 @@ pub fn wordcount_mimir(
     let t0 = Instant::now();
     let meta = opts.meta();
     let one = typed::enc_u64(1);
+    // The tokenizer's words go to the emitter a batch at a time, so the
+    // shuffler routes a batch before it copies any of it.
     let mut map = |em: &mut dyn Emitter| -> mimir_core::Result<()> {
+        let mut batch: [(&[u8], &[u8]); MAP_BATCH] = [(&[], &one); MAP_BATCH];
+        let mut n = 0;
         for w in words(text) {
-            em.emit(w, &one)?;
+            batch[n].0 = w;
+            n += 1;
+            if n == MAP_BATCH {
+                em.emit_batch(&batch)?;
+                n = 0;
+            }
         }
-        Ok(())
+        em.emit_batch(&batch[..n])
     };
 
     let mut job = ctx.job().kv_meta(meta).out_meta(meta).map(&mut map);

@@ -21,6 +21,14 @@
 //! on two Zipf streams, the 50 Ki vocabulary of the convert cell and the
 //! 20 000-word one the whole-job benchmark's `wc_zipf_opt` folds.
 //!
+//! Then ns-a-KV rows, each read against a floor timed in the same
+//! process rather than across runs: `emit` (the shuffler's batched emit
+//! at p = 2 on `wc_uniform`'s words, exchange rounds taken out, beside a
+//! hand loop doing the same hashing and copies) and `arrival` (the
+//! on-arrival pass on the receive streams of `wc_uniform`,
+//! `bfs_graph500`'s partition stage and `oc_points`; the wc row beside a
+//! bare append of each value to its group). They carry no gate.
+//!
 //! Writes `BENCH_convert.json`; `--quick` runs shrunken cells as a CI
 //! smoke test. Two gates per convert cell, and a `REGRESSION` marker
 //! (nonzero exit) when either fails: `arrival` may not lose to `arena`
@@ -30,14 +38,15 @@
 
 use std::time::Instant;
 
+use mimir_apps::octree::map_level;
 use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
 use mimir_core::{
-    convert_with, encode_push, CombineFn, CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta,
-    KvSink,
+    convert_with, encode_push, fxhash64, partition_of, partition_of_hashed, CombineFn,
+    CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta, KvSink, Shuffler,
 };
-use mimir_datagen::{rank_rng, WikipediaWords};
+use mimir_datagen::{rank_rng, Graph500, PointGen, UniformWords, WikipediaWords};
 use mimir_mem::MemPool;
-use mimir_obs::{GroupCounters, Json};
+use mimir_obs::{EventKind, GroupCounters, Json, Recorder};
 
 const PAGE: usize = 1 << 20;
 /// Vocabulary of the whole-job benchmark's `wc_zipf_opt` input.
@@ -127,21 +136,18 @@ struct Measure {
 /// comm buffer on two ranks.
 const RUN_BYTES: usize = 32 << 10;
 
-/// Encodes the KV stream (value 1 per key) into whole-KV runs of at most
+/// Encodes a KV stream of `u64` values into whole-KV runs of at most
 /// [`RUN_BYTES`], as the shuffle hands them to its sink.
-fn encode_runs(keys: &[Vec<u8>], meta: KvMeta) -> Vec<Vec<u8>> {
+fn encode_runs<'a>(kvs: impl Iterator<Item = (&'a [u8], u64)>, meta: KvMeta) -> Vec<Vec<u8>> {
     let mut runs = vec![Vec::with_capacity(RUN_BYTES)];
-    for k in keys {
-        let kv_len = mimir_core::encoded_len(meta, k, &1u64.to_le_bytes());
-        if runs.last().expect("never empty").len() + kv_len > RUN_BYTES {
+    for (k, v) in kvs {
+        let v = v.to_le_bytes();
+        if runs.last().expect("never empty").len() + mimir_core::encoded_len(meta, k, &v)
+            > RUN_BYTES
+        {
             runs.push(Vec::with_capacity(RUN_BYTES));
         }
-        encode_push(
-            meta,
-            k,
-            &1u64.to_le_bytes(),
-            runs.last_mut().expect("never empty"),
-        );
+        encode_push(meta, k, &v, runs.last_mut().expect("never empty"));
     }
     runs
 }
@@ -236,6 +242,274 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
     repeats.pop().expect("one variant")
 }
 
+/// The receive-side streams of the whole-job benchmark's grouping
+/// workloads, each as rank 0 of two receives it: var-encoded keys, a
+/// `u64` value each, in whole-KV runs of at most [`RUN_BYTES`].
+#[derive(Clone, Copy)]
+enum Arrival {
+    /// `wc_uniform`: 8-byte words from an 8 192-word vocabulary, so 4 096
+    /// groups a rank, every value 1.
+    Wc { text_bytes: usize },
+    /// `bfs_graph500`'s partition stage: every Graph500 edge in both
+    /// directions, keyed by endpoint (87 k groups a rank at scale 18).
+    Bfs { scale: u32 },
+    /// `oc_points` at level 2: two-digit octant paths of normal points, a
+    /// few of them hot.
+    Oc { points: usize },
+}
+
+impl Arrival {
+    fn name(self) -> &'static str {
+        match self {
+            Arrival::Wc { .. } => "wc-4096-groups",
+            Arrival::Bfs { .. } => "bfs-partition",
+            Arrival::Oc { .. } => "oc-hot-keys",
+        }
+    }
+
+    /// The stream's KVs as rank 0 of two receives them.
+    fn kvs(self) -> Vec<(Vec<u8>, u64)> {
+        let mine = |k: &[u8]| partition_of(k, 2) == 0;
+        match self {
+            Arrival::Wc { text_bytes } => {
+                let text = wc_text(text_bytes);
+                mimir_io::words(&text)
+                    .filter(|w| mine(w))
+                    .map(|w| (w.to_vec(), 1))
+                    .collect()
+            }
+            Arrival::Bfs { scale } => {
+                let g = Graph500::new(scale, 0x6500);
+                (0..2)
+                    .flat_map(|r| g.edges(r, 2))
+                    .flat_map(|(u, v)| [(u, v), (v, u)])
+                    .filter(|(u, _)| mine(&u.to_le_bytes()))
+                    .map(|(u, v)| (u.to_le_bytes().to_vec(), v))
+                    .collect()
+            }
+            Arrival::Oc { points } => {
+                let pts = PointGen::new(0x0C7).generate(0, 1, points);
+                let mut kvs = Vec::new();
+                map_level(&pts, 2, &(0..8).collect::<Vec<u64>>(), |k| {
+                    if mine(k) {
+                        kvs.push((k.to_vec(), 1));
+                    }
+                    Ok::<_, ()>(())
+                })
+                .expect("infallible");
+                kvs
+            }
+        }
+    }
+}
+
+/// One rank's share of `wc_uniform`'s text, generated the same way.
+fn wc_text(bytes: usize) -> Vec<u8> {
+    UniformWords {
+        vocab: 8192,
+        word_len: 8,
+        seed: 0x0C0DE,
+    }
+    .generate(0, 1, bytes)
+}
+
+/// ns a KV of the on-arrival pass over `stream` (received runs to the
+/// sealed KMVC), every repeat; with the wc stream, also the floor it is
+/// read against, interleaved with it: each value appended bare to its
+/// group's preallocated `Vec<u64>`, group ids known in advance.
+fn run_arrival(stream: Arrival, repeats: usize) -> (Vec<f64>, Option<Vec<f64>>) {
+    let meta = KvMeta::var();
+    let kvs = stream.kvs();
+    let runs = encode_runs(kvs.iter().map(|(k, v)| (&k[..], *v)), meta);
+    let n = kvs.len() as f64;
+    let floor = matches!(stream, Arrival::Wc { .. });
+    // The floor's input: each KV's group id (first-occurrence order) and
+    // value, and a tail a group sized to hold its values.
+    let mut ids = std::collections::HashMap::new();
+    let appends: Vec<(u32, u64)> = if floor {
+        kvs.iter()
+            .map(|(k, v)| {
+                let next = ids.len() as u32;
+                (*ids.entry(k.as_slice()).or_insert(next), *v)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut sizes = vec![0usize; ids.len()];
+    appends.iter().for_each(|&(g, _)| sizes[g as usize] += 1);
+    let mut samples = interleaved(repeats, 1 + usize::from(floor), |variant| {
+        if variant == 1 {
+            let mut tails: Vec<Vec<u64>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
+            let t0 = Instant::now();
+            for &(g, v) in &appends {
+                tails[g as usize].push(v);
+            }
+            let ns = t0.elapsed().as_secs_f64() * 1e9 / n;
+            std::hint::black_box(&tails);
+            return ns;
+        }
+        let pool = MemPool::unlimited("bench", PAGE);
+        let t0 = Instant::now();
+        let mut sink = GroupedKvs::new(&pool, meta).unwrap();
+        for run in &runs {
+            sink.accept_run(meta, run).unwrap();
+        }
+        let (kmvc, _) = sink.into_kmv().unwrap();
+        let ns = t0.elapsed().as_secs_f64() * 1e9 / n;
+        assert_eq!(kmvc.n_values(), kvs.len() as u64);
+        ns
+    });
+    let floor = floor.then(|| samples.pop().expect("the floor variant"));
+    (samples.pop().expect("the pass"), floor)
+}
+
+/// The comm buffer of the whole-job benchmark's jobs (`MimirConfig`'s
+/// default).
+const COMM_BUF: usize = 64 << 10;
+
+/// WordCount's batch: the words it hands the shuffler in one
+/// [`Emitter::emit_batch`] call.
+const EMIT_BATCH: usize = 32;
+
+/// Send-side cost a KV at p = 2 on `wc_uniform`'s key shape, every
+/// repeat, each variant's ns a KV net of a null loop over the same
+/// batches timed in the same process: `[emit, floor]`.
+///
+/// * `emit` — both ranks of a two-rank world emit their words through
+///   the [`Shuffler`] in 32-KV batches into a sink that drops the runs;
+///   the exchange rounds (spans read off a trace recorder) are taken out,
+///   so what is left is routing, checks and copies.
+/// * `floor` — the same words through a hand loop in the same process:
+///   hash, partition, fill check and both var-encoded copies into two
+///   32 KiB partitions, a full one restarted in place.
+fn run_emit(text_bytes: usize, repeats: usize) -> Vec<Vec<f64>> {
+    let text = wc_text(text_bytes);
+    let words: Vec<&[u8]> = mimir_io::words(&text).collect();
+    let one = 1u64.to_le_bytes();
+    let n = words.len() as f64;
+    let per_rank = mimir_mpi::run_world(2, |comm| {
+        let mut batch: [(&[u8], &[u8]); EMIT_BATCH] = [(&[], &one); EMIT_BATCH];
+        let mut samples = interleaved(repeats, 3, |variant| {
+            let t0 = Instant::now();
+            let mut rounds_ns = 0;
+            match variant {
+                0 => {
+                    mimir_obs::install(Recorder::new(comm.rank(), 1 << 16));
+                    let pool = MemPool::unlimited("bench", PAGE);
+                    let meta = KvMeta::var();
+                    let mut sh = Shuffler::new(comm, &pool, meta, COMM_BUF, NullSink).unwrap();
+                    for chunk in words.chunks(EMIT_BATCH) {
+                        for (slot, w) in batch.iter_mut().zip(chunk) {
+                            slot.0 = w;
+                        }
+                        sh.emit_batch(&batch[..chunk.len()]).unwrap();
+                    }
+                    sh.finish().unwrap();
+                    let events = mimir_obs::take().expect("installed").events();
+                    let mut open = 0;
+                    for e in events {
+                        match e.kind {
+                            EventKind::RoundBegin => open = e.t_ns,
+                            EventKind::RoundEnd => rounds_ns += e.t_ns - open,
+                            _ => {}
+                        }
+                    }
+                }
+                1 => {
+                    let mut send = vec![0u8; COMM_BUF];
+                    let (cap, mut fill) = (COMM_BUF / 2, [0usize; 2]);
+                    for chunk in words.chunks(EMIT_BATCH) {
+                        for w in chunk {
+                            let d = partition_of_hashed(fxhash64(w), 2);
+                            let len = 8 + w.len() + one.len();
+                            if fill[d] + len > cap {
+                                fill[d] = 0;
+                            }
+                            let out = &mut send[d * cap + fill[d]..][..len];
+                            out[..4].copy_from_slice(&(w.len() as u32).to_le_bytes());
+                            out[4..4 + w.len()].copy_from_slice(w);
+                            out[4 + w.len()..8 + w.len()].copy_from_slice(&8u32.to_le_bytes());
+                            out[8 + w.len()..].copy_from_slice(&one);
+                            fill[d] += len;
+                        }
+                    }
+                    std::hint::black_box(&send);
+                }
+                _ => {
+                    for chunk in words.chunks(EMIT_BATCH) {
+                        for (slot, w) in batch.iter_mut().zip(chunk) {
+                            slot.0 = w;
+                        }
+                        std::hint::black_box(&batch[..chunk.len()]);
+                    }
+                }
+            }
+            (t0.elapsed().as_nanos() as f64 - rounds_ns as f64) / n
+        });
+        let null = samples.pop().expect("the null variant");
+        samples
+            .into_iter()
+            .map(|v| {
+                v.iter()
+                    .zip(&null)
+                    .map(|(t, z)| t - z)
+                    .collect::<Vec<f64>>()
+            })
+            .collect::<Vec<_>>()
+    });
+    per_rank.into_iter().next().expect("rank 0")
+}
+
+/// A sink that drops what it is handed: the emit row times the send side
+/// alone.
+struct NullSink;
+
+impl KvSink for NullSink {
+    fn accept(&mut self, _key: &[u8], _val: &[u8]) -> mimir_core::Result<()> {
+        Ok(())
+    }
+
+    fn accept_run(&mut self, _meta: KvMeta, _run: &[u8]) -> mimir_core::Result<u64> {
+        Ok(0)
+    }
+}
+
+/// Prints and returns one ns-a-KV row: the best repeat (lowest) and the
+/// spread, with its floor's best when it has one.
+fn ns_row(
+    phase: &str,
+    cell: &str,
+    samples: &[f64],
+    floor: Option<&[f64]>,
+) -> Vec<(&'static str, Json)> {
+    let s = Summary::of(samples);
+    let floor = floor.map(Summary::of);
+    println!(
+        "{:<10}{:>16}{:>10}{:>10.1} ns/KV (median {:.1}){}",
+        phase,
+        cell,
+        "",
+        s.min,
+        s.median,
+        floor.map_or(String::new(), |f| format!(
+            ", floor {:.1} (median {:.1})",
+            f.min, f.median
+        )),
+    );
+    let mut fields = vec![
+        ("phase", Json::Str(phase.into())),
+        ("cell", Json::Str(cell.into())),
+        ("ns_per_kv", Json::Num(s.min)),
+    ];
+    fields.extend(s.json_fields());
+    if let Some(f) = floor {
+        fields.push(("floor_ns_per_kv", Json::Num(f.min)));
+        fields.push(("floor_median", Json::Num(f.median)));
+    }
+    fields
+}
+
 /// Prints and returns one measured path's row. Only the convert rows
 /// carry `vs_arena` and a peak: the fold rows share one pool across
 /// repeats.
@@ -320,7 +594,7 @@ fn main() {
     let mut report = Report::new("convert_grouping", &args);
     for cell in convert_cells {
         let keys = cell.keys();
-        let runs = encode_runs(&keys, cell.meta());
+        let runs = encode_runs(keys.iter().map(|k| (&k[..], 1)), cell.meta());
         let paths = run_convert(&runs, keys.len(), cell.meta(), repeats);
         let ((arena, arena_rate), (arrival, arrival_rate)) = (
             fastest(&paths[0], |m| m.mkvs_per_s),
@@ -361,6 +635,26 @@ fn main() {
         };
         let fold = run_fold(&fold_cell.keys(), fold_cell.meta(), repeats);
         report.cell(row("fold", fold_cell, "arena", &fold, None));
+    }
+
+    // Where a KV's time goes at either end of the shuffle, in ns a KV:
+    // the send side against its hand loop, and the on-arrival pass on the
+    // streams of the benchmark's three grouping workloads.
+    let emit = run_emit((16 << 20) / scale, repeats);
+    report.cell(ns_row("emit", "wc-p2", &emit[0], Some(&emit[1])));
+    for stream in [
+        Arrival::Wc {
+            text_bytes: (32 << 20) / scale,
+        },
+        Arrival::Bfs {
+            scale: if args.quick { 14 } else { 18 },
+        },
+        Arrival::Oc {
+            points: 2_000_000 / scale,
+        },
+    ] {
+        let (pass, floor) = run_arrival(stream, repeats);
+        report.cell(ns_row("arrival", stream.name(), &pass, floor.as_deref()));
     }
     report.finish(&args, "BENCH_convert.json");
 }

@@ -57,6 +57,50 @@ impl Args {
     }
 }
 
+/// Where a record came from, stored in every record a harness writes:
+/// the commit the working tree was at (and whether it had changes under
+/// `crates/`), the binary and its arguments, quick or full, and the
+/// machine's cores. `summarize` prints it; a record without one predates
+/// it.
+pub fn provenance(args: &Args) -> Json {
+    let git = |argv: &[&str]| {
+        std::process::Command::new("git")
+            .args(argv)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let commit = git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into());
+    let dirty = git(&[
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        "crates",
+    ])
+    .map(|changes| !changes.is_empty());
+    let mut argv = std::env::args();
+    let binary = argv.next().unwrap_or_default();
+    let binary = std::path::Path::new(&binary)
+        .file_name()
+        .map_or(binary.clone(), |name| name.to_string_lossy().into_owned());
+    Json::obj(vec![
+        ("commit", Json::Str(commit)),
+        ("dirty", dirty.map_or(Json::Null, Json::Bool)),
+        ("binary", Json::Str(binary)),
+        ("args", Json::Arr(argv.map(Json::Str).collect())),
+        (
+            "mode",
+            Json::Str(if args.quick { "quick" } else { "full" }.into()),
+        ),
+        (
+            "nproc",
+            Json::Num(std::thread::available_parallelism().map_or(0, |n| n.get()) as f64),
+        ),
+    ])
+}
+
 /// Runs `variants` variants `repeats` times each, one of every variant
 /// per round, and returns each variant's results in run order.
 /// Interleaving spreads every variant across the same machine
@@ -164,6 +208,7 @@ impl Report {
             doc: vec![
                 ("bench", Json::Str(bench.into())),
                 ("quick", Json::Bool(args.quick)),
+                ("provenance", provenance(args)),
             ],
             cells: Vec::new(),
             gates: Vec::new(),

@@ -6,7 +6,7 @@ use std::io::Write;
 
 use mimir_obs::Json;
 
-use crate::harness::Args;
+use crate::harness::{provenance, Args};
 use crate::runner::{RunOutcome, Status};
 
 /// One series of a figure (e.g. "Mimir", "MR-MPI (64M)").
@@ -160,7 +160,8 @@ pub fn print_figure(fig: &Figure) {
 }
 
 /// Prints every figure and, with `--json <path>`, writes each one's
-/// record: a lone figure to `path`, several to `<path>.<id>.json`.
+/// record, its [`provenance`] included: a lone figure to `path`, several
+/// to `<path>.<id>.json`.
 ///
 /// # Panics
 /// Panics on I/O failure — harness output is the whole point of the run.
@@ -172,7 +173,11 @@ pub fn emit(args: &Args, figs: &[Figure]) {
                 [_] => path.clone(),
                 _ => format!("{path}.{}.json", fig.id),
             };
-            std::fs::write(&path, fig.to_json().to_pretty()).expect("writing figure JSON");
+            let mut record = fig.to_json();
+            if let Json::Obj(fields) = &mut record {
+                fields.push(("provenance".into(), provenance(args)));
+            }
+            std::fs::write(&path, record.to_pretty()).expect("writing figure JSON");
             println!("wrote {path}");
         }
     }

@@ -25,6 +25,15 @@ pub enum MimirError {
     /// A key or value violated the job's [`crate::LenHint`] contract
     /// (wrong fixed length, or an interior NUL in a C-string key).
     HintViolation(String),
+    /// An encoded run ends inside a KV: it is truncated, or a length
+    /// prefix or `CStr` terminator in it is garbled. Runs cross process
+    /// boundaries (the UDS transport), so this is an input error.
+    MalformedRun {
+        /// Where the first KV that does not fit the run starts.
+        offset: usize,
+        /// The run's length.
+        run_len: usize,
+    },
     /// Invalid job configuration.
     Config(String),
     /// A cross-job cache misuse: a chained input name was never cached,
@@ -49,6 +58,10 @@ impl fmt::Display for MimirError {
                 write!(f, "KV of {size} B exceeds {what} capacity {limit} B")
             }
             MimirError::HintViolation(msg) => write!(f, "KV-hint violation: {msg}"),
+            MimirError::MalformedRun { offset, run_len } => write!(
+                f,
+                "malformed KV run: no whole KV at byte {offset} of a {run_len} B run"
+            ),
             MimirError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             MimirError::Cache(msg) => write!(f, "cross-job cache: {msg}"),
             MimirError::Disconnected(msg) => write!(f, "peer disconnected: {msg}"),

@@ -36,7 +36,7 @@ use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
 use crate::buffer::TrackedBuf;
-use crate::hash::{fast_range, fxhash64, load_short};
+use crate::hash::{fast_range, fxhash64, fxhash_short, load_short};
 use crate::Result;
 
 /// Maximum bytes a [`DeltaCharge`] may consume beyond its reservation.
@@ -144,10 +144,14 @@ fn inline_key(key: &[u8]) -> Option<[u8; 16]> {
         return None;
     }
     let (lo, hi) = load_short(key);
-    let mut k = [0u8; 16];
-    k[..8].copy_from_slice(&lo.to_le_bytes());
-    k[8..].copy_from_slice(&(hi | (key.len() as u64) << 56).to_le_bytes());
-    Some(k)
+    Some(pack_inline(lo, hi, key.len()))
+}
+
+/// The inline entry key of an `n`-byte key whose [`load_short`] words
+/// are `lo` and `hi`.
+#[inline]
+fn pack_inline(lo: u64, hi: u64, n: usize) -> [u8; 16] {
+    (u128::from(lo) | u128::from(hi | (n as u64) << 56) << 64).to_le_bytes()
 }
 
 /// The entry key of a key interned at `off..off + len` of arena buffer
@@ -252,30 +256,38 @@ impl GroupIndex {
     /// Memory exhaustion growing the table or interning the key.
     pub fn insert_hashed(&mut self, hash: u64, key: &[u8]) -> Result<(u32, bool)> {
         debug_assert_eq!(hash, fxhash64(key), "hash must be fxhash64 of key");
+        self.probe(hash, inline_key(key), key)
+    }
+
+    /// [`Self::insert_hashed`] hashing the key itself. A key short enough
+    /// to live in its entry is loaded once, for its hash and its inline
+    /// form both.
+    #[inline(always)]
+    pub fn insert(&mut self, key: &[u8]) -> Result<(u32, bool)> {
+        if key.len() > INLINE_KEY_MAX {
+            return self.insert_hashed(fxhash64(key), key);
+        }
+        let (lo, hi) = load_short(key);
+        let n = key.len();
+        self.probe(fxhash_short(lo, hi, n), Some(pack_inline(lo, hi, n)), key)
+    }
+
+    /// The insert probe of `key` under its `hash` and inline form
+    /// `short`: the group holding it, or a new one at the first empty
+    /// slot.
+    #[inline(always)]
+    fn probe(&mut self, hash: u64, short: Option<[u8; 16]>, key: &[u8]) -> Result<(u32, bool)> {
         if (self.entries.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow()?;
         }
-        let cap = self.slots.len();
-        let mask = cap - 1;
+        let mask = self.slots.len() - 1;
         let tag = slot_tag(hash);
-        let short = inline_key(key);
-        let mut i = start_slot(hash, cap);
+        let mut i = start_slot(hash, self.slots.len());
         let mut probe = 0u64;
         loop {
             let s = self.slots[i];
             if s == EMPTY {
-                let id = self.entries.len();
-                assert!(id < u32::MAX as usize - 1, "group id space exhausted");
-                let stored = match short {
-                    Some(k) => k,
-                    None => self.intern(key)?,
-                };
-                self.charge.add(ENTRY_BYTES)?;
-                self.stats.interned_bytes += key.len() as u64;
-                self.entries.push(Entry { hash, key: stored });
-                self.slots[i] = tag | id as u64;
-                self.note_probe(probe);
-                return Ok((id as u32, true));
+                return self.add(i, hash, short, key, probe);
             }
             if s & !0xFFFF_FFFF == tag {
                 let id = (s & 0xFFFF_FFFF) as u32;
@@ -289,9 +301,29 @@ impl GroupIndex {
         }
     }
 
-    /// [`Self::insert_hashed`] hashing the key itself.
-    pub fn insert(&mut self, key: &[u8]) -> Result<(u32, bool)> {
-        self.insert_hashed(fxhash64(key), key)
+    /// Opens the group of `key` in empty slot `i`, reached after `probe`
+    /// steps. Out of line, so the hit path the probe inlines stays small.
+    #[inline(never)]
+    fn add(
+        &mut self,
+        i: usize,
+        hash: u64,
+        short: Option<[u8; 16]>,
+        key: &[u8],
+        probe: u64,
+    ) -> Result<(u32, bool)> {
+        let id = self.entries.len();
+        assert!(id < u32::MAX as usize - 1, "group id space exhausted");
+        let stored = match short {
+            Some(k) => k,
+            None => self.intern(key)?,
+        };
+        self.charge.add(ENTRY_BYTES)?;
+        self.stats.interned_bytes += key.len() as u64;
+        self.entries.push(Entry { hash, key: stored });
+        self.slots[i] = slot_tag(hash) | id as u64;
+        self.note_probe(probe);
+        Ok((id as u32, true))
     }
 
     /// The group id of `key`, if present. Read-only probe; records no
@@ -324,7 +356,7 @@ impl GroupIndex {
     /// Whether group `id` is the group of `key`, whose inline form (if
     /// it is short enough to have one) is `short`: a short key is decided
     /// by the entry alone, one 16-byte compare.
-    #[inline]
+    #[inline(always)]
     fn holds(&self, id: u32, hash: u64, short: &Option<[u8; 16]>, key: &[u8]) -> bool {
         let e = &self.entries[id as usize];
         e.hash == hash
@@ -443,6 +475,8 @@ impl GroupIndex {
 
     /// Doubles the slot table (first growth: 16 slots) and re-places
     /// every entry from its stored hash — key bytes are never re-read.
+    #[cold]
+    #[inline(never)]
     fn grow(&mut self) -> Result<()> {
         let old_cap = self.slots.len();
         let new_cap = (old_cap * 2).max(16);

@@ -21,15 +21,25 @@
 //! — and the KMVC — are the ones a KV-at-a-time pass gives. Hashing a
 //! whole batch before interning any of it, with the slots prefetched,
 //! was measured too and dropped: it saved little on a vertex-keyed
-//! stream and cost up to a third on a stream of eight hot groups.
+//! stream and cost up to a third on a stream of eight hot groups. The
+//! staging itself pays on the streams with many groups (a Graph500
+//! partition stream groups in about half the time it takes KV at a
+//! time) and costs nothing measurable on a stream of a few hot keys, so
+//! every run takes it.
+//!
+//! The pass is compiled once for each hint pair (`with_sides!`): a
+//! run's KVs are split off with one length read and one bounds check a
+//! side, never a match on the hint. The walk checks that every KV lies
+//! inside the run — a run may have crossed a process boundary — and
+//! stops at the first that does not with
+//! [`crate::MimirError::MalformedRun`], the KVs before it grouped.
 
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
 use crate::group::GroupIndex;
-use crate::hash::fxhash64;
 use crate::kmvc::Chains;
-use crate::kv::{validate, KvDecoder};
+use crate::kv::{validate, with_sides, RunKvs};
 use crate::sink::KvSink;
 use crate::{KmvContainer, KvMeta, Result};
 
@@ -63,33 +73,52 @@ impl GroupedKvs {
     }
 
     /// The on-arrival pass over `kvs`, [`BATCH`] at a time, staged as the
-    /// module docs describe. Returns the number of KVs grouped.
+    /// module docs describe. Returns the number of KVs grouped, or the
+    /// first error item of `kvs` once the KVs before it are grouped.
     /// [`KmvContainer::bytes`] counts each value encoded under the hint,
     /// however its chain stores it.
-    fn group<'a>(&mut self, mut kvs: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> Result<u64> {
+    #[inline]
+    fn group<'a>(
+        &mut self,
+        mut kvs: impl Iterator<Item = Result<(&'a [u8], &'a [u8])>>,
+    ) -> Result<u64> {
         let (mut vals, mut gids): ([&[u8]; BATCH], _) = ([&[]; BATCH], [0u32; BATCH]);
+        let (key_overhead, val_overhead) = (self.meta.key.overhead(), self.meta.val.overhead());
         let mut n = 0;
         loop {
-            let mut len = 0;
-            for (key, val) in kvs.by_ref().take(BATCH) {
-                let (gid, fresh) = self.index.insert_hashed(fxhash64(key), key)?;
+            let (mut len, mut bad) = (0, None);
+            for kv in kvs.by_ref() {
+                let (key, val) = match kv {
+                    Ok(kv) => kv,
+                    Err(e) => {
+                        bad = Some(e);
+                        break;
+                    }
+                };
+                let (gid, fresh) = self.index.insert(key)?;
                 self.chains.prefetch_head(gid);
                 if fresh {
-                    self.bytes += (self.meta.key.overhead() + key.len() + 4) as u64;
+                    self.bytes += (key_overhead + key.len() + 4) as u64;
                 }
-                self.bytes += (self.meta.val.overhead() + val.len()) as u64;
+                self.bytes += (val_overhead + val.len()) as u64;
                 (vals[len], gids[len]) = (val, gid);
                 len += 1;
-            }
-            if len == 0 {
-                return Ok(n);
+                if len == BATCH {
+                    break;
+                }
             }
             let gids = &gids[..len];
             gids.iter().for_each(|&gid| self.chains.prefetch_tail(gid));
-            for (&gid, val) in gids.iter().zip(vals) {
+            for (&gid, &val) in gids.iter().zip(&vals) {
                 self.chains.append(gid, val)?;
             }
             n += len as u64;
+            if let Some(e) = bad {
+                return Err(e);
+            }
+            if len < BATCH {
+                return Ok(n);
+            }
         }
     }
 
@@ -117,13 +146,18 @@ impl KvSink for GroupedKvs {
     fn accept(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         validate(self.meta.key, key, "key")?;
         validate(self.meta.val, val, "value")?;
-        self.group(std::iter::once((key, val))).map(drop)
+        self.group(std::iter::once(Ok((key, val)))).map(drop)
     }
 
-    /// The on-arrival pass over the cache-hot run. Runs were validated
-    /// at the emit boundary, so they are trusted here.
+    /// The on-arrival pass over the cache-hot run, compiled for the
+    /// run's hint pair. Hints were validated at the emit boundary; the
+    /// walk checks only that every KV lies inside the run.
+    ///
+    /// # Errors
+    /// [`crate::MimirError::MalformedRun`] once the walk reaches a KV the
+    /// run ends inside, the KVs before it grouped; memory exhaustion.
     fn accept_run(&mut self, run_meta: KvMeta, run: &[u8]) -> Result<u64> {
         debug_assert_eq!(run_meta, self.meta, "run encoding must match the sink");
-        self.group(KvDecoder::new(run_meta, run))
+        with_sides!(run_meta, |k, v| self.group(RunKvs::new(k, v, run)))
     }
 }

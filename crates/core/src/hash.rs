@@ -59,40 +59,51 @@ fn fx_round(h: u64, word: u64) -> u64 {
 #[inline]
 pub fn fxhash64(bytes: &[u8]) -> u64 {
     let n = bytes.len();
-    let mut h = if n <= SHORT_KEY {
-        // The same rounds on the two loaded words: round one takes bytes
-        // 0..8 (a partial word under 8 bytes carries the length mark,
-        // picked by a select), round two bytes 8..16 (marked unless
-        // whole) and runs only for a key with bytes past 8 — a branch
-        // that follows `load_short`'s own length-class branch.
+    if n <= SHORT_KEY {
         let (lo, hi) = load_short(bytes);
-        let tail_mark = ((n & 7) as u64) << 56;
-        let first = fx_round(0, lo | if n < 8 { tail_mark } else { 0 });
-        if n > 8 {
-            fx_round(first, hi | tail_mark)
-        } else {
-            first
-        }
+        return fxhash_short(lo, hi, n);
+    }
+    let mut h = 0u64;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        h = fx_round(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    let rem = chunks.remainder().len();
+    if rem != 0 {
+        // The tail is the top of the key's last eight bytes.
+        let last = bytes[n - 8..].try_into().expect("8-byte tail");
+        h = fx_round(
+            h,
+            u64::from_le_bytes(last) >> (8 * (8 - rem)) | (rem as u64) << 56,
+        );
+    }
+    finish(h)
+}
+
+/// [`fxhash64`] of a key of `n` ≤ [`SHORT_KEY`] bytes, given as its
+/// [`load_short`] words: callers that keep the words (the group index's
+/// inline keys) load the key once.
+#[inline]
+pub(crate) fn fxhash_short(lo: u64, hi: u64, n: usize) -> u64 {
+    // The same rounds on the two loaded words: round one takes bytes
+    // 0..8 (a partial word under 8 bytes carries the length mark, picked
+    // by a select), round two bytes 8..16 (marked unless whole) and runs
+    // only for a key with bytes past 8 — a branch that follows
+    // `load_short`'s own length-class branch.
+    let tail_mark = ((n & 7) as u64) << 56;
+    let first = fx_round(0, lo | if n < 8 { tail_mark } else { 0 });
+    finish(if n > 8 {
+        fx_round(first, hi | tail_mark)
     } else {
-        let mut h = 0u64;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            h = fx_round(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder().len();
-        if rem != 0 {
-            // The tail is the top of the key's last eight bytes.
-            let last = bytes[n - 8..].try_into().expect("8-byte tail");
-            h = fx_round(
-                h,
-                u64::from_le_bytes(last) >> (8 * (8 - rem)) | (rem as u64) << 56,
-            );
-        }
-        h
-    };
-    // Murmur3 finalizer: full avalanche so every bit of the hash — the
-    // partitioner and the group table both consume the high bits via
-    // multiply-shift — depends on every input bit.
+        first
+    })
+}
+
+/// Murmur3 finalizer: full avalanche so every bit of the hash — the
+/// partitioner and the group table both consume the high bits via
+/// multiply-shift — depends on every input bit.
+#[inline]
+fn finish(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;

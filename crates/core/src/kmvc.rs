@@ -1,7 +1,7 @@
 use mimir_mem::{MemPool, Page};
 
 use crate::group::{DeltaCharge, GroupIndex};
-use crate::kv::{decode_side, write_side};
+use crate::kv::{copy_short, put_side, take_side};
 use crate::{KvMeta, LenHint, MimirError, Result};
 
 /// Bytes in front of every chunk's payload: a little-endian `u32` word,
@@ -138,11 +138,42 @@ impl Chains {
     /// its length and encoded under the hint into a variable one; a `gid`
     /// one past the last group opens that group's chain.
     ///
+    /// The hot case — a uniform tail of `val`'s width with room for it —
+    /// is decided on the chain head and the tail's header word alone,
+    /// and writes `val` with fixed-width moves; everything else goes to
+    /// [`Self::append_cold`].
+    ///
     /// # Errors
     /// [`MimirError::KvTooLarge`] if the stored value and a chunk header
     /// exceed one page, [`MimirError::Mem`] if the budget is exhausted.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn append(&mut self, gid: u32, val: &[u8]) -> Result<()> {
+        if let Some(c) = self.heads.get(gid as usize).copied() {
+            let (slot, off) = self.locate(c.tail);
+            let page = self.pages[slot].as_mut_slice();
+            let h = u64::from_le_bytes(page[off..off + CHUNK_HDR].try_into().expect("header"));
+            let (cap, n, width) = (h as u32 as usize, (h >> 32) as u16, (h >> 48) as usize);
+            let (at, fill) = (
+                off + CHUNK_HDR + c.fill as usize,
+                c.fill as usize + val.len(),
+            );
+            if width == val.len() && width != VAR as usize && fill <= cap && n < u16::MAX {
+                copy_short(&mut page[at..off + CHUNK_HDR + fill], val);
+                page[off + 4..off + 6].copy_from_slice(&(n + 1).to_le_bytes());
+                prefetch(page, at + 64);
+                let c = &mut self.heads[gid as usize];
+                (c.fill, c.count) = (fill as u32, c.count + 1);
+                return Ok(());
+            }
+        }
+        self.append_cold(gid, val)
+    }
+
+    /// [`Self::append`] outside its hot case: a new group's first value,
+    /// a variable tail, a value of another width, or a full tail.
+    #[cold]
+    #[inline(never)]
+    fn append_cold(&mut self, gid: u32, val: &[u8]) -> Result<()> {
         let gid = gid as usize;
         if gid == self.heads.len() {
             self.charge.add(std::mem::size_of::<Chain>())?;
@@ -159,9 +190,8 @@ impl Chains {
             }
             let page = self.pages[slot].as_mut_slice();
             let at = off + CHUNK_HDR + c.fill as usize;
-            write_side(stored, val, page, at);
+            put_side(stored, val, &mut page[at..at + need]);
             page[off + 4..off + 6].copy_from_slice(&(n + 1).to_le_bytes());
-            prefetch(page, at + 64);
             let c = &mut self.heads[gid];
             (c.fill, c.count) = (c.fill + need as u32, c.count + 1);
             return Ok(());
@@ -386,9 +416,8 @@ impl<'a> Iterator for ValueIter<'a> {
         }
         self.remaining -= 1;
         self.left -= 1;
-        let (range, next) = decode_side(self.stored, self.buf, 0);
-        let val = &self.buf[range];
-        self.buf = &self.buf[next..];
+        let val;
+        (val, self.buf) = take_side(self.stored, self.buf).expect("a value inside its chunk");
         Some(val)
     }
 

@@ -2,7 +2,9 @@ use std::collections::VecDeque;
 
 use mimir_mem::{MemPool, Page};
 
-use crate::kv::{encode_into, encoded_len, kv_span, validate, KvDecoder};
+use crate::kv::{
+    encode_into, encoded_len, malformed, take_kv, validate, with_sides, KvDecoder, Side,
+};
 use crate::sink::KvSink;
 use crate::{KvMeta, MimirError, Result};
 
@@ -92,27 +94,34 @@ impl KvContainer {
     /// KVs inserted.
     ///
     /// Pages hold only whole KVs, so the run is chunked at KV boundaries
-    /// with a cheap length scan — no per-KV validation or re-encoding.
-    /// Hints were validated when the KVs entered the framework at the
-    /// emit boundary, so the run is trusted (malformed bytes panic, as in
-    /// [`KvDecoder`]).
+    /// with a length scan — no per-KV validation or re-encoding. The scan
+    /// checks that every KV lies inside the run, since a run may have
+    /// crossed a transport.
     ///
     /// # Errors
-    /// [`MimirError::KvTooLarge`] if a single KV exceeds one page,
-    /// [`MimirError::Mem`] if the node budget is exhausted.
+    /// [`MimirError::MalformedRun`] if the run ends inside a KV (the KVs
+    /// before it are kept), [`MimirError::KvTooLarge`] if a single KV
+    /// exceeds one page, [`MimirError::Mem`] if the node budget is
+    /// exhausted.
     pub fn push_run(&mut self, run: &[u8]) -> Result<u64> {
+        with_sides!(self.meta, |k, v| self.push_run_as(k, v, run))
+    }
+
+    /// [`Self::push_run`] for the hint pair `(k, v)`.
+    fn push_run_as<K: Side, V: Side>(&mut self, k: K, v: V, run: &[u8]) -> Result<u64> {
         let mut total = 0u64;
         let mut rest = run;
         while !rest.is_empty() {
             let remaining = self.pages.back().map_or(0, |p| p.remaining());
-            let (chunk, n) = whole_kv_prefix(self.meta, rest, remaining);
+            let at = run.len() - rest.len();
+            let (chunk, n, next) = whole_kv_prefix(k, v, rest, remaining)
+                .map_err(|off| malformed(at + off, run.len()))?;
             if chunk == 0 {
                 // Nothing fits the current page. If a fresh page wouldn't
                 // hold the next KV either, it is oversized.
-                let first = kv_span(self.meta, rest, 0).2;
-                if first > self.pool.page_size() {
+                if next > self.pool.page_size() {
                     return Err(MimirError::KvTooLarge {
-                        size: first,
+                        size: next,
                         limit: self.pool.page_size(),
                         what: "container page",
                     });
@@ -235,19 +244,28 @@ impl KvContainer {
 }
 
 /// Largest prefix of `buf` holding whole KVs whose total size fits in
-/// `cap` bytes; returns `(prefix_len, kv_count)`.
-fn whole_kv_prefix(meta: KvMeta, buf: &[u8], cap: usize) -> (usize, u64) {
-    let mut off = 0;
-    let mut n = 0u64;
-    while off < buf.len() {
-        let end = kv_span(meta, buf, off).2;
+/// `cap` bytes: `(prefix_len, kv_count, next_len)`, where `next_len` is
+/// the size of the first KV past the prefix (0 at the end of `buf`).
+///
+/// # Errors
+/// The offset of a KV that `buf` ends inside, if the scan reaches one.
+fn whole_kv_prefix<K: Side, V: Side>(
+    k: K,
+    v: V,
+    buf: &[u8],
+    cap: usize,
+) -> std::result::Result<(usize, u64, usize), usize> {
+    let (mut rest, mut n) = (buf, 0u64);
+    while !rest.is_empty() {
+        let off = buf.len() - rest.len();
+        let (_, _, after) = take_kv(k, v, rest).ok_or(off)?;
+        let end = buf.len() - after.len();
         if end > cap {
-            break;
+            return Ok((off, n, end - off));
         }
-        off = end;
-        n += 1;
+        (rest, n) = (after, n + 1);
     }
-    (off, n)
+    Ok((buf.len(), n, 0))
 }
 
 impl KvSink for KvContainer {

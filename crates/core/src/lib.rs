@@ -75,7 +75,7 @@ pub use grouped::GroupedKvs;
 pub use job::{ArrivalFilterFn, ChainFeed, ChainMapFn, FedJob, JobOutput};
 pub use job::{MapFeed, MapFn, MapReduceJob, ReduceFn};
 pub use kmvc::{KmvContainer, ValueIter};
-pub use kv::{decode_one, encode_push, encoded_len, KvDecoder};
+pub use kv::{decode_one, encode_push, encoded_len, DecodedKv, KvDecoder};
 pub use kvc::KvContainer;
 pub use partial::PartialReducer;
 pub use partitioner::{PartitionFingerprint, Partitioner};

@@ -35,6 +35,22 @@
 //! the final round still drains in-flight data, so the protocol is
 //! deadlock-free and loses nothing. After a warm-up round the steady
 //! state performs no heap allocation.
+//!
+//! ## Emitting a batch
+//!
+//! A map that holds several KVs at once hands them over through
+//! [`Emitter::emit_batch`] (WordCount passes 32 words a call);
+//! [`Emitter::emit`] is a batch of one. The shuffler routes up to 32 KVs —
+//! hash and partition — before it copies any, and copies them in order
+//! under a loop compiled for the job's hint pair, so a KV costs its hash,
+//! a fill check and two fixed-width copies. A partition that cannot take
+//! the next KV runs its exchange round right there, mid-batch, exactly
+//! where a KV-at-a-time loop would: each round carries the same bytes and
+//! the round count is the same. A KV that fails its hint or is larger
+//! than a partition returns its error with the KVs before it placed and
+//! the ones after it not. The byte counters (`kv_bytes_emitted`, the
+//! per-destination histogram) are taken from the partition fills once a
+//! round, not bumped per KV.
 
 use std::ops::Range;
 
@@ -43,10 +59,14 @@ use mimir_mpi::{Comm, ReduceOp};
 use mimir_obs::{EventKind, Step};
 
 use crate::buffer::TrackedBuf;
-use crate::kv::{encode_into, encoded_len, validate};
+use crate::hash::{fxhash64, partition_of_hashed};
+use crate::kv::{with_sides, Side};
 use crate::partitioner::Partitioner;
 use crate::sink::KvSink;
 use crate::{KvMeta, MimirError, Result};
+
+/// KVs [`Shuffler::emit_batch`] routes before it copies any of them.
+const BATCH: usize = 32;
 
 /// Destination for KVs produced by a map callback.
 ///
@@ -71,6 +91,19 @@ pub trait Emitter {
     fn emit_hashed(&mut self, key: &[u8], val: &[u8], key_hash: u64) -> Result<()> {
         let _ = key_hash;
         self.emit(key, val)
+    }
+
+    /// Emits `kvs` in order, with the effect of a loop over
+    /// [`Self::emit`]: a map that holds several KVs at once (WordCount's
+    /// tokenizer cuts a 64-byte block's words together) hands them over
+    /// in one call. The [`Shuffler`] overrides this to route a whole
+    /// batch before copying any of it; the default is that loop.
+    ///
+    /// # Errors
+    /// As [`Self::emit`], for the first KV that fails; the KVs before it
+    /// have been emitted and the ones after it have not.
+    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
+        kvs.iter().try_for_each(|&(key, val)| self.emit(key, val))
     }
 }
 
@@ -309,9 +342,16 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             (all_done, self.comm.wait_ns() - w0)
         };
 
+        // The round's partition fills are everything emitted since the
+        // last round: the byte counters take them here, once a round.
+        let sent: u64 = self.part_len.iter().map(|&l| l as u64).sum();
+        self.stats.kv_bytes_emitted += sent;
+        for (total, &l) in self.dest_bytes.iter_mut().zip(&self.part_len) {
+            *total += l as u64;
+        }
         let data_wait = {
             let mut step = mimir_obs::step_span(Step::Alltoallv);
-            step.set_b(self.part_len.iter().map(|&l| l as u64).sum());
+            step.set_b(sent);
             let part_cap = self.part_cap;
             let send = self.send.as_slice();
             let part_len = &self.part_len;
@@ -353,61 +393,116 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
         Ok(all_done)
     }
 
-    /// Copies the encoded KV into partition `dst`, running an exchange
-    /// round first if the partition cannot take it.
-    fn emit_to(&mut self, dst: usize, key: &[u8], val: &[u8]) -> Result<()> {
-        validate(self.meta.key, key, "key")?;
-        validate(self.meta.val, val, "value")?;
-        let len = encoded_len(self.meta, key, val);
-        if len > self.part_cap {
-            if !self.warned_jumbo {
-                self.warned_jumbo = true;
-                eprintln!(
-                    "mimir: comm buffer too small for a single KV: {len} B against {} B \
-                     partitions — raise comm_buf_size (further oversized KVs will error \
-                     without this warning)",
-                    self.part_cap
-                );
+    /// Routes `kvs` (at most [`BATCH`]) to their destination ranks, then
+    /// places them in order.
+    fn route_and_place(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
+        let mut dsts = [0usize; BATCH];
+        let p = self.comm.size();
+        if self.partitioner.is_hash() {
+            for (d, (key, _)) in dsts.iter_mut().zip(kvs) {
+                *d = partition_of_hashed(fxhash64(key), p);
             }
-            return Err(MimirError::KvTooLarge {
-                size: len,
-                limit: self.part_cap,
-                what: "send-buffer partition",
-            });
+        } else {
+            for (d, (key, _)) in dsts.iter_mut().zip(kvs) {
+                *d = self.partitioner.of(key, p);
+            }
+        }
+        self.place(kvs, &dsts[..kvs.len()])
+    }
+
+    /// Copies each encoded KV of `kvs` into its partition of `dsts`, in
+    /// order, running an exchange round first whenever a partition
+    /// cannot take the next KV — where a KV-at-a-time loop would, so
+    /// every round carries the same bytes. The hints are resolved once
+    /// for the batch.
+    ///
+    /// # Errors
+    /// The first KV's hint violation or [`MimirError::KvTooLarge`], after
+    /// the KVs before it have been placed; a round's failure.
+    fn place(&mut self, kvs: &[(&[u8], &[u8])], dsts: &[usize]) -> Result<()> {
+        let placed = with_sides!(self.meta, |k, v| {
+            let mut placed = 0;
+            for (&(key, val), &dst) in kvs.iter().zip(dsts) {
+                if let Err(e) = self.place_one(k, v, dst, key, val) {
+                    self.stats.kvs_emitted += placed;
+                    return Err(e);
+                }
+                placed += 1;
+            }
+            placed
+        });
+        self.stats.kvs_emitted += placed;
+        Ok(())
+    }
+
+    /// [`Self::place`] for one KV under the hint pair `(k, v)`.
+    #[inline(always)]
+    fn place_one<K: Side, V: Side>(
+        &mut self,
+        k: K,
+        v: V,
+        dst: usize,
+        key: &[u8],
+        val: &[u8],
+    ) -> Result<()> {
+        k.check(key, "key")?;
+        v.check(val, "value")?;
+        let klen = k.overhead() + key.len();
+        let len = klen + v.overhead() + val.len();
+        if len > self.part_cap {
+            return Err(self.jumbo(len));
         }
         if self.part_len[dst] + len > self.part_cap {
             // Partition full: suspend the map, run an aggregate round.
             self.exchange(false)?;
         }
         let off = dst * self.part_cap + self.part_len[dst];
-        encode_into(
-            self.meta,
-            key,
-            val,
-            &mut self.send.as_mut_slice()[off..off + len],
-        );
+        let (ko, vo) = self.send.as_mut_slice()[off..off + len].split_at_mut(klen);
+        k.put(key, ko);
+        v.put(val, vo);
         self.part_len[dst] += len;
-        self.dest_bytes[dst] += len as u64;
-        self.stats.kvs_emitted += 1;
-        self.stats.kv_bytes_emitted += len as u64;
         Ok(())
+    }
+
+    /// The error for a KV of `len` encoded bytes that no partition can
+    /// hold, warning once per shuffle.
+    #[cold]
+    fn jumbo(&mut self, len: usize) -> MimirError {
+        if !self.warned_jumbo {
+            self.warned_jumbo = true;
+            eprintln!(
+                "mimir: comm buffer too small for a single KV: {len} B against {} B \
+                 partitions — raise comm_buf_size (further oversized KVs will error \
+                 without this warning)",
+                self.part_cap
+            );
+        }
+        MimirError::KvTooLarge {
+            size: len,
+            limit: self.part_cap,
+            what: "send-buffer partition",
+        }
     }
 }
 
 impl<S: KvSink> Emitter for Shuffler<'_, S> {
     fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        let dst = self.partitioner.of(key, self.comm.size());
-        self.emit_to(dst, key, val)
+        self.emit_batch(&[(key, val)])
     }
 
     fn emit_hashed(&mut self, key: &[u8], val: &[u8], key_hash: u64) -> Result<()> {
-        debug_assert_eq!(key_hash, crate::hash::fxhash64(key));
+        debug_assert_eq!(key_hash, fxhash64(key));
         let dst = if self.partitioner.is_hash() {
-            crate::hash::partition_of_hashed(key_hash, self.comm.size())
+            partition_of_hashed(key_hash, self.comm.size())
         } else {
             self.partitioner.of(key, self.comm.size())
         };
-        self.emit_to(dst, key, val)
+        self.place(&[(key, val)], &[dst])
+    }
+
+    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
+        kvs.chunks(BATCH)
+            .try_for_each(|batch| self.route_and_place(batch))
     }
 }
 

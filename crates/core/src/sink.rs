@@ -1,4 +1,4 @@
-use crate::kv::KvDecoder;
+use crate::kv::{with_sides, RunKvs};
 use crate::{KvMeta, Result};
 
 /// A consumer of shuffled KVs.
@@ -29,16 +29,21 @@ pub trait KvSink {
     /// storage format equals the wire format (the container) override
     /// this with a bulk memcpy, and the grouping sink with one walk that
     /// skips per-KV validation; sinks that must look at every KV anyway
-    /// (partial reduction, combining) keep the per-KV path.
+    /// (partial reduction, an arrival filter) keep the per-KV path.
     ///
     /// # Errors
-    /// As [`Self::accept`].
+    /// As [`Self::accept`], or [`crate::MimirError::MalformedRun`] once
+    /// the walk reaches a KV the run ends inside; the KVs before it have
+    /// been accepted.
     fn accept_run(&mut self, meta: KvMeta, run: &[u8]) -> Result<u64> {
-        let mut n = 0;
-        for (k, v) in KvDecoder::new(meta, run) {
-            self.accept(k, v)?;
-            n += 1;
-        }
-        Ok(n)
+        with_sides!(meta, |k, v| {
+            let mut n = 0;
+            for kv in RunKvs::new(k, v, run) {
+                let (key, val) = kv?;
+                self.accept(key, val)?;
+                n += 1;
+            }
+            Ok(n)
+        })
     }
 }

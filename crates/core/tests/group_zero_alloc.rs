@@ -159,45 +159,51 @@ fn short_keys_take_no_pool_page() {
 /// no more.
 #[test]
 fn grouping_a_received_run_is_allocation_free() {
-    use mimir_core::KvSink;
-    let pool = MemPool::unlimited("t", 1 << 20);
-    let meta = mimir_core::KvMeta::var();
-    let mut run = Vec::new();
-    for i in 0..2000u32 {
-        encode_push(
-            meta,
-            format!("w{:03}", i % 500).as_bytes(),
-            &[1; 8],
-            &mut run,
+    use mimir_core::{KvMeta, KvSink};
+    // The pass is compiled once per hint pair; each copy is checked.
+    for meta in [
+        KvMeta::var(),
+        KvMeta::cstr_key_u64_val(),
+        KvMeta::fixed(4, 8),
+    ] {
+        let pool = MemPool::unlimited("t", 1 << 20);
+        let mut run = Vec::new();
+        for i in 0..2000u32 {
+            encode_push(
+                meta,
+                format!("w{:03}", i % 500).as_bytes(),
+                &[1; 8],
+                &mut run,
+            );
+        }
+        let mut sink = GroupedKvs::new(&pool, meta).unwrap();
+        // Warm-up: all 500 groups, the slot table at its final capacity,
+        // the first chunk page open.
+        sink.accept_run(meta, &run).unwrap();
+        let pages = pool.stats().page_allocs;
+        let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("w{i:03}").into_bytes()).collect();
+
+        // 20,500 more values of one width, stored bare at 8 B each: every
+        // chain grows three more chunks (of 64, 128 and 256 B), all
+        // carved from that 1 MiB page.
+        let before = allocs();
+        for _ in 0..10 {
+            assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);
+        }
+        for key in &keys {
+            sink.accept(key, &[2; 8]).unwrap();
+        }
+        let during = allocs() - before;
+        assert_eq!(
+            during, 0,
+            "{meta:?}: grouping 20,500 arrivals allocated {during} times"
         );
-    }
-    let mut sink = GroupedKvs::new(&pool, meta).unwrap();
-    // Warm-up: all 500 groups, the slot table at its final capacity, the
-    // first chunk page open.
-    sink.accept_run(meta, &run).unwrap();
-    let pages = pool.stats().page_allocs;
-    let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("w{i:03}").into_bytes()).collect();
+        assert_eq!(pool.stats().page_allocs, pages, "{meta:?}: no page opened");
 
-    // 20,500 more values of one width, stored bare at 8 B each: every
-    // chain grows three more chunks (of 64, 128 and 256 B), all carved
-    // from that 1 MiB page.
-    let before = allocs();
-    for _ in 0..10 {
-        assert_eq!(sink.accept_run(meta, &run).unwrap(), 2000);
+        let (kmvc, stats) = sink.into_kmv().unwrap();
+        assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_500));
+        assert_eq!(stats.inserts, 22_500);
     }
-    for key in &keys {
-        sink.accept(key, &[2; 8]).unwrap();
-    }
-    let during = allocs() - before;
-    assert_eq!(
-        during, 0,
-        "grouping 20,500 arrivals allocated {during} times"
-    );
-    assert_eq!(pool.stats().page_allocs, pages, "no page opened");
-
-    let (kmvc, stats) = sink.into_kmv().unwrap();
-    assert_eq!((kmvc.n_groups(), kmvc.n_values()), (500, 22_500));
-    assert_eq!(stats.inserts, 22_500);
 }
 
 /// The WordCount job's map with KV compression: `words(text)` feeding

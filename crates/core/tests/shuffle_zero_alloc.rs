@@ -89,6 +89,52 @@ fn steady_state_round_is_allocation_free() {
     });
 }
 
+/// The batched emit the WordCount map uses: after warm-up, 32-KV
+/// batches that cross exchange rounds mid-batch — under each hint
+/// pair's own compiled copy of the placing loop — allocate nothing.
+#[test]
+fn steady_state_batches_are_allocation_free() {
+    for meta in [
+        KvMeta::fixed(8, 8),
+        KvMeta::var(),
+        KvMeta::cstr_key_u64_val(),
+    ] {
+        run_world(1, |comm| {
+            let pool = MemPool::unlimited("t", 256 * 1024);
+            let sink = KvContainer::new(&pool, meta);
+            let mut sh = Shuffler::new(comm, &pool, meta, 1024, sink).unwrap();
+            // NUL-free, so they are valid CStr keys too.
+            let keys: Vec<[u8; 8]> = (0..64u64)
+                .map(|i| (0x0101_0101_0101_0101 + i).to_le_bytes())
+                .collect();
+            let one = 1u64.to_le_bytes();
+            let mut batch: [(&[u8], &[u8]); 32] = [(&[], &one); 32];
+            let mut burst = |sh: &mut Shuffler<'_, KvContainer>| {
+                for half in keys.chunks(32) {
+                    for (slot, k) in batch.iter_mut().zip(half) {
+                        slot.0 = k;
+                    }
+                    sh.emit_batch(&batch).unwrap();
+                }
+            };
+            for _ in 0..8 {
+                burst(&mut sh);
+            }
+            let before = allocs();
+            burst(&mut sh);
+            burst(&mut sh);
+            let during = allocs() - before;
+            assert_eq!(
+                during, 0,
+                "{meta:?}: batched rounds allocated {during} times"
+            );
+            let (_, stats) = sh.finish().unwrap();
+            assert!(stats.rounds >= 10, "{meta:?}: the bursts crossed rounds");
+            assert_eq!(stats.kvs_emitted, 10 * 64);
+        });
+    }
+}
+
 /// The same strict proof with full-flow tracing live: a recorder with
 /// flow stamping enabled is installed, so every send allocates a flow id
 /// and every message records `FlowSend`/`FlowRecv` into the ring — and
