@@ -54,10 +54,10 @@ pub fn job_stats_from_mr(s: &mrmpi::MrStats) -> JobStats {
         map_time: s.map_time + s.aggregate_time + s.compress_time,
         convert_time: s.convert_time,
         reduce_time: s.reduce_time,
-        shuffle: mimir_core::ShuffleStats {
+        shuffle: mimir_obs::ShuffleCounters {
             kvs_emitted: s.kvs_mapped,
             rounds: s.exchange_rounds,
-            ..mimir_core::ShuffleStats::default()
+            ..mimir_obs::ShuffleCounters::default()
         },
         unique_keys: s.unique_keys,
         node_peak_bytes: s.node_peak_bytes,

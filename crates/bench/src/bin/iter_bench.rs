@@ -40,8 +40,8 @@ use mimir_core::{typed, KvMeta, MimirConfig, MimirContext, Partitioner};
 use mimir_doctor::Severity;
 use mimir_io::{IoModel, IoModelConfig, SpillStore};
 use mimir_mem::MemPool;
-use mimir_mpi::{run_world, CommStats};
-use mimir_obs::{Counter, Json, RankReport};
+use mimir_mpi::run_world;
+use mimir_obs::{CommCounters, Counter, Json, RankReport};
 
 const RANKS: usize = 4;
 const BUDGET: usize = 64 << 20;
@@ -253,9 +253,7 @@ fn run_shape(shape: Shape, cold_first: bool) -> Attempt {
         let mut then = Vec::new();
         base.words(&mut then);
         let mut diff = now.iter().zip(&then).map(|(n, t)| n.saturating_sub(*t));
-        let since = CommStats::from_words(&mut diff).expect("same counter layout");
-        report.comm = since.counters();
-        (report.waits.total_wait_ns, report.waits.total_work_ns) = (since.wait_ns, since.work_ns);
+        report.comm = CommCounters::from_words(&mut diff).expect("same counter layout");
         report.mem.oom_events -= cold_ooms;
         report.cache = ctx.cache_stats();
         report.cache_names = ctx.cache_snapshots();

@@ -98,9 +98,7 @@ impl TraceSession {
 /// install a fresh one).
 pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
     let mut report = RankReport::new(comm.rank());
-    let cs = comm.stats();
-    report.comm = cs.counters();
-    report.waits = cs.wait_counters();
+    report.comm = comm.stats();
     report.mem = pool.stats().counters();
     m.job.fill_report(&mut report);
     // A multi-stage run folds its stages' job stats with the cross-rank

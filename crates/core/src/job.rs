@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use mimir_mem::MemPool;
 use mimir_mpi::Comm;
-use mimir_obs::{EventKind, GroupCounters, Phase, SpanGuard};
+use mimir_obs::{EventKind, GroupCounters, Phase, ShuffleCounters, SpanGuard};
 
 use crate::combiner::{CombineFn, CombinerTable};
 use crate::context::MimirContext;
@@ -50,7 +50,7 @@ use crate::grouped::GroupedKvs;
 use crate::kmvc::{KmvContainer, ValueIter};
 use crate::partial::PartialReducer;
 use crate::partitioner::Partitioner;
-use crate::shuffle::{Emitter, ShuffleStats, Shuffler};
+use crate::shuffle::{Emitter, Shuffler};
 use crate::sink::KvSink;
 use crate::{JobStats, KvContainer, KvMeta, MimirError, Result};
 
@@ -421,7 +421,7 @@ impl MapReduceJob<'_, '_> {
                 .is_some_and(|(_, i)| i.fingerprint == fingerprint);
         let input_kvc = input.as_ref().map(|(_, i)| &i.kvc);
         let meta = self.kv_meta;
-        let fed = (|| -> Result<(S, ShuffleStats, GroupCounters)> {
+        let fed = (|| -> Result<(S, ShuffleCounters, GroupCounters)> {
             let mut sink = new_sink(pool, meta)?;
             if elide {
                 let mut local = LocalEmitter {
@@ -435,7 +435,7 @@ impl MapReduceJob<'_, '_> {
                 let group = feed.drive(input_kvc, pool, meta, &mut local)?;
                 mimir_obs::emit(EventKind::ShuffleElided, local.kvs, local.bytes);
                 clock.enter(Phase::Aggregate);
-                return Ok((sink, ShuffleStats::default(), group));
+                return Ok((sink, ShuffleCounters::default(), group));
             }
             let partitioner = self.partitioner.clone();
             let mut shuffler =

@@ -56,7 +56,7 @@ use std::ops::Range;
 
 use mimir_mem::MemPool;
 use mimir_mpi::{Comm, ReduceOp};
-use mimir_obs::{EventKind, Step};
+use mimir_obs::{EventKind, ShuffleCounters, Step};
 
 use crate::buffer::TrackedBuf;
 use crate::hash::{fxhash64, partition_of_hashed};
@@ -107,66 +107,9 @@ pub trait Emitter {
     }
 }
 
-mimir_obs::counters! {
-    /// Counters describing one shuffle. Merging folds another rank's
-    /// counters in for cluster totals: traffic sums; `rounds` takes the
-    /// max because exchange rounds are collective — every rank
-    /// participates in the same ones, so summing would overcount — and so
-    /// do the per-round receive high-water mark and the skew metrics.
-    pub struct ShuffleStats {
-        /// KVs emitted by this rank's map.
-        kvs_emitted: u64 [sum],
-        /// Encoded bytes emitted (the "KV size" of paper Figure 7).
-        kv_bytes_emitted: u64 [sum],
-        /// KVs received into this rank's sink.
-        kvs_received: u64 [sum],
-        /// Exchange rounds this rank participated in.
-        rounds: u64 [max],
-        /// Encoded bytes landed in this rank's receive buffer (includes
-        /// the rank's own partition).
-        bytes_received: u64 [sum],
-        /// Largest single-round receive total. The Section III-B
-        /// invariant is `max_round_recv_bytes ≤ comm_buf_size`; the data
-        /// path asserts it every round.
-        max_round_recv_bytes: u64 [max],
-        /// Nanoseconds this rank spent blocked in the rounds'
-        /// done-allreduce — straggler-bound wait: some peer was still
-        /// mapping or draining when this rank entered the vote.
-        sync_wait_ns: u64 [sum],
-        /// Nanoseconds blocked receiving the rounds' partition payloads —
-        /// byte-bound wait: peers were still pushing data.
-        data_wait_ns: u64 [sum],
-        /// Cumulative bytes this rank sent to its hottest destination.
-        max_dest_bytes: u64 [max],
-        /// Send-side partition imbalance over the whole shuffle: max/mean
-        /// of cumulative per-destination bytes in permille (1000 =
-        /// balanced; 0 = hottest destination under a buffer over fair).
-        imbalance_permille: u64 [max],
-        /// Gini coefficient of cumulative per-destination bytes in
-        /// permille (→1000 = everything to one destination; 0 = uniform,
-        /// or the hottest destination under a buffer over fair).
-        gini_permille: u64 [max],
-    }
-}
-
-impl ShuffleStats {
-    /// The report's shuffle section. The wait split goes to a section of
-    /// its own, and the shuffle never spills, so `spilled_bytes` is 0.
-    pub fn counters(&self) -> mimir_obs::ShuffleCounters {
-        mimir_obs::ShuffleCounters {
-            kvs_emitted: self.kvs_emitted,
-            kv_bytes_emitted: self.kv_bytes_emitted,
-            kvs_received: self.kvs_received,
-            rounds: self.rounds,
-            spilled_bytes: 0,
-            bytes_received: self.bytes_received,
-            max_round_recv_bytes: self.max_round_recv_bytes,
-            max_dest_bytes: self.max_dest_bytes,
-            imbalance_permille: self.imbalance_permille,
-            gini_permille: self.gini_permille,
-        }
-    }
-}
+/// The counters [`Shuffler::finish`] returns: the report's `shuffle`
+/// section itself.
+pub type ShuffleStats = ShuffleCounters;
 
 /// The partitioned-send-buffer shuffle engine.
 pub struct Shuffler<'a, S: KvSink> {
@@ -189,7 +132,7 @@ pub struct Shuffler<'a, S: KvSink> {
     skew_scratch: Vec<u64>,
     partitioner: Partitioner,
     sink: S,
-    stats: ShuffleStats,
+    stats: ShuffleCounters,
     /// Whether the once-only oversized-KV warning has fired.
     warned_jumbo: bool,
 }
@@ -267,7 +210,7 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
             skew_scratch: Vec::with_capacity(p),
             partitioner,
             sink,
-            stats: ShuffleStats::default(),
+            stats: ShuffleCounters::default(),
             warned_jumbo: false,
         })
     }
@@ -277,7 +220,7 @@ impl<'a, S: KvSink> Shuffler<'a, S> {
     ///
     /// # Errors
     /// Sink failures while draining the final rounds.
-    pub fn finish(mut self) -> Result<(S, ShuffleStats)> {
+    pub fn finish(mut self) -> Result<(S, ShuffleCounters)> {
         while !self.exchange(true)? {}
         // Whole-shuffle skew over the cumulative per-destination
         // histogram (the per-round view goes out as RoundSkew events).
@@ -515,7 +458,7 @@ mod tests {
     use mimir_mpi::run_world;
     use std::collections::HashMap;
 
-    type WorldOutput = Vec<(HashMap<Vec<u8>, Vec<u64>>, ShuffleStats)>;
+    type WorldOutput = Vec<(HashMap<Vec<u8>, Vec<u64>>, ShuffleCounters)>;
 
     fn shuffle_world(n_ranks: usize, comm_buf: usize, kvs_per_rank: usize) -> WorldOutput {
         run_world(n_ranks, move |comm| {
@@ -722,7 +665,10 @@ mod tests {
     #[test]
     fn skewed_partitioner_is_visible_in_counters_and_uniform_is_not() {
         let n = 4;
-        let shuffle_stats = |partitioner: Partitioner, buf: usize, kvs: u64| -> Vec<ShuffleStats> {
+        let shuffle_stats = |partitioner: Partitioner,
+                             buf: usize,
+                             kvs: u64|
+         -> Vec<ShuffleCounters> {
             run_world(n, move |comm| {
                 let pool = MemPool::unlimited("t", 4096);
                 let meta = KvMeta::cstr_key_u64_val();

@@ -1,8 +1,6 @@
 use std::time::Duration;
 
-use mimir_obs::{GroupCounters, JobCounters, PhasePeaks, PhaseTimes, RankReport};
-
-use crate::shuffle::ShuffleStats;
+use mimir_obs::{GroupCounters, JobCounters, PhasePeaks, PhaseTimes, RankReport, ShuffleCounters};
 
 /// Per-rank metrics for one completed job — everything the paper's
 /// figures plot.
@@ -20,8 +18,8 @@ pub struct JobStats {
     pub convert_time: Duration,
     /// Wall time of the reduce phase (or the fold finalization).
     pub reduce_time: Duration,
-    /// Shuffle counters (emitted KVs/bytes, rounds).
-    pub shuffle: ShuffleStats,
+    /// Shuffle counters (emitted KVs/bytes, rounds, waits).
+    pub shuffle: ShuffleCounters,
     /// Grouping-engine counters (the on-arrival group index, combiner,
     /// or partial-reduction fold table). The on-arrival index grows — and
     /// emits its rehash events — during the map phase.
@@ -80,16 +78,12 @@ impl JobStats {
     }
 
     /// Writes the job's sections of `report`: shuffle and grouping
-    /// counters, the shuffle- and barrier-attributed waits,
-    /// phase times and peaks, and the job counters. The transport's
-    /// sections (including the total wait/work pair) and the pool's come
-    /// from their own layers.
+    /// counters, phase times and peaks, and the job counters. The
+    /// transport's section ([`mimir_mpi::Comm::stats`]) and the pool's
+    /// (`MemStats::counters`) come from their own layers.
     pub fn fill_report(&self, report: &mut RankReport) {
-        report.shuffle = self.shuffle.counters();
+        report.shuffle = self.shuffle;
         report.group = self.group;
-        report.waits.sync_wait_ns = self.shuffle.sync_wait_ns;
-        report.waits.data_wait_ns = self.shuffle.data_wait_ns;
-        report.waits.barrier_wait_ns = self.barrier_wait_ns;
         report.times = PhaseTimes {
             map_s: self.map_time.as_secs_f64(),
             aggregate_s: 0.0,
@@ -105,6 +99,7 @@ impl JobStats {
             unique_keys: self.unique_keys,
             kvs_out: self.kvs_out,
             node_peak_bytes: self.node_peak_bytes as u64,
+            barrier_wait_ns: self.barrier_wait_ns,
         };
     }
 }
@@ -118,7 +113,7 @@ mod tests {
         let mut a = JobStats {
             map_time: Duration::from_millis(10),
             reduce_time: Duration::from_millis(3),
-            shuffle: ShuffleStats {
+            shuffle: ShuffleCounters {
                 kvs_emitted: 100,
                 kv_bytes_emitted: 1000,
                 kvs_received: 90,
@@ -142,7 +137,7 @@ mod tests {
         let b = JobStats {
             map_time: Duration::from_millis(8),
             reduce_time: Duration::from_millis(5),
-            shuffle: ShuffleStats {
+            shuffle: ShuffleCounters {
                 kvs_emitted: 50,
                 kv_bytes_emitted: 500,
                 kvs_received: 60,

@@ -1,15 +1,8 @@
-//! Readers for the two on-disk trace formats the stack exports.
-//!
-//! - **JSONL** (`<label>.jsonl`): the native input. Each `report` line
-//!   deserializes back into a full [`RankReport`], so every rule runs at
-//!   full strength. `header` and `event` lines are tolerated and the
-//!   header's loss count is folded in when the report lines predate the
-//!   loss accounting.
-//! - **Chrome trace** (`<label>.trace.json`): a timeline, not a counter
-//!   dump. Ingestion reconstructs a skeleton — the rank set from the
-//!   process-name metadata and the loss count from the trace-level
-//!   `metadata` object — which is enough for the trace-health rules but
-//!   leaves the counter-based rules blind. Prefer the JSONL file.
+//! The reader for the doctor's input, the JSON-lines export
+//! (`<label>.jsonl`): each `report` line deserializes back into a full
+//! [`RankReport`], so every rule runs at full strength. The chrome trace
+//! written beside it (`<label>.trace.json`) is a timeline without
+//! counters, and is refused with a message naming the `.jsonl`.
 
 use mimir_obs::{Event, EventKind, Json, RankReport};
 
@@ -24,10 +17,15 @@ use mimir_obs::{Event, EventKind, Json, RankReport};
 /// so a future exporter revision stays readable.
 ///
 /// # Errors
-/// Malformed JSON, a `report` line that does not deserialize, or an
-/// input containing no report lines at all.
+/// Malformed JSON, a chrome trace, a `report` line that does not
+/// deserialize, or an input containing no report lines at all.
 pub fn ingest_jsonl(text: &str) -> Result<Vec<RankReport>, String> {
     let docs = Json::parse_lines(text).map_err(|e| e.to_string())?;
+    if docs.iter().any(|d| d.get("traceEvents").is_some()) {
+        return Err("a chrome trace is a timeline without counters: pass the \
+                    `.jsonl` export written beside it"
+            .into());
+    }
     let mut reports = Vec::new();
     let mut header_dropped = 0u64;
     let mut events: Vec<(u64, Event)> = Vec::new();
@@ -80,72 +78,6 @@ pub fn ingest_jsonl(text: &str) -> Result<Vec<RankReport>, String> {
     Ok(reports)
 }
 
-/// Reconstructs a report *skeleton* from a chrome trace: rank ids from
-/// the `process_name` metadata and the loss count from the trace-level
-/// `metadata` object. Counter-based rules see zeros; use the JSONL
-/// export for a full diagnosis.
-///
-/// # Errors
-/// Malformed JSON or a document without a `traceEvents` array.
-pub fn ingest_chrome(text: &str) -> Result<Vec<RankReport>, String> {
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "no `traceEvents` array — is this a chrome trace?".to_string())?;
-    // Rank lanes are announced as `thread_name` metadata named
-    // "rank N" (job lanes are named "rN job J" and live on high tids).
-    let mut ranks: Vec<u64> = events
-        .iter()
-        .filter(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("M")
-                && e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .is_some_and(|n| n.starts_with("rank "))
-        })
-        .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-        .collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    if ranks.is_empty() {
-        return Err("chrome trace contains no events".into());
-    }
-    let n = ranks.len() as u64;
-    let mut reports: Vec<RankReport> = ranks
-        .into_iter()
-        .map(|r| {
-            let mut rep = RankReport::new(r as usize);
-            rep.ranks = n;
-            rep
-        })
-        .collect();
-    if let Some(dropped) = doc
-        .get("metadata")
-        .and_then(|m| m.get("events_dropped"))
-        .and_then(Json::as_u64)
-    {
-        reports[0].events_dropped = dropped;
-    }
-    Ok(reports)
-}
-
-/// Dispatches on content: a chrome trace is one JSON document with a
-/// `traceEvents` key; everything else is treated as JSONL.
-///
-/// # Errors
-/// Whatever the underlying reader reports.
-pub fn ingest_path_text(text: &str) -> Result<Vec<RankReport>, String> {
-    if Json::parse(text)
-        .map(|d| d.get("traceEvents").is_some())
-        .unwrap_or(false)
-    {
-        ingest_chrome(text)
-    } else {
-        ingest_jsonl(text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +89,7 @@ mod tests {
                 let mut rep = RankReport::new(r);
                 rep.ranks = 3;
                 rep.shuffle.kvs_emitted = 100 + r as u64;
-                rep.waits.sync_wait_ns = 5_000 * (r as u64 + 1);
+                rep.shuffle.sync_wait_ns = 5_000 * (r as u64 + 1);
                 rep
             })
             .collect()
@@ -172,7 +104,7 @@ mod tests {
         for (a, b) in reports.iter().zip(&back) {
             assert_eq!(a.rank, b.rank);
             assert_eq!(a.shuffle.kvs_emitted, b.shuffle.kvs_emitted);
-            assert_eq!(a.waits.sync_wait_ns, b.waits.sync_wait_ns);
+            assert_eq!(a.shuffle.sync_wait_ns, b.shuffle.sync_wait_ns);
         }
         // Trailing newlines and blank lines are tolerated.
         let padded = format!("{text}\n\n\n");
@@ -220,29 +152,7 @@ mod tests {
             .unwrap_err()
             .contains("report"));
         assert!(ingest_jsonl("not json").is_err());
-    }
-
-    #[test]
-    fn chrome_ingest_reconstructs_the_rank_skeleton() {
-        let mut reports = sample_world();
-        reports[2].events_dropped = 4;
-        let text = chrome_trace(&reports).to_string();
-        let back = ingest_path_text(&text).unwrap();
-        assert_eq!(back.len(), 3, "one skeleton report per pid");
-        assert_eq!(
-            back.iter().map(|r| r.events_dropped).sum::<u64>(),
-            4,
-            "loss survives via the trace metadata"
-        );
-    }
-
-    #[test]
-    fn dispatch_picks_jsonl_for_jsonl() {
-        let text = jsonl_string(&sample_world());
-        let back = ingest_path_text(&text).unwrap();
-        assert_eq!(
-            back[0].shuffle.kvs_emitted, 100,
-            "full counters, not a skeleton"
-        );
+        let chrome = chrome_trace(&sample_world()).to_string();
+        assert!(ingest_jsonl(&chrome).unwrap_err().contains(".jsonl"));
     }
 }

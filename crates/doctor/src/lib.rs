@@ -13,21 +13,19 @@
 //! | code | looks at | fires on |
 //! |---|---|---|
 //! | `critical-path` | flow-edge happens-before DAG | always reports the measured path; warns when one rank holds an outsized share |
-//! | `straggler` | per-rank sync+barrier waits | peers waiting ≥50% longer than the critical rank — only when no path could be measured |
 //! | `partition-skew` | per-destination byte histograms, cross-rank receive totals | imbalance ≥2× the fair share |
 //! | `memory-headroom` | pool peak vs budget, OOM events | margin <10% or any budget violation |
-//! | `spill-amplification` | spilled vs emitted shuffle bytes | spill exceeding the data itself |
 //! | `dropped-events` | trace ring overwrites | any loss; >5% is critical |
-//! | `deadlock-suspect` | wait fraction vs wall time | ≥95% wall spent blocked with nothing received |
-//! | `cache-efficiency` | cross-job cache counters, evict/reload event stream | low hit rate while cached bytes crowd the pool, eviction thrash; reports elisions and per-name residency (info) |
+//! | `deadlock-suspect` | `comm.wait_ns` vs wall time | ≥95% wall spent blocked with nothing received |
+//! | `cache-efficiency` | cross-job cache counters | low hit rate while cached bytes crowd the pool; reports elisions, evictions, reloads and per-name residency (info) |
 //! | `transport` | per-backend wire counters (frames, bytes, handshake) | handshake stalls, tiny-message chatter; silent on the in-process backend |
 //!
 //! A companion mode lives in [`postmortem`]: [`diagnose_postmortem`]
 //! ingests the flight-recorder dumps a crashed run leaves behind and
 //! names the rank that died without dumping.
 //!
-//! The `mimir-doctor` binary wraps this over `.jsonl` / `.trace.json`
-//! files; see `src/main.rs` or `README.md`.
+//! The `mimir-doctor` binary wraps this over `.jsonl` files; see
+//! `src/main.rs` or `README.md`.
 
 #![warn(missing_docs)]
 
@@ -37,7 +35,7 @@ pub mod postmortem;
 pub mod rules;
 
 pub use critical_path::{critical_path, CriticalPath, Segment, SegmentKind};
-pub use ingest::{ingest_chrome, ingest_jsonl, ingest_path_text};
+pub use ingest::ingest_jsonl;
 pub use postmortem::diagnose_postmortem;
 
 use mimir_obs::{Json, RankReport};
@@ -272,16 +270,11 @@ impl Diagnosis {
 /// title — so goldens and CI diffs are stable.
 pub fn diagnose(reports: &[RankReport]) -> Diagnosis {
     let mut findings = Vec::new();
-    // A measured critical path supersedes the straggler heuristic: the
-    // heuristic infers the gating rank from aggregate wait counters, the
-    // path walks the actual happens-before edges.
-    match critical_path::critical_path(reports) {
-        Some(path) => rules::critical_path_rule(&path, reports, &mut findings),
-        None => rules::straggler(reports, &mut findings),
+    if let Some(path) = critical_path::critical_path(reports) {
+        rules::critical_path_rule(&path, reports, &mut findings);
     }
     rules::partition_skew(reports, &mut findings);
     rules::memory_headroom(reports, &mut findings);
-    rules::spill_amplification(reports, &mut findings);
     rules::dropped_events(reports, &mut findings);
     rules::deadlock_suspect(reports, &mut findings);
     rules::cache_efficiency(reports, &mut findings);
@@ -337,12 +330,12 @@ mod tests {
         r.ranks = 2;
         // Trip the deadlock rule: its evidence carries several *_ns keys.
         r.times.map_s = 0.2;
-        r.waits.total_wait_ns = 198_000_000;
+        r.comm.wait_ns = 198_000_000;
         let reports = vec![r, RankReport::new(1)];
         let d = diagnose(&reports);
         let text = d.to_text();
         assert!(
-            text.contains("total_wait_ns: 198 ms"),
+            text.contains("wait_ns: 198 ms"),
             "durations humanize in text:\n{text}"
         );
         assert!(!text.contains("198000000"), "no raw ns in text:\n{text}");
@@ -365,7 +358,7 @@ mod tests {
         assert!(is_bytes_key("bytes_recvd"));
         assert!(is_bytes_key("wire_bytes_sent"));
         assert!(!is_bytes_key("imbalance_permille"));
-        assert!(!is_bytes_key("total_wait_ns"));
+        assert!(!is_bytes_key("wait_ns"));
     }
 
     #[test]

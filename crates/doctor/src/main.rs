@@ -4,9 +4,9 @@
 //! mimir-doctor [--json] [--critical-path] [--fail-on info|warn|critical] <file|dir>...
 //! ```
 //!
-//! Inputs are the files the trace stack writes: `<label>.jsonl` (full
-//! counters and event lines — preferred) or `<label>.trace.json`
-//! (chrome timeline; only the trace-health rules can run). Multiple
+//! Inputs are the `<label>.jsonl` files the trace stack writes (full
+//! counters and event lines); the chrome timeline written beside each,
+//! `<label>.trace.json`, carries no counters and is refused. Multiple
 //! files are diagnosed as independent runs and the findings are
 //! concatenated. A *directory* input is treated as a flight-recorder
 //! dump dir (`rank*.crash.jsonl` corpses from a crashed run): the dumps
@@ -23,7 +23,7 @@
 //! on usage or read errors.
 
 use mimir_doctor::{
-    critical_path, diagnose, diagnose_postmortem, ingest_path_text, Diagnosis, Severity,
+    critical_path, diagnose, diagnose_postmortem, ingest_jsonl, Diagnosis, Severity,
 };
 use mimir_obs::Json;
 
@@ -31,9 +31,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: mimir-doctor [--json] [--critical-path] [--fail-on info|warn|critical] <file|dir>...\n\
          \n\
-         Diagnoses Mimir trace exports (.jsonl preferred; .trace.json\n\
-         yields a skeleton view; a directory is triaged as a\n\
-         flight-recorder dump dir). Prints human text by default, a JSON\n\
+         Diagnoses Mimir trace exports (.jsonl; a directory is triaged\n\
+         as a flight-recorder dump dir). Prints human text by default, a JSON\n\
          document with --json. --critical-path adds the measured\n\
          critical path's per-segment breakdown for inputs that carry\n\
          flow events. Exits 1 when any finding reaches the --fail-on\n\
@@ -87,10 +86,14 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let reports = match ingest_path_text(&text) {
+        let reports = match ingest_jsonl(&text) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("mimir-doctor: {path}: {e}");
+                let beside = path
+                    .strip_suffix(".trace.json")
+                    .map(|stem| format!(" ({stem}.jsonl)"))
+                    .unwrap_or_default();
+                eprintln!("mimir-doctor: {path}: {e}{beside}");
                 std::process::exit(2);
             }
         };

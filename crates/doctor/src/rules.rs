@@ -7,12 +7,6 @@ use mimir_obs::{Json, RankReport};
 use crate::critical_path::CriticalPath;
 use crate::{Finding, Severity};
 
-/// A straggler must cost peers at least this much absolute wait —
-/// below it the "skew" is scheduling noise, not a diagnosis.
-pub const STRAGGLER_MIN_WAIT_NS: u64 = 10_000_000;
-/// …and the spread between the most- and least-waiting rank must be at
-/// least this fraction of the maximum.
-pub const STRAGGLER_SPREAD: f64 = 0.5;
 /// Receive imbalance (max rank / fair share, permille) that merits a
 /// warning: 2× the fair share.
 pub const SKEW_WARN_PERMILLE: u64 = 2000;
@@ -44,9 +38,6 @@ pub const CACHE_HIT_WARN_PERMILLE: u64 = 500;
 /// Fraction of the pool budget (permille) the cache must crowd before a
 /// low hit rate is worth a warning — a small cold cache is harmless.
 pub const CACHE_CROWD_PERMILLE: u64 = 300;
-/// An evict→reload of the same cached name within this window is
-/// thrash: the pool is too small for the working set being chained.
-pub const CACHE_THRASH_WINDOW_NS: u64 = 1_000_000_000;
 /// Transport handshake time above which world bootstrap stalled —
 /// connect retries or a peer that was slow to bind its socket.
 pub const HANDSHAKE_WARN_NS: u64 = 1_000_000_000;
@@ -63,8 +54,9 @@ fn num(v: u64) -> Json {
 /// The measured critical path: reports the per-segment breakdown of the
 /// chain of work and messages that determined the wall time, and warns
 /// when one rank holds far more of the path than its fair share. This is
-/// a *measurement* (happens-before edges from flow events), so when it
-/// runs, [`straggler`]'s counter-based guess is suppressed by the caller.
+/// a *measurement* from happens-before edges (flow events): a round costs
+/// its busiest rank, so the gating rank is read off the edges, not
+/// guessed from how far the wait counters spread.
 pub fn critical_path_rule(path: &CriticalPath, reports: &[RankReport], out: &mut Vec<Finding>) {
     let p = reports.len().max(1) as u64;
     let fair_permille = 1000 / p;
@@ -181,67 +173,6 @@ pub fn critical_path_rule(path: &CriticalPath, reports: &[RankReport], out: &mut
              latency-bound — grow comm buffers so fewer rounds run \
              (paper §III-B)."
         },
-    });
-}
-
-/// Wait-state attribution across ranks: when most ranks spend long in
-/// the shuffle's sync votes and the phase barriers, the rank that waited
-/// *least* is the one everyone else was waiting for.
-pub fn straggler(reports: &[RankReport], out: &mut Vec<Finding>) {
-    if reports.len() < 2 {
-        return;
-    }
-    let wait = |r: &RankReport| r.waits.sync_wait_ns + r.waits.barrier_wait_ns;
-    let (mut min_rank, mut min_wait) = (0u64, u64::MAX);
-    let (mut max_rank, mut max_wait) = (0u64, 0u64);
-    for r in reports {
-        let w = wait(r);
-        if w < min_wait {
-            (min_rank, min_wait) = (r.rank, w);
-        }
-        if w > max_wait {
-            (max_rank, max_wait) = (r.rank, w);
-        }
-    }
-    if max_wait < STRAGGLER_MIN_WAIT_NS {
-        return;
-    }
-    let spread = (max_wait - min_wait) as f64 / max_wait as f64;
-    if spread < STRAGGLER_SPREAD {
-        return;
-    }
-    let wall_ns = reports
-        .iter()
-        .map(|r| ((r.times.map_s + r.times.convert_s + r.times.reduce_s) * 1e9) as u64)
-        .max()
-        .unwrap_or(0);
-    let severity = if wall_ns > 0 && max_wait as f64 >= 0.5 * wall_ns as f64 {
-        Severity::Critical
-    } else {
-        Severity::Warn
-    };
-    out.push(Finding {
-        severity,
-        code: "straggler",
-        title: format!(
-            "rank {min_rank} is the critical rank: peers waited up to \
-             {:.1} ms for it ({}% spread in sync+barrier wait)",
-            max_wait as f64 / 1e6,
-            (spread * 100.0) as u64,
-        ),
-        phase: "map/aggregate (shuffle) + phase barriers",
-        ranks: vec![min_rank, max_rank],
-        evidence: vec![
-            ("min_wait_ns".into(), num(min_wait)),
-            ("max_wait_ns".into(), num(max_wait)),
-            ("critical_rank".into(), num(min_rank)),
-            ("most_delayed_rank".into(), num(max_rank)),
-            ("wall_ns".into(), num(wall_ns)),
-        ],
-        hint: "One rank arrives late at every collective: check its input \
-               share and placement. The interleaved shuffle (paper §III-B) \
-               only overlaps waits it can see — a compute-bound straggler \
-               needs rebalanced input, not more buffering.",
     });
 }
 
@@ -370,35 +301,6 @@ pub fn memory_headroom(reports: &[RankReport], out: &mut Vec<Finding>) {
     }
 }
 
-/// Spill amplification: spilling more bytes than the job emitted means
-/// the out-of-core path is thrashing, not absorbing a burst.
-pub fn spill_amplification(reports: &[RankReport], out: &mut Vec<Finding>) {
-    let spilled: u64 = reports.iter().map(|r| r.shuffle.spilled_bytes).sum();
-    let emitted: u64 = reports.iter().map(|r| r.shuffle.kv_bytes_emitted).sum();
-    if spilled == 0 || emitted == 0 || spilled <= emitted {
-        return;
-    }
-    out.push(Finding {
-        severity: Severity::Warn,
-        code: "spill-amplification",
-        title: format!(
-            "spilled {spilled} B against {emitted} B of emitted KVs \
-             ({:.1}x amplification)",
-            spilled as f64 / emitted as f64
-        ),
-        phase: "map/aggregate (shuffle)",
-        ranks: Vec::new(),
-        evidence: vec![
-            ("spilled_bytes".into(), num(spilled)),
-            ("emitted_bytes".into(), num(emitted)),
-        ],
-        hint: "Each spilled byte is written and re-read: amplification above \
-               1x means the memory budget forces repeated spilling. Raise \
-               the budget, or cut the working set with KV compression / \
-               partial reduction (paper §III-C).",
-    });
-}
-
 /// Trace-ring overwrites: a truncated timeline silently biases every
 /// timeline-derived conclusion, so loss itself is a finding.
 pub fn dropped_events(reports: &[RankReport], out: &mut Vec<Finding>) {
@@ -445,7 +347,7 @@ pub fn deadlock_suspect(reports: &[RankReport], out: &mut Vec<Finding>) {
         if wall_ns < DEADLOCK_MIN_WALL_NS || r.comm.bytes_recvd > 0 {
             continue;
         }
-        let wait = r.waits.total_wait_ns;
+        let wait = r.comm.wait_ns;
         if (wait as f64) < DEADLOCK_WAIT_FRACTION * wall_ns as f64 {
             continue;
         }
@@ -461,7 +363,7 @@ pub fn deadlock_suspect(reports: &[RankReport], out: &mut Vec<Finding>) {
             phase: "",
             ranks: vec![r.rank],
             evidence: vec![
-                ("total_wait_ns".into(), num(wait)),
+                ("wait_ns".into(), num(wait)),
                 ("wall_ns".into(), num(wall_ns)),
                 ("bytes_recvd".into(), num(r.comm.bytes_recvd)),
             ],
@@ -473,12 +375,10 @@ pub fn deadlock_suspect(reports: &[RankReport], out: &mut Vec<Finding>) {
 }
 
 /// Cross-job cache audit: is the retained memory paying for itself?
-/// Warns on a low hit rate while cached bytes crowd the pool, warns on
-/// eviction thrash (an evict→reload of the same name inside one
-/// window), and otherwise reports what the cache saved — elisions and
-/// per-name residency. Silent when no run touched the cache.
+/// Warns on a low hit rate while cached bytes crowd the pool, and
+/// otherwise reports what the cache saved — elisions and per-name
+/// residency. Silent when no run touched the cache.
 pub fn cache_efficiency(reports: &[RankReport], out: &mut Vec<Finding>) {
-    use mimir_obs::EventKind;
     // Per-rank caches hold disjoint partitions of named datasets, so
     // activity counters and bytes sum across ranks; the pool budget is
     // the shared per-node figure, so it maxes.
@@ -532,51 +432,6 @@ pub fn cache_efficiency(reports: &[RankReport], out: &mut Vec<Finding>) {
         evidence.push((format!("name:{name}:bytes"), num(*bytes)));
         evidence.push((format!("name:{name}:elisions"), num(*el)));
     }
-    // Thrash: an eviction followed by a reload of the same name (event
-    // payload `a` carries the name hash) inside the window means the
-    // pool evicted data the very next job needed back.
-    let mut thrash_ranks = Vec::new();
-    for r in reports {
-        let mut evicted: Vec<(u64, u64)> = Vec::new(); // (name_hash, t_ns)
-        let mut thrashed = false;
-        for e in &r.events {
-            match e.kind {
-                EventKind::CacheEvict => evicted.push((e.a, e.t_ns)),
-                EventKind::CacheReload
-                    if evicted.iter().any(|&(h, t)| {
-                        h == e.a && e.t_ns.saturating_sub(t) <= CACHE_THRASH_WINDOW_NS
-                    }) =>
-                {
-                    thrashed = true;
-                }
-                _ => {}
-            }
-        }
-        if thrashed {
-            thrash_ranks.push(r.rank);
-        }
-    }
-    if !thrash_ranks.is_empty() {
-        out.push(Finding {
-            severity: Severity::Warn,
-            code: "cache-efficiency",
-            title: format!(
-                "cache thrash: {} rank(s) evicted a cached dataset and \
-                 reloaded the same name within {} ms",
-                thrash_ranks.len(),
-                CACHE_THRASH_WINDOW_NS / 1_000_000
-            ),
-            phase: "",
-            ranks: thrash_ranks,
-            evidence,
-            hint: "The pool is too small for the chained working set: the \
-                   admission relief loop spilled a dataset the very next \
-                   job checked out again. Raise the budget, shrink the \
-                   cached datasets, or drop names the chain no longer \
-                   reads (cache_remove) so eviction picks true cold data.",
-        });
-        return;
-    }
     if lookups > 0
         && hit_permille < CACHE_HIT_WARN_PERMILLE
         && crowd_permille > CACHE_CROWD_PERMILLE
@@ -593,10 +448,11 @@ pub fn cache_efficiency(reports: &[RankReport], out: &mut Vec<Finding>) {
             phase: "",
             ranks: Vec::new(),
             evidence,
-            hint: "Retained partitions charge the same pool admission \
-                   meters, so a cold cache squeezes every tenant. Check \
+            hint: "Retained partitions are charged to the node pool, so a \
+                   cold cache squeezes the jobs that run beside it. Check \
                    the chain's names: a miss means a chained job asked for \
-                   a name no prior job stashed with output_cached.",
+                   a name no prior job stashed with output_cached; drop \
+                   names the chain no longer reads with cache_remove.",
         });
         return;
     }
@@ -786,39 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_path_suppresses_the_straggler_guess() {
-        // Counters that would trip the straggler heuristic…
-        let mut reports = delayed_sender_world(100_000_000);
-        for r in &mut reports {
-            r.waits.sync_wait_ns = 90_000_000;
-            r.times.map_s = 0.1;
-        }
-        reports[1].waits.sync_wait_ns = 1_000_000;
-        // …are superseded by the measured path.
-        let d = crate::diagnose(&reports);
-        assert!(
-            d.findings.iter().any(|f| f.code == "critical-path"),
-            "no path finding:\n{}",
-            d.to_text()
-        );
-        assert!(
-            d.findings.iter().all(|f| f.code != "straggler"),
-            "heuristic not suppressed:\n{}",
-            d.to_text()
-        );
-        // Without events the heuristic still runs.
-        for r in &mut reports {
-            r.events.clear();
-        }
-        let d = crate::diagnose(&reports);
-        assert!(
-            d.findings.iter().any(|f| f.code == "straggler"),
-            "fallback heuristic missing:\n{}",
-            d.to_text()
-        );
-    }
-
-    #[test]
     fn balanced_path_reports_info_only() {
         // Two ranks alternating evenly: shares ~50% each, fair = 500‰.
         let ev = |t_ns, kind, a, b| Event { t_ns, kind, a, b };
@@ -952,37 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_efficiency_warns_on_eviction_thrash() {
-        let ev = |t_ns, kind, a| Event {
-            t_ns,
-            kind,
-            a,
-            b: 0,
-        };
-        let mut reports = world(2);
-        reports[0].cache.evictions = 1;
-        reports[0].cache.reloads = 1;
-        reports[0].events = vec![
-            ev(0, EventKind::CacheEvict, 77),
-            ev(CACHE_THRASH_WINDOW_NS / 2, EventKind::CacheReload, 77),
-        ];
-        let mut out = Vec::new();
-        cache_efficiency(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].severity, Severity::Warn);
-        assert!(out[0].title.contains("thrash"), "{}", out[0].title);
-        assert_eq!(out[0].ranks, vec![0]);
-
-        // The same pair outside the window is not thrash: with no other
-        // pressure signals the rule reports the plain Info summary.
-        reports[0].events[1].t_ns = CACHE_THRASH_WINDOW_NS * 2;
-        let mut out = Vec::new();
-        cache_efficiency(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].severity, Severity::Info);
-    }
-
-    #[test]
     fn transport_is_silent_on_inproc_runs() {
         let mut out = Vec::new();
         transport(&world(4), &mut out);
@@ -1053,32 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_names_the_least_waiting_rank() {
-        let mut reports = world(4);
-        for r in &mut reports {
-            r.waits.sync_wait_ns = 40_000_000;
-            r.waits.barrier_wait_ns = 10_000_000;
-            r.times.map_s = 0.06;
-        }
-        reports[2].waits.sync_wait_ns = 1_000_000;
-        reports[2].waits.barrier_wait_ns = 0;
-        let mut out = Vec::new();
-        straggler(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].code, "straggler");
-        assert_eq!(out[0].ranks[0], 2, "critical rank = least waiting");
-        assert_eq!(
-            out[0].severity,
-            Severity::Critical,
-            "50 ms of 60 ms wall is critical"
-        );
-        // Uniform waits: no finding.
-        let mut out = Vec::new();
-        straggler(&world(4), &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn skew_fires_on_concentration_and_names_the_phase() {
         let mut reports = world(4);
         for r in &mut reports {
@@ -1140,22 +906,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_amplification_needs_spill_above_emitted() {
-        let mut reports = world(2);
-        reports[0].shuffle.kv_bytes_emitted = 100;
-        reports[0].shuffle.spilled_bytes = 350;
-        let mut out = Vec::new();
-        spill_amplification(&reports, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].title.contains("3.5x"));
-
-        reports[0].shuffle.spilled_bytes = 50; // absorbing a burst is fine
-        let mut out = Vec::new();
-        spill_amplification(&reports, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn dropped_events_scale_with_loss_fraction() {
         let mut reports = world(1);
         reports[0].events_dropped = 1;
@@ -1182,7 +932,7 @@ mod tests {
     fn deadlock_suspect_needs_high_wait_and_silence() {
         let mut reports = world(2);
         reports[1].times.map_s = 0.2;
-        reports[1].waits.total_wait_ns = 198_000_000;
+        reports[1].comm.wait_ns = 198_000_000;
         reports[1].comm.bytes_recvd = 0;
         let mut out = Vec::new();
         deadlock_suspect(&reports, &mut out);

@@ -1,10 +1,11 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
+use mimir_obs::CommCounters;
+
 use crate::error::DisconnectPanic;
 use crate::msg::{tags, Msg, Payload, Tag};
 use crate::transport::{Endpoint, Transport};
-use crate::CommStats;
 
 /// Maximum number of idle message buffers kept in the per-rank pool.
 ///
@@ -46,7 +47,7 @@ pub struct Comm {
     /// on dup'd communicators never contend for (or poison) each other's
     /// pooled buffers.
     free_bufs: Vec<Vec<u8>>,
-    pub(crate) stats: CommStats,
+    pub(crate) stats: CommCounters,
 }
 
 impl Comm {
@@ -64,7 +65,7 @@ impl Comm {
             transport,
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             free_bufs: Vec::new(),
-            stats: CommStats::default(),
+            stats: CommCounters::default(),
         }
     }
 
@@ -92,13 +93,13 @@ impl Comm {
     /// Communication counters accumulated by this rank so far, including
     /// the backend's process-level extras (handshake time, receive-pool
     /// misses) when this is a world communicator.
-    pub fn stats(&self) -> CommStats {
+    pub fn stats(&self) -> CommCounters {
         let mut stats = self.stats;
         stats.merge(&self.transport.extra_stats());
         stats
     }
 
-    /// [`CommStats::wait_ns`] so far, without merging the transport's
+    /// [`CommCounters::wait_ns`] so far, without merging the transport's
     /// extras (none of which are wait time): what a caller timing one
     /// blocking call differences.
     #[inline]
@@ -218,7 +219,7 @@ impl Comm {
             "send to rank {dst} in a world of {}",
             self.size
         );
-        self.stats.msgs_sent += 1;
+        self.stats.sends += 1;
         self.stats.bytes_sent += msg.data.len() as u64;
         // Causal stamp: every message (user, collective-internal, and
         // derivation control plane alike) carries its sender's flow id.
@@ -278,7 +279,7 @@ impl Comm {
         );
         if let Some(pos) = self.pending[src].iter().position(|m| m.tag == tag) {
             let msg = self.pending[src].remove(pos).expect("position just found");
-            self.stats.msgs_recvd += 1;
+            self.stats.recvs += 1;
             self.stats.bytes_recvd += msg.data.len() as u64;
             mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
             return msg.data;
@@ -291,7 +292,7 @@ impl Comm {
         let data = loop {
             match self.transport.recv(src, &mut self.stats) {
                 Ok(msg) if msg.tag == tag => {
-                    self.stats.msgs_recvd += 1;
+                    self.stats.recvs += 1;
                     self.stats.bytes_recvd += msg.data.len() as u64;
                     mimir_obs::flow_recv(msg.flow, msg.data.len() as u64);
                     break msg.data;

@@ -41,7 +41,6 @@ mod collectives;
 mod comm;
 mod error;
 mod msg;
-mod stats;
 mod transport;
 mod wire;
 mod world;
@@ -50,7 +49,6 @@ pub use collectives::PendingAlltoallv;
 pub use comm::Comm;
 pub use error::{is_disconnect_panic, panic_message, CommError, WorldError};
 pub use msg::{Msg, Tag};
-pub use stats::CommStats;
 pub use transport::uds::{FaultPoint, UdsFault, UdsWorldOptions};
 pub use transport::{Endpoint, Transport, TransportKind};
 pub use wire::Wire;

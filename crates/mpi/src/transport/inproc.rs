@@ -6,10 +6,11 @@
 
 use std::sync::mpsc::{self, Receiver, Sender};
 
+use mimir_obs::CommCounters;
+
 use super::{Derivation, DeriveState, Endpoint, EndpointInner, Transport};
 use crate::error::CommError;
 use crate::msg::Msg;
-use crate::CommStats;
 
 /// Channel-matrix transport: `txs[dst]` sends to `dst`, `rxs[src]`
 /// receives from `src`, both indexed in the owning communicator's rank
@@ -56,7 +57,7 @@ pub(crate) struct InprocDerive {
 }
 
 impl Transport for InprocTransport {
-    fn send(&mut self, dst: usize, msg: Msg, _stats: &mut CommStats) -> Result<(), CommError> {
+    fn send(&mut self, dst: usize, msg: Msg, _stats: &mut CommCounters) -> Result<(), CommError> {
         self.txs[dst]
             .send(msg)
             .map_err(|_| CommError::RankDisconnected {
@@ -65,7 +66,7 @@ impl Transport for InprocTransport {
             })
     }
 
-    fn recv(&mut self, src: usize, _stats: &mut CommStats) -> Result<Msg, CommError> {
+    fn recv(&mut self, src: usize, _stats: &mut CommCounters) -> Result<Msg, CommError> {
         self.rxs[src]
             .recv()
             .map_err(|_| CommError::RankDisconnected {

@@ -33,9 +33,10 @@
 pub(crate) mod inproc;
 pub(crate) mod uds;
 
+use mimir_obs::CommCounters;
+
 use crate::error::CommError;
 use crate::msg::Msg;
-use crate::CommStats;
 
 /// Which backend a world runs on. Selected explicitly via
 /// [`crate::run_world_on`] or from the `MIMIR_TRANSPORT` environment
@@ -135,18 +136,18 @@ pub(crate) enum DeriveState {
 ///
 /// `stats` is threaded through `send`/`recv` so backends can keep their
 /// wire-level counters (`wire_bytes_*`, `wire_frames_*`) on the owning
-/// rank's [`CommStats`] without any cross-thread aggregation.
+/// rank's [`CommCounters`] without any cross-thread aggregation.
 pub trait Transport: Send {
     /// Delivers `msg` to peer `dst` (this communicator's rank space).
     /// Sends are eager: they enqueue without waiting for the receiver.
     /// A backend may finish the delivery inside later calls on any of
     /// the process's transports (the socket backend parks what a full
     /// socket buffer refuses and flushes it from `send`/`recv`).
-    fn send(&mut self, dst: usize, msg: Msg, stats: &mut CommStats) -> Result<(), CommError>;
+    fn send(&mut self, dst: usize, msg: Msg, stats: &mut CommCounters) -> Result<(), CommError>;
 
     /// Blocks for the next message from `src`, in FIFO order per
     /// `(src, self)` pair. Tag matching happens above the seam.
-    fn recv(&mut self, src: usize, stats: &mut CommStats) -> Result<Msg, CommError>;
+    fn recv(&mut self, src: usize, stats: &mut CommCounters) -> Result<Msg, CommError>;
 
     /// Starts building a derived communicator spanning `members`
     /// (indexed by new rank, holding *this* communicator's ranks; this
@@ -177,7 +178,7 @@ pub trait Transport: Send {
     /// handshake time, receive-pool misses). Only a world's root
     /// transport reports nonzero values, so merging per-communicator
     /// stats never double-counts process-level numbers.
-    fn extra_stats(&self) -> CommStats {
-        CommStats::default()
+    fn extra_stats(&self) -> CommCounters {
+        CommCounters::default()
     }
 }

@@ -149,7 +149,7 @@ mod imp {
     use crate::transport::{Derivation, DeriveState, Endpoint, EndpointInner, Transport};
     use crate::world::flight_dump;
     use crate::CommError;
-    use crate::CommStats;
+    use mimir_obs::CommCounters;
 
     /// Frame header: `[len u32][kind u8][comm u64][tag u32][flow u64]`.
     const HEADER: usize = 25;
@@ -755,7 +755,12 @@ mod imp {
     }
 
     impl Transport for UdsTransport {
-        fn send(&mut self, dst: usize, msg: Msg, stats: &mut CommStats) -> Result<(), CommError> {
+        fn send(
+            &mut self,
+            dst: usize,
+            msg: Msg,
+            stats: &mut CommCounters,
+        ) -> Result<(), CommError> {
             if dst == self.my_rank {
                 self.loopback.push_back(msg);
                 return Ok(());
@@ -787,7 +792,7 @@ mod imp {
 
         /// The next frame from `src` on this communicator, driving the
         /// progress engine until it is there or `src` is dead.
-        fn recv(&mut self, src: usize, stats: &mut CommStats) -> Result<Msg, CommError> {
+        fn recv(&mut self, src: usize, stats: &mut CommCounters) -> Result<Msg, CommError> {
             if src == self.my_rank {
                 // Only this thread could have filled the loopback.
                 return Ok(self.loopback.pop_front().unwrap_or_else(|| {
@@ -872,14 +877,14 @@ mod imp {
             })
         }
 
-        fn extra_stats(&self) -> CommStats {
+        fn extra_stats(&self) -> CommCounters {
             if !self.is_world {
-                return CommStats::default();
+                return CommCounters::default();
             }
-            CommStats {
+            CommCounters {
                 handshake_ns: self.shared.handshake_ns,
                 wire_recv_allocs: self.shared.lock().pool.misses,
-                ..CommStats::default()
+                ..CommCounters::default()
             }
         }
     }

@@ -261,7 +261,7 @@ fn corrupt_bytes_from_a_peer_are_a_disconnect_for_every_waiter() {
     let mut t = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
     let (derivation, _) = t.begin_derive(0, &[0, 1], 1);
     let mut dup = t.finish_derive(derivation);
-    let mut stats = CommStats::default();
+    let mut stats = CommCounters::default();
     // One good frame, then a frame of an unknown kind.
     let mut wire = encode(
         &[(WORLD_COMM, 3, 0, KIND_SMALL, 42u64.to_le_bytes().to_vec())],
@@ -270,7 +270,7 @@ fn corrupt_bytes_from_a_peer_are_a_disconnect_for_every_waiter() {
     wire.extend_from_slice(&[0xFF; HEADER]);
     (&a).write_all(&wire).expect("raw bytes");
     let waiter = std::thread::spawn(move || {
-        let mut stats = CommStats::default();
+        let mut stats = CommCounters::default();
         dup.recv(0, &mut stats).is_err()
     });
     assert!(matches!(t.recv(0, &mut stats), Ok(Msg { tag: 3, .. })));

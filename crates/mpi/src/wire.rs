@@ -154,7 +154,7 @@ wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
 /// One `u64` per counter, in declaration order.
-impl Wire for crate::CommStats {
+impl Wire for mimir_obs::CommCounters {
     fn wire_write(&self, out: &mut Vec<u8>) {
         let mut words = Vec::new();
         Counter::words(self, &mut words);
@@ -214,8 +214,8 @@ mod tests {
 
     #[test]
     fn comm_stats_roundtrip() {
-        let s = crate::CommStats {
-            msgs_sent: 3,
+        let s = mimir_obs::CommCounters {
+            sends: 3,
             bytes_recvd: 999,
             wire_bytes_sent: 17,
             handshake_ns: 42,

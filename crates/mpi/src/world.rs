@@ -1,12 +1,13 @@
 use std::panic::AssertUnwindSafe;
 
+use mimir_obs::CommCounters;
+
 use crate::comm::Comm;
 use crate::error::{panic_message, DisconnectPanic, WorldError};
 use crate::transport::inproc::InprocTransport;
 use crate::transport::uds::{self, RankEnd, UdsWorldOptions};
 use crate::transport::TransportKind;
 use crate::wire::Wire;
-use crate::CommStats;
 
 /// Runs `f` as an SPMD program across `n_ranks` rank threads and returns
 /// the per-rank results indexed by rank.
@@ -138,15 +139,12 @@ where
 pub(crate) fn flight_dump(
     rank: usize,
     world: usize,
-    stats: Option<CommStats>,
+    stats: Option<CommCounters>,
     cause: &str,
     message: &str,
 ) {
     let mut report = mimir_obs::RankReport::new(rank);
-    if let Some(stats) = stats {
-        report.comm = stats.counters();
-        report.waits = stats.wait_counters();
-    }
+    report.comm = stats.unwrap_or_default();
     mimir_obs::flight_dump(report, world, cause, message);
 }
 

@@ -157,9 +157,9 @@ fn allgather_sends_o_log_p_messages_per_rank() {
     // The point of the Bruck rewrite: 8 ranks take 3 message steps, not 7
     // payload clones. Count messages attributable to the allgather alone.
     let out = run_world(8, |c| {
-        let before = c.stats().msgs_sent;
+        let before = c.stats().sends;
         let _ = c.allgather(vec![0u8; 1024]);
-        c.stats().msgs_sent - before
+        c.stats().sends - before
     });
     for (rank, sent) in out.into_iter().enumerate() {
         assert_eq!(sent, 3, "rank {rank}: ⌈log₂ 8⌉ = 3 sends expected");

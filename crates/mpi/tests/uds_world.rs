@@ -133,7 +133,7 @@ fn rank_panic_surfaces_as_root_cause() {
 
 #[test]
 fn wire_counters_are_honest() {
-    let out: Vec<mimir_mpi::CommStats> = run_world_on(UDS, 3, |c| {
+    let out: Vec<mimir_obs::CommCounters> = run_world_on(UDS, 3, |c| {
         c.send((c.rank() + 1) % 3, 5, &[7u8; 1000]);
         let _ = c.recv((c.rank() + 2) % 3, 5);
         c.send(c.rank(), 6, b"self");
@@ -141,7 +141,7 @@ fn wire_counters_are_honest() {
         c.barrier();
         c.stats()
     });
-    let mut total = mimir_mpi::CommStats::default();
+    let mut total = mimir_obs::CommCounters::default();
     out.iter().for_each(|s| total.merge(s));
     // Every cross-process frame is counted on both ends with identical
     // framing overhead; loopback traffic stays off the wire counters.
@@ -156,7 +156,7 @@ fn wire_counters_are_honest() {
         assert!(s.handshake_ns > 0, "handshake must be timed");
     }
     // Loopback self-sends counted as messages but not frames.
-    assert!(total.msgs_sent > total.wire_frames_sent);
+    assert!(total.sends > total.wire_frames_sent);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Declarative counter groups: one [`counters!`](crate::counters!)
 //! declaration per group generates the struct, its cross-rank `merge`
-//! and (optionally) its JSON section.
+//! and its JSON section.
 //!
 //! Every field names two rules next to its type:
 //!
@@ -10,10 +10,6 @@
 //! - **parse** — `req` when a report without the key is malformed, or
 //!   `opt` when the key postdates the first release and reads as zero
 //!   from older reports.
-//!
-//! A group without a JSON section (a layer's own stats struct) names
-//! only the first. A field may itself be a declared group; it then
-//! merges by its own rules.
 
 use crate::json::{Json, JsonError};
 
@@ -182,15 +178,14 @@ pub fn opt<T: JsonField>(v: &Json, section: &str, key: &str) -> Result<T, JsonEr
 /// assert_eq!(ExampleCounters::from_json(&json, "example").unwrap(), a);
 /// ```
 ///
-/// Leaving out the parse rule (`[sum]`) declares a group with no
-/// JSON section. Generated structs derive `Debug`, `Clone`, `Copy`,
-/// `Default` and `PartialEq`, and every field is `pub`.
+/// Generated structs derive `Debug`, `Clone`, `Copy`, `Default` and
+/// `PartialEq`, and every field is `pub`.
 #[macro_export]
 macro_rules! counters {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
-            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident] ),* $(,)?
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident, $parse:ident] ),* $(,)?
         }
     ) => {
         $(#[$meta])*
@@ -204,6 +199,24 @@ macro_rules! counters {
             /// each field by its declared merge rule.
             pub fn merge(&mut self, other: &$name) {
                 $( $crate::Counter::$merge(&mut self.$field, &other.$field); )*
+            }
+
+            /// The group as a JSON object, fields in declaration order.
+            pub fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj(vec![
+                    $( (stringify!($field), $crate::counters::JsonField::to_json(&self.$field)), )*
+                ])
+            }
+
+            /// Reads the group from the `section` object of the report
+            /// `v`, each field by its declared parse rule.
+            ///
+            /// # Errors
+            /// A required field is missing or mistyped.
+            pub fn from_json(v: &$crate::Json, section: &str) -> Result<$name, $crate::JsonError> {
+                Ok($name {
+                    $( $field: $crate::counters::$parse(v, section, stringify!($field))?, )*
+                })
             }
         }
 
@@ -220,39 +233,6 @@ macro_rules! counters {
             fn from_words(words: &mut impl Iterator<Item = u64>) -> Option<Self> {
                 Some($name {
                     $( $field: $crate::Counter::from_words(words)?, )*
-                })
-            }
-        }
-    };
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $( $(#[$fmeta:meta])* $field:ident : $ty:ty [$merge:ident, $parse:ident] ),* $(,)?
-        }
-    ) => {
-        $crate::counters! {
-            $(#[$meta])*
-            pub struct $name {
-                $( $(#[$fmeta])* $field: $ty [$merge], )*
-            }
-        }
-
-        impl $name {
-            /// The group as a JSON object, fields in declaration order.
-            pub fn to_json(&self) -> $crate::Json {
-                $crate::Json::obj(vec![
-                    $( (stringify!($field), $crate::counters::JsonField::to_json(&self.$field)), )*
-                ])
-            }
-
-            /// Reads the group from the `section` object of the report
-            /// `v`, each field by its declared parse rule.
-            ///
-            /// # Errors
-            /// A required field is missing or mistyped.
-            pub fn from_json(v: &$crate::Json, section: &str) -> Result<$name, $crate::JsonError> {
-                Ok($name {
-                    $( $field: $crate::counters::$parse(v, section, stringify!($field))?, )*
                 })
             }
         }

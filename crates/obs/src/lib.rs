@@ -45,5 +45,5 @@ pub use recorder::{
 };
 pub use report::{
     CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, MemCounters,
-    PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, WaitCounters, PROBE_HIST_BUCKETS,
+    PhasePeaks, PhaseTimes, RankReport, ShuffleCounters, PROBE_HIST_BUCKETS,
 };

@@ -10,27 +10,29 @@
 //! Each section is one [`counters!`](crate::counters!) declaration
 //! below: the field list, with each field's merge and parse rule, is
 //! written once and generates the struct, `merge` and the JSON section.
-//! Every crate of the stack depends on this one, so a layer whose
-//! counters have this shape — the grouping engine, the
-//! cache — uses the section's struct directly; only layers whose own
-//! stats differ in shape (pool sizes in `usize`, the shuffle's wait
-//! split, the transport's wait/work pair) convert, each with one
-//! function in the producing crate.
+//! Every crate of the stack depends on this one, so each layer counts
+//! straight into its section's struct — the transport into
+//! [`CommCounters`], the shuffle into [`ShuffleCounters`], the grouping
+//! engine into [`GroupCounters`], the cache into [`CacheCounters`]. Only
+//! the pool, whose sizes are `usize` and whose unlimited budget reads
+//! as 0, converts, with one function in `mimir-mem`.
 
 use crate::event::{Event, EventKind};
 use crate::json::{Json, JsonError};
 
 crate::counters! {
-    /// Point-to-point and collective communication counters (from
-    /// `mimir-mpi`'s `CommStats::counters`).
+    /// Communication counters, kept by `mimir-mpi`'s `Comm`. The
+    /// `wire_*` and `handshake_ns` fields stay zero on the in-process
+    /// transport (messages move by ownership, there is no wire) and count
+    /// frames, framed bytes and bootstrap time on the socket backend.
     pub struct CommCounters {
-        /// Point-to-point sends issued.
+        /// Messages sent (point-to-point and collective-internal).
         sends: u64 [sum, req],
-        /// Point-to-point receives completed.
+        /// Messages received.
         recvs: u64 [sum, req],
-        /// Payload bytes sent point-to-point.
+        /// Payload bytes sent.
         bytes_sent: u64 [sum, req],
-        /// Payload bytes received point-to-point.
+        /// Payload bytes received.
         bytes_recvd: u64 [sum, req],
         /// Collective operations participated in.
         collectives: u64 [sum, req],
@@ -56,6 +58,15 @@ crate::counters! {
         /// / accept / hello), reported once per rank by its world
         /// communicator.
         handshake_ns: u64 [sum, opt],
+        /// Nanoseconds blocked on peers at any transport blocking point
+        /// (`recv`, and the internal receives of every collective). Sends
+        /// never block on the eager transport, so this is all "waiting
+        /// for a peer"; it supersets the shuffle's `sync_wait_ns` and
+        /// `data_wait_ns` and the job's `barrier_wait_ns`.
+        wait_ns: u64 [sum, opt],
+        /// Nanoseconds of transport memcpy (the time behind
+        /// `bytes_copied`). Flat when a peer is slow; grows with volume.
+        work_ns: u64 [sum, opt],
     }
 }
 
@@ -81,7 +92,7 @@ crate::counters! {
 }
 
 crate::counters! {
-    /// Shuffle counters (from `mimir-core`'s `ShuffleStats::counters`).
+    /// Shuffle counters, kept by `mimir-core`'s `Shuffler`.
     /// Rounds are collective — every rank steps through the same ones —
     /// so they merge by max, as do the per-round receive high-water mark
     /// and the skew metrics (the cluster is as skewed as its most skewed
@@ -89,15 +100,15 @@ crate::counters! {
     pub struct ShuffleCounters {
         /// KVs pushed into the shuffle on this rank.
         kvs_emitted: u64 [sum, req],
-        /// Encoded bytes pushed into the shuffle.
+        /// Encoded bytes pushed into the shuffle (the "KV size" of paper
+        /// Figure 7).
         kv_bytes_emitted: u64 [sum, req],
         /// KVs drained out of the shuffle on this rank.
         kvs_received: u64 [sum, req],
         /// Exchange rounds this rank participated in.
         rounds: u64 [max, req],
-        /// KV payload bytes spilled to disk.
-        spilled_bytes: u64 [sum, req],
-        /// Encoded bytes landed in this rank's receive buffer.
+        /// Encoded bytes landed in this rank's receive buffer (the rank's
+        /// own partition included).
         bytes_received: u64 [sum, opt],
         /// Largest single-round receive total — must stay ≤ the receive
         /// buffer capacity (the Section III-B bound).
@@ -112,32 +123,12 @@ crate::counters! {
         /// permille (→1000 = everything to one destination; 0 = uniform,
         /// or the hottest destination under a buffer over fair).
         gini_permille: u64 [max, opt],
-    }
-}
-
-crate::counters! {
-    /// The wait-state taxonomy: where one rank's wall-clock went while
-    /// the transport was involved. Waits are *rank-nanoseconds blocked on
-    /// peers*; work is the transport's own memcpy/encode time. On a
-    /// merged report the values are cluster totals (sums), so the
-    /// interesting diagnosis signal is the *spread* across the per-rank
-    /// reports, which is why exporters keep per-rank lines.
-    pub struct WaitCounters {
-        /// Every nanosecond blocked at any transport blocking point (recv,
-        /// and the internal receives of all collectives). Supersets the
-        /// attributed categories below.
-        total_wait_ns: u64 [sum, opt],
-        /// Transport memcpy/encode nanoseconds (the time behind
-        /// `comm.bytes_copied`). Flat under stragglers; grows with volume.
-        total_work_ns: u64 [sum, opt],
-        /// Blocked in shuffle done-votes — straggler-bound wait: some rank
-        /// was still mapping/draining when this one entered the round.
+        /// Nanoseconds blocked in the rounds' done-votes — straggler-bound
+        /// wait: some peer was still mapping or draining.
         sync_wait_ns: u64 [sum, opt],
-        /// Blocked completing shuffle partition receives — byte-bound
-        /// wait: peers were still pushing payload.
+        /// Nanoseconds blocked receiving the rounds' partitions —
+        /// byte-bound wait: peers were still pushing data.
         data_wait_ns: u64 [sum, opt],
-        /// Blocked in the phase barriers at aggregate/reduce boundaries.
-        barrier_wait_ns: u64 [sum, opt],
     }
 }
 
@@ -254,6 +245,9 @@ crate::counters! {
         kvs_out: u64 [sum, req],
         /// Node-pool high-water mark at job end.
         node_peak_bytes: u64 [max, req],
+        /// Nanoseconds blocked in the phase barriers at the
+        /// aggregate/reduce boundaries.
+        barrier_wait_ns: u64 [sum, opt],
     }
 }
 
@@ -318,8 +312,6 @@ pub struct RankReport {
     pub mem: MemCounters,
     /// Shuffle counters.
     pub shuffle: ShuffleCounters,
-    /// Wait-state attribution: where this rank's transport time went.
-    pub waits: WaitCounters,
     /// Grouping-engine counters.
     pub group: GroupCounters,
     /// Per-phase wall-clock times.
@@ -358,7 +350,6 @@ impl RankReport {
         self.comm.merge(&other.comm);
         self.mem.merge(&other.mem);
         self.shuffle.merge(&other.shuffle);
-        self.waits.merge(&other.waits);
         self.group.merge(&other.group);
         self.times.merge(&other.times);
         self.peaks.merge(&other.peaks);
@@ -397,7 +388,6 @@ impl RankReport {
             ("comm", self.comm.to_json()),
             ("mem", self.mem.to_json()),
             ("shuffle", self.shuffle.to_json()),
-            ("waits", self.waits.to_json()),
             ("group", self.group.to_json()),
             ("times", self.times.to_json()),
             ("peaks", self.peaks.to_json()),
@@ -413,9 +403,9 @@ impl RankReport {
     /// follow their declared parse rules; the keyed cache-name records
     /// postdate the first release and parse leniently. A section this
     /// build no longer writes (a retired one, such as the job service's
-    /// `jobs`) is ignored, and an event whose kind code this build does
-    /// not know — a retired kind — is skipped, as the JSON-lines ingest
-    /// skips unknown kind names.
+    /// `jobs` or the wait split's `waits`) is ignored, and an event whose
+    /// kind code this build does not know — a retired kind — is skipped,
+    /// as the JSON-lines ingest skips unknown kind names.
     ///
     /// # Errors
     /// Missing or mistyped required fields, or a malformed event.
@@ -468,7 +458,6 @@ impl RankReport {
             comm: CommCounters::from_json(v, "comm")?,
             mem: MemCounters::from_json(v, "mem")?,
             shuffle: ShuffleCounters::from_json(v, "shuffle")?,
-            waits: WaitCounters::from_json(v, "waits")?,
             group: GroupCounters::from_json(v, "group")?,
             times: PhaseTimes::from_json(v, "times")?,
             peaks: PhasePeaks::from_json(v, "peaks")?,
@@ -518,6 +507,8 @@ mod tests {
                 wire_frames_recvd: 11,
                 wire_recv_allocs: 2,
                 handshake_ns: 5000 + rank,
+                wait_ns: 90_000 + rank,
+                work_ns: 8_000,
             },
             mem: MemCounters {
                 pages_allocated: 8,
@@ -532,19 +523,13 @@ mod tests {
                 kv_bytes_emitted: 800,
                 kvs_received: 100,
                 rounds: 2 + rank,
-                spilled_bytes: 256 + rank,
                 bytes_received: 850,
                 max_round_recv_bytes: 400 + rank,
                 max_dest_bytes: 600 + rank,
                 imbalance_permille: 1000 + 100 * rank,
                 gini_permille: 50 * rank,
-            },
-            waits: WaitCounters {
-                total_wait_ns: 90_000 + rank,
-                total_work_ns: 8_000,
                 sync_wait_ns: 60_000 * (rank + 1),
                 data_wait_ns: 20_000,
-                barrier_wait_ns: 10_000,
             },
             group: GroupCounters {
                 inserts: 200 * (rank + 1),
@@ -571,6 +556,7 @@ mod tests {
                 unique_keys: 50,
                 kvs_out: 50,
                 node_peak_bytes: 1 << 20,
+                barrier_wait_ns: 10_000,
             },
             cache: CacheCounters {
                 hits: 6 + rank,
@@ -614,7 +600,7 @@ mod tests {
         assert_eq!(a.mem.peak_bytes, 1 << 20, "peaks take the max");
         assert_eq!(a.mem.oom_events, 1, "oom events sum");
         assert_eq!(
-            a.waits.sync_wait_ns,
+            a.shuffle.sync_wait_ns,
             60_000 + 120_000,
             "waits sum into cluster rank-nanoseconds"
         );
@@ -647,7 +633,7 @@ mod tests {
         right.merge(&pair);
         assert_eq!(left.comm, right.comm);
         assert_eq!(left.shuffle, right.shuffle);
-        assert_eq!(left.waits, right.waits);
+        assert_eq!(left.job, right.job);
         assert_eq!(left.mem, right.mem);
         assert_eq!(left.peaks, right.peaks);
         assert_eq!(left.ranks, right.ranks);

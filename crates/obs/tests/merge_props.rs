@@ -162,18 +162,18 @@ fn merge_sums_waits_and_maxes_skew() {
     // Spot-check the new diagnosis counters against hand arithmetic, so
     // the property tests can't both be fooled by a sign-flip.
     let mut a = RankReport::new(0);
-    a.waits.sync_wait_ns = 100;
-    a.waits.barrier_wait_ns = 7;
+    a.shuffle.sync_wait_ns = 100;
+    a.job.barrier_wait_ns = 7;
     a.shuffle.imbalance_permille = 1200;
     a.shuffle.gini_permille = 300;
     a.mem.oom_events = 1;
     let mut b = RankReport::new(1);
-    b.waits.sync_wait_ns = 50;
+    b.shuffle.sync_wait_ns = 50;
     b.shuffle.imbalance_permille = 3000;
     b.shuffle.gini_permille = 100;
     a.merge(&b);
-    assert_eq!(a.waits.sync_wait_ns, 150);
-    assert_eq!(a.waits.barrier_wait_ns, 7);
+    assert_eq!(a.shuffle.sync_wait_ns, 150);
+    assert_eq!(a.job.barrier_wait_ns, 7);
     assert_eq!(a.shuffle.imbalance_permille, 3000);
     assert_eq!(a.shuffle.gini_permille, 300);
     assert_eq!(a.mem.oom_events, 1);

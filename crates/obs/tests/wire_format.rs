@@ -10,7 +10,7 @@
 use mimir_obs::{
     chrome_trace_string, jsonl_string, CacheCounters, CacheNameRecord, CommCounters, Event,
     EventKind, GroupCounters, JobCounters, Json, MemCounters, PhasePeaks, PhaseTimes, RankReport,
-    ShuffleCounters, WaitCounters,
+    ShuffleCounters,
 };
 
 /// A report with every counter non-zero and distinct (so a swapped or
@@ -34,6 +34,8 @@ fn report(rank: u64) -> RankReport {
             wire_frames_recvd: 111 * k,
             wire_recv_allocs: 112 * k,
             handshake_ns: 113 * k,
+            wait_ns: 401 * k,
+            work_ns: 402 * k,
         },
         mem: MemCounters {
             pages_allocated: 201 * k,
@@ -48,19 +50,13 @@ fn report(rank: u64) -> RankReport {
             kv_bytes_emitted: 302 * k,
             kvs_received: 303 * k,
             rounds: 304 * k,
-            spilled_bytes: 305 * k,
             bytes_received: 306 * k,
             max_round_recv_bytes: 307 * k,
             max_dest_bytes: 308 * k,
             imbalance_permille: 309 * k,
             gini_permille: 310 * k,
-        },
-        waits: WaitCounters {
-            total_wait_ns: 401 * k,
-            total_work_ns: 402 * k,
             sync_wait_ns: 403 * k,
             data_wait_ns: 404 * k,
-            barrier_wait_ns: 405 * k,
         },
         group: GroupCounters {
             inserts: 501 * k,
@@ -87,6 +83,7 @@ fn report(rank: u64) -> RankReport {
             unique_keys: 901 * k,
             kvs_out: 902 * k,
             node_peak_bytes: 903 * k,
+            barrier_wait_ns: 405 * k,
         },
         cache: CacheCounters {
             hits: 1001 * k,
@@ -195,15 +192,25 @@ fn pinned_bytes_parse_back_to_the_fixture() {
 
 /// Reports written before the adaptive shuffle was retired carry an
 /// `adapt` section, reports written before the live telemetry plane was
-/// retired carry a `live` section, and reports written before the job
-/// service was retired carry a `jobs` section; each is ignored on load,
-/// and everything else in those files reads back unchanged.
+/// retired carry a `live` section, reports written before the job
+/// service was retired carry a `jobs` section, and every one of them
+/// carries the `waits` section whose five counters now live in `comm`,
+/// `shuffle` and `job`. Each retired section is ignored on load, so the
+/// five moved counters read as zero from those files, and everything
+/// else reads back unchanged.
 #[test]
 fn reports_with_a_retired_adapt_section_still_parse() {
+    let mut want = reports();
+    for r in &mut want {
+        (r.comm.wait_ns, r.comm.work_ns) = (0, 0);
+        (r.shuffle.sync_wait_ns, r.shuffle.data_wait_ns) = (0, 0);
+        r.job.barrier_wait_ns = 0;
+    }
     for (text, section, open) in [
         (include_str!("golden/reports_with_adapt.json"), "adapt", "{"),
         (include_str!("golden/reports_with_live.json"), "live", "{"),
         (include_str!("golden/reports_with_jobs.json"), "jobs", "[{"),
+        (include_str!("golden/reports_with_waits.json"), "waits", "{"),
     ] {
         assert!(
             text.contains(&format!("\"{section}\":{open}")),
@@ -213,7 +220,7 @@ fn reports_with_a_retired_adapt_section_still_parse() {
             .lines()
             .map(|l| RankReport::from_json_string(l).unwrap())
             .collect();
-        assert_eq!(back, reports(), "with a retired `{section}` section");
+        assert_eq!(back, want, "with a retired `{section}` section");
     }
 }
 
@@ -288,6 +295,8 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("comm.wire_frames_recvd", true),
     ("comm.wire_recv_allocs", true),
     ("comm.handshake_ns", true),
+    ("comm.wait_ns", true),
+    ("comm.work_ns", true),
     ("mem", false),
     ("mem.pages_allocated", false),
     ("mem.pages_recycled", false),
@@ -300,18 +309,13 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("shuffle.kv_bytes_emitted", false),
     ("shuffle.kvs_received", false),
     ("shuffle.rounds", false),
-    ("shuffle.spilled_bytes", false),
     ("shuffle.bytes_received", true),
     ("shuffle.max_round_recv_bytes", true),
     ("shuffle.max_dest_bytes", true),
     ("shuffle.imbalance_permille", true),
     ("shuffle.gini_permille", true),
-    ("waits", true),
-    ("waits.total_wait_ns", true),
-    ("waits.total_work_ns", true),
-    ("waits.sync_wait_ns", true),
-    ("waits.data_wait_ns", true),
-    ("waits.barrier_wait_ns", true),
+    ("shuffle.sync_wait_ns", true),
+    ("shuffle.data_wait_ns", true),
     ("group", true),
     ("group.inserts", true),
     ("group.probes", true),
@@ -334,6 +338,7 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("job.unique_keys", false),
     ("job.kvs_out", false),
     ("job.node_peak_bytes", false),
+    ("job.barrier_wait_ns", true),
     ("cache", true),
     ("cache.hits", true),
     ("cache.misses", true),

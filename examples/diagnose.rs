@@ -8,8 +8,7 @@
 //! The example exits nonzero when either half of that does not hold.
 //! The skewed run is additionally flow-traced (shared-epoch recorders,
 //! flow ids on every message), so the doctor measures its critical path
-//! instead of guessing the straggler, and the per-segment breakdown is
-//! printed. The control stays untraced: its story is the byte-counter
+//! from happens-before edges, and the per-segment breakdown is printed. The control stays untraced: its story is the byte-counter
 //! contrast, and on a time-sliced machine a measured path would honestly
 //! (but distractingly) name whichever rank the scheduler starved.
 //!
@@ -28,8 +27,8 @@ const RANKS: usize = 4;
 const CORPUS_BYTES: usize = 256 * 1024;
 
 /// Maps a corpus, shuffles raw `(word, 1)` pairs, and returns per-rank
-/// reports carrying the shuffle skew and wait counters plus the flow
-/// event timeline the critical-path engine consumes.
+/// reports carrying every layer's counters plus the flow event timeline
+/// the critical-path engine consumes.
 fn run_wordcount(corpus: impl Fn(usize) -> Vec<u8> + Send + Sync, traced: bool) -> Vec<RankReport> {
     // One epoch for the whole world: cross-rank timestamps (and thus
     // flow edges) are only comparable against a shared clock.
@@ -58,24 +57,14 @@ fn run_wordcount(corpus: impl Fn(usize) -> Vec<u8> + Send + Sync, traced: bool) 
             .collect()
             .expect("wordcount shuffle");
 
-        let s = &out.stats;
         let mut r = RankReport::new(rank);
-        r.ranks = RANKS as u64;
+        r.comm = ctx.comm().stats();
+        r.mem = ctx.pool().stats().counters();
+        out.stats.fill_report(&mut r);
         if let Some(rec) = mimir_obs::take() {
             r.events = rec.events();
             r.events_dropped = rec.dropped();
         }
-        r.shuffle.kvs_emitted = s.shuffle.kvs_emitted;
-        r.shuffle.kv_bytes_emitted = s.shuffle.kv_bytes_emitted;
-        r.shuffle.kvs_received = s.shuffle.kvs_received;
-        r.shuffle.bytes_received = s.shuffle.bytes_received;
-        r.shuffle.max_dest_bytes = s.shuffle.max_dest_bytes;
-        r.shuffle.imbalance_permille = s.shuffle.imbalance_permille;
-        r.shuffle.gini_permille = s.shuffle.gini_permille;
-        r.waits.sync_wait_ns = s.shuffle.sync_wait_ns;
-        r.waits.data_wait_ns = s.shuffle.data_wait_ns;
-        r.waits.barrier_wait_ns = s.barrier_wait_ns;
-        r.times.map_s = s.map_time.as_secs_f64();
         r
     })
 }

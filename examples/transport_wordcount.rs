@@ -13,7 +13,8 @@
 //! on the same rank with the same count.
 
 use mimir::prelude::*;
-use mimir_mpi::{run_world_on, CommStats, TransportKind};
+use mimir_mpi::{run_world_on, TransportKind};
+use mimir_obs::CommCounters;
 
 const RANKS: usize = 4;
 
@@ -22,7 +23,7 @@ fn main() {
     let corpus = UniformWords::new(7);
 
     // (rank digest of sorted word:count records, comm stats).
-    let per_rank: Vec<(u64, CommStats)> = run_world_on(kind, RANKS, move |comm| {
+    let per_rank: Vec<(u64, CommCounters)> = run_world_on(kind, RANKS, move |comm| {
         let rank = comm.rank();
         let text = corpus.generate(rank, RANKS, 128 * 1024);
         // Each rank owns its pool: under UDS ranks are separate
@@ -48,14 +49,14 @@ fn main() {
     });
 
     println!("transport: {}", kind.name());
-    let mut total = CommStats::default();
+    let mut total = CommCounters::default();
     for (rank, (digest, stats)) in per_rank.iter().enumerate() {
         println!("rank {rank}: digest {digest:016x}");
         total.merge(stats);
     }
     println!(
         "comm: {} msgs, {} B payload; wire: {} frames, {} B, handshake {:.2} ms",
-        total.msgs_sent,
+        total.sends,
         total.bytes_sent,
         total.wire_frames_sent,
         total.wire_bytes_sent,

@@ -30,7 +30,8 @@ fn traced_wordcount_reports() -> Vec<RankReport> {
     let out = run_world(RANKS, move |comm| {
         let rank = comm.rank();
         mimir_obs::install(Recorder::with_epoch(rank, 16 * 1024, epoch));
-        let m = {
+        let mut report = RankReport::new(rank);
+        {
             let pool = MemPool::unlimited("trace", 16 * 1024);
             let mut ctx = MimirContext::new(
                 comm,
@@ -45,11 +46,10 @@ fn traced_wordcount_reports() -> Vec<RankReport> {
             .unwrap();
             let t = text(rank);
             let (_, m) = wordcount_mimir(&mut ctx, &t, &WcOptions::default()).unwrap();
-            m
-        };
-        let mut report = RankReport::new(rank);
-        report.shuffle.kvs_emitted = m.kvs_emitted;
-        report.shuffle.rounds = m.exchange_rounds;
+            report.comm = ctx.comm().stats();
+            report.mem = ctx.pool().stats().counters();
+            m.job.fill_report(&mut report);
+        }
         let rec = mimir_obs::take().expect("recorder installed above");
         report.events = rec.events().to_vec();
         report.events_dropped = rec.dropped();
