@@ -169,10 +169,7 @@ pub fn bfs_mimir(
         Ok(())
     };
     let (adj, stats) = ctx.job().kv_meta(meta).map(&mut part_map).group()?;
-    metrics.kv_bytes += stats.shuffle.kv_bytes_emitted;
-    metrics.kvs_emitted += stats.shuffle.kvs_emitted;
-    metrics.exchange_rounds += stats.shuffle.rounds;
-    metrics.job.merge(&stats);
+    metrics.add_stage(&stats);
 
     // --- Stage 2: level-synchronous traversal (iterative map-only), ----
     // chained through the cross-job cache. The root's owner claims it
@@ -198,7 +195,7 @@ pub fn bfs_mimir(
         .output_cached(FRONTIER)
         .map(&mut seed_map)
         .collect()?;
-    metrics.job.merge(&out.stats);
+    metrics.add_stage(&out.stats);
 
     let mut depth = 0u32;
     let compress = opts.compress;
@@ -240,10 +237,7 @@ pub fn bfs_mimir(
             .shuffle_elision(false)
             .arrival_filter(&mut claim)
             .collect()?;
-        metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
-        metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
-        metrics.exchange_rounds += out.stats.shuffle.rounds;
-        metrics.job.merge(&out.stats);
+        metrics.add_stage(&out.stats);
 
         // The job's output is exactly this rank's newly claimed vertices.
         if ctx.allreduce_sum(out.stats.kvs_out) == 0 {
@@ -298,8 +292,6 @@ pub fn bfs_mrmpi(
             }
             Ok(())
         })?;
-        metrics.kv_bytes += mr.kv_bytes();
-        metrics.kvs_emitted += mr.kv_count();
         mr.aggregate()?;
         mr.scan(|k, v| {
             adj.entry(typed::dec_u64(k))
@@ -309,8 +301,7 @@ pub fn bfs_mrmpi(
         })?;
         let s = mr.stats();
         metrics.spilled |= s.spilled;
-        metrics.exchange_rounds += s.exchange_rounds;
-        metrics.job.merge(&crate::job_stats_from_mr(&s));
+        metrics.add_stage(&crate::job_stats_from_mr(&s));
     }
 
     let mut parents: HashMap<u64, u64> = HashMap::new();
@@ -346,8 +337,6 @@ pub fn bfs_mrmpi(
                 }
                 Ok(())
             })?;
-            metrics.kv_bytes += mr.kv_bytes();
-            metrics.kvs_emitted += mr.kv_count();
             if opts.compress {
                 mr.compress(keep_first)?;
             }
@@ -362,8 +351,7 @@ pub fn bfs_mrmpi(
             })?;
             let s = mr.stats();
             metrics.spilled |= s.spilled;
-            metrics.exchange_rounds += s.exchange_rounds;
-            metrics.job.merge(&crate::job_stats_from_mr(&s));
+            metrics.add_stage(&crate::job_stats_from_mr(&s));
         }
 
         frontier = next;

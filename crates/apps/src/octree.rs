@@ -259,10 +259,7 @@ pub fn octree_mimir(
                 em.emit(k, &typed::enc_u64(vals.map(typed::dec_u64).sum()))
             })?
         };
-        metrics.kv_bytes += out.stats.shuffle.kv_bytes_emitted;
-        metrics.kvs_emitted += out.stats.shuffle.kvs_emitted;
-        metrics.exchange_rounds += out.stats.shuffle.rounds;
-        metrics.job.merge(&out.stats);
+        metrics.add_stage(&out.stats);
         metrics.iterations += 1;
         let mut reduced = Vec::new();
         out.output.drain(|k, v| {
@@ -299,8 +296,6 @@ pub fn octree_mrmpi(
         let mut mr = MapReduce::new(comm, pool.clone(), inner_store, cfg);
         let one = typed::enc_u64(1);
         mr.map(|em| map_level(points, level, active, |k| em.emit(k, &one)))?;
-        metrics.kv_bytes += mr.kv_bytes();
-        metrics.kvs_emitted += mr.kv_count();
         if opts.compress {
             mr.compress(sum_u64)?;
         }
@@ -314,8 +309,7 @@ pub fn octree_mrmpi(
         })?;
         let s = mr.stats();
         metrics.spilled |= s.spilled;
-        metrics.exchange_rounds += s.exchange_rounds;
-        metrics.job.merge(&crate::job_stats_from_mr(&s));
+        metrics.add_stage(&crate::job_stats_from_mr(&s));
         metrics.iterations += 1;
         Ok(reduced)
     };

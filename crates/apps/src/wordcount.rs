@@ -106,16 +106,13 @@ pub fn wordcount_mimir(
         counts.push((k.to_vec(), typed::dec_u64(v)));
         Ok(())
     })?;
-    let metrics = RunMetrics {
+    let mut metrics = RunMetrics {
         wall: t0.elapsed(),
         node_peak: ctx.pool().peak(),
-        kv_bytes: out.stats.shuffle.kv_bytes_emitted,
-        kvs_emitted: out.stats.shuffle.kvs_emitted,
-        spilled: false,
-        exchange_rounds: out.stats.shuffle.rounds,
         iterations: 1,
-        job: out.stats,
+        ..RunMetrics::default()
     };
+    metrics.add_stage(&out.stats);
     Ok((counts, metrics))
 }
 
@@ -142,8 +139,6 @@ pub fn wordcount_mrmpi(
         }
         Ok(())
     })?;
-    let kv_bytes = mr.kv_bytes();
-    let kvs = mr.kv_count();
     if compress {
         mr.compress(sum_u64)?;
     }
@@ -160,16 +155,14 @@ pub fn wordcount_mrmpi(
         Ok(())
     })?;
     let stats = mr.stats();
-    let metrics = RunMetrics {
+    let mut metrics = RunMetrics {
         wall: t0.elapsed(),
         node_peak: pool.peak(),
-        kv_bytes,
-        kvs_emitted: kvs,
         spilled: stats.spilled,
-        exchange_rounds: stats.exchange_rounds,
         iterations: 1,
-        job: crate::job_stats_from_mr(&stats),
+        ..RunMetrics::default()
     };
+    metrics.add_stage(&crate::job_stats_from_mr(&stats));
     Ok((counts, metrics))
 }
 

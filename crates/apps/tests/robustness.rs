@@ -3,7 +3,7 @@
 //! inputs are handled.
 
 use mimir_apps::bfs::{bfs_mrmpi, bfs_serial, pick_root, BfsOptions};
-use mimir_apps::octree::{octree_mrmpi, octree_serial, OcOptions};
+use mimir_apps::octree::{octree_mimir, octree_mrmpi, octree_serial, OcOptions};
 use mimir_apps::validate::validate_bfs_tree;
 use mimir_apps::RunMetrics;
 use mimir_core::{MimirConfig, MimirContext};
@@ -90,36 +90,42 @@ fn spilled_bfs_tree_is_valid() {
     );
 }
 
+/// `add_stage` folds stages in sequence: rounds, times, waits and
+/// traffic add up, peaks take the max, and the surface scalars follow
+/// the folded shuffle.
 #[test]
 fn metrics_absorb_composes() {
-    let mut a = RunMetrics {
-        wall: std::time::Duration::from_millis(10),
-        node_peak: 100,
-        kv_bytes: 5,
-        kvs_emitted: 2,
-        spilled: false,
-        exchange_rounds: 1,
-        iterations: 1,
-        ..RunMetrics::default()
+    use mimir_core::JobStats;
+    use mimir_obs::ShuffleCounters;
+    use std::time::Duration;
+    let stage = |ms, peak, bytes, kvs, rounds, max_round| JobStats {
+        map_time: Duration::from_millis(ms),
+        reduce_time: Duration::from_millis(1),
+        shuffle: ShuffleCounters {
+            kvs_emitted: kvs,
+            kv_bytes_emitted: bytes,
+            rounds,
+            max_round_recv_bytes: max_round,
+            sync_wait_ns: 10,
+            ..ShuffleCounters::default()
+        },
+        node_peak_bytes: peak,
+        map_peak_bytes: peak,
+        barrier_wait_ns: 5,
+        ..JobStats::default()
     };
-    let b = RunMetrics {
-        wall: std::time::Duration::from_millis(7),
-        node_peak: 300,
-        kv_bytes: 10,
-        kvs_emitted: 3,
-        spilled: true,
-        exchange_rounds: 2,
-        iterations: 4,
-        ..RunMetrics::default()
-    };
-    a.absorb(&b);
-    assert_eq!(a.wall, std::time::Duration::from_millis(17));
-    assert_eq!(a.node_peak, 300, "peak is max, not sum");
-    assert_eq!(a.kv_bytes, 15);
-    assert_eq!(a.kvs_emitted, 5);
-    assert!(a.spilled);
-    assert_eq!(a.exchange_rounds, 3);
-    assert_eq!(a.iterations, 5);
+    let mut m = RunMetrics::default();
+    m.add_stage(&stage(10, 100, 5, 2, 1, 64));
+    m.add_stage(&stage(7, 300, 10, 3, 2, 32));
+    assert_eq!(m.job.map_time, Duration::from_millis(17), "times add up");
+    assert_eq!(m.job.reduce_time, Duration::from_millis(2));
+    assert_eq!(m.job.node_peak_bytes, 300, "peak is max, not sum");
+    assert_eq!(m.job.map_peak_bytes, 300);
+    assert_eq!(m.job.shuffle.max_round_recv_bytes, 64);
+    assert_eq!(m.job.shuffle.sync_wait_ns, 20, "waits add up");
+    assert_eq!(m.job.barrier_wait_ns, 10);
+    assert_eq!(m.job.shuffle.rounds, 3, "rounds add up across stages");
+    assert_eq!((m.kv_bytes, m.kvs_emitted, m.exchange_rounds), (15, 5, 3));
 }
 
 #[test]
@@ -152,4 +158,56 @@ fn pick_root_with_empty_local_edges() {
         pick_root(comm, &edges)
     });
     assert_eq!(roots, vec![42, 42, 42]);
+}
+
+/// A multi-level octree run reports its levels folded in sequence: the
+/// report's round count is the run's, not its largest level's, and its
+/// map time covers every level's map phase, read back from the level's
+/// recorded Map-to-Aggregate span.
+#[test]
+fn octree_report_folds_its_levels() {
+    use mimir_obs::{EventKind, Phase, RankReport, Recorder};
+    let out = run_world(2, |comm| {
+        mimir_obs::install(Recorder::new(comm.rank(), 1 << 16));
+        let points = PointGen {
+            sigma: 0.1,
+            seed: 7,
+        }
+        .generate(comm.rank(), 2, 5_000);
+        let pool = MemPool::unlimited("node", 64 * 1024);
+        let mut ctx =
+            MimirContext::new(comm, pool, IoModel::free(), MimirConfig::default()).unwrap();
+        let (_, m) = octree_mimir(&mut ctx, &points, &OcOptions::default()).unwrap();
+        let rec = mimir_obs::take().unwrap();
+        assert_eq!(rec.dropped(), 0, "the ring holds the whole run");
+        let mut report = RankReport::new(ctx.rank());
+        m.job.fill_report(&mut report);
+        (m, report, rec.events().to_vec())
+    });
+    for (m, report, events) in out {
+        assert!(m.iterations > 1, "a multi-level run");
+        assert_eq!(report.shuffle.rounds, m.exchange_rounds);
+        let mut levels_ns = Vec::new();
+        let mut open = None;
+        for e in &events {
+            match (e.kind, Phase::from_code(e.a)) {
+                (EventKind::PhaseBegin, Some(Phase::Map)) => open = Some(e.t_ns),
+                (EventKind::PhaseEnd, Some(Phase::Aggregate)) => {
+                    levels_ns.push(e.t_ns - open.take().expect("map span open"));
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(
+            levels_ns.len() as u32,
+            m.iterations,
+            "one map phase a level"
+        );
+        let total_s = levels_ns.iter().sum::<u64>() as f64 / 1e9;
+        assert!(
+            report.times.map_s >= total_s,
+            "map_s {} < the levels' {total_s} s ({levels_ns:?})",
+            report.times.map_s
+        );
+    }
 }

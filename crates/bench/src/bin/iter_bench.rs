@@ -212,7 +212,7 @@ fn run_shape(shape: Shape, cold_first: bool) -> Attempt {
             })
             .collect()
             .unwrap();
-        metrics.job.merge(&seed.stats);
+        metrics.add_stage(&seed.stats);
         let mut cached_s = Vec::with_capacity(shape.iters);
         for _ in 0..shape.iters {
             let t0 = Instant::now();
@@ -229,7 +229,7 @@ fn run_shape(shape: Shape, cold_first: bool) -> Attempt {
                 })
                 .partial_reduce(Box::new(combine))
                 .unwrap();
-            metrics.job.merge(&out.stats);
+            metrics.add_stage(&out.stats);
             cached_s.push(t0.elapsed().as_secs_f64());
         }
         let cached_final = ctx

@@ -1,12 +1,11 @@
 //! # mimir-bench — figure-reproduction harnesses
 //!
 //! One binary per table/figure of the paper's evaluation (Section IV),
-//! the gated benches, and a plain-harness ablation bench. Each figure
-//! binary is a table of platform, series and x values: [`sweep()`] runs
-//! every series at every x value through the one [`run`] and assembles
-//! the [`Figure`] the binary prints and writes as JSON. The gated
-//! benches share [`harness`]. See EXPERIMENTS.md for paper-vs-measured
-//! notes.
+//! and the gated benches. Each figure binary is a table of platform,
+//! series and x values: [`sweep()`] runs every series at every x value
+//! through the one [`run`] and assembles the [`Figure`] the binary
+//! prints and writes as JSON. The gated benches share [`harness`]. See
+//! EXPERIMENTS.md for paper-vs-measured notes.
 //!
 //! All sizes follow the scaling convention in DESIGN.md: the paper's GB
 //! become MB (÷1024), node memory and page sizes scale alike, so the

@@ -93,7 +93,7 @@ impl TraceSession {
 
 /// Assembles one rank's [`RankReport`] from the stats each layer kept:
 /// communication counters from the world, pool counters from the node
-/// pool, shuffle/job counters from the run's merged [`RunMetrics`], and
+/// pool, shuffle/job counters from the run's [`RunMetrics`], and
 /// the rank's trace events from the recorder (taken, so a later run can
 /// install a fresh one).
 pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
@@ -101,11 +101,6 @@ pub fn build_report(comm: &Comm, pool: &MemPool, m: &RunMetrics) -> RankReport {
     report.comm = comm.stats();
     report.mem = pool.stats().counters();
     m.job.fill_report(&mut report);
-    // A multi-stage run folds its stages' job stats with the cross-rank
-    // merge, which keeps the largest stage's round count; the run's own
-    // count is the sum over its stages.
-    report.shuffle.rounds = m.exchange_rounds;
-    report.job.node_peak_bytes = report.job.node_peak_bytes.max(m.node_peak as u64);
     if let Some(rec) = mimir_obs::take() {
         report.events = rec.events().to_vec();
         report.events_dropped = rec.dropped();

@@ -78,34 +78,19 @@ impl<'w> MimirContext<'w> {
         self.cache.entry_snapshots()
     }
 
-    /// Whether `name` is currently cached (resident or spilled). Local;
-    /// does not count toward hit/miss statistics.
-    pub fn cache_contains(&self, name: &str) -> bool {
-        self.cache.contains(name)
-    }
-
-    /// Reads the named cached container without consuming it, reloading
-    /// it from spill first if it was evicted.
+    /// Reads the named cached container without consuming it.
     ///
     /// # Errors
-    /// [`crate::MimirError::Cache`] for an unknown name; reload failures.
+    /// [`crate::MimirError::Cache`] for an unknown name; `f`'s error.
     pub fn with_cached<R>(
         &mut self,
         name: &str,
         f: impl FnOnce(&KvContainer) -> Result<R>,
     ) -> Result<R> {
-        self.cache.with_resident(name, &self.pool, f)
+        self.cache.with_entry(name, &self.pool, f)
     }
 
-    /// Forces the named entry out to spill (tests and pressure drills).
-    ///
-    /// # Errors
-    /// Spill I/O failures.
-    pub fn cache_evict(&mut self, name: &str) -> Result<Option<u64>> {
-        self.cache.evict(name, &self.io)
-    }
-
-    /// Drops the named cache entry, freeing its pages or spill file.
+    /// Drops the named cache entry, freeing its pages.
     pub fn cache_remove(&mut self, name: &str) {
         self.cache.remove(name);
     }
@@ -149,59 +134,6 @@ impl<'w> MimirContext<'w> {
         )?)
     }
 
-    /// Writes a job's output KVs to the simulated parallel file system as
-    /// one text part-file per rank (`part-<rank>` under `dir`), rendering
-    /// each KV with `fmt`. The container is consumed (pages freed as
-    /// written) and the write is charged to the I/O model — the standard
-    /// way a MapReduce job persists results.
-    ///
-    /// # Errors
-    /// Filesystem failures, or errors from draining the container.
-    pub fn write_text_output(
-        &self,
-        kvc: crate::KvContainer,
-        dir: &Path,
-        mut fmt: impl FnMut(&[u8], &[u8], &mut String),
-    ) -> Result<std::path::PathBuf> {
-        use std::io::Write;
-        std::fs::create_dir_all(dir).map_err(|e| {
-            crate::MimirError::Io(mimir_io::IoError::Os {
-                context: format!("creating output dir {dir:?}"),
-                source: e,
-            })
-        })?;
-        let path = dir.join(format!("part-{:05}", self.rank()));
-        let file = std::fs::File::create(&path).map_err(|e| {
-            crate::MimirError::Io(mimir_io::IoError::Os {
-                context: format!("creating output file {path:?}"),
-                source: e,
-            })
-        })?;
-        let mut w = std::io::BufWriter::new(file);
-        let mut line = String::new();
-        let mut written = 0usize;
-        kvc.drain(|k, v| {
-            line.clear();
-            fmt(k, v, &mut line);
-            line.push('\n');
-            written += line.len();
-            w.write_all(line.as_bytes()).map_err(|e| {
-                crate::MimirError::Io(mimir_io::IoError::Os {
-                    context: format!("writing output file {path:?}"),
-                    source: e,
-                })
-            })
-        })?;
-        w.flush().map_err(|e| {
-            crate::MimirError::Io(mimir_io::IoError::Os {
-                context: format!("flushing output file {path:?}"),
-                source: e,
-            })
-        })?;
-        self.io.charge_write(written);
-        Ok(path)
-    }
-
     /// Global synchronization across all ranks.
     pub fn barrier(&mut self) {
         self.comm.barrier();
@@ -210,11 +142,6 @@ impl<'w> MimirContext<'w> {
     /// Global sum across ranks.
     pub fn allreduce_sum(&mut self, value: u64) -> u64 {
         self.comm.allreduce_u64(mimir_mpi::ReduceOp::Sum, value)
-    }
-
-    /// Global max across ranks.
-    pub fn allreduce_max(&mut self, value: u64) -> u64 {
-        self.comm.allreduce_u64(mimir_mpi::ReduceOp::Max, value)
     }
 
     /// Direct access to the communicator for application-level messaging

@@ -97,9 +97,4 @@ impl MimirError {
     pub fn is_oom(&self) -> bool {
         matches!(self, MimirError::Mem(MemError::OutOfMemory { .. }))
     }
-
-    /// True when the job died because a peer rank's transport went away.
-    pub fn is_disconnected(&self) -> bool {
-        matches!(self, MimirError::Disconnected(_))
-    }
 }

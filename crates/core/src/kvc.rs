@@ -161,8 +161,8 @@ impl KvContainer {
     }
 
     /// Consumes the container a page at a time: `f` gets each page's
-    /// encoded bytes — a run, as in [`Self::for_each_page`] — and the page
-    /// is freed as soon as `f` returns. How [`crate::convert`] groups a
+    /// encoded bytes — a run, since pages end at KV boundaries — and the
+    /// page is freed as soon as `f` returns. How [`crate::convert`] groups a
     /// KVC through the same pass that groups received runs.
     ///
     /// # Errors
@@ -197,21 +197,6 @@ impl KvContainer {
             self.n_kvs -= seen + kvs.count() as u64;
             self.bytes -= page.len() as u64;
             res?;
-        }
-        Ok(())
-    }
-
-    /// Visits each page's encoded bytes in order without consuming the
-    /// container. Pages end at KV boundaries ([`Self::push`] never splits
-    /// a KV across pages), so every visited slice is a self-contained run
-    /// acceptable to [`Self::push_run`] — the serialization path the
-    /// cross-job cache uses to spill a container wholesale.
-    ///
-    /// # Errors
-    /// Propagates the first error from `f`.
-    pub fn for_each_page(&self, mut f: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        for page in &self.pages {
-            f(page.as_slice())?;
         }
         Ok(())
     }

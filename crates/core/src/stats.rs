@@ -50,11 +50,6 @@ pub struct JobStats {
 }
 
 impl JobStats {
-    /// Total wall time across phases.
-    pub fn total_time(&self) -> Duration {
-        self.map_time + self.convert_time + self.reduce_time
-    }
-
     /// Folds another rank's stats into this one for cluster totals.
     ///
     /// Phase times take the max: phases end at barriers, so the slowest

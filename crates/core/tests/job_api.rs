@@ -597,10 +597,16 @@ fn run_pairing(p: Pairing, elide: bool, fail: bool, filtered: bool) -> Vec<Pairi
     })
 }
 
+/// Whether `name` is cached on this rank (a lookup: counts a hit or a
+/// miss).
+fn is_cached(ctx: &mut MimirContext<'_>, name: &str) -> bool {
+    ctx.with_cached(name, |_| Ok(())).is_ok()
+}
+
 /// What the rank saw of a job that returned `result`, with the cache
 /// cleared afterwards.
 fn finish_run(ctx: &mut MimirContext<'_>, result: Ran) -> PairingRun {
-    let input_cached = ctx.cache_contains("in");
+    let input_cached = is_cached(ctx, "in");
     let elisions = ctx.cache_stats().elisions;
     ctx.cache_clear();
     PairingRun {
@@ -747,7 +753,8 @@ fn chain_refuses_an_input_that_is_not_cached() {
             .chain("in", &mut |k, v, em| em.emit(k, v))
             .collect()
             .err();
-        (err, ctx.pool().used(), ctx.cache_contains("out"))
+        let used = ctx.pool().used();
+        (err, used, is_cached(ctx, "out"))
     });
     let (err, used, cached) = &out[0];
     assert!(
@@ -964,7 +971,8 @@ fn group_refuses_a_cached_output() {
             .map(&mut |em| em.emit(b"k", b"v"))
             .group()
             .err();
-        (err, ctx.pool().used(), ctx.cache_contains("out"))
+        let used = ctx.pool().used();
+        (err, used, is_cached(ctx, "out"))
     });
     let (err, used, cached) = &out[0];
     assert!(

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use mimir_obs::{Event, EventKind, Json, Phase, RankReport, Step, FLOW_SEQ_BITS};
+use mimir_obs::{Event, EventKind, Json, Phase, RankReport, Step};
 
 /// What a stretch of the critical path was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -550,15 +550,10 @@ pub fn critical_path(reports: &[RankReport]) -> Option<CriticalPath> {
     })
 }
 
-/// The sender rank a flow id encodes (its upper bits).
-pub fn flow_sender(flow: u64) -> u64 {
-    flow >> FLOW_SEQ_BITS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimir_obs::pack_rank_bytes;
+    use mimir_obs::{pack_rank_bytes, FLOW_SEQ_BITS};
 
     fn ev(t_ns: u64, kind: EventKind, a: u64, b: u64) -> Event {
         Event { t_ns, kind, a, b }

@@ -12,12 +12,12 @@
 //!
 //! | code | looks at | fires on |
 //! |---|---|---|
-//! | `critical-path` | flow-edge happens-before DAG | always reports the measured path; warns when one rank holds an outsized share |
+//! | `critical-path` | flow-edge happens-before DAG | always reports the measured path; critical when one rank holds an outsized share covering ≥50% of a ≥100 ms wall |
 //! | `partition-skew` | per-destination byte histograms, cross-rank receive totals | imbalance ≥2× the fair share |
 //! | `memory-headroom` | pool peak vs budget, OOM events | margin <10% or any budget violation |
 //! | `dropped-events` | trace ring overwrites | any loss; >5% is critical |
 //! | `deadlock-suspect` | `comm.wait_ns` vs wall time | ≥95% wall spent blocked with nothing received |
-//! | `cache-efficiency` | cross-job cache counters | low hit rate while cached bytes crowd the pool; reports elisions, evictions, reloads and per-name residency (info) |
+//! | `cache-efficiency` | cross-job cache counters | low hit rate while cached bytes crowd the pool; reports elisions and per-name residency (info) |
 //! | `transport` | per-backend wire counters (frames, bytes, handshake) | handshake stalls, tiny-message chatter; silent on the in-process backend |
 //!
 //! A companion mode lives in [`postmortem`]: [`diagnose_postmortem`]

@@ -195,13 +195,6 @@ impl SpillFile {
     pub fn chunks(&self) -> u64 {
         self.chunks
     }
-
-    /// Deletes the backing file.
-    pub fn delete(mut self) -> Result<()> {
-        self.finish()?;
-        fs::remove_file(&self.path)
-            .map_err(IoError::os(format!("deleting spill file {:?}", self.path)))
-    }
 }
 
 impl Drop for SpillFile {
@@ -364,7 +357,7 @@ mod tests {
         a.finish().unwrap();
         let mut b = store.create("y").unwrap();
         b.write_chunk(&[2u8; 50]).unwrap();
-        b.delete().unwrap();
+        drop(b);
         assert_eq!(store.bytes_written(), 150, "deleted files still count");
     }
 }

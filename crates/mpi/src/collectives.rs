@@ -33,8 +33,8 @@ impl Comm {
     /// Blocks until every rank has entered the barrier.
     pub fn barrier(&mut self) {
         self.count_collective();
-        // An allreduce of nothing is a barrier; reuse the binomial pattern
-        // with a zero-byte payload via reduce+bcast on a dummy value.
+        // An allreduce of nothing is a barrier: reduce+bcast a dummy
+        // value over the binomial tree.
         self.reduce_bcast_u64(ReduceOp::Sum, 0, tags::BARRIER);
     }
 
@@ -43,22 +43,6 @@ impl Comm {
     pub fn allreduce_u64(&mut self, op: ReduceOp, value: u64) -> u64 {
         self.count_collective();
         self.reduce_bcast_u64(op, value, tags::REDUCE)
-    }
-
-    /// Reduces `value` to rank 0; returns `Some(result)` on rank 0 and
-    /// `None` elsewhere.
-    pub fn reduce_u64(&mut self, op: ReduceOp, value: u64) -> Option<u64> {
-        self.count_collective();
-        let v = self.binomial_reduce(op, value, tags::REDUCE);
-        (self.rank() == 0).then_some(v)
-    }
-
-    /// Broadcasts `data` from `root` to every rank; returns the payload on
-    /// all ranks (the root gets its own buffer back).
-    pub fn bcast(&mut self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        assert!(root < self.size(), "bcast root {root} out of range");
-        self.count_collective();
-        self.binomial_bcast(root, data, tags::BCAST)
     }
 
     /// Gathers each rank's buffer at `root`, indexed by source rank.
@@ -132,51 +116,6 @@ impl Comm {
             .into_iter()
             .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte allgather payload")))
             .collect()
-    }
-
-    /// The all-to-all personalized exchange at the heart of the MapReduce
-    /// aggregate phase. `parts[d]` is the byte buffer destined for rank
-    /// `d`; the return value holds one buffer per source rank.
-    ///
-    /// Ownership of `parts` moves in, so a caller that carved buffers out
-    /// of its send pages pays no extra copy on the send side — matching
-    /// Mimir's "map inserts directly into the send buffer" design.
-    ///
-    /// This is the allocating variant kept for callers that want owned
-    /// buffers (and as the ablation baseline); the shuffle hot path uses
-    /// [`Self::alltoallv_into`] / [`Self::alltoallv_post`] instead.
-    ///
-    /// # Panics
-    /// Panics if `parts.len() != size()`.
-    pub fn alltoallv(&mut self, mut parts: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(
-            parts.len(),
-            self.size(),
-            "alltoallv needs exactly one buffer per rank"
-        );
-        self.count_collective();
-        let me = self.rank();
-        let mine = std::mem::take(&mut parts[me]);
-        for (dst, buf) in parts.into_iter().enumerate() {
-            if dst != me {
-                // Every message rides a caller-allocated Vec that the
-                // receiver frees — the per-message allocation the pooled
-                // path exists to avoid. Count it so ablations compare.
-                self.stats.send_allocs += 1;
-                self.send_internal(dst, tags::ALLTOALLV, buf);
-            }
-        }
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == me {
-                // Own partition moves straight across — no copy, no send.
-                out.push(Vec::new());
-            } else {
-                out.push(self.recv_internal(src, tags::ALLTOALLV));
-            }
-        }
-        out[me] = mine;
-        out
     }
 
     /// Zero-copy `alltoallv`: sends each partition slice directly (via
@@ -288,7 +227,7 @@ impl Comm {
 
     fn reduce_bcast_u64(&mut self, op: ReduceOp, value: u64, tag: u32) -> u64 {
         let reduced = self.binomial_reduce(op, value, tag);
-        self.binomial_bcast_u64(0, reduced, tag)
+        self.binomial_bcast_u64(reduced, tag)
     }
 
     /// Binomial-tree reduction to rank 0; only rank 0's return value is
@@ -315,50 +254,22 @@ impl Comm {
         acc
     }
 
-    /// Binomial-tree broadcast of a `u64` from `root`, carried inline.
-    fn binomial_bcast_u64(&mut self, root: usize, value: u64, tag: u32) -> u64 {
-        let size = self.size();
-        let relative = (self.rank() + size - root) % size;
+    /// Binomial-tree broadcast of a `u64` from rank 0, carried inline.
+    fn binomial_bcast_u64(&mut self, value: u64, tag: u32) -> u64 {
+        let (rank, size) = (self.rank(), self.size());
         let mut mask = 1usize;
         let mut payload = value;
         while mask < size {
-            if relative & mask != 0 {
-                let parent = (relative - mask + root) % size;
-                payload = self.recv_u64_internal(parent, tag);
+            if rank & mask != 0 {
+                payload = self.recv_u64_internal(rank - mask, tag);
                 break;
             }
             mask <<= 1;
         }
         mask >>= 1;
         while mask > 0 {
-            if relative + mask < size {
-                let child = (relative + mask + root) % size;
-                self.send_u64_internal(child, tag, payload);
-            }
-            mask >>= 1;
-        }
-        payload
-    }
-
-    /// Binomial-tree broadcast from `root`.
-    fn binomial_bcast(&mut self, root: usize, data: Vec<u8>, tag: u32) -> Vec<u8> {
-        let size = self.size();
-        let relative = (self.rank() + size - root) % size;
-        let mut mask = 1usize;
-        let mut payload = data;
-        while mask < size {
-            if relative & mask != 0 {
-                let parent = (relative - mask + root) % size;
-                payload = self.recv_internal(parent, tag);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < size {
-                let child = (relative + mask + root) % size;
-                self.send_internal(child, tag, payload.clone());
+            if rank + mask < size {
+                self.send_u64_internal(rank + mask, tag, payload);
             }
             mask >>= 1;
         }

@@ -32,11 +32,11 @@ pub struct Comm {
     name: String,
     rank: usize,
     size: usize,
-    /// Number of derived communicators ([`Comm::dup`] / [`Comm::split`])
-    /// created from this one so far. All ranks execute the same derivation
-    /// sequence (dup/split are collective), so the counter doubles as a
-    /// cross-rank sequence number for the consistency handshake.
-    derived: u64,
+    /// Number of duplicates ([`Comm::dup`]) created from this one so
+    /// far. All ranks execute the same derivation sequence (dup is
+    /// collective), so the counter doubles as a cross-rank sequence
+    /// number for the consistency handshake.
+    pub(crate) derived: u64,
     /// The message-delivery backend for this communicator.
     transport: Box<dyn Transport>,
     /// Messages received from each source but not yet matched by tag.
@@ -82,9 +82,9 @@ impl Comm {
     }
 
     /// This communicator's name — `"world"` for the root communicator of
-    /// [`crate::run_world`], with a `.dupN` / `.splitN.cC` / custom-label
-    /// suffix appended per derivation. Spill directories and trace lanes
-    /// use it to attribute resources to the communicator that owns them.
+    /// [`crate::run_world`], with a `.dupN` suffix appended per
+    /// derivation. Spill directories and trace lanes use it to attribute
+    /// resources to the communicator that owns them.
     #[inline]
     pub fn name(&self) -> &str {
         &self.name
@@ -310,13 +310,6 @@ impl Comm {
     }
 }
 
-/// Derivation-handshake opcode for [`Comm::dup`] (top byte of the token).
-const DERIVE_DUP: u64 = 1;
-/// Derivation-handshake opcode for [`Comm::split`].
-const DERIVE_SPLIT: u64 = 2;
-/// Low bits of the handshake token carrying the derivation sequence number.
-const DERIVE_SEQ_MASK: u64 = 0x00FF_FFFF_FFFF_FFFF;
-
 impl Comm {
     /// Duplicates this communicator (collective).
     ///
@@ -334,69 +327,29 @@ impl Comm {
     /// concurrent owners never contend for recycled buffers.
     ///
     /// # Panics
-    /// Panics if ranks disagree on the derivation sequence (one rank calls
-    /// `dup` while another calls `split`, or their derivation counts have
-    /// diverged) — the collective-consistency assert.
+    /// Panics if the ranks' derivation counts have diverged — the
+    /// collective-consistency assert.
     pub fn dup(&mut self) -> Comm {
-        let seq = self.begin_derivation(DERIVE_DUP);
+        let seq = self.begin_derivation();
         let name = format!("{}.dup{seq}", self.name);
-        let members: Vec<usize> = (0..self.size).collect();
-        self.derive_transport(name, seq, &members, self.rank, tags::DUP)
+        self.derive_transport(name, seq)
     }
 
-    /// Partitions this communicator into disjoint sub-communicators
-    /// (collective): ranks passing the same `Some(color)` form one group,
-    /// ordered by `(key, parent rank)`; ranks passing `None` participate
-    /// in the exchange but receive no communicator (MPI's
-    /// `MPI_UNDEFINED`).
-    ///
-    /// # Panics
-    /// Panics on a derivation-sequence mismatch, like [`Comm::dup`].
-    pub fn split(&mut self, color: Option<u64>, key: u64) -> Option<Comm> {
-        let seq = self.begin_derivation(DERIVE_SPLIT);
-        // Membership exchange: every rank contributes (present, color, key)
-        // so the group roster is known identically everywhere.
-        let mut payload = [0u8; 17];
-        payload[0] = u8::from(color.is_some());
-        payload[1..9].copy_from_slice(&color.unwrap_or(0).to_le_bytes());
-        payload[9..17].copy_from_slice(&key.to_le_bytes());
-        let all = self.allgather(payload.to_vec());
-        let my_color = color?;
-        let mut members: Vec<(u64, usize)> = Vec::new();
-        for (old_rank, buf) in all.iter().enumerate() {
-            let present = buf[0] != 0;
-            let c = u64::from_le_bytes(buf[1..9].try_into().expect("color bytes"));
-            let k = u64::from_le_bytes(buf[9..17].try_into().expect("key bytes"));
-            if present && c == my_color {
-                members.push((k, old_rank));
-            }
-        }
-        members.sort_unstable();
-        let new_rank = members
-            .iter()
-            .position(|&(_, r)| r == self.rank)
-            .expect("caller belongs to its own color group");
-        let name = format!("{}.split{seq}.c{my_color}", self.name);
-        let members: Vec<usize> = members.into_iter().map(|(_, r)| r).collect();
-        Some(self.derive_transport(name, seq, &members, new_rank, tags::SPLIT))
-    }
-
-    /// Collective entry gate for `dup`/`split`: allgathers a token packing
-    /// (opcode, per-comm derivation sequence) and asserts every rank sent
-    /// the same one. Catching the divergence here — rather than hanging in
-    /// some later mismatched collective — is what makes concurrent-job
-    /// bugs debuggable.
-    fn begin_derivation(&mut self, opcode: u64) -> u64 {
+    /// Collective entry gate for `dup`: allgathers this communicator's
+    /// derivation sequence number and asserts every rank sent the same
+    /// one. Catching the divergence here — rather than hanging in some
+    /// later mismatched collective — is what makes concurrent-job bugs
+    /// debuggable.
+    fn begin_derivation(&mut self) -> u64 {
         let seq = self.derived;
         self.derived += 1;
-        let token = (opcode << 56) | (seq & DERIVE_SEQ_MASK);
-        let tokens = self.allgather_u64(token);
-        for (r, &t) in tokens.iter().enumerate() {
+        let seqs = self.allgather_u64(seq);
+        for (r, &t) in seqs.iter().enumerate() {
             assert!(
-                t == token,
+                t == seq,
                 "collective-consistency violation on \"{}\": rank {} entered \
-                 derivation token {token:#x} but rank {r} entered {t:#x} \
-                 (mixed dup/split calls or diverged derivation counts)",
+                 derivation {seq} but rank {r} entered {t} (diverged \
+                 derivation counts)",
                 self.name,
                 self.rank,
             );
@@ -404,41 +357,28 @@ impl Comm {
         seq
     }
 
-    /// The single derivation code path behind `dup` and `split`, shared by
-    /// every backend: the transport creates its receive side and one
+    /// The single derivation code path behind `dup`, shared by every
+    /// backend: the transport creates its receive side and one
     /// [`Endpoint`] per peer; this rank ships each endpoint to the rank
-    /// that will use it over the parent's reserved `tag` (DUP or SPLIT, so
-    /// user traffic can't interleave), then installs the endpoints it
-    /// receives in turn. Sends are eager, so posting all sends before any
-    /// receive cannot deadlock.
-    ///
-    /// `members[new_rank]` is the parent rank sitting at `new_rank` in the
-    /// derived communicator; identical on every member by construction
-    /// (dup: trivially; split: from the sorted membership exchange).
-    fn derive_transport(
-        &mut self,
-        name: String,
-        seq: u64,
-        members: &[usize],
-        my_new_rank: usize,
-        tag: Tag,
-    ) -> Comm {
-        let (mut derivation, endpoints) = self.transport.begin_derive(seq, members, my_new_rank);
-        for (new_rank, ep) in endpoints.into_iter().enumerate() {
+    /// that will use it over the parent's reserved DUP tag (so user
+    /// traffic can't interleave), then installs the endpoints it receives
+    /// in turn. Sends are eager, so posting all sends before any receive
+    /// cannot deadlock.
+    fn derive_transport(&mut self, name: String, seq: u64) -> Comm {
+        let (mut derivation, endpoints) = self.transport.begin_derive(seq);
+        for (peer, ep) in endpoints.into_iter().enumerate() {
             if let Some(ep) = ep {
-                debug_assert_ne!(new_rank, my_new_rank);
-                self.send_endpoint_internal(members[new_rank], tag, ep);
+                debug_assert_ne!(peer, self.rank);
+                self.send_endpoint_internal(peer, tags::DUP, ep);
             }
         }
-        for (new_rank, &old_rank) in members.iter().enumerate() {
-            if new_rank != my_new_rank {
-                let ep = self.recv_endpoint_internal(old_rank, tag);
-                self.transport
-                    .accept_endpoint(&mut derivation, new_rank, ep);
-            }
+        let me = self.rank;
+        for peer in (0..self.size).filter(|&peer| peer != me) {
+            let ep = self.recv_endpoint_internal(peer, tags::DUP);
+            self.transport.accept_endpoint(&mut derivation, peer, ep);
         }
         let transport = self.transport.finish_derive(derivation);
-        Comm::new(name, my_new_rank, members.len(), transport)
+        Comm::new(name, self.rank, self.size, transport)
     }
 }
 

@@ -53,15 +53,13 @@ pub use transport::uds::{FaultPoint, UdsFault, UdsWorldOptions};
 pub use transport::{Endpoint, Transport, TransportKind};
 pub use wire::Wire;
 pub use world::{
-    run_world, run_world_named, run_world_on, run_world_result, run_world_result_on,
-    run_world_uds_with,
+    run_world, run_world_on, run_world_result, run_world_result_on, run_world_uds_with,
 };
 
 /// Result alias for fallible communication operations.
 pub type Result<T> = std::result::Result<T, CommError>;
 
-/// Reduction operators supported by [`Comm::allreduce_u64`] and
-/// [`Comm::reduce_u64`].
+/// Reduction operators supported by [`Comm::allreduce_u64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Wrapping sum.

@@ -13,14 +13,11 @@ pub(crate) mod tags {
     pub const USER_MAX: Tag = 0xFFFF_FEFF;
     pub const BARRIER: Tag = 0xFFFF_FF00;
     pub const REDUCE: Tag = 0xFFFF_FF01;
-    pub const BCAST: Tag = 0xFFFF_FF02;
     pub const GATHER: Tag = 0xFFFF_FF03;
     pub const ALLGATHER: Tag = 0xFFFF_FF04;
     pub const ALLTOALLV: Tag = 0xFFFF_FF05;
     /// Endpoint exchange inside [`crate::Comm::dup`].
     pub const DUP: Tag = 0xFFFF_FF06;
-    /// Endpoint exchange inside [`crate::Comm::split`].
-    pub const SPLIT: Tag = 0xFFFF_FF07;
 }
 
 /// Message payload: a single `u64` carried inline (the collectives'
@@ -37,7 +34,7 @@ pub(crate) enum Payload {
     /// allocations.
     Heap(Vec<u8>),
     /// A backend endpoint shipped to a peer while building a derived
-    /// communicator ([`crate::Comm::dup`] / [`crate::Comm::split`]): a
+    /// communicator ([`crate::Comm::dup`]): a
     /// fresh channel sender on the in-process backend, a communicator-id
     /// token on the socket backend. Each rank keeps its receive side and
     /// distributes these over the parent communicator's reserved tag

@@ -53,7 +53,6 @@ impl InprocTransport {
 pub(crate) struct InprocDerive {
     txs: Vec<Option<Sender<Msg>>>,
     rxs: Vec<Receiver<Msg>>,
-    my_new_rank: usize,
 }
 
 impl Transport for InprocTransport {
@@ -75,39 +74,30 @@ impl Transport for InprocTransport {
             })
     }
 
-    fn begin_derive(
-        &mut self,
-        _seq: u64,
-        members: &[usize],
-        my_new_rank: usize,
-    ) -> (Derivation, Vec<Option<Endpoint>>) {
+    fn begin_derive(&mut self, _seq: u64) -> (Derivation, Vec<Option<Endpoint>>) {
         // One fresh channel per source: keep every receiving half, hand
         // each sending half to the rank that will use it.
-        let n = members.len();
+        let n = self.txs.len();
         let mut txs: Vec<Option<Sender<Msg>>> = (0..n).map(|_| None).collect();
         let mut rxs = Vec::with_capacity(n);
         let mut endpoints = Vec::with_capacity(n);
-        for new_rank in 0..n {
+        for (rank, tx) in txs.iter_mut().enumerate() {
             let (t, r) = mpsc::channel::<Msg>();
             rxs.push(r);
-            if new_rank == my_new_rank {
-                txs[my_new_rank] = Some(t);
+            if rank == self.me {
+                *tx = Some(t);
                 endpoints.push(None);
             } else {
                 endpoints.push(Some(Endpoint(EndpointInner::Chan(t))));
             }
         }
         (
-            Derivation(DeriveState::Inproc(InprocDerive {
-                txs,
-                rxs,
-                my_new_rank,
-            })),
+            Derivation(DeriveState::Inproc(InprocDerive { txs, rxs })),
             endpoints,
         )
     }
 
-    fn accept_endpoint(&mut self, d: &mut Derivation, from_new_rank: usize, ep: Endpoint) {
+    fn accept_endpoint(&mut self, d: &mut Derivation, from: usize, ep: Endpoint) {
         let DeriveState::Inproc(state) = &mut d.0 else {
             unreachable!("inproc transport handed a foreign derivation");
         };
@@ -118,8 +108,8 @@ impl Transport for InprocTransport {
                 self.me
             );
         };
-        debug_assert_ne!(from_new_rank, state.my_new_rank);
-        state.txs[from_new_rank] = Some(sender);
+        debug_assert_ne!(from, self.me);
+        state.txs[from] = Some(sender);
     }
 
     fn finish_derive(&mut self, d: Derivation) -> Box<dyn Transport> {
@@ -131,6 +121,6 @@ impl Transport for InprocTransport {
             .into_iter()
             .map(|t| t.expect("endpoint exchanged for every peer"))
             .collect();
-        Box::new(InprocTransport::new(state.my_new_rank, txs, state.rxs))
+        Box::new(InprocTransport::new(self.me, txs, state.rxs))
     }
 }

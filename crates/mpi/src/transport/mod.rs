@@ -4,8 +4,7 @@
 //! flow stamping, the collectives, and the whole MapReduce stack — talks
 //! to peers through the [`Transport`] trait: point-to-point delivery of
 //! [`Msg`]s plus a three-step collective *derivation* protocol that
-//! builds the private message namespace behind [`crate::Comm::dup`] and
-//! [`crate::Comm::split`].
+//! builds the private message namespace behind [`crate::Comm::dup`].
 //!
 //! Two backends implement the trait:
 //!
@@ -89,7 +88,7 @@ impl TransportKind {
 /// One peer's handle into a communicator under construction: the thing
 /// this rank hands to a peer so the peer can reach it on the *derived*
 /// communicator. Shipped over the parent communicator's reserved tag
-/// space during [`crate::Comm::dup`] / [`crate::Comm::split`].
+/// space during [`crate::Comm::dup`].
 #[derive(Debug)]
 pub struct Endpoint(pub(crate) EndpointInner);
 
@@ -149,27 +148,20 @@ pub trait Transport: Send {
     /// `(src, self)` pair. Tag matching happens above the seam.
     fn recv(&mut self, src: usize, stats: &mut CommCounters) -> Result<Msg, CommError>;
 
-    /// Starts building a derived communicator spanning `members`
-    /// (indexed by new rank, holding *this* communicator's ranks; this
-    /// rank appears at `my_new_rank`). Returns the backend state plus,
-    /// for every new rank except `my_new_rank`, the [`Endpoint`] this
-    /// rank must ship to that peer. `seq` is the parent's derivation
-    /// sequence number, already proven collective-consistent by the
-    /// caller.
-    fn begin_derive(
-        &mut self,
-        seq: u64,
-        members: &[usize],
-        my_new_rank: usize,
-    ) -> (Derivation, Vec<Option<Endpoint>>);
+    /// Starts building a derived communicator over the same ranks.
+    /// Returns the backend state plus, for every rank except this one,
+    /// the [`Endpoint`] this rank must ship to that peer. `seq` is the
+    /// parent's derivation sequence number, already proven
+    /// collective-consistent by the caller.
+    fn begin_derive(&mut self, seq: u64) -> (Derivation, Vec<Option<Endpoint>>);
 
-    /// Installs the endpoint received from `from_new_rank`.
+    /// Installs the endpoint received from rank `from`.
     ///
     /// # Panics
     /// Panics if the endpoint does not belong to this backend or (UDS)
     /// carries a mismatched communicator id — both are
     /// collective-consistency violations.
-    fn accept_endpoint(&mut self, d: &mut Derivation, from_new_rank: usize, ep: Endpoint);
+    fn accept_endpoint(&mut self, d: &mut Derivation, from: usize, ep: Endpoint);
 
     /// Completes the derivation: every peer endpoint has been accepted.
     fn finish_derive(&mut self, d: Derivation) -> Box<dyn Transport>;

@@ -23,7 +23,7 @@
 //!
 //! `kind` distinguishes heap payloads from inline `u64`s (which never
 //! allocate on either side) and from derivation endpoints. `comm`
-//! multiplexes every communicator derived via `dup`/`split` over the
+//! multiplexes every communicator derived via `dup` over the
 //! same connections: each received frame is routed to the
 //! `(comm, src)` inbox, so a derived communicator is a private message
 //! namespace without new sockets. The `flow` stamp rides along, which
@@ -258,15 +258,11 @@ mod imp {
 
     /// Deterministic id for a derived communicator, computed
     /// independently by every member from collectively-agreed inputs
-    /// (parent id, derivation sequence, membership in world ranks).
-    /// Equality of the shipped ids is asserted at `accept_endpoint` —
-    /// the socket backend's collective-consistency proof.
-    fn derive_id(parent: u64, seq: u64, members_world: &[usize]) -> u64 {
-        let mut h = mix(parent ^ mix(seq.wrapping_add(0x9e37_79b9_7f4a_7c15)));
-        for &m in members_world {
-            h = mix(h ^ (m as u64 + 1));
-        }
-        h.max(1)
+    /// (parent id, derivation sequence). Equality of the shipped ids is
+    /// asserted at `accept_endpoint` — the socket backend's
+    /// collective-consistency proof.
+    fn derive_id(parent: u64, seq: u64) -> u64 {
+        mix(parent ^ mix(seq.wrapping_add(0x9e37_79b9_7f4a_7c15))).max(1)
     }
 
     /// A stream that is over: EOF, an I/O error, or bytes that are not a
@@ -550,7 +546,7 @@ mod imp {
     struct State {
         /// Indexed by world rank; `None` at this process's own rank.
         peers: Vec<Option<Peer>>,
-        /// `(comm, world_src)` → frames received and not yet claimed by
+        /// `(comm, src)` → frames received and not yet claimed by
         /// that communicator's `recv`. Created on first arrival, so a
         /// frame that outruns its communicator's derivation (or targets
         /// one that is being received on later) simply waits here.
@@ -722,12 +718,11 @@ mod imp {
 
     /// The socket transport for one communicator: peers are reached
     /// through the process-wide connections, namespaced by `comm` id.
+    /// Every communicator spans the whole world, so its ranks are world
+    /// ranks.
     pub(crate) struct UdsTransport {
         comm: u64,
-        /// This rank in the communicator's rank space.
         my_rank: usize,
-        /// Communicator rank → world rank.
-        members: Vec<usize>,
         shared: Arc<Shared>,
         /// Self-sends bypass the wire entirely.
         loopback: VecDeque<Msg>,
@@ -765,9 +760,8 @@ mod imp {
                 self.loopback.push_back(msg);
                 return Ok(());
             }
-            let world_dst = self.members[dst];
             let mut st = self.shared.lock();
-            let peer = st.peer(world_dst);
+            let peer = st.peer(dst);
             if peer.dead {
                 return Err(self.disconnect(dst));
             }
@@ -775,8 +769,8 @@ mod imp {
             stats.wire_bytes_sent += (HEADER + msg.data.len()) as u64;
             let was_empty = peer.outbox.is_empty();
             peer.outbox.push_back(OutFrame::new(self.comm, msg));
-            st.flush(world_dst);
-            let peer = st.peer(world_dst);
+            st.flush(dst);
+            let peer = st.peer(dst);
             if peer.dead {
                 return Err(self.disconnect(dst));
             }
@@ -799,11 +793,10 @@ mod imp {
                     panic!("rank {src} receives from itself with nothing sent: deadlock")
                 }));
             }
-            let world_src = self.members[src];
             let shared = &*self.shared;
             let mut st = shared.lock();
             loop {
-                let inbox = st.inboxes.get_mut(&(self.comm, world_src));
+                let inbox = st.inboxes.get_mut(&(self.comm, src));
                 if let Some(msg) = inbox.and_then(VecDeque::pop_front) {
                     stats.wire_frames_recvd += 1;
                     stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
@@ -811,38 +804,28 @@ mod imp {
                 }
                 // Frames routed before the peer died were drained above:
                 // exactly the in-process channel semantics.
-                if st.peer(world_src).dead {
+                if st.peer(src).dead {
                     return Err(self.disconnect(src));
                 }
                 st = shared.progress(st, None);
             }
         }
 
-        fn begin_derive(
-            &mut self,
-            seq: u64,
-            members: &[usize],
-            my_new_rank: usize,
-        ) -> (Derivation, Vec<Option<Endpoint>>) {
-            let members_world: Vec<usize> = members.iter().map(|&m| self.members[m]).collect();
-            let child = derive_id(self.comm, seq, &members_world);
-            let endpoints = (0..members.len())
-                .map(|new_rank| {
-                    (new_rank != my_new_rank)
+        fn begin_derive(&mut self, seq: u64) -> (Derivation, Vec<Option<Endpoint>>) {
+            let child = derive_id(self.comm, seq);
+            let endpoints = (0..self.shared.lock().peers.len())
+                .map(|rank| {
+                    (rank != self.my_rank)
                         .then_some(Endpoint(EndpointInner::Tagged { comm: child }))
                 })
                 .collect();
             (
-                Derivation(DeriveState::Uds(UdsDerive {
-                    comm: child,
-                    members_world,
-                    my_new_rank,
-                })),
+                Derivation(DeriveState::Uds(UdsDerive { comm: child })),
                 endpoints,
             )
         }
 
-        fn accept_endpoint(&mut self, d: &mut Derivation, from_new_rank: usize, ep: Endpoint) {
+        fn accept_endpoint(&mut self, d: &mut Derivation, from: usize, ep: Endpoint) {
             let DeriveState::Uds(state) = &mut d.0 else {
                 unreachable!("uds transport handed a foreign derivation");
             };
@@ -856,8 +839,8 @@ mod imp {
             assert!(
                 got == state.comm,
                 "collective-consistency violation: rank {} computed derived \
-                 comm id {:#x} but rank {from_new_rank} shipped {got:#x} \
-                 (diverged membership or derivation inputs)",
+                 comm id {:#x} but rank {from} shipped {got:#x} \
+                 (diverged derivation inputs)",
                 self.my_rank,
                 state.comm,
             );
@@ -869,8 +852,7 @@ mod imp {
             };
             Box::new(UdsTransport {
                 comm: state.comm,
-                my_rank: state.my_new_rank,
-                members: state.members_world,
+                my_rank: self.my_rank,
                 shared: Arc::clone(&self.shared),
                 loopback: VecDeque::new(),
                 is_world: false,
@@ -890,14 +872,12 @@ mod imp {
     }
 
     /// Derivation state for the socket backend: the deterministic child
-    /// id plus the membership, carried between `begin_derive` and
-    /// `finish_derive`. (Nothing is registered: an inbox comes into
-    /// being when its first frame arrives, however early.)
+    /// id, carried between `begin_derive` and `finish_derive`. (Nothing
+    /// is registered: an inbox comes into being when its first frame
+    /// arrives, however early.)
     #[derive(Debug)]
     pub(crate) struct UdsDerive {
         comm: u64,
-        members_world: Vec<usize>,
-        my_new_rank: usize,
     }
 
     fn sock_path(dir: &Path, rank: usize) -> PathBuf {
@@ -1018,7 +998,6 @@ mod imp {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let members = (0..streams.len()).collect();
         let mut peers = Vec::with_capacity(streams.len());
         for sock in streams {
             if let Some(sock) = &sock {
@@ -1049,7 +1028,6 @@ mod imp {
         Ok(UdsTransport {
             comm: WORLD_COMM,
             my_rank: rank,
-            members,
             shared,
             loopback: VecDeque::new(),
             is_world: true,

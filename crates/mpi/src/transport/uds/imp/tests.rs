@@ -259,7 +259,7 @@ fn arbitrary_bytes_never_panic_or_allocate_ahead_of_arrival() {
 fn corrupt_bytes_from_a_peer_are_a_disconnect_for_every_waiter() {
     let (a, b) = UnixStream::pair().expect("socket pair");
     let mut t = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
-    let (derivation, _) = t.begin_derive(0, &[0, 1], 1);
+    let (derivation, _) = t.begin_derive(0);
     let mut dup = t.finish_derive(derivation);
     let mut stats = CommCounters::default();
     // One good frame, then a frame of an unknown kind.

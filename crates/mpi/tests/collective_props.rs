@@ -38,9 +38,14 @@ fn alltoallv_is_a_matrix_transpose() {
         let out = run_world(n, move |c| {
             let me = c.rank();
             let parts: Vec<Vec<u8>> = (0..n).map(|d| cell(me, d)).collect();
-            c.alltoallv(parts)
+            let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let mut recv = vec![0u8; 50 * n];
+            let ranges = c.alltoallv_into(&slices, &mut recv);
+            let got: Vec<Vec<u8>> = ranges.into_iter().map(|r| recv[r].to_vec()).collect();
+            got
         });
         for (dst, received) in out.iter().enumerate() {
+            assert_eq!(received.len(), n, "case {case}: one range per source");
             for (src, buf) in received.iter().enumerate() {
                 assert_eq!(buf, &cell(src, dst), "case {case} [{src}→{dst}]");
             }
@@ -49,35 +54,26 @@ fn alltoallv_is_a_matrix_transpose() {
 }
 
 #[test]
-fn gather_bcast_roundtrip() {
+fn gather_roundtrip() {
     for case in 0..24u64 {
         let mut rng = rank_rng(0x6A7, case as usize);
         let n = rng.gen_range(1..6);
         let root = rng.gen_range(0..n);
-        let payload: Vec<u8> = (0..rng.gen_range(0..64))
-            .map(|_| rng.gen_range(0..256) as u8)
-            .collect();
-        let p2 = payload.clone();
+        let len = rng.gen_range(0..64);
         let out = run_world(n, move |c| {
-            // Root gathers everyone's rank byte, then broadcasts the
-            // payload; all ranks must see both consistently.
-            let g = c.gather(root, vec![c.rank() as u8]);
-            if c.rank() == root {
-                let g = g.expect("root gathers");
-                assert_eq!(g.len(), n);
-                for (src, b) in g.iter().enumerate() {
-                    assert_eq!(b, &[src as u8]);
-                }
-            }
-            let data = if c.rank() == root {
-                p2.clone()
-            } else {
-                Vec::new()
-            };
-            c.bcast(root, data)
+            // Root gathers every rank's payload, indexed by source.
+            c.gather(root, vec![c.rank() as u8; len + c.rank()])
         });
-        for per_rank in out {
-            assert_eq!(&per_rank, &payload, "case {case}");
+        for (rank, got) in out.into_iter().enumerate() {
+            if rank != root {
+                assert!(got.is_none(), "case {case}: only the root gathers");
+                continue;
+            }
+            let got = got.expect("root gathers");
+            assert_eq!(got.len(), n, "case {case}");
+            for (src, b) in got.iter().enumerate() {
+                assert_eq!(b, &vec![src as u8; len + src], "case {case} [{src}]");
+            }
         }
     }
 }
@@ -104,9 +100,9 @@ fn mixed_collective_sequences_stay_matched() {
                         acc ^= g.iter().sum::<u64>();
                     }
                     _ => {
-                        let parts = vec![vec![acc as u8]; n];
-                        let r = c.alltoallv(parts);
-                        acc ^= r.iter().map(|b| u64::from(b[0])).sum::<u64>();
+                        let mut recv = vec![0u8; n];
+                        let r = c.alltoallv_into(&vec![&[acc as u8][..]; n], &mut recv);
+                        acc ^= r.iter().map(|r| u64::from(recv[r.start])).sum::<u64>();
                     }
                 }
             }

@@ -12,6 +12,8 @@ fn cell(seed: u64, src: usize, dst: usize, round: usize) -> Vec<u8> {
     vec![(src * 31 + dst * 7 + round) as u8; len]
 }
 
+/// `alltoallv_into` into a receive buffer sized exactly for the round
+/// is a transpose: `ranges[src]` holds `cell(src, me)`.
 #[test]
 fn alltoallv_into_matches_the_allocating_variant() {
     for case in 0..16u64 {

@@ -1,6 +1,5 @@
 //! The UDS backend run through the same SPMD programs the in-process
-//! backend is tested with: point-to-point, collectives, dup/split
-//! isolation, abort/panic propagation, flow-trace integrity across
+//! backend is tested with: point-to-point, collectives, dup isolation, abort/panic propagation, flow-trace integrity across
 //! process boundaries, wire-counter honesty, and the chaos case of a
 //! rank killed mid-handshake.
 
@@ -54,7 +53,10 @@ fn alltoallv_transposes_over_sockets() {
     let out: Vec<Vec<Vec<u8>>> = run_world_on(UDS, 4, |c| {
         let me = c.rank() as u8;
         let parts: Vec<Vec<u8>> = (0..c.size()).map(|d| [me, d as u8].repeat(d + 1)).collect();
-        c.alltoallv(parts)
+        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        let mut recv = vec![0u8; 64];
+        let ranges = c.alltoallv_into(&slices, &mut recv);
+        ranges.into_iter().map(|r| recv[r].to_vec()).collect()
     });
     for (dst, received) in out.iter().enumerate() {
         for (src, buf) in received.iter().enumerate() {
@@ -63,11 +65,9 @@ fn alltoallv_transposes_over_sockets() {
     }
 }
 
-type DupSplitResult = (Vec<u8>, Vec<u8>, usize, Vec<u64>);
-
 #[test]
-fn dup_isolates_and_split_partitions_over_sockets() {
-    let out: Vec<DupSplitResult> = run_world_on(UDS, 4, |c| {
+fn dup_isolates_over_sockets() {
+    let out: Vec<(Vec<u8>, Vec<u8>)> = run_world_on(UDS, 4, |c| {
         let mut d = c.dup();
         let next = (c.rank() + 1) % c.size();
         let prev = (c.rank() + c.size() - 1) % c.size();
@@ -77,24 +77,12 @@ fn dup_isolates_and_split_partitions_over_sockets() {
         d.send(next, 7, &[b'D', c.rank() as u8]);
         let from_dup = d.recv(prev, 7);
         let from_parent = c.recv(prev, 7);
-        // Then split even/odd and allgather parent ranks in each group.
-        let mut sub = c
-            .split(Some((c.rank() % 2) as u64), c.rank() as u64)
-            .unwrap();
-        let group = sub.allgather_u64(c.rank() as u64);
-        (from_parent, from_dup, sub.rank(), group)
+        (from_parent, from_dup)
     });
-    for (rank, (p, d, sub_rank, group)) in out.iter().enumerate() {
+    for (rank, (p, d)) in out.iter().enumerate() {
         let prev = (rank + 3) % 4;
         assert_eq!(p, &[b'P', prev as u8]);
         assert_eq!(d, &[b'D', prev as u8]);
-        assert_eq!(*sub_rank, rank / 2);
-        let expect: Vec<u64> = if rank % 2 == 0 {
-            vec![0, 2]
-        } else {
-            vec![1, 3]
-        };
-        assert_eq!(group, &expect);
     }
 }
 
@@ -338,7 +326,13 @@ fn a_rank_process_has_one_thread() {
     let out: Vec<u64> = run_world_on(UDS, 3, |c| {
         // After real traffic in every direction, so lazily started
         // helpers would be running by now.
-        let _ = c.alltoallv((0..c.size()).map(|d| vec![d as u8; 70_000]).collect());
+        let parts: Vec<Vec<u8>> = (0..c.size()).map(|d| vec![d as u8; 70_000]).collect();
+        let slices: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+        let mut recv = vec![0u8; 70_000 * c.size()];
+        let ranges = c.alltoallv_into(&slices, &mut recv);
+        assert!(ranges
+            .iter()
+            .all(|r| recv[r.clone()] == parts[c.rank()][..]));
         c.barrier();
         std::fs::read_dir("/proc/self/task")
             .expect("procfs")

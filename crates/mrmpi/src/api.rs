@@ -98,40 +98,8 @@ impl<'w> MapReduce<'w> {
         }
         kv.seal(&self.store)?;
         self.note_spill(&kv);
+        self.stats.kv_bytes_mapped += kv.bytes();
         self.kv = Some(kv);
-        self.comm.barrier();
-        self.stats.map_time += t0.elapsed();
-        Ok(())
-    }
-
-    /// Map over the current KV dataset (multi-stage / iterative jobs),
-    /// replacing it with the callback's output.
-    ///
-    /// # Errors
-    /// As [`Self::map`], plus a phase error if no KV dataset exists.
-    pub fn map_from_kv(
-        &mut self,
-        mut f: impl FnMut(&[u8], &[u8], &mut MrEmitter<'_>) -> Result<()>,
-    ) -> Result<()> {
-        let t0 = Instant::now();
-        let _span = mimir_obs::phase_span(Phase::Map);
-        let input = self
-            .kv
-            .take()
-            .ok_or_else(|| MrError::Phase("map_from_kv without a KV dataset".into()))?;
-        self.kmv = None;
-        let mut out = KvSet::new(&self.pool, self.cfg.page_size, self.cfg.ooc)?;
-        input.for_each_kv(|k, v| {
-            let mut em = MrEmitter {
-                kv: &mut out,
-                store: &self.store,
-                count: &mut self.stats.kvs_mapped,
-            };
-            f(k, v, &mut em)
-        })?;
-        out.seal(&self.store)?;
-        self.note_spill(&out);
-        self.kv = Some(out);
         self.comm.barrier();
         self.stats.map_time += t0.elapsed();
         Ok(())
@@ -177,9 +145,12 @@ impl<'w> MapReduce<'w> {
         // Exchange round: collective, identical call sequence on every
         // rank (allreduce of done-flags, then alltoallv) — the same
         // deadlock-free protocol Mimir uses, here with MR-MPI's extra
-        // buffer hops. Received data lands in the receive buffer and is
-        // then copied into the output dataset's page.
+        // buffer hops. Every sender ships at most `part_cap` bytes to
+        // each rank, so one round's `p · part_cap ≤ page` bytes land in
+        // the double-size receive buffer, and are then copied into the
+        // output dataset's page.
         let mut rounds = 0u64;
+        let mut ranges = Vec::with_capacity(p);
         let mut exchange = |comm: &mut Comm,
                             send: &MrPage,
                             recv: &mut MrPage,
@@ -193,27 +164,17 @@ impl<'w> MapReduce<'w> {
                 let _sync = mimir_obs::step_span(Step::Sync);
                 comm.allreduce_u64(ReduceOp::LAnd, u64::from(done)) == 1
             };
-            let parts: Vec<Vec<u8>> = (0..p)
-                .map(|d| send.as_slice()[d * part_cap..d * part_cap + part_len[d]].to_vec())
-                .collect();
-            let received = {
+            {
                 let mut step = mimir_obs::step_span(Step::Alltoallv);
                 step.set_b(part_len.iter().map(|&l| l as u64).sum());
-                comm.alltoallv(parts)
-            };
-            part_len.iter_mut().for_each(|l| *l = 0);
-            // Stage through the receive buffer, draining to the output
-            // dataset whenever it fills.
-            let _drain = mimir_obs::step_span(Step::Drain);
-            let mut used = 0usize;
-            for block in received {
-                if used + block.len() > recv.size() {
-                    drain_recv(&recv.as_slice()[..used], out, store)?;
-                    used = 0;
-                }
-                recv.as_mut_slice()[used..used + block.len()].copy_from_slice(&block);
-                used += block.len();
+                let parts = (0..p).map(|d| &send.as_slice()[d * part_cap..][..part_len[d]]);
+                let pending = comm.alltoallv_post(parts, recv.as_mut_slice());
+                comm.alltoallv_complete(pending, recv.as_mut_slice(), &mut ranges);
             }
+            part_len.iter_mut().for_each(|l| *l = 0);
+            // The received ranges tile the front of the receive buffer.
+            let _drain = mimir_obs::step_span(Step::Drain);
+            let used = ranges.iter().map(|r| r.len()).sum();
             drain_recv(&recv.as_slice()[..used], out, store)?;
             rounds += 1;
             round.set_b(u64::from(all_done));
@@ -320,16 +281,6 @@ impl<'w> MapReduce<'w> {
         Ok(())
     }
 
-    /// `aggregate` followed by `convert` — MR-MPI's `collate()`
-    /// convenience, the most common phase pair.
-    ///
-    /// # Errors
-    /// As the two phases.
-    pub fn collate(&mut self) -> Result<()> {
-        self.aggregate()?;
-        self.convert()
-    }
-
     /// The reduce phase: runs the user callback over every KMV group,
     /// emitting a new KV dataset. Allocates three pages: the KMV input
     /// page (held), one scratch, and the output page.
@@ -352,7 +303,7 @@ impl<'w> MapReduce<'w> {
             let mut em = MrEmitter {
                 kv: &mut out,
                 store: &self.store,
-                count: &mut self.stats.kvs_mapped,
+                count: &mut self.stats.kvs_reduced,
             };
             f(k, vals, &mut em)
         })?;
@@ -414,43 +365,6 @@ impl<'w> MapReduce<'w> {
         Ok(())
     }
 
-    /// Sorts the current KV dataset by key (MR-MPI's `sort_keys`),
-    /// using the same external sorted-run machinery as `convert` — ties
-    /// between equal keys preserve no particular value order, as in the
-    /// original. Allocates two scratch pages plus the output page.
-    ///
-    /// # Errors
-    /// Page/memory/I/O failures.
-    pub fn sort_keys(&mut self) -> Result<()> {
-        let t0 = Instant::now();
-        let _span = mimir_obs::phase_span(Phase::Sort);
-        let input = self
-            .kv
-            .take()
-            .ok_or_else(|| MrError::Phase("sort_keys without a KV dataset".into()))?;
-        let page = self.cfg.page_size;
-        let _scratch_a = MrPage::new(&self.pool, page)?;
-        let _scratch_b = MrPage::new(&self.pool, page)?;
-        let mut out = KvSet::new(&self.pool, page, self.cfg.ooc)?;
-        group_kvs(&input, &self.store, &self.pool, |k, vals, n| {
-            // Re-emit each value under its (now globally ordered) key.
-            let mut off = 0;
-            for _ in 0..n {
-                let len = u32::from_le_bytes(vals[off..off + 4].try_into().expect("vlen")) as usize;
-                out.add(&self.store, k, &vals[off + 4..off + 4 + len])?;
-                off += 4 + len;
-            }
-            Ok(())
-        })?;
-        out.seal(&self.store)?;
-        self.note_spill(&out);
-        drop(input);
-        self.kv = Some(out);
-        self.comm.barrier();
-        self.stats.map_time += t0.elapsed();
-        Ok(())
-    }
-
     /// Visits every KV of the current dataset (reading results out).
     ///
     /// # Errors
@@ -462,12 +376,6 @@ impl<'w> MapReduce<'w> {
             .as_ref()
             .ok_or_else(|| MrError::Phase("scan without a KV dataset".into()))?;
         kv.for_each_kv(&mut f)
-    }
-
-    /// Values grouped in the current KMV dataset (between convert and
-    /// reduce).
-    pub fn kmv_value_count(&self) -> u64 {
-        self.kmv.as_ref().map_or(0, KmvSet::n_values)
     }
 
     /// KVs in the current dataset.

@@ -22,7 +22,6 @@ pub(crate) struct KmvSet {
     sealed: bool,
     ooc: OocMode,
     n_groups: u64,
-    n_values: u64,
     bytes: u64,
     spilled_pages: u64,
 }
@@ -36,7 +35,6 @@ impl KmvSet {
             sealed: false,
             ooc,
             n_groups: 0,
-            n_values: 0,
             bytes: 0,
             spilled_pages: 0,
         })
@@ -54,7 +52,6 @@ impl KmvSet {
         debug_assert!(!self.sealed, "add after seal");
         let entry_len = ENTRY_HEADER + key.len() + vals.len();
         self.n_groups += 1;
-        self.n_values += u64::from(nvals);
         self.bytes += entry_len as u64;
 
         if entry_len > self.page.size() {
@@ -166,10 +163,6 @@ impl KmvSet {
 
     pub fn n_groups(&self) -> u64 {
         self.n_groups
-    }
-
-    pub fn n_values(&self) -> u64 {
-        self.n_values
     }
 
     pub fn spilled(&self) -> bool {

@@ -3,7 +3,7 @@ use std::time::Duration;
 /// Per-rank metrics across an MR-MPI job's phases.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MrStats {
-    /// Wall time in `map` / `map_from_kv`.
+    /// Wall time in `map`.
     pub map_time: Duration,
     /// Wall time in `aggregate`.
     pub aggregate_time: Duration,
@@ -15,6 +15,10 @@ pub struct MrStats {
     pub compress_time: Duration,
     /// KVs emitted by map callbacks.
     pub kvs_mapped: u64,
+    /// Encoded bytes of the KV datasets map callbacks built.
+    pub kv_bytes_mapped: u64,
+    /// KVs emitted by reduce callbacks.
+    pub kvs_reduced: u64,
     /// Exchange rounds in aggregate.
     pub exchange_rounds: u64,
     /// Whether any dataset spilled to the I/O subsystem.
@@ -28,15 +32,6 @@ pub struct MrStats {
 }
 
 impl MrStats {
-    /// Total wall time across phases.
-    pub fn total_time(&self) -> Duration {
-        self.map_time
-            + self.aggregate_time
-            + self.convert_time
-            + self.reduce_time
-            + self.compress_time
-    }
-
     /// Folds another rank's stats into this one for cluster totals.
     /// Phase times take the max (phases end at barriers), traffic and
     /// spill counters sum, exchange rounds take the max (they are
@@ -49,6 +44,8 @@ impl MrStats {
         self.reduce_time = self.reduce_time.max(other.reduce_time);
         self.compress_time = self.compress_time.max(other.compress_time);
         self.kvs_mapped += other.kvs_mapped;
+        self.kv_bytes_mapped += other.kv_bytes_mapped;
+        self.kvs_reduced += other.kvs_reduced;
         self.exchange_rounds = self.exchange_rounds.max(other.exchange_rounds);
         self.spilled |= other.spilled;
         self.spill_pages += other.spill_pages;

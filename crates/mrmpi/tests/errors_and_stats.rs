@@ -23,7 +23,10 @@ fn phase_order_is_enforced() {
             mr.reduce(|_k, _v, _e| Ok(())),
             Err(MrError::Phase(_))
         ));
-        assert!(matches!(mr.sort_keys(), Err(MrError::Phase(_))));
+        assert!(matches!(
+            mr.compress(|_k, _a, _b, _o| {}),
+            Err(MrError::Phase(_))
+        ));
         assert!(matches!(mr.scan(|_k, _v| Ok(())), Err(MrError::Phase(_))));
         // Reduce before convert is also a phase error.
         mr.map(|em| em.emit(b"k", b"v")).unwrap();
@@ -62,7 +65,8 @@ fn stats_accumulate_across_phases() {
             Ok(())
         })
         .unwrap();
-        mr.collate().unwrap();
+        mr.aggregate().unwrap();
+        mr.convert().unwrap();
         mr.reduce(|k, vals, em| {
             let n = vals.count() as u64;
             em.emit(k, &n.to_le_bytes())
@@ -74,35 +78,9 @@ fn stats_accumulate_across_phases() {
         assert!(s.kvs_mapped >= 200, "{s:?}");
         assert!(s.exchange_rounds >= 1);
         assert!(s.node_peak_bytes >= 7 * 8192, "page sets on the books");
-        assert!(s.total_time() > Duration::ZERO);
+        assert!(s.aggregate_time > Duration::ZERO);
         assert!(!s.spilled);
     }
     let unique: u64 = stats.iter().map(|s| s.unique_keys).sum();
     assert_eq!(unique, 9);
-}
-
-#[test]
-fn kmv_value_count_between_convert_and_reduce() {
-    run_world(1, |comm| {
-        let pool = MemPool::unlimited("node", 4096);
-        let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::default());
-        mr.map(|em| {
-            for i in 0..30u64 {
-                em.emit(&(i % 3).to_le_bytes(), &i.to_le_bytes())?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(mr.kmv_value_count(), 0, "no KMV before convert");
-        mr.collate().unwrap();
-        assert_eq!(mr.kmv_value_count(), 30);
-        assert_eq!(mr.kv_count(), 0, "KV dataset consumed by convert");
-        mr.reduce(|k, vals, em| {
-            let n = vals.count() as u64;
-            em.emit(k, &n.to_le_bytes())
-        })
-        .unwrap();
-        assert_eq!(mr.kmv_value_count(), 0, "KMV consumed by reduce");
-        assert_eq!(mr.kv_count(), 3);
-    });
 }

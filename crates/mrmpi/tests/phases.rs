@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use mimir_io::{IoModel, SpillStore};
 use mimir_mem::MemPool;
-use mimir_mpi::run_world;
+use mimir_mpi::{run_world, run_world_on, TransportKind};
 use mrmpi::{MapReduce, MrMpiConfig, OocMode};
 
 fn store() -> SpillStore {
@@ -160,36 +160,6 @@ fn peak_memory_is_flat_in_dataset_size() {
 }
 
 #[test]
-fn iterative_map_from_kv() {
-    run_world(2, |comm| {
-        let pool = MemPool::unlimited("node", 4096);
-        let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::with_page_size(4096));
-        mr.map(|em| {
-            for i in 0..10u64 {
-                em.emit(&i.to_le_bytes(), &1u64.to_le_bytes())?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        // Double values across three iterations.
-        for _ in 0..3 {
-            mr.map_from_kv(|k, v, em| {
-                let x = u64::from_le_bytes(v.try_into().unwrap()) * 2;
-                em.emit(k, &x.to_le_bytes())
-            })
-            .unwrap();
-        }
-        let mut total = 0u64;
-        mr.scan(|_, v| {
-            total += u64::from_le_bytes(v.try_into().unwrap());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(total, 10 * 8);
-    });
-}
-
-#[test]
 fn skewed_keys_partition_to_single_rank() {
     // All KVs share one key: after aggregate, exactly one rank owns them.
     let owners = run_world(4, |comm| {
@@ -208,93 +178,6 @@ fn skewed_keys_partition_to_single_rank() {
     let non_zero: Vec<_> = owners.iter().filter(|&&c| c > 0).collect();
     assert_eq!(non_zero.len(), 1);
     assert_eq!(*non_zero[0], 200);
-}
-
-#[test]
-fn sort_keys_orders_the_dataset() {
-    run_world(2, |comm| {
-        let pool = MemPool::unlimited("node", 4096);
-        let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::with_page_size(4096));
-        mr.map(|em| {
-            // Reverse-ordered keys with duplicates.
-            for i in (0..200u32).rev() {
-                em.emit(format!("k{:03}", i % 50).as_bytes(), &i.to_le_bytes())?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        mr.sort_keys().unwrap();
-        let mut keys = Vec::new();
-        mr.scan(|k, _| {
-            keys.push(k.to_vec());
-            Ok(())
-        })
-        .unwrap();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        assert_eq!(keys.len(), 200);
-    });
-}
-
-#[test]
-fn sort_keys_spilled_dataset() {
-    run_world(1, |comm| {
-        let pool = MemPool::unlimited("node", 4096);
-        let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::with_page_size(256));
-        mr.map(|em| {
-            for i in (0..500u32).rev() {
-                em.emit(&i.to_le_bytes(), b"payload").unwrap();
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert!(mr.stats().spilled);
-        mr.sort_keys().unwrap();
-        let mut prev: Option<Vec<u8>> = None;
-        let mut n = 0;
-        mr.scan(|k, _| {
-            if let Some(p) = &prev {
-                assert!(p.as_slice() <= k);
-            }
-            prev = Some(k.to_vec());
-            n += 1;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(n, 500);
-    });
-}
-
-#[test]
-fn collate_equals_aggregate_plus_convert() {
-    let counts = run_world(3, |comm| {
-        let pool = MemPool::unlimited("node", 4096);
-        let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::with_page_size(8192));
-        mr.map(|em| {
-            for i in 0..60u64 {
-                em.emit(format!("w{}", i % 6).as_bytes(), &1u64.to_le_bytes())?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        mr.collate().unwrap();
-        mr.reduce(|k, vals, em| {
-            let n = vals.count() as u64;
-            em.emit(k, &n.to_le_bytes())
-        })
-        .unwrap();
-        let mut local = std::collections::HashMap::new();
-        mr.scan(|k, v| {
-            local.insert(k.to_vec(), u64::from_le_bytes(v.try_into().unwrap()));
-            Ok(())
-        })
-        .unwrap();
-        local
-    });
-    let merged: std::collections::HashMap<Vec<u8>, u64> = counts.into_iter().flatten().collect();
-    assert_eq!(merged.len(), 6);
-    assert!(merged.values().all(|&v| v == 30));
 }
 
 #[test]
@@ -325,7 +208,8 @@ fn always_mode_full_pipeline() {
         })
         .unwrap();
         assert!(mr.spilled(), "Always mode spills by definition");
-        mr.collate().unwrap();
+        mr.aggregate().unwrap();
+        mr.convert().unwrap();
         mr.reduce(|k, vals, em| {
             let n: u64 = vals
                 .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
@@ -345,4 +229,60 @@ fn always_mode_full_pipeline() {
     assert_eq!(merged.len(), 7);
     assert_eq!(merged.values().sum::<u64>(), 1000);
     assert!(io.stats().bytes_written > 10_000, "{:?}", io.stats());
+}
+
+/// `aggregate` moves each round's send partitions through the
+/// transport's `alltoallv_into`: the forked-process socket backend must
+/// land the same KVs on the same ranks as the in-process one. A small
+/// page forces many exchange rounds, and `reduce` lists every value it
+/// grouped, so a lost, duplicated or misrouted KV changes a rank's
+/// multiset.
+#[test]
+fn aggregate_convert_reduce_match_across_transports() {
+    let run = |kind| {
+        run_world_on(kind, 3, |comm| {
+            let rank = comm.rank() as u64;
+            let pool = MemPool::unlimited("node", 4096);
+            let mut mr = MapReduce::new(comm, pool, store(), MrMpiConfig::with_page_size(1024));
+            mr.map(|em| {
+                for i in 0..400u64 {
+                    let v = rank * 1000 + i;
+                    em.emit(format!("w{}", i % 37).as_bytes(), &v.to_le_bytes())?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            mr.aggregate().unwrap();
+            mr.convert().unwrap();
+            mr.reduce(|k, vals, em| {
+                let mut vals: Vec<u64> = vals
+                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
+                    .collect();
+                vals.sort_unstable();
+                let packed: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+                em.emit(k, &packed)
+            })
+            .unwrap();
+            let rounds = mr.stats().exchange_rounds;
+            let mut local: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            mr.scan(|k, v| {
+                local.push((k.to_vec(), v.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            local.sort();
+            (local, rounds)
+        })
+    };
+    let inproc = run(TransportKind::Inproc);
+    let uds = run(TransportKind::Uds);
+    assert_eq!(uds, inproc, "per-rank output differs between transports");
+    let groups: usize = inproc.iter().map(|(local, _)| local.len()).sum();
+    assert_eq!(groups, 37, "every key reduced on exactly one rank");
+    let values: usize = inproc
+        .iter()
+        .flat_map(|(local, _)| local.iter().map(|(_, v)| v.len() / 8))
+        .sum();
+    assert_eq!(values, 3 * 400, "every value grouped once");
+    assert!(inproc[0].1 > 1, "a 1 KiB page needs several rounds");
 }

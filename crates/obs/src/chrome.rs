@@ -213,28 +213,6 @@ fn rank_events(rank: u64, events: &[Event], flows: &HashSet<u64>, out: &mut Vec<
                     ),
                 ]));
             }
-            EventKind::CacheEvict | EventKind::CacheReload => {
-                let name = if e.kind == EventKind::CacheEvict {
-                    "cache-evict"
-                } else {
-                    "cache-reload"
-                };
-                out.push(Json::obj(vec![
-                    ("name", Json::Str(name.into())),
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("ts", ts),
-                    ("pid", Json::Num(PID)),
-                    ("tid", tid.clone()),
-                    (
-                        "args",
-                        Json::obj(vec![
-                            ("name_hash", Json::Num(e.a as f64)),
-                            ("bytes", Json::Num(e.b as f64)),
-                        ]),
-                    ),
-                ]));
-            }
         }
     }
 }
@@ -566,35 +544,28 @@ mod tests {
         }
     }
 
+    /// The cache's one instant, the elided shuffle of a chained job.
     #[test]
     fn elision_and_cache_instants_render_on_the_rank_lane() {
-        let ev = |t_ns, kind, a, b| Event { t_ns, kind, a, b };
-        let evs = vec![
-            ev(1_000, EventKind::ShuffleElided, 40, 640),
-            ev(2_000, EventKind::CacheEvict, 7, 4096),
-            ev(3_000, EventKind::CacheReload, 7, 4096),
-        ];
+        let evs = vec![Event {
+            t_ns: 1_000,
+            kind: EventKind::ShuffleElided,
+            a: 40,
+            b: 640,
+        }];
         let doc = chrome_trace(&[report_with_events(1, evs)]);
-        let trace = doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
-        let named = |name: &str| {
-            trace
-                .iter()
-                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
-                .unwrap_or_else(|| panic!("no {name} instant"))
-                .clone()
-        };
-        for name in ["shuffle-elided", "cache-evict", "cache-reload"] {
-            let e = named(name);
-            // Thread-scoped instants: they pin to the rank's lane instead
-            // of spanning the whole process track.
-            assert_eq!(e.get("ph").and_then(Json::as_str), Some("i"), "{name}");
-            assert_eq!(e.get("s").and_then(Json::as_str), Some("t"), "{name}");
-            assert_eq!(e.get("tid").and_then(Json::as_u64), Some(1), "{name}");
-        }
-        let args = named("shuffle-elided").get("args").unwrap().clone();
+        let trace = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let e = trace
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("shuffle-elided"))
+            .expect("a shuffle-elided instant");
+        // A thread-scoped instant: it pins to the rank's lane instead of
+        // spanning the whole process track.
+        assert_eq!(e.get("ph").and_then(Json::as_str), Some("i"));
+        assert_eq!(e.get("s").and_then(Json::as_str), Some("t"));
+        assert_eq!(e.get("tid").and_then(Json::as_u64), Some(1));
+        let args = e.get("args").unwrap();
         assert_eq!(args.get("kvs").and_then(Json::as_u64), Some(40));
         assert_eq!(args.get("bytes").and_then(Json::as_u64), Some(640));
-        let args = named("cache-reload").get("args").unwrap().clone();
-        assert_eq!(args.get("name_hash").and_then(Json::as_u64), Some(7));
     }
 }

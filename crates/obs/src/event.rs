@@ -21,21 +21,20 @@ pub enum Phase {
     Reduce = 3,
     /// MR-MPI's local compress.
     Compress = 4,
-    /// MR-MPI's sort_keys.
-    Sort = 5,
+    // Code 5 belonged to a retired phase; it decodes to `None` and is
+    // never reused.
     /// A whole job (outermost span).
     Job = 6,
 }
 
 impl Phase {
-    /// All phases, index-aligned with their discriminants.
-    pub const ALL: [Phase; 7] = [
+    /// All phases, in code order.
+    pub const ALL: [Phase; 6] = [
         Phase::Map,
         Phase::Aggregate,
         Phase::Convert,
         Phase::Reduce,
         Phase::Compress,
-        Phase::Sort,
         Phase::Job,
     ];
 
@@ -47,14 +46,13 @@ impl Phase {
             Phase::Convert => "convert",
             Phase::Reduce => "reduce",
             Phase::Compress => "compress",
-            Phase::Sort => "sort",
             Phase::Job => "job",
         }
     }
 
     /// Inverse of the discriminant encoding used in [`Event::a`].
     pub fn from_code(code: u64) -> Option<Phase> {
-        Phase::ALL.get(code as usize).copied()
+        Phase::ALL.into_iter().find(|p| *p as u64 == code)
     }
 }
 
@@ -154,20 +152,13 @@ pub enum EventKind {
     /// entirely: map emits fed the local sink directly. `a` = KVs that
     /// took the elided path, `b` = payload bytes.
     ShuffleElided = 21,
-    /// The cross-job KV cache spilled a resident container to disk under
-    /// memory pressure. `a` = Fx hash of the entry's name, `b` = payload
-    /// bytes spilled.
-    CacheEvict = 22,
-    /// A previously evicted cache entry was reloaded from its spill file
-    /// on demand. `a` = Fx hash of the entry's name, `b` = payload bytes
-    /// reloaded. An evict/reload pair of the same name hash close in time
-    /// is the thrash signature `mimir-doctor` looks for.
-    CacheReload = 23,
+    // Codes 22 and 23 belonged to the retired cache eviction's evict and
+    // reload kinds; they decode to `None` and are never reused.
 }
 
 impl EventKind {
     /// All kinds, in code order.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::PhaseBegin,
         EventKind::PhaseEnd,
         EventKind::RoundBegin,
@@ -184,8 +175,6 @@ impl EventKind {
         EventKind::FlowSend,
         EventKind::FlowRecv,
         EventKind::ShuffleElided,
-        EventKind::CacheEvict,
-        EventKind::CacheReload,
     ];
 
     /// Stable serialization name.
@@ -207,8 +196,6 @@ impl EventKind {
             EventKind::FlowSend => "flow_send",
             EventKind::FlowRecv => "flow_recv",
             EventKind::ShuffleElided => "shuffle_elided",
-            EventKind::CacheEvict => "cache_evict",
-            EventKind::CacheReload => "cache_reload",
         }
     }
 
@@ -293,9 +280,11 @@ mod tests {
         assert_eq!(EventKind::from_code(255), None);
         assert_eq!(Phase::from_code(255), None);
         // Retired codes stay unassigned.
-        for retired in [11, 12, 13, 14, 17, 20] {
+        for retired in [11, 12, 13, 14, 17, 20, 22, 23] {
             assert_eq!(EventKind::from_code(retired), None);
         }
+        assert_eq!(Phase::from_code(5), None);
+        assert_eq!(Phase::from_code(6), Some(Phase::Job));
         assert_eq!(Step::from_code(3), None);
         assert_eq!(Step::from_code(4), None);
     }

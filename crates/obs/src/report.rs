@@ -161,15 +161,6 @@ crate::counters! {
     }
 }
 
-impl PhasePeaks {
-    /// The largest of the three phase peaks.
-    pub fn max_bytes(&self) -> u64 {
-        self.map_bytes
-            .max(self.convert_bytes)
-            .max(self.reduce_bytes)
-    }
-}
-
 /// Number of probe-length histogram buckets (0, 1, 2, 3, 4–7, 8–15,
 /// 16–31, 32+).
 pub const PROBE_HIST_BUCKETS: usize = 8;
@@ -266,10 +257,6 @@ crate::counters! {
         /// Shuffles skipped because the input's fingerprint matched the
         /// job's.
         elisions: u64 [sum, opt],
-        /// Resident containers spilled to disk under memory pressure.
-        evictions: u64 [sum, opt],
-        /// Evicted entries transparently reloaded from their spill files.
-        reloads: u64 [sum, opt],
         /// Payload bytes currently resident (charged against the pool).
         cached_bytes: u64 [sum, opt],
     }
@@ -282,7 +269,7 @@ crate::counters! {
 pub struct CacheNameRecord {
     /// The user-chosen cache name.
     pub name: String,
-    /// Resident payload bytes (0 while evicted or removed).
+    /// Resident payload bytes (0 once removed).
     pub bytes: u64,
     /// Cumulative elided shuffles against this name.
     pub elisions: u64,
@@ -562,8 +549,6 @@ mod tests {
                 hits: 6 + rank,
                 misses: 1,
                 elisions: 5 * (rank + 1),
-                evictions: rank,
-                reloads: rank,
                 cached_bytes: 4096 * (rank + 1),
             },
             cache_names: vec![CacheNameRecord {

@@ -9,8 +9,8 @@
 
 use mimir_obs::{
     chrome_trace_string, jsonl_string, CacheCounters, CacheNameRecord, CommCounters, Event,
-    EventKind, GroupCounters, JobCounters, Json, MemCounters, PhasePeaks, PhaseTimes, RankReport,
-    ShuffleCounters,
+    EventKind, GroupCounters, JobCounters, Json, MemCounters, Phase, PhasePeaks, PhaseTimes,
+    RankReport, ShuffleCounters,
 };
 
 /// A report with every counter non-zero and distinct (so a swapped or
@@ -89,8 +89,6 @@ fn report(rank: u64) -> RankReport {
             hits: 1001 * k,
             misses: 1002 * k,
             elisions: 1003 * k,
-            evictions: 1004 * k,
-            reloads: 1005 * k,
             cached_bytes: 1006 * k,
         },
         cache_names: vec![
@@ -197,7 +195,9 @@ fn pinned_bytes_parse_back_to_the_fixture() {
 /// carries the `waits` section whose five counters now live in `comm`,
 /// `shuffle` and `job`. Each retired section is ignored on load, so the
 /// five moved counters read as zero from those files, and everything
-/// else reads back unchanged.
+/// else reads back unchanged. All four also carry `cache.evictions` and
+/// `cache.reloads`, retired with the cache eviction; a section's unknown
+/// keys are ignored too.
 #[test]
 fn reports_with_a_retired_adapt_section_still_parse() {
     let mut want = reports();
@@ -216,6 +216,10 @@ fn reports_with_a_retired_adapt_section_still_parse() {
             text.contains(&format!("\"{section}\":{open}")),
             "fixture must carry the `{section}` section"
         );
+        assert!(
+            text.contains("\"evictions\":") && text.contains("\"reloads\":"),
+            "fixture must carry the retired cache counters"
+        );
         let back: Vec<RankReport> = text
             .lines()
             .map(|l| RankReport::from_json_string(l).unwrap())
@@ -225,9 +229,11 @@ fn reports_with_a_retired_adapt_section_still_parse() {
 }
 
 /// Compact `events` columns carry kind codes. Codes 11–14 and 17 (the
-/// retired job service's lifecycle and heartbeat kinds) and 20 belonged
-/// to retired kinds: the kinds after them keep their numbers, and a row
-/// that still carries one is skipped on load.
+/// retired job service's lifecycle and heartbeat kinds), 20, and 22–23
+/// (the retired cache eviction's evict and reload) belonged to retired
+/// kinds: the kinds after them keep their numbers, and a row that still
+/// carries one is skipped on load. Phase spans carry a phase code in
+/// `a`; code 5 (a retired MR-MPI phase) decodes to no phase.
 #[test]
 fn event_codes_after_the_retired_one_are_pinned() {
     for (code, kind) in [
@@ -236,8 +242,6 @@ fn event_codes_after_the_retired_one_are_pinned() {
         (18, EventKind::FlowSend),
         (19, EventKind::FlowRecv),
         (21, EventKind::ShuffleElided),
-        (22, EventKind::CacheEvict),
-        (23, EventKind::CacheReload),
     ] {
         assert_eq!(kind.code(), code, "{kind:?}");
         let mut r = report(0);
@@ -254,7 +258,7 @@ fn event_codes_after_the_retired_one_are_pinned() {
         );
         assert_eq!(RankReport::from_json_string(&line).unwrap(), r);
     }
-    for code in [11, 12, 13, 14, 17, 20] {
+    for code in [11, 12, 13, 14, 17, 20, 22, 23] {
         let retired = report(0).to_json_string().replace(
             "\"events\":[[1000,0,0,0]",
             &format!("\"events\":[[1000,{code},0,0]"),
@@ -270,6 +274,17 @@ fn event_codes_after_the_retired_one_are_pinned() {
             want,
             "a row with retired code {code} is skipped"
         );
+    }
+    for (code, phase) in [
+        (0, Some(Phase::Map)),
+        (1, Some(Phase::Aggregate)),
+        (2, Some(Phase::Convert)),
+        (3, Some(Phase::Reduce)),
+        (4, Some(Phase::Compress)),
+        (5, None),
+        (6, Some(Phase::Job)),
+    ] {
+        assert_eq!(Phase::from_code(code), phase, "phase code {code}");
     }
 }
 
@@ -343,8 +358,6 @@ const MISSING_KEY_PARSES: &[(&str, bool)] = &[
     ("cache.hits", true),
     ("cache.misses", true),
     ("cache.elisions", true),
-    ("cache.evictions", true),
-    ("cache.reloads", true),
     ("cache.cached_bytes", true),
     ("cache_names", true),
     ("events", true),

@@ -158,62 +158,3 @@ fn single_word_corpus() {
     assert_eq!(got.len(), 1);
     assert_eq!(got[&b"same".to_vec()], 4 * 400);
 }
-
-#[test]
-fn output_written_to_part_files() {
-    let dir = std::env::temp_dir().join(format!("mimir-wc-out-{}", std::process::id()));
-    let dir2 = dir.clone();
-    let io = IoModel::new(IoModelConfig::lustre_scaled()).unwrap();
-    let io2 = io.clone();
-    run_world(3, move |comm| {
-        let pool = MemPool::unlimited("node", 64 * 1024);
-        let mut ctx = MimirContext::new(comm, pool, io2.clone(), MimirConfig::default()).unwrap();
-        let text = b"red green blue red\nblue red\n".repeat(10);
-        let (_, _) = {
-            // Use the raw job API so the output container is available.
-            let meta = KvMeta::cstr_key_u64_val();
-            let out = ctx
-                .job()
-                .kv_meta(meta)
-                .out_meta(meta)
-                .map(&mut |em| {
-                    for w in mimir::io::words(&text) {
-                        em.emit(w, &1u64.to_le_bytes())?;
-                    }
-                    Ok(())
-                })
-                .partial_reduce(Box::new(|_k, a, b, o| {
-                    let s = u64::from_le_bytes(a.try_into().unwrap())
-                        + u64::from_le_bytes(b.try_into().unwrap());
-                    o.extend_from_slice(&s.to_le_bytes());
-                }))
-                .unwrap();
-            let path = ctx
-                .write_text_output(out.output, &dir2, |k, v, line| {
-                    line.push_str(&String::from_utf8_lossy(k));
-                    line.push('\t');
-                    line.push_str(&u64::from_le_bytes(v.try_into().unwrap()).to_string());
-                })
-                .unwrap();
-            assert!(path.exists());
-            ((), ())
-        };
-    });
-    // Merge all part files and verify totals.
-    let mut counts = std::collections::HashMap::new();
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let content = std::fs::read_to_string(entry.unwrap().path()).unwrap();
-        for line in content.lines() {
-            let (word, count) = line.split_once('\t').unwrap();
-            counts.insert(word.to_string(), count.parse::<u64>().unwrap());
-        }
-    }
-    assert_eq!(counts["red"], 3 * 30);
-    assert_eq!(counts["green"], 3 * 10);
-    assert_eq!(counts["blue"], 3 * 20);
-    assert!(
-        io.stats().bytes_written > 0,
-        "output charged to the PFS model"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
