@@ -22,7 +22,10 @@
 //! 20 000-word one the whole-job benchmark's `wc_zipf_opt` folds.
 //!
 //! Then ns-a-KV rows, each read against a floor timed in the same
-//! process rather than across runs: `emit` (the shuffler's batched emit
+//! process rather than across runs: `fold` (the combiner on the
+//! `wc_zipf_opt` stream as a job's map drives it — 32-word batches
+//! through `&mut dyn Emitter` — beside a bare `GroupIndex::insert` and
+//! an in-place add by group id), `emit` (the shuffler's batched emit
 //! at p = 2 on `wc_uniform`'s words, exchange rounds taken out, beside a
 //! hand loop doing the same hashing and copies) and `arrival` (the
 //! on-arrival pass on the receive streams of `wc_uniform`,
@@ -42,7 +45,7 @@ use mimir_apps::octree::map_level;
 use mimir_bench::harness::{fastest, interleaved, Args, Report, Summary};
 use mimir_core::{
     convert_with, encode_push, fxhash64, partition_of, partition_of_hashed, CombineFn,
-    CombinerTable, Emitter, GroupedKvs, KvContainer, KvMeta, KvSink, Shuffler,
+    CombinerTable, Emitter, GroupIndex, GroupedKvs, KvContainer, KvMeta, KvSink, Shuffler,
 };
 use mimir_datagen::{rank_rng, Graph500, PointGen, UniformWords, WikipediaWords};
 use mimir_mem::MemPool;
@@ -240,6 +243,80 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
         }
     });
     repeats.pop().expect("one variant")
+}
+
+/// WordCount's map, as a job hands it to the KV-compression table: the
+/// emitter a combining job's map writes to, reached through
+/// `&mut dyn Emitter`, flushing into `out`.
+struct Combining<'a, 'f> {
+    table: &'a mut CombinerTable<'f>,
+    out: &'a mut dyn Emitter,
+}
+
+impl Emitter for Combining<'_, '_> {
+    fn emit(&mut self, k: &[u8], v: &[u8]) -> mimir_core::Result<()> {
+        self.table.emit_into(k, v, self.out)
+    }
+
+    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> mimir_core::Result<()> {
+        self.table.emit_batch_into(kvs, self.out)
+    }
+}
+
+/// ns a word of the fold on `words`, job-shaped, every repeat, beside
+/// its floor interleaved with it in the same process: `[fold, floor]`.
+///
+/// * `fold` — 32-word batches through `&mut dyn Emitter` into a
+///   combiner ([`CombinerTable::emit_batch_into`]) with `u64` sums,
+///   flushing past its budget into a sink that drops the KVs, then the
+///   final flush.
+/// * `floor` — each word through a bare [`GroupIndex::insert`] and an
+///   in-place add to a `u64` by group id: the probe and merge the fold
+///   cannot avoid, with no batch, budget, hint check or callback.
+fn run_fold_ns(words: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Vec<f64>> {
+    struct Discard;
+    impl Emitter for Discard {
+        fn emit(&mut self, _k: &[u8], _v: &[u8]) -> mimir_core::Result<()> {
+            Ok(())
+        }
+    }
+    let one = 1u64.to_le_bytes();
+    let n = words.len() as f64;
+    let pool = MemPool::new("bench", PAGE, 256 << 20).unwrap();
+    interleaved(repeats, 2, |variant| {
+        let t0 = Instant::now();
+        if variant == 0 {
+            let sum: CombineFn = Box::new(|_k, a, b, out| {
+                let s = u64::from_le_bytes(a.try_into().unwrap())
+                    + u64::from_le_bytes(b.try_into().unwrap());
+                out.extend_from_slice(&s.to_le_bytes());
+            });
+            let mut table = CombinerTable::new(&pool, meta, sum).unwrap();
+            let mut batch: [(&[u8], &[u8]); EMIT_BATCH] = [(&[], &one); EMIT_BATCH];
+            let em: &mut dyn Emitter = &mut Combining {
+                table: &mut table,
+                out: &mut Discard,
+            };
+            for chunk in words.chunks(EMIT_BATCH) {
+                for (slot, w) in batch.iter_mut().zip(chunk) {
+                    slot.0 = w;
+                }
+                em.emit_batch(&batch[..chunk.len()]).unwrap();
+            }
+            table.flush_into(&mut Discard).unwrap();
+        } else {
+            let mut ix = GroupIndex::new(&pool).unwrap();
+            let mut counts: Vec<u64> = Vec::new();
+            for w in words {
+                match ix.insert(w).unwrap() {
+                    (_, true) => counts.push(1),
+                    (id, false) => counts[id as usize] += 1,
+                }
+            }
+            std::hint::black_box(&counts);
+        }
+        t0.elapsed().as_secs_f64() * 1e9 / n
+    })
 }
 
 /// The receive-side streams of the whole-job benchmark's grouping
@@ -493,8 +570,10 @@ fn ns_row(
         s.min,
         s.median,
         floor.map_or(String::new(), |f| format!(
-            ", floor {:.1} (median {:.1})",
-            f.min, f.median
+            ", floor {:.1} (median {:.1}), {:.2}x the floor",
+            f.min,
+            f.median,
+            s.min / f.min
         )),
     );
     let mut fields = vec![
@@ -506,6 +585,7 @@ fn ns_row(
     if let Some(f) = floor {
         fields.push(("floor_ns_per_kv", Json::Num(f.min)));
         fields.push(("floor_median", Json::Num(f.median)));
+        fields.push(("of_floor", Json::Num(s.min / f.min)));
     }
     fields
 }
@@ -627,14 +707,20 @@ fn main() {
         );
     }
 
-    // The fold path (combiner / partial reduction) on the skewed streams.
+    // The fold path (combiner / partial reduction) on the skewed streams,
+    // then the `wc_zipf_opt` stream's ns a word against its floor.
     for vocab in [50_000, ZIPF_OPT_VOCAB] {
         let fold_cell = Workload::SkewedWords {
             corpus_bytes: (12 << 20) / scale,
             vocab,
         };
-        let fold = run_fold(&fold_cell.keys(), fold_cell.meta(), repeats);
+        let words = fold_cell.keys();
+        let fold = run_fold(&words, fold_cell.meta(), repeats);
         report.cell(row("fold", fold_cell, "arena", &fold, None));
+        if vocab == ZIPF_OPT_VOCAB {
+            let ns = run_fold_ns(&words, fold_cell.meta(), repeats);
+            report.cell(ns_row("fold", "zipf-20k-b32", &ns[0], Some(&ns[1])));
+        }
     }
 
     // Where a KV's time goes at either end of the shuffle, in ns a KV:

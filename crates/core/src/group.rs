@@ -35,7 +35,7 @@
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
-use crate::buffer::TrackedBuf;
+use crate::buffer::{prefetch, TrackedBuf};
 use crate::hash::{fast_range, fxhash64, fxhash_short, load_short};
 use crate::Result;
 
@@ -147,6 +147,49 @@ fn inline_key(key: &[u8]) -> Option<[u8; 16]> {
     Some(pack_inline(lo, hi, key.len()))
 }
 
+/// A key loaded for a probe: its full hash and, if it is short enough to
+/// live in its entry, its inline form — both from one load of its bytes.
+/// A fold stages each key one KV ahead of its probe, so the key's home
+/// slot can be prefetched in between ([`GroupIndex::prefetch`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Staged {
+    hash: u64,
+    short: Option<[u8; 16]>,
+}
+
+impl Staged {
+    #[inline(always)]
+    pub(crate) fn new(key: &[u8]) -> Self {
+        if key.len() > INLINE_KEY_MAX {
+            return Self {
+                hash: fxhash64(key),
+                short: None,
+            };
+        }
+        let (lo, hi) = load_short(key);
+        let n = key.len();
+        Self {
+            hash: fxhash_short(lo, hi, n),
+            short: Some(pack_inline(lo, hi, n)),
+        }
+    }
+}
+
+/// Where [`GroupIndex::find`] ended.
+pub(crate) enum Probe {
+    /// The group holding the key.
+    Hit(u32),
+    /// No group holds the key; it would open one here.
+    Vacant(Vacancy),
+}
+
+/// The empty slot a key's probe reached and the steps it took past the
+/// home slot: what [`GroupIndex::open`] needs to place the new group.
+pub(crate) struct Vacancy {
+    slot: usize,
+    probe: u64,
+}
+
 /// The inline entry key of an `n`-byte key whose [`load_short`] words
 /// are `lo` and `hi`.
 #[inline]
@@ -256,7 +299,8 @@ impl GroupIndex {
     /// Memory exhaustion growing the table or interning the key.
     pub fn insert_hashed(&mut self, hash: u64, key: &[u8]) -> Result<(u32, bool)> {
         debug_assert_eq!(hash, fxhash64(key), "hash must be fxhash64 of key");
-        self.probe(hash, inline_key(key), key)
+        let short = inline_key(key);
+        self.insert_staged(&Staged { hash, short }, key)
     }
 
     /// [`Self::insert_hashed`] hashing the key itself. A key short enough
@@ -264,36 +308,54 @@ impl GroupIndex {
     /// form both.
     #[inline(always)]
     pub fn insert(&mut self, key: &[u8]) -> Result<(u32, bool)> {
-        if key.len() > INLINE_KEY_MAX {
-            return self.insert_hashed(fxhash64(key), key);
-        }
-        let (lo, hi) = load_short(key);
-        let n = key.len();
-        self.probe(fxhash_short(lo, hi, n), Some(pack_inline(lo, hi, n)), key)
+        self.insert_staged(&Staged::new(key), key)
     }
 
-    /// The insert probe of `key` under its `hash` and inline form
-    /// `short`: the group holding it, or a new one at the first empty
-    /// slot.
+    /// The insert of a staged `key`: the group holding it, or a new one.
     #[inline(always)]
-    fn probe(&mut self, hash: u64, short: Option<[u8; 16]>, key: &[u8]) -> Result<(u32, bool)> {
+    fn insert_staged(&mut self, staged: &Staged, key: &[u8]) -> Result<(u32, bool)> {
+        match self.find(staged, key)? {
+            Probe::Hit(id) => Ok((id, false)),
+            Probe::Vacant(at) => self.open(at, staged, key).map(|id| (id, true)),
+        }
+    }
+
+    /// Asks for the cache line of `staged`'s home slot, so a probe a few
+    /// keys later finds it loaded. Before the first insert the slot
+    /// table is empty and the hint names nothing.
+    #[inline(always)]
+    pub(crate) fn prefetch(&self, staged: &Staged) {
+        prefetch(&self.slots, start_slot(staged.hash, self.slots.len()));
+    }
+
+    /// The probe of a staged `key`: its group, counted as an insert, or
+    /// the empty slot it would open a group in. The table grows first if
+    /// one more group would pass its load factor, as every insert does,
+    /// so growth happens at the same inserts whichever call the caller
+    /// makes next. A [`Probe::Vacant`] is good for one [`Self::open`]
+    /// before any other change to the index.
+    ///
+    /// # Errors
+    /// Memory exhaustion growing the table.
+    #[inline(always)]
+    pub(crate) fn find(&mut self, staged: &Staged, key: &[u8]) -> Result<Probe> {
         if (self.entries.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow()?;
         }
         let mask = self.slots.len() - 1;
-        let tag = slot_tag(hash);
-        let mut i = start_slot(hash, self.slots.len());
+        let tag = slot_tag(staged.hash);
+        let mut i = start_slot(staged.hash, self.slots.len());
         let mut probe = 0u64;
         loop {
             let s = self.slots[i];
             if s == EMPTY {
-                return self.add(i, hash, short, key, probe);
+                return Ok(Probe::Vacant(Vacancy { slot: i, probe }));
             }
             if s & !0xFFFF_FFFF == tag {
                 let id = (s & 0xFFFF_FFFF) as u32;
-                if self.holds(id, hash, &short, key) {
+                if self.holds(id, staged.hash, &staged.short, key) {
                     self.note_probe(probe);
-                    return Ok((id, false));
+                    return Ok(Probe::Hit(id));
                 }
             }
             probe += 1;
@@ -301,29 +363,27 @@ impl GroupIndex {
         }
     }
 
-    /// Opens the group of `key` in empty slot `i`, reached after `probe`
-    /// steps. Out of line, so the hit path the probe inlines stays small.
+    /// Opens the group of `key` in the slot [`Self::find`] left vacant
+    /// for it, and returns its id. Out of line, so the hit path the probe
+    /// inlines stays small.
+    ///
+    /// # Errors
+    /// Memory exhaustion interning the key or charging its entry.
     #[inline(never)]
-    fn add(
-        &mut self,
-        i: usize,
-        hash: u64,
-        short: Option<[u8; 16]>,
-        key: &[u8],
-        probe: u64,
-    ) -> Result<(u32, bool)> {
+    pub(crate) fn open(&mut self, at: Vacancy, staged: &Staged, key: &[u8]) -> Result<u32> {
         let id = self.entries.len();
         assert!(id < u32::MAX as usize - 1, "group id space exhausted");
-        let stored = match short {
+        let stored = match staged.short {
             Some(k) => k,
             None => self.intern(key)?,
         };
         self.charge.add(ENTRY_BYTES)?;
         self.stats.interned_bytes += key.len() as u64;
+        let hash = staged.hash;
         self.entries.push(Entry { hash, key: stored });
-        self.slots[i] = slot_tag(hash) | id as u64;
-        self.note_probe(probe);
-        Ok((id as u32, true))
+        self.slots[at.slot] = slot_tag(hash) | id as u64;
+        self.note_probe(at.probe);
+        Ok(id as u32)
     }
 
     /// The group id of `key`, if present. Read-only probe; records no
@@ -332,11 +392,10 @@ impl GroupIndex {
         if self.slots.is_empty() {
             return None;
         }
-        let hash = fxhash64(key);
+        let Staged { hash, short } = Staged::new(key);
         let cap = self.slots.len();
         let mask = cap - 1;
         let tag = slot_tag(hash);
-        let short = inline_key(key);
         let mut i = start_slot(hash, cap);
         loop {
             let s = self.slots[i];

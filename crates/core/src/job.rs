@@ -574,6 +574,10 @@ impl Emitter for Combining<'_, '_> {
     fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         self.table.emit_into(key, val, self.out)
     }
+
+    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
+        self.table.emit_batch_into(kvs, self.out)
+    }
 }
 
 impl Feed<'_> {

@@ -13,7 +13,7 @@ use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
 use crate::combiner::{CombineFn, FoldTable};
-use crate::kv::validate;
+use crate::kv::{with_sides, RunKvs};
 use crate::sink::KvSink;
 use crate::{KvContainer, KvMeta, Result};
 
@@ -21,7 +21,6 @@ use crate::{KvContainer, KvMeta, Result};
 pub struct PartialReducer<'f> {
     table: FoldTable<'f>,
     meta: KvMeta,
-    kvs_in: u64,
 }
 
 impl<'f> PartialReducer<'f> {
@@ -33,7 +32,6 @@ impl<'f> PartialReducer<'f> {
         Ok(Self {
             table: FoldTable::new(pool, combine)?,
             meta,
-            kvs_in: 0,
         })
     }
 
@@ -44,7 +42,7 @@ impl<'f> PartialReducer<'f> {
 
     /// KVs folded so far.
     pub fn kvs_in(&self) -> u64 {
-        self.kvs_in
+        self.table.kvs_in()
     }
 
     /// The grouping engine's counters.
@@ -72,11 +70,31 @@ impl<'f> PartialReducer<'f> {
 }
 
 impl KvSink for PartialReducer<'_> {
+    /// Single KVs come from an elided chain's local emitter, not from a
+    /// run, so they are checked against the hints: the value always, the
+    /// key when it opens a group.
     fn accept(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        validate(self.meta.key, key, "key")?;
-        validate(self.meta.val, val, "value")?;
-        self.kvs_in += 1;
-        self.table.fold(key, val).map(drop)
+        let (table, kv) = (&mut self.table, std::iter::once((key, val)));
+        with_sides!(self.meta, |k, v| table.fold((k, v), kv, &mut |_| Ok(())))
+    }
+
+    /// One walk over the run, compiled for its hint pair, straight into
+    /// the fold. Hints were checked at the emit boundary, and the walk
+    /// yields only KVs that satisfy them, so nothing is checked again;
+    /// the walk checks only that every KV lies inside the run.
+    ///
+    /// # Errors
+    /// [`crate::MimirError::MalformedRun`] once the walk reaches a KV the
+    /// run ends inside, the KVs before it folded; memory exhaustion.
+    fn accept_run(&mut self, run_meta: KvMeta, run: &[u8]) -> Result<u64> {
+        debug_assert_eq!(run_meta, self.meta, "run encoding must match the sink");
+        let before = self.table.kvs_in();
+        let (table, mut bad) = (&mut self.table, None);
+        with_sides!(run_meta, |k, v| {
+            let kvs = RunKvs::new(k, v, run).map_while(|kv| kv.map_err(|e| bad = Some(e)).ok());
+            table.fold((), kvs, &mut |_| Ok(()))
+        })?;
+        bad.map_or(Ok(self.table.kvs_in() - before), Err)
     }
 }
 

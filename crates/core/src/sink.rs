@@ -27,9 +27,10 @@ pub trait KvSink {
     ///
     /// The default decodes and [`Self::accept`]s each KV. Sinks whose
     /// storage format equals the wire format (the container) override
-    /// this with a bulk memcpy, and the grouping sink with one walk that
-    /// skips per-KV validation; sinks that must look at every KV anyway
-    /// (partial reduction, an arrival filter) keep the per-KV path.
+    /// this with a bulk memcpy, and the grouping and partial-reduction
+    /// sinks with one walk that hands their tables a batch at a time and
+    /// skips per-KV validation; the arrival filter's sink, which must
+    /// show the user every KV, keeps the per-KV path.
     ///
     /// # Errors
     /// As [`Self::accept`], or [`crate::MimirError::MalformedRun`] once

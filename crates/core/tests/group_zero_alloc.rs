@@ -79,15 +79,23 @@ fn existing_key_lookups_are_allocation_free() {
     assert_eq!(allocs() - before, 0);
 }
 
-/// The partial-reduction steady state — every arriving KV folds into an
-/// existing group — is allocation-free once the working set is resident,
-/// for keys held inline in their index entry and for keys in the arena
-/// alike: the probe hits, the combine callback writes into a reused
-/// scratch buffer, and a merged value of unchanged length overwrites the
-/// accumulator where it lies.
+/// The fold's steady state — every KV folds into an existing group — is
+/// allocation-free once the working set is resident, for keys held
+/// inline in their index entry and for keys in the arena alike, on every
+/// way into it: the partial reducer's single accepts and its run walk,
+/// and the combiner's batches and batches of one. The next key is staged
+/// on the stack, the probe hits, the combine callback writes into a
+/// reused scratch buffer, and a merged value of unchanged length
+/// overwrites the accumulator where it lies.
 #[test]
 fn steady_state_fold_is_allocation_free() {
-    use mimir_core::KvSink;
+    use mimir_core::{CombinerTable, Emitter, KvSink};
+    struct Discard;
+    impl Emitter for Discard {
+        fn emit(&mut self, _k: &[u8], _v: &[u8]) -> mimir_core::Result<()> {
+            Ok(())
+        }
+    }
     let inline: Vec<Vec<u8>> = (0..64u32)
         .map(|i| format!("k{i:02}").into_bytes())
         .collect();
@@ -97,34 +105,52 @@ fn steady_state_fold_is_allocation_free() {
     for keys in [inline, arena] {
         let pool = MemPool::unlimited("t", 64 * 1024);
         let meta = mimir_core::KvMeta::cstr_key_u64_val();
-        let combine: mimir_core::CombineFn = Box::new(|_k, a, b, out| {
-            let s = u64::from_le_bytes(a.try_into().unwrap())
-                + u64::from_le_bytes(b.try_into().unwrap());
-            out.extend_from_slice(&s.to_le_bytes());
-        });
-        let mut pr = PartialReducer::new(&pool, meta, combine).unwrap();
+        let combine = || -> mimir_core::CombineFn {
+            Box::new(|_k, a, b, out| {
+                let s = u64::from_le_bytes(a.try_into().unwrap())
+                    + u64::from_le_bytes(b.try_into().unwrap());
+                out.extend_from_slice(&s.to_le_bytes());
+            })
+        };
+        let one = 1u64.to_le_bytes();
+        let batch: Vec<(&[u8], &[u8])> = keys.iter().map(|k| (&k[..], &one[..])).collect();
+        let mut run = Vec::new();
+        for k in &keys {
+            encode_push(meta, k, &one, &mut run);
+        }
+        let mut pr = PartialReducer::new(&pool, meta, combine()).unwrap();
+        let mut table = CombinerTable::new(&pool, meta, combine()).unwrap();
 
         // Warm-up: materialize all 64 groups and their accumulators, and
-        // let the slot table reach its final capacity.
+        // let the slot tables reach their final capacity.
         for _ in 0..4 {
             for k in &keys {
-                pr.accept(k, &1u64.to_le_bytes()).unwrap();
+                pr.accept(k, &one).unwrap();
             }
+            table.emit_batch_into(&batch, &mut Discard).unwrap();
         }
 
-        // Measured burst: 6,400 folds, all into existing groups.
+        // Measured burst: 19,200 folds in each table, all into existing
+        // groups.
         let before = allocs();
         for _ in 0..100 {
             for k in &keys {
-                pr.accept(k, &1u64.to_le_bytes()).unwrap();
+                pr.accept(k, &one).unwrap();
+                table.emit_into(k, &one, &mut Discard).unwrap();
             }
+            assert_eq!(pr.accept_run(meta, &run).unwrap(), 64);
+            pr.accept_run(meta, &run).unwrap();
+            for half in batch.chunks(32) {
+                table.emit_batch_into(half, &mut Discard).unwrap();
+            }
+            table.emit_batch_into(&batch, &mut Discard).unwrap();
         }
         let during = allocs() - before;
         assert_eq!(during, 0, "steady-state folds allocated {during} times");
 
-        let stats = pr.group_stats();
-        assert_eq!(stats.inserts, 104 * 64);
-        assert_eq!(pr.unique_keys(), 64);
+        assert_eq!(pr.group_stats().inserts, 304 * 64);
+        assert_eq!(table.group_stats().inserts, 304 * 64);
+        assert_eq!((pr.unique_keys(), table.unique_keys()), (64, 64));
     }
 }
 

@@ -1,9 +1,10 @@
 //! Hostile runs: an encoded run that crossed a transport may arrive
 //! truncated or garbled. Every sink's run path — [`GroupedKvs`],
-//! [`KvContainer::push_run`] and the default [`KvSink::accept_run`]
-//! (which [`PartialReducer`] and the arrival filter's sink keep) — must
-//! answer a run it cannot walk with [`MimirError::MalformedRun`], never a
-//! panic, and the pool must be fully credited once the sink drops.
+//! [`KvContainer::push_run`], [`PartialReducer`]'s walk into its fold and the
+//! default [`KvSink::accept_run`] (which the arrival filter's sink keeps)
+//! — must answer a run it cannot walk with [`MimirError::MalformedRun`],
+//! never a panic, the KVs before the damage taken, and the pool must be
+//! fully credited once the sink drops.
 //! Seeded PRNG, so failures replay.
 
 use mimir_core::{
@@ -194,4 +195,61 @@ fn the_error_names_the_damaged_kv() {
             run.len() - whole
         ))
     );
+}
+
+#[test]
+fn a_run_cut_inside_its_fold_folds_the_whole_kvs_before_the_cut() {
+    // The partial reducer stages each KV of a run one ahead of its fold;
+    // a cut at any KV of a run of 33-99 folds exactly the KVs before it,
+    // as a per-KV fold would.
+    for (case, meta) in metas().into_iter().enumerate() {
+        let mut rng = rank_rng(0x0005_746E, case);
+        for _ in 0..100 {
+            let kvs: Vec<(Vec<u8>, Vec<u8>)> = (0..rng.gen_range(33..100))
+                .map(|_| (gen_side(&mut rng, meta.key), gen_side(&mut rng, meta.val)))
+                .collect();
+            let (mut run, mut starts) = (Vec::new(), Vec::new());
+            for (k, v) in &kvs {
+                starts.push(run.len());
+                encode_push(meta, k, v, &mut run);
+            }
+            let cut = rng.gen_range(0..kvs.len());
+            let end = if cut + 1 < kvs.len() {
+                starts[cut + 1]
+            } else {
+                run.len()
+            };
+            // Every KV here is at least 2 B, so a cut strictly inside
+            // KV `cut` exists.
+            run.truncate(starts[cut] + rng.gen_range(1..end - starts[cut]));
+
+            let pool = MemPool::new("t", 256, 1 << 24).unwrap();
+            let drained = |pr: PartialReducer<'_>| {
+                let mut kvs = Vec::new();
+                let out = pr.into_output(&pool, meta).unwrap();
+                out.drain(|k, v| {
+                    kvs.push((k.to_vec(), v.to_vec()));
+                    Ok(())
+                })
+                .unwrap();
+                kvs
+            };
+            let mut walked = PartialReducer::new(&pool, meta, Box::new(keep_first)).unwrap();
+            let err = walked.accept_run(meta, &run).unwrap_err();
+            assert!(
+                matches!(err, MimirError::MalformedRun { offset, .. } if offset == starts[cut])
+            );
+            assert_eq!(
+                walked.kvs_in(),
+                cut as u64,
+                "{meta:?}: the KVs before the cut"
+            );
+            let mut each = PartialReducer::new(&pool, meta, Box::new(keep_first)).unwrap();
+            for (k, v) in &kvs[..cut] {
+                each.accept(k, v).unwrap();
+            }
+            assert_eq!(drained(walked), drained(each), "{meta:?}: cut at KV {cut}");
+            assert_eq!(pool.used(), 0, "{meta:?}: the pool is credited");
+        }
+    }
 }
