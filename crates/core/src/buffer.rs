@@ -44,8 +44,8 @@ impl TrackedBuf {
 /// the line after the one it wrote (that chain's next appends land
 /// there), the reader names the next chunk of the chain it walks, and
 /// the on-arrival pass names a whole batch's heads and tails before it
-/// appends to any of them; the fold names a batch's home slots before
-/// it probes any of them.
+/// appends to any of them; the fold names the next key's home slot
+/// before it probes the current one.
 ///
 /// [`Chains::append`]: crate::kmvc::Chains::append
 #[inline]
