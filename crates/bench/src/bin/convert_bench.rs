@@ -245,29 +245,12 @@ fn run_fold(keys: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Measure> {
     repeats.pop().expect("one variant")
 }
 
-/// WordCount's map, as a job hands it to the KV-compression table: the
-/// emitter a combining job's map writes to, reached through
-/// `&mut dyn Emitter`, flushing into `out`.
-struct Combining<'a, 'f> {
-    table: &'a mut CombinerTable<'f>,
-    out: &'a mut dyn Emitter,
-}
-
-impl Emitter for Combining<'_, '_> {
-    fn emit(&mut self, k: &[u8], v: &[u8]) -> mimir_core::Result<()> {
-        self.table.emit_into(k, v, self.out)
-    }
-
-    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> mimir_core::Result<()> {
-        self.table.emit_batch_into(kvs, self.out)
-    }
-}
-
 /// ns a word of the fold on `words`, job-shaped, every repeat, beside
 /// its floor interleaved with it in the same process: `[fold, floor]`.
 ///
-/// * `fold` — 32-word batches through `&mut dyn Emitter` into a
-///   combiner ([`CombinerTable::emit_batch_into`]) with `u64` sums,
+/// * `fold` — 32-word batches through `&mut dyn Emitter` into the
+///   combining emitter a job's map writes to
+///   ([`CombinerTable::flushing_into`]) with `u64` sums,
 ///   flushing past its budget into a sink that drops the KVs, then the
 ///   final flush.
 /// * `floor` — each word through a bare [`GroupIndex::insert`] and an
@@ -293,10 +276,9 @@ fn run_fold_ns(words: &[Vec<u8>], meta: KvMeta, repeats: usize) -> Vec<Vec<f64>>
             });
             let mut table = CombinerTable::new(&pool, meta, sum).unwrap();
             let mut batch: [(&[u8], &[u8]); EMIT_BATCH] = [(&[], &one); EMIT_BATCH];
-            let em: &mut dyn Emitter = &mut Combining {
-                table: &mut table,
-                out: &mut Discard,
-            };
+            let mut discard = Discard;
+            let mut map = table.flushing_into(&mut discard);
+            let em: &mut dyn Emitter = &mut map;
             for chunk in words.chunks(EMIT_BATCH) {
                 for (slot, w) in batch.iter_mut().zip(chunk) {
                     slot.0 = w;

@@ -38,31 +38,6 @@ impl TrackedBuf {
     }
 }
 
-/// Asks the CPU to start loading the cache line holding `buf[at]`, if
-/// the target can. With thousands of chains filling or read at once the
-/// hardware prefetcher cannot follow them, so [`Chains::append`] names
-/// the line after the one it wrote (that chain's next appends land
-/// there), the reader names the next chunk of the chain it walks, and
-/// the on-arrival pass names a whole batch's heads and tails before it
-/// appends to any of them; the fold names the next key's home slot
-/// before it probes the current one.
-///
-/// [`Chains::append`]: crate::kmvc::Chains::append
-#[inline]
-pub(crate) fn prefetch<T>(buf: &[T], at: usize) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64 target
-    // has, and it is a hint: the address is never dereferenced, so one
-    // past the end of `buf` (or an empty `buf`'s dangling pointer)
-    // cannot fault.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(buf.as_ptr().wrapping_add(at).cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (buf, at);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

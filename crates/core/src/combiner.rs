@@ -26,22 +26,19 @@
 //! straight into the fold; a single KV is a batch of one. The fold loads
 //! each key once — a key of up to 15 bytes as two fixed-width words that
 //! give both its hash and the inline form its index entry compares
-//! against — one KV ahead of its probe, and prefetches its home slot in
-//! between; it probes and folds in arrival order, so group ids, the flush
-//! points and every flushed KV are the ones a KV-at-a-time loop gives. A
-//! stage of 32 keys hashed and prefetched before any probe, as grouping
-//! on arrival takes them, measured slower on the `wc_zipf_opt` stream
-//! than staging one ahead (EXPERIMENTS, "A batched fold"). A hit merges
-//! through the user's callback and, when the merged value keeps its
-//! length, writes it over the old one with fixed-width moves; a value
-//! that changes length, and the arena compaction it may call for, are
-//! out of line.
+//! against — and probes and folds in arrival order, so group ids, the
+//! flush points and every flushed KV are the ones a KV-at-a-time loop
+//! gives. A hit merges through the user's callback and, when the merged
+//! value keeps its length, writes it over the old one with fixed-width
+//! moves; a value that changes length, and the arena compaction it may
+//! call for, are out of line.
 //!
 //! A hit checks nothing about its key. The key hint is checked when a
 //! key opens a group, before it is interned, and a hit equals an
 //! interned key byte for byte, so it passed the same check: a CStr key's
-//! NUL scan runs once a group, not once a KV. Values are checked on every
-//! KV. Runs that crossed the shuffle are not checked again at all: their
+//! NUL scan runs once a group, not once a KV. The one exception is the
+//! probe that grows the slot table, which checks its key first, so a
+//! refused key never grows the index. Values are checked on every KV. Runs that crossed the shuffle are not checked again at all: their
 //! hints were checked where they were emitted, and the walk that splits
 //! a run yields only KVs that satisfy them.
 //!
@@ -164,9 +161,8 @@ impl<'f> FoldTable<'f> {
         })
     }
 
-    /// Folds `kvs` in order, each key staged one KV ahead of its fold
-    /// (see the module docs), running `grew` after each fold that grew
-    /// the table: a new group, or a merged value appended to the arena. A
+    /// Folds `kvs` in order, running `grew` after each fold that grew the
+    /// table: a new group, or a merged value appended to the arena. A
     /// fold that grows nothing is never followed by it.
     ///
     /// # Errors
@@ -176,41 +172,34 @@ impl<'f> FoldTable<'f> {
     pub fn fold<'a>(
         &mut self,
         hints: impl Hints,
-        mut kvs: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+        kvs: impl Iterator<Item = (&'a [u8], &'a [u8])>,
         grew: OnGrowth<'_, 'f>,
     ) -> Result<()> {
-        let Some((mut key, mut val)) = kvs.next() else {
-            return Ok(());
-        };
-        let mut staged = Staged::new(key);
-        loop {
-            let next = kvs.next().map(|(key, val)| {
-                let staged = Staged::new(key);
-                self.index.prefetch(&staged);
-                (key, val, staged)
-            });
-            self.fold_one(hints, &staged, key, val, &mut *grew)?;
-            match next {
-                Some(next) => (key, val, staged) = next,
-                None => return Ok(()),
-            }
+        for (key, val) in kvs {
+            self.fold_one(hints, key, val, &mut *grew)?;
         }
+        Ok(())
     }
 
-    /// Folds one staged KV.
+    /// Folds one KV.
     #[inline(always)]
     fn fold_one(
         &mut self,
         hints: impl Hints,
-        staged: &Staged,
         key: &[u8],
         val: &[u8],
         grew: OnGrowth<'_, 'f>,
     ) -> Result<()> {
         hints.val(val)?;
-        let fresh = match self.index.find(staged, key)? {
+        if self.index.grows_next() {
+            // The probe grows the index before it knows whether the key
+            // opens a group; a refused key must leave it as it was.
+            hints.key(key)?;
+        }
+        let staged = Staged::new(key);
+        let fresh = match self.index.find(&staged, key)? {
             Probe::Hit(id) => self.merge(id, key, val)?,
-            Probe::Vacant(at) => self.open(hints, at, staged, key, val)?,
+            Probe::Vacant(at) => self.open(hints, at, &staged, key, val)?,
         };
         self.kvs_in += 1;
         if fresh {
@@ -422,6 +411,13 @@ impl<'f> CombinerTable<'f> {
         })
     }
 
+    /// The emitter a combining job's map writes to: each KV folds into
+    /// this table, which flushes into `out` whenever it outgrows its
+    /// budget ([`Self::emit_batch_into`]).
+    pub fn flushing_into<'a>(&'a mut self, out: &'a mut dyn Emitter) -> Combining<'a, 'f> {
+        Combining { table: self, out }
+    }
+
     /// Flushes the compressed KVs into the shuffle emitter (the delayed
     /// aggregate) and fully releases the table.
     pub fn flush_into(&mut self, shuffler: &mut dyn Emitter) -> Result<()> {
@@ -464,6 +460,23 @@ impl<'f> CombinerTable<'f> {
         let table = &mut self.table;
         let kvs = kvs.iter().copied();
         with_sides!(self.meta, |k, v| table.fold((k, v), kvs, grew))
+    }
+}
+
+/// A map's emitter through a compression table, flushing into the
+/// emitter behind it: [`CombinerTable::flushing_into`].
+pub struct Combining<'a, 'f> {
+    table: &'a mut CombinerTable<'f>,
+    out: &'a mut dyn Emitter,
+}
+
+impl Emitter for Combining<'_, '_> {
+    fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
+        self.table.emit_into(key, val, self.out)
+    }
+
+    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
+        self.table.emit_batch_into(kvs, self.out)
     }
 }
 

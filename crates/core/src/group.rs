@@ -35,7 +35,7 @@
 use mimir_mem::MemPool;
 use mimir_obs::GroupCounters;
 
-use crate::buffer::{prefetch, TrackedBuf};
+use crate::buffer::TrackedBuf;
 use crate::hash::{fast_range, fxhash64, fxhash_short, load_short};
 use crate::Result;
 
@@ -149,9 +149,6 @@ fn inline_key(key: &[u8]) -> Option<[u8; 16]> {
 
 /// A key loaded for a probe: its full hash and, if it is short enough to
 /// live in its entry, its inline form — both from one load of its bytes.
-/// A fold stages each key one KV ahead of its probe, so the key's home
-/// slot can be prefetched in between ([`GroupIndex::prefetch`]).
-#[derive(Clone, Copy)]
 pub(crate) struct Staged {
     hash: u64,
     short: Option<[u8; 16]>,
@@ -320,26 +317,26 @@ impl GroupIndex {
         }
     }
 
-    /// Asks for the cache line of `staged`'s home slot, so a probe a few
-    /// keys later finds it loaded. Before the first insert the slot
-    /// table is empty and the hint names nothing.
+    /// Whether the next [`Self::find`] grows the slot table first: one
+    /// more group would pass its load factor (or there is no table yet).
     #[inline(always)]
-    pub(crate) fn prefetch(&self, staged: &Staged) {
-        prefetch(&self.slots, start_slot(staged.hash, self.slots.len()));
+    pub(crate) fn grows_next(&self) -> bool {
+        (self.entries.len() + 1) * 4 > self.slots.len() * 3
     }
 
     /// The probe of a staged `key`: its group, counted as an insert, or
     /// the empty slot it would open a group in. The table grows first if
-    /// one more group would pass its load factor, as every insert does,
-    /// so growth happens at the same inserts whichever call the caller
-    /// makes next. A [`Probe::Vacant`] is good for one [`Self::open`]
-    /// before any other change to the index.
+    /// [`Self::grows_next`], as every insert does, so growth happens at
+    /// the same inserts whichever call the caller makes next; a caller
+    /// that may refuse the key checks it before this call in that case.
+    /// A [`Probe::Vacant`] is good for one [`Self::open`] before any
+    /// other change to the index.
     ///
     /// # Errors
     /// Memory exhaustion growing the table.
     #[inline(always)]
     pub(crate) fn find(&mut self, staged: &Staged, key: &[u8]) -> Result<Probe> {
-        if (self.entries.len() + 1) * 4 > self.slots.len() * 3 {
+        if self.grows_next() {
             self.grow()?;
         }
         let mask = self.slots.len() - 1;

@@ -563,23 +563,6 @@ enum Source<'f> {
     Chain(String, ChainMapFn<'f>),
 }
 
-/// A map's emitter through a compression table: each KV folds into the
-/// table, which flushes into `out` whenever it outgrows its budget.
-struct Combining<'a, 'f> {
-    table: &'a mut CombinerTable<'f>,
-    out: &'a mut dyn Emitter,
-}
-
-impl Emitter for Combining<'_, '_> {
-    fn emit(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
-        self.table.emit_into(key, val, self.out)
-    }
-
-    fn emit_batch(&mut self, kvs: &[(&[u8], &[u8])]) -> Result<()> {
-        self.table.emit_batch_into(kvs, self.out)
-    }
-}
-
 impl Feed<'_> {
     /// Runs the feed into `out`, flushing a compression table's
     /// remainder at the end. Returns the table's counters (none without
@@ -595,10 +578,7 @@ impl Feed<'_> {
             (Source::Map(map), None) => map(out)?,
             (Source::Map(map), Some(cf)) => {
                 let mut table = CombinerTable::new(pool, meta, cf)?;
-                map(&mut Combining {
-                    table: &mut table,
-                    out,
-                })?;
+                map(&mut table.flushing_into(out))?;
                 table.flush_into(out)?;
                 return Ok(table.group_stats());
             }

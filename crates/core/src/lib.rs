@@ -65,7 +65,7 @@ mod stats;
 pub mod typed;
 
 pub use cache::{CheckedOut, KvCache};
-pub use combiner::{CombineFn, CombinerTable};
+pub use combiner::{CombineFn, CombinerTable, Combining};
 pub use config::{KvMeta, LenHint, MimirConfig};
 pub use context::MimirContext;
 pub use convert::{convert, convert_with};

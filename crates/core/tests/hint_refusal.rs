@@ -1,7 +1,8 @@
 //! The CStr hint's NUL refusal on every sink that checks it: a key with
 //! an interior NUL is refused with `HintViolation` before anything
-//! changes — no group interned, no KV stored, no pool byte taken —
-//! whatever the key's length and wherever the NUL sits, including on
+//! changes — no group interned, no KV stored, no pool byte taken, no
+//! slot table grown, even by a key that arrives when the table is due
+//! to grow — whatever the key's length and wherever the NUL sits, including on
 //! either side of the 8- and 16-byte word edges the check reads by, and
 //! whether the key would live inline in its index entry (≤ 15 bytes) or
 //! in the key arena.
@@ -111,4 +112,68 @@ fn grouped_kvs_refuse_nul_keys() {
         (kmvc.n_groups(), kmvc.n_values(), stats.inserts),
         (24, 24, 24)
     );
+}
+
+/// Fills a fold table to its slot table's load factor — 384 groups in
+/// 512 slots, so the next probe would double it to 8 KiB, past a whole
+/// charge delta — then offers a NUL key, which must be refused without
+/// the table growing or the pool moving.
+fn refuse_at_growth_limit(
+    pool: &MemPool,
+    mut accept: impl FnMut(&[u8]) -> mimir_core::Result<()>,
+    stats: impl Fn() -> mimir_obs::GroupCounters,
+) {
+    for i in 0..384 {
+        accept(format!("key-{i}").as_bytes()).unwrap();
+    }
+    let (used, before) = (pool.used(), stats());
+    assert_eq!(before.capacity, 512);
+    for key in [&b"key\0at-the-limit"[..], b"k\0"] {
+        match accept(key) {
+            Err(MimirError::HintViolation(_)) => {}
+            other => panic!("key {key:?}: {other:?}"),
+        }
+        let after = stats();
+        assert_eq!(pool.used(), used, "key {key:?} took pool bytes");
+        assert_eq!(
+            (after.capacity, after.rehashes, after.inserts),
+            (before.capacity, before.rehashes, before.inserts),
+            "key {key:?} changed the index"
+        );
+    }
+    // A clean key then grows the table as it would have.
+    accept(b"key-384").unwrap();
+    assert_eq!(stats().capacity, 1024);
+}
+
+#[test]
+fn combiner_table_refuses_a_nul_key_at_the_growth_limit() {
+    let pool = MemPool::new("t", 4096, 1 << 30).unwrap();
+    let table = std::cell::RefCell::new(
+        CombinerTable::new(&pool, KvMeta::cstr_key_u64_val(), sum()).unwrap(),
+    );
+    refuse_at_growth_limit(
+        &pool,
+        |k| {
+            table
+                .borrow_mut()
+                .emit_into(k, &1u64.to_le_bytes(), &mut Refuse)
+        },
+        || table.borrow().group_stats(),
+    );
+    assert_eq!(table.borrow().unique_keys(), 385);
+}
+
+#[test]
+fn partial_reducer_refuses_a_nul_key_at_the_growth_limit() {
+    let pool = MemPool::new("t", 4096, 1 << 30).unwrap();
+    let pr = std::cell::RefCell::new(
+        PartialReducer::new(&pool, KvMeta::cstr_key_u64_val(), sum()).unwrap(),
+    );
+    refuse_at_growth_limit(
+        &pool,
+        |k| pr.borrow_mut().accept(k, &1u64.to_le_bytes()),
+        || pr.borrow().group_stats(),
+    );
+    assert_eq!(pr.borrow().kvs_in(), 385);
 }
