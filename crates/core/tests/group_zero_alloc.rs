@@ -83,7 +83,7 @@ fn existing_key_lookups_are_allocation_free() {
 /// allocation-free once the working set is resident, for keys held
 /// inline in their index entry and for keys in the arena alike, on every
 /// way into it: the partial reducer's single accepts and its run walk,
-/// and the combiner's batches and batches of one. The next key is staged
+/// and the combiner's batches and batches of one. The loaded key lives
 /// on the stack, the probe hits, the combine callback writes into a
 /// reused scratch buffer, and a merged value of unchanged length
 /// overwrites the accumulator where it lies.

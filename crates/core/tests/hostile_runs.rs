@@ -199,9 +199,9 @@ fn the_error_names_the_damaged_kv() {
 
 #[test]
 fn a_run_cut_inside_its_fold_folds_the_whole_kvs_before_the_cut() {
-    // The partial reducer stages each KV of a run one ahead of its fold;
-    // a cut at any KV of a run of 33-99 folds exactly the KVs before it,
-    // as a per-KV fold would.
+    // The partial reducer walks a run straight into its fold; a cut at
+    // any KV of a run of 33-99 folds exactly the KVs before it, as a
+    // per-KV fold would.
     for (case, meta) in metas().into_iter().enumerate() {
         let mut rng = rank_rng(0x0005_746E, case);
         for _ in 0..100 {
