@@ -186,9 +186,11 @@ fn run_shape(shape: Shape, cold_first: bool) -> Attempt {
         // measures the critical path from happens-before edges instead
         // of guessing a straggler from aggregate wait counters — the
         // guess misfires on OS scheduling noise in a threaded world.
-        let mut rec = mimir_obs::Recorder::with_epoch(rank as usize, 16 * 1024, epoch);
-        rec.set_flow_enabled(true);
-        mimir_obs::install(rec);
+        mimir_obs::install(mimir_obs::Recorder::with_epoch(
+            rank as usize,
+            16 * 1024,
+            epoch,
+        ));
 
         // ---- Cached path: the dataset lives in the cache; every
         // iteration is one chained, shuffle-elided job. The seed emits

@@ -1,16 +1,15 @@
 //! **Trace-overhead ablation** — cost of the observability stack on the
-//! shuffle hot path, measured on a heavy 8-rank shuffle cell. Three
+//! shuffle hot path, measured on a heavy 8-rank shuffle cell. Two
 //! configurations:
 //!
 //! - `off`: no recorder installed — every `emit`/`flow_*` call is a
 //!   thread-local `None` check and nothing else;
-//! - `skeleton`: recorder installed, flow stamping disabled — phase,
-//!   step, and round spans land in the ring but messages go untraced;
-//! - `full-flow`: flow stamping on — every message additionally carries
-//!   a flow id and the receive loop records `FlowSend`/`FlowRecv`
-//!   pairs, i.e. everything the critical-path engine needs.
+//! - `full-flow`: a recorder installed — phase, step, and round spans
+//!   land in the ring, every message carries a flow id and the receive
+//!   loop records `FlowSend`/`FlowRecv` pairs, i.e. everything the
+//!   critical-path engine needs.
 //!
-//! The three configurations run as interleaved repeats, the order
+//! The two configurations run as interleaved repeats, the order
 //! reversed every other round. A configuration's overhead is the median,
 //! over rounds, of `off`'s throughput over its own in the same round,
 //! minus one: a slow spell lifts both sides of a pair alike, the
@@ -33,23 +32,13 @@ use mimir_obs::{Json, Recorder};
 
 const KV_BYTES: u64 = 16; // fixed(8,8)
 
-/// Rounds of the three cells. Odd, so the paired median is one pair.
+/// Rounds of the two cells. Odd, so the paired median is one pair.
 const REPEATS_QUICK: usize = 51;
 const REPEATS_FULL: usize = 11;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Tracing {
-    Off,
-    Skeleton,
-    FullFlow,
-}
-
-/// The measured configurations, in report order.
-const CELLS: [(&str, Tracing); 3] = [
-    ("off", Tracing::Off),
-    ("skeleton", Tracing::Skeleton),
-    ("full-flow", Tracing::FullFlow),
-];
+/// The measured configurations, in report order: whether a recorder is
+/// installed.
+const CELLS: [(&str, bool); 2] = [("off", false), ("full-flow", true)];
 
 struct Measure {
     mb_per_s: f64,
@@ -61,13 +50,11 @@ struct Measure {
 /// make the event count (and thus the comparison) configuration-biased.
 const RING_CAP: usize = 1 << 20;
 
-fn run_cell(ranks: usize, comm_buf: usize, kvs_per_rank: usize, tracing: Tracing) -> Measure {
+fn run_cell(ranks: usize, comm_buf: usize, kvs_per_rank: usize, traced: bool) -> Measure {
     let epoch = Instant::now();
     let out = run_world(ranks, move |comm| {
-        if tracing != Tracing::Off {
-            let mut rec = Recorder::with_epoch(comm.rank(), RING_CAP, epoch);
-            rec.set_flow_enabled(tracing == Tracing::FullFlow);
-            mimir_obs::install(rec);
+        if traced {
+            mimir_obs::install(Recorder::with_epoch(comm.rank(), RING_CAP, epoch));
         }
         let pool = MemPool::unlimited("bench", 1 << 20);
         let meta = KvMeta::fixed(8, 8);
@@ -144,7 +131,7 @@ fn main() {
         "{:<6}{:>8}{:>12}{:>12}{:>12}{:>12}{:>12}{:>10}",
         "ranks", "buf", "config", "MB/s", "median", "overhead", "events", "dropped"
     );
-    let full_flow = overhead(&runs[0], &runs[2]);
+    let full_flow = overhead(&runs[0], &runs[1]);
     let mut report = Report::new("trace_overhead", &args);
     let mut dropped = 0;
     for ((name, _), repeats) in CELLS.iter().zip(&runs) {

@@ -20,9 +20,7 @@ const RANKS: usize = 4;
 fn traced_shuffle(ring_cap: usize) -> Vec<(usize, Vec<Event>, u64)> {
     let epoch = Instant::now();
     run_world(RANKS, move |comm| {
-        let mut rec = Recorder::with_epoch(comm.rank(), ring_cap, epoch);
-        rec.set_flow_enabled(true);
-        mimir_obs::install(rec);
+        mimir_obs::install(Recorder::with_epoch(comm.rank(), ring_cap, epoch));
         let pool = MemPool::unlimited("t", 64 * 1024);
         let meta = KvMeta::fixed(8, 8);
         let sink = KvContainer::new(&pool, meta);

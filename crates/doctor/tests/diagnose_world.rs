@@ -74,9 +74,7 @@ fn run_traced_shuffle(
     let epoch = Instant::now();
     let reports = run_world(ranks, move |comm| {
         let rank = comm.rank();
-        let mut rec = Recorder::with_epoch(rank, 256 * 1024, epoch);
-        rec.set_flow_enabled(true);
-        mimir_obs::install(rec);
+        mimir_obs::install(Recorder::with_epoch(rank, 256 * 1024, epoch));
         let pool = MemPool::unlimited(format!("n{rank}"), 64 * 1024);
         let config = MimirConfig {
             comm_buf_size: 1024,

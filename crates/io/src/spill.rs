@@ -31,9 +31,8 @@ impl SpillStore {
         Self::new_temp_scoped("world", label, model)
     }
 
-    /// Creates a temp-directory store whose directory name carries the
-    /// owning world/communicator name (e.g. `Comm::name()`), so the spill
-    /// dirs of concurrent jobs are attributable at a glance:
+    /// Creates a temp-directory store whose directory name carries a
+    /// scope name, so spill dirs are attributable at a glance:
     /// `mimir-spill-<scope>-<label>-<pid>-<token>`.
     pub fn new_temp_scoped(scope: &str, label: &str, model: IoModel) -> Result<Self> {
         // Communicator names contain dots ("world.job3"); keep those, but

@@ -14,8 +14,9 @@
 //! either as fixed-size [`Page`]s (mirroring the paper's fragmentation-free
 //! fixed-size buffer units) or as byte-granular [`Reservation`]s.
 //!
-//! Several simulated ranks (threads) that live on the same simulated node
-//! share one pool via [`NodeMap`], so data imbalance across ranks exhausts
+//! Several simulated ranks (threads, or processes forked after the pool was
+//! made) that live on the same simulated node share one pool via
+//! [`NodeMap`], so data imbalance across ranks exhausts
 //! the *node* budget exactly as it does on the real machine — the effect
 //! that breaks MR-MPI's weak scaling on skewed datasets in the paper's
 //! Figures 10 and 14.

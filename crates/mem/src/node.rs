@@ -10,6 +10,11 @@ use crate::{MemError, MemPool, Result};
 /// KVs on a few ranks, those ranks' *nodes* run out of memory, and the job
 /// spills or dies even though the aggregate memory across the machine would
 /// have sufficed.
+///
+/// The pools are shared by rank processes too: a world of forked ranks
+/// started after the map was built charges each node's one budget (see
+/// [`MemPool`]). A rank process killed by a signal never drops its pages,
+/// so they stay charged to its node for the rest of the map's life.
 #[derive(Clone)]
 pub struct NodeMap {
     ranks_per_node: usize,

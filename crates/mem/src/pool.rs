@@ -1,6 +1,7 @@
+use std::ops::Deref;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
 use std::sync::Mutex;
 
 use crate::{MemError, MemStats, Page, Reservation, Result};
@@ -13,6 +14,12 @@ use crate::{MemError, MemStats, Page, Reservation, Result};
 /// dropping them credits the pool. `MemPool` is a cheap `Arc` handle; clones
 /// share the same budget and counters, which is how multiple ranks on one
 /// simulated node share a node's memory.
+///
+/// The counters (`used`, the peaks, the page and OOM counts) live in
+/// memory shared with every process forked after the pool was made, so
+/// rank processes on the socket transport charge one node budget just as
+/// rank threads do. Page memory and the free-page cache stay private to
+/// each process.
 ///
 /// Freed page buffers are cached and reused rather than returned to the
 /// system allocator. This mirrors the paper's motivation for fixed-size
@@ -38,6 +45,14 @@ pub(crate) struct PoolInner {
     name: String,
     page_size: usize,
     budget: usize,
+    counters: SharedCounters,
+    free_pages: Mutex<Vec<Box<[u8]>>>,
+}
+
+/// A pool's accounting: atomics only, so processes that share the
+/// memory can update them at once.
+#[derive(Default)]
+struct Counters {
     used: AtomicUsize,
     peak: AtomicUsize,
     /// Separate high-water mark for phase-scoped measurement
@@ -53,7 +68,97 @@ pub(crate) struct PoolInner {
     /// byte-granular reservation churn costs one atomic load per call,
     /// not one trace event.
     last_sample: AtomicUsize,
-    free_pages: Mutex<Vec<Box<[u8]>>>,
+}
+
+/// One [`Counters`] in a `MAP_SHARED | MAP_ANONYMOUS` mapping, which a
+/// `fork` leaves shared between parent and child instead of copying.
+struct SharedCounters(NonNull<Counters>);
+
+// SAFETY: the mapping is only ever reached through `&Counters`, whose
+// fields are atomics.
+unsafe impl Send for SharedCounters {}
+unsafe impl Sync for SharedCounters {}
+
+#[cfg(unix)]
+mod sys {
+    use std::ffi::{c_int, c_long, c_void};
+
+    extern "C" {
+        pub fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+    pub const PROT_READ: c_int = 0x1;
+    pub const PROT_WRITE: c_int = 0x2;
+    pub const MAP_SHARED: c_int = 0x1;
+    #[cfg(target_os = "linux")]
+    pub const MAP_ANONYMOUS: c_int = 0x20;
+    #[cfg(not(target_os = "linux"))]
+    pub const MAP_ANONYMOUS: c_int = 0x1000;
+    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+}
+
+impl SharedCounters {
+    const LEN: usize = std::mem::size_of::<Counters>();
+
+    #[cfg(unix)]
+    fn new() -> Self {
+        use sys::*;
+        // SAFETY: a fresh anonymous mapping; no existing memory is named.
+        let addr = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                Self::LEN,
+                PROT_READ | PROT_WRITE,
+                MAP_SHARED | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            addr != MAP_FAILED,
+            "mapping a pool's counters: {}",
+            std::io::Error::last_os_error()
+        );
+        let ptr = NonNull::new(addr.cast::<Counters>()).expect("mmap never maps address 0");
+        // SAFETY: the mapping is page-aligned, at least `LEN` bytes and
+        // not yet shared with anyone.
+        unsafe { ptr.as_ptr().write(Counters::default()) };
+        SharedCounters(ptr)
+    }
+
+    #[cfg(not(unix))]
+    fn new() -> Self {
+        SharedCounters(NonNull::from(Box::leak(Box::<Counters>::default())))
+    }
+}
+
+impl Drop for SharedCounters {
+    fn drop(&mut self) {
+        // SAFETY: `self.0` came from `new`, and this is its last user in
+        // this process; another process's mapping is its own to drop.
+        #[cfg(unix)]
+        unsafe {
+            sys::munmap(self.0.as_ptr().cast(), Self::LEN);
+        }
+        #[cfg(not(unix))]
+        drop(unsafe { Box::from_raw(self.0.as_ptr()) });
+    }
+}
+
+impl Deref for SharedCounters {
+    type Target = Counters;
+
+    fn deref(&self) -> &Counters {
+        // SAFETY: valid from `new` until `drop`.
+        unsafe { self.0.as_ref() }
+    }
 }
 
 impl MemPool {
@@ -79,13 +184,7 @@ impl MemPool {
                 name,
                 page_size,
                 budget,
-                used: AtomicUsize::new(0),
-                peak: AtomicUsize::new(0),
-                phase_peak: AtomicUsize::new(0),
-                page_allocs: AtomicU64::new(0),
-                page_frees: AtomicU64::new(0),
-                oom_events: AtomicU64::new(0),
-                last_sample: AtomicUsize::new(0),
+                counters: SharedCounters::new(),
                 free_pages: Mutex::new(Vec::new()),
             }),
         })
@@ -103,7 +202,10 @@ impl MemPool {
     /// [`MemError::OutOfMemory`] if the page would exceed the budget.
     pub fn alloc_page(&self) -> Result<Page> {
         self.charge(self.inner.page_size)?;
-        self.inner.page_allocs.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .counters
+            .page_allocs
+            .fetch_add(1, Ordering::Relaxed);
         let buf = self
             .inner
             .free_pages
@@ -144,13 +246,13 @@ impl MemPool {
 
     /// Bytes currently charged to the pool.
     pub fn used(&self) -> usize {
-        self.inner.used.load(Ordering::Acquire)
+        self.inner.counters.used.load(Ordering::Acquire)
     }
 
     /// High-water mark of [`Self::used`] since creation or the last
     /// [`Self::reset_peak`].
     pub fn peak(&self) -> usize {
-        self.inner.peak.load(Ordering::Acquire)
+        self.inner.counters.peak.load(Ordering::Acquire)
     }
 
     /// The pool's diagnostic name.
@@ -160,13 +262,16 @@ impl MemPool {
 
     /// Count of allocations refused for exceeding the budget.
     pub fn oom_events(&self) -> u64 {
-        self.inner.oom_events.load(Ordering::Relaxed)
+        self.inner.counters.oom_events.load(Ordering::Relaxed)
     }
 
     /// Resets the peak tracker to the current usage, for phase-scoped
     /// measurements.
     pub fn reset_peak(&self) {
-        self.inner.peak.store(self.used(), Ordering::Release);
+        self.inner
+            .counters
+            .peak
+            .store(self.used(), Ordering::Release);
     }
 
     /// High-water mark since the last [`Self::reset_phase_peak`]. Tracked
@@ -174,12 +279,15 @@ impl MemPool {
     /// paper's per-phase memory curves) can reset between phases without
     /// losing the job-wide peak.
     pub fn phase_peak(&self) -> usize {
-        self.inner.phase_peak.load(Ordering::Acquire)
+        self.inner.counters.phase_peak.load(Ordering::Acquire)
     }
 
     /// Resets the phase-scoped peak tracker to the current usage.
     pub fn reset_phase_peak(&self) {
-        self.inner.phase_peak.store(self.used(), Ordering::Release);
+        self.inner
+            .counters
+            .phase_peak
+            .store(self.used(), Ordering::Release);
     }
 
     /// Snapshot of the pool counters.
@@ -189,15 +297,18 @@ impl MemPool {
             peak: self.peak(),
             budget: self.inner.budget,
             page_size: self.inner.page_size,
-            page_allocs: self.inner.page_allocs.load(Ordering::Relaxed),
-            page_frees: self.inner.page_frees.load(Ordering::Relaxed),
+            page_allocs: self.inner.counters.page_allocs.load(Ordering::Relaxed),
+            page_frees: self.inner.counters.page_frees.load(Ordering::Relaxed),
             oom_events: self.oom_events(),
         }
     }
 
     fn charge(&self, bytes: usize) -> Result<()> {
         self.inner.charge(bytes).inspect_err(|_| {
-            self.inner.oom_events.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .counters
+                .oom_events
+                .fetch_add(1, Ordering::Relaxed);
         })
     }
 }
@@ -216,7 +327,7 @@ impl std::fmt::Debug for MemPool {
 
 impl PoolInner {
     pub(crate) fn charge(&self, bytes: usize) -> Result<()> {
-        let mut current = self.used.load(Ordering::Relaxed);
+        let mut current = self.counters.used.load(Ordering::Relaxed);
         loop {
             let next = current
                 .checked_add(bytes)
@@ -224,15 +335,15 @@ impl PoolInner {
             if next > self.budget {
                 return Err(self.oom(bytes, current));
             }
-            match self.used.compare_exchange_weak(
+            match self.counters.used.compare_exchange_weak(
                 current,
                 next,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.peak.fetch_max(next, Ordering::AcqRel);
-                    self.phase_peak.fetch_max(next, Ordering::AcqRel);
+                    self.counters.peak.fetch_max(next, Ordering::AcqRel);
+                    self.counters.phase_peak.fetch_max(next, Ordering::AcqRel);
                     self.maybe_sample(next);
                     return Ok(());
                 }
@@ -242,13 +353,13 @@ impl PoolInner {
     }
 
     pub(crate) fn credit(&self, bytes: usize) {
-        let prev = self.used.fetch_sub(bytes, Ordering::AcqRel);
+        let prev = self.counters.used.fetch_sub(bytes, Ordering::AcqRel);
         debug_assert!(prev >= bytes, "pool accounting underflow");
         self.maybe_sample(prev.saturating_sub(bytes));
     }
 
     pub(crate) fn recycle_page(&self, buf: Box<[u8]>) {
-        self.page_frees.fetch_add(1, Ordering::Relaxed);
+        self.counters.page_frees.fetch_add(1, Ordering::Relaxed);
         self.credit(self.page_size);
         let mut cache = self.free_pages.lock().unwrap();
         // Bound the cache so long-lived unlimited pools don't hoard host
@@ -268,9 +379,10 @@ impl PoolInner {
         if !mimir_obs::active() {
             return;
         }
-        let last = self.last_sample.load(Ordering::Relaxed);
+        let last = self.counters.last_sample.load(Ordering::Relaxed);
         if used_now.abs_diff(last) >= self.page_size
             && self
+                .counters
                 .last_sample
                 .compare_exchange(last, used_now, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
@@ -278,7 +390,7 @@ impl PoolInner {
             mimir_obs::emit(
                 mimir_obs::EventKind::MemSample,
                 used_now as u64,
-                self.peak.load(Ordering::Relaxed) as u64,
+                self.counters.peak.load(Ordering::Relaxed) as u64,
             );
         }
     }

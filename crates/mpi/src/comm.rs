@@ -5,7 +5,7 @@ use mimir_obs::CommCounters;
 
 use crate::error::DisconnectPanic;
 use crate::msg::{tags, Msg, Payload, Tag};
-use crate::transport::{Endpoint, Transport};
+use crate::transport::Transport;
 
 /// Maximum number of idle message buffers kept in the per-rank pool.
 ///
@@ -26,42 +26,30 @@ const BUF_POOL_CAP: usize = 64;
 /// Message delivery is delegated to a [`Transport`] backend: rank threads
 /// over channel matrices in one process, or forked rank processes over
 /// Unix-domain sockets. Everything in this type — tag matching, wait-state
-/// attribution, flow stamping, pooled buffers, the derivation handshake —
-/// is backend-independent.
+/// attribution, flow stamping, pooled buffers — is backend-independent.
+///
+/// A rank holds exactly one `Comm`, the world's: there is no
+/// communicator duplication or splitting, so every message a rank sends
+/// or receives goes through this one value.
 pub struct Comm {
-    name: String,
     rank: usize,
     size: usize,
-    /// Number of duplicates ([`Comm::dup`]) created from this one so
-    /// far. All ranks execute the same derivation sequence (dup is
-    /// collective), so the counter doubles as a cross-rank sequence
-    /// number for the consistency handshake.
-    pub(crate) derived: u64,
-    /// The message-delivery backend for this communicator.
+    /// The message-delivery backend for this rank.
     transport: Box<dyn Transport>,
     /// Messages received from each source but not yet matched by tag.
     pending: Vec<VecDeque<Msg>>,
     /// Idle message buffers, recycled between rounds so the steady-state
     /// exchange path performs no heap allocation (`send_allocs` counts the
-    /// misses). Each communicator owns its own free-list: concurrent jobs
-    /// on dup'd communicators never contend for (or poison) each other's
-    /// pooled buffers.
+    /// misses).
     free_bufs: Vec<Vec<u8>>,
     pub(crate) stats: CommCounters,
 }
 
 impl Comm {
-    pub(crate) fn new(
-        name: String,
-        rank: usize,
-        size: usize,
-        transport: Box<dyn Transport>,
-    ) -> Self {
+    pub(crate) fn new(rank: usize, size: usize, transport: Box<dyn Transport>) -> Self {
         Self {
-            name,
             rank,
             size,
-            derived: 0,
             transport,
             pending: (0..size).map(|_| VecDeque::new()).collect(),
             free_bufs: Vec::new(),
@@ -81,18 +69,8 @@ impl Comm {
         self.size
     }
 
-    /// This communicator's name — `"world"` for the root communicator of
-    /// [`crate::run_world`], with a `.dupN` suffix appended per
-    /// derivation. Spill directories and trace lanes use it to attribute
-    /// resources to the communicator that owns them.
-    #[inline]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Communication counters accumulated by this rank so far, including
-    /// the backend's process-level extras (handshake time, receive-pool
-    /// misses) when this is a world communicator.
+    /// the backend's extras (handshake time, receive-pool misses).
     pub fn stats(&self) -> CommCounters {
         let mut stats = self.stats;
         stats.merge(&self.transport.extra_stats());
@@ -221,8 +199,8 @@ impl Comm {
         );
         self.stats.sends += 1;
         self.stats.bytes_sent += msg.data.len() as u64;
-        // Causal stamp: every message (user, collective-internal, and
-        // derivation control plane alike) carries its sender's flow id.
+        // Causal stamp: every message (user and collective-internal
+        // alike) carries its sender's flow id.
         // With tracing off this is one thread-local probe returning the
         // sentinel 0, and flow_send is then a no-op.
         msg.flow = mimir_obs::next_flow_id();
@@ -246,28 +224,6 @@ impl Comm {
             Payload::Heap(bytes) => {
                 u64::from_le_bytes(bytes.try_into().expect("8-byte u64 payload"))
             }
-            Payload::Endpoint(_) => unreachable!("endpoint payload on a value tag"),
-        }
-    }
-
-    /// Ships a derivation endpoint to `dst` (communicator-derivation
-    /// control plane only).
-    fn send_endpoint_internal(&mut self, dst: usize, tag: Tag, ep: Endpoint) {
-        self.send_msg(
-            dst,
-            Msg {
-                tag,
-                data: Payload::Endpoint(ep),
-                flow: 0,
-            },
-        );
-    }
-
-    /// Receives an endpoint shipped with [`Self::send_endpoint_internal`].
-    fn recv_endpoint_internal(&mut self, src: usize, tag: Tag) -> Endpoint {
-        match self.recv_msg(src, tag) {
-            Payload::Endpoint(ep) => ep,
-            other => unreachable!("expected endpoint payload, got {} bytes", other.len()),
         }
     }
 
@@ -310,82 +266,9 @@ impl Comm {
     }
 }
 
-impl Comm {
-    /// Duplicates this communicator (collective).
-    ///
-    /// Every rank receives a new communicator spanning the same group with
-    /// the same rank numbering but a *private message namespace*: traffic
-    /// on the duplicate can never match traffic on the parent or on any
-    /// other duplicate, whatever tags either side uses. (On the in-process
-    /// backend the namespace is a private channel matrix; on the socket
-    /// backend it is a fresh communicator id multiplexed over the existing
-    /// connections.) Two jobs, each on its own duplicate, can therefore
-    /// interleave their `alltoallv` rounds on the same ranks (even from
-    /// different threads — the duplicate is `Send` and fully independent).
-    ///
-    /// The duplicate starts with an empty pooled-buffer free-list, so
-    /// concurrent owners never contend for recycled buffers.
-    ///
-    /// # Panics
-    /// Panics if the ranks' derivation counts have diverged — the
-    /// collective-consistency assert.
-    pub fn dup(&mut self) -> Comm {
-        let seq = self.begin_derivation();
-        let name = format!("{}.dup{seq}", self.name);
-        self.derive_transport(name, seq)
-    }
-
-    /// Collective entry gate for `dup`: allgathers this communicator's
-    /// derivation sequence number and asserts every rank sent the same
-    /// one. Catching the divergence here — rather than hanging in some
-    /// later mismatched collective — is what makes concurrent-job bugs
-    /// debuggable.
-    fn begin_derivation(&mut self) -> u64 {
-        let seq = self.derived;
-        self.derived += 1;
-        let seqs = self.allgather_u64(seq);
-        for (r, &t) in seqs.iter().enumerate() {
-            assert!(
-                t == seq,
-                "collective-consistency violation on \"{}\": rank {} entered \
-                 derivation {seq} but rank {r} entered {t} (diverged \
-                 derivation counts)",
-                self.name,
-                self.rank,
-            );
-        }
-        seq
-    }
-
-    /// The single derivation code path behind `dup`, shared by every
-    /// backend: the transport creates its receive side and one
-    /// [`Endpoint`] per peer; this rank ships each endpoint to the rank
-    /// that will use it over the parent's reserved DUP tag (so user
-    /// traffic can't interleave), then installs the endpoints it receives
-    /// in turn. Sends are eager, so posting all sends before any receive
-    /// cannot deadlock.
-    fn derive_transport(&mut self, name: String, seq: u64) -> Comm {
-        let (mut derivation, endpoints) = self.transport.begin_derive(seq);
-        for (peer, ep) in endpoints.into_iter().enumerate() {
-            if let Some(ep) = ep {
-                debug_assert_ne!(peer, self.rank);
-                self.send_endpoint_internal(peer, tags::DUP, ep);
-            }
-        }
-        let me = self.rank;
-        for peer in (0..self.size).filter(|&peer| peer != me) {
-            let ep = self.recv_endpoint_internal(peer, tags::DUP);
-            self.transport.accept_endpoint(&mut derivation, peer, ep);
-        }
-        let transport = self.transport.finish_derive(derivation);
-        Comm::new(name, self.rank, self.size, transport)
-    }
-}
-
 impl std::fmt::Debug for Comm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Comm")
-            .field("name", &self.name)
             .field("rank", &self.rank)
             .field("size", &self.size)
             .finish()

@@ -19,6 +19,11 @@
 //!   so Mimir's partitioned send buffer / paired receive buffer design is
 //!   exercised unchanged.
 //!
+//! What is left out: communicator duplication and splitting. A rank
+//! holds one [`Comm`], the world's, which is all the paper's operations
+//! (barrier, alltoallv, allreduce, allgather, gather, point-to-point)
+//! need.
+//!
 //! What is pluggable: transport. Everything under [`Comm`] goes through
 //! the [`Transport`] seam, with two backends:
 //!
@@ -50,7 +55,7 @@ pub use comm::Comm;
 pub use error::{is_disconnect_panic, panic_message, CommError, WorldError};
 pub use msg::{Msg, Tag};
 pub use transport::uds::{FaultPoint, UdsFault, UdsWorldOptions};
-pub use transport::{Endpoint, Transport, TransportKind};
+pub use transport::{Transport, TransportKind};
 pub use wire::Wire;
 pub use world::{
     run_world, run_world_on, run_world_result, run_world_result_on, run_world_uds_with,

@@ -1,5 +1,3 @@
-use crate::transport::Endpoint;
-
 /// Message tag. User code may use any value below `0xFFFF_FF00`; the
 /// collective implementations reserve the values above it.
 pub type Tag = u32;
@@ -16,14 +14,11 @@ pub(crate) mod tags {
     pub const GATHER: Tag = 0xFFFF_FF03;
     pub const ALLGATHER: Tag = 0xFFFF_FF04;
     pub const ALLTOALLV: Tag = 0xFFFF_FF05;
-    /// Endpoint exchange inside [`crate::Comm::dup`].
-    pub const DUP: Tag = 0xFFFF_FF06;
 }
 
 /// Message payload: a single `u64` carried inline (the collectives'
-/// control-message path — no heap allocation per hop), an owned byte
-/// buffer, or a transport endpoint shipped during communicator
-/// construction.
+/// control-message path — no heap allocation per hop) or an owned byte
+/// buffer.
 #[derive(Debug)]
 pub(crate) enum Payload {
     /// A `u64` carried inline in the message struct. On the wire this is
@@ -33,24 +28,14 @@ pub(crate) enum Payload {
     /// pool so steady-state exchange traffic reuses a stable set of
     /// allocations.
     Heap(Vec<u8>),
-    /// A backend endpoint shipped to a peer while building a derived
-    /// communicator ([`crate::Comm::dup`]): a
-    /// fresh channel sender on the in-process backend, a communicator-id
-    /// token on the socket backend. Each rank keeps its receive side and
-    /// distributes these over the parent communicator's reserved tag
-    /// space.
-    Endpoint(Endpoint),
 }
 
 impl Payload {
-    /// Wire length in bytes. In-process channel endpoints are
-    /// control-plane objects with no wire representation (zero bytes);
-    /// socket-namespace endpoints travel as their 8-byte communicator id.
+    /// Payload length in bytes.
     pub fn len(&self) -> usize {
         match self {
             Payload::Small(_) => 8,
             Payload::Heap(v) => v.len(),
-            Payload::Endpoint(ep) => ep.wire_len(),
         }
     }
 
@@ -60,7 +45,6 @@ impl Payload {
         match self {
             Payload::Small(v) => v.to_le_bytes().to_vec(),
             Payload::Heap(v) => v,
-            Payload::Endpoint(_) => unreachable!("endpoint payloads never reach byte receives"),
         }
     }
 }

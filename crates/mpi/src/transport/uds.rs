@@ -18,37 +18,31 @@
 //! One frame per message, over one socket pair per process pair:
 //!
 //! ```text
-//! [len: u32][kind: u8][comm: u64][tag: u32][flow: u64][payload: len bytes]
+//! [len: u32][kind: u8][tag: u32][flow: u64][payload: len bytes]
 //! ```
 //!
-//! `kind` distinguishes heap payloads from inline `u64`s (which never
-//! allocate on either side) and from derivation endpoints. `comm`
-//! multiplexes every communicator derived via `dup` over the
-//! same connections: each received frame is routed to the
-//! `(comm, src)` inbox, so a derived communicator is a private message
-//! namespace without new sockets. The `flow` stamp rides along, which
-//! is what keeps causal tracing exact across process boundaries.
+//! `kind` distinguishes heap payloads from inline `u64`s, which never
+//! allocate on either side. Each received frame joins its sender's FIFO
+//! inbox; tags are matched above the transport, in [`crate::Comm`]. The
+//! `flow` stamp rides along, which is what keeps causal tracing exact
+//! across process boundaries.
 //!
 //! ## The caller-driven progress engine
 //!
-//! A rank process has no helper threads: the thread that calls into a
-//! communicator does the socket I/O, so a message hop costs one
-//! wake-up (the receiver's `poll`), not three.
+//! A rank process has no helper threads: the rank thread, which owns the
+//! process's one transport, does the socket I/O itself, so a message hop
+//! costs one wake-up (the receiver's `poll`), not three, and the engine
+//! takes no lock.
 //!
 //! * `send` frames the message and writes it to the non-blocking
 //!   socket there and then. Whatever the kernel does not take is parked
 //!   in a per-peer outbox, so sends stay eager and never block.
-//! * `recv` drives progress for the whole process
-//!   until the caller's inbox has a frame: sleep in `poll(2)` over
-//!   every peer socket, read whatever is readable through an
-//!   incremental frame parser, route each frame to its `(comm, src)`
-//!   inbox, flush every outbox whose socket turned writable.
-//! * Sockets, inboxes and outboxes are process-wide, so a derived
-//!   communicator moved to another thread keeps working: one thread
-//!   polls at a time, the others wait on a condition variable and take
-//!   over when it leaves.
-//! * World teardown flushes the outboxes under a deadline, so a rank
-//!   that exits cleanly has delivered everything it sent.
+//! * `recv` drives progress until the sender's inbox has a frame: sleep
+//!   in `poll(2)` over every peer socket, read whatever is readable
+//!   through an incremental frame parser, append each frame to its
+//!   sender's inbox, flush every outbox whose socket turned writable.
+//! * Dropping the transport flushes the outboxes under a deadline, so a
+//!   rank that exits cleanly has delivered everything it sent.
 //!
 //! The one semantic difference from a background writer: a send larger
 //! than the kernel socket buffer completes the next time this process
@@ -128,34 +122,32 @@ pub(crate) enum RankEnd {
 }
 
 #[cfg(unix)]
-pub(crate) use imp::{run_world_uds, UdsDerive};
+pub(crate) use imp::run_world_uds;
 
 #[cfg(unix)]
 mod imp {
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::VecDeque;
     use std::io::{ErrorKind, IoSlice, Read, Write};
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::panic::AssertUnwindSafe;
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     use super::{FaultPoint, RankEnd, UdsWorldOptions};
     use crate::comm::Comm;
     use crate::error::{is_disconnect_panic, panic_message};
     use crate::msg::{Msg, Payload, Tag};
-    use crate::transport::{Derivation, DeriveState, Endpoint, EndpointInner, Transport};
+    use crate::transport::Transport;
     use crate::world::flight_dump;
     use crate::CommError;
     use mimir_obs::CommCounters;
 
-    /// Frame header: `[len u32][kind u8][comm u64][tag u32][flow u64]`.
-    const HEADER: usize = 25;
+    /// Frame header: `[len u32][kind u8][tag u32][flow u64]`.
+    const HEADER: usize = 17;
     const KIND_HEAP: u8 = 0;
     const KIND_SMALL: u8 = 1;
-    const KIND_ENDPOINT: u8 = 2;
 
     /// Cap on the process-wide pool of idle receive buffers.
     const PROC_POOL_CAP: usize = 256;
@@ -169,16 +161,12 @@ mod imp {
     /// how far that buffer may grow ahead of the bytes that have arrived.
     const READ_CHUNK: usize = 256 * 1024;
 
-    /// How long world teardown waits for parked sends to drain.
+    /// How long a dropped transport waits for parked sends to drain.
     const TEARDOWN_FLUSH: Duration = Duration::from_secs(10);
 
     /// Exit code of a fault-injected rank (distinguishable from a panic's
     /// 101 in `Died` messages).
     const FAULT_EXIT: i32 = 86;
-
-    /// The world communicator's id. Derived ids can never collide with it
-    /// (`derive_id` never returns 0).
-    const WORLD_COMM: u64 = 0;
 
     /// Minimal process-control and readiness FFI (libc symbols; no crate
     /// dependency). glibc's `fork` — not a raw syscall — so
@@ -221,12 +209,11 @@ mod imp {
         pub const POLLOUT: i16 = 0x4;
     }
 
-    fn encode_header(hdr: &mut [u8; HEADER], len: u32, kind: u8, comm: u64, tag: Tag, flow: u64) {
+    fn encode_header(hdr: &mut [u8; HEADER], len: u32, kind: u8, tag: Tag, flow: u64) {
         hdr[0..4].copy_from_slice(&len.to_le_bytes());
         hdr[4] = kind;
-        hdr[5..13].copy_from_slice(&comm.to_le_bytes());
-        hdr[13..17].copy_from_slice(&tag.to_le_bytes());
-        hdr[17..25].copy_from_slice(&flow.to_le_bytes());
+        hdr[5..9].copy_from_slice(&tag.to_le_bytes());
+        hdr[9..17].copy_from_slice(&flow.to_le_bytes());
     }
 
     /// A decoded frame header.
@@ -234,7 +221,6 @@ mod imp {
     struct Head {
         len: usize,
         kind: u8,
-        comm: u64,
         tag: Tag,
         flow: u64,
     }
@@ -243,26 +229,9 @@ mod imp {
         Head {
             len: u32::from_le_bytes(hdr[0..4].try_into().expect("len bytes")) as usize,
             kind: hdr[4],
-            comm: u64::from_le_bytes(hdr[5..13].try_into().expect("comm bytes")),
-            tag: Tag::from_le_bytes(hdr[13..17].try_into().expect("tag bytes")),
-            flow: u64::from_le_bytes(hdr[17..25].try_into().expect("flow bytes")),
+            tag: Tag::from_le_bytes(hdr[5..9].try_into().expect("tag bytes")),
+            flow: u64::from_le_bytes(hdr[9..17].try_into().expect("flow bytes")),
         }
-    }
-
-    /// splitmix64 finalizer: the mixing step of `derive_id`.
-    fn mix(mut x: u64) -> u64 {
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    }
-
-    /// Deterministic id for a derived communicator, computed
-    /// independently by every member from collectively-agreed inputs
-    /// (parent id, derivation sequence). Equality of the shipped ids is
-    /// asserted at `accept_endpoint` — the socket backend's
-    /// collective-consistency proof.
-    fn derive_id(parent: u64, seq: u64) -> u64 {
-        mix(parent ^ mix(seq.wrapping_add(0x9e37_79b9_7f4a_7c15))).max(1)
     }
 
     /// A stream that is over: EOF, an I/O error, or bytes that are not a
@@ -273,9 +242,8 @@ mod imp {
     /// What the head of a byte stream holds.
     #[derive(Debug)]
     enum Parsed {
-        /// A whole inline frame (`KIND_SMALL` / `KIND_ENDPOINT`) for
-        /// communicator `comm`.
-        Inline { comm: u64, msg: Msg },
+        /// A whole `KIND_SMALL` frame.
+        Inline(Msg),
         /// The header of a `KIND_HEAP` frame; `len` payload bytes follow.
         Heap(Head),
     }
@@ -290,30 +258,18 @@ mod imp {
             return Ok(None);
         };
         let head = decode_header(hdr);
-        let data = match head.kind {
-            KIND_HEAP => return Ok(Some((Parsed::Heap(head), HEADER))),
-            KIND_SMALL | KIND_ENDPOINT if head.len == 8 => {
+        match head.kind {
+            KIND_HEAP => Ok(Some((Parsed::Heap(head), HEADER))),
+            KIND_SMALL if head.len == 8 => {
                 let Some(v) = bytes[HEADER..].first_chunk::<8>() else {
                     return Ok(None);
                 };
-                let v = u64::from_le_bytes(*v);
-                if head.kind == KIND_SMALL {
-                    Payload::Small(v)
-                } else {
-                    Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: v }))
-                }
+                let data = Payload::Small(u64::from_le_bytes(*v));
+                let (tag, flow) = (head.tag, head.flow);
+                Ok(Some((Parsed::Inline(Msg { tag, data, flow }), HEADER + 8)))
             }
-            _ => return Err(Closed),
-        };
-        let (tag, flow) = (head.tag, head.flow);
-        let msg = Msg { tag, data, flow };
-        Ok(Some((
-            Parsed::Inline {
-                comm: head.comm,
-                msg,
-            },
-            HEADER + 8,
-        )))
+            _ => Err(Closed),
+        }
     }
 
     /// Idle receive buffers, filled by the read path, returned by the
@@ -390,7 +346,7 @@ mod imp {
             &mut self,
             src: &mut impl Read,
             pool: &mut BufPool,
-            sink: &mut impl FnMut(u64, Msg),
+            sink: &mut impl FnMut(Msg),
         ) -> Result<(), Closed> {
             loop {
                 let (got, asked) = match &mut self.heap {
@@ -430,13 +386,13 @@ mod imp {
         fn parse_staged(
             &mut self,
             pool: &mut BufPool,
-            sink: &mut impl FnMut(u64, Msg),
+            sink: &mut impl FnMut(Msg),
         ) -> Result<(), Closed> {
             loop {
                 if let Some((head, buf)) = self.heap.take_if(|(head, buf)| buf.len() == head.len) {
                     let data = Payload::Heap(buf);
                     let (tag, flow) = (head.tag, head.flow);
-                    sink(head.comm, Msg { tag, data, flow });
+                    sink(Msg { tag, data, flow });
                 }
                 if self.heap.is_some() {
                     return Ok(());
@@ -446,7 +402,7 @@ mod imp {
                 };
                 self.lo += used;
                 match parsed {
-                    Parsed::Inline { comm, msg } => sink(comm, msg),
+                    Parsed::Inline(msg) => sink(msg),
                     Parsed::Heap(head) => {
                         let mut buf = pool.take(head.len);
                         let have = head.len.min(self.hi - self.lo);
@@ -470,16 +426,10 @@ mod imp {
     }
 
     impl OutFrame {
-        fn new(comm: u64, msg: Msg) -> OutFrame {
+        fn new(msg: Msg) -> OutFrame {
             let (kind, inline, body) = match msg.data {
                 Payload::Heap(buf) => (KIND_HEAP, None, buf),
                 Payload::Small(v) => (KIND_SMALL, Some(v), Vec::new()),
-                Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: child })) => {
-                    (KIND_ENDPOINT, Some(child), Vec::new())
-                }
-                Payload::Endpoint(Endpoint(EndpointInner::Chan(_))) => {
-                    unreachable!("in-process channel endpoint on the socket backend")
-                }
             };
             assert!(body.len() <= u32::MAX as usize, "frame payload over 4 GiB");
             // An inline frame's 8 value bytes ride in `head`.
@@ -487,7 +437,7 @@ mod imp {
             let mut head = [0u8; HEADER + 8];
             let hdr = head.first_chunk_mut().expect("header fits");
             let len = (tail + body.len()) as u32;
-            encode_header(hdr, len, kind, comm, msg.tag, msg.flow);
+            encode_header(hdr, len, kind, msg.tag, msg.flow);
             head[HEADER..].copy_from_slice(&inline.unwrap_or(0).to_le_bytes());
             OutFrame {
                 head,
@@ -528,93 +478,21 @@ mod imp {
         Ok(())
     }
 
-    /// One peer process: its socket and the two halves of its stream.
+    /// One peer process: its socket, the two halves of its stream, and
+    /// what it sent that no receive has taken yet.
     struct Peer {
         sock: UnixStream,
         reader: FrameReader,
+        /// Frames received from this peer and not yet handed to `recv`,
+        /// in arrival order.
+        inbox: VecDeque<Msg>,
         /// Frames the kernel has not taken yet. Sends stay eager: what a
         /// full socket buffer refuses waits here, never the caller.
         outbox: VecDeque<OutFrame>,
         /// The stream is over (EOF, `EPIPE`, `ECONNRESET`, a corrupt
-        /// frame): sends fail fast and, once the frames already routed
-        /// are consumed, every receive is a disconnect.
+        /// frame): sends fail fast and, once the frames already in the
+        /// inbox are consumed, every receive is a disconnect.
         dead: bool,
-    }
-
-    /// Everything the progress engine touches, under one lock. Only
-    /// `poll(2)` itself runs outside it.
-    struct State {
-        /// Indexed by world rank; `None` at this process's own rank.
-        peers: Vec<Option<Peer>>,
-        /// `(comm, src)` → frames received and not yet claimed by
-        /// that communicator's `recv`. Created on first arrival, so a
-        /// frame that outruns its communicator's derivation (or targets
-        /// one that is being received on later) simply waits here.
-        inboxes: HashMap<(u64, usize), VecDeque<Msg>>,
-        pool: BufPool,
-        /// A thread is in `poll(2)` on behalf of the whole process.
-        polling: bool,
-        /// Threads parked on `Shared::progressed` behind that thread.
-        waiters: usize,
-        /// The poll set, kept between calls for its allocation.
-        fds: Vec<sys::PollFd>,
-    }
-
-    impl State {
-        fn peer(&mut self, w: usize) -> &mut Peer {
-            self.peers[w].as_mut().expect("a connection per other rank")
-        }
-
-        fn kill(&mut self, w: usize) {
-            let p = self.peer(w);
-            p.dead = true;
-            p.outbox.clear();
-        }
-
-        /// Reads peer `w`'s socket dry and routes every completed frame
-        /// to its inbox; a stream that is over kills the peer.
-        fn pump(&mut self, w: usize) {
-            let State {
-                peers,
-                inboxes,
-                pool,
-                ..
-            } = self;
-            let p = peers[w].as_mut().expect("a connection per other rank");
-            let mut route = |comm, msg| inboxes.entry((comm, w)).or_default().push_back(msg);
-            if p.reader.pump(&mut &p.sock, pool, &mut route).is_err() {
-                self.kill(w);
-            }
-        }
-
-        /// Writes what peer `w`'s socket will take. A failed write means
-        /// the peer has gone away: what it sent before going is read out
-        /// first (sent messages stay deliverable, as on in-process
-        /// channels), then it is dead.
-        fn flush(&mut self, w: usize) {
-            let State { peers, pool, .. } = self;
-            let p = peers[w].as_mut().expect("a connection per other rank");
-            if flush(&mut p.outbox, &mut &p.sock, pool).is_err() {
-                self.pump(w);
-                self.kill(w);
-            }
-        }
-    }
-
-    /// Per-process connection state, shared by every communicator (and
-    /// every thread one has been moved to) in one rank process.
-    struct Shared {
-        state: Mutex<State>,
-        /// Signalled by the polling thread after each round, for threads
-        /// waiting behind it: their frame may have been routed, their
-        /// peer may have died, or it may be their turn to poll.
-        progressed: Condvar,
-        /// Self-pipe: a byte written to `wake_tx` interrupts the polling
-        /// thread, so it picks up an outbox parked after it built its
-        /// poll set.
-        wake_tx: UnixStream,
-        wake_rx: UnixStream,
-        handshake_ns: u64,
     }
 
     /// `poll(2)` over `fds`; `None` waits forever. A failed call (EINTR)
@@ -632,103 +510,19 @@ mod imp {
         }
     }
 
-    impl Shared {
-        fn lock(&self) -> MutexGuard<'_, State> {
-            // Every update under the lock leaves `State` valid (and the
-            // engine does not panic), so a poisoned lock is still good.
-            self.state.lock().unwrap_or_else(|p| p.into_inner())
-        }
-
-        /// One step of the caller-driven progress engine, on behalf of
-        /// every communicator in the process: sleep in `poll(2)` until a
-        /// peer socket is readable (or writable, where an outbox is
-        /// waiting), or `timeout` passes; read every readable socket and
-        /// route its frames; flush every outbox that can move. If
-        /// another thread is already polling, wait for it to report
-        /// instead. The caller re-checks its own condition afterwards.
-        fn progress<'a>(
-            &'a self,
-            mut st: MutexGuard<'a, State>,
-            timeout: Option<Duration>,
-        ) -> MutexGuard<'a, State> {
-            if st.polling {
-                st.waiters += 1;
-                let cv = &self.progressed;
-                let mut st = match timeout {
-                    None => cv.wait(st).unwrap_or_else(|p| p.into_inner()),
-                    Some(t) => cv.wait_timeout(st, t).unwrap_or_else(|p| p.into_inner()).0,
-                };
-                st.waiters -= 1;
-                return st;
-            }
-            st.polling = true;
-            let mut fds = std::mem::take(&mut st.fds);
-            fds.clear();
-            fds.push(sys::PollFd::new(self.wake_rx.as_raw_fd(), sys::POLLIN));
-            fds.extend(st.peers.iter().map(|p| match p {
-                Some(p) if !p.dead => {
-                    let out = if p.outbox.is_empty() { 0 } else { sys::POLLOUT };
-                    sys::PollFd::new(p.sock.as_raw_fd(), sys::POLLIN | out)
-                }
-                // poll ignores a negative fd: a dead peer's permanent
-                // POLLHUP must not turn the sleep into a spin.
-                _ => sys::PollFd::new(-1, 0),
-            }));
-            drop(st);
-            poll(&mut fds, timeout);
-            let mut st = self.lock();
-            st.polling = false;
-            if fds[0].revents != 0 {
-                let mut sink = [0u8; 64];
-                while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
-            }
-            for (w, fd) in fds[1..].iter().enumerate() {
-                if fd.revents & sys::POLLOUT != 0 {
-                    st.flush(w);
-                }
-                // POLLIN, and POLLHUP / POLLERR too: the read finds out.
-                if fd.revents & !sys::POLLOUT != 0 {
-                    st.pump(w);
-                }
-            }
-            st.fds = fds;
-            if st.waiters > 0 {
-                self.progressed.notify_all();
-            }
-            st
-        }
-
-        /// World teardown: runs the engine until every parked byte has
-        /// gone to the kernel, so "exited cleanly" implies "every sent
-        /// frame was delivered" — within `limit`, and without waiting on
-        /// a peer that has died (killing it empties its outbox).
-        fn flush_outboxes(&self, limit: Duration) {
-            let deadline = Instant::now() + limit;
-            let mut st = self.lock();
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let parked = st.peers.iter().flatten().any(|p| !p.outbox.is_empty());
-                if !parked || left.is_zero() {
-                    return;
-                }
-                st = self.progress(st, Some(left));
-            }
-        }
-    }
-
-    /// The socket transport for one communicator: peers are reached
-    /// through the process-wide connections, namespaced by `comm` id.
-    /// Every communicator spans the whole world, so its ranks are world
-    /// ranks.
+    /// The socket transport of one rank process: its connection to every
+    /// other rank. The rank thread owns it, so the progress engine runs
+    /// on that thread and takes no lock.
     pub(crate) struct UdsTransport {
-        comm: u64,
         my_rank: usize,
-        shared: Arc<Shared>,
+        /// Indexed by world rank; `None` at this process's own rank.
+        peers: Vec<Option<Peer>>,
         /// Self-sends bypass the wire entirely.
         loopback: VecDeque<Msg>,
-        /// World communicators report the process-level extras
-        /// (handshake time, receive-pool misses) exactly once.
-        is_world: bool,
+        pool: BufPool,
+        /// The poll set, kept between calls for its allocation.
+        fds: Vec<sys::PollFd>,
+        handshake_ns: u64,
     }
 
     impl UdsTransport {
@@ -738,14 +532,95 @@ mod imp {
                 peer,
             }
         }
+
+        fn peer(&mut self, w: usize) -> &mut Peer {
+            self.peers[w].as_mut().expect("a connection per other rank")
+        }
+
+        fn kill(&mut self, w: usize) {
+            let p = self.peer(w);
+            p.dead = true;
+            p.outbox.clear();
+        }
+
+        /// Reads peer `w`'s socket dry into its inbox; a stream that is
+        /// over kills the peer.
+        fn pump(&mut self, w: usize) {
+            let p = self.peers[w].as_mut().expect("a connection per other rank");
+            let inbox = &mut p.inbox;
+            let mut route = |msg| inbox.push_back(msg);
+            if p.reader
+                .pump(&mut &p.sock, &mut self.pool, &mut route)
+                .is_err()
+            {
+                self.kill(w);
+            }
+        }
+
+        /// Writes what peer `w`'s socket will take. A failed write means
+        /// the peer has gone away: what it sent before going is read out
+        /// first (sent messages stay deliverable, as on in-process
+        /// channels), then it is dead.
+        fn flush(&mut self, w: usize) {
+            let p = self.peers[w].as_mut().expect("a connection per other rank");
+            if flush(&mut p.outbox, &mut &p.sock, &mut self.pool).is_err() {
+                self.pump(w);
+                self.kill(w);
+            }
+        }
+
+        /// One step of the caller-driven progress engine: sleep in
+        /// `poll(2)` until a peer socket is readable (or writable, where
+        /// an outbox is waiting), or `timeout` passes; read every
+        /// readable socket into its inbox; flush every outbox that can
+        /// move. The caller re-checks its own condition afterwards.
+        fn progress(&mut self, timeout: Option<Duration>) {
+            let mut fds = std::mem::take(&mut self.fds);
+            fds.clear();
+            fds.extend(self.peers.iter().map(|p| match p {
+                Some(p) if !p.dead => {
+                    let out = if p.outbox.is_empty() { 0 } else { sys::POLLOUT };
+                    sys::PollFd::new(p.sock.as_raw_fd(), sys::POLLIN | out)
+                }
+                // poll ignores a negative fd: a dead peer's permanent
+                // POLLHUP must not turn the sleep into a spin.
+                _ => sys::PollFd::new(-1, 0),
+            }));
+            poll(&mut fds, timeout);
+            for (w, fd) in fds.iter().enumerate() {
+                if fd.revents & sys::POLLOUT != 0 {
+                    self.flush(w);
+                }
+                // POLLIN, and POLLHUP / POLLERR too: the read finds out.
+                if fd.revents & !sys::POLLOUT != 0 {
+                    self.pump(w);
+                }
+            }
+            self.fds = fds;
+        }
+
+        /// Runs the engine until every parked byte has gone to the
+        /// kernel, so "exited cleanly" implies "every sent frame was
+        /// delivered" — within `limit`, and without waiting on a peer
+        /// that has died (killing it empties its outbox).
+        fn flush_outboxes(&mut self, limit: Duration) {
+            let deadline = Instant::now() + limit;
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let parked = self.peers.iter().flatten().any(|p| !p.outbox.is_empty());
+                if !parked || left.is_zero() {
+                    return;
+                }
+                self.progress(Some(left));
+            }
+        }
     }
 
     impl Drop for UdsTransport {
         fn drop(&mut self) {
-            // Unclaimed frames die with the communicator (ids are never
-            // reused, so nothing can claim them later).
-            let comm = self.comm;
-            self.shared.lock().inboxes.retain(|&(c, _), _| c != comm);
+            // World teardown: on every exit path past the handshake, a
+            // panic included, peers still receive what this rank sent.
+            self.flush_outboxes(TEARDOWN_FLUSH);
         }
     }
 
@@ -760,124 +635,50 @@ mod imp {
                 self.loopback.push_back(msg);
                 return Ok(());
             }
-            let mut st = self.shared.lock();
-            let peer = st.peer(dst);
-            if peer.dead {
+            if self.peer(dst).dead {
                 return Err(self.disconnect(dst));
             }
             stats.wire_frames_sent += 1;
             stats.wire_bytes_sent += (HEADER + msg.data.len()) as u64;
-            let was_empty = peer.outbox.is_empty();
-            peer.outbox.push_back(OutFrame::new(self.comm, msg));
-            st.flush(dst);
-            let peer = st.peer(dst);
-            if peer.dead {
+            self.peer(dst).outbox.push_back(OutFrame::new(msg));
+            self.flush(dst);
+            if self.peer(dst).dead {
                 return Err(self.disconnect(dst));
-            }
-            let newly_parked = was_empty && !peer.outbox.is_empty();
-            if newly_parked && st.polling {
-                // The polling thread built its set before this outbox
-                // had anything to flush. (A full pipe means a wake-up
-                // is already pending.)
-                let _ = (&self.shared.wake_tx).write(&[1]);
             }
             Ok(())
         }
 
-        /// The next frame from `src` on this communicator, driving the
-        /// progress engine until it is there or `src` is dead.
+        /// The next frame from `src`, driving the progress engine until
+        /// it is there or `src` is dead.
         fn recv(&mut self, src: usize, stats: &mut CommCounters) -> Result<Msg, CommError> {
             if src == self.my_rank {
-                // Only this thread could have filled the loopback.
                 return Ok(self.loopback.pop_front().unwrap_or_else(|| {
                     panic!("rank {src} receives from itself with nothing sent: deadlock")
                 }));
             }
-            let shared = &*self.shared;
-            let mut st = shared.lock();
             loop {
-                let inbox = st.inboxes.get_mut(&(self.comm, src));
-                if let Some(msg) = inbox.and_then(VecDeque::pop_front) {
+                let peer = self.peer(src);
+                if let Some(msg) = peer.inbox.pop_front() {
                     stats.wire_frames_recvd += 1;
                     stats.wire_bytes_recvd += (HEADER + msg.data.len()) as u64;
                     return Ok(msg);
                 }
-                // Frames routed before the peer died were drained above:
-                // exactly the in-process channel semantics.
-                if st.peer(src).dead {
+                // Frames that arrived before the peer died were drained
+                // above: exactly the in-process channel semantics.
+                if peer.dead {
                     return Err(self.disconnect(src));
                 }
-                st = shared.progress(st, None);
+                self.progress(None);
             }
-        }
-
-        fn begin_derive(&mut self, seq: u64) -> (Derivation, Vec<Option<Endpoint>>) {
-            let child = derive_id(self.comm, seq);
-            let endpoints = (0..self.shared.lock().peers.len())
-                .map(|rank| {
-                    (rank != self.my_rank)
-                        .then_some(Endpoint(EndpointInner::Tagged { comm: child }))
-                })
-                .collect();
-            (
-                Derivation(DeriveState::Uds(UdsDerive { comm: child })),
-                endpoints,
-            )
-        }
-
-        fn accept_endpoint(&mut self, d: &mut Derivation, from: usize, ep: Endpoint) {
-            let DeriveState::Uds(state) = &mut d.0 else {
-                unreachable!("uds transport handed a foreign derivation");
-            };
-            let EndpointInner::Tagged { comm: got } = ep.0 else {
-                panic!(
-                    "collective-consistency violation: rank {} received an \
-                     in-process channel endpoint on the socket backend",
-                    self.my_rank
-                );
-            };
-            assert!(
-                got == state.comm,
-                "collective-consistency violation: rank {} computed derived \
-                 comm id {:#x} but rank {from} shipped {got:#x} \
-                 (diverged derivation inputs)",
-                self.my_rank,
-                state.comm,
-            );
-        }
-
-        fn finish_derive(&mut self, d: Derivation) -> Box<dyn Transport> {
-            let DeriveState::Uds(state) = d.0 else {
-                unreachable!("uds transport handed a foreign derivation");
-            };
-            Box::new(UdsTransport {
-                comm: state.comm,
-                my_rank: self.my_rank,
-                shared: Arc::clone(&self.shared),
-                loopback: VecDeque::new(),
-                is_world: false,
-            })
         }
 
         fn extra_stats(&self) -> CommCounters {
-            if !self.is_world {
-                return CommCounters::default();
-            }
             CommCounters {
-                handshake_ns: self.shared.handshake_ns,
-                wire_recv_allocs: self.shared.lock().pool.misses,
+                handshake_ns: self.handshake_ns,
+                wire_recv_allocs: self.pool.misses,
                 ..CommCounters::default()
             }
         }
-    }
-
-    /// Derivation state for the socket backend: the deterministic child
-    /// id, carried between `begin_derive` and `finish_derive`. (Nothing
-    /// is registered: an inbox comes into being when its first frame
-    /// arrives, however early.)
-    #[derive(Debug)]
-    pub(crate) struct UdsDerive {
-        comm: u64,
     }
 
     fn sock_path(dir: &Path, rank: usize) -> PathBuf {
@@ -995,9 +796,6 @@ mod imp {
         streams: Vec<Option<UnixStream>>,
         handshake_ns: u64,
     ) -> std::io::Result<UdsTransport> {
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
         let mut peers = Vec::with_capacity(streams.len());
         for sock in streams {
             if let Some(sock) = &sock {
@@ -1006,31 +804,18 @@ mod imp {
             peers.push(sock.map(|sock| Peer {
                 sock,
                 reader: FrameReader::new(),
+                inbox: VecDeque::new(),
                 outbox: VecDeque::new(),
                 dead: false,
             }));
         }
-        let state = State {
-            peers,
-            inboxes: HashMap::new(),
-            pool: BufPool::default(),
-            polling: false,
-            waiters: 0,
-            fds: Vec::new(),
-        };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(state),
-            progressed: Condvar::new(),
-            wake_tx,
-            wake_rx,
-            handshake_ns,
-        });
         Ok(UdsTransport {
-            comm: WORLD_COMM,
             my_rank: rank,
-            shared,
+            peers,
             loopback: VecDeque::new(),
-            is_world: true,
+            pool: BufPool::default(),
+            fds: Vec::new(),
+            handshake_ns,
         })
     }
 
@@ -1091,27 +876,18 @@ mod imp {
         );
     }
 
-    fn child_main<F>(
-        rank: usize,
-        n: usize,
-        name: &str,
-        dir: &Path,
-        opts: &UdsWorldOptions,
-        body: &F,
-    ) -> !
+    fn child_main<F>(rank: usize, n: usize, dir: &Path, opts: &UdsWorldOptions, body: &F) -> !
     where
         F: Fn(&mut Comm) -> (bool, Vec<u8>),
     {
         // Pre-open the SIGTERM flight-recorder dump (no-op unless
         // armed): a forked rank killed mid-run still leaves a corpse.
         mimir_obs::arm_sigterm(rank, n);
-        // The connection state escapes the catch so parked frames flush
-        // on every exit path that got past the handshake — on a panic,
-        // peers still receive everything sent before it, matching
-        // in-process channel semantics where sent messages stay
-        // deliverable.
-        let mut shared = None;
-        // The communicator escapes too, so a dump reads its counters.
+        // The communicator escapes the catch, so a dump reads its
+        // counters and parked frames flush on every exit path that got
+        // past the handshake: on a panic, peers still receive everything
+        // sent before it, matching in-process channel semantics where
+        // sent messages stay deliverable.
         let mut comm = None;
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(bool, Vec<u8>), String> {
@@ -1121,14 +897,11 @@ mod imp {
                     }
                 }
                 let transport = bootstrap(rank, n, dir, opts)?;
-                shared = Some(Arc::clone(&transport.shared));
-                let comm = comm.insert(Comm::new(name.to_string(), rank, n, Box::new(transport)));
+                let comm = comm.insert(Comm::new(rank, n, Box::new(transport)));
                 Ok(body(comm))
             }));
+        // Dropping the communicator flushes its transport's outboxes.
         let stats = comm.take().map(|comm| comm.stats());
-        if let Some(shared) = shared {
-            shared.flush_outboxes(TEARDOWN_FLUSH);
-        }
         let code = match outcome {
             Ok(Ok((abort, bytes))) => {
                 write_result(dir, rank, abort, &bytes);
@@ -1207,12 +980,7 @@ mod imp {
     /// socket world, and returns every rank's fate. The parent never
     /// hangs: the handshake is bounded on the children's side and the
     /// world timeout bounds everything else.
-    pub(crate) fn run_world_uds<F>(
-        name: &str,
-        n: usize,
-        opts: &UdsWorldOptions,
-        body: &F,
-    ) -> Vec<RankEnd>
+    pub(crate) fn run_world_uds<F>(n: usize, opts: &UdsWorldOptions, body: &F) -> Vec<RankEnd>
     where
         F: Fn(&mut Comm) -> (bool, Vec<u8>),
     {
@@ -1234,7 +1002,7 @@ mod imp {
                     }
                     panic!("fork failed spawning rank {rank}");
                 }
-                0 => child_main(rank, n, name, &dir, opts, body),
+                0 => child_main(rank, n, &dir, opts, body),
                 pid => pids.push(pid),
             }
         }
@@ -1299,22 +1067,14 @@ mod imp {
 }
 
 #[cfg(not(unix))]
-pub(crate) use stub::{run_world_uds, UdsDerive};
+pub(crate) use stub::run_world_uds;
 
 #[cfg(not(unix))]
 mod stub {
     use super::{RankEnd, UdsWorldOptions};
     use crate::comm::Comm;
 
-    #[derive(Debug)]
-    pub(crate) struct UdsDerive {}
-
-    pub(crate) fn run_world_uds<F>(
-        _name: &str,
-        _n: usize,
-        _opts: &UdsWorldOptions,
-        _body: &F,
-    ) -> Vec<RankEnd>
+    pub(crate) fn run_world_uds<F>(_n: usize, _opts: &UdsWorldOptions, _body: &F) -> Vec<RankEnd>
     where
         F: Fn(&mut Comm) -> (bool, Vec<u8>),
     {

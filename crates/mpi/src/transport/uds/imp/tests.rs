@@ -83,36 +83,32 @@ impl Write for Pipe {
     }
 }
 
-/// `(comm, tag, flow, kind, payload)`: a message as the tests compare it.
-type Flat = (u64, Tag, u64, u8, Vec<u8>);
+/// `(tag, flow, kind, payload)`: a message as the tests compare it.
+type Flat = (Tag, u64, u8, Vec<u8>);
 
-fn flatten(comm: u64, msg: Msg) -> Flat {
+fn flatten(msg: Msg) -> Flat {
     let (kind, bytes) = match msg.data {
         Payload::Heap(b) => (KIND_HEAP, b),
         Payload::Small(v) => (KIND_SMALL, v.to_le_bytes().to_vec()),
-        Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm })) => {
-            (KIND_ENDPOINT, comm.to_le_bytes().to_vec())
-        }
-        Payload::Endpoint(_) => unreachable!("channel endpoint off a socket"),
     };
-    (comm, msg.tag, msg.flow, kind, bytes)
+    (msg.tag, msg.flow, kind, bytes)
 }
 
-fn unflatten(f: &Flat) -> (u64, Msg) {
-    let value = || u64::from_le_bytes(f.4.as_slice().try_into().expect("8 value bytes"));
-    let data = match f.3 {
-        KIND_HEAP => Payload::Heap(f.4.clone()),
-        KIND_SMALL => Payload::Small(value()),
-        _ => Payload::Endpoint(Endpoint(EndpointInner::Tagged { comm: value() })),
+fn unflatten(f: &Flat) -> Msg {
+    let data = match f.2 {
+        KIND_HEAP => Payload::Heap(f.3.clone()),
+        _ => Payload::Small(u64::from_le_bytes(
+            f.3.as_slice().try_into().expect("8 value bytes"),
+        )),
     };
-    let (tag, flow) = (f.1, f.2);
-    (f.0, Msg { tag, data, flow })
+    let (tag, flow) = (f.0, f.1);
+    Msg { tag, data, flow }
 }
 
 fn random_frames(rng: &mut RankRng, n: usize) -> Vec<Flat> {
     (0..n)
         .map(|_| {
-            let kind = rng.gen_range(0..3) as u8;
+            let kind = rng.gen_range(0..2) as u8;
             let len = match (kind, rng.gen_range(0..8)) {
                 (KIND_HEAP, 0) => 0,
                 (KIND_HEAP, 1) => rng.gen_range(0..3 * STAGE),
@@ -121,7 +117,7 @@ fn random_frames(rng: &mut RankRng, n: usize) -> Vec<Flat> {
             };
             let payload = (0..len).map(|_| rng.next_u64() as u8).collect();
             let tag = rng.next_u64() as Tag;
-            (rng.next_u64(), tag, rng.next_u64(), kind, payload)
+            (tag, rng.next_u64(), kind, payload)
         })
         .collect()
 }
@@ -129,13 +125,8 @@ fn random_frames(rng: &mut RankRng, n: usize) -> Vec<Flat> {
 /// The frames' wire bytes, through the real write path and a writer
 /// that takes `take` bytes on every other call.
 fn encode(frames: &[Flat], take: usize) -> Vec<u8> {
-    let mut outbox: VecDeque<OutFrame> = frames
-        .iter()
-        .map(|f| {
-            let (comm, msg) = unflatten(f);
-            OutFrame::new(comm, msg)
-        })
-        .collect();
+    let mut outbox: VecDeque<OutFrame> =
+        frames.iter().map(|f| OutFrame::new(unflatten(f))).collect();
     let mut wire = Pipe::writer(take);
     let mut pool = BufPool::default();
     while !outbox.is_empty() {
@@ -151,7 +142,7 @@ fn decode(src: &mut Pipe) -> (Vec<Flat>, bool, FrameReader) {
     let mut pool = BufPool::default();
     let mut out = Vec::new();
     loop {
-        let mut sink = |comm, msg| out.push(flatten(comm, msg));
+        let mut sink = |msg| out.push(flatten(msg));
         if reader.pump(src, &mut pool, &mut sink).is_err() {
             return (out, true, reader);
         }
@@ -169,18 +160,18 @@ fn parser_rejects_what_is_not_a_frame() {
         (KIND_SMALL, 8, true),
         (KIND_SMALL, 7, false),
         (KIND_SMALL, 0, false),
-        (KIND_ENDPOINT, 9, false),
-        (KIND_ENDPOINT, u32::MAX, false),
+        (2, 8, false),
+        (2, u32::MAX, false),
         (3, 8, false),
         (255, 0, false),
     ] {
-        encode_header(&mut hdr, len, kind, 7, 9, 11);
+        encode_header(&mut hdr, len, kind, 9, 11);
         let mut bytes = hdr.to_vec();
         bytes.extend_from_slice(&[0xEE; 8]);
         assert_eq!(parse_frame(&bytes).is_ok(), ok, "kind {kind} len {len}");
     }
     // A heap header is reported with its length, never allocated for.
-    encode_header(&mut hdr, u32::MAX, KIND_HEAP, 7, 9, 11);
+    encode_header(&mut hdr, u32::MAX, KIND_HEAP, 9, 11);
     match parse_frame(&hdr) {
         Ok(Some((Parsed::Heap(head), HEADER))) => assert_eq!(head.len, u32::MAX as usize),
         other => panic!("heap header: {other:?}"),
@@ -193,7 +184,7 @@ fn every_strict_prefix_of_a_frame_needs_more() {
     for f in random_frames(&mut rng, 64) {
         let wire = encode(std::slice::from_ref(&f), usize::MAX);
         // Inline frames parse whole; of a heap frame, only the header.
-        let whole = if f.3 == KIND_HEAP { HEADER } else { wire.len() };
+        let whole = if f.2 == KIND_HEAP { HEADER } else { wire.len() };
         for cut in 0..whole {
             assert!(matches!(parse_frame(&wire[..cut]), Ok(None)), "cut {cut}");
         }
@@ -259,22 +250,12 @@ fn arbitrary_bytes_never_panic_or_allocate_ahead_of_arrival() {
 fn corrupt_bytes_from_a_peer_are_a_disconnect_for_every_waiter() {
     let (a, b) = UnixStream::pair().expect("socket pair");
     let mut t = world_transport(1, vec![Some(b), None], 0).expect("rank 1");
-    let (derivation, _) = t.begin_derive(0);
-    let mut dup = t.finish_derive(derivation);
     let mut stats = CommCounters::default();
     // One good frame, then a frame of an unknown kind.
-    let mut wire = encode(
-        &[(WORLD_COMM, 3, 0, KIND_SMALL, 42u64.to_le_bytes().to_vec())],
-        64,
-    );
+    let mut wire = encode(&[(3, 0, KIND_SMALL, 42u64.to_le_bytes().to_vec())], 64);
     wire.extend_from_slice(&[0xFF; HEADER]);
     (&a).write_all(&wire).expect("raw bytes");
-    let waiter = std::thread::spawn(move || {
-        let mut stats = CommCounters::default();
-        dup.recv(0, &mut stats).is_err()
-    });
     assert!(matches!(t.recv(0, &mut stats), Ok(Msg { tag: 3, .. })));
     assert!(t.recv(0, &mut stats).is_err(), "then the peer is dead");
-    assert!(waiter.join().expect("waiter"), "on the dup'd comm too");
     drop(a);
 }

@@ -64,7 +64,7 @@ where
     let comms: Vec<Comm> = InprocTransport::make_world(n_ranks)
         .into_iter()
         .enumerate()
-        .map(|(rank, t)| Comm::new("world".to_string(), rank, n_ranks, Box::new(t)))
+        .map(|(rank, t)| Comm::new(rank, n_ranks, Box::new(t)))
         .collect();
 
     let mut results: Vec<Option<R>> = (0..n_ranks).map(|_| None).collect();
@@ -224,7 +224,7 @@ where
     match kind {
         TransportKind::Inproc => run_world(n_ranks, f),
         TransportKind::Uds => {
-            let ends = uds::run_world_uds("world", n_ranks, &UdsWorldOptions::default(), &|comm| {
+            let ends = uds::run_world_uds(n_ranks, &UdsWorldOptions::default(), &|comm| {
                 let mut bytes = Vec::new();
                 f(comm).wire_write(&mut bytes);
                 (false, bytes)
@@ -260,7 +260,7 @@ where
     match kind {
         TransportKind::Inproc => run_world_result(n_ranks, f),
         TransportKind::Uds => {
-            let ends = uds::run_world_uds("world", n_ranks, &UdsWorldOptions::default(), &|comm| {
+            let ends = uds::run_world_uds(n_ranks, &UdsWorldOptions::default(), &|comm| {
                 let mut bytes = Vec::new();
                 match f(comm) {
                     Ok(r) => {
@@ -311,7 +311,7 @@ where
     R: Wire + Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
-    let ends = uds::run_world_uds("world", n_ranks, opts, &|comm| {
+    let ends = uds::run_world_uds(n_ranks, opts, &|comm| {
         let mut bytes = Vec::new();
         f(comm).wire_write(&mut bytes);
         (false, bytes)
@@ -640,81 +640,5 @@ mod tests {
             }
             other => panic!("expected RankPanicked, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn dup_gives_private_channels() {
-        let out = run_world(4, |c| {
-            let mut d = c.dup();
-            assert_eq!(d.rank(), c.rank());
-            assert_eq!(d.size(), c.size());
-            assert!(d.name().starts_with("world.dup"), "name: {}", d.name());
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            // Same tag on both communicators; send order parent-first but
-            // receive dup-first. Cross-matching would swap the payloads.
-            c.send(next, 7, &[b'P', c.rank() as u8]);
-            d.send(next, 7, &[b'D', c.rank() as u8]);
-            let from_dup = d.recv(prev, 7);
-            let from_parent = c.recv(prev, 7);
-            (from_parent, from_dup)
-        });
-        for (rank, (p, d)) in out.iter().enumerate() {
-            let prev = (rank + 3) % 4;
-            assert_eq!(p, &[b'P', prev as u8]);
-            assert_eq!(d, &[b'D', prev as u8]);
-        }
-    }
-
-    #[test]
-    fn dup_collectives_interleave_across_threads() {
-        // Each rank hands its duplicate to a separate thread; both layers
-        // run disjoint collective sequences concurrently. Any cross-match
-        // between the two channel matrices would corrupt a result or hang.
-        let out = run_world(4, |c| {
-            let mut d = c.dup();
-            let side = std::thread::spawn(move || {
-                let mut acc = 0;
-                for round in 0..100u64 {
-                    acc += d.allreduce_u64(ReduceOp::Sum, round + d.rank() as u64);
-                    d.barrier();
-                }
-                acc
-            });
-            let mut acc = 0;
-            for round in 0..100u64 {
-                acc += c.allreduce_u64(ReduceOp::Max, round * 2 + c.rank() as u64);
-            }
-            (acc, side.join().expect("dup thread"))
-        });
-        for (parent_acc, dup_acc) in out {
-            // parent: sum over rounds of max(2r, 2r+1, 2r+2, 2r+3) = 2r+3
-            assert_eq!(parent_acc, (0..100u64).map(|r| 2 * r + 3).sum::<u64>());
-            // dup: sum over rounds of (4r + 0+1+2+3)
-            assert_eq!(dup_acc, (0..100u64).map(|r| 4 * r + 6).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn mismatched_derivation_panics() {
-        // Diverged dup counts. A rank cannot get there through the public
-        // API without first hanging its peers in the dup it skipped, so
-        // rank 1 skips one by hand: both then enter the next dup with
-        // different sequence numbers, and the entry gate catches it
-        // before any endpoint moves.
-        let res = std::panic::catch_unwind(|| {
-            run_world(2, |c| {
-                if c.rank() == 1 {
-                    c.derived += 1;
-                }
-                let _ = c.dup();
-            });
-        });
-        let payload = res.unwrap_err();
-        let msg = crate::panic_message(payload.as_ref());
-        assert!(
-            msg.contains("collective-consistency violation"),
-            "got: {msg}"
-        );
     }
 }

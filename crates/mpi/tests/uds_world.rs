@@ -1,7 +1,8 @@
 //! The UDS backend run through the same SPMD programs the in-process
-//! backend is tested with: point-to-point, collectives, dup isolation, abort/panic propagation, flow-trace integrity across
-//! process boundaries, wire-counter honesty, and the chaos case of a
-//! rank killed mid-handshake.
+//! backend is tested with: point-to-point, collectives, abort/panic
+//! propagation, flow-trace integrity across process boundaries,
+//! wire-counter honesty, and the chaos case of a rank killed
+//! mid-handshake.
 
 use std::time::{Duration, Instant};
 
@@ -62,27 +63,6 @@ fn alltoallv_transposes_over_sockets() {
         for (src, buf) in received.iter().enumerate() {
             assert_eq!(buf, &[src as u8, dst as u8].repeat(dst + 1));
         }
-    }
-}
-
-#[test]
-fn dup_isolates_over_sockets() {
-    let out: Vec<(Vec<u8>, Vec<u8>)> = run_world_on(UDS, 4, |c| {
-        let mut d = c.dup();
-        let next = (c.rank() + 1) % c.size();
-        let prev = (c.rank() + c.size() - 1) % c.size();
-        // Same tag on parent and duplicate; send parent-first, receive
-        // dup-first. Any cross-match between namespaces swaps payloads.
-        c.send(next, 7, &[b'P', c.rank() as u8]);
-        d.send(next, 7, &[b'D', c.rank() as u8]);
-        let from_dup = d.recv(prev, 7);
-        let from_parent = c.recv(prev, 7);
-        (from_parent, from_dup)
-    });
-    for (rank, (p, d)) in out.iter().enumerate() {
-        let prev = (rank + 3) % 4;
-        assert_eq!(p, &[b'P', prev as u8]);
-        assert_eq!(d, &[b'D', prev as u8]);
     }
 }
 
@@ -227,8 +207,8 @@ fn single_rank_uds_world() {
 }
 
 // ---------------------------------------------------------------------
-// The caller-driven progress engine: no helper threads, so whichever
-// thread is in a receive moves the bytes for the whole process.
+// The caller-driven progress engine: no helper threads, so the rank
+// thread moves the bytes while it sends and receives.
 // ---------------------------------------------------------------------
 
 /// `len` bytes that differ by sender and position.
@@ -268,52 +248,24 @@ fn teardown_flushes_what_a_sleeping_receiver_has_not_read() {
 }
 
 #[test]
-fn dup_collectives_interleave_across_threads_over_sockets() {
-    // `world::tests::dup_collectives_interleave_across_threads` on forked
-    // ranks: the two threads of a process share its sockets, so each
-    // reads the other's frames and must hand them over.
-    let out: Vec<(u64, u64)> = run_world_on(UDS, 4, |c| {
-        let mut d = c.dup();
-        let side = std::thread::spawn(move || {
-            let mut acc = 0;
-            for round in 0..100u64 {
-                acc += d.allreduce_u64(ReduceOp::Sum, round + d.rank() as u64);
-                d.barrier();
-            }
-            acc
-        });
-        let mut acc = 0;
-        for round in 0..100u64 {
-            acc += c.allreduce_u64(ReduceOp::Max, round * 2 + c.rank() as u64);
-        }
-        (acc, side.join().expect("dup thread"))
-    });
-    for (parent_acc, dup_acc) in out {
-        assert_eq!(parent_acc, (0..100u64).map(|r| 2 * r + 3).sum::<u64>());
-        assert_eq!(dup_acc, (0..100u64).map(|r| 4 * r + 6).sum::<u64>());
-    }
-}
-
-#[test]
-fn a_receive_on_a_dup_parks_the_parents_frames_in_order() {
+fn a_receive_on_one_tag_parks_earlier_frames_in_order() {
     let out: Vec<Vec<Vec<u8>>> = run_world_on(UDS, 2, |c| {
-        let mut d = c.dup();
         if c.rank() == 0 {
             for i in 0..50u8 {
                 c.send(1, 3, &[i; 5]);
             }
             c.send_vec(1, 3, pattern(0, 1 << 20));
-            d.send(1, 3, b"dup");
+            c.send(1, 4, b"last");
             Vec::new()
         } else {
-            // Blocks on the dup while only parent traffic arrives: the
-            // engine reads and parks all of it, then finds the dup frame.
-            let mut got = vec![d.recv(0, 3)];
+            // Blocks on tag 4 while only tag-3 frames arrive: they are
+            // read and parked, then the tag-4 frame is found.
+            let mut got = vec![c.recv(0, 4)];
             got.extend((0..51).map(|_| c.recv(0, 3)));
             got
         }
     });
-    assert_eq!(out[1][0], b"dup");
+    assert_eq!(out[1][0], b"last");
     for i in 0..50u8 {
         assert_eq!(out[1][1 + i as usize], [i; 5]);
     }

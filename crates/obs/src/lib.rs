@@ -39,9 +39,8 @@ pub use json::{Json, JsonError};
 pub use jsonl::jsonl_string;
 pub use live::{arm_sigterm, disarm_sigterm, flight_dump};
 pub use recorder::{
-    active, emit, env_capacity, env_enabled, env_flow_enabled, flow_recv, flow_send, install,
-    next_flow_id, phase_span, span, step_span, take, Recorder, SpanGuard, DEFAULT_CAPACITY,
-    FLOW_SEQ_BITS,
+    active, emit, env_capacity, env_enabled, flow_recv, flow_send, install, next_flow_id,
+    phase_span, span, step_span, take, Recorder, SpanGuard, DEFAULT_CAPACITY, FLOW_SEQ_BITS,
 };
 pub use report::{
     CacheCounters, CacheNameRecord, CommCounters, GroupCounters, JobCounters, MemCounters,

@@ -38,9 +38,6 @@ pub struct Recorder {
     /// Next flow sequence number (starts at 1; 0 is the "untraced"
     /// sentinel, so flow id 0 is never allocated).
     flow_seq: u64,
-    /// Whether sends stamp flow ids (the full-flow tier); off leaves
-    /// span/counter tracing alone (the skeleton tier).
-    flow_enabled: bool,
 }
 
 impl Recorder {
@@ -60,7 +57,6 @@ impl Recorder {
             head: 0,
             dropped: 0,
             flow_seq: 1,
-            flow_enabled: env_flow_enabled(),
         }
     }
 
@@ -69,26 +65,10 @@ impl Recorder {
         self.rank
     }
 
-    /// Whether sends through this recorder stamp flow ids.
-    pub fn flow_enabled(&self) -> bool {
-        self.flow_enabled
-    }
-
-    /// Turns flow stamping on or off (overriding `MIMIR_TRACE_FLOW`).
-    pub fn set_flow_enabled(&mut self, on: bool) {
-        self.flow_enabled = on;
-    }
-
     /// Allocates the next flow id: `(rank << 48) | seq`, unique per rank
-    /// thread across every communicator (ranks are world ranks, and one
-    /// counter serves all comms, so dup/split clones can never collide).
-    /// Returns the untraced sentinel 0 when flow stamping is off. Never
-    /// allocates: one counter bump.
+    /// thread (ranks are world ranks). Never allocates: one counter bump.
     #[inline]
     pub fn next_flow_id(&mut self) -> u64 {
-        if !self.flow_enabled {
-            return 0;
-        }
         let id =
             ((self.rank as u64) << FLOW_SEQ_BITS) | (self.flow_seq & ((1 << FLOW_SEQ_BITS) - 1));
         self.flow_seq += 1;
@@ -173,7 +153,7 @@ pub fn emit(kind: EventKind, a: u64, b: u64) {
 }
 
 /// Allocates a flow id from this thread's recorder, or returns the
-/// untraced sentinel 0 when tracing (or flow stamping) is off. See
+/// untraced sentinel 0 when tracing is off. See
 /// [`Recorder::next_flow_id`].
 #[inline]
 pub fn next_flow_id() -> u64 {
@@ -250,17 +230,6 @@ fn parse_capacity(var: &str, raw: &str) -> (usize, Option<String>) {
                  count); using the default of {DEFAULT_CAPACITY} events"
             )),
         ),
-    }
-}
-
-/// Whether flow (message-level causal) events are stamped: on by
-/// default whenever tracing is, unless `MIMIR_TRACE_FLOW` is `0`,
-/// `false`, or `off` (case-insensitive) — the "skeleton" tier that
-/// keeps spans and counters but skips per-message events.
-pub fn env_flow_enabled() -> bool {
-    match std::env::var("MIMIR_TRACE_FLOW") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
     }
 }
 
@@ -380,21 +349,17 @@ mod tests {
     #[test]
     fn flow_ids_encode_rank_and_count_up() {
         let mut r = Recorder::new(3, 8);
-        r.set_flow_enabled(true);
         let a = r.next_flow_id();
         let b = r.next_flow_id();
         assert_eq!(a >> FLOW_SEQ_BITS, 3, "rank in the high bits");
         assert_eq!(a & ((1 << FLOW_SEQ_BITS) - 1), 1, "sequence starts at 1");
         assert_eq!(b, a + 1);
-        r.set_flow_enabled(false);
-        assert_eq!(r.next_flow_id(), 0, "disabled flow yields the sentinel");
     }
 
     #[test]
     fn flow_id_zero_is_never_allocated() {
         // Rank 0's first id must not collide with the untraced sentinel.
         let mut r = Recorder::new(0, 8);
-        r.set_flow_enabled(true);
         assert_ne!(r.next_flow_id(), 0);
     }
 

@@ -36,9 +36,7 @@ fn run_wordcount(corpus: impl Fn(usize) -> Vec<u8> + Send + Sync, traced: bool) 
     run_world(RANKS, move |comm| {
         let rank = comm.rank();
         if traced {
-            let mut rec = Recorder::with_epoch(rank, 64 * 1024, epoch);
-            rec.set_flow_enabled(true);
-            mimir_obs::install(rec);
+            mimir_obs::install(Recorder::with_epoch(rank, 64 * 1024, epoch));
         }
         let text = corpus(rank);
         let pool = MemPool::unlimited(format!("n{rank}"), 64 * 1024);

@@ -5,6 +5,7 @@
 
 use mimir::apps::bfs::{bfs_mimir, pick_root, BfsOptions};
 use mimir::apps::wordcount::{wordcount_mimir, wordcount_mrmpi, WcOptions};
+use mimir::mem::MemError;
 use mimir::prelude::*;
 
 const RANKS: usize = 4;
@@ -274,5 +275,47 @@ fn bfs_peaks_in_its_partition_stage() {
             bfs <= partition + slack,
             "rank {rank}: BFS peak {bfs} vs its partition stage's {partition} + {slack}"
         );
+    }
+}
+
+/// Two ranks on one node share its budget whether they are threads or
+/// forked processes: once rank 0 holds every page, rank 1's next page is
+/// refused with the same out-of-memory error on both transports, and the
+/// node's peak reads the same from outside the world.
+#[test]
+fn two_ranks_on_one_node_share_its_budget_on_both_transports() {
+    const PAGE: usize = 4096;
+    const PAGES: usize = 4;
+    for kind in [TransportKind::Inproc, TransportKind::Uds] {
+        let nodes = NodeMap::new(2, 2, PAGE, PAGES * PAGE).unwrap();
+        let refusals = run_world_result_on(kind, 2, |comm| -> Result<_, String> {
+            let pool = nodes.pool_for_rank(comm.rank());
+            let held = match comm.rank() {
+                0 => pool.alloc_pages(PAGES).map_err(|e| e.to_string())?,
+                _ => Vec::new(),
+            };
+            comm.barrier();
+            let refused = match (comm.rank(), pool.alloc_page()) {
+                (0, _) => None,
+                (_, Ok(_)) => Some((0, 0, 0)),
+                (_, Err(e)) => match e {
+                    MemError::OutOfMemory {
+                        requested,
+                        used,
+                        budget,
+                        ..
+                    } => Some((requested, used, budget)),
+                    other => return Err(other.to_string()),
+                },
+            };
+            comm.barrier();
+            drop(held);
+            Ok(refused)
+        })
+        .unwrap();
+        let full = PAGES * PAGE;
+        assert_eq!(refusals, vec![None, Some((PAGE, full, full))], "{kind:?}");
+        let pool = nodes.pool_for_rank(0);
+        assert_eq!((pool.used(), pool.peak()), (0, full), "{kind:?}");
     }
 }

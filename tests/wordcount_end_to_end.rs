@@ -41,6 +41,8 @@ fn file_based_wordcount_matches_serial_across_layouts() {
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
+/// Dozens of exchange rounds give the same counts as the serial
+/// reference, on the backend `MIMIR_TRANSPORT` names.
 #[test]
 fn tiny_comm_buffers_force_many_rounds_same_answer() {
     let path = corpus_file(100_000);
@@ -48,7 +50,7 @@ fn tiny_comm_buffers_force_many_rounds_same_answer() {
     let expected = wordcount_serial(&[&content]);
 
     let path2 = path.clone();
-    let per_rank = run_world(4, move |comm| {
+    let per_rank = run_world_on(TransportKind::from_env(), 4, move |comm| {
         let pool = MemPool::unlimited("node", 64 * 1024);
         // 1 KiB comm buffer → 256 B partitions → dozens of rounds.
         let cfg = MimirConfig {
